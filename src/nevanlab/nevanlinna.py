@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import canonicalize, divisors, differentiate, evaluate, is_infinite, print_expr, div, Const
+from .expressions import (
+    Const,
+    canonicalize,
+    differentiate,
+    div,
+    divisors,
+    evaluate_on_grid,
+    print_expr,
+)
 from .polynomials import poly_roots
 
 DEFAULT_SAMPLES = 4096
@@ -151,20 +159,45 @@ def characteristic_T(f, r, samples=None):
     return FunctionData(f).characteristic([r], samples)[0]
 
 
+def _sharp(w, dw):
+    """|dw| / (1 + |w|^2), as |dw/w| / (|w| + 1/|w|) where |w| > 1.
+
+    NaN wherever w, dw or the result is not finite.
+    """
+    a = np.abs(w)
+    d = np.abs(dw)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = np.where(a <= 1.0, d / (1.0 + a * a), (d / a) / (a + 1.0 / a))
+    ok = np.isfinite(w) & np.isfinite(dw) & np.isfinite(out)
+    return np.where(ok, out, np.nan)
+
+
 def spherical_derivative(f, z):
-    """|f'| / (1 + |f|^2) at z, via the reciprocal at poles."""
-    z = complex(z)
-    w = evaluate(f, z)
-    if not is_infinite(w) and abs(w) < 1e150:
-        v = evaluate(differentiate(f, 1), z)
-        if not is_infinite(v):
-            return abs(v) / (1.0 + abs(w) ** 2)
-    g = div(Const(1), f)
-    gw = evaluate(g, z)
-    gv = evaluate(differentiate(g, 1), z)
-    if is_infinite(gw) or is_infinite(gv):
-        raise ValueError(f"spherical derivative undefined at {z}")
-    return abs(gv) / (1.0 + abs(gw) ** 2)
+    """Spherical derivative |f'| / (1 + |f|^2) at a point or an ndarray of points.
+
+    f is differentiated once per call and f, f' are evaluated over all the
+    points with evaluate_on_grid; where |f| > 1 the equal form
+    |f'/f| / (|f| + 1/|f|) is used, so |f|^2 never overflows.  Where f or f'
+    is not finite (a pole, overflow or 0/0) the same formula is applied to
+    1/f and (1/f)', which have the same spherical derivative, on those points
+    only.  Array input gives an ndarray of the same shape with NaN at points
+    that are still undefined; a scalar point gives a float and raises
+    ValueError when it is undefined.
+    """
+    zs = np.asarray(z, dtype=complex)
+    pts = np.atleast_1d(zs)
+    out = _sharp(evaluate_on_grid(f, pts),
+                 evaluate_on_grid(differentiate(f, 1), pts))
+    bad = np.isnan(out)
+    if bad.any():
+        g = div(Const(1), f)
+        out[bad] = _sharp(evaluate_on_grid(g, pts[bad]),
+                          evaluate_on_grid(differentiate(g, 1), pts[bad]))
+    if zs.ndim:
+        return out
+    if np.isnan(out[0]):
+        raise ValueError(f"spherical derivative undefined at {complex(z)}")
+    return float(out[0])
 
 
 @dataclass(frozen=True)

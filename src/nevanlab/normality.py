@@ -5,6 +5,8 @@ verdicts are deterministic.  The numeric probes are evidence generators, not
 proofs: the Marty probe reports spherical-derivative growth over a family,
 and the rescaling helpers demonstrate convergence of zoomed-in functions
 g_v(xi) = f_v(z_v + rho_v xi) / rho_v^alpha on explicit parameter sequences.
+Each probe evaluates whole grids in numpy, once per family member: one
+symbolic derivative and one grid evaluation, not one per point.
 """
 from __future__ import annotations
 
@@ -12,6 +14,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .diffpoly import (
     MonomialSpec,
@@ -26,11 +30,12 @@ from .expressions import (
     differentiate,
     divisors,
     evaluate,
-    is_infinite,
+    evaluate_on_grid,
     mul,
     parse,
     parse_complex,
     pow_int,
+    print_expr,
     substitute_affine,
 )
 from .nevanlinna import spherical_derivative
@@ -42,17 +47,41 @@ _CONVERGENCE_TOL = 1e-3
 
 
 def chordal_distance(a, b):
-    """Distance on the Riemann sphere (diameter normalized to 1)."""
-    a_inf = is_infinite(a)
-    b_inf = is_infinite(b)
-    if a_inf and b_inf:
-        return 0.0
-    if a_inf:
-        return 1.0 / math.sqrt(1.0 + abs(b) ** 2)
-    if b_inf:
-        return 1.0 / math.sqrt(1.0 + abs(a) ** 2)
-    num = abs(a - b)
-    return num / (math.sqrt(1.0 + abs(a) ** 2) * math.sqrt(1.0 + abs(b) ** 2))
+    """Distance on the Riemann sphere (diameter normalized to 1).
+
+    a and b are points or ndarrays of points, broadcast against each other;
+    a value with any non-finite component is the point at infinity.  Scalar
+    input gives a float, array input an ndarray.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    a_inf = ~np.isfinite(a)
+    b_inf = ~np.isfinite(b)
+    with np.errstate(invalid="ignore", over="ignore"):
+        ha = np.hypot(1.0, np.abs(a))
+        hb = np.hypot(1.0, np.abs(b))
+        d = np.abs(a - b) / ha / hb
+    d = np.where(a_inf, 1.0 / hb, d)
+    d = np.where(b_inf, 1.0 / ha, d)
+    d = np.where(a_inf & b_inf, 0.0, d)
+    return float(d) if d.ndim == 0 else d
+
+
+def _sup_chordal(a, b):
+    return float(np.max(chordal_distance(a, b)))
+
+
+def _grid_values(e, pts):
+    """e over an ndarray of points, with the scalar evaluate's semantics.
+
+    evaluate_on_grid does the work; only its non-finite points are evaluated
+    again one by one, so a pole reads as INFINITY and 0/0 raises
+    IndeterminatePointError as in evaluate.
+    """
+    vals = evaluate_on_grid(e, pts)
+    for i in np.flatnonzero(~np.isfinite(vals)):
+        vals[i] = evaluate(e, pts[i])
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +300,8 @@ class FamilySpec:
         return {
             "template": self.template,
             "params": list(self.params),
-            "disc": {"center": repr(self.center), "radius": self.radius},
+            "disc": {"center": print_expr(Const(self.center)),
+                     "radius": self.radius},
         }
 
     def instantiate(self, v):
@@ -348,22 +378,17 @@ def marty_probe(family, resolution=21, shrink=0.8):
     """
     if not 0.0 < shrink < 1.0:
         raise ValueError("shrink must lie in (0, 1)")
-    pts = disc_grid(family.center, family.radius * shrink, resolution)
+    pts = np.array(disc_grid(family.center, family.radius * shrink, resolution))
     entries = []
     for v in family.params:
-        f = family.instantiate(v)
-        best = None
-        best_pt = None
-        for z in pts:
-            try:
-                s = spherical_derivative(f, z)
-            except (ValueError, ZeroDivisionError):
-                continue
-            if best is None or s > best:
-                best, best_pt = s, z
-        if best is None:
+        try:
+            sharp = spherical_derivative(family.instantiate(v), pts)
+        except (ValueError, ZeroDivisionError):
+            sharp = None
+        if sharp is None or np.isnan(sharp).all():
             raise ValueError(f"no usable grid points for parameter v = {v}")
-        entries.append((v, best, best_pt))
+        k = int(np.nanargmax(sharp))  # the first maximum wins
+        entries.append((v, float(sharp[k]), complex(pts[k])))
     flag = _divergence_flag([m for _, m, _ in entries])
     return MartyReport(family, shrink, resolution, tuple(entries), flag)
 
@@ -453,17 +478,22 @@ class RescaleReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _default_xi_grid():
-    return disc_grid(0j, 2.0, 9)
+def _xi_grid(xi_points):
+    pts = disc_grid(0j, 2.0, 9) if xi_points is None else tuple(xi_points)
+    return np.array(pts, dtype=complex)
 
 
-def _check_domain(family, z_v, rho_v, xi_points):
-    for xi in xi_points:
-        w = z_v + rho_v * xi
-        if not family.contains(w):
-            raise ValueError(
-                f"rescaled point escapes the domain at xi = {xi} "
-                f"(z = {w}, |z - center| = {abs(w - family.center)})")
+def _domain_points(family, z_v, rho_v, xi):
+    """w = z_v + rho_v xi for the xi grid; raises when a w leaves the disc."""
+    w = z_v + rho_v * xi
+    inside = family.contains(w)
+    if not inside.all():
+        k = int(np.argmin(inside))
+        raise ValueError(
+            f"rescaled point escapes the domain at xi = {complex(xi[k])} "
+            f"(z = {complex(w[k])}, "
+            f"|z - center| = {float(abs(w[k] - family.center))})")
+    return w
 
 
 def zalcman_rescale(family, rescaling, xi_points=None, limit=None):
@@ -472,27 +502,25 @@ def zalcman_rescale(family, rescaling, xi_points=None, limit=None):
     Convergence is declared when the final consecutive sup chordal distance
     (or the distance to the supplied limit) drops below 1e-3.
     """
-    xi_points = tuple(xi_points) if xi_points is not None else _default_xi_grid()
+    xi = _xi_grid(xi_points)
     if len(rescaling.pairs) != len(family.params):
         raise ValueError("need one (z_v, rho_v) pair per family parameter")
     limit_vals = None
     if limit is not None:
-        limit_vals = [evaluate(limit, xi) for xi in xi_points]
+        limit_vals = _grid_values(limit, xi)
     prev_vals = None
     entries = []
     for v, (z_v, rho_v) in zip(family.params, rescaling.pairs):
-        _check_domain(family, z_v, rho_v, xi_points)
+        _domain_points(family, z_v, rho_v, xi)  # raises if the zoom leaves the disc
         g = rescaled_function(family.instantiate(v), z_v, rho_v,
                               rescaling.alpha)
-        vals = [evaluate(g, xi) for xi in xi_points]
+        vals = _grid_values(g, xi)
         dist_prev = None
         if prev_vals is not None:
-            dist_prev = max(chordal_distance(a, b)
-                            for a, b in zip(vals, prev_vals))
+            dist_prev = _sup_chordal(vals, prev_vals)
         dist_limit = None
         if limit_vals is not None:
-            dist_limit = max(chordal_distance(a, b)
-                             for a, b in zip(vals, limit_vals))
+            dist_limit = _sup_chordal(vals, limit_vals)
         sharp0 = spherical_derivative(g, 0j)
         entries.append((v, z_v, rho_v, dist_prev, dist_limit, sharp0))
         prev_vals = vals
@@ -542,35 +570,32 @@ def rescale_extras_check(main, extras, family, rescaling, xi_points=None):
     generalized_polynomial(main, extras)  # validates the alpha comparisons
     if Fraction(rescaling.alpha) != alpha_index(main):
         raise ValueError("rescaling alpha must equal the main monomial index")
-    xi_points = tuple(xi_points) if xi_points is not None else _default_xi_grid()
+    xi = _xi_grid(xi_points)
     if len(rescaling.pairs) != len(family.params):
         raise ValueError("need one (z_v, rho_v) pair per family parameter")
     entries = []
     prev_main = None
     sups = []
     for v, (z_v, rho_v) in zip(family.params, rescaling.pairs):
-        _check_domain(family, z_v, rho_v, xi_points)
+        w = _domain_points(family, z_v, rho_v, xi)
         f = family.instantiate(v)
         g = rescaled_function(f, z_v, rho_v, rescaling.alpha)
-        main_expr = compose_monomial(main, g)
-        main_vals = [evaluate(main_expr, xi) for xi in xi_points]
+        main_vals = _grid_values(compose_monomial(main, g), xi)
         dist_prev = None
         if prev_main is not None:
-            dist_prev = max(chordal_distance(a, b)
-                            for a, b in zip(main_vals, prev_main))
+            dist_prev = _sup_chordal(main_vals, prev_main)
         sup = 0.0
         for coeff, spec in extras:
-            mono = compose_monomial(spec, f)
-            for xi in xi_points:
-                w = z_v + rho_v * xi
-                val = evaluate(mono, w)
-                if is_infinite(val):
-                    raise ValueError(f"extra term has a pole at z = {w}")
-                if isinstance(coeff, Expr):
-                    c = evaluate(coeff, w)
-                else:
-                    c = complex(coeff)
-                sup = max(sup, abs(c * val))
+            vals = _grid_values(compose_monomial(spec, f), w)
+            poles = ~np.isfinite(vals)
+            if poles.any():
+                pole = complex(w[np.argmax(poles)])
+                raise ValueError(f"extra term has a pole at z = {pole}")
+            c = _grid_values(coeff, w) if isinstance(coeff, Expr) else complex(coeff)
+            # a pole of c at a zero of the term gives NaN, which fmax skips
+            with np.errstate(invalid="ignore"):
+                terms = np.abs(c * vals)
+            sup = float(np.fmax.reduce(terms, initial=sup))
         entries.append((v, dist_prev, sup))
         sups.append(sup)
         prev_main = main_vals

@@ -163,6 +163,13 @@ def test_spherical_derivative():
     v = spherical_derivative(parse("exp(z)"), 400.0)
     assert math.isfinite(v)
     assert v < 1e-150
+    # exp(z) overflows at z = 800 and so does its reciprocal's derivative:
+    # NaN in an array, ValueError for a scalar point
+    out = spherical_derivative(parse("exp(z)"), np.array([0.0, 800.0]))
+    assert out[0] == pytest.approx(0.5, rel=1e-12)
+    assert np.isnan(out[1])
+    with pytest.raises(ValueError, match="undefined"):
+        spherical_derivative(parse("exp(z)"), 800.0)
 
 
 def test_spherical_derivative_inversion_invariance():
@@ -174,6 +181,17 @@ def test_spherical_derivative_inversion_invariance():
         a = spherical_derivative(f, z)
         b = spherical_derivative(g, z)
         assert a == pytest.approx(b, rel=1e-8, abs=1e-12)
+    # arrays agree point by point with the scalar calls, including the pole
+    # of f at 3 and the poles of g at +-1
+    zs = np.array([complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
+                   for _ in range(60)] + [3.0, 1.0, -1.0]).reshape(7, 9)
+    a = spherical_derivative(f, zs)
+    b = spherical_derivative(g, zs)
+    assert a.shape == b.shape == zs.shape
+    for z, sa, sb in zip(zs.ravel(), a.ravel(), b.ravel()):
+        assert sa == pytest.approx(spherical_derivative(f, z), rel=1e-8, abs=1e-12)
+        assert sb == pytest.approx(spherical_derivative(g, z), rel=1e-8, abs=1e-12)
+        assert sa == pytest.approx(sb, rel=1e-8, abs=1e-12)
 
 
 def test_radial_report_table():

@@ -1,11 +1,14 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nevanlab import parse
 from nevanlab.diffpoly import AlphaViolation, MonomialSpec
+from nevanlab.expressions import IndeterminatePointError
 from nevanlab.normality import (
     CriterionParams,
     FamilySpec,
@@ -157,6 +160,22 @@ def test_chordal_distance():
         d = chordal_distance(a, b)
         assert d == pytest.approx(chordal_distance(b, a), rel=1e-12)
         assert 0.0 <= d <= 1.0 + 1e-12
+    # arrays broadcast and agree element-wise with the scalar calls; any
+    # non-finite component is the point at infinity
+    a = np.array([complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
+                  for _ in range(40)] + [inf, inf, complex(1.0, math.nan), 2.0])
+    b = np.array([complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
+                  for _ in range(40)] + [inf, 0.5j, inf, complex(-math.inf, 1.0)])
+    d = chordal_distance(a, b)
+    assert d.shape == a.shape
+    for x, y, dxy in zip(a, b, d):
+        assert dxy == pytest.approx(chordal_distance(complex(x), complex(y)),
+                                    rel=1e-12)
+    assert list(d[-4:-1]) == [0.0, pytest.approx(1.0 / math.sqrt(1.25)), 0.0]
+    assert d[-1] == pytest.approx(1.0 / math.sqrt(5.0), rel=1e-12)
+    row = chordal_distance(a[:5], 0.0)
+    assert list(row) == [pytest.approx(chordal_distance(complex(x), 0.0), rel=1e-12)
+                         for x in a[:5]]
 
 
 def test_family_spec():
@@ -174,6 +193,13 @@ def test_family_spec():
         FamilySpec("v*z", ())
     with pytest.raises(Exception):
         FamilySpec("v*q", (1.0,))  # unknown parameter name
+
+
+def test_family_spec_json_round_trip():
+    fam = FamilySpec("v/(z-0.4)", (1.0, 2.0), complex(0.5, -0.25), 2.0)
+    payload = fam.to_json_dict()
+    assert payload["disc"] == {"center": "(0.5-0.25i)", "radius": 2.0}
+    assert FamilySpec.from_json_dict(payload) == fam
 
 
 def test_disc_grid():
@@ -234,6 +260,83 @@ def test_marty_probe_all_points_failing(monkeypatch):
     fam = FamilySpec("v*z", (1.0, 2.0))
     with pytest.raises(ValueError, match="no usable grid points"):
         nm.marty_probe(fam, resolution=5)
+
+
+def test_marty_probe_pole_on_lattice():
+    # f# of v/(z - 0.4) is v/(|z - 0.4|^2 + v^2): 1/v at the pole, which is
+    # a lattice point at resolution 5 and shrink 0.8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = marty_probe(FamilySpec("v/(z-0.4)", (1, 2, 4)), resolution=5)
+    for (v, m, z), expect in zip(rep.entries, (1.0, 2.0, 4.0)):
+        assert v == expect
+        assert m == pytest.approx(1.0 / v, rel=1e-12)
+        assert z == pytest.approx(0.4, abs=1e-15)
+
+
+def test_marty_probe_exponential_overflow_skipped():
+    # f# of exp(v z) is v/(2 cosh(v Re z)), v/2 on the imaginary axis; for
+    # large v, exp(v z) overflows on most of the right half of the lattice
+    params = tuple(float(2 ** i) for i in range(13))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = marty_probe(FamilySpec("exp(v*z)", params), resolution=21,
+                          shrink=0.9)
+    assert rep.divergent
+    for (v, m, z), expect in zip(rep.entries, params):
+        assert v == expect
+        assert m == pytest.approx(v / 2.0, rel=1e-12)
+        assert abs(z.real) <= 1e-15
+
+
+def test_marty_probe_non_canonical_template():
+    # exp(v z) + exp(-v z) has no canonical form; compare with numpy
+    params = (1.0, 2.0, 4.0, 8.0, 16.0)
+    pts = np.array(disc_grid(0j, 0.8, 21))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = marty_probe(FamilySpec("exp(v*z)+exp(-v*z)", params),
+                          resolution=21)
+    for (v, m, z), expect in zip(rep.entries, params):
+        f = np.exp(v * pts) + np.exp(-v * pts)
+        df = v * (np.exp(v * pts) - np.exp(-v * pts))
+        sharp = np.abs(df) / (1.0 + np.abs(f) ** 2)
+        assert v == expect
+        assert m == pytest.approx(sharp.max(), rel=1e-12)
+        at = int(np.abs(pts - z).argmin())
+        assert abs(pts[at] - z) == 0.0
+        assert sharp[at] == pytest.approx(sharp.max(), rel=1e-12)
+
+
+def test_zalcman_pole_on_xi_grid():
+    # 1/(v z) zoomed at 0 by 1/v is 1/xi for every v, with its pole at the
+    # centre of the xi grid
+    params = (4.0, 8.0, 16.0, 32.0)
+    fam = FamilySpec("1/(v*z)", params)
+    spec = RescalingSpec.from_rules(0, params, lambda v: 0j, lambda v: 1.0 / v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = zalcman_rescale(fam, spec, limit=parse("1/z"))
+    assert rep.converged
+    assert rep.entries[0][3] is None
+    for i, (_, _, _, dist_prev, dist_limit, sharp0) in enumerate(rep.entries):
+        assert dist_limit == 0.0
+        assert i == 0 or dist_prev == 0.0
+        assert sharp0 == 1.0
+
+
+def test_rescaling_singular_points_raise():
+    # 0/0 on the xi grid and a pole of an extra term keep their errors
+    spec = RescalingSpec.from_rules(0, (4.0, 8.0), lambda v: 0j, lambda v: 1.0 / v)
+    with pytest.raises(IndeterminatePointError):
+        zalcman_rescale(FamilySpec("(v*z)/(z*(z+1))", (4.0, 8.0)), spec)
+    params = _power_params()
+    spec = RescalingSpec.from_rules(Fraction(1, 3), params, lambda v: 0j,
+                                    lambda v: v ** -1.5)
+    extra = (1.0, MonomialSpec(3, ((1, 1),)))
+    with pytest.raises(ValueError, match="extra term has a pole at z = 0j"):
+        rescale_extras_check(MonomialSpec(1, ((2, 1),)), (extra,),
+                             FamilySpec("v/z", params), spec)
 
 
 def test_rescaling_spec_validation():
