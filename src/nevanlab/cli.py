@@ -1,13 +1,15 @@
 """Command line front end.
 
-Single binary with subcommands.  Tabular commands emit CSV by default and a
-full JSON report (resolved configuration included) with --format json.  Exit
+Single binary with subcommands.  Tabular commands emit CSV by default; with
+--format json every command emits one envelope {"command", "config",
+"report"}, the resolved configuration included.  Exit
 codes: 0 success or PASS, 1 an inequality or convergence check FAILED, 2
 usage or precondition errors.
 """
 
 import argparse
 import ast
+import functools
 import json
 import os
 import sys
@@ -114,8 +116,10 @@ def _parse_extras_json(text):
                 coeff = parse_complex(raw)
             except ValueError:
                 coeff = parse(raw)
-        else:
+        elif isinstance(raw, (int, float)):
             coeff = complex(raw)
+        else:
+            raise ValueError('extra "coeff" must be a number or a string')
         extras.append((coeff, MonomialSpec.from_json_dict(item["spec"])))
     return tuple(extras)
 
@@ -159,11 +163,14 @@ def _rule(text):
         tree = ast.parse(pythonic, mode="eval")
     except SyntaxError as exc:
         raise ValueError(f"bad rule {text!r}: {exc.msg}")
-    _eval_rule_node(tree, 1.0)  # fail fast before the sweep
 
     def apply(v):
-        return _eval_rule_node(tree, float(v))
+        try:
+            return _eval_rule_node(tree, float(v))
+        except OverflowError:
+            raise ValueError(f"bad rule {text!r}: overflow at v = {v}")
 
+    apply(1.0)  # fail fast before the sweep
     return apply
 
 
@@ -202,37 +209,39 @@ def _policy(args):
                        tail_fraction=args.tail_fraction)
 
 
+def _grid_config(args, samples, **fields):
+    return dict(fields, rmin=args.rmin, rmax=args.rmax, steps=args.steps,
+                samples=samples if samples is not None else DEFAULT_SAMPLES)
+
+
+def _word(ok):
+    return "PASS" if ok else "FAIL"
+
+
 # ---------------------------------------------------------------------------
-# output plumbing
+# output: every command ends here
 
 
-def _emit(text, out):
-    if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+def _finish(args, command, config, report_dict, text, ok=True, status=None):
+    """Write the report and the optional status line; return the exit code.
+
+    With --format json the report is the envelope {"command", "config",
+    "report"}; otherwise it is the command's CSV or text form.  It goes to
+    --out PATH when given, else to stdout; the status line goes to stderr.
+    """
+    if args.format == "json":
+        text = json.dumps({"command": command, "config": config,
+                           "report": report_dict}, indent=2, sort_keys=True)
+    if not text.endswith("\n"):
+        text += "\n"
+    if args.out is None:
+        sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-
-
-def _dump(obj):
-    return json.dumps(obj, indent=2, sort_keys=True)
-
-
-def _status(line):
-    print(line, file=sys.stderr)
-
-
-def _grid_config(args, samples):
-    return {
-        "rmin": args.rmin,
-        "rmax": args.rmax,
-        "steps": args.steps,
-        "samples": samples if samples is not None else DEFAULT_SAMPLES,
-    }
-
-
-def _policy_config(policy):
-    return policy.to_json_dict()
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    if status is not None:
+        print(status, file=sys.stderr)
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -243,91 +252,76 @@ def cmd_characteristic(args):
     f = parse(args.f)
     samples = _resolve_samples(args)
     report = radial_report(f, grid=_grid(args), samples=samples)
-    if args.format == "json":
-        payload = {
-            "command": "characteristic",
-            "config": dict(_grid_config(args, report.samples), f=args.f),
-            "report": report.to_json_dict(),
-        }
-        _emit(_dump(payload), args.out)
-    else:
-        _emit(report.to_csv_text(), args.out)
-    return 0
-
-
-def _emit_series(args, name, series, verdict, extra_config):
-    samples = _resolve_samples(args)
-    if args.format == "json":
-        config = dict(_grid_config(args, samples), **extra_config)
-        payload = {
-            "command": f"verify {name}",
-            "config": config,
-            "report": series.to_json_dict(verdict=verdict),
-        }
-        _emit(_dump(payload), args.out)
-    else:
-        _emit(series.to_csv_text(), args.out)
-    word = "PASS" if verdict.passed else "FAIL"
-    _status(f"{name}: {word}")
-    return 0 if verdict.passed else 1
+    return _finish(args, "characteristic",
+                   _grid_config(args, report.samples, f=args.f),
+                   report.to_json_dict(), report.to_csv_text())
 
 
 def cmd_verify_fmt(args):
-    f = parse(args.f)
-    a = parse_complex(args.a)
-    samples = _resolve_samples(args)
+    f, a = parse(args.f), parse_complex(args.a)
+    samples, policy = _resolve_samples(args), _policy(args)
     series = check_fmt(f, a, grid=_grid(args), samples=samples)
-    verdict = fmt_boundedness_verdict(series, policy=_policy(args),
+    verdict = fmt_boundedness_verdict(series, policy=policy,
                                       margin=args.margin)
-    extra = {"f": args.f, "a": args.a, "margin": args.margin,
-             "policy": _policy_config(_policy(args))}
-    return _emit_series(args, "fmt", series, verdict, extra)
+    config = _grid_config(args, samples, f=args.f, a=args.a,
+                          margin=args.margin, policy=policy.to_json_dict())
+    return _finish(args, "verify fmt", config, series.to_json_dict(verdict),
+                   series.to_csv_text(), verdict.passed,
+                   f"fmt: {_word(verdict.passed)}")
 
 
 def cmd_verify_smt(args):
-    f = parse(args.f)
-    values = _parse_values(args.values)
-    samples = _resolve_samples(args)
+    f, values = parse(args.f), _parse_values(args.values)
+    samples, policy = _resolve_samples(args), _policy(args)
     series = check_smt(f, values, grid=_grid(args), samples=samples)
-    verdict = slack_verdict(series, policy=_policy(args))
-    extra = {"f": args.f, "values": args.values,
-             "policy": _policy_config(_policy(args))}
-    return _emit_series(args, "smt", series, verdict, extra)
+    verdict = slack_verdict(series, policy=policy)
+    config = _grid_config(args, samples, f=args.f, values=args.values,
+                          policy=policy.to_json_dict())
+    return _finish(args, "verify smt", config, series.to_json_dict(verdict),
+                   series.to_csv_text(), verdict.passed,
+                   f"smt: {_word(verdict.passed)}")
 
 
 def cmd_verify_logderiv(args):
     f = parse(args.f)
-    samples = _resolve_samples(args)
+    samples, policy = _resolve_samples(args), _policy(args)
     series = check_log_derivative(f, args.k, grid=_grid(args),
-                                  samples=samples, policy=_policy(args))
-    verdict = slack_verdict(series, policy=_policy(args))
-    extra = {"f": args.f, "k": args.k,
-             "policy": _policy_config(_policy(args))}
-    return _emit_series(args, "logderiv", series, verdict, extra)
+                                  samples=samples, policy=policy)
+    verdict = slack_verdict(series, policy=policy)
+    config = _grid_config(args, samples, f=args.f, k=args.k,
+                          policy=policy.to_json_dict())
+    return _finish(args, "verify logderiv", config,
+                   series.to_json_dict(verdict), series.to_csv_text(),
+                   verdict.passed, f"logderiv: {_word(verdict.passed)}")
 
 
 def cmd_verify_hinchliffe(args):
     g = parse(args.g)
     p = build_standard_monomial(_parse_spec_json(args.spec))
-    samples = _resolve_samples(args)
+    samples, policy = _resolve_samples(args), _policy(args)
     series = check_hinchliffe(g, p, grid=_grid(args), samples=samples)
-    verdict = slack_verdict(series, policy=_policy(args))
-    extra = {"g": args.g, "spec": args.spec,
-             "policy": _policy_config(_policy(args))}
-    return _emit_series(args, "hinchliffe", series, verdict, extra)
+    verdict = slack_verdict(series, policy=policy)
+    config = _grid_config(args, samples, g=args.g, spec=args.spec,
+                          policy=policy.to_json_dict())
+    return _finish(args, "verify hinchliffe", config,
+                   series.to_json_dict(verdict), series.to_csv_text(),
+                   verdict.passed, f"hinchliffe: {_word(verdict.passed)}")
 
 
 def cmd_verify_lemma3(args):
     g = parse(args.g)
     p = build_standard_monomial(_parse_spec_json(args.spec))
     values = _parse_values(args.values)
-    samples = _resolve_samples(args)
+    samples, policy = _resolve_samples(args), _policy(args)
     series = check_hinchliffe_multi(g, p, values, grid=_grid(args),
                                     samples=samples, entire=args.entire)
-    verdict = slack_verdict(series, policy=_policy(args))
-    extra = {"g": args.g, "spec": args.spec, "values": args.values,
-             "entire": args.entire, "policy": _policy_config(_policy(args))}
-    return _emit_series(args, "lemma3", series, verdict, extra)
+    verdict = slack_verdict(series, policy=policy)
+    config = _grid_config(args, samples, g=args.g, spec=args.spec,
+                          values=args.values, entire=args.entire,
+                          policy=policy.to_json_dict())
+    return _finish(args, "verify lemma3", config,
+                   series.to_json_dict(verdict), series.to_csv_text(),
+                   verdict.passed, f"lemma3: {_word(verdict.passed)}")
 
 
 def cmd_expand(args):
@@ -340,98 +334,43 @@ def cmd_expand(args):
     else:
         p = build_standard_monomial(MonomialSpec(0, ((args.n, args.t),)))
     text = print_diffpoly(p)
-    if args.format == "json":
-        payload = {
-            "command": "expand",
-            "config": {"n": args.n, "t": args.t},
-            "report": {
-                "text": text,
-                "terms": [[str(t.coefficient), list(t.exponents)]
-                          for t in p.terms],
-            },
-        }
-        _emit(_dump(payload), args.out)
-    else:
-        _emit(text, args.out)
-    return 0
+    report = {"text": text,
+              "terms": [[str(t.coefficient), list(t.exponents)]
+                        for t in p.terms]}
+    return _finish(args, "expand", {"n": args.n, "t": args.t}, report, text)
 
 
-def _criterion_params(args):
+def cmd_criterion(args):
     pairs = _parse_pairs(args.pairs)
-    q = args.q
-    if q < 1:
+    if args.q < 1:
         raise ValueError("--q must be at least 1")
-    ells = _parse_multiplicities(args.ell, q)
-    values = tuple(float(i + 1) for i in range(q))
-    return CriterionParams(args.n, pairs, values, ells)
+    ells = _parse_multiplicities(args.ell, args.q)
+    values = tuple(float(i + 1) for i in range(args.q))
+    report = args.criterion(CriterionParams(args.n, pairs, values, ells))
+    ok = report.applicable
+    return _finish(args, f"criteria {args.which}",
+                   {"n": args.n, "pairs": args.pairs, "q": args.q,
+                    "ell": args.ell},
+                   report.to_json_dict(),
+                   f"lhs={report.lhs} rhs={report.rhs} {_word(ok)}", ok)
 
 
-def _emit_criterion(args, kind, report):
-    passed = report.applicable
-    line = f"lhs={report.lhs} rhs={report.rhs} {'PASS' if passed else 'FAIL'}"
-    if args.format == "json":
-        payload = {
-            "command": f"criteria {kind}",
-            "config": {"n": args.n, "pairs": args.pairs, "q": args.q,
-                       "ell": args.ell},
-            "report": report.to_json_dict(),
-        }
-        _emit(_dump(payload), args.out)
-    else:
-        _emit(line, args.out)
-    return 0 if passed else 1
-
-
-def cmd_criteria_th1(args):
-    return _emit_criterion(args, "th1",
-                           check_meromorphic_criterion(_criterion_params(args)))
-
-
-def cmd_criteria_th2(args):
-    return _emit_criterion(args, "th2",
-                           check_holomorphic_criterion(_criterion_params(args)))
-
-
-def _emit_reduction(args, kind, lhs, rhs, holds):
-    line = f"lhs={lhs} rhs={rhs} {'PASS' if holds else 'FAIL'}"
-    if args.format == "json":
-        payload = {
-            "command": f"criteria {kind}",
-            "config": {"n": args.n, "pairs": args.pairs},
-            "report": {"lhs": lhs, "rhs": rhs, "holds": holds},
-        }
-        _emit(_dump(payload), args.out)
-    else:
-        _emit(line, args.out)
-    return 0 if holds else 1
-
-
-def cmd_criteria_cor1(args):
-    lhs, rhs, holds = meromorphic_reduction(args.n, _parse_pairs(args.pairs))
-    return _emit_reduction(args, "cor1", lhs, rhs, holds)
-
-
-def cmd_criteria_cor2(args):
-    lhs, rhs, holds = holomorphic_reduction(args.n, _parse_pairs(args.pairs))
-    return _emit_reduction(args, "cor2", lhs, rhs, holds)
+def cmd_reduction(args):
+    lhs, rhs, holds = args.criterion(args.n, _parse_pairs(args.pairs))
+    return _finish(args, f"criteria {args.which}",
+                   {"n": args.n, "pairs": args.pairs},
+                   {"lhs": lhs, "rhs": rhs, "holds": holds},
+                   f"lhs={lhs} rhs={rhs} {_word(holds)}", holds)
 
 
 def cmd_marty(args):
     family = _parse_family_json(args.family)
     report = marty_probe(family, resolution=args.resolution,
                          shrink=args.shrink)
-    if args.format == "json":
-        payload = {
-            "command": "marty",
-            "config": {"family": family.to_json_dict(),
-                       "resolution": args.resolution, "shrink": args.shrink},
-            "report": report.to_json_dict(),
-        }
-        _emit(_dump(payload), args.out)
-    else:
-        _emit(report.to_csv_text(), args.out)
-    _status(f"marty: {report.flag}")
-    return 0
+    config = {"family": family.to_json_dict(),
+              "resolution": args.resolution, "shrink": args.shrink}
+    return _finish(args, "marty", config, report.to_json_dict(),
+                   report.to_csv_text(), status=f"marty: {report.flag}")
 
 
 def _rescaling(args, family):
@@ -444,19 +383,12 @@ def cmd_zalcman(args):
     rescaling = _rescaling(args, family)
     limit = parse(args.limit) if args.limit is not None else None
     report = zalcman_rescale(family, rescaling, limit=limit)
-    if args.format == "json":
-        payload = {
-            "command": "zalcman",
-            "config": {"family": family.to_json_dict(), "alpha": args.alpha,
-                       "zv": args.zv, "rho": args.rho, "limit": args.limit},
-            "report": report.to_json_dict(),
-        }
-        _emit(_dump(payload), args.out)
-    else:
-        _emit(report.to_csv_text(), args.out)
+    config = {"family": family.to_json_dict(), "alpha": args.alpha,
+              "zv": args.zv, "rho": args.rho, "limit": args.limit}
     word = "converged" if report.converged else "NOT converged"
-    _status(f"zalcman: {word}")
-    return 0 if report.converged else 1
+    return _finish(args, "zalcman", config, report.to_json_dict(),
+                   report.to_csv_text(), report.converged,
+                   f"zalcman: {word}")
 
 
 def cmd_remark14(args):
@@ -465,22 +397,15 @@ def cmd_remark14(args):
     extras = _parse_extras_json(args.extras) if args.extras else ()
     rescaling = _rescaling(args, family)
     report = rescale_extras_check(main, extras, family, rescaling)
-    if args.format == "json":
-        payload = {
-            "command": "remark14",
-            "config": {"family": family.to_json_dict(), "main": args.main,
-                       "extras": args.extras, "alpha": args.alpha,
-                       "zv": args.zv, "rho": args.rho},
-            "report": report.to_json_dict(),
-        }
-        _emit(_dump(payload), args.out)
-    else:
-        _emit(report.to_csv_text(), args.out)
+    config = {"family": family.to_json_dict(), "main": args.main,
+              "extras": args.extras, "alpha": args.alpha,
+              "zv": args.zv, "rho": args.rho}
     ok = report.main_converged and report.extras_vanish
-    word = "PASS" if ok else "FAIL"
-    _status(f"remark14: {word} (main_converged={report.main_converged}, "
-            f"extras_vanish={report.extras_vanish})")
-    return 0 if ok else 1
+    return _finish(args, "remark14", config, report.to_json_dict(),
+                   report.to_csv_text(), ok,
+                   f"remark14: {_word(ok)} (main_converged="
+                   f"{report.main_converged}, extras_vanish="
+                   f"{report.extras_vanish})")
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +444,9 @@ def _add_policy_flags(p):
                         "(default %(default)s)")
 
 
+@functools.cache
 def build_parser():
+    """The argparse parser, built once per process and shared by every call."""
     top = argparse.ArgumentParser(
         prog="nevanlab",
         description="Growth, value distribution, and normal family probes "
@@ -611,11 +538,11 @@ def build_parser():
                                    "normality hypotheses")
     csub = criteria.add_subparsers(dest="which", required=True)
 
-    for name, handler, needs_q in (
-            ("th1", cmd_criteria_th1, True),
-            ("th2", cmd_criteria_th2, True),
-            ("cor1", cmd_criteria_cor1, False),
-            ("cor2", cmd_criteria_cor2, False)):
+    for name, check, needs_q in (
+            ("th1", check_meromorphic_criterion, True),
+            ("th2", check_holomorphic_criterion, True),
+            ("cor1", meromorphic_reduction, False),
+            ("cor2", holomorphic_reduction, False)):
         p = csub.add_parser(
             name,
             help=("meromorphic" if name in ("th1", "cor1") else "holomorphic")
@@ -633,7 +560,8 @@ def build_parser():
                                 "'inf', or a comma list of length q "
                                 "(default %(default)s)")
         _add_output_flags(p, formats=("text", "json"))
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=cmd_criterion if needs_q else cmd_reduction,
+                       criterion=check)
 
     p = sub.add_parser("marty",
                        help="spherical derivative maxima across a "

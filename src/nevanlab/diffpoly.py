@@ -53,9 +53,15 @@ class MonomialSpec:
 
     @classmethod
     def from_json_dict(cls, payload):
-        if set(payload) != {"n", "pairs"}:
+        if not isinstance(payload, dict) or set(payload) != {"n", "pairs"}:
             raise ValueError('expected keys {"n", "pairs"}')
-        return cls(payload["n"], tuple((a, b) for a, b in payload["pairs"]))
+        pairs = payload["pairs"]
+        if not isinstance(pairs, (list, tuple)) or not all(
+                isinstance(p, (list, tuple)) and len(p) == 2
+                and all(isinstance(x, int) for x in p) for p in pairs):
+            raise ValueError('"pairs" must be a list of [n_j, t_j] integer '
+                             'pairs')
+        return cls(payload["n"], tuple((a, b) for a, b in pairs))
 
     def to_json_dict(self):
         return {"n": self.n, "pairs": [list(p) for p in self.pairs]}

@@ -8,7 +8,6 @@ report carries the policy so the convention is visible, never silent.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -102,9 +101,6 @@ class SlackSeries:
         if verdict is not None:
             payload["verdict"] = verdict.to_json_dict()
         return payload
-
-    def to_json_text(self, verdict=None):
-        return json.dumps(self.to_json_dict(verdict), sort_keys=True, indent=2) + "\n"
 
 
 @dataclass(frozen=True)

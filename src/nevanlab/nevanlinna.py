@@ -8,7 +8,6 @@ factors never overflow.  T = m + N by construction.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -231,9 +230,6 @@ class NevanlinnaReport:
             "rows": [list(row) for row in self.rows],
             "monotone_ok": self.monotone_ok,
         }
-
-    def to_json_text(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def radial_report(f, grid=None, samples=None):

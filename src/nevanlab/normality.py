@@ -10,7 +10,6 @@ symbolic derivative and one grid evaluation, not one per point.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -290,11 +289,23 @@ class FamilySpec:
 
     @classmethod
     def from_json_dict(cls, payload):
+        if not isinstance(payload, dict) or not (
+                {"template", "params"} <= set(payload)):
+            raise ValueError('family needs keys "template" and "params"')
+        template, params = payload["template"], payload["params"]
         disc = payload.get("disc", {})
+        if not isinstance(template, str):
+            raise ValueError('family "template" must be a string')
+        if not isinstance(params, list) or not all(
+                isinstance(v, (int, float)) for v in params):
+            raise ValueError('family "params" must be a list of numbers')
+        if not isinstance(disc, dict) or not isinstance(
+                disc.get("radius", 1.0), (int, float)):
+            raise ValueError('family "disc" must be an object with a '
+                             '"center" and a numeric "radius"')
         center = parse_complex(str(disc.get("center", "0")))
-        radius = float(disc.get("radius", 1.0))
-        return cls(payload["template"], tuple(payload["params"]),
-                   center, radius)
+        return cls(template, tuple(params), center,
+                   float(disc.get("radius", 1.0)))
 
     def to_json_dict(self):
         return {
@@ -356,9 +367,6 @@ class MartyReport:
             "entries": [[v, m, z.real, z.imag] for v, m, z in self.entries],
             "csv": self.to_csv_text(),
         }
-
-    def to_json_text(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def _divergence_flag(maxima):
@@ -474,9 +482,6 @@ class RescaleReport:
             "csv": self.to_csv_text(),
         }
 
-    def to_json_text(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
 
 def _xi_grid(xi_points):
     pts = disc_grid(0j, 2.0, 9) if xi_points is None else tuple(xi_points)
@@ -554,9 +559,6 @@ class ExtrasReport:
             "entries": [[v, dp, sup] for v, dp, sup in self.entries],
             "csv": self.to_csv_text(),
         }
-
-    def to_json_text(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def rescale_extras_check(main, extras, family, rescaling, xi_points=None):

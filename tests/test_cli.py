@@ -269,3 +269,72 @@ def test_module_invocation():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2*g*g'"
+
+
+SPEC = '{"n":1,"pairs":[[2,1]]}'
+RESCALE = ["--alpha", "0", "--zv", "0", "--rho", "1/v"]
+EVERY_COMMAND = [
+    ("characteristic", ["characteristic", "--f", "z"] + SMALL),
+    ("verify fmt", ["verify", "fmt", "--f", "(z^2-1)/(z+3)", "--a", "1"]
+     + SMALL),
+    ("verify smt", ["verify", "smt", "--f", "z^2", "--values", "0,1,-1"]
+     + SMALL),
+    ("verify logderiv", ["verify", "logderiv", "--f", "(z-1)^5*exp(2*z)"]
+     + SMALL),
+    ("verify hinchliffe", ["verify", "hinchliffe", "--g", "z",
+                           "--spec", SPEC] + SMALL),
+    ("verify lemma3", ["verify", "lemma3", "--g", "z", "--spec", SPEC,
+                       "--values", "1,2"] + SMALL),
+    ("expand", ["expand", "--n", "3", "--t", "2"]),
+    ("criteria th1", ["criteria", "th1", "--n", "3", "--pairs", "3:1"]),
+    ("criteria th2", ["criteria", "th2", "--n", "0", "--pairs", "2:1"]),
+    ("criteria cor1", ["criteria", "cor1", "--n", "3", "--pairs", "3:1"]),
+    ("criteria cor2", ["criteria", "cor2", "--n", "0", "--pairs", "2:1"]),
+    ("marty", ["marty", "--family", LINEAR_FAMILY, "--resolution", "7"]),
+    ("zalcman", ["zalcman", "--family", LINEAR_FAMILY, "--limit", "z"]
+     + RESCALE),
+    ("remark14", _remark14_args([100, 10 ** 4], [])),
+]
+
+
+@pytest.mark.parametrize("command,argv", EVERY_COMMAND,
+                         ids=[c for c, _ in EVERY_COMMAND])
+def test_every_command_json_envelope_and_out(command, argv, tmp_path,
+                                             capsys):
+    for fmt in ([], ["--format", "json"]):
+        rc = main(argv + fmt)
+        assert rc in (0, 1)
+        stdout = capsys.readouterr().out
+        target = tmp_path / "report"
+        assert main(argv + fmt + ["--out", str(target)]) == rc
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == stdout.encode("utf-8")
+    payload = json.loads(stdout)
+    assert set(payload) == {"command", "config", "report"}
+    assert payload["command"] == command
+
+
+def _family_args(family):
+    return ["marty", "--family", family, "--resolution", "5"]
+
+
+MALFORMED = {
+    "family empty": _family_args("{}"),
+    "family list": _family_args("[1]"),
+    "family disc": _family_args(
+        '{"template":"v*z","params":[1,2],"disc":3}'),
+    "family params": _family_args('{"template":"v*z","params":5}'),
+    "family template": _family_args('{"template":5,"params":[1,2]}'),
+    "spec pairs": ["verify", "hinchliffe", "--g", "z",
+                   "--spec", '{"n":1,"pairs":5}'],
+    "extras coeff": _remark14_args(
+        [100, 10 ** 4], [{"coeff": [1], "spec": {"n": 3, "pairs": [[1, 1]]}}]),
+    "rule overflow": ["zalcman", "--family", LINEAR_FAMILY, "--alpha", "0",
+                      "--zv", "0", "--rho", "10^400"],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_payload_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -71,7 +71,7 @@ def test_series_csv_and_json():
     s = _series_from_slacks([1.0, 2.0])
     csv = s.to_csv_text()
     assert csv.splitlines()[0] == "r,lhs,rhs,slack,normalized_slack"
-    payload = json.loads(s.to_json_text(slack_verdict(s)))
+    payload = json.loads(json.dumps(s.to_json_dict(slack_verdict(s))))
     assert payload["columns"] == ["r", "lhs", "rhs", "slack", "normalized_slack"]
     assert payload["verdict"]["passed"] is True
     assert payload["verdict"]["policy"]["epsilon"] == 0.05

@@ -207,7 +207,7 @@ def test_radial_report_table():
     csv = rep.to_csv_text()
     assert csv.splitlines()[0] == "r,m,N,Nbar,T"
     assert len(csv.splitlines()) == 9
-    payload = json.loads(rep.to_json_text())
+    payload = json.loads(json.dumps(rep.to_json_dict()))
     assert payload["columns"] == ["r", "m", "N", "Nbar", "T"]
     assert payload["config"]["samples"] == 256
     assert payload["monotone_ok"] is True
