@@ -43,7 +43,12 @@ class MonomialSpec:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 0:
             raise ValueError("n must be a nonnegative integer")
-        pairs = tuple((int(a), int(b)) for a, b in self.pairs)
+        if not isinstance(self.pairs, (list, tuple)) or not all(
+                isinstance(p, (list, tuple)) and len(p) == 2
+                and all(isinstance(x, int) and not isinstance(x, bool) for x in p)
+                for p in self.pairs):
+            raise ValueError("pairs must be (n_j, t_j) pairs of integers")
+        pairs = tuple((a, b) for a, b in self.pairs)
         if not pairs:
             raise ValueError("at least one derivative factor is required")
         for nj, tj in pairs:
@@ -55,13 +60,7 @@ class MonomialSpec:
     def from_json_dict(cls, payload):
         if not isinstance(payload, dict) or set(payload) != {"n", "pairs"}:
             raise ValueError('expected keys {"n", "pairs"}')
-        pairs = payload["pairs"]
-        if not isinstance(pairs, (list, tuple)) or not all(
-                isinstance(p, (list, tuple)) and len(p) == 2
-                and all(isinstance(x, int) for x in p) for p in pairs):
-            raise ValueError('"pairs" must be a list of [n_j, t_j] integer '
-                             'pairs')
-        return cls(payload["n"], tuple((a, b) for a, b in pairs))
+        return cls(payload["n"], payload["pairs"])
 
     def to_json_dict(self):
         return {"n": self.n, "pairs": [list(p) for p in self.pairs]}

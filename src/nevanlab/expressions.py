@@ -590,8 +590,12 @@ def divisors(e):
     c = canonicalize(e)
     if c.num.is_zero:
         raise ValueError("the zero function has no divisor")
+    return canonical_divisors(c, poly_roots(c.den) if c.den.degree > 0 else [])
+
+
+def canonical_divisors(c, pole_pairs):
+    """divisors() from the canonical form c and the root pairs of c.den."""
     zero_pairs = poly_roots(c.num) if c.num.degree > 0 else []
-    pole_pairs = poly_roots(c.den) if c.den.degree > 0 else []
     zero_pairs, pole_pairs = _cancel_common(zero_pairs, pole_pairs)
     return (
         Divisor.from_pairs(zero_pairs, "zeros"),

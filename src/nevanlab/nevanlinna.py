@@ -4,21 +4,24 @@ The integrated counting function is evaluated in closed form from the
 divisor: N(r) = sum over |z_k| <= r of m_k (log r - log max(|z_k|, 1)).
 Proximity m(r) is a composite-trapezoid average of log+|f| over the circle,
 computed entirely in the log domain from the canonical form, so exponential
-factors never overflow.  T = m + N by construction.
+factors never overflow.  T = m + N by construction.  FunctionData holds the
+inputs: the canonical form and the denominator roots at construction, the
+divisors (which need the numerator roots) on first use.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .expressions import (
     Const,
+    canonical_divisors,
     canonicalize,
     differentiate,
     div,
-    divisors,
     evaluate_on_grid,
     print_expr,
 )
@@ -108,32 +111,49 @@ def counting_N(divisor, r, truncated=False):
 
 
 class FunctionData:
-    """Canonical form plus divisors of one expression, computed once."""
+    """Nevanlinna data of one expression, each piece computed once.
+
+    The canonical form and the denominator's root pairs are computed on
+    construction; zeros and poles, which also need the numerator's roots,
+    on first use, so proximity alone never root-finds the numerator.
+    """
 
     def __init__(self, expr):
         self.expr = expr
         self.canonical = canonicalize(expr)
         if self.canonical.num.is_zero:
             raise ValueError("the zero function has no Nevanlinna data")
-        self.zeros, self.poles = divisors(expr)
         den = self.canonical.den
-        self._den_roots = [z for z, _ in poly_roots(den)] if den.degree > 0 else []
+        self._den_pairs = poly_roots(den) if den.degree > 0 else []
+
+    @cached_property
+    def _divisors(self):
+        return canonical_divisors(self.canonical, self._den_pairs)
+
+    @property
+    def zeros(self):
+        return self._divisors[0]
+
+    @property
+    def poles(self):
+        return self._divisors[1]
 
     def proximity(self, radii, samples):
         """m(r) for each radius by trapezoid quadrature of log+|f|."""
         samples = _require_samples(samples)
         out = []
         base = 2.0 * np.pi * np.arange(samples) / samples
+        unit = np.exp(1j * base)
         half = np.pi / samples
         for r in radii:
             r = _require_radius(r)
-            theta = base.copy()
-            for rho in self._den_roots:
+            theta = base  # replaced, never written to, where a pole is dodged
+            for rho, _ in self._den_pairs:
                 if abs(abs(rho) - r) <= _ANGLE_DODGE * r:
                     ang = math.atan2(rho.imag, rho.real) % (2.0 * np.pi)
                     near = np.abs((theta - ang + np.pi) % (2.0 * np.pi) - np.pi) <= _ANGLE_DODGE
-                    theta[near] += half
-            vals = self.canonical.log_abs(r * np.exp(1j * theta))
+                    theta = np.where(near, theta + half, theta)
+            vals = self.canonical.log_abs(r * (unit if theta is base else np.exp(1j * theta)))
             bad = np.isnan(vals) | np.isposinf(vals)
             if bad.any():
                 vals[bad] = self.canonical.log_abs(r * np.exp(1j * (theta[bad] + half)))

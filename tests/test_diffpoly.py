@@ -77,6 +77,16 @@ def test_monomial_spec_validation_and_json():
         MonomialSpec.from_json_dict({"n": 1})
 
 
+@pytest.mark.parametrize("pairs", [((1.5, 1),), ((2, 1.0),), ((True, 1),),
+                                   ((2, 1, 1),), (2, 1), 5])
+def test_monomial_spec_refuses_non_integer_pairs(pairs):
+    # a float entry used to be truncated silently: (1.5, 1) became (1, 1)
+    with pytest.raises(ValueError, match="pairs of integers"):
+        MonomialSpec(1, pairs)
+    with pytest.raises(ValueError, match="pairs of integers"):
+        MonomialSpec.from_json_dict({"n": 1, "pairs": pairs})
+
+
 def test_build_standard_monomial_examples():
     # g * (g^2)' = 2 g^2 g'
     p = build_standard_monomial(MonomialSpec(1, ((2, 1),)))

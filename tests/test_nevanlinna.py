@@ -5,6 +5,8 @@ import random
 import numpy as np
 import pytest
 
+import nevanlab.expressions
+import nevanlab.nevanlinna
 from nevanlab import (
     DEFAULT_SAMPLES,
     Divisor,
@@ -13,6 +15,7 @@ from nevanlab import (
     canonicalize,
     characteristic_T,
     counting_N,
+    divisors,
     parse,
     proximity_m,
     radial_report,
@@ -144,6 +147,13 @@ def test_pole_on_circle_is_dodged():
     assert m > 0.0
     m2 = proximity_m(f, 2.0 * (1.0 + 1e-12))
     assert math.isfinite(m2)
+    # only the middle radius carries the pole: the dodge there must leave
+    # the quadrature points of the other radii untouched
+    radii = (1.5, 2.0, 2.5)
+    ms = FunctionData(f).proximity(radii, 4096)
+    assert ms[1] == m
+    for r, got in zip(radii, ms):
+        assert got == proximity_m(f, r, samples=4096)
 
 
 def test_quadrature_sample_doubling():
@@ -216,3 +226,31 @@ def test_radial_report_table():
 def test_zero_function_rejected():
     with pytest.raises(ValueError):
         proximity_m(parse("0"), 2.0)
+
+
+def test_proximity_root_finds_only_the_denominator(monkeypatch):
+    calls = []
+    original = nevanlab.expressions.poly_roots
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+    for module in (nevanlab.expressions, nevanlab.nevanlinna):
+        monkeypatch.setattr(module, "poly_roots", counting)
+    f = parse("D[(z-1)^2/(z+3)*exp(z),2]/((z-1)^2/(z+3)*exp(z))")
+    data = FunctionData(f)
+    data.proximity((2.0, 4.0), 256)
+    assert calls == [data.canonical.den]
+    data.characteristic((2.0, 4.0), 256)  # the poles need the numerator too
+    data.zeros
+    assert calls == [data.canonical.den, data.canonical.num]
+
+
+@pytest.mark.parametrize("text", ["D[(z-1)^2/(z+3),1]/((z-1)^2/(z+3))",
+                                  "(z-1)^2*(z+2i)*exp(z)"])
+def test_function_data_divisors_match_divisors(text):
+    f = parse(text)
+    data = FunctionData(f)
+    zeros, poles = divisors(f)
+    assert data.zeros == zeros
+    assert data.poles == poles

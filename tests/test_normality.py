@@ -42,6 +42,8 @@ def test_params_validation():
         CriterionParams(1, ((2, 1),), (1.0,), (INF, 2))
     with pytest.raises(ValueError):
         CriterionParams(1, ((2, 1),), (1.0,), (2.5,))
+    with pytest.raises(ValueError, match="pairs of integers"):
+        CriterionParams(1, ((2.5, 1),), (1.0,), (INF,))
 
 
 def test_meromorphic_criterion_examples():
