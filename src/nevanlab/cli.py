@@ -116,7 +116,7 @@ def _parse_extras_json(text):
                 coeff = parse_complex(raw)
             except ValueError:
                 coeff = parse(raw)
-        elif isinstance(raw, (int, float)):
+        elif isinstance(raw, (int, float)) and not isinstance(raw, bool):
             coeff = complex(raw)
         else:
             raise ValueError('extra "coeff" must be a number or a string')
@@ -131,8 +131,8 @@ _RULE_HINT = ("rules are arithmetic in v: numbers (j suffix for imaginary "
 def _eval_rule_node(node, v):
     if isinstance(node, ast.Expression):
         return _eval_rule_node(node.body, v)
-    if isinstance(node, ast.Constant) and isinstance(node.value,
-                                                    (int, float, complex)):
+    if isinstance(node, ast.Constant) and isinstance(
+            node.value, (int, float, complex)) and not isinstance(node.value, bool):
         return complex(node.value)
     if isinstance(node, ast.Name) and node.id == "v":
         return complex(v)

@@ -41,7 +41,7 @@ class MonomialSpec:
     pairs: tuple
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
             raise ValueError("n must be a nonnegative integer")
         if not isinstance(self.pairs, (list, tuple)) or not all(
                 isinstance(p, (list, tuple)) and len(p) == 2
@@ -253,8 +253,17 @@ def compose_generalized(main, extras, g):
     return add(*parts)
 
 
+def _derivatives(g, order):
+    """[g, g', ..., g^(order)], each differentiated once from the previous."""
+    out = [g]
+    for _ in range(order):
+        out.append(differentiate(out[-1]))
+    return out
+
+
 def diffpoly_expression(p, g):
     """Symbolic Expr of the expanded form: sum of c * prod g^(j)^{S_j}."""
+    derivs = _derivatives(g, max(len(t.exponents) for t in p.terms) - 1)
     parts = []
     for term in p.terms:
         factors = []
@@ -264,7 +273,7 @@ def diffpoly_expression(p, g):
             factors.append(Const(complex(term.coefficient)))
         for j, m in enumerate(term.exponents):
             if m:
-                factors.append(pow_int(differentiate(g, j) if j else g, m))
+                factors.append(pow_int(derivs[j], m))
         parts.append(mul(*factors))
     return add(*parts)
 
@@ -273,9 +282,7 @@ def evaluate_diffpoly(p, g, z):
     """Value of the expanded polynomial at z from derivative values of g."""
     z = complex(z)
     order = max(len(t.exponents) for t in p.terms) - 1
-    derivs = [evaluate(g, z)]
-    for j in range(1, order + 1):
-        derivs.append(evaluate(differentiate(g, j), z))
+    derivs = [evaluate(d, z) for d in _derivatives(g, order)]
     if any(is_infinite(v) for v in derivs):
         return INFINITY
     total = 0j

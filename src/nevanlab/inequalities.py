@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .diffpoly import degree_d, diffpoly_expression, weight_theta
-from .expressions import Const, NotNormalizableError, add, canonicalize, div, divisors, differentiate, print_expr
+from .expressions import Const, NotNormalizableError, add, div, divisors, differentiate, print_expr
 from .nevanlinna import FunctionData, RadialGrid, counting_N
 
 _NORM_FLOOR = 1e-9

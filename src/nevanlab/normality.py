@@ -90,7 +90,7 @@ def _grid_values(e, pts):
 def _check_multiplicity_value(m):
     if m == INFINITE_MULTIPLICITY:
         return INFINITE_MULTIPLICITY
-    if not isinstance(m, int) or m < 1:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValueError("multiplicities must be integers >= 1 or infinity")
     return m
 
@@ -265,6 +265,10 @@ def check_multiplicities(f, spec, a, ell):
 # families and grids
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Template in z with parameter v, instantiated over a disc."""
@@ -296,11 +300,9 @@ class FamilySpec:
         disc = payload.get("disc", {})
         if not isinstance(template, str):
             raise ValueError('family "template" must be a string')
-        if not isinstance(params, list) or not all(
-                isinstance(v, (int, float)) for v in params):
+        if not isinstance(params, list) or not all(map(_is_number, params)):
             raise ValueError('family "params" must be a list of numbers')
-        if not isinstance(disc, dict) or not isinstance(
-                disc.get("radius", 1.0), (int, float)):
+        if not isinstance(disc, dict) or not _is_number(disc.get("radius", 1.0)):
             raise ValueError('family "disc" must be an object with a '
                              '"center" and a numeric "radius"')
         center = parse_complex(str(disc.get("center", "0")))

@@ -1,11 +1,12 @@
 """Dense univariate complex polynomials and a multiplicity-aware root finder.
 
-Roots are located by an Aberth-Ehrlich simultaneous iteration with a
-companion-matrix fallback.  Approximations are clustered, and cluster
+Root approximations are the eigenvalues of the companion matrix (np.roots),
+which are backward stable but spread an m-fold root over a small polygon.
+Approximations are clustered, simple roots are Newton-polished, and cluster
 multiplicities are confirmed by checking that successive derivatives vanish
-at a Newton-refined point.  That confirmation step is what lets a quintuple
-root scattered over a ~1e-3 pentagon by rounding collapse back to a single
-entry of multiplicity five.
+at a Newton-refined point.  That confirmation step is what lets a sextuple
+root scattered over a ~5e-3 hexagon by rounding collapse back to a single
+entry of multiplicity six.
 """
 from __future__ import annotations
 
@@ -16,12 +17,11 @@ import numpy as np
 CLUSTER_RADIUS = 1e-6
 RESIDUAL_SCALE = 1e-8
 _VANISH_SCALE = 1e-10
-_ABERTH_MAX_ITER = 160
-_MERGE_LEVELS = (2e-6, 1e-5, 1e-4, 1e-3, 4e-3)
+_MERGE_LEVELS = (2e-6, 1e-5, 1e-4, 1e-3, 4e-3, 1.6e-2)
 
 
 class RootFindingError(RuntimeError):
-    """The iteration could not produce roots meeting the residual bound."""
+    """The root approximations could not be assembled within the residual bound."""
 
 
 class Polynomial:
@@ -156,71 +156,6 @@ class Polynomial:
         return f"Polynomial({list(self._coeffs)!r})"
 
 
-ZERO = Polynomial([0])
-ONE = Polynomial([1])
-IDENTITY = Polynomial([0, 1])
-
-
-def _horner_np(coeffs, z):
-    acc = np.full_like(z, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc = acc * z + c
-    return acc
-
-
-def _aberth(coeffs):
-    """Simultaneous Aberth-Ehrlich iteration.  Returns approximations or None."""
-    deg = len(coeffs) - 1
-    lead = coeffs[-1]
-    monic = np.array([c / lead for c in coeffs], dtype=complex)
-    dcoeffs = np.array([k * monic[k] for k in range(1, deg + 1)], dtype=complex)
-    bound = 1.0 + max(abs(c) for c in monic[:-1])
-    k = np.arange(deg)
-    # staggered radii and an irrational-ish phase offset break symmetric traps
-    radii = bound * (0.55 + 0.35 * (k + 1) / deg)
-    z = radii * np.exp(1j * (2.0 * np.pi * k / deg + 0.4))
-    for _ in range(_ABERTH_MAX_ITER):
-        pz = _horner_np(monic, z)
-        dpz = _horner_np(dcoeffs, z) if deg > 0 else np.zeros_like(z)
-        dpz = np.where(dpz == 0, 1e-280, dpz)
-        w = pz / dpz
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = np.sum(1.0 / diff, axis=1)
-        corr = w / (1.0 - w * s)
-        z = z - corr
-        if not np.all(np.isfinite(z)):
-            return None
-        if np.max(np.abs(corr)) <= 1e-14 * (1.0 + np.max(np.abs(z))):
-            break
-    return z
-
-
-def _companion_roots(coeffs):
-    return np.array(np.roots(list(reversed(coeffs))), dtype=complex)
-
-
-def _cluster(points, radius):
-    """Greedy BFS clustering of points whose mutual distance is <= radius."""
-    points = list(points)
-    unused = set(range(len(points)))
-    clusters = []
-    while unused:
-        seed = min(unused)
-        group = [seed]
-        unused.discard(seed)
-        frontier = [seed]
-        while frontier:
-            i = frontier.pop()
-            near = [j for j in unused if abs(points[i] - points[j]) <= radius]
-            for j in near:
-                unused.discard(j)
-                group.append(j)
-                frontier.append(j)
-        clusters.append([points[i] for i in group])
-    return clusters
-
-
 def _newton(poly, x0, steps=80):
     """Newton iteration on poly from x0; returns refined point or None."""
     d = poly.derivative()
@@ -267,9 +202,9 @@ def _confirm_multiplicity(p, x0, m):
 def _assemble(p, raw):
     deg = p.degree
     groups = []
-    for members in _cluster(raw, CLUSTER_RADIUS):
-        center = sum(members) / len(members)
-        m = len(members)
+    for comp in _components(raw, CLUSTER_RADIUS):
+        m = len(comp)
+        center = sum(raw[i] for i in comp) / m
         if m == 1:
             x = _newton(p, center, steps=12)
             if x is not None and abs(p(x)) <= abs(p(center)):
@@ -284,7 +219,7 @@ def _assemble(p, raw):
         changed = True
         while changed:
             changed = False
-            comps = _components(groups, level)
+            comps = _components([x for x, _ in groups], level)
             for comp in comps:
                 if len(comp) < 2:
                     continue
@@ -314,9 +249,9 @@ def _assemble(p, raw):
     return groups
 
 
-def _components(groups, radius):
-    """Connected components of group centers under distance <= radius."""
-    n = len(groups)
+def _components(points, radius):
+    """Connected components (sorted index lists) of points under distance <= radius."""
+    n = len(points)
     seen = set()
     comps = []
     for s in range(n):
@@ -328,7 +263,7 @@ def _components(groups, radius):
         while frontier:
             i = frontier.pop()
             for j in range(n):
-                if j not in seen and abs(groups[i][0] - groups[j][0]) <= radius:
+                if j not in seen and abs(points[i] - points[j]) <= radius:
                     seen.add(j)
                     comp.append(j)
                     frontier.append(j)
@@ -342,7 +277,11 @@ def _validate(p, groups):
     if sum(m for _, m in groups) != deg:
         return False
     for x, _ in groups:
-        if abs(p(x)) > RESIDUAL_SCALE * (1.0 + maxc) * (1.0 + abs(x)) ** deg:
+        try:
+            bound = RESIDUAL_SCALE * (1.0 + maxc) * (1.0 + abs(x)) ** deg
+        except OverflowError:
+            return False  # (1 + |x|)^deg overflows: the residual cannot be judged
+        if abs(p(x)) > bound:
             return False
     return True
 
@@ -351,7 +290,8 @@ def poly_roots(p):
     """All roots of p with multiplicities, as a list of (root, multiplicity).
 
     Degree 0 gives an empty list; the zero polynomial is rejected.  Every
-    returned root satisfies |p(root)| <= 1e-8 (1 + max|c|) (1 + |root|)^deg.
+    returned root satisfies |p(root)| <= 1e-8 (1 + max|c|) (1 + |root|)^deg;
+    when that cannot be met or checked, RootFindingError is raised.
     """
     if not isinstance(p, Polynomial):
         p = Polynomial(p)
@@ -362,17 +302,10 @@ def poly_roots(p):
         return []
     if deg == 1:
         return [(-p.coefficients[0] / p.coefficients[1], 1)]
-    coeffs = list(p.coefficients)
-    attempts = []
-    raw = _aberth(coeffs)
-    if raw is not None:
-        attempts.append(raw)
-    attempts.append(_companion_roots(coeffs))
-    for raw in attempts:
-        groups = _assemble(p, list(raw))
-        if _validate(p, groups):
-            groups.sort(key=lambda g: (g[0].real, g[0].imag))
-            return [(x, m) for x, m in groups]
-    raise RootFindingError(
-        f"root finding did not converge for degree-{deg} polynomial"
-    )
+    groups = _assemble(p, np.roots(p.coefficients[::-1]).tolist())
+    if not _validate(p, groups):
+        raise RootFindingError(
+            f"roots of a degree-{deg} polynomial fail the residual bound"
+        )
+    groups.sort(key=lambda g: (g[0].real, g[0].imag))
+    return [(x, m) for x, m in groups]

@@ -324,13 +324,22 @@ MALFORMED = {
     "family disc": _family_args(
         '{"template":"v*z","params":[1,2],"disc":3}'),
     "family params": _family_args('{"template":"v*z","params":5}'),
+    "family params bool": _family_args('{"template":"v*z","params":[true,2]}'),
+    "family radius bool": _family_args(
+        '{"template":"v*z","params":[1,2],"disc":{"radius":true}}'),
     "family template": _family_args('{"template":5,"params":[1,2]}'),
     "spec pairs": ["verify", "hinchliffe", "--g", "z",
                    "--spec", '{"n":1,"pairs":5}'],
+    "spec n bool": ["verify", "hinchliffe", "--g", "z",
+                    "--spec", '{"n":true,"pairs":[[2,1]]}'],
     "extras coeff": _remark14_args(
         [100, 10 ** 4], [{"coeff": [1], "spec": {"n": 3, "pairs": [[1, 1]]}}]),
+    "extras coeff bool": _remark14_args(
+        [100, 10 ** 4], [{"coeff": True, "spec": {"n": 3, "pairs": [[1, 1]]}}]),
     "rule overflow": ["zalcman", "--family", LINEAR_FAMILY, "--alpha", "0",
                       "--zv", "0", "--rho", "10^400"],
+    "rule bool": ["zalcman", "--family", LINEAR_FAMILY, "--alpha", "0",
+                  "--zv", "0", "--rho", "True*v"],
 }
 
 

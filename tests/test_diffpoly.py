@@ -87,6 +87,15 @@ def test_monomial_spec_refuses_non_integer_pairs(pairs):
         MonomialSpec.from_json_dict({"n": 1, "pairs": pairs})
 
 
+@pytest.mark.parametrize("n", [True, False, 1.0])
+def test_monomial_spec_refuses_non_integer_n(n):
+    # a JSON true used to be read as n = 1
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        MonomialSpec(n, ((1, 1),))
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        MonomialSpec.from_json_dict({"n": n, "pairs": [[2, 1]]})
+
+
 def test_build_standard_monomial_examples():
     # g * (g^2)' = 2 g^2 g'
     p = build_standard_monomial(MonomialSpec(1, ((2, 1),)))

@@ -228,6 +228,22 @@ def test_divisors_cancellation():
     assert len(zeros) == 1 and abs(zeros.entries[0][0] + 1) < 1e-8
 
 
+def test_divisors_of_derivative_with_high_order_pole():
+    # the quotient rule squares the cube pole: the unreduced denominator holds
+    # it six times and the numerator twice, so its six approximations must
+    # merge for the common factor to cancel to a pole of order four
+    f = parse("D[(0.75-1.0i)*(z-(-0.390625-1.28125i))^2/((z-(0.78125+0.796875i))^3"
+              "*(z-(0.09375+0.984375i))^1),1]")
+    zeros, poles = divisors(f)
+    assert sorted(m for _, m in poles.entries) == [2, 4]
+    for x, m in poles.entries:
+        target = 0.78125 + 0.796875j if m == 4 else 0.09375 + 0.984375j
+        assert abs(x - target) < 1e-9
+    assert zeros.total == 3
+    assert any(m == 1 and abs(x - (-0.390625 - 1.28125j)) < 1e-9
+               for x, m in zeros.entries)
+
+
 def test_divisor_truncation_and_counting():
     f = parse("(z-1)^2/z*exp(3*z)")
     zeros, _ = divisors(f)

@@ -44,6 +44,11 @@ def test_params_validation():
         CriterionParams(1, ((2, 1),), (1.0,), (2.5,))
     with pytest.raises(ValueError, match="pairs of integers"):
         CriterionParams(1, ((2.5, 1),), (1.0,), (INF,))
+    # a bool is an int to isinstance, but not a multiplicity floor
+    with pytest.raises(ValueError, match="multiplicities"):
+        CriterionParams(1, ((1, 1),), (1.0,), (True,))
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        CriterionParams(True, ((1, 1),), (1.0,), (INF,))
 
 
 def test_meromorphic_criterion_examples():

@@ -74,11 +74,22 @@ def test_roots_triple_plus_simple():
             assert abs(r + 1.5) < 1e-8
 
 
+@pytest.mark.parametrize("root", [2j, -3, 1.09375 + 0.609375j])
+def test_roots_sextuple_root_collapses(root):
+    # companion eigenvalues spread a sextuple root over a ~5e-3 hexagon, and
+    # only the last merge level gathers all three of these
+    roots = poly_roots(Polynomial.from_roots([root] * 6))
+    assert len(roots) == 1
+    r, m = roots[0]
+    assert m == 6 and abs(r - root) < 1e-9
+
+
 def test_close_but_distinct_roots_not_merged():
-    a, b = 0.5, 0.5 + 1e-3
-    p = Polynomial.from_roots([a, b, -2.0])
-    roots = poly_roots(p)
-    assert sorted(m for _, m in roots) == [1, 1, 1]
+    # the widest separations sit at and beyond the last merge level
+    for sep in (1e-3, 1e-2, 1.5e-2, 3e-2):
+        p = Polynomial.from_roots([0.5, 0.5 + sep, -2.0])
+        roots = poly_roots(p)
+        assert sorted(m for _, m in roots) == [1, 1, 1], sep
 
 
 def test_degree_zero_and_zero_poly():
