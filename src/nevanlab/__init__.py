@@ -46,6 +46,7 @@ from .nevanlinna import (
     RadialGrid,
     FunctionData,
     NevanlinnaReport,
+    QuadratureError,
     unintegrated_counting,
     counting_N,
     proximity_m,

@@ -4,7 +4,8 @@ Single binary with subcommands.  Tabular commands emit CSV by default; with
 --format json every command emits one envelope {"command", "config",
 "report"}, the resolved configuration included.  Exit
 codes: 0 success or PASS, 1 an inequality or convergence check FAILED, 2
-usage or precondition errors.
+usage or precondition errors, and results the library refuses to compute
+(RootFindingError, QuadratureError), each as one "error:" line.
 """
 
 import argparse
@@ -39,7 +40,7 @@ from .inequalities import (
     fmt_boundedness_verdict,
     slack_verdict,
 )
-from .nevanlinna import DEFAULT_SAMPLES, RadialGrid, radial_report
+from .nevanlinna import DEFAULT_SAMPLES, QuadratureError, RadialGrid, radial_report
 from .normality import (
     CriterionParams,
     FamilySpec,
@@ -53,6 +54,7 @@ from .normality import (
     rescale_extras_check,
     zalcman_rescale,
 )
+from .polynomials import RootFindingError
 
 SAMPLES_ENV = "NEVANLAB_SAMPLES"
 
@@ -616,7 +618,8 @@ def main(argv=None):
     try:
         return args.handler(args)
     except (ParseError, NotNormalizableError, AlphaViolation, ValueError,
-            ZeroDivisionError, json.JSONDecodeError) as exc:
+            ZeroDivisionError, json.JSONDecodeError, RootFindingError,
+            QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -449,6 +450,9 @@ def substitute_affine(e, a, b):
 # ---------------------------------------------------------------------------
 # canonical form and divisors
 
+_BLOCK = 16  # coefficients per block in Canonical.log_abs_on_circle
+
+
 @dataclass(frozen=True)
 class Canonical:
     """f = (num/den) * exp(expo) with den not identically zero."""
@@ -465,6 +469,103 @@ class Canonical:
                 out = out - np.log(np.abs(self.den(zs)))
             if not self.expo.is_zero:
                 out = out + np.real(self.expo(zs))
+        return out
+
+    def circle_powers(self, unit):
+        """The table log_abs_on_circle takes: powers[j, k] = unit[(k*j) % N].
+
+        unit[j] = w^j for w = exp(2 pi i/N).  There are
+        min(max degree, _BLOCK) + 1 columns, filled one at a time from an
+        exact integer index, so each entry is w^(jk) to the accuracy of
+        unit itself and no (N x columns) index array is built.
+        """
+        n = unit.size
+        degree = max(self.num.degree, self.den.degree, self.expo.degree)
+        powers = np.empty((n, min(degree, _BLOCK) + 1), dtype=complex)
+        step = np.arange(n)
+        index = np.zeros(n, dtype=step.dtype)
+        for k in range(powers.shape[1]):
+            powers[:, k] = unit[index]
+            index += step
+            index %= n
+        return powers
+
+    @cached_property
+    def _circle_terms(self):
+        """The parts of log_abs_on_circle that do not depend on r.
+
+        Returns (kinds, real, exponents, offset, slope).  Each nonconstant
+        polynomial is one column of kind 1 (num), -1 (den) or 0 (expo), its
+        coefficients in blocks of width = min(length, _BLOCK); real holds
+        each coefficient x + iy as the 2x2 block [[x, y], [-y, x]], and
+        exponents the power of r that scales it.  Constant polynomials add
+        to offset; slope * log r is the sum of the d log r terms.
+        """
+        cols, kinds = [], []
+        offset = slope = 0.0
+        for kind, p in ((1, self.num), (-1, self.den), (0, self.expo)):
+            c = p.coefficients
+            d = len(c) - 1
+            if d == 0:
+                if kind == 0:
+                    offset += c[0].real
+                else:
+                    offset += kind * (math.log(abs(c[0])) if c[0] else -math.inf)
+                continue
+            k = np.arange(d + 1.0)
+            cols.append((c, k if kind == 0 else k - d))
+            kinds.append(kind)
+            slope += kind * d
+        if not cols:
+            return kinds, None, None, offset, slope
+        length = max(len(c) for c, _ in cols)
+        width = min(length, _BLOCK)
+        blocks = -(-length // width)
+        coef = np.zeros((len(cols), blocks * width), dtype=complex)
+        exps = np.zeros(coef.shape)  # padding gets r^0, times a zero coefficient
+        for i, (c, e) in enumerate(cols):
+            coef[i, :len(c)] = c
+            exps[i, :len(e)] = e
+        coef = coef.reshape(-1, width).T  # (width, columns * blocks)
+        real = np.empty((width, 2, coef.shape[1], 2))
+        real[:, 0, :, 0] = real[:, 1, :, 1] = coef.real
+        real[:, 0, :, 1] = coef.imag
+        real[:, 1, :, 0] = -coef.imag
+        return kinds, real, exps.reshape(-1, width).T[:, None, :, None], offset, slope
+
+    def log_abs_on_circle(self, r, powers):
+        """log|f| at z_j = r w^j, j < N, given powers[j, k] = w^(jk) from circle_powers.
+
+        Each polynomial is a matrix product against the table instead of
+        Horner.  num and den, of degree d, are r^d sum_k c_k r^(k-d) w^(jk):
+        the sum runs on unit-modulus points and d log r is added back in the
+        log domain, so r^d never overflows.  expo is sum_k c_k r^k w^(jk).
+        Constant polynomials and the d log r terms make one scalar offset.
+        Coefficients go in blocks of _BLOCK, joined by Horner in
+        w^_BLOCK = powers[:, _BLOCK], so powers needs min(max degree,
+        _BLOCK) + 1 columns whatever the degree; below degree _BLOCK there
+        is one block and no Horner step.  The complex product runs as one
+        real matrix product on the interleaved (re, im) view of the table.
+        """
+        kinds, real, exps, offset, slope = self._circle_terms
+        n = len(powers)
+        out = np.full(n, offset + slope * math.log(r))
+        if not kinds:
+            return out
+        width = real.shape[0]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            scaled = (real * r ** exps).reshape(2 * width, -1)
+            sums = (powers[:, :width].view(float) @ scaled).view(complex).reshape(n, len(kinds), -1)
+            acc = sums[:, :, -1]
+            for b in range(sums.shape[2] - 2, -1, -1):
+                acc = acc * powers[:, _BLOCK, None] + sums[:, :, b]
+            for kind, s in zip(kinds, acc.T):
+                if kind > 0:
+                    out += np.log(np.abs(s))
+                elif kind < 0:
+                    out -= np.log(np.abs(s))
+                else:
+                    out += s.real
         return out
 
 

@@ -2,9 +2,22 @@
 
 The integrated counting function is evaluated in closed form from the
 divisor: N(r) = sum over |z_k| <= r of m_k (log r - log max(|z_k|, 1)).
-Proximity m(r) is a composite-trapezoid average of log+|f| over the circle,
-computed entirely in the log domain from the canonical form, so exponential
-factors never overflow.  T = m + N by construction.  FunctionData holds the
+Proximity m(r) is a composite-trapezoid average of log+|f| over N
+equispaced points z_j = r w^j, w = exp(2 pi i/N), computed in the log
+domain from the canonical form (num/den) exp(expo).  Since
+p(z_j) = sum_k (c_k r^k) w^(jk), proximity builds one table
+powers[j, k] = w^(jk), indexed exactly by (j k) mod N, once per call, and
+Canonical.log_abs_on_circle evaluates every radius as one matrix product
+against it.  num and den of degree d are scaled to r^d sum_k c_k r^(k-d)
+w^(jk), so the sum runs on unit-modulus points and d log r is added back
+in the log domain: neither r^d nor an exponential factor overflows.
+Coefficients go in blocks of 16, joined by Horner in w^16, so the table
+has at most 17 columns whatever the degree.  A radius where the circle
+passes through a pole has the nearby samples moved half a step (the
+dodge); such radii, and samples whose log|f| is NaN or +inf and are
+retried half a step over, are evaluated by Canonical.log_abs (Horner) at
+those explicit points.  Samples still singular after the retry raise
+QuadratureError.  T = m + N by construction.  FunctionData holds the
 inputs: the canonical form and the denominator roots at construction, the
 divisors (which need the numerator roots) on first use.
 """
@@ -30,6 +43,10 @@ from .polynomials import poly_roots
 DEFAULT_SAMPLES = 4096
 _MIN_SAMPLES = 64
 _ANGLE_DODGE = 1e-8
+
+
+class QuadratureError(RuntimeError):
+    """Samples of log|f| on a circle stay singular after the half-step retry."""
 
 
 def _require_radius(r):
@@ -116,6 +133,7 @@ class FunctionData:
     The canonical form and the denominator's root pairs are computed on
     construction; zeros and poles, which also need the numerator's roots,
     on first use, so proximity alone never root-finds the numerator.
+    Each proximity call builds its power table once for all its radii.
     """
 
     def __init__(self, expr):
@@ -139,11 +157,21 @@ class FunctionData:
         return self._divisors[1]
 
     def proximity(self, radii, samples):
-        """m(r) for each radius by trapezoid quadrature of log+|f|."""
+        """m(r) for each radius by trapezoid quadrature of log+|f|.
+
+        One power table (Canonical.circle_powers) serves every radius
+        through Canonical.log_abs_on_circle (see the module docstring).
+        A radius where a pole is dodged, and samples retried half a step
+        over, go through Canonical.log_abs at those explicit points.  Only
+        a non-finite sum of log+|f| triggers the retry; if the sum is
+        still not finite, QuadratureError is raised.
+        """
         samples = _require_samples(samples)
+        c = self.canonical
         out = []
         base = 2.0 * np.pi * np.arange(samples) / samples
         unit = np.exp(1j * base)
+        powers = c.circle_powers(unit)
         half = np.pi / samples
         for r in radii:
             r = _require_radius(r)
@@ -153,14 +181,19 @@ class FunctionData:
                     ang = math.atan2(rho.imag, rho.real) % (2.0 * np.pi)
                     near = np.abs((theta - ang + np.pi) % (2.0 * np.pi) - np.pi) <= _ANGLE_DODGE
                     theta = np.where(near, theta + half, theta)
-            vals = self.canonical.log_abs(r * (unit if theta is base else np.exp(1j * theta)))
-            bad = np.isnan(vals) | np.isposinf(vals)
-            if bad.any():
-                vals[bad] = self.canonical.log_abs(r * np.exp(1j * (theta[bad] + half)))
-                bad = np.isnan(vals) | np.isposinf(vals)
-                if bad.any():
-                    raise RuntimeError(f"quadrature hit singular samples at r = {r}")
-            out.append(float(np.mean(np.maximum(vals, 0.0))))
+            if theta is base:
+                vals = c.log_abs_on_circle(r, powers)
+            else:
+                vals = c.log_abs(r * np.exp(1j * theta))
+            with np.errstate(over="ignore"):
+                total = np.maximum(vals, 0.0, out=vals).sum()
+                if not math.isfinite(total):  # NaN or +inf samples: retry them
+                    bad = ~np.isfinite(vals)
+                    vals[bad] = np.maximum(c.log_abs(r * np.exp(1j * (theta[bad] + half))), 0.0)
+                    total = vals.sum()
+            if not math.isfinite(total):
+                raise QuadratureError(f"quadrature hit singular samples at r = {r}")
+            out.append(float(total) / samples)
         return out
 
     def characteristic(self, radii, samples):

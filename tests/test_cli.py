@@ -271,6 +271,19 @@ def test_module_invocation():
     assert proc.stdout.strip() == "2*g*g'"
 
 
+@pytest.mark.parametrize("f", [
+    "D[(z^2-1)/(z+3),8]",  # RootFindingError on the unreduced degree-256 form
+    "exp(z^200)",  # QuadratureError: Re z^200 overflows on the circle
+])
+def test_refused_computation_is_an_error_line(f):
+    proc = subprocess.run(
+        [sys.executable, "-m", "nevanlab.cli", "characteristic", "--f", f],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 SPEC = '{"n":1,"pairs":[[2,1]]}'
 RESCALE = ["--alpha", "0", "--zv", "0", "--rho", "1/v"]
 EVERY_COMMAND = [

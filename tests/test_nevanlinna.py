@@ -10,12 +10,18 @@ import nevanlab.nevanlinna
 from nevanlab import (
     DEFAULT_SAMPLES,
     Divisor,
+    Exp,
     FunctionData,
+    Poly,
+    Polynomial,
+    QuadratureError,
     RadialGrid,
     canonicalize,
     characteristic_T,
     counting_N,
+    div,
     divisors,
+    mul,
     parse,
     proximity_m,
     radial_report,
@@ -254,3 +260,56 @@ def test_function_data_divisors_match_divisors(text):
     zeros, poles = divisors(f)
     assert data.zeros == zeros
     assert data.poles == poles
+
+
+def _disc_points(rng, count, radius):
+    return radius * np.sqrt(rng.uniform(0.0, 1.0, count)) * np.exp(
+        2j * np.pi * rng.uniform(0.0, 1.0, count))
+
+
+def test_proximity_matches_log_abs_trapezoid():
+    # the power-table kernel against a trapezoid mean of log+|f| from
+    # Canonical.log_abs (Horner) on the same nodes: degrees 0-40 span one to
+    # three blocks of coefficients, and the last case has a degree of at
+    # least the number of samples, so the powers w^(jk) wrap around
+    rng = np.random.default_rng(2014)
+    cases = [(*rng.integers(0, 41, 2), rng.integers(0, 4), 2 ** int(rng.integers(6, 14)))
+             for _ in range(40)]
+    cases.append((70, 3, 2, 64))
+    for dn, dd, de, samples in cases:
+        zeros, poles = _disc_points(rng, dn, 3.0), _disc_points(rng, dd, 3.0)
+        lead = complex(*rng.uniform(0.5, 2.0, 2))
+        expo = Polynomial(rng.uniform(-1.0, 1.0, de + 1) + 1j * rng.uniform(-1.0, 1.0, de + 1))
+        f = mul(div(Poly(Polynomial.from_roots(zeros, lead)),
+                    Poly(Polynomial.from_roots(poles))), Exp(expo))
+        data = FunctionData(f)
+        moduli = np.abs(np.concatenate([zeros, poles]))
+        radii = [r for r in np.exp(rng.uniform(math.log(1.2), math.log(20.0), 4))
+                 if np.all(np.abs(moduli - r) > 0.05)]
+        theta = 2.0 * np.pi * np.arange(samples) / samples
+        for r, m in zip(radii, data.proximity(radii, samples)):
+            vals = data.canonical.log_abs(r * np.exp(1j * theta))
+            want = float(np.mean(np.maximum(vals, 0.0)))
+            assert abs(m - want) <= 1e-10 * (1.0 + abs(m)), (dn, dd, de, samples, r)
+
+
+def test_proximity_where_horner_overflows():
+    # r^deg overflows a double, so Horner gives non-finite samples at every
+    # point; the power table runs on unit-modulus points
+    assert proximity_m(parse("z^150"), 128.0) == pytest.approx(
+        150.0 * math.log(128.0), rel=1e-12)
+    assert proximity_m(parse("z^200/(z^199+1)"), 128.0) == pytest.approx(
+        math.log(128.0), rel=1e-12)
+    # the power table has at most 17 columns whatever the degree
+    unit = np.exp(2j * np.pi * np.arange(64) / 64)
+    for text, columns in (("5", 1), ("z^3*exp(z^2)", 4), ("z^200/(z^199+1)", 17)):
+        powers = canonicalize(parse(text)).circle_powers(unit)
+        assert powers.shape == (64, columns)
+        assert np.array_equal(powers[:, :2], np.stack([unit ** 0, unit], 1)[:, :columns])
+
+
+def test_singular_samples_raise_quadrature_error():
+    # Re z^200 overflows at r = 128 on every retry as well
+    with pytest.raises(QuadratureError, match="singular samples"):
+        proximity_m(parse("exp(z^200)"), 128.0)
+    assert issubclass(QuadratureError, RuntimeError)
