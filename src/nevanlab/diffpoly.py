@@ -14,10 +14,11 @@ from fractions import Fraction
 
 from .expressions import (
     Const,
-    Exp,
     Expr,
     INFINITY,
+    NotNormalizableError,
     add,
+    canonicalize,
     differentiate,
     evaluate,
     is_infinite,
@@ -204,7 +205,7 @@ def generalized_polynomial(main, extras=()):
             raise AlphaViolation(
                 f"extra {spec.to_json_dict()} has index {a_extra}, "
                 f"not below the main index {alpha}")
-        if isinstance(coeff, Expr) and _has_exponential(coeff):
+        if isinstance(coeff, Expr) and not _is_rational(coeff):
             raise ValueError("extra coefficients must be rational functions")
         for term in build_standard_monomial(spec).terms:
             merged = _scale_coeff(coeff, term.coefficient)
@@ -212,17 +213,13 @@ def generalized_polynomial(main, extras=()):
     return DiffPolynomial(tuple(collected))
 
 
-def _has_exponential(e):
-    if isinstance(e, Exp):
-        return True
-    for name in ("terms", "factors"):
-        if hasattr(e, name):
-            return any(_has_exponential(x) for x in getattr(e, name))
-    for name in ("base", "numerator", "denominator"):
-        if hasattr(e, name):
-            if _has_exponential(getattr(e, name)):
-                return True
-    return False
+def _is_rational(e):
+    """True when e's canonical exponent is zero; False with no canonical form
+    or an identically zero denominator."""
+    try:
+        return canonicalize(e).expo.is_zero
+    except (NotNormalizableError, ZeroDivisionError):
+        return False
 
 
 def _scale_coeff(outer, inner):

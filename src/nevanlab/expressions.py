@@ -13,7 +13,6 @@ the k-th derivative on the spot.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,7 +23,6 @@ from .polynomials import Polynomial, poly_roots
 
 INFINITY = complex(math.inf, 0.0)
 
-_POLE_REL = 1e-12
 _CANCEL_RADIUS = 1e-6
 
 
@@ -314,83 +312,82 @@ def differentiate(e, k=1):
 # evaluation
 
 def evaluate(e, z):
-    """Value of e at the complex point z.
+    """Value of e at a point or an ndarray of points, classified on the sphere.
 
-    Poles come back as the INFINITY marker; 0/0 raises
-    IndeterminatePointError.  Values beyond double range saturate to the
-    marker as well.
+    evaluate_on_grid computes every value, a point as a numpy scalar; only
+    where a value is not finite does _classify decide, once per call, what
+    the point is.  A pole or an overflow reads as the INFINITY marker and
+    0/0 raises IndeterminatePointError.  A point gives a complex, an
+    ndarray an ndarray of the same shape.
     """
-    return _eval(e, complex(z))
+    zs = np.asarray(z, dtype=complex)
+    vals = np.atleast_1d(evaluate_on_grid(e, zs))
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        vals[bad] = _classify(e, np.atleast_1d(zs)[bad], vals[bad])
+    return vals if zs.ndim else complex(vals[0])
 
 
-def _eval(e, z):
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return z
-    if isinstance(e, Poly):
-        return e.poly(z)
-    if isinstance(e, Exp):
-        try:
-            return cmath.exp(e.exponent(z))
-        except OverflowError:
-            return INFINITY
-    if isinstance(e, Sum):
-        acc = 0j
-        for t in e.terms:
-            v = _eval(t, z)
-            if is_infinite(v):
-                return INFINITY
-            acc += v
-        return acc
-    if isinstance(e, Product):
-        acc = 1 + 0j
-        saw_inf = False
-        for f in e.factors:
-            v = _eval(f, z)
-            if is_infinite(v):
-                saw_inf = True
-            else:
-                acc *= v
-        if saw_inf:
-            if acc == 0:
-                raise IndeterminatePointError(f"0 * infinity at z = {z}")
-            return INFINITY
-        return acc if math.isfinite(acc.real) and math.isfinite(acc.imag) else INFINITY
-    if isinstance(e, Power):
-        v = _eval(e.base, z)
-        if is_infinite(v):
-            return INFINITY
-        try:
-            return v ** e.exponent
-        except OverflowError:
-            return INFINITY
-    if isinstance(e, Quotient):
-        num = _eval(e.numerator, z)
-        den = _eval(e.denominator, z)
-        if is_infinite(den):
-            if is_infinite(num):
-                raise IndeterminatePointError(f"infinity/infinity at z = {z}")
-            return 0j
-        if is_infinite(num):
-            if den == 0:
-                raise IndeterminatePointError(f"infinity/0 ill-posed at z = {z}")
-            return INFINITY
-        if abs(den) < _POLE_REL * (1.0 + abs(num)):
-            if abs(num) < _POLE_REL:
-                raise IndeterminatePointError(f"0/0 at z = {z}")
-            return INFINITY
-        v = num / den
-        return v if math.isfinite(v.real) and math.isfinite(v.imag) else INFINITY
-    raise TypeError(f"cannot evaluate {type(e).__name__}")
+def _classify(e, zs, raw):
+    """Values of e at points where evaluate_on_grid gave the raw inf or NaN.
+
+    Each value is computed again from the canonical form as
+    exp(log num - log den + expo) (_log_poly), so overflowing factors that
+    cancel, as in exp(z)/exp(z) or z^200/(z^199+1), give their finite value.
+    Where den vanishes to a higher order than num (1/z + 1/z is 2z/z^2
+    unreduced) it is a pole; where num vanishes to at least den's order it
+    is 0/0.  With no canonical form raw is kept.  An infinite part then
+    reads as INFINITY and NaN raises IndeterminatePointError.
+    """
+    vals = raw
+    try:
+        c = canonicalize(e)
+    except (NotNormalizableError, ZeroDivisionError):
+        pass
+    else:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vals = np.exp(_log_poly(c.num, zs) - _log_poly(c.den, zs) + c.expo(zs))
+        n, d = _order(c.num, zs), _order(c.den, zs)
+        vals = np.where(d > n, INFINITY, vals)
+        vals[(d > 0) & (d <= n)] = np.nan
+    pole = np.isinf(vals.real) | np.isinf(vals.imag)
+    undecided = np.isnan(vals) & ~pole
+    if undecided.any():
+        raise IndeterminatePointError(f"0/0 at z = {complex(zs[undecided][0])}")
+    return np.where(pole, INFINITY, vals)
+
+
+def _log_poly(p, zs):
+    """Complex log p(z); where |z| > 1 it is d log z + log(z^-d p(z)), with
+    z^-d p(z) the reversed coefficients at 1/z, so p(z) never overflows."""
+    big = np.abs(zs) > 1
+    w = np.where(big, 1 / zs, zs)
+    rev = Polynomial(p.coefficients[::-1])
+    return np.where(big, p.degree * np.log(zs) + np.log(rev(w)), np.log(p(w)))
+
+
+def _order(p, zs):
+    """Order of vanishing of p at each point (inf where p is zero): how many
+    leading p^(k)(z) vanish against their abs_coeff_value scale (1e-12)."""
+    order = np.zeros(zs.shape)
+    live = np.ones(zs.shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live.any() and not p.is_zero:
+            v = p(zs)  # an overflow is no zero
+            live &= np.isfinite(v) & (np.abs(v) <= 1e-12 * p.abs_coeff_value(np.abs(zs)))
+            order += live
+            p = p.derivative()
+    return np.where(live, np.inf, order)
 
 
 def evaluate_on_grid(e, zs):
-    """Vectorized evaluation over an ndarray of points.
+    """Raw vectorized values of e at a point or over an ndarray of points.
 
-    Poles and overflow show up as inf, indeterminacies as nan; callers mask.
+    Poles and overflow show up as inf, 0/0 and inf - inf as NaN, unclassified,
+    for callers that mask them (spherical_derivative retries those points
+    on 1/f); evaluate classifies them instead.
     """
-    zs = np.asarray(zs, dtype=complex)
+    zs = np.asarray(zs, dtype=complex)[()]  # a point as a numpy scalar, not 0-d
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return _eval_grid(e, zs)
 
@@ -405,15 +402,9 @@ def _eval_grid(e, zs):
     if isinstance(e, Exp):
         return np.exp(e.exponent(zs))
     if isinstance(e, Sum):
-        acc = np.zeros_like(zs)
-        for t in e.terms:
-            acc = acc + _eval_grid(t, zs)
-        return acc
+        return sum(_eval_grid(t, zs) for t in e.terms)
     if isinstance(e, Product):
-        acc = np.ones_like(zs)
-        for f in e.factors:
-            acc = acc * _eval_grid(f, zs)
-        return acc
+        return math.prod(_eval_grid(f, zs) for f in e.factors)
     if isinstance(e, Power):
         return _eval_grid(e.base, zs) ** e.exponent
     if isinstance(e, Quotient):
@@ -883,10 +874,10 @@ def parse(text, params=None):
 
 def parse_complex(text):
     """Parse a literal like '2', '-1.5', '1+2i', '3i' into a complex number."""
-    node = parse(text)
-    if as_polynomial(node) is None or as_polynomial(node).degree > 0:
+    p = as_polynomial(parse(text))
+    if p is None or p.degree > 0:
         raise ValueError(f"expected a complex literal, got {text!r}")
-    return evaluate(node, 0.0)
+    return p.coefficients[0]
 
 
 # ---------------------------------------------------------------------------

@@ -127,16 +127,18 @@ def slack_verdict(series, policy=None):
     """Apply the tolerance policy to the tail of a slack series."""
     policy = policy if policy is not None else SlackPolicy()
     start = policy.tail_start(len(series.rows))
-    tail = range(start, len(series.rows))
-    worst_i = min(tail, key=series.normalized_slack)
-    bad = sum(1 for i in tail if series.normalized_slack(i) < -policy.epsilon)
-    fraction = bad / len(tail)
+    slacks = {i: series.normalized_slack(i) for i in range(start, len(series.rows))}
+    # slacks within 1e-12 of the minimum tie; the smallest radius wins
+    low = min(slacks.values())
+    worst_i = min((i for i, s in slacks.items() if s <= low + 1e-12),
+                  key=lambda i: series.rows[i][0])
+    fraction = sum(1 for s in slacks.values() if s < -policy.epsilon) / len(slacks)
     return Verdict(
         passed=fraction <= policy.max_exceptional,
         worst_radius=series.rows[worst_i][0],
-        worst_normalized_slack=series.normalized_slack(worst_i),
+        worst_normalized_slack=slacks[worst_i],
         exceptional_fraction=fraction,
-        tail_count=len(tail),
+        tail_count=len(slacks),
         policy=policy,
     )
 

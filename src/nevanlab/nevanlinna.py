@@ -51,6 +51,8 @@ class QuadratureError(RuntimeError):
 
 def _require_radius(r):
     r = float(r)
+    if not math.isfinite(r):
+        raise ValueError(f"radius must be finite, got {r}")
     if r <= 1.0:
         raise ValueError("radii must be greater than 1 (counting is based at 1)")
     return r
@@ -76,6 +78,8 @@ class RadialGrid:
         radii = tuple(float(r) for r in self.radii)
         if not radii:
             raise ValueError("empty radial grid")
+        if not all(map(math.isfinite, radii)):
+            raise ValueError("grid radii must be finite")
         if radii[0] <= 1.0:
             raise ValueError("grid radii must exceed 1")
         for a, b in zip(radii, radii[1:]):
@@ -110,6 +114,8 @@ class RadialGrid:
 
 def unintegrated_counting(divisor, t):
     """n(t): multiplicity mass of the divisor inside |z| <= t."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if t < 0:
         raise ValueError("t must be nonnegative")
     return divisor.count_within(t)

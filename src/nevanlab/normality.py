@@ -29,7 +29,6 @@ from .expressions import (
     differentiate,
     divisors,
     evaluate,
-    evaluate_on_grid,
     mul,
     parse,
     parse_complex,
@@ -68,19 +67,6 @@ def chordal_distance(a, b):
 
 def _sup_chordal(a, b):
     return float(np.max(chordal_distance(a, b)))
-
-
-def _grid_values(e, pts):
-    """e over an ndarray of points, with the scalar evaluate's semantics.
-
-    evaluate_on_grid does the work; only its non-finite points are evaluated
-    again one by one, so a pole reads as INFINITY and 0/0 raises
-    IndeterminatePointError as in evaluate.
-    """
-    vals = evaluate_on_grid(e, pts)
-    for i in np.flatnonzero(~np.isfinite(vals)):
-        vals[i] = evaluate(e, pts[i])
-    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +268,13 @@ class FamilySpec:
         params = tuple(float(v) for v in self.params)
         if not params:
             raise ValueError("empty parameter sequence")
+        if not all(map(math.isfinite, params)):
+            raise ValueError("family params must be finite")
         for a, b in zip(params, params[1:]):
             if b <= a:
                 raise ValueError("parameters must be strictly increasing")
+        if not math.isfinite(self.radius):
+            raise ValueError(f"disc radius must be finite, got {self.radius}")
         if self.radius <= 0:
             raise ValueError("disc radius must be positive")
         object.__setattr__(self, "params", params)
@@ -514,14 +504,14 @@ def zalcman_rescale(family, rescaling, xi_points=None, limit=None):
         raise ValueError("need one (z_v, rho_v) pair per family parameter")
     limit_vals = None
     if limit is not None:
-        limit_vals = _grid_values(limit, xi)
+        limit_vals = evaluate(limit, xi)
     prev_vals = None
     entries = []
     for v, (z_v, rho_v) in zip(family.params, rescaling.pairs):
         _domain_points(family, z_v, rho_v, xi)  # raises if the zoom leaves the disc
         g = rescaled_function(family.instantiate(v), z_v, rho_v,
                               rescaling.alpha)
-        vals = _grid_values(g, xi)
+        vals = evaluate(g, xi)
         dist_prev = None
         if prev_vals is not None:
             dist_prev = _sup_chordal(vals, prev_vals)
@@ -584,18 +574,18 @@ def rescale_extras_check(main, extras, family, rescaling, xi_points=None):
         w = _domain_points(family, z_v, rho_v, xi)
         f = family.instantiate(v)
         g = rescaled_function(f, z_v, rho_v, rescaling.alpha)
-        main_vals = _grid_values(compose_monomial(main, g), xi)
+        main_vals = evaluate(compose_monomial(main, g), xi)
         dist_prev = None
         if prev_main is not None:
             dist_prev = _sup_chordal(main_vals, prev_main)
         sup = 0.0
         for coeff, spec in extras:
-            vals = _grid_values(compose_monomial(spec, f), w)
+            vals = evaluate(compose_monomial(spec, f), w)
             poles = ~np.isfinite(vals)
             if poles.any():
                 pole = complex(w[np.argmax(poles)])
                 raise ValueError(f"extra term has a pole at z = {pole}")
-            c = _grid_values(coeff, w) if isinstance(coeff, Expr) else complex(coeff)
+            c = evaluate(coeff, w) if isinstance(coeff, Expr) else complex(coeff)
             # a pole of c at a zero of the term gives NaN, which fmax skips
             with np.errstate(invalid="ignore"):
                 terms = np.abs(c * vals)

@@ -340,6 +340,8 @@ MALFORMED = {
     "family params bool": _family_args('{"template":"v*z","params":[true,2]}'),
     "family radius bool": _family_args(
         '{"template":"v*z","params":[1,2],"disc":{"radius":true}}'),
+    "family radius nan": _family_args(
+        '{"template":"v*z","params":[1,2],"disc":{"radius":NaN}}'),
     "family template": _family_args('{"template":5,"params":[1,2]}'),
     "spec pairs": ["verify", "hinchliffe", "--g", "z",
                    "--spec", '{"n":1,"pairs":5}'],

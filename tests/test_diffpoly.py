@@ -281,3 +281,14 @@ def test_print_diffpoly():
     assert print_diffpoly(p) == "2*(g')^2 + 2*g*g''"
     p = DiffPolynomial((DiffTerm(1, (1, 0, 0, 2)),))
     assert print_diffpoly(p) == "g*(g^(3))^2"
+
+
+def test_extra_coefficients_must_be_rational():
+    main = MonomialSpec(1, ((2, 1),))
+    extra = MonomialSpec(3, ((1, 1),))
+    # exponentials that cancel leave a rational coefficient
+    generalized_polynomial(main, ((parse("exp(z)/exp(z)"), extra),))
+    # no canonical form, or an identically zero denominator
+    for text in ("exp(z)+z", "exp(z)+exp(2*z)", "1/(exp(z)-exp(z))"):
+        with pytest.raises(ValueError, match="must be rational functions"):
+            generalized_polynomial(main, ((parse(text), extra),))

@@ -5,6 +5,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from nevanlab.polynomials import Polynomial
@@ -13,7 +14,10 @@ from nevanlab.expressions import (
     Var,
     Poly,
     Exp,
+    Power,
+    Product,
     Quotient,
+    Sum,
     INFINITY,
     IndeterminatePointError,
     NotNormalizableError,
@@ -312,3 +316,136 @@ def test_operator_sugar_builds_expected_nodes():
     assert isinstance(e, Quotient)
     assert isinstance(e.numerator, Poly)
     assert evaluate(e, 2.0) == pytest.approx(3 / 5)
+
+
+# ---------------------------------------------------------------------------
+# one value walker: evaluate classifies what evaluate_on_grid leaves non-finite
+
+SINGULAR_POINTS = [
+    ("1/z", 0, INFINITY),
+    ("(1/z)*2", 0, INFINITY),
+    ("z/z", 0, IndeterminatePointError),
+    ("z*(1/z)", 0, IndeterminatePointError),
+    ("(z^2-1)/(z-1)", 1, IndeterminatePointError),
+    ("exp(z^2)", 30, INFINITY),
+    ("exp(z)+exp(-z)", 800, INFINITY),
+    ("1/(exp(z)-exp(z))", 0, INFINITY),  # no canonical form: zero denominator
+    ("(exp(z)-exp(z))/z^2", 0, IndeterminatePointError),  # num is zero
+    ("z^3", 1e103, INFINITY),  # overflow
+    ("1/z^200", 1e10, 0),
+]
+
+
+def test_singular_points_are_classified():
+    for text, z, want in SINGULAR_POINTS:
+        if want is IndeterminatePointError:
+            with pytest.raises(IndeterminatePointError):
+                evaluate(parse(text), z)
+        else:
+            assert evaluate(parse(text), z) == want, text
+    # near a pole but not on it: the large finite value, as on a grid
+    near = evaluate(parse("1/(z-1)"), 1 + 1e-14)
+    assert math.isfinite(near.real) and abs(near) > 1e13
+    # a numerator vanishes against its own coefficient scale, not 1e-12
+    assert evaluate(parse("1e-15/z"), 0) == INFINITY
+    # overflowing factors that cancel: the value from the canonical form
+    assert evaluate(parse("exp(z)/exp(z)"), 800) == 1
+    assert evaluate(parse("exp(z^2)*exp(-z^2)"), 30) == 1
+    assert evaluate(parse("exp(z)-exp(z)"), 800) == 0
+    assert evaluate(parse("(z-800)*exp(z)"), 800) == 0
+    assert evaluate(parse("D[exp(z^2),1]/exp(z^2)"), 30) == pytest.approx(60, rel=1e-12)
+    # num and den overflow: their logs from the reversed coefficients at 1/z
+    assert evaluate(parse("z^200/(z^199+1)"), 1e10) == pytest.approx(1e10, rel=1e-12)
+    assert evaluate(parse("z^3/(z^3+1)"), 1e103) == pytest.approx(1, rel=1e-12)
+    assert evaluate(parse("z^3*exp(-z^2)"), 1e103) == 0
+    assert evaluate(parse("z^200"), 1e10) == INFINITY
+    # a pole shared by terms of a sum, or of a derivative: den vanishes to
+    # a higher order than num in the unreduced canonical form
+    for text, z in [("1/z+1/z", 0), ("1/z-1/z^2", 0), ("D[1/z*exp(z),1]", 0),
+                    ("D[1/z,2]", 0), ("D[z/(z-1),3]", 1)]:
+        assert evaluate(parse(text), z) == INFINITY, text
+
+
+def test_array_evaluate_matches_point_by_point():
+    rng = random.Random(31337)
+    seen = {"infinity": 0, "raised": 0, "finite": 0}
+    for _ in range(400):
+        e = _random_expr(rng, rng.randint(0, 4))
+        if rng.random() < 0.5:
+            e = e / (Var() - 1)  # a pole at 1 beside whatever e does at 0
+        pts = np.array([0, 1, -1, 1j] + [
+            cmath.rect(rng.uniform(0.2, 2.0), rng.uniform(0, 2 * math.pi))
+            for _ in range(6)]).reshape(2, 5)
+        singles = []
+        try:
+            for z in pts.ravel():
+                singles.append(evaluate(e, z))
+        except IndeterminatePointError:
+            seen["raised"] += 1
+            with pytest.raises(IndeterminatePointError):
+                evaluate(e, pts)
+            continue
+        got = evaluate(e, pts)
+        assert got.shape == pts.shape
+        # a point runs on numpy's scalar math, an array on its array loops,
+        # whose complex product can round differently in the last bit
+        assert [v == INFINITY for v in got.ravel()] == [v == INFINITY for v in singles]
+        np.testing.assert_allclose(got.ravel(), singles, rtol=1e-12,
+                                   err_msg=print_expr(e))
+        seen["infinity"] += sum(v == INFINITY for v in singles)
+        seen["finite"] += sum(v != INFINITY for v in singles)
+    assert min(seen.values()) > 20, seen
+
+
+def _to_sympy(e, sp, z):
+    def number(c):
+        return sp.Rational(c.real) + sp.I * sp.Rational(c.imag)
+
+    def poly(p):
+        return sp.Add(*[number(c) * z ** k for k, c in enumerate(p.coefficients)])
+
+    if isinstance(e, Const):
+        return number(e.value)
+    if isinstance(e, Var):
+        return z
+    if isinstance(e, Poly):
+        return poly(e.poly)
+    if isinstance(e, Exp):
+        return sp.exp(poly(e.exponent))
+    if isinstance(e, Sum):
+        return sp.Add(*[_to_sympy(t, sp, z) for t in e.terms])
+    if isinstance(e, Product):
+        return sp.Mul(*[_to_sympy(f, sp, z) for f in e.factors])
+    if isinstance(e, Power):
+        return _to_sympy(e.base, sp, z) ** e.exponent
+    if isinstance(e, Quotient):
+        return _to_sympy(e.numerator, sp, z) / _to_sympy(e.denominator, sp, z)
+    raise TypeError(type(e).__name__)
+
+
+def test_evaluate_matches_sympy_oracle():
+    sp = pytest.importorskip("sympy")
+    mpmath = pytest.importorskip("mpmath")
+    z = sp.Symbol("z")
+    rng = random.Random(8128)
+    compared = 0
+    for _ in range(60):
+        e = _random_expr(rng, rng.randint(1, 3))
+        exact = _to_sympy(e, sp, z)
+        oracle = sp.lambdify(z, (exact, sp.diff(exact, z)), "mpmath")
+        ours = (e, differentiate(e))
+        for _ in range(4):
+            w = cmath.rect(rng.uniform(0.3, 1.5), rng.uniform(0, 2 * math.pi))
+            with mpmath.workdps(40):
+                wants = [complex(v) for v in oracle(mpmath.mpc(w))]
+            for f, want in zip(ours, wants):
+                try:
+                    got = evaluate(f, w)
+                except IndeterminatePointError:
+                    continue
+                if is_infinite(got) or not (math.isfinite(want.real)
+                                            and math.isfinite(want.imag)):
+                    continue
+                assert abs(got - want) <= 1e-9 * abs(want), (print_expr(f), w)
+                compared += 1
+    assert compared > 400

@@ -60,6 +60,14 @@ def test_slack_verdict_arithmetic():
     assert not slack_verdict(_series_from_slacks(slacks)).passed
 
 
+def test_slack_verdict_ties_report_the_smallest_radius():
+    # tail slacks equal up to rounding: the smaller radius wins, with its slack
+    v = slack_verdict(_series_from_slacks([1.0, 1.0, 0.05, 0.049999999999999996, 0.3]))
+    assert v.tail_count == 3
+    assert v.worst_radius == 4.0
+    assert v.worst_normalized_slack == 0.05
+
+
 def test_series_rejects_nonfinite():
     with pytest.raises(ValueError):
         SlackSeries("bad", {}, ((2.0, math.inf, 0.0, 1.0),))

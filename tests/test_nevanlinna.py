@@ -11,6 +11,7 @@ from nevanlab import (
     DEFAULT_SAMPLES,
     Divisor,
     Exp,
+    FamilySpec,
     FunctionData,
     Poly,
     Polynomial,
@@ -63,6 +64,25 @@ def test_unintegrated_counting():
     assert unintegrated_counting(d, 0.5) == 0
     assert unintegrated_counting(d, 1.0) == 2
     assert unintegrated_counting(d, 5.0) == 3
+
+
+def test_non_finite_radii_are_refused():
+    d = Divisor.from_pairs([(1 + 0j, 2)], kind="poles")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="radius must be finite"):
+            counting_N(d, bad)
+        with pytest.raises(ValueError, match="radius must be finite"):
+            proximity_m(parse("z"), bad)
+        with pytest.raises(ValueError, match="t must be finite"):
+            unintegrated_counting(d, bad)
+        with pytest.raises(ValueError, match="grid radii must be finite"):
+            RadialGrid((2.0, bad, 8.0))
+        with pytest.raises(ValueError, match="grid radii must be finite"):
+            RadialGrid.geometric(2.0, bad, 4)
+        with pytest.raises(ValueError, match="family params must be finite"):
+            FamilySpec("v*z", (1.0, bad))
+        with pytest.raises(ValueError, match="disc radius must be finite"):
+            FamilySpec("v*z", (1.0, 2.0), radius=bad)
 
 
 def test_counting_closed_form_values():
