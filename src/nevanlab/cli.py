@@ -227,13 +227,17 @@ def _word(ok):
 def _finish(args, command, config, report_dict, text, ok=True, status=None):
     """Write the report and the optional status line; return the exit code.
 
-    With --format json the report is the envelope {"command", "config",
-    "report"}; otherwise it is the command's CSV or text form.  It goes to
-    --out PATH when given, else to stdout; the status line goes to stderr.
+    report_dict and text are zero-argument callables, and only the form
+    --format selects is built.  With --format json the report is the
+    envelope {"command", "config", "report": report_dict()}; otherwise it is
+    text(), the command's CSV or text form.  It goes to --out PATH when
+    given, else to stdout; the status line goes to stderr.
     """
     if args.format == "json":
         text = json.dumps({"command": command, "config": config,
-                           "report": report_dict}, indent=2, sort_keys=True)
+                           "report": report_dict()}, indent=2, sort_keys=True)
+    else:
+        text = text()
     if not text.endswith("\n"):
         text += "\n"
     if args.out is None:
@@ -256,7 +260,7 @@ def cmd_characteristic(args):
     report = radial_report(f, grid=_grid(args), samples=samples)
     return _finish(args, "characteristic",
                    _grid_config(args, report.samples, f=args.f),
-                   report.to_json_dict(), report.to_csv_text())
+                   report.to_json_dict, report.to_csv_text)
 
 
 def cmd_verify_fmt(args):
@@ -267,9 +271,9 @@ def cmd_verify_fmt(args):
                                       margin=args.margin)
     config = _grid_config(args, samples, f=args.f, a=args.a,
                           margin=args.margin, policy=policy.to_json_dict())
-    return _finish(args, "verify fmt", config, series.to_json_dict(verdict),
-                   series.to_csv_text(), verdict.passed,
-                   f"fmt: {_word(verdict.passed)}")
+    return _finish(args, "verify fmt", config,
+                   lambda: series.to_json_dict(verdict), series.to_csv_text,
+                   verdict.passed, f"fmt: {_word(verdict.passed)}")
 
 
 def cmd_verify_smt(args):
@@ -279,9 +283,9 @@ def cmd_verify_smt(args):
     verdict = slack_verdict(series, policy=policy)
     config = _grid_config(args, samples, f=args.f, values=args.values,
                           policy=policy.to_json_dict())
-    return _finish(args, "verify smt", config, series.to_json_dict(verdict),
-                   series.to_csv_text(), verdict.passed,
-                   f"smt: {_word(verdict.passed)}")
+    return _finish(args, "verify smt", config,
+                   lambda: series.to_json_dict(verdict), series.to_csv_text,
+                   verdict.passed, f"smt: {_word(verdict.passed)}")
 
 
 def cmd_verify_logderiv(args):
@@ -293,7 +297,7 @@ def cmd_verify_logderiv(args):
     config = _grid_config(args, samples, f=args.f, k=args.k,
                           policy=policy.to_json_dict())
     return _finish(args, "verify logderiv", config,
-                   series.to_json_dict(verdict), series.to_csv_text(),
+                   lambda: series.to_json_dict(verdict), series.to_csv_text,
                    verdict.passed, f"logderiv: {_word(verdict.passed)}")
 
 
@@ -306,7 +310,7 @@ def cmd_verify_hinchliffe(args):
     config = _grid_config(args, samples, g=args.g, spec=args.spec,
                           policy=policy.to_json_dict())
     return _finish(args, "verify hinchliffe", config,
-                   series.to_json_dict(verdict), series.to_csv_text(),
+                   lambda: series.to_json_dict(verdict), series.to_csv_text,
                    verdict.passed, f"hinchliffe: {_word(verdict.passed)}")
 
 
@@ -322,7 +326,7 @@ def cmd_verify_lemma3(args):
                           values=args.values, entire=args.entire,
                           policy=policy.to_json_dict())
     return _finish(args, "verify lemma3", config,
-                   series.to_json_dict(verdict), series.to_csv_text(),
+                   lambda: series.to_json_dict(verdict), series.to_csv_text,
                    verdict.passed, f"lemma3: {_word(verdict.passed)}")
 
 
@@ -339,7 +343,8 @@ def cmd_expand(args):
     report = {"text": text,
               "terms": [[str(t.coefficient), list(t.exponents)]
                         for t in p.terms]}
-    return _finish(args, "expand", {"n": args.n, "t": args.t}, report, text)
+    return _finish(args, "expand", {"n": args.n, "t": args.t},
+                   lambda: report, lambda: text)
 
 
 def cmd_criterion(args):
@@ -353,16 +358,16 @@ def cmd_criterion(args):
     return _finish(args, f"criteria {args.which}",
                    {"n": args.n, "pairs": args.pairs, "q": args.q,
                     "ell": args.ell},
-                   report.to_json_dict(),
-                   f"lhs={report.lhs} rhs={report.rhs} {_word(ok)}", ok)
+                   report.to_json_dict,
+                   lambda: f"lhs={report.lhs} rhs={report.rhs} {_word(ok)}", ok)
 
 
 def cmd_reduction(args):
     lhs, rhs, holds = args.criterion(args.n, _parse_pairs(args.pairs))
     return _finish(args, f"criteria {args.which}",
                    {"n": args.n, "pairs": args.pairs},
-                   {"lhs": lhs, "rhs": rhs, "holds": holds},
-                   f"lhs={lhs} rhs={rhs} {_word(holds)}", holds)
+                   lambda: {"lhs": lhs, "rhs": rhs, "holds": holds},
+                   lambda: f"lhs={lhs} rhs={rhs} {_word(holds)}", holds)
 
 
 def cmd_marty(args):
@@ -371,8 +376,8 @@ def cmd_marty(args):
                          shrink=args.shrink)
     config = {"family": family.to_json_dict(),
               "resolution": args.resolution, "shrink": args.shrink}
-    return _finish(args, "marty", config, report.to_json_dict(),
-                   report.to_csv_text(), status=f"marty: {report.flag}")
+    return _finish(args, "marty", config, report.to_json_dict,
+                   report.to_csv_text, status=f"marty: {report.flag}")
 
 
 def _rescaling(args, family):
@@ -388,8 +393,8 @@ def cmd_zalcman(args):
     config = {"family": family.to_json_dict(), "alpha": args.alpha,
               "zv": args.zv, "rho": args.rho, "limit": args.limit}
     word = "converged" if report.converged else "NOT converged"
-    return _finish(args, "zalcman", config, report.to_json_dict(),
-                   report.to_csv_text(), report.converged,
+    return _finish(args, "zalcman", config, report.to_json_dict,
+                   report.to_csv_text, report.converged,
                    f"zalcman: {word}")
 
 
@@ -403,8 +408,8 @@ def cmd_remark14(args):
               "extras": args.extras, "alpha": args.alpha,
               "zv": args.zv, "rho": args.rho}
     ok = report.main_converged and report.extras_vanish
-    return _finish(args, "remark14", config, report.to_json_dict(),
-                   report.to_csv_text(), ok,
+    return _finish(args, "remark14", config, report.to_json_dict,
+                   report.to_csv_text, ok,
                    f"remark14: {_word(ok)} (main_converged="
                    f"{report.main_converged}, extras_vanish="
                    f"{report.extras_vanish})")

@@ -252,10 +252,12 @@ def check_smt(f, values, grid=None, samples=None):
                 f"divisor extraction failed for f - ({a}): {exc}") from exc
     ts = data.characteristic(grid.radii, samples)
     q = len(values)
+    poles_bar = data.poles.truncated()
+    zeros_bar = [d.truncated() for d in zero_divs]
     rows = []
     for r, t in zip(grid.radii, ts):
-        rhs = counting_N(data.poles, r, truncated=True)
-        rhs += sum(counting_N(d, r, truncated=True) for d in zero_divs)
+        rhs = counting_N(poles_bar, r)
+        rhs += sum(counting_N(d, r) for d in zeros_bar)
         rows.append((r, (q - 1) * t, rhs, t))
     params = {"f": print_expr(data.expr), "values": [repr(v) for v in values]}
     return SlackSeries("smt", params, rows)
@@ -281,13 +283,13 @@ def _value_bound_series(name, g, p, values, grid, samples, num_coeff, den,
     # coefficients num_coeff/den and 1/den
     data = FunctionData(g)
     _ensure_nonconstant(data, "g")
-    zeros_g = data.zeros
-    divs = _poly_of_g(p, g, values)
+    zeros_g = data.zeros.truncated()
+    divs = [d.truncated() for d in _poly_of_g(p, g, values)]
     ts = data.characteristic(grid.radii, samples)
     rows = []
     for r, t in zip(grid.radii, ts):
-        rhs = (num_coeff / den) * counting_N(zeros_g, r, truncated=True)
-        rhs += sum(counting_N(d, r, truncated=True) for d in divs) / den
+        rhs = (num_coeff / den) * counting_N(zeros_g, r)
+        rhs += sum(counting_N(d, r) for d in divs) / den
         rows.append((r, t, rhs, t))
     params = {
         "g": print_expr(data.expr),

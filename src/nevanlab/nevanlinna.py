@@ -4,22 +4,36 @@ The integrated counting function is evaluated in closed form from the
 divisor: N(r) = sum over |z_k| <= r of m_k (log r - log max(|z_k|, 1)).
 Proximity m(r) is a composite-trapezoid average of log+|f| over N
 equispaced points z_j = r w^j, w = exp(2 pi i/N), computed in the log
-domain from the canonical form (num/den) exp(expo).  Since
-p(z_j) = sum_k (c_k r^k) w^(jk), proximity builds one table
-powers[j, k] = w^(jk), indexed exactly by (j k) mod N, once per call, and
-Canonical.log_abs_on_circle evaluates every radius as one matrix product
-against it.  num and den of degree d are scaled to r^d sum_k c_k r^(k-d)
-w^(jk), so the sum runs on unit-modulus points and d log r is added back
-in the log domain: neither r^d nor an exponential factor overflows.
-Coefficients go in blocks of 16, joined by Horner in w^16, so the table
-has at most 17 columns whatever the degree.  A radius where the circle
-passes through a pole has the nearby samples moved half a step (the
-dodge); such radii, and samples whose log|f| is NaN or +inf and are
-retried half a step over, are evaluated by Canonical.log_abs (Horner) at
-those explicit points.  Samples still singular after the retry raise
-QuadratureError.  T = m + N by construction.  FunctionData holds the
-inputs: the canonical form and the denominator roots at construction, the
-divisors (which need the numerator roots) on first use.
+domain from the canonical form (num/den) exp(expo).  Each circle is one
+of three kinds, told apart for all radii of a call at once from
+coefficient bounds alone (no root finding, no divisors):
+
+- zero circle: an upper bound of log|f| on |z| = r is below -1e-9, so
+  |f| < 1 there and m(r) = 0.0, which the trapezoid sum also gives;
+- closed-form circle: a lower bound of log|f| is above 1e-9, a root bound
+  puts every root of num and den inside r exp(-40/N), and deg expo < N.
+  Then m(r) is the circle mean of log|f|, which Jensen's formula gives as
+  log|lead num / lead den| + (deg num - deg den) log r + Re expo(0); the
+  N-point trapezoid differs from it by at most e^-40/N per root, since it
+  aliases only the modes that are multiples of N;
+- sampled circle: anything else, evaluated as below.
+
+On a sampled circle, since p(z_j) = sum_k (c_k r^k) w^(jk), proximity
+builds one table powers[j, k] = w^(jk), indexed exactly by (j k) mod N,
+once per call, and Canonical.log_abs_on_circle evaluates every sampled
+radius as one matrix product against it.  num and den of degree d are
+scaled to r^d sum_k c_k r^(k-d) w^(jk), so the sum runs on unit-modulus
+points and d log r is added back in the log domain: neither r^d nor an
+exponential factor overflows.  Coefficients go in blocks of 16, joined by
+Horner in w^16, so the table has at most 17 columns whatever the degree.
+A radius where the circle passes through a pole has the nearby samples
+moved half a step (the dodge); such radii, and samples whose log|f| is
+NaN or +inf and are retried half a step over, are evaluated by
+Canonical.log_abs (Horner) at those explicit points.  Samples still
+singular after the retry raise QuadratureError.  T = m + N by
+construction.  FunctionData holds the inputs: the canonical form and the
+denominator roots at construction, the divisors (which need the numerator
+roots) on first use.
 """
 from __future__ import annotations
 
@@ -43,6 +57,9 @@ from .polynomials import poly_roots
 DEFAULT_SAMPLES = 4096
 _MIN_SAMPLES = 64
 _ANGLE_DODGE = 1e-8
+_SETTLE_MARGIN = 1e-9  # log|f| must clear 0 by this much to settle a circle unsampled
+_ALIAS_EXPONENT = 40.0  # closed form only with every root inside r exp(-40/N)
+_INFLATE = 1.0 + 1e-12  # rounded tails and root bounds are raised by this factor
 
 
 class QuadratureError(RuntimeError):
@@ -133,13 +150,80 @@ def counting_N(divisor, r, truncated=False):
     return acc
 
 
+def _root_bound(c):
+    """Fujiwara's bound on the root moduli of sum_k c[k] z^k, raised by _INFLATE.
+
+    2 max(|c_(d-k)/c_d|^(1/k) for 0 < k < d, |c_0/(2 c_d)|^(1/d)); 0.0 for a
+    constant.  Call under np.errstate(all="ignore"): overflow gives inf.
+    """
+    d = len(c) - 1
+    if d == 0:
+        return 0.0
+    a = np.abs(c[:-1]) / abs(c[-1])
+    a[0] /= 2.0
+    return 2.0 * float(np.max(a ** (1.0 / (d - np.arange(d))))) * _INFLATE
+
+
+def _log_abs_bounds(c, r, log_r):
+    """(lower, upper, root bound) of log|p| on |z| = r, for an ndarray of radii r.
+
+    p = sum_k c[k] z^k of degree d has root bound B (_root_bound); with
+    lead = |c_d| r^d and tail = sum_(k<d) |c_k| r^k,
+    lower = max(log(lead - tail) where lead >= 2 tail,
+    log|c_d| + d log(r - B) where r > B), and upper = min(log(lead + tail),
+    log|c_d| + d log(r + B)).  tail/lead is formed with r^(k-d) <= 1, so
+    r^d never overflows, and is raised by _INFLATE; a bound that still
+    overflows comes out infinite or NaN, which settles nothing.  Call under
+    np.errstate(all="ignore").
+    """
+    d = len(c) - 1
+    lead = math.log(abs(c[-1]))
+    if d == 0:
+        return lead, lead, 0.0
+    tail = (np.abs(c[:-1]) / abs(c[-1])) @ r ** np.arange(-d, 0.0)[:, None] * _INFLATE
+    bound = _root_bound(c)
+    top = lead + d * log_r
+    lower = np.maximum(np.where(tail <= 0.5, top + np.log1p(-tail), -np.inf),
+                       np.where(r > bound, lead + d * np.log(r - bound), -np.inf))
+    upper = np.minimum(top + np.log1p(tail), lead + d * np.log(r + bound))
+    return lower, upper, bound
+
+
+def _settled_circles(c, radii, samples):
+    """m(r) for each radius whose circle needs no samples; NaN for the rest.
+
+    Zero circles (log|f| < -_SETTLE_MARGIN on the whole circle) give 0.0;
+    closed-form circles (log|f| > _SETTLE_MARGIN, every root of num and den
+    inside r exp(-_ALIAS_EXPONENT/N), deg expo < N) give Jensen's value.
+    The bounds come from the coefficients of c alone (see the module
+    docstring), vectorized over the radii; Re expo lies within
+    Re expo(0) -+ sum_(k>=1) |x_k| r^k.
+    """
+    r = np.asarray(radii, dtype=float)
+    log_r = np.log(r)
+    num, den, expo = (np.array(p.coefficients) for p in (c.num, c.den, c.expo))
+    with np.errstate(all="ignore"):
+        low_num, high_num, bound_num = _log_abs_bounds(num, r, log_r)
+        low_den, high_den, bound_den = _log_abs_bounds(den, r, log_r)
+        spread = np.abs(expo[1:]) @ r ** np.arange(1.0, len(expo))[:, None] * _INFLATE
+        base = expo[0].real
+        lower = low_num - high_den + base - spread
+        upper = high_num - low_den + base + spread
+        inside = max(bound_num, bound_den) <= r * math.exp(-_ALIAS_EXPONENT / samples)
+        closed = (lower > _SETTLE_MARGIN) & inside & (len(expo) <= samples)
+    jensen = (math.log(abs(num[-1])) - math.log(abs(den[-1]))
+              + (len(num) - len(den)) * log_r + base)
+    return np.where(upper < -_SETTLE_MARGIN, 0.0, np.where(closed, jensen, np.nan))
+
+
 class FunctionData:
     """Nevanlinna data of one expression, each piece computed once.
 
     The canonical form and the denominator's root pairs are computed on
     construction; zeros and poles, which also need the numerator's roots,
     on first use, so proximity alone never root-finds the numerator.
-    Each proximity call builds its power table once for all its radii.
+    Each proximity call builds its power table once for all its sampled
+    radii, and only when some radius is sampled.
     """
 
     def __init__(self, expr):
@@ -165,22 +249,30 @@ class FunctionData:
     def proximity(self, radii, samples):
         """m(r) for each radius by trapezoid quadrature of log+|f|.
 
-        One power table (Canonical.circle_powers) serves every radius
-        through Canonical.log_abs_on_circle (see the module docstring).
-        A radius where a pole is dodged, and samples retried half a step
-        over, go through Canonical.log_abs at those explicit points.  Only
-        a non-finite sum of log+|f| triggers the retry; if the sum is
-        still not finite, QuadratureError is raised.
+        Zero and closed-form circles are settled first, from coefficient
+        bounds, for all radii at once (_settled_circles): m = 0.0 where
+        |f| < 1 on the circle, Jensen's closed form where |f| > 1 and every
+        root lies well inside.  The other circles are sampled: one power
+        table (Canonical.circle_powers) serves them all through
+        Canonical.log_abs_on_circle (see the module docstring).  A radius
+        where a pole is dodged, and samples retried half a step over, go
+        through Canonical.log_abs at those explicit points.  Only a
+        non-finite sum of log+|f| triggers the retry; if the sum is still
+        not finite, QuadratureError is raised.
         """
         samples = _require_samples(samples)
+        radii = [_require_radius(r) for r in radii]
         c = self.canonical
-        out = []
+        out = [float(m) for m in _settled_circles(c, radii, samples)]
+        todo = [i for i, m in enumerate(out) if math.isnan(m)]
+        if not todo:
+            return out
         base = 2.0 * np.pi * np.arange(samples) / samples
         unit = np.exp(1j * base)
         powers = c.circle_powers(unit)
         half = np.pi / samples
-        for r in radii:
-            r = _require_radius(r)
+        for i in todo:
+            r = radii[i]
             theta = base  # replaced, never written to, where a pole is dodged
             for rho, _ in self._den_pairs:
                 if abs(abs(rho) - r) <= _ANGLE_DODGE * r:
@@ -199,7 +291,7 @@ class FunctionData:
                     total = vals.sum()
             if not math.isfinite(total):
                 raise QuadratureError(f"quadrature hit singular samples at r = {r}")
-            out.append(float(total) / samples)
+            out[i] = float(total) / samples
         return out
 
     def characteristic(self, radii, samples):
@@ -297,9 +389,10 @@ def radial_report(f, grid=None, samples=None):
     samples = _require_samples(samples)
     data = FunctionData(f)
     ms = data.proximity(grid.radii, samples)
+    poles_bar = data.poles.truncated()
     rows = []
     for r, m in zip(grid.radii, ms):
         n = counting_N(data.poles, r)
-        nbar = counting_N(data.poles, r, truncated=True)
+        nbar = counting_N(poles_bar, r)
         rows.append((r, m, n, nbar, m + n))
     return NevanlinnaReport(print_expr(data.expr), samples, tuple(rows))

@@ -362,3 +362,33 @@ MALFORMED = {
 def test_malformed_payload_is_usage_error(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# the probe reports (marty, zalcman, remark14) carry their CSV table inside
+# the JSON dict, so only the growth reports may skip it in a JSON run
+CSV_FREE_JSON = [("nevanlab.nevanlinna", "NevanlinnaReport"),
+                 ("nevanlab.inequalities", "SlackSeries")]
+REPORT_CLASSES = CSV_FREE_JSON + [("nevanlab.normality", "MartyReport"),
+                                  ("nevanlab.normality", "RescaleReport"),
+                                  ("nevanlab.normality", "ExtrasReport"),
+                                  ("nevanlab.normality", "CriterionReport")]
+
+
+@pytest.mark.parametrize("command,argv", EVERY_COMMAND,
+                         ids=[c for c, _ in EVERY_COMMAND])
+def test_only_the_selected_output_form_is_built(command, argv, monkeypatch,
+                                                capsys):
+    # a JSON run never formats the CSV table, and a CSV run never builds
+    # the report dict
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an output form that was not asked for")
+
+    for fmt, unused, classes in ((["--format", "json"], "to_csv_text", CSV_FREE_JSON),
+                                 ([], "to_json_dict", REPORT_CLASSES)):
+        with monkeypatch.context() as patch:
+            for module, name in classes:
+                cls = getattr(sys.modules[module], name)
+                if hasattr(cls, unused):
+                    patch.setattr(cls, unused, refuse)
+            assert main(argv + fmt) in (0, 1)
+        assert capsys.readouterr().out

@@ -9,6 +9,7 @@ import nevanlab.expressions
 import nevanlab.nevanlinna
 from nevanlab import (
     DEFAULT_SAMPLES,
+    Canonical,
     Divisor,
     Exp,
     FamilySpec,
@@ -20,10 +21,12 @@ from nevanlab import (
     canonicalize,
     characteristic_T,
     counting_N,
+    differentiate,
     div,
     divisors,
     mul,
     parse,
+    print_expr,
     proximity_m,
     radial_report,
     spherical_derivative,
@@ -333,3 +336,110 @@ def test_singular_samples_raise_quadrature_error():
     with pytest.raises(QuadratureError, match="singular samples"):
         proximity_m(parse("exp(z^200)"), 128.0)
     assert issubclass(QuadratureError, RuntimeError)
+
+
+def _sampled_only(monkeypatch):
+    # every circle goes to the kernel, as before circles were settled
+    monkeypatch.setattr(nevanlab.nevanlinna, "_settled_circles",
+                        lambda c, radii, samples: np.full(len(radii), np.nan))
+
+
+def _near_circle_points(rng, count, radii):
+    # moduli within 1e-6 to 1e-1 relative of a grid radius, inside or outside
+    rel = 10.0 ** rng.uniform(-6.0, -1.0, count) * rng.choice([-1.0, 1.0], count)
+    angles = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, count))
+    return rng.choice(radii, count) * (1.0 + rel) * angles
+
+
+def _settle_cases(rng, radii):
+    for _ in range(80):
+        dn, dd, de = rng.integers(0, 6), rng.integers(0, 6), rng.integers(0, 4)
+        near = rng.integers(0, 3)
+        zeros = np.concatenate([_disc_points(rng, dn, 1.5),
+                                _near_circle_points(rng, near, radii)])
+        poles = _disc_points(rng, dd, 1.5)
+        if rng.uniform() < 0.5:
+            poles = np.concatenate([poles, _near_circle_points(rng, 1, radii)])
+        lead = 10.0 ** rng.uniform(-3.0, 3.0) * np.exp(2j * np.pi * rng.uniform())
+        # the coefficient of z^k shrinks by up to 10^(-4k), so that the
+        # exponential factor can stay near a constant on the circles
+        scale = 10.0 ** -(rng.uniform(0.0, 4.0, de + 1) * np.arange(de + 1))
+        expo = Polynomial(scale * (rng.uniform(-1.0, 1.0, de + 1)
+                                   + 1j * rng.uniform(-1.0, 1.0, de + 1)))
+        f = mul(div(Poly(Polynomial.from_roots(zeros, lead)),
+                    Poly(Polynomial.from_roots(poles))), Exp(expo))
+        yield f
+        if rng.uniform() < 0.25:
+            yield div(differentiate(f, int(rng.integers(1, 3))), f)
+
+
+def test_settled_circles_match_sampled_circles(monkeypatch):
+    # a zero or closed-form circle gives the sampled value to rounding, and
+    # exactly 0.0 where the classifier says zero
+    rng = np.random.default_rng(1964)
+    radii = RadialGrid.geometric(2.0, 128.0, 16).radii
+    kinds = {"zero": 0, "closed": 0, "sampled": 0}
+    for f in _settle_cases(rng, radii):
+        data = FunctionData(f)
+        samples = 2 ** int(rng.integers(6, 14))
+        settled = nevanlab.nevanlinna._settled_circles(data.canonical, radii, samples)
+        got = data.proximity(radii, samples)
+        with monkeypatch.context() as patch:
+            _sampled_only(patch)
+            want = data.proximity(radii, samples)
+        for s, m, w in zip(settled, got, want):
+            if s == 0.0:
+                kinds["zero"] += 1
+                assert m == w == 0.0
+            else:
+                kinds["closed" if math.isfinite(s) else "sampled"] += 1
+                assert abs(m - w) <= 1e-13 * (1.0 + abs(w)), (print_expr(f), samples)
+    assert min(kinds.values()) >= 100, kinds
+
+
+class _KernelCalls:
+    def __init__(self, monkeypatch):
+        self.calls = []
+        for name in ("log_abs_on_circle", "log_abs"):
+            original = getattr(Canonical, name)
+            monkeypatch.setattr(Canonical, name, self._wrap(name, original))
+
+    def _wrap(self, name, original):
+        def counting(canonical, *args):
+            self.calls.append(name)
+            return original(canonical, *args)
+        return counting
+
+
+def test_settled_circles_skip_the_kernel(monkeypatch):
+    kernel = _KernelCalls(monkeypatch)
+    radii = (4.0, 9.5, 64.0, 128.0)
+    for r, m in zip(radii, FunctionData(parse("z^3+1")).proximity(radii, DEFAULT_SAMPLES)):
+        assert abs(m - 3.0 * math.log(r)) <= 1e-14 * 3.0 * math.log(r)
+    radii = (2.0, 3.0, 50.0)
+    assert FunctionData(parse("1/(z^2+1)")).proximity(radii, DEFAULT_SAMPLES) == [0.0] * 3
+    assert kernel.calls == []
+
+
+@pytest.mark.parametrize("text,r,samples", [
+    ("1000*(z - 3.996)", 4.0, DEFAULT_SAMPLES),  # a zero at 0.999 r
+    ("exp(z^64 + 5)", 1.01, 64),  # deg expo >= N: the trapezoid aliases z^64
+    ("5/(z - 2)", 2.0, DEFAULT_SAMPLES),  # a pole on the circle is dodged
+])
+def test_unsettled_circles_are_sampled(monkeypatch, text, r, samples):
+    data = FunctionData(parse(text))
+    assert math.isnan(nevanlab.nevanlinna._settled_circles(data.canonical, [r], samples)[0])
+    with monkeypatch.context() as patch:
+        _sampled_only(patch)
+        want = data.proximity([r], samples)
+    kernel = _KernelCalls(monkeypatch)
+    assert data.proximity([r], samples) == want
+    assert kernel.calls
+
+
+def test_closed_form_needs_deg_expo_below_samples():
+    # on 64 points z^64 = r^64 at every node, so the trapezoid reads
+    # 5 + r^64; on 128 points it is settled at Jensen's 5
+    f = parse("exp(z^64 + 5)")
+    assert proximity_m(f, 1.01, samples=64) == pytest.approx(5.0 + 1.01 ** 64, rel=1e-12)
+    assert proximity_m(f, 1.01, samples=128) == 5.0
