@@ -442,6 +442,7 @@ def substitute_affine(e, a, b):
 # canonical form and divisors
 
 _BLOCK = 16  # coefficients per block in Canonical.log_abs_on_circle
+_CHUNK_BYTES = 1 << 20  # power-table rows per pass of Canonical.log_abs_on_circle
 
 
 @dataclass(frozen=True)
@@ -465,10 +466,12 @@ class Canonical:
     def circle_powers(self, unit):
         """The table log_abs_on_circle takes: powers[j, k] = unit[(k*j) % N].
 
-        unit[j] = w^j for w = exp(2 pi i/N).  There are
-        min(max degree, _BLOCK) + 1 columns, filled one at a time from an
-        exact integer index, so each entry is w^(jk) to the accuracy of
-        unit itself and no (N x columns) index array is built.
+        unit[j] = w^j for w = exp(2 pi i/N), and N must be a power of two
+        (proximity's sample counts are), so (k*j) % N is the bitmask
+        (k*j) & (N - 1).  There are min(max degree, _BLOCK) + 1 columns,
+        filled one at a time from an exact integer index, so each entry is
+        w^(jk) to the accuracy of unit itself and no (N x columns) index
+        array is built.
         """
         n = unit.size
         degree = max(self.num.degree, self.den.degree, self.expo.degree)
@@ -478,7 +481,7 @@ class Canonical:
         for k in range(powers.shape[1]):
             powers[:, k] = unit[index]
             index += step
-            index %= n
+            index &= n - 1
         return powers
 
     @cached_property
@@ -536,7 +539,9 @@ class Canonical:
         w^_BLOCK = powers[:, _BLOCK], so powers needs min(max degree,
         _BLOCK) + 1 columns whatever the degree; below degree _BLOCK there
         is one block and no Horner step.  The complex product runs as one
-        real matrix product on the interleaved (re, im) view of the table.
+        real matrix product on the interleaved (re, im) view of the table,
+        over slices of rows of at most _CHUNK_BYTES each, so that a slice
+        and its products stay in cache.
         """
         kinds, real, exps, offset, slope = self._circle_terms
         n = len(powers)
@@ -544,19 +549,24 @@ class Canonical:
         if not kinds:
             return out
         width = real.shape[0]
+        rows = max(1, _CHUNK_BYTES // powers[0].nbytes)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             scaled = (real * r ** exps).reshape(2 * width, -1)
-            sums = (powers[:, :width].view(float) @ scaled).view(complex).reshape(n, len(kinds), -1)
-            acc = sums[:, :, -1]
-            for b in range(sums.shape[2] - 2, -1, -1):
-                acc = acc * powers[:, _BLOCK, None] + sums[:, :, b]
-            for kind, s in zip(kinds, acc.T):
-                if kind > 0:
-                    out += np.log(np.abs(s))
-                elif kind < 0:
-                    out -= np.log(np.abs(s))
-                else:
-                    out += s.real
+            for start in range(0, n, rows):
+                part = powers[start:start + rows]
+                sums = (part[:, :width].view(float) @ scaled).view(complex).reshape(
+                    len(part), len(kinds), -1)
+                acc = sums[:, :, -1]
+                for b in range(sums.shape[2] - 2, -1, -1):
+                    acc = acc * part[:, _BLOCK, None] + sums[:, :, b]
+                chunk = out[start:start + rows]
+                for kind, s in zip(kinds, acc.T):
+                    if kind > 0:
+                        chunk += np.log(np.abs(s))
+                    elif kind < 0:
+                        chunk -= np.log(np.abs(s))
+                    else:
+                        chunk += s.real
         return out
 
 

@@ -18,28 +18,38 @@ coefficient bounds alone (no root finding, no divisors):
   aliases only the modes that are multiples of N;
 - sampled circle: anything else, evaluated as below.
 
+The root bounds are Graeffe-tightened (_root_bound): the 8th root of
+Fujiwara's bound on the polynomial whose roots are the 8th powers of the
+roots, computed with a certified rounding radius on every coefficient.
+Barring underflow it is within a factor (2d)^(1/8) of the largest root
+modulus, where plain Fujiwara can be 2d times too large, so fewer
+circles need samples.
+
 On a sampled circle, since p(z_j) = sum_k (c_k r^k) w^(jk), proximity
 builds one table powers[j, k] = w^(jk), indexed exactly by (j k) mod N,
-once per call, and Canonical.log_abs_on_circle evaluates every sampled
-radius as one matrix product against it.  num and den of degree d are
-scaled to r^d sum_k c_k r^(k-d) w^(jk), so the sum runs on unit-modulus
-points and d log r is added back in the log domain: neither r^d nor an
-exponential factor overflows.  Coefficients go in blocks of 16, joined by
-Horner in w^16, so the table has at most 17 columns whatever the degree.
-A radius where the circle passes through a pole has the nearby samples
-moved half a step (the dodge); such radii, and samples whose log|f| is
-NaN or +inf and are retried half a step over, are evaluated by
-Canonical.log_abs (Horner) at those explicit points.  Samples still
-singular after the retry raise QuadratureError.  T = m + N by
-construction.  FunctionData holds the inputs: the canonical form and the
-denominator roots at construction, the divisors (which need the numerator
-roots) on first use.
+once per call from the cached unit circle, and
+Canonical.log_abs_on_circle evaluates every sampled radius as one matrix
+product against it, in slices of rows that stay in cache.  num and den
+of degree d are scaled to r^d sum_k c_k r^(k-d) w^(jk), so the sum runs
+on unit-modulus points and d log r is added back in the log domain:
+neither r^d nor an exponential factor overflows.  Coefficients go in
+blocks of 16, joined by Horner in w^16, so the table has at most 17
+columns whatever the degree.  A radius where the circle passes through a
+pole has the nearby samples moved half a step (the dodge); such radii,
+and samples whose log|f| is NaN or +inf and are retried half a step
+over, are evaluated by Canonical.log_abs (Horner) at those explicit
+points.  Samples still singular after the retry raise QuadratureError.
+T = m + N by construction.  FunctionData holds the inputs: the canonical
+form at construction; the denominator roots lazily, when the poles are
+asked for or a sampled circle comes within the denominator's root bound
+(only there can the dodge be needed); the divisors, which also need the
+numerator roots, on first use.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -60,6 +70,9 @@ _ANGLE_DODGE = 1e-8
 _SETTLE_MARGIN = 1e-9  # log|f| must clear 0 by this much to settle a circle unsampled
 _ALIAS_EXPONENT = 40.0  # closed form only with every root inside r exp(-40/N)
 _INFLATE = 1.0 + 1e-12  # rounded tails and root bounds are raised by this factor
+_GRAEFFE_STEPS = 3  # root squarings behind each root bound: slack 2d -> (2d)^(1/8)
+_UNIT_ROUNDOFF = 2.0 ** -53
+_SUBNORMAL = 2.0 ** -1074
 
 
 class QuadratureError(RuntimeError):
@@ -150,24 +163,88 @@ def counting_N(divisor, r, truncated=False):
     return acc
 
 
-def _root_bound(c):
-    """Fujiwara's bound on the root moduli of sum_k c[k] z^k, raised by _INFLATE.
+def _fujiwara(moduli, lead):
+    """Fujiwara's bound from |c_0| .. |c_(d-1)| and lead = |c_d|:
+    2 max(|c_(d-k)/c_d|^(1/k) for 0 < k < d, |c_0/(2 c_d)|^(1/d)).
+    """
+    a = moduli / lead
+    a[0] /= 2.0
+    return 2.0 * float(np.max(a ** (1.0 / np.arange(len(a), 0.0, -1.0))))
 
-    2 max(|c_(d-k)/c_d|^(1/k) for 0 < k < d, |c_0/(2 c_d)|^(1/d)); 0.0 for a
-    constant.  Call under np.errstate(all="ignore"): overflow gives inf.
+
+def _graeffe_step(a, e):
+    """One root squaring on disc coefficients (constant first, degree d).
+
+    If each coefficient of p lies within e[k] of a[k], each coefficient of
+    q, where q(z^2) = p(z) p(-z) has the squares of the roots of p, lies
+    within the returned radius of the returned midpoint.  The radius is
+    2 conv(|a|, e) + conv(e, e) for the discs plus gamma conv(|a|, |a|) for
+    the rounding of the midpoint, raised by (1 + gamma) for its own
+    rounding and by a few subnormal units for underflow: nonnegative terms
+    only, so no radius is the difference of two bounds.
+    """
+    d = len(a) - 1
+    gamma = 4.0 * (d + 2) * _UNIT_ROUNDOFF
+    m = np.abs(a)
+    flipped = a.copy()
+    flipped[1::2] *= -1.0
+    radius = np.convolve(m + m + e, e)
+    radius += gamma * np.convolve(m, m)
+    return (np.convolve(a, flipped)[::2],
+            radius[::2] * (1.0 + gamma) + 8.0 * (d + 1) * _SUBNORMAL)
+
+
+def _root_bound(c):
+    """A certified bound on the root moduli of sum_k c[k] z^k, raised by _INFLATE.
+
+    Fujiwara's bound F exceeds the largest root modulus by a factor of up
+    to 2d (a d-fold root).  Scaled by the power of two s >= F (exact, bar
+    underflow), the polynomial has its roots in the unit disc and
+    coefficients of modulus at most 1.  _GRAEFFE_STEPS root squarings
+    (_graeffe_step) on midpoint-radius coefficients keep each true
+    coefficient inside its disc, and Fujiwara's bound on the upper moduli
+    |b_k| + e_k over the lower modulus of the lead bounds the 2^steps-th
+    powers of the roots; its 2^steps-th root times s exceeds the largest
+    root modulus by at most (2d)^(1/2^steps), 1.45 for d = 10.  Never more
+    than plain Fujiwara, which is also the result when anything is not
+    finite or when the floors of deeply underflowed coefficients (high
+    degree, roots far inside F) dominate; 0.0 for a constant.
     """
     d = len(c) - 1
     if d == 0:
         return 0.0
-    a = np.abs(c[:-1]) / abs(c[-1])
-    a[0] /= 2.0
-    return 2.0 * float(np.max(a ** (1.0 / (d - np.arange(d))))) * _INFLATE
+    lead = abs(c[-1])
+    with np.errstate(all="ignore"):
+        plain = _fujiwara(np.abs(c[:-1]), lead) * _INFLATE
+        if not 0.0 < plain < math.inf:
+            return plain
+        shift = math.frexp(plain)[1]  # s = 2^shift
+        scale = shift * np.arange(-d, 1) - math.frexp(lead)[1]
+        a = np.ldexp(c.real, scale) + 1j * np.ldexp(c.imag, scale)
+        e = np.full(d + 1, 2.0 * _SUBNORMAL)  # ldexp rounds only on underflow
+        for _ in range(_GRAEFFE_STEPS):
+            a, e = _graeffe_step(a, e)
+        gamma = 4.0 * (d + 2) * _UNIT_ROUNDOFF
+        low = (abs(a[-1]) - e[-1]) * (1.0 - gamma)
+        high = (np.abs(a[:-1]) + e[:-1]) * (1.0 + gamma)
+        root = _fujiwara(high, low) ** (0.5 ** _GRAEFFE_STEPS)
+        bound = float(np.ldexp(root, shift)) * _INFLATE
+    if low > 0.0 and bound < plain:
+        return bound
+    return plain
 
 
-def _log_abs_bounds(c, r, log_r):
+@lru_cache(maxsize=32)
+def _polynomial_root_bound(p):
+    """_root_bound of a Polynomial; _settled_circles and the pole check in
+    FunctionData.proximity ask for the same denominator."""
+    return _root_bound(np.array(p.coefficients))
+
+
+def _log_abs_bounds(p, r, log_r):
     """(lower, upper, root bound) of log|p| on |z| = r, for an ndarray of radii r.
 
-    p = sum_k c[k] z^k of degree d has root bound B (_root_bound); with
+    p = sum_k c_k z^k of degree d has root bound B (_root_bound); with
     lead = |c_d| r^d and tail = sum_(k<d) |c_k| r^k,
     lower = max(log(lead - tail) where lead >= 2 tail,
     log|c_d| + d log(r - B) where r > B), and upper = min(log(lead + tail),
@@ -176,12 +253,13 @@ def _log_abs_bounds(c, r, log_r):
     overflows comes out infinite or NaN, which settles nothing.  Call under
     np.errstate(all="ignore").
     """
+    c = np.array(p.coefficients)
     d = len(c) - 1
     lead = math.log(abs(c[-1]))
     if d == 0:
         return lead, lead, 0.0
     tail = (np.abs(c[:-1]) / abs(c[-1])) @ r ** np.arange(-d, 0.0)[:, None] * _INFLATE
-    bound = _root_bound(c)
+    bound = _polynomial_root_bound(p)
     top = lead + d * log_r
     lower = np.maximum(np.where(tail <= 0.5, top + np.log1p(-tail), -np.inf),
                        np.where(r > bound, lead + d * np.log(r - bound), -np.inf))
@@ -196,34 +274,48 @@ def _settled_circles(c, radii, samples):
     closed-form circles (log|f| > _SETTLE_MARGIN, every root of num and den
     inside r exp(-_ALIAS_EXPONENT/N), deg expo < N) give Jensen's value.
     The bounds come from the coefficients of c alone (see the module
-    docstring), vectorized over the radii; Re expo lies within
+    docstring), vectorized over the radii, with the Graeffe-tightened root
+    bounds of num and den (_root_bound); Re expo lies within
     Re expo(0) -+ sum_(k>=1) |x_k| r^k.
     """
     r = np.asarray(radii, dtype=float)
     log_r = np.log(r)
-    num, den, expo = (np.array(p.coefficients) for p in (c.num, c.den, c.expo))
+    expo = np.array(c.expo.coefficients)
     with np.errstate(all="ignore"):
-        low_num, high_num, bound_num = _log_abs_bounds(num, r, log_r)
-        low_den, high_den, bound_den = _log_abs_bounds(den, r, log_r)
+        low_num, high_num, bound_num = _log_abs_bounds(c.num, r, log_r)
+        low_den, high_den, bound_den = _log_abs_bounds(c.den, r, log_r)
         spread = np.abs(expo[1:]) @ r ** np.arange(1.0, len(expo))[:, None] * _INFLATE
         base = expo[0].real
         lower = low_num - high_den + base - spread
         upper = high_num - low_den + base + spread
         inside = max(bound_num, bound_den) <= r * math.exp(-_ALIAS_EXPONENT / samples)
         closed = (lower > _SETTLE_MARGIN) & inside & (len(expo) <= samples)
-    jensen = (math.log(abs(num[-1])) - math.log(abs(den[-1]))
-              + (len(num) - len(den)) * log_r + base)
+    jensen = (math.log(abs(c.num.leading)) - math.log(abs(c.den.leading))
+              + (c.num.degree - c.den.degree) * log_r + base)
     return np.where(upper < -_SETTLE_MARGIN, 0.0, np.where(closed, jensen, np.nan))
+
+
+@lru_cache(maxsize=4)
+def _unit_circle(samples):
+    """Read-only (theta_j, w^j) for j < samples, w = exp(2 pi i/samples)."""
+    theta = 2.0 * np.pi * np.arange(samples) / samples
+    unit = np.exp(1j * theta)
+    theta.flags.writeable = unit.flags.writeable = False
+    return theta, unit
 
 
 class FunctionData:
     """Nevanlinna data of one expression, each piece computed once.
 
-    The canonical form and the denominator's root pairs are computed on
-    construction; zeros and poles, which also need the numerator's roots,
-    on first use, so proximity alone never root-finds the numerator.
-    Each proximity call builds its power table once for all its sampled
-    radii, and only when some radius is sampled.
+    The canonical form is computed on construction; everything else on
+    first use.  The denominator's root pairs serve the poles and the pole
+    dodge of proximity, and a sampled radius needs them only where its
+    circle can meet a pole: r (1 - _ANGLE_DODGE) <= the denominator's
+    Graeffe-tightened root bound.  So proximity on circles beyond every
+    pole root-finds nothing, and the numerator, which only the zeros and
+    poles need, never.  Each proximity call takes its power table from the
+    cached unit circle once for all its sampled radii, and only when some
+    radius is sampled.
     """
 
     def __init__(self, expr):
@@ -231,8 +323,11 @@ class FunctionData:
         self.canonical = canonicalize(expr)
         if self.canonical.num.is_zero:
             raise ValueError("the zero function has no Nevanlinna data")
+
+    @cached_property
+    def _den_pairs(self):
         den = self.canonical.den
-        self._den_pairs = poly_roots(den) if den.degree > 0 else []
+        return poly_roots(den) if den.degree > 0 else []
 
     @cached_property
     def _divisors(self):
@@ -254,11 +349,13 @@ class FunctionData:
         |f| < 1 on the circle, Jensen's closed form where |f| > 1 and every
         root lies well inside.  The other circles are sampled: one power
         table (Canonical.circle_powers) serves them all through
-        Canonical.log_abs_on_circle (see the module docstring).  A radius
-        where a pole is dodged, and samples retried half a step over, go
-        through Canonical.log_abs at those explicit points.  Only a
-        non-finite sum of log+|f| triggers the retry; if the sum is still
-        not finite, QuadratureError is raised.
+        Canonical.log_abs_on_circle (see the module docstring).  Only a
+        sampled radius with r (1 - _ANGLE_DODGE) <= the denominator's root
+        bound looks for a pole to dodge, so only such a radius root-finds
+        the denominator.  A radius where a pole is dodged, and samples
+        retried half a step over, go through Canonical.log_abs at those
+        explicit points.  Only a non-finite sum of log+|f| triggers the
+        retry; if the sum is still not finite, QuadratureError is raised.
         """
         samples = _require_samples(samples)
         radii = [_require_radius(r) for r in radii]
@@ -267,14 +364,15 @@ class FunctionData:
         todo = [i for i, m in enumerate(out) if math.isnan(m)]
         if not todo:
             return out
-        base = 2.0 * np.pi * np.arange(samples) / samples
-        unit = np.exp(1j * base)
+        base, unit = _unit_circle(samples)
         powers = c.circle_powers(unit)
         half = np.pi / samples
+        pole_bound = _polynomial_root_bound(c.den)
         for i in todo:
             r = radii[i]
             theta = base  # replaced, never written to, where a pole is dodged
-            for rho, _ in self._den_pairs:
+            poles = self._den_pairs if r * (1.0 - _ANGLE_DODGE) <= pole_bound else ()
+            for rho, _ in poles:
                 if abs(abs(rho) - r) <= _ANGLE_DODGE * r:
                     ang = math.atan2(rho.imag, rho.real) % (2.0 * np.pi)
                     near = np.abs((theta - ang + np.pi) % (2.0 * np.pi) - np.pi) <= _ANGLE_DODGE

@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -443,3 +445,154 @@ def test_closed_form_needs_deg_expo_below_samples():
     f = parse("exp(z^64 + 5)")
     assert proximity_m(f, 1.01, samples=64) == pytest.approx(5.0 + 1.01 ** 64, rel=1e-12)
     assert proximity_m(f, 1.01, samples=128) == 5.0
+
+
+_GROWTH_F = "(z-0.5)^2*(z+0.3i)/(z+1.2)*exp(z^2)"
+_GROWTH_LOGDERIV = f"D[{_GROWTH_F},2]/({_GROWTH_F})"
+
+
+def _plain_fujiwara(c):
+    d = len(c) - 1
+    terms = [abs(c[d - k] / c[d]) ** (1.0 / k) for k in range(1, d)]
+    return 2.0 * max(terms + [abs(c[0] / (2.0 * c[d])) ** (1.0 / d)])
+
+
+def _exact_graeffe(a):
+    # q_m = sum_(i+j=2m) (-1)^j a_i a_j on (re, im) pairs of Fractions
+    out = [[Fraction(0), Fraction(0)] for _ in range(len(a))]
+    for i, (x, y) in enumerate(a):
+        for j, (u, v) in enumerate(a):
+            if (i + j) % 2:
+                continue
+            s = -1 if j % 2 else 1
+            out[(i + j) // 2][0] += s * (x * u - y * v)
+            out[(i + j) // 2][1] += s * (x * v + y * u)
+    return out
+
+
+def test_graeffe_step_discs_hold_the_exact_coefficients():
+    # three root squarings in floating point against exact rational ones:
+    # every exact coefficient lies in its disc, with cancellation (a cluster,
+    # alternating signs) and with products that underflow
+    rng = np.random.default_rng(1982)
+    cases = [np.array(Polynomial.from_roots([1.5] * 12).coefficients),
+             np.array(Polynomial.from_roots(np.exp(2j * np.pi * np.arange(9) / 9)).coefficients),
+             1e-110 * (rng.normal(size=6) + 1j * rng.normal(size=6))]
+    for d in rng.integers(1, 21, 12):
+        scale = 10.0 ** rng.uniform(-3.0, 0.0, d + 1)
+        cases.append(scale * (rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)))
+    for a in cases:
+        exact = [[Fraction(float(x.real)), Fraction(float(x.imag))] for x in a]
+        mid, radius = a.astype(complex), np.zeros(len(a))
+        for _ in range(3):
+            exact = _exact_graeffe(exact)
+            mid, radius = nevanlab.nevanlinna._graeffe_step(mid, radius)
+            for (x, y), b, e in zip(exact, mid, radius):
+                dx, dy = x - Fraction(b.real), y - Fraction(b.imag)
+                assert dx * dx + dy * dy <= Fraction(float(e)) ** 2, (len(a), b, e)
+
+
+def test_root_bound_is_certified():
+    # the Graeffe bound holds every root (numpy.roots, with a margin for
+    # the spread of a computed cluster) and never exceeds plain Fujiwara
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    modulus = st.floats(0.05, 20.0)
+    angle = st.floats(0.0, 2.0 * math.pi)
+
+    @hypothesis.settings(max_examples=150)
+    @hypothesis.given(
+        cluster=st.tuples(st.integers(0, 12), modulus, angle),
+        ring=st.tuples(st.integers(0, 12), modulus, angle),
+        free=st.lists(st.tuples(modulus, angle), max_size=40),
+        lead=st.tuples(st.floats(-30.0, 30.0), angle))
+    def check(cluster, ring, free, lead):
+        (count, rho, phi), (size, r, psi) = cluster, ring
+        roots = [rho * np.exp(1j * phi)] * count
+        roots += list(r * np.exp(1j * (psi + 2.0 * np.pi * np.arange(size) / size)))
+        roots += [m * np.exp(1j * t) for m, t in free]
+        roots = roots[:40]
+        hypothesis.assume(roots)
+        c = np.array(Polynomial.from_roots(roots, 10.0 ** lead[0] * np.exp(1j * lead[1])).coefficients)
+        bound = nevanlab.nevanlinna._root_bound(c)
+        assert bound <= _plain_fujiwara(c) * (1.0 + 2e-12)
+        margin = 1e-9 if count < 2 else 4.0 * 1e-13 ** (1.0 / count)
+        assert bound * (1.0 + margin) >= np.abs(np.roots(c[::-1])).max()
+
+    check()
+
+
+def test_root_bound_tightens_fujiwara():
+    # three root squarings cut Fujiwara's slack from up to 2d to (2d)^(1/8)
+    c = canonicalize(parse(_GROWTH_LOGDERIV))
+    for p in (c.num, c.den):
+        coefficients = np.array(p.coefficients)
+        radius = np.abs(np.roots(coefficients[::-1])).max()
+        bound = nevanlab.nevanlinna._root_bound(coefficients)
+        assert radius <= bound <= (2.0 * p.degree) ** 0.125 * radius
+        assert _plain_fujiwara(coefficients) > 10.0 * radius
+    assert nevanlab.nevanlinna._root_bound(np.array([2.0 + 0j, 1.0])) == pytest.approx(2.0, rel=1e-11)
+    assert nevanlab.nevanlinna._root_bound(np.array([5.0 + 0j])) == 0.0
+
+
+def test_root_bound_falls_back_to_fujiwara_quietly():
+    # the degree-256 denominator of D^8 f: scaled by Fujiwara's 1536, its
+    # coefficients underflow, so the floors dominate and plain Fujiwara stays
+    c = np.array(canonicalize(parse("D[(z^2-1)/(z+3),8]")).den.coefficients)
+    assert len(c) == 257
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        bound = nevanlab.nevanlinna._root_bound(c)
+    assert bound == pytest.approx(_plain_fujiwara(c), rel=1e-11)
+    # the zero circle at r = 2000 needs no denominator roots, whose finder
+    # fails on this unreduced form (RootFindingError at r = 2)
+    assert proximity_m(parse("D[(z^2-1)/(z+3),8]"), 2000.0) == 0.0
+
+
+def test_proximity_beyond_the_pole_bound_root_finds_nothing(monkeypatch):
+    calls = []
+    original = nevanlab.expressions.poly_roots
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+    for module in (nevanlab.expressions, nevanlab.nevanlinna):
+        monkeypatch.setattr(module, "poly_roots", counting)
+    data = FunctionData(parse(_GROWTH_LOGDERIV))
+    radii = (2.0, 4.0, 8.0)
+    assert max(nevanlab.nevanlinna._polynomial_root_bound(p)
+               for p in (data.canonical.num, data.canonical.den)) < radii[0]
+    kernel = _KernelCalls(monkeypatch)
+    ms = data.proximity(radii, 256)
+    assert kernel.calls and calls == []
+    data.poles  # the divisors still root-find both
+    assert calls == [data.canonical.den, data.canonical.num]
+    assert data.proximity(radii, 256) == ms
+
+
+def test_unit_circle_is_cached_read_only():
+    theta, unit = nevanlab.nevanlinna._unit_circle(256)
+    assert nevanlab.nevanlinna._unit_circle(256)[1] is unit
+    assert not theta.flags.writeable and not unit.flags.writeable
+    assert np.array_equal(unit, np.exp(2j * np.pi * np.arange(256) / 256))
+
+
+def test_kernel_row_chunks_match_one_pass(monkeypatch):
+    # slices of a few rows, the last one ragged, give the one-pass values
+    c = canonicalize(parse("(z^40 + 3*z^17 - 2)/(z^21 + 0.5) * exp(z^3)"))
+    unit = np.exp(2j * np.pi * np.arange(1024) / 1024)
+    powers = c.circle_powers(unit)
+    whole = c.log_abs_on_circle(1.7, powers)
+    monkeypatch.setattr(nevanlab.expressions, "_CHUNK_BYTES", 100 * powers[0].nbytes)
+    chunked = c.log_abs_on_circle(1.7, powers)
+    assert np.allclose(chunked, whole, rtol=1e-13, atol=0.0)
+    assert np.allclose(whole, c.log_abs(1.7 * unit), rtol=1e-10, atol=1e-10)
+
+
+def test_pole_just_inside_the_circle_is_dodged():
+    # a pole 5e-9 r inside is within the dodge distance but not a singular
+    # sample: the pole check must still root-find the denominator
+    on = proximity_m(parse("1/(z - 2)"), 2.0)
+    near = FunctionData(parse(f"1/(z - {2.0 * (1.0 - 5e-9)!r})"))
+    assert near.proximity([2.0], DEFAULT_SAMPLES)[0] == pytest.approx(on, abs=1e-6)
+    assert "_den_pairs" in vars(near)
