@@ -49,6 +49,7 @@ from .nevanlinna import (
     QuadratureError,
     unintegrated_counting,
     counting_N,
+    counting_series,
     proximity_m,
     characteristic_T,
     spherical_derivative,

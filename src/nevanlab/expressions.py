@@ -185,15 +185,15 @@ def add(*terms):
             flat.extend(t.terms)
         else:
             flat.append(t)
-    poly_part = Polynomial([0])
+    poly_part = None
     rest = []
     for t in flat:
         p = as_polynomial(t)
         if p is None:
             rest.append(t)
         else:
-            poly_part = poly_part + p
-    if not poly_part.is_zero:
+            poly_part = p if poly_part is None else poly_part + p
+    if poly_part is not None and not poly_part.is_zero:
         rest.append(_wrap_poly(poly_part))
     if not rest:
         return Const(0)
@@ -210,9 +210,8 @@ def mul(*factors):
             flat.extend(f.factors)
         else:
             flat.append(f)
-    poly_part = Polynomial([1])
+    poly_part = None
     rest = []
-    npoly = 0
     for f in flat:
         if isinstance(f, Const) and f.value == 0:
             return Const(0)
@@ -222,9 +221,8 @@ def mul(*factors):
         else:
             if p.is_zero:
                 return Const(0)
-            poly_part = poly_part * p
-            npoly += 1
-    if npoly and poly_part.coefficients != (1 + 0j,):
+            poly_part = p if poly_part is None else poly_part * p
+    if poly_part is not None and poly_part.coefficients != (1 + 0j,):
         rest.insert(0, _wrap_poly(poly_part))
     if not rest:
         return Const(1)

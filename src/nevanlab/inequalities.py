@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .diffpoly import degree_d, diffpoly_expression, weight_theta
 from .expressions import Const, NotNormalizableError, add, div, divisors, differentiate, print_expr
-from .nevanlinna import FunctionData, RadialGrid, counting_N
+from .nevanlinna import FunctionData, RadialGrid, counting_series
 
 _NORM_FLOOR = 1e-9
 
@@ -252,12 +252,11 @@ def check_smt(f, values, grid=None, samples=None):
                 f"divisor extraction failed for f - ({a}): {exc}") from exc
     ts = data.characteristic(grid.radii, samples)
     q = len(values)
-    poles_bar = data.poles.truncated()
-    zeros_bar = [d.truncated() for d in zero_divs]
+    nbar_poles = counting_series(data.poles, grid.radii, truncated=True)
+    nbar_zeros = [counting_series(d, grid.radii, truncated=True) for d in zero_divs]
     rows = []
-    for r, t in zip(grid.radii, ts):
-        rhs = counting_N(poles_bar, r)
-        rhs += sum(counting_N(d, r) for d in zeros_bar)
+    for i, (r, t) in enumerate(zip(grid.radii, ts)):
+        rhs = nbar_poles[i] + sum(n[i] for n in nbar_zeros)
         rows.append((r, (q - 1) * t, rhs, t))
     params = {"f": print_expr(data.expr), "values": [repr(v) for v in values]}
     return SlackSeries("smt", params, rows)
@@ -283,13 +282,12 @@ def _value_bound_series(name, g, p, values, grid, samples, num_coeff, den,
     # coefficients num_coeff/den and 1/den
     data = FunctionData(g)
     _ensure_nonconstant(data, "g")
-    zeros_g = data.zeros.truncated()
-    divs = [d.truncated() for d in _poly_of_g(p, g, values)]
+    nbar_g = counting_series(data.zeros, grid.radii, truncated=True)
+    nbar_p = [counting_series(d, grid.radii, truncated=True) for d in _poly_of_g(p, g, values)]
     ts = data.characteristic(grid.radii, samples)
     rows = []
-    for r, t in zip(grid.radii, ts):
-        rhs = (num_coeff / den) * counting_N(zeros_g, r)
-        rhs += sum(counting_N(d, r) for d in divs) / den
+    for i, (r, t) in enumerate(zip(grid.radii, ts)):
+        rhs = (num_coeff / den) * nbar_g[i] + sum(n[i] for n in nbar_p) / den
         rows.append((r, t, rhs, t))
     params = {
         "g": print_expr(data.expr),

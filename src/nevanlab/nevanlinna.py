@@ -153,14 +153,25 @@ def unintegrated_counting(divisor, t):
 
 def counting_N(divisor, r, truncated=False):
     """Integrated counting function of the divisor at radius r > 1."""
-    r = _require_radius(r)
-    d = divisor.truncated() if truncated else divisor
-    acc = 0.0
-    for z, m in d.entries:
+    return counting_series(divisor, (r,), truncated)[0]
+
+
+def counting_series(divisor, radii, truncated=False):
+    """counting_N(divisor, r, truncated) for every r in radii > 1, as a list:
+    the sum over entries z with |z| <= r of m (log r - log max(|z|, 1)), with
+    m = 1 when truncated.
+
+    One array pass over the radii per divisor entry, the logs taken by
+    math.log and the terms summed in entry order.
+    """
+    radii = np.array([_require_radius(r) for r in radii])
+    log_r = np.array([math.log(r) for r in radii])
+    acc = np.zeros(len(radii))
+    for z, m in divisor.entries:
         az = abs(z)
-        if az <= r:
-            acc += m * (math.log(r) - math.log(max(az, 1.0)))
-    return acc
+        term = (1 if truncated else m) * (log_r - math.log(max(az, 1.0)))
+        acc += np.where(az <= radii, term, 0.0)
+    return acc.tolist()
 
 
 def _fujiwara(moduli, lead):
@@ -394,7 +405,7 @@ class FunctionData:
 
     def characteristic(self, radii, samples):
         ms = self.proximity(radii, samples)
-        return [m + counting_N(self.poles, r) for m, r in zip(ms, radii)]
+        return [m + n for m, n in zip(ms, counting_series(self.poles, radii))]
 
 
 def proximity_m(f, r, samples=None):
@@ -487,10 +498,7 @@ def radial_report(f, grid=None, samples=None):
     samples = _require_samples(samples)
     data = FunctionData(f)
     ms = data.proximity(grid.radii, samples)
-    poles_bar = data.poles.truncated()
-    rows = []
-    for r, m in zip(grid.radii, ms):
-        n = counting_N(data.poles, r)
-        nbar = counting_N(poles_bar, r)
-        rows.append((r, m, n, nbar, m + n))
+    ns = counting_series(data.poles, grid.radii)
+    nbars = counting_series(data.poles, grid.radii, truncated=True)
+    rows = [(r, m, n, nbar, m + n) for r, m, n, nbar in zip(grid.radii, ms, ns, nbars)]
     return NevanlinnaReport(print_expr(data.expr), samples, tuple(rows))

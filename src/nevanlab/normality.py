@@ -315,17 +315,21 @@ class FamilySpec:
 
 
 def disc_grid(center, radius, resolution):
-    """Square lattice clipped to the closed disc."""
+    """Square lattice clipped to the closed disc, as a tuple of points.
+
+    The lattice coordinates are t_i = -1 + 2 i / (resolution - 1); the point
+    center + radius (t_i + i t_j) is kept where t_i^2 + t_j^2 <= 1 + 1e-12,
+    ordered by i, then j.
+    """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    pts = []
-    for i in range(resolution):
-        x = -1.0 + 2.0 * i / (resolution - 1)
-        for j in range(resolution):
-            y = -1.0 + 2.0 * j / (resolution - 1)
-            if x * x + y * y <= 1.0 + 1e-12:
-                pts.append(center + radius * complex(x, y))
-    return tuple(pts)
+    t = -1.0 + 2.0 * np.arange(resolution) / (resolution - 1)
+    i, j = np.nonzero(t[:, None] * t[:, None] + t * t <= 1.0 + 1e-12)
+    center = complex(center)
+    pts = np.empty(len(i), dtype=complex)
+    pts.real = center.real + radius * t[i]
+    pts.imag = center.imag + radius * t[j]
+    return tuple(pts.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
 """Dense univariate complex polynomials and a multiplicity-aware root finder.
 
-Root approximations are the eigenvalues of the companion matrix (np.roots),
-which are backward stable but spread an m-fold root over a small polygon.
-Approximations are clustered, simple roots are Newton-polished, and cluster
-multiplicities are confirmed by checking that successive derivatives vanish
-at a Newton-refined point.  That confirmation step is what lets a sextuple
-root scattered over a ~5e-3 hexagon by rounding collapse back to a single
-entry of multiplicity six.
+Root approximations are the eigenvalues of the companion matrix (as
+np.roots computes them, without its per-call overhead), which are backward
+stable but spread an m-fold root over a small polygon; zero constant terms
+are stripped first and give exact zero roots.  Approximations are
+clustered, simple roots are Newton-polished, and cluster multiplicities are
+confirmed by checking that successive derivatives vanish at a
+Newton-refined point.  That confirmation step is what lets a sextuple root
+scattered over a ~5e-3 hexagon by rounding collapse back to a single entry
+of multiplicity six.  Newton stops at the first correction no smaller than
+the one before once |p(x)| is within Horner's rounding error bound, where
+p(x) has reached its rounding floor, and a level of the merge ladder runs
+only when the smallest gap between groups is within it.
 """
 from __future__ import annotations
 
@@ -24,6 +29,13 @@ class RootFindingError(RuntimeError):
     """The root approximations could not be assembled within the residual bound."""
 
 
+def _trim(coeffs):
+    """Coefficient tuple of a list of complex numbers, trailing zeros removed."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs) if coeffs else (0j,)
+
+
 class Polynomial:
     """Immutable polynomial with complex coefficients, constant term first.
 
@@ -35,10 +47,15 @@ class Polynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients=(0,)):
-        coeffs = [complex(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self._coeffs = tuple(coeffs) if coeffs else (0j,)
+        self._coeffs = _trim([complex(c) for c in coefficients])
+
+    @classmethod
+    def _of(cls, coeffs):
+        """Polynomial from a list of complex coefficients, only trimmed: the
+        arithmetic results skip the complex() pass of the public constructor."""
+        p = object.__new__(cls)
+        p._coeffs = _trim(coeffs)
+        return p
 
     @classmethod
     def from_roots(cls, roots, leading=1):
@@ -79,11 +96,13 @@ class Polynomial:
         raise TypeError(f"cannot combine Polynomial with {type(x).__name__}")
 
     def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self._coeffs), len(other._coeffs))
-        a = self._coeffs + (0j,) * (n - len(self._coeffs))
-        b = other._coeffs + (0j,) * (n - len(other._coeffs))
-        return Polynomial([x + y for x, y in zip(a, b)])
+        a, b = self._coeffs, self._coerce(other)._coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return Polynomial._of(out)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -96,14 +115,15 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return Polynomial([c * other for c in self._coeffs])
+            other = complex(other)
+            return Polynomial._of([c * other for c in self._coeffs])
         out = [0j] * (len(self._coeffs) + len(other._coeffs) - 1)
         for i, a in enumerate(self._coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(other._coeffs):
                 out[i + j] += a * b
-        return Polynomial(out)
+        return Polynomial._of(out)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -111,8 +131,10 @@ class Polynomial:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        out = Polynomial([1])
-        for _ in range(k):
+        if k == 0:
+            return Polynomial([1])
+        out = self
+        for _ in range(k - 1):
             out = out * self
         return out
 
@@ -127,7 +149,7 @@ class Polynomial:
             coeffs = [k * c for k, c in enumerate(coeffs)][1:]
             if not coeffs:
                 return Polynomial([0])
-        return Polynomial(coeffs)
+        return Polynomial._of(coeffs)
 
     def compose_affine(self, a, b):
         """Return p(a*z + b) as a Polynomial."""
@@ -157,18 +179,32 @@ class Polynomial:
 
 
 def _newton(poly, x0, steps=80):
-    """Newton iteration on poly from x0; returns refined point or None."""
+    """Newton iteration on poly from x0; returns refined point or None.
+
+    Besides a step below 1e-15 (1 + |x|), the iteration stops, returning the
+    current x untaken, at the first step no smaller than the one before if
+    |p(x)| is also within the rounding error bound of Horner's rule,
+    4 (d + 1) 2^-53 sum |c_k| |x|^k: p(x) is then rounding noise and further
+    steps only wander within it (the attainable-accuracy stop of MPSolve).
+    """
     d = poly.derivative()
+    floor = 4 * (poly.degree + 1) * 2.0 ** -53
     x = complex(x0)
+    last = math.inf
     for _ in range(steps):
         dv = d(x)
         if dv == 0:
             return None
-        step = poly(x) / dv
+        px = poly(x)
+        step = px / dv
+        size = abs(step)
+        if size >= last and abs(px) <= floor * poly.abs_coeff_value(abs(x)):
+            return x
+        last = size
         x = x - step
         if not (math.isfinite(x.real) and math.isfinite(x.imag)):
             return None
-        if abs(step) <= 1e-15 * (1.0 + abs(x)):
+        if size <= 1e-15 * (1.0 + abs(x)):
             return x
         if abs(x - x0) > 1.0 + abs(x0):
             return None
@@ -200,6 +236,14 @@ def _confirm_multiplicity(p, x0, m):
 
 
 def _assemble(p, raw):
+    """Group raw root approximations into [root, multiplicity] pairs.
+
+    Clusters within CLUSTER_RADIUS are polished (a singleton) or confirmed
+    as one multiple root; then the _MERGE_LEVELS ladder merges groups whose
+    multiplicity _confirm_multiplicity confirms.  A level runs only when the
+    smallest gap between groups is at most the level, since otherwise it has
+    no component of two or more; the gap is recomputed after each merge.
+    """
     deg = p.degree
     groups = []
     for comp in _components(raw, CLUSTER_RADIUS):
@@ -215,38 +259,48 @@ def _assemble(p, raw):
             # confirmation can fail for genuinely distinct roots separated by
             # less than the cluster radius; the cluster count then stands
             groups.append([refined if refined is not None else center, m])
+    gap = _min_gap(groups)
     for level in _MERGE_LEVELS:
-        changed = True
-        while changed:
-            changed = False
-            comps = _components([x for x, _ in groups], level)
-            for comp in comps:
-                if len(comp) < 2:
-                    continue
-                # try the whole component first: at an m-fold root every
-                # intermediate derivative vanishes too, so partial merges
-                # cannot be confirmed and the full count must be attempted
-                candidates = [comp] + [
-                    [i, j] for a, i in enumerate(comp) for j in comp[a + 1:]
-                ]
-                for idxs in candidates:
-                    m = sum(groups[i][1] for i in idxs)
-                    if m > deg:
-                        continue
-                    guess = sum(groups[i][0] * groups[i][1] for i in idxs) / m
-                    refined = _confirm_multiplicity(p, guess, m)
-                    if refined is None or abs(refined - guess) > 6 * level:
-                        continue
-                    keep = min(idxs)
-                    groups[keep] = [refined, m]
-                    for i in sorted(idxs, reverse=True):
-                        if i != keep:
-                            del groups[i]
-                    changed = True
-                    break
-                if changed:
-                    break
+        while gap <= level and _merge_once(p, groups, level):
+            gap = _min_gap(groups)
     return groups
+
+
+def _min_gap(groups):
+    """Smallest distance between two group centers (inf for fewer than two)."""
+    xs = [x for x, _ in groups]
+    return min((abs(a - b) for i, a in enumerate(xs) for b in xs[i + 1:]),
+               default=math.inf)
+
+
+def _merge_once(p, groups, level):
+    """Merge, in place, the first confirmed candidate of a component of groups
+    at distance <= level; returns whether a merge happened."""
+    deg = p.degree
+    for comp in _components([x for x, _ in groups], level):
+        if len(comp) < 2:
+            continue
+        # try the whole component first: at an m-fold root every
+        # intermediate derivative vanishes too, so partial merges
+        # cannot be confirmed and the full count must be attempted
+        candidates = [comp] + [
+            [i, j] for a, i in enumerate(comp) for j in comp[a + 1:]
+        ]
+        for idxs in candidates:
+            m = sum(groups[i][1] for i in idxs)
+            if m > deg:
+                continue
+            guess = sum(groups[i][0] * groups[i][1] for i in idxs) / m
+            refined = _confirm_multiplicity(p, guess, m)
+            if refined is None or abs(refined - guess) > 6 * level:
+                continue
+            keep = min(idxs)
+            groups[keep] = [refined, m]
+            for i in sorted(idxs, reverse=True):
+                if i != keep:
+                    del groups[i]
+            return True
+    return False
 
 
 def _components(points, radius):
@@ -286,6 +340,23 @@ def _validate(p, groups):
     return True
 
 
+def _companion_roots(coeffs):
+    """np.roots of the coefficients (constant first, leading one nonzero)
+    without its per-call overhead: the eigenvalues of the companion matrix of
+    the polynomial with its zero constant terms stripped, then one exact 0
+    per stripped term, in np.roots' order and bit for bit."""
+    zeros = 0
+    while coeffs[zeros] == 0:
+        zeros += 1
+    q = np.array(coeffs[zeros:][::-1])
+    roots = []
+    if len(q) > 1:
+        a = np.diag(np.ones(len(q) - 2, dtype=complex), -1)
+        a[0, :] = -q[1:] / q[0]
+        roots = np.linalg.eigvals(a).tolist()
+    return roots + [0j] * zeros
+
+
 def poly_roots(p):
     """All roots of p with multiplicities, as a list of (root, multiplicity).
 
@@ -302,7 +373,7 @@ def poly_roots(p):
         return []
     if deg == 1:
         return [(-p.coefficients[0] / p.coefficients[1], 1)]
-    groups = _assemble(p, np.roots(p.coefficients[::-1]).tolist())
+    groups = _assemble(p, _companion_roots(p.coefficients))
     if not _validate(p, groups):
         raise RootFindingError(
             f"roots of a degree-{deg} polynomial fail the residual bound"

@@ -179,6 +179,28 @@ def test_derivative_matches_finite_differences():
     assert checked > 800
 
 
+@pytest.mark.parametrize("text, printed", [
+    ("exp(-z^2)/(-1.25i*0.5)", "1.6i*exp(-z^2)"),
+    ("0.8i", "0.8i"),
+    ("2*z*(0.5i)-z", "(-1.0+1.0i)*z"),
+    ("(z-1)*(z+1)-z^2", "(-1.0)"),
+    ("z^2*0.5-1i*z*(z-0.5i)", "(0.5-1.0i)*z^2+(-0.5)*z"),
+    ("(1.5-0.25i)*(z-(0.5+1i))^2/(z+2i)",
+     "((1.5-0.25i)*z^2+(-2.0-2.75i)*z+(-0.875+1.6875i))/(z+2.0i)"),
+    ("D[(z-0.5)^2*exp(z^2)/(z+1.25),1]",
+     "((z+1.25)*((2.0*z-1.0)*exp(z^2)+(2.0*z^3+(-2.0)*z^2+0.5*z)*exp(z^2))"
+     "+(-z^2+z-0.25)*exp(z^2))/(z^2+2.5*z+1.5625)"),
+    ("-(z-1i)*exp(2*z)*(-1)", "(z+(-1.0i))*exp(2.0*z)"),
+    ("1/(0.25i*z-0.5)", "(1.0)/(0.25i*z-0.5)"),
+    ("3-3+z*0", "0.0"),
+    ("(-0.5i)*(2i)*z", "z"),
+])
+def test_printed_forms(text, printed):
+    # add and mul fold their polynomial parts from the first one, not
+    # through 0 and 1; the printed trees stay as they were
+    assert print_expr(parse(text)) == printed
+
+
 def test_print_parse_round_trip():
     rng = random.Random(99)
     for _ in range(300):

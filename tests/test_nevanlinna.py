@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import random
@@ -23,6 +24,7 @@ from nevanlab import (
     canonicalize,
     characteristic_T,
     counting_N,
+    counting_series,
     differentiate,
     div,
     divisors,
@@ -109,6 +111,34 @@ def test_counting_closed_form_values():
 
     with pytest.raises(ValueError):
         counting_N(one, 1.0)
+
+
+def _scalar_counting(divisor, r, truncated):
+    # reference: N(r) summed entry by entry at one radius, in entry order
+    acc = 0.0
+    for z, m in divisor.entries:
+        if abs(z) <= r:
+            acc += (1 if truncated else m) * (math.log(r) - math.log(max(abs(z), 1.0)))
+    return acc
+
+
+def test_counting_series_matches_scalar_loop():
+    grid = RadialGrid.geometric(2.0, 128.0, 17)
+    on_grid = grid.radii[5]
+    rng = random.Random(7)
+    pairs = [(0j, 2), (0.5 - 0.5j, 1), (1 + 0j, 3), (-1j, 1), (on_grid, 2),
+             (on_grid * 1j, 1), (grid.radii[-1], 4), (200.0, 1)]
+    for _ in range(12):
+        pairs.append((cmath.rect(rng.uniform(0.0, 150.0), rng.uniform(0.0, 6.3)),
+                      rng.randrange(1, 5)))
+    d = Divisor.from_pairs(pairs, kind="zeros")
+    for radii in (grid.radii, (1.5, on_grid, 300.0)):
+        for truncated in (False, True):
+            assert counting_series(d, radii, truncated) == [
+                _scalar_counting(d, r, truncated) for r in radii]
+    assert counting_series(Divisor.from_pairs([], kind="poles"), grid.radii) == [0.0] * 17
+    with pytest.raises(ValueError):
+        counting_series(d, (2.0, 1.0))
 
 
 def _integral_oracle(divisor, r):

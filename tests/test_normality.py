@@ -216,6 +216,20 @@ def test_disc_grid():
     assert len(pts) < 11 * 11  # corners clipped
 
 
+def test_disc_grid_matches_scalar_formula():
+    for center, radius in ((0j, 1.0), (0.3 - 0.7j, 0.8), (-1.25 + 2j, 2.0)):
+        for resolution in range(2, 42):
+            pts = []
+            for i in range(resolution):
+                x = -1.0 + 2.0 * i / (resolution - 1)
+                for j in range(resolution):
+                    y = -1.0 + 2.0 * j / (resolution - 1)
+                    if x * x + y * y <= 1.0 + 1e-12:
+                        pts.append(center + radius * complex(x, y))
+            grid = disc_grid(center, radius, resolution)
+            assert isinstance(grid, tuple) and grid == tuple(pts), resolution
+
+
 def test_marty_probe_divergent_family():
     fam = FamilySpec("v*z", tuple(float(2 ** i) for i in range(9)))
     rep = marty_probe(fam, resolution=15, shrink=0.8)

@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import random
+import statistics
 
 import pytest
 
-from nevanlab.polynomials import Polynomial, poly_roots
+from nevanlab.polynomials import Polynomial, _newton, poly_roots
 
 
 def residual_bound(p, root):
@@ -115,3 +116,64 @@ def test_residual_bound_random_unit_box():
 def test_from_roots_matches_expansion():
     p = Polynomial.from_roots([1, -1], leading=2)
     assert p.coefficients == (-2 + 0j, 0j, 2 + 0j)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_zero_roots_are_exact(k):
+    # z^k q: the zero constant terms are stripped before the eigensolve and
+    # come back as one exact 0 of multiplicity k
+    q = Polynomial.from_roots([1.5 - 0.5j, -0.75 + 1.25j, 2j])
+    p = Polynomial([0] * k + list(q.coefficients))
+    roots = poly_roots(p)
+    assert [(r, m) for r, m in roots if r == 0] == [(0j, k)]
+    assert sorted(m for r, m in roots if r != 0) == [1, 1, 1]
+
+
+def test_newton_stall_stop_waits_for_the_rounding_floor():
+    # from -2+2j the Newton corrections on z^3 - 2z + 2 run 1.0, 0.83, 1.2
+    # far from any root; a correction that grows there is no reason to stop
+    p = Polynomial([2, -2, 0, 1])
+    x = _newton(p, -2 + 2j, steps=12)
+    assert abs(p(x)) <= 1e-14
+
+
+def _evaluations(monkeypatch, p):
+    """Polynomial.__call__ calls inside poly_roots(p), and the multiplicities."""
+    count = [0]
+    call = Polynomial.__call__
+
+    def counted(self, z):
+        count[0] += 1
+        return call(self, z)
+
+    with monkeypatch.context() as m:
+        m.setattr(Polynomial, "__call__", counted)
+        roots = poly_roots(p)
+    return count[0], sorted(m for _, m in roots)
+
+
+def test_multiple_roots_take_few_evaluations(monkeypatch):
+    # Newton stops where its correction stops shrinking, and merge levels
+    # with no two groups within reach are skipped.  Medians over a few root
+    # positions, because the count of any one depends on the last bits of
+    # the companion eigenvalues; the parent took medians of 140 and 352.
+    quads = [0.4375 + 0.1875j, -0.4375 - 0.1875j, 1.25 - 0.5j, -0.75 + 1.125j,
+             0.125 + 0.625j, -1.5 - 0.25j, 0.875 + 0.875j]
+    counts = []
+    for b in quads:
+        n, mults = _evaluations(monkeypatch, Polynomial.from_roots([b] * 4))
+        assert mults == [4], b
+        counts.append(n)
+    assert statistics.median(counts) <= 60, counts
+    patterns = [(0.75 - 0.5j, -1.25 + 0.25j, 0.5 + 1.125j, -0.375 - 1.0j),
+                (1.0, 1j, -1.0, -1j),
+                (0.25 + 0.25j, 1.5, -0.5 + 1.25j, -1.0 - 0.75j),
+                (-1.25j, 0.625 + 0.5j, 1.375 - 0.125j, -0.875 + 0.375j),
+                (0.5, -0.5 + 0.5j, 1.25 + 1.25j, -1.5 - 1.0j)]
+    counts = []
+    for a, b, c, d in patterns:
+        p = Polynomial.from_roots([a] + [b] * 2 + [c] * 3 + [d] * 3)
+        n, mults = _evaluations(monkeypatch, p)
+        assert mults == [1, 2, 3, 3], (a, b, c, d)
+        counts.append(n)
+    assert statistics.median(counts) <= 150, counts
