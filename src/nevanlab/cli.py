@@ -12,7 +12,6 @@ import argparse
 import ast
 import functools
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -55,8 +54,6 @@ from .normality import (
     zalcman_rescale,
 )
 from .polynomials import RootFindingError
-
-SAMPLES_ENV = "NEVANLAB_SAMPLES"
 
 
 # ---------------------------------------------------------------------------
@@ -188,32 +185,17 @@ def _real_rule(text):
     return apply
 
 
-def _resolve_samples(args):
-    given = getattr(args, "samples", None)
-    if given is not None:
-        return given
-    env = os.environ.get(SAMPLES_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{SAMPLES_ENV} must be an integer, got {env!r}")
-    return None
-
-
 def _grid(args):
     return RadialGrid.geometric(args.rmin, args.rmax, args.steps)
 
 
 def _policy(args):
-    return SlackPolicy(epsilon=args.epsilon,
-                       max_exceptional=args.max_exceptional,
-                       tail_fraction=args.tail_fraction)
+    return SlackPolicy(args.epsilon, args.max_exceptional, args.tail_fraction)
 
 
-def _grid_config(args, samples, **fields):
-    return dict(fields, rmin=args.rmin, rmax=args.rmax, steps=args.steps,
-                samples=samples if samples is not None else DEFAULT_SAMPLES)
+def _grid_config(args, **fields):
+    samples = args.samples if args.samples is not None else DEFAULT_SAMPLES
+    return dict(fields, rmin=args.rmin, rmax=args.rmax, steps=args.steps, samples=samples)
 
 
 def _word(ok):
@@ -255,79 +237,62 @@ def _finish(args, command, config, report_dict, text, ok=True, status=None):
 
 
 def cmd_characteristic(args):
-    f = parse(args.f)
-    samples = _resolve_samples(args)
-    report = radial_report(f, grid=_grid(args), samples=samples)
-    return _finish(args, "characteristic",
-                   _grid_config(args, report.samples, f=args.f),
+    report = radial_report(parse(args.f), grid=_grid(args), samples=args.samples)
+    return _finish(args, "characteristic", _grid_config(args, f=args.f),
                    report.to_json_dict, report.to_csv_text)
 
 
-def cmd_verify_fmt(args):
-    f, a = parse(args.f), parse_complex(args.a)
-    samples, policy = _resolve_samples(args), _policy(args)
-    series = check_fmt(f, a, grid=_grid(args), samples=samples)
-    verdict = fmt_boundedness_verdict(series, policy=policy,
-                                      margin=args.margin)
-    config = _grid_config(args, samples, f=args.f, a=args.a,
-                          margin=args.margin, policy=policy.to_json_dict())
-    return _finish(args, "verify fmt", config,
+def _finish_series(args, name, series, verdict, config):
+    return _finish(args, f"verify {name}", config,
                    lambda: series.to_json_dict(verdict), series.to_csv_text,
-                   verdict.passed, f"fmt: {_word(verdict.passed)}")
+                   verdict.passed, f"{name}: {_word(verdict.passed)}")
+
+
+def _finish_policy(args, name, series, policy, **fields):
+    """The tolerance-policy verdict of a series, through _finish_series."""
+    config = _grid_config(args, policy=policy.to_json_dict(), **fields)
+    return _finish_series(args, name, series, slack_verdict(series, policy=policy), config)
+
+
+def cmd_verify_fmt(args):
+    series = check_fmt(parse(args.f), parse_complex(args.a), grid=_grid(args),
+                       samples=args.samples)
+    return _finish_series(args, "fmt", series, fmt_boundedness_verdict(series),
+                          _grid_config(args, f=args.f, a=args.a))
 
 
 def cmd_verify_smt(args):
     f, values = parse(args.f), _parse_values(args.values)
-    samples, policy = _resolve_samples(args), _policy(args)
-    series = check_smt(f, values, grid=_grid(args), samples=samples)
-    verdict = slack_verdict(series, policy=policy)
-    config = _grid_config(args, samples, f=args.f, values=args.values,
-                          policy=policy.to_json_dict())
-    return _finish(args, "verify smt", config,
-                   lambda: series.to_json_dict(verdict), series.to_csv_text,
-                   verdict.passed, f"smt: {_word(verdict.passed)}")
+    policy = _policy(args)
+    series = check_smt(f, values, grid=_grid(args), samples=args.samples)
+    return _finish_policy(args, "smt", series, policy, f=args.f, values=args.values)
 
 
 def cmd_verify_logderiv(args):
     f = parse(args.f)
-    samples, policy = _resolve_samples(args), _policy(args)
+    policy = _policy(args)
     series = check_log_derivative(f, args.k, grid=_grid(args),
-                                  samples=samples, policy=policy)
-    verdict = slack_verdict(series, policy=policy)
-    config = _grid_config(args, samples, f=args.f, k=args.k,
-                          policy=policy.to_json_dict())
-    return _finish(args, "verify logderiv", config,
-                   lambda: series.to_json_dict(verdict), series.to_csv_text,
-                   verdict.passed, f"logderiv: {_word(verdict.passed)}")
+                                  samples=args.samples, policy=policy)
+    return _finish_policy(args, "logderiv", series, policy, f=args.f, k=args.k)
 
 
 def cmd_verify_hinchliffe(args):
     g = parse(args.g)
     p = build_standard_monomial(_parse_spec_json(args.spec))
-    samples, policy = _resolve_samples(args), _policy(args)
-    series = check_hinchliffe(g, p, grid=_grid(args), samples=samples)
-    verdict = slack_verdict(series, policy=policy)
-    config = _grid_config(args, samples, g=args.g, spec=args.spec,
-                          policy=policy.to_json_dict())
-    return _finish(args, "verify hinchliffe", config,
-                   lambda: series.to_json_dict(verdict), series.to_csv_text,
-                   verdict.passed, f"hinchliffe: {_word(verdict.passed)}")
+    policy = _policy(args)
+    series = check_hinchliffe(g, p, grid=_grid(args), samples=args.samples)
+    return _finish_policy(args, "hinchliffe", series, policy, g=args.g, spec=args.spec)
 
 
 def cmd_verify_lemma3(args):
     g = parse(args.g)
     p = build_standard_monomial(_parse_spec_json(args.spec))
     values = _parse_values(args.values)
-    samples, policy = _resolve_samples(args), _policy(args)
+    policy = _policy(args)
     series = check_hinchliffe_multi(g, p, values, grid=_grid(args),
-                                    samples=samples, entire=args.entire)
-    verdict = slack_verdict(series, policy=policy)
-    config = _grid_config(args, samples, g=args.g, spec=args.spec,
-                          values=args.values, entire=args.entire,
-                          policy=policy.to_json_dict())
-    return _finish(args, "verify lemma3", config,
-                   lambda: series.to_json_dict(verdict), series.to_csv_text,
-                   verdict.passed, f"lemma3: {_word(verdict.passed)}")
+                                    samples=args.samples, entire=args.entire)
+    return _finish_policy(args, "lemma3", series, policy, g=args.g, spec=args.spec,
+                          values=args.values, entire=args.entire)
 
 
 def cmd_expand(args):
@@ -435,7 +400,7 @@ def _add_grid_flags(p):
                    help="number of radii (default %(default)s)")
     p.add_argument("--samples", type=int, default=None,
                    help="circle quadrature samples, a power of two "
-                        f"(default from ${SAMPLES_ENV} or the library)")
+                        f"(default {DEFAULT_SAMPLES})")
 
 
 def _add_policy_flags(p):
@@ -476,11 +441,7 @@ def build_parser():
                                     "and T(r,f)")
     p.add_argument("--f", required=True, help="function expression")
     p.add_argument("--a", default="0", help="target value (default 0)")
-    p.add_argument("--margin", type=float, default=1.0,
-                   help="allowed tail excess over the head range "
-                        "(default %(default)s)")
     _add_grid_flags(p)
-    _add_policy_flags(p)
     _add_output_flags(p)
     p.set_defaults(handler=cmd_verify_fmt)
 

@@ -452,14 +452,10 @@ class Canonical:
     expo: Polynomial
 
     def log_abs(self, zs):
-        """log|f| on an ndarray of points; exact in the log domain."""
+        """log|f| on an ndarray of points, the real part of _log_poly's logs,
+        so neither num nor den overflows where |z| > 1."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = np.log(np.abs(self.num(zs)))
-            if self.den.degree > 0 or self.den.coefficients != (1 + 0j,):
-                out = out - np.log(np.abs(self.den(zs)))
-            if not self.expo.is_zero:
-                out = out + np.real(self.expo(zs))
-        return out
+            return (_log_poly(self.num, zs) - _log_poly(self.den, zs)).real + self.expo(zs).real
 
     def circle_powers(self, unit):
         """The table log_abs_on_circle takes: powers[j, k] = unit[(k*j) % N].

@@ -1,10 +1,10 @@
 """Empirical slack harnesses for the classical growth inequalities.
 
 Each check tabulates LHS and RHS of one inequality over a radial grid and
-returns a SlackSeries (slack = rhs - lhs, normalized by T(r, g)).  The
-little-o error terms of the underlying inequalities are not modeled; instead a
-SlackPolicy tolerates small relative dips on a tail of the grid, and every
-report carries the policy so the convention is visible, never silent.
+returns a SlackSeries (slack = rhs - lhs, normalized by T(r, g)).  The first
+main theorem is exact, and its verdict checks it at every radius.  The others'
+little-o error terms are not modeled; instead a SlackPolicy tolerates small
+relative dips on a tail of the grid.  Each verdict says which form it checks.
 """
 from __future__ import annotations
 
@@ -16,6 +16,10 @@ from .expressions import Const, NotNormalizableError, add, div, divisors, differ
 from .nevanlinna import FunctionData, RadialGrid, counting_series
 
 _NORM_FLOOR = 1e-9
+# fmt's allowance for quadrature and root error, relative to 1 + T(r, f): at
+# a = 0, correct divisors leave at most 1.8e-6 (1 + T), smeared ones (D^3..D^5
+# of (z^2 - 1)/(z + 3)) 5e-3 to 0.25.
+FMT_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -119,6 +123,7 @@ class Verdict:
             "worst_normalized_slack": self.worst_normalized_slack,
             "exceptional_fraction": self.exceptional_fraction,
             "tail_count": self.tail_count,
+            "form": "policy",
             "policy": self.policy.to_json_dict(),
         }
 
@@ -145,35 +150,38 @@ def slack_verdict(series, policy=None):
 
 @dataclass(frozen=True)
 class BoundednessVerdict:
+    """The first main theorem checked exactly on a fmt series (fmt_boundedness_verdict)."""
+
     passed: bool
-    head_max: float
-    tail_max: float
-    margin: float
-    policy: SlackPolicy
+    j1: float
+    bound: float
+    worst_radius: float
+    worst_deviation: float
 
     def to_json_dict(self):
         return {
+            "form": "exact",
             "passed": self.passed,
-            "head_max": self.head_max,
-            "tail_max": self.tail_max,
-            "margin": self.margin,
-            "policy": self.policy.to_json_dict(),
+            "j1": self.j1,
+            "bound": self.bound,
+            "tol": FMT_TOL,
+            "worst_radius": self.worst_radius,
+            "worst_deviation": self.worst_deviation,
         }
 
 
-def fmt_boundedness_verdict(series, policy=None, margin=1.0):
-    """Bounded-difference proxy: the tail may not exceed the head by margin."""
-    policy = policy if policy is not None else SlackPolicy()
-    start = policy.tail_start(len(series.rows))
-    start = max(1, start)
-    head = [abs(series.slack(i)) for i in range(start)]
-    tail = [abs(series.slack(i)) for i in range(start, len(series.rows))]
-    if not tail:
-        tail = head
-    head_max = max(head)
-    tail_max = max(tail)
-    return BoundednessVerdict(tail_max <= head_max + margin, head_max,
-                              tail_max, margin, policy)
+def fmt_boundedness_verdict(series):
+    """Check |slack(r) - j1| <= bound + FMT_TOL (1 + T(r, f)) at every radius.
+
+    j1 and bound come from the series params (check_fmt).  The worst radius
+    is the one closest to failing, and worst_deviation its |slack - j1|.
+    """
+    j1, bound = series.params["j1"], series.params["bound"]
+    excess = [abs(series.slack(i) - j1) - bound - FMT_TOL * (1.0 + row[3])
+              for i, row in enumerate(series.rows)]
+    worst = max(range(len(excess)), key=excess.__getitem__)
+    return BoundednessVerdict(max(excess) <= 0.0, j1, bound, series.rows[worst][0],
+                              abs(series.slack(worst) - j1))
 
 
 def _ensure_nonconstant(data, what):
@@ -209,16 +217,23 @@ def check_log_derivative(f, k, grid=None, samples=None, policy=None):
 
 
 def check_fmt(f, a, grid=None, samples=None):
-    """Difference series T(r, 1/(f-a)) vs T(r, f); bounded for every a."""
+    """Difference series T(r, 1/(f-a)) vs T(r, f), with the first main theorem's constants.
+
+    With N(r) based at 1, Jensen gives T(r, 1/g) = T(r, g) - J(1, g) for
+    g = f - a, and N(r, g) = N(r, f).  So the slack is j1 = J(1, f - a) plus
+    m(r, f) - m(r, f - a), within bound = log(1 + |a|) of j1, as
+    |log+|x - a| - log+|x|| <= log(1 + |a|).  params carries j1 and bound.
+    """
     grid = _grid_or_default(grid)
     data = FunctionData(f)
     _ensure_nonconstant(data, "f")
     a = complex(a)
-    shifted = div(Const(1), add(f, Const(-a)))
-    lhs = FunctionData(shifted).characteristic(grid.radii, samples)
+    shifted = FunctionData(div(Const(1), add(f, Const(-a))))
+    lhs = shifted.characteristic(grid.radii, samples)
     rhs = data.characteristic(grid.radii, samples)
     rows = tuple((r, x, y, y) for r, x, y in zip(grid.radii, lhs, rhs))
-    params = {"f": print_expr(data.expr), "a": repr(a)}
+    params = {"f": print_expr(data.expr), "a": repr(a),
+              "j1": -shifted.log_mean_at_1(), "bound": math.log1p(abs(a))}
     return SlackSeries("fmt", params, rows)
 
 

@@ -37,8 +37,10 @@ blocks of 16, joined by Horner in w^16, so the table has at most 17
 columns whatever the degree.  A radius where the circle passes through a
 pole has the nearby samples moved half a step (the dodge); such radii,
 and samples whose log|f| is NaN or +inf and are retried half a step
-over, are evaluated by Canonical.log_abs (Horner) at those explicit
-points.  Samples still singular after the retry raise QuadratureError.
+over, are evaluated by Canonical.log_abs at those explicit points.
+Samples still singular after the retry raise QuadratureError.  On a
+circle through a pole of f, the sample mean of the pole's -m log|z - rho|
+term, off by up to about m log(pi)/N, is corrected to its integral.
 T = m + N by construction.  FunctionData holds the inputs: the canonical
 form at construction; the denominator roots lazily, when the poles are
 asked for or a sampled circle comes within the denominator's root bound
@@ -306,6 +308,10 @@ def _settled_circles(c, radii, samples):
     return np.where(upper < -_SETTLE_MARGIN, 0.0, np.where(closed, jensen, np.nan))
 
 
+def _on_circle(rho, r):
+    return abs(abs(rho) - r) <= _ANGLE_DODGE * r
+
+
 @lru_cache(maxsize=4)
 def _unit_circle(samples):
     """Read-only (theta_j, w^j) for j < samples, w = exp(2 pi i/samples)."""
@@ -367,6 +373,7 @@ class FunctionData:
         retried half a step over, go through Canonical.log_abs at those
         explicit points.  Only a non-finite sum of log+|f| triggers the
         retry; if the sum is still not finite, QuadratureError is raised.
+        A circle through a pole of f adds _pole_sum_error.
         """
         samples = _require_samples(samples)
         radii = [_require_radius(r) for r in radii]
@@ -383,25 +390,45 @@ class FunctionData:
             r = radii[i]
             theta = base  # replaced, never written to, where a pole is dodged
             poles = self._den_pairs if r * (1.0 - _ANGLE_DODGE) <= pole_bound else ()
-            for rho, _ in poles:
-                if abs(abs(rho) - r) <= _ANGLE_DODGE * r:
-                    ang = math.atan2(rho.imag, rho.real) % (2.0 * np.pi)
-                    near = np.abs((theta - ang + np.pi) % (2.0 * np.pi) - np.pi) <= _ANGLE_DODGE
-                    theta = np.where(near, theta + half, theta)
-            if theta is base:
-                vals = c.log_abs_on_circle(r, powers)
-            else:
-                vals = c.log_abs(r * np.exp(1j * theta))
+            on_circle = [rho for rho, _ in poles if _on_circle(rho, r)]
+            for rho in on_circle:
+                ang = math.atan2(rho.imag, rho.real) % (2.0 * np.pi)
+                near = np.abs((theta - ang + np.pi) % (2.0 * np.pi) - np.pi) <= _ANGLE_DODGE
+                theta = np.where(near, theta + half, theta)
+            vals = (c.log_abs_on_circle(r, powers) if theta is base
+                    else c.log_abs(r * np.exp(1j * theta)))
             with np.errstate(over="ignore"):
                 total = np.maximum(vals, 0.0, out=vals).sum()
                 if not math.isfinite(total):  # NaN or +inf samples: retry them
                     bad = ~np.isfinite(vals)
-                    vals[bad] = np.maximum(c.log_abs(r * np.exp(1j * (theta[bad] + half))), 0.0)
+                    theta = np.where(bad, theta + half, theta)
+                    vals[bad] = np.maximum(c.log_abs(r * np.exp(1j * theta[bad])), 0.0)
                     total = vals.sum()
             if not math.isfinite(total):
                 raise QuadratureError(f"quadrature hit singular samples at r = {r}")
             out[i] = float(total) / samples
+            if on_circle:
+                out[i] += self._pole_sum_error(r, theta)
         return out
+
+    def _pole_sum_error(self, r, theta):
+        """Sample mean at the angles theta minus integral of m log|z - rho|
+        over |z| = r, summed over the poles rho of f on the circle.  log+|f|
+        is -m log|z - rho| plus a smooth term near rho, and adding this takes
+        out that term's quadrature error (m log(pi)/N at a dodged pole)."""
+        zs = r * np.exp(1j * theta)
+        return sum(m * (float(np.log(np.abs(zs - rho)).mean()) - math.log(max(r, abs(rho))))
+                   for rho, m in self.poles.entries if _on_circle(rho, r))
+
+    def log_mean_at_1(self):
+        """J(1, f), the mean of log|f| on |z| = 1, by Jensen's formula:
+        log|lead num / lead den| + Re expo(0), plus m log max(|z|, 1) over
+        the zeros and minus it over the poles."""
+        c = self.canonical
+        outside = [sign * m * math.log(max(abs(z), 1.0))
+                   for sign, d in ((1, self.zeros), (-1, self.poles)) for z, m in d.entries]
+        return (math.log(abs(c.num.leading)) - math.log(abs(c.den.leading))
+                + c.expo.coefficients[0].real + sum(outside))
 
     def characteristic(self, radii, samples):
         ms = self.proximity(radii, samples)

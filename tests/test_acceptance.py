@@ -43,6 +43,7 @@ from nevanlab import (
     zalcman_rescale,
 )
 from nevanlab.expressions import canonicalize
+from nevanlab.inequalities import FMT_TOL
 
 GRID = RadialGrid.geometric(2.0, 128.0, 64)
 
@@ -148,9 +149,10 @@ def test_5_fmt_bounded_difference(capsys):
             for _ in range(3):
                 a = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
                 series = check_fmt(f, a, grid=GRID, samples=512)
-                tail = series.rows[len(series.rows) // 2:]
-                diffs = [lhs - rhs for _, lhs, rhs, _ in tail]
-                assert max(diffs) - min(diffs) <= 1.0
+                # the first main theorem: |slack - J(1, f - a)| <= log(1 + |a|)
+                j1 = series.params["j1"]
+                for i in range(len(series.rows)):
+                    assert abs(series.slack(i) - j1) <= math.log1p(abs(a)) + FMT_TOL
 
 
 GROWTH_CORPUS = (

@@ -96,30 +96,17 @@ def test_characteristic_json_config_echo(capsys):
     assert payload["config"]["samples"] == 256
     assert payload["config"]["f"] == "exp(z)"
     assert payload["report"]["columns"] == ["r", "m", "N", "Nbar", "T"]
+    # without --samples the config echoes the library default
+    assert main(["characteristic", "--f", "z", "--rmin", "2", "--rmax", "8",
+                 "--steps", "4", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["samples"] == 4096
+    assert main(["characteristic", "--f", "z", "--samples", "100"]) == 2
 
 
 def test_characteristic_parse_error(capsys):
     rc = main(["characteristic", "--f", "z)("])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
-
-
-def test_samples_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("NEVANLAB_SAMPLES", "128")
-    rc = main(["characteristic", "--f", "z", "--rmin", "2", "--rmax", "8",
-               "--steps", "4", "--format", "json"])
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["config"]["samples"] == 128
-    # an explicit flag wins over the environment
-    rc = main(["characteristic", "--f", "z", "--rmin", "2", "--rmax", "8",
-               "--steps", "4", "--samples", "256", "--format", "json"])
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["config"]["samples"] == 256
-    monkeypatch.setenv("NEVANLAB_SAMPLES", "100")
-    assert main(["characteristic", "--f", "z"]) == 2
-    monkeypatch.setenv("NEVANLAB_SAMPLES", "lots")
-    assert main(["characteristic", "--f", "z"]) == 2
 
 
 def test_out_writes_file(tmp_path, capsys):
@@ -167,6 +154,40 @@ def test_verify_fmt_and_logderiv(capsys):
                "--samples", "512"])
     assert rc == 0
     assert "logderiv: PASS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("f", ["1/(z-2)", "z-2", "z^2+4", "1/(z-(1.2+1.6i))"])
+def test_verify_fmt_with_a_point_on_the_first_grid_circle(f, capsys):
+    # a pole of f or of 1/f on |z| = rmin = 2, at a = 0 where the bound is 0
+    assert main(["verify", "fmt", "--f", f]) == 0
+    assert "fmt: PASS" in capsys.readouterr().err
+
+
+def test_verify_fmt_json_verdict_is_exact(capsys):
+    rc = main(["verify", "fmt", "--f", "(z^2-1)/(z+3)", "--a", "1",
+               "--format", "json"] + SMALL)
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload["config"]) == {"f", "a", "rmin", "rmax", "steps", "samples"}
+    verdict = payload["report"]["verdict"]
+    assert set(verdict) == {"form", "passed", "j1", "bound", "tol",
+                            "worst_radius", "worst_deviation"}
+    assert verdict["form"] == "exact"
+    assert verdict["j1"] == payload["report"]["params"]["j1"]
+    assert verdict["bound"] == payload["report"]["params"]["bound"] == math.log(2.0)
+
+
+@pytest.mark.parametrize("flag", ["--margin", "--epsilon", "--max-exceptional",
+                                  "--tail-fraction"])
+def test_verify_fmt_has_no_policy_flags(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "fmt", "--f", "z", flag, "1"] + SMALL)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    # the policy verdicts keep theirs
+    if flag != "--margin":
+        assert main(["verify", "smt", "--f", "z^2", "--values", "0,1", flag, "0.5"]
+                    + SMALL) == 0
 
 
 def test_verify_hinchliffe_json_report(capsys):

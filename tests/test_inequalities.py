@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from nevanlab import NotNormalizableError, parse
+from nevanlab import NotNormalizableError, Poly, Polynomial, div, parse
 from nevanlab.diffpoly import DiffPolynomial, DiffTerm, MonomialSpec, build_standard_monomial
 from nevanlab.inequalities import (
+    FMT_TOL,
     SlackPolicy,
     SlackSeries,
     check_fmt,
@@ -83,6 +84,7 @@ def test_series_csv_and_json():
     assert payload["columns"] == ["r", "lhs", "rhs", "slack", "normalized_slack"]
     assert payload["verdict"]["passed"] is True
     assert payload["verdict"]["policy"]["epsilon"] == 0.05
+    assert payload["verdict"]["form"] == "policy"
 
 
 def test_log_derivative_trivial_cases():
@@ -132,6 +134,88 @@ def test_fmt_huge_value_stays_bounded():
     s = check_fmt(parse("z"), a, SMALL_GRID, samples=256)
     for i in range(len(s.rows)):
         assert abs(s.slack(i)) <= math.log(a) + 2.0
+
+
+def _shift_j1(series, delta):
+    return SlackSeries(series.name, dict(series.params, j1=series.params["j1"] + delta),
+                       series.rows)
+
+
+def test_fmt_tolerance_is_pinned():
+    assert FMT_TOL == 1e-4
+
+
+@pytest.mark.parametrize("text,a,j1", [
+    # (z^2 - 1)/(z + 3) - 1 = (z^2 - z - 4)/(z + 3): the zeros (1 -+ sqrt 17)/2
+    # and the pole -3 lie outside |z| = 1, so Jensen gives log(4/3)
+    ("(z^2-1)/(z+3)", 1, math.log(4.0 / 3.0)),
+    # 1000/(z - 0.5) - 1 = -(z - 1000.5)/(z - 0.5)
+    ("1000/(z-0.5)", 1, math.log(1000.5)),
+])
+def test_fmt_j1_closed_form(text, a, j1):
+    s = check_fmt(parse(text), a, SMALL_GRID)
+    assert s.params["j1"] == pytest.approx(j1, abs=1e-12)
+    assert s.params["bound"] == math.log(2.0)
+    v = fmt_boundedness_verdict(s)
+    assert v.passed and v.j1 == s.params["j1"] and v.bound == math.log(2.0)
+    assert v.worst_radius in s.radii
+    assert v.worst_deviation <= v.bound
+
+
+def test_fmt_without_j1_fails():
+    # the slack sits near log 1000.5 = 6.9, far beyond the bound log 2
+    s = check_fmt(parse("1000/(z-0.5)"), 1, SMALL_GRID)
+    assert not fmt_boundedness_verdict(_shift_j1(s, -s.params["j1"])).passed
+
+
+@pytest.mark.parametrize("text", ["z", "exp(z)", "(z^2-1)/(z+3)"])
+def test_fmt_identity_at_zero(text):
+    # a = 0 leaves bound 0: the slack equals j1 to the tolerance, and a j1
+    # off by 0.01 fails
+    s = check_fmt(parse(text), 0, SMALL_GRID)
+    assert s.params["bound"] == 0.0
+    for i, row in enumerate(s.rows):
+        assert abs(s.slack(i) - s.params["j1"]) <= FMT_TOL * (1.0 + row[3])
+    assert fmt_boundedness_verdict(s).passed
+    for delta in (0.01, -0.01):
+        assert not fmt_boundedness_verdict(_shift_j1(s, delta)).passed
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the unreduced canonical form "
+                                       "smears the pole of D^k f at -3")
+@pytest.mark.parametrize("k", [4, 5])
+def test_fmt_identity_on_high_derivatives(k):
+    s = check_fmt(parse(f"D[(z^2-1)/(z+3),{k}]"), 0, RadialGrid.geometric())
+    assert fmt_boundedness_verdict(s).passed
+
+
+def test_fmt_first_main_theorem_property():
+    # |slack - j1| <= log(1 + |a|) + FMT_TOL over factored rationals with
+    # distinct zeros and poles on the lattice (Z + iZ)/8 within |Re|, |Im|
+    # <= 1.5, multiplicities up to 3, and a on (Z + iZ)/4 within 3, 0 included.
+    # The lattice keeps distinct points 1/8 apart, well beyond the 1e-6
+    # within which the divisor code cancels a zero against a pole (ROADMAP
+    # item 1), and keeps a from values so small that f - a has roots closer
+    # than the root finder resolves, where it refuses with RootFindingError.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    lattice = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
+
+    @hypothesis.settings(max_examples=60)
+    @hypothesis.given(
+        points=st.lists(st.tuples(lattice, st.integers(1, 3)), min_size=1, max_size=6,
+                        unique_by=lambda e: e[0]),
+        split=st.integers(1, 6),
+        a=lattice.map(lambda p: complex(p[0], p[1]) / 4))
+    def check(points, split, a):
+        roots = [(complex(x, y) / 8, m) for (x, y), m in points]
+        factors = [Polynomial.from_roots([z for z, m in part for _ in range(m)])
+                   for part in (roots[:split], roots[split:])]
+        s = check_fmt(div(Poly(factors[0]), Poly(factors[1])), a, SMALL_GRID)
+        for i in range(len(s.rows)):
+            assert abs(s.slack(i) - s.params["j1"]) <= math.log1p(abs(a)) + FMT_TOL
+
+    check()
 
 
 def test_smt_square_closed_form():

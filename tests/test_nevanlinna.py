@@ -217,6 +217,24 @@ def test_pole_on_circle_is_dodged():
         assert got == proximity_m(f, r, samples=4096)
 
 
+def test_dodged_samples_do_not_overflow():
+    # the dodged radius goes through Canonical.log_abs, where Horner's z^200
+    # at |z| = 100 overflows; Jensen's mean is 200 log 100 - log 100, and
+    # |f| > 1 on the circle, so m(100) is that mean, and with the pole's
+    # quadrature error taken out it is exact but for rounding
+    m = proximity_m(parse("z^200/(z-100)"), 100.0)
+    assert m == pytest.approx(199.0 * math.log(100.0), abs=1e-9)
+
+
+@pytest.mark.parametrize("text", ["1/(z-2)", "1/(z-(1.2+1.6i))", "1/(z^2+4)", "5/(z-2)^2"])
+def test_pole_on_circle_quadrature_error_is_removed(text):
+    # poles on |z| = 2, at a node (dodged) or between nodes: the sample mean
+    # of log+|f| alone misses by up to m log(pi)/N (2.8e-4 per unit of
+    # multiplicity at 4096 samples); what is left is the kink error
+    f = parse(text)
+    assert proximity_m(f, 2.0, 4096) == pytest.approx(proximity_m(f, 2.0, 65536), abs=1e-6)
+
+
 def test_quadrature_sample_doubling():
     for text, r in (("exp(z)", 10.0), ("(z - 1)/(z + 1) * exp(z)", 6.0)):
         f = parse(text)
@@ -324,7 +342,7 @@ def _disc_points(rng, count, radius):
 
 def test_proximity_matches_log_abs_trapezoid():
     # the power-table kernel against a trapezoid mean of log+|f| from
-    # Canonical.log_abs (Horner) on the same nodes: degrees 0-40 span one to
+    # Canonical.log_abs on the same nodes: degrees 0-40 span one to
     # three blocks of coefficients, and the last case has a degree of at
     # least the number of samples, so the powers w^(jk) wrap around
     rng = np.random.default_rng(2014)
