@@ -440,7 +440,7 @@ def substitute_affine(e, a, b):
 # canonical form and divisors
 
 _BLOCK = 16  # coefficients per block in Canonical.log_abs_on_circle
-_CHUNK_BYTES = 1 << 20  # power-table rows per pass of Canonical.log_abs_on_circle
+_CHUNK_BYTES = 1 << 20  # bytes of power-table columns per pass of Canonical.log_abs_on_circle
 
 
 @dataclass(frozen=True)
@@ -458,22 +458,25 @@ class Canonical:
             return (_log_poly(self.num, zs) - _log_poly(self.den, zs)).real + self.expo(zs).real
 
     def circle_powers(self, unit):
-        """The table log_abs_on_circle takes: powers[j, k] = unit[(k*j) % N].
+        """The real table log_abs_on_circle takes: rows 2k and 2k + 1 hold
+        the real and imaginary parts of w^(jk) = unit[(k*j) % N], j < N.
 
         unit[j] = w^j for w = exp(2 pi i/N), and N must be a power of two
         (proximity's sample counts are), so (k*j) % N is the bitmask
-        (k*j) & (N - 1).  There are min(max degree, _BLOCK) + 1 columns,
-        filled one at a time from an exact integer index, so each entry is
-        w^(jk) to the accuracy of unit itself and no (N x columns) index
-        array is built.
+        (k*j) & (N - 1).  There are min(max degree, _BLOCK) + 1 powers k,
+        each filled as two contiguous rows from an exact integer index, so
+        every entry is w^(jk) to the accuracy of unit itself and no
+        (N x powers) index array is built.
         """
         n = unit.size
         degree = max(self.num.degree, self.den.degree, self.expo.degree)
-        powers = np.empty((n, min(degree, _BLOCK) + 1), dtype=complex)
+        powers = np.empty((2 * (min(degree, _BLOCK) + 1), n))
+        re, im = unit.real.copy(), unit.imag.copy()
         step = np.arange(n)
         index = np.zeros(n, dtype=step.dtype)
-        for k in range(powers.shape[1]):
-            powers[:, k] = unit[index]
+        for k in range(0, len(powers), 2):  # "clip": index is in range, out unbuffered
+            np.take(re, index, out=powers[k], mode="clip")
+            np.take(im, index, out=powers[k + 1], mode="clip")
             index += step
             index &= n - 1
         return powers
@@ -482,17 +485,22 @@ class Canonical:
     def _circle_terms(self):
         """The parts of log_abs_on_circle that do not depend on r.
 
-        Returns (kinds, real, exponents, offset, slope).  Each nonconstant
-        polynomial is one column of kind 1 (num), -1 (den) or 0 (expo), its
-        coefficients in blocks of width = min(length, _BLOCK); real holds
-        each coefficient x + iy as the 2x2 block [[x, y], [-y, x]], and
-        exponents the power of r that scales it.  Constant polynomials add
-        to offset; slope * log r is the sum of the d log r terms.
+        Returns (kinds, coef, exponents, offset, slope).  Each nonconstant
+        polynomial has kind 1 (num), -1 (den) or 0 (expo), in that order.
+        coef holds a real and an imaginary row per (block of _BLOCK
+        coefficients, polynomial), block-major, against the table's (Re, Im)
+        row pairs: x + iy is [x, -y] and [y, x]; a single-block expo keeps
+        only its real row.  exponents holds the power of r of each entry.
+        num and den are divided by 2^s, s midway between the exponents of
+        their largest and leading coefficient parts, so that for r >= 1
+        |p|^2 stays in range unless those differ by 2^1000.  s log 2 and
+        the constant polynomials make offset; slope * log r sums the d log r
+        terms.
         """
-        cols, kinds = [], []
+        polys, kinds = [], []
         offset = slope = 0.0
         for kind, p in ((1, self.num), (-1, self.den), (0, self.expo)):
-            c = p.coefficients
+            c = np.array(p.coefficients)
             d = len(c) - 1
             if d == 0:
                 if kind == 0:
@@ -501,66 +509,84 @@ class Canonical:
                     offset += kind * (math.log(abs(c[0])) if c[0] else -math.inf)
                 continue
             k = np.arange(d + 1.0)
-            cols.append((c, k if kind == 0 else k - d))
+            if kind:
+                top = np.abs(c.view(float)).max()
+                lead = max(abs(c[-1].real), abs(c[-1].imag))
+                shift = (math.frexp(top)[1] + math.frexp(lead)[1]) // 2
+                c = np.ldexp(c.view(float), -shift).view(complex)  # exact
+                offset += kind * shift * math.log(2.0)
+                k -= d
+            polys.append((c, k))
             kinds.append(kind)
             slope += kind * d
-        if not cols:
+        if not polys:
             return kinds, None, None, offset, slope
-        length = max(len(c) for c, _ in cols)
+        length = max(len(c) for c, _ in polys)
         width = min(length, _BLOCK)
         blocks = -(-length // width)
-        coef = np.zeros((len(cols), blocks * width), dtype=complex)
-        exps = np.zeros(coef.shape)  # padding gets r^0, times a zero coefficient
-        for i, (c, e) in enumerate(cols):
-            coef[i, :len(c)] = c
-            exps[i, :len(e)] = e
-        coef = coef.reshape(-1, width).T  # (width, columns * blocks)
-        real = np.empty((width, 2, coef.shape[1], 2))
-        real[:, 0, :, 0] = real[:, 1, :, 1] = coef.real
-        real[:, 0, :, 1] = coef.imag
-        real[:, 1, :, 0] = -coef.imag
-        return kinds, real, exps.reshape(-1, width).T[:, None, :, None], offset, slope
+        x = np.zeros((len(polys), blocks * width), dtype=complex)
+        exps = np.zeros(x.shape)  # padding gets r^0, times a zero coefficient
+        for i, (c, k) in enumerate(polys):
+            x[i, :len(c)], exps[i, :len(k)] = c, k
+        x = x.reshape(len(polys), blocks, width, 1).swapaxes(0, 1)
+        coef = np.stack([np.concatenate([x.real, -x.imag], 3),
+                         np.concatenate([x.imag, x.real], 3)], 2).reshape(-1, 2 * width)
+        exps = exps.reshape(len(polys), blocks, width).swapaxes(0, 1).repeat(2, 1).repeat(2, 2)
+        rows = len(coef) - (blocks == 1 and kinds[-1] == 0)
+        return kinds, coef[:rows], exps.reshape(-1, 2 * width)[:rows], offset, slope
 
     def log_abs_on_circle(self, r, powers):
-        """log|f| at z_j = r w^j, j < N, given powers[j, k] = w^(jk) from circle_powers.
+        """log|f| at z_j = r w^j, j < N, given the table of circle_powers.
 
-        Each polynomial is a matrix product against the table instead of
-        Horner.  num and den, of degree d, are r^d sum_k c_k r^(k-d) w^(jk):
-        the sum runs on unit-modulus points and d log r is added back in the
-        log domain, so r^d never overflows.  expo is sum_k c_k r^k w^(jk).
-        Constant polynomials and the d log r terms make one scalar offset.
-        Coefficients go in blocks of _BLOCK, joined by Horner in
-        w^_BLOCK = powers[:, _BLOCK], so powers needs min(max degree,
-        _BLOCK) + 1 columns whatever the degree; below degree _BLOCK there
-        is one block and no Horner step.  The complex product runs as one
-        real matrix product on the interleaved (re, im) view of the table,
-        over slices of rows of at most _CHUNK_BYTES each, so that a slice
-        and its products stay in cache.
+        Each polynomial is one real matrix product against the table.  num
+        and den of degree d are r^d sum_k c_k r^(k-d) w^(jk), so the sum runs
+        on unit-modulus points and d log r is added back as a logarithm: r^d
+        never overflows.  expo is sum_k c_k r^k w^(jk).  Blocks of _BLOCK
+        coefficients are joined by Horner in w^_BLOCK, so the table needs at
+        most _BLOCK + 1 powers.  Each sample takes one log, 1/2 log(|num|^2
+        / |den|^2), plus Re expo; a zero of num gives -inf, of den +inf and
+        of both NaN, as log|0| would.  The product runs over slices of table
+        columns of at most _CHUNK_BYTES, which stay in cache.
         """
-        kinds, real, exps, offset, slope = self._circle_terms
-        n = len(powers)
-        out = np.full(n, offset + slope * math.log(r))
+        kinds, coef, exps, offset, slope = self._circle_terms
+        n = powers.shape[1]
+        base = offset + slope * math.log(r)
         if not kinds:
-            return out
-        width = real.shape[0]
-        rows = max(1, _CHUNK_BYTES // powers[0].nbytes)
+            return np.full(n, base)
+        logs = len(kinds) - (kinds[-1] == 0)  # num and den rows lead, expo's follow
+        width = coef.shape[1] // 2
+        blocks = -(-len(coef) // (2 * len(kinds)))
+        step = max(1, _CHUNK_BYTES // (len(powers) * powers.itemsize))
+        out = np.empty(n)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            scaled = (real * r ** exps).reshape(2 * width, -1)
-            for start in range(0, n, rows):
-                part = powers[start:start + rows]
-                sums = (part[:, :width].view(float) @ scaled).view(complex).reshape(
-                    len(part), len(kinds), -1)
-                acc = sums[:, :, -1]
-                for b in range(sums.shape[2] - 2, -1, -1):
-                    acc = acc * part[:, _BLOCK, None] + sums[:, :, b]
-                chunk = out[start:start + rows]
-                for kind, s in zip(kinds, acc.T):
-                    if kind > 0:
-                        chunk += np.log(np.abs(s))
-                    elif kind < 0:
-                        chunk -= np.log(np.abs(s))
-                    else:
-                        chunk += s.real
+            scaled = coef * r ** exps
+            for start in range(0, n, step):
+                cols = slice(start, start + step)
+                sums = scaled @ powers[:2 * width, cols]
+                if blocks > 1:
+                    sums = sums.reshape(blocks, -1, sums.shape[1])
+                    wr, wi = powers[2 * _BLOCK, cols], powers[2 * _BLOCK + 1, cols]
+                    acc = sums[-1]
+                    for b in range(blocks - 2, -1, -1):
+                        re, im = acc[0::2], acc[1::2]
+                        acc = sums[b]
+                        acc[0::2] += re * wr - im * wi
+                        acc[1::2] += re * wi + im * wr
+                    sums = acc
+                chunk = out[cols]
+                if logs:
+                    sq = sums[:2 * logs] * sums[:2 * logs]
+                    sq[0] += sq[1]
+                    if logs == 2:
+                        sq[2] += sq[3]
+                        sq[0] /= sq[2]
+                    np.log(sq[0], out=chunk)
+                    chunk *= 0.5 if kinds[0] > 0 else -0.5
+                    chunk += base
+                else:
+                    chunk[:] = base
+                if logs < len(kinds):
+                    chunk += sums[2 * logs]
         return out
 
 

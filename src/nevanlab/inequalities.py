@@ -185,8 +185,12 @@ def fmt_boundedness_verdict(series):
 
 
 def _ensure_nonconstant(data, what):
+    """Raise unless f' is not identically zero.  f' is exp(expo) (num' den -
+    num den' + num den expo') / den^2, so the test is exact on the canonical
+    form even where num and den share a factor, as in z/z."""
     c = data.canonical
-    if c.num.degree == 0 and c.den.degree == 0 and c.expo.degree <= 0:
+    if (c.num.derivative() * c.den - c.num * c.den.derivative()
+            + c.num * c.den * c.expo.derivative()).is_zero:
         raise ValueError(f"{what} must be nonconstant")
 
 

@@ -26,18 +26,22 @@ modulus, where plain Fujiwara can be 2d times too large, so fewer
 circles need samples.
 
 On a sampled circle, since p(z_j) = sum_k (c_k r^k) w^(jk), proximity
-builds one table powers[j, k] = w^(jk), indexed exactly by (j k) mod N,
-once per call from the cached unit circle, and
-Canonical.log_abs_on_circle evaluates every sampled radius as one matrix
-product against it, in slices of rows that stay in cache.  num and den
-of degree d are scaled to r^d sum_k c_k r^(k-d) w^(jk), so the sum runs
-on unit-modulus points and d log r is added back in the log domain:
-neither r^d nor an exponential factor overflows.  Coefficients go in
-blocks of 16, joined by Horner in w^16, so the table has at most 17
-columns whatever the degree.  A radius where the circle passes through a
-pole has the nearby samples moved half a step (the dodge); such radii,
-and samples whose log|f| is NaN or +inf and are retried half a step
-over, are evaluated by Canonical.log_abs at those explicit points.
+builds one real table, a row of Re w^(jk) and a row of Im w^(jk) for
+each power k, indexed exactly by (j k) mod N, once per call from the
+cached unit circle, and Canonical.log_abs_on_circle evaluates every
+sampled radius as one real matrix product against it, in slices of node
+columns that stay in cache.  num and den of degree d are scaled to
+r^d sum_k c_k r^(k-d) w^(jk), so the sum runs on unit-modulus points
+and d log r is added back in the log domain: neither r^d nor an
+exponential factor overflows.  Coefficients go in blocks of 16, joined
+by Horner in w^16, so the table has at most 17 powers whatever the
+degree.  Each sample takes one log, 1/2 log(|num|^2 / |den|^2) plus
+Re expo and a constant; num and den are prescaled by exact powers of two
+so that the squared moduli stay within the double range.  A radius where
+the circle passes through a pole has the nearby samples moved half a
+step (the dodge); such radii, and samples whose log|f| is NaN or +inf
+and are retried half a step over, are evaluated by Canonical.log_abs at
+those explicit points.
 Samples still singular after the retry raise QuadratureError.  On a
 circle through a pole of f, the sample mean of the pole's -m log|z - rho|
 term, off by up to about m log(pi)/N, is corrected to its integral.

@@ -163,6 +163,16 @@ def test_verify_fmt_with_a_point_on_the_first_grid_circle(f, capsys):
     assert "fmt: PASS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("f", ["z/z", "(2*z+2)/(z+1)", "exp(z)/exp(z)"])
+def test_verify_refuses_a_constant_with_a_common_factor(f, capsys):
+    # the canonical form keeps num and den unreduced, so their degrees are
+    # no test of constancy; f - a is then identically zero
+    for argv in (["verify", "fmt", "--f", f, "--a", "1"],
+                 ["verify", "logderiv", "--f", f, "--k", "1"]):
+        assert main(argv + SMALL) == 2
+        assert capsys.readouterr().err == "error: f must be nonconstant\n"
+
+
 def test_verify_fmt_json_verdict_is_exact(capsys):
     rc = main(["verify", "fmt", "--f", "(z^2-1)/(z+3)", "--a", "1",
                "--format", "json"] + SMALL)

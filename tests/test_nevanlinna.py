@@ -373,12 +373,15 @@ def test_proximity_where_horner_overflows():
         150.0 * math.log(128.0), rel=1e-12)
     assert proximity_m(parse("z^200/(z^199+1)"), 128.0) == pytest.approx(
         math.log(128.0), rel=1e-12)
-    # the power table has at most 17 columns whatever the degree
+    # the power table has at most 17 powers whatever the degree, each as a
+    # real row and an imaginary row
     unit = np.exp(2j * np.pi * np.arange(64) / 64)
-    for text, columns in (("5", 1), ("z^3*exp(z^2)", 4), ("z^200/(z^199+1)", 17)):
+    for text, count in (("5", 1), ("z^3*exp(z^2)", 4), ("z^200/(z^199+1)", 17)):
         powers = canonicalize(parse(text)).circle_powers(unit)
-        assert powers.shape == (64, columns)
-        assert np.array_equal(powers[:, :2], np.stack([unit ** 0, unit], 1)[:, :columns])
+        assert powers.shape == (2 * count, 64)
+        want = np.stack([unit ** 0, unit])[:count]
+        assert np.array_equal(powers[0::2][:2], want.real)
+        assert np.array_equal(powers[1::2][:2], want.imag)
 
 
 def test_singular_samples_raise_quadrature_error():
@@ -625,16 +628,71 @@ def test_unit_circle_is_cached_read_only():
     assert np.array_equal(unit, np.exp(2j * np.pi * np.arange(256) / 256))
 
 
-def test_kernel_row_chunks_match_one_pass(monkeypatch):
-    # slices of a few rows, the last one ragged, give the one-pass values
+def test_kernel_column_chunks_match_one_pass(monkeypatch):
+    # slices of 100 node columns, the last one ragged, give the one-pass values
     c = canonicalize(parse("(z^40 + 3*z^17 - 2)/(z^21 + 0.5) * exp(z^3)"))
     unit = np.exp(2j * np.pi * np.arange(1024) / 1024)
     powers = c.circle_powers(unit)
     whole = c.log_abs_on_circle(1.7, powers)
-    monkeypatch.setattr(nevanlab.expressions, "_CHUNK_BYTES", 100 * powers[0].nbytes)
+    monkeypatch.setattr(nevanlab.expressions, "_CHUNK_BYTES", 100 * powers[:, 0].nbytes)
     chunked = c.log_abs_on_circle(1.7, powers)
     assert np.allclose(chunked, whole, rtol=1e-13, atol=0.0)
     assert np.allclose(whole, c.log_abs(1.7 * unit), rtol=1e-10, atol=1e-10)
+
+
+def _dominated(rng, degree, r, scale):
+    # a polynomial of the given degree whose terms on |z| = r are 2 * 10^scale
+    # for one k picked at random and sum to at most 10^scale for the others,
+    # so that p there is well-conditioned and two evaluations agree to rounding
+    m = rng.integers(0, degree + 1)
+    phase = np.exp(2j * np.pi * rng.uniform(size=degree + 1))
+    size = rng.uniform(size=degree + 1) / max(degree, 1)
+    size[m] = 2.0
+    return Polynomial(size * phase * float(r) ** -np.arange(degree + 1.0) * 10.0 ** scale)
+
+
+def test_kernel_matches_explicit_points():
+    # log_abs_on_circle is Canonical.log_abs at the same nodes: num or den
+    # constant, expo absent or present, one block or several, and
+    # coefficients from 1e-150 to 1e150
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    degree = st.sampled_from([0, 1, 3, 15, 16, 17, 40, 200])
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        degrees=st.tuples(degree, degree, st.sampled_from([0, 1, 3, 17])),
+        scales=st.tuples(st.floats(-150.0, 150.0), st.floats(-150.0, 150.0)),
+        r=st.floats(1.0, 4.0), samples=st.sampled_from([64, 256, 1024]),
+        seed=st.integers(0, 2 ** 32 - 1))
+    def check(degrees, scales, r, samples, seed):
+        rng = np.random.default_rng(seed)
+        (dn, dd, de), (sn, sd) = degrees, scales
+        c = Canonical(_dominated(rng, dn, r, sn), _dominated(rng, dd, r, sd),
+                      _dominated(rng, de, r, 0.0) if de else Polynomial([0]))
+        unit = np.exp(2j * np.pi * np.arange(samples) / samples)
+        got = c.log_abs_on_circle(r, c.circle_powers(unit))
+        want = c.log_abs(r * unit)
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), (degrees, scales)
+
+    check()
+
+
+def test_kernel_squares_stay_in_range(monkeypatch):
+    # |num|^2 of 1e300 z^3 overflows a double, and that of 1e3 + 1e-300 z^40
+    # at r = 1e5 underflows it, unless the kernel's prescale centres them
+    _sampled_only(monkeypatch)
+    unit = nevanlab.nevanlinna._unit_circle(DEFAULT_SAMPLES)[1]
+    for text, r in (("1e300*z^3/(1e-300*z^2+1)", 2.0), ("1e3 + 1e-300*z^40", 1e5)):
+        c = canonicalize(parse(text))
+        want = c.log_abs(r * unit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = c.log_abs_on_circle(r, c.circle_powers(unit))
+            m = proximity_m(parse(text), r)
+        assert np.all(np.isfinite(got))
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        assert m == pytest.approx(float(np.maximum(want, 0.0).mean()), rel=1e-12)
 
 
 def test_pole_just_inside_the_circle_is_dodged():
