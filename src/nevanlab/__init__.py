@@ -74,7 +74,6 @@ from .diffpoly import (
 )
 from .inequalities import (
     BoundednessVerdict,
-    SlackPolicy,
     SlackSeries,
     Verdict,
     check_fmt,

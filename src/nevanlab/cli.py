@@ -30,16 +30,17 @@ from .expressions import (
     parse_complex,
 )
 from .inequalities import (
-    SlackPolicy,
     check_fmt,
     check_hinchliffe,
     check_hinchliffe_multi,
     check_log_derivative,
     check_smt,
     fmt_boundedness_verdict,
+    policy_json,
     slack_verdict,
 )
-from .nevanlinna import DEFAULT_SAMPLES, QuadratureError, RadialGrid, radial_report
+from .nevanlinna import (DEFAULT_RMAX, DEFAULT_RMIN, DEFAULT_SAMPLES, DEFAULT_STEPS,
+                         QuadratureError, RadialGrid, radial_report)
 from .normality import (
     CriterionParams,
     FamilySpec,
@@ -189,13 +190,9 @@ def _grid(args):
     return RadialGrid.geometric(args.rmin, args.rmax, args.steps)
 
 
-def _policy(args):
-    return SlackPolicy(args.epsilon, args.max_exceptional, args.tail_fraction)
-
-
 def _grid_config(args, **fields):
-    samples = args.samples if args.samples is not None else DEFAULT_SAMPLES
-    return dict(fields, rmin=args.rmin, rmax=args.rmax, steps=args.steps, samples=samples)
+    return dict(fields, rmin=args.rmin, rmax=args.rmax, steps=args.steps,
+                samples=args.samples)
 
 
 def _word(ok):
@@ -248,10 +245,10 @@ def _finish_series(args, name, series, verdict, config):
                    verdict.passed, f"{name}: {_word(verdict.passed)}")
 
 
-def _finish_policy(args, name, series, policy, **fields):
+def _finish_policy(args, name, series, **fields):
     """The tolerance-policy verdict of a series, through _finish_series."""
-    config = _grid_config(args, policy=policy.to_json_dict(), **fields)
-    return _finish_series(args, name, series, slack_verdict(series, policy=policy), config)
+    config = _grid_config(args, policy=policy_json(), **fields)
+    return _finish_series(args, name, series, slack_verdict(series), config)
 
 
 def cmd_verify_fmt(args):
@@ -263,35 +260,30 @@ def cmd_verify_fmt(args):
 
 def cmd_verify_smt(args):
     f, values = parse(args.f), _parse_values(args.values)
-    policy = _policy(args)
     series = check_smt(f, values, grid=_grid(args), samples=args.samples)
-    return _finish_policy(args, "smt", series, policy, f=args.f, values=args.values)
+    return _finish_policy(args, "smt", series, f=args.f, values=args.values)
 
 
 def cmd_verify_logderiv(args):
     f = parse(args.f)
-    policy = _policy(args)
-    series = check_log_derivative(f, args.k, grid=_grid(args),
-                                  samples=args.samples, policy=policy)
-    return _finish_policy(args, "logderiv", series, policy, f=args.f, k=args.k)
+    series = check_log_derivative(f, args.k, grid=_grid(args), samples=args.samples)
+    return _finish_policy(args, "logderiv", series, f=args.f, k=args.k)
 
 
 def cmd_verify_hinchliffe(args):
     g = parse(args.g)
     p = build_standard_monomial(_parse_spec_json(args.spec))
-    policy = _policy(args)
     series = check_hinchliffe(g, p, grid=_grid(args), samples=args.samples)
-    return _finish_policy(args, "hinchliffe", series, policy, g=args.g, spec=args.spec)
+    return _finish_policy(args, "hinchliffe", series, g=args.g, spec=args.spec)
 
 
 def cmd_verify_lemma3(args):
     g = parse(args.g)
     p = build_standard_monomial(_parse_spec_json(args.spec))
     values = _parse_values(args.values)
-    policy = _policy(args)
     series = check_hinchliffe_multi(g, p, values, grid=_grid(args),
                                     samples=args.samples, entire=args.entire)
-    return _finish_policy(args, "lemma3", series, policy, g=args.g, spec=args.spec,
+    return _finish_policy(args, "lemma3", series, g=args.g, spec=args.spec,
                           values=args.values, entire=args.entire)
 
 
@@ -392,27 +384,14 @@ def _add_output_flags(p, formats=("csv", "json")):
 
 
 def _add_grid_flags(p):
-    p.add_argument("--rmin", type=float, default=2.0,
+    p.add_argument("--rmin", type=float, default=DEFAULT_RMIN,
                    help="smallest radius (default %(default)s)")
-    p.add_argument("--rmax", type=float, default=128.0,
+    p.add_argument("--rmax", type=float, default=DEFAULT_RMAX,
                    help="largest radius (default %(default)s)")
-    p.add_argument("--steps", type=int, default=64,
+    p.add_argument("--steps", type=int, default=DEFAULT_STEPS,
                    help="number of radii (default %(default)s)")
-    p.add_argument("--samples", type=int, default=None,
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                    help="circle quadrature samples, a power of two "
-                        f"(default {DEFAULT_SAMPLES})")
-
-
-def _add_policy_flags(p):
-    p.add_argument("--epsilon", type=float, default=0.05,
-                   help="normalized slack tolerance (default %(default)s)")
-    p.add_argument("--max-exceptional", dest="max_exceptional", type=float,
-                   default=0.10,
-                   help="allowed fraction of bad tail radii "
-                        "(default %(default)s)")
-    p.add_argument("--tail-fraction", dest="tail_fraction", type=float,
-                   default=0.60,
-                   help="fraction of the grid treated as tail "
                         "(default %(default)s)")
 
 
@@ -451,7 +430,6 @@ def build_parser():
     p.add_argument("--values", required=True,
                    help="comma separated target values, at least two")
     _add_grid_flags(p)
-    _add_policy_flags(p)
     _add_output_flags(p)
     p.set_defaults(handler=cmd_verify_smt)
 
@@ -461,7 +439,6 @@ def build_parser():
     p.add_argument("--k", type=int, default=1,
                    help="derivative order (default %(default)s)")
     _add_grid_flags(p)
-    _add_policy_flags(p)
     _add_output_flags(p)
     p.set_defaults(handler=cmd_verify_logderiv)
 
@@ -472,7 +449,6 @@ def build_parser():
     p.add_argument("--spec", required=True,
                    help='monomial JSON, e.g. {"n":1,"pairs":[[2,1]]}')
     _add_grid_flags(p)
-    _add_policy_flags(p)
     _add_output_flags(p)
     p.set_defaults(handler=cmd_verify_hinchliffe)
 
@@ -489,7 +465,6 @@ def build_parser():
                    help="use the pole-free variant with the larger "
                         "denominator")
     _add_grid_flags(p)
-    _add_policy_flags(p)
     _add_output_flags(p)
     p.set_defaults(handler=cmd_verify_lemma3)
 

@@ -3,8 +3,8 @@
 Each check tabulates LHS and RHS of one inequality over a radial grid and
 returns a SlackSeries (slack = rhs - lhs, normalized by T(r, g)).  The first
 main theorem is exact, and its verdict checks it at every radius.  The others'
-little-o error terms are not modeled; instead a SlackPolicy tolerates small
-relative dips on a tail of the grid.  Each verdict says which form it checks.
+o(T) error terms are not modeled; instead one fixed tolerance policy lets the
+normalized slack dip on a few tail radii.  Each verdict says which form it checks.
 """
 from __future__ import annotations
 
@@ -20,42 +20,19 @@ _NORM_FLOOR = 1e-9
 # a = 0, correct divisors leave at most 1.8e-6 (1 + T), smeared ones (D^3..D^5
 # of (z^2 - 1)/(z + 3)) 5e-3 to 0.25.
 FMT_TOL = 1e-4
+# The tolerance policy of the smt, logderiv, hinchliffe and lemma3 verdicts,
+# standing in for the o(T) terms of their inequalities: a series passes when
+# slack / T >= -EPSILON on the last TAIL_FRACTION of the grid radii, except
+# on at most MAX_EXCEPTIONAL of those tail radii.
+EPSILON = 0.05
+MAX_EXCEPTIONAL = 0.10
+TAIL_FRACTION = 0.60
 
 
-@dataclass(frozen=True)
-class SlackPolicy:
-    """Tolerance convention standing in for the dropped o(T) terms.
-
-    A series passes when slack / T >= -epsilon on the grid tail except on at
-    most max_exceptional of the tail radii.  The tail is the trailing
-    tail_fraction of the grid.
-    """
-
-    epsilon: float = 0.05
-    max_exceptional: float = 0.10
-    tail_fraction: float = 0.60
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
-        if not 0.0 <= self.max_exceptional < 1.0:
-            raise ValueError("max_exceptional must lie in [0, 1)")
-        if not 0.0 < self.tail_fraction <= 1.0:
-            raise ValueError("tail_fraction must lie in (0, 1]")
-
-    def tail_start(self, count):
-        return count - max(1, int(round(count * self.tail_fraction)))
-
-    def to_json_dict(self):
-        return {
-            "epsilon": self.epsilon,
-            "max_exceptional": self.max_exceptional,
-            "tail_fraction": self.tail_fraction,
-        }
-
-
-def _normalized(slack, normalizer):
-    return slack / max(normalizer, _NORM_FLOOR)
+def policy_json():
+    """The tolerance policy as verdict and config JSON report it."""
+    return {"epsilon": EPSILON, "max_exceptional": MAX_EXCEPTIONAL,
+            "tail_fraction": TAIL_FRACTION}
 
 
 @dataclass(frozen=True)
@@ -84,7 +61,7 @@ class SlackSeries:
         return rhs - lhs
 
     def normalized_slack(self, i):
-        return _normalized(self.slack(i), self.rows[i][3])
+        return self.slack(i) / max(self.rows[i][3], _NORM_FLOOR)
 
     def to_csv_text(self):
         lines = ["r,lhs,rhs,slack,normalized_slack"]
@@ -114,7 +91,6 @@ class Verdict:
     worst_normalized_slack: float
     exceptional_fraction: float
     tail_count: int
-    policy: SlackPolicy
 
     def to_json_dict(self):
         return {
@@ -124,27 +100,26 @@ class Verdict:
             "exceptional_fraction": self.exceptional_fraction,
             "tail_count": self.tail_count,
             "form": "policy",
-            "policy": self.policy.to_json_dict(),
+            "policy": policy_json(),
         }
 
 
-def slack_verdict(series, policy=None):
+def slack_verdict(series):
     """Apply the tolerance policy to the tail of a slack series."""
-    policy = policy if policy is not None else SlackPolicy()
-    start = policy.tail_start(len(series.rows))
-    slacks = {i: series.normalized_slack(i) for i in range(start, len(series.rows))}
+    count = len(series.rows)
+    start = count - max(1, int(round(count * TAIL_FRACTION)))
+    slacks = {i: series.normalized_slack(i) for i in range(start, count)}
     # slacks within 1e-12 of the minimum tie; the smallest radius wins
     low = min(slacks.values())
     worst_i = min((i for i, s in slacks.items() if s <= low + 1e-12),
                   key=lambda i: series.rows[i][0])
-    fraction = sum(1 for s in slacks.values() if s < -policy.epsilon) / len(slacks)
+    fraction = sum(1 for s in slacks.values() if s < -EPSILON) / len(slacks)
     return Verdict(
-        passed=fraction <= policy.max_exceptional,
+        passed=fraction <= MAX_EXCEPTIONAL,
         worst_radius=series.rows[worst_i][0],
         worst_normalized_slack=slacks[worst_i],
         exceptional_fraction=fraction,
         tail_count=len(slacks),
-        policy=policy,
     )
 
 
@@ -184,13 +159,19 @@ def fmt_boundedness_verdict(series):
                               abs(series.slack(worst) - j1))
 
 
+def _derivative_is_zero(c, k=1):
+    """Whether f^(k) = 0 for f with canonical form c.  f^(j) = exp(expo) P_j /
+    den^(j+1), P_0 = num, P_(j+1) = P_j' den - (j+1) P_j den' + P_j den expo',
+    so the test is exact even where num and den share a factor, as in z/z."""
+    p = c.num
+    for j in range(k):
+        p = (p.derivative() * c.den - (j + 1) * p * c.den.derivative()
+             + p * c.den * c.expo.derivative())
+    return p.is_zero
+
+
 def _ensure_nonconstant(data, what):
-    """Raise unless f' is not identically zero.  f' is exp(expo) (num' den -
-    num den' + num den expo') / den^2, so the test is exact on the canonical
-    form even where num and den share a factor, as in z/z."""
-    c = data.canonical
-    if (c.num.derivative() * c.den - c.num * c.den.derivative()
-            + c.num * c.den * c.expo.derivative()).is_zero:
+    if _derivative_is_zero(data.canonical):
         raise ValueError(f"{what} must be nonconstant")
 
 
@@ -198,25 +179,26 @@ def _grid_or_default(grid):
     return grid if grid is not None else RadialGrid.geometric()
 
 
-def check_log_derivative(f, k, grid=None, samples=None, policy=None):
+def check_log_derivative(f, k, grid=None, samples=None):
     """Slack series for the smallness of m(r, f^(k)/f).
 
-    lhs = m(r, f^(k)/f) and rhs = epsilon * T(r, f), so nonnegative slack
-    means the proximity of the logarithmic derivative stays below the policy
-    fraction of the characteristic.
+    lhs = m(r, f^(k)/f) and rhs = EPSILON * T(r, f), so nonnegative slack
+    means the proximity of the logarithmic derivative stays below the
+    policy's fraction EPSILON of the characteristic.  A polynomial f of
+    degree < k has f^(k) = 0, and lhs = m(r, 0) = log+ 0 = 0.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
-    policy = policy if policy is not None else SlackPolicy()
     grid = _grid_or_default(grid)
     data = FunctionData(f)
     _ensure_nonconstant(data, "f")
-    ratio = div(differentiate(f, k), f)
-    lhs = FunctionData(ratio).proximity(grid.radii, samples)
+    if _derivative_is_zero(data.canonical, k):
+        lhs = [0.0] * len(grid.radii)
+    else:
+        lhs = FunctionData(div(differentiate(f, k), f)).proximity(grid.radii, samples)
     ts = data.characteristic(grid.radii, samples)
-    rows = tuple((r, a, policy.epsilon * t, t)
-                 for r, a, t in zip(grid.radii, lhs, ts))
-    params = {"f": print_expr(data.expr), "k": k, "epsilon": policy.epsilon}
+    rows = tuple((r, a, EPSILON * t, t) for r, a, t in zip(grid.radii, lhs, ts))
+    params = {"f": print_expr(data.expr), "k": k, "epsilon": EPSILON}
     return SlackSeries("logderiv", params, rows)
 
 
@@ -295,14 +277,14 @@ def _poly_of_g(p, g, values):
     return divs
 
 
-def _value_bound_series(name, g, p, values, grid, samples, num_coeff, den,
+def _value_bound_series(name, data, p, values, grid, samples, num_coeff, den,
                         extra_params=None):
     # shared assembly: T(r,g) vs the weighted counting bound with
-    # coefficients num_coeff/den and 1/den
-    data = FunctionData(g)
+    # coefficients num_coeff/den and 1/den, for g = data.expr
     _ensure_nonconstant(data, "g")
     nbar_g = counting_series(data.zeros, grid.radii, truncated=True)
-    nbar_p = [counting_series(d, grid.radii, truncated=True) for d in _poly_of_g(p, g, values)]
+    nbar_p = [counting_series(d, grid.radii, truncated=True)
+              for d in _poly_of_g(p, data.expr, values)]
     ts = data.characteristic(grid.radii, samples)
     rows = []
     for i, (r, t) in enumerate(zip(grid.radii, ts)):
@@ -326,8 +308,8 @@ def check_hinchliffe(g, P, grid=None, samples=None):
     if d < 2:
         raise ValueError("the bound needs degree d(P) >= 2")
     grid = _grid_or_default(grid)
-    return _value_bound_series("hinchliffe", g, P, [1.0 + 0j], grid, samples,
-                               float(theta + 1), float(d - 1))
+    return _value_bound_series("hinchliffe", FunctionData(g), P, [1.0 + 0j], grid,
+                               samples, float(theta + 1), float(d - 1))
 
 
 def check_hinchliffe_multi(g, P, values, grid=None, samples=None, entire=False):
@@ -350,11 +332,10 @@ def check_hinchliffe_multi(g, P, values, grid=None, samples=None, entire=False):
     q = len(values)
     den = float(q * d) if entire else float(q * d - 1)
     grid = _grid_or_default(grid)
-    if entire:
-        data = FunctionData(g)
-        if not data.poles.is_empty:
-            raise ValueError("the entire variant requires a pole-free g")
+    data = FunctionData(g)
+    if entire and not data.poles.is_empty:
+        raise ValueError("the entire variant requires a pole-free g")
     name = "hinchliffe-multi-entire" if entire else "hinchliffe-multi"
-    return _value_bound_series(name, g, P, values, grid, samples,
+    return _value_bound_series(name, data, P, values, grid, samples,
                                float(q * theta + 1), den,
                                extra_params={"entire": entire})

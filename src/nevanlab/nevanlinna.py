@@ -71,6 +71,7 @@ from .expressions import (
 from .polynomials import poly_roots
 
 DEFAULT_SAMPLES = 4096
+DEFAULT_RMIN, DEFAULT_RMAX, DEFAULT_STEPS = 2.0, 128.0, 64
 _MIN_SAMPLES = 64
 _ANGLE_DODGE = 1e-8
 _SETTLE_MARGIN = 1e-9  # log|f| must clear 0 by this much to settle a circle unsampled
@@ -129,7 +130,7 @@ class RadialGrid:
         object.__setattr__(self, "radii", radii)
 
     @classmethod
-    def geometric(cls, rmin=2.0, rmax=128.0, count=64):
+    def geometric(cls, rmin=DEFAULT_RMIN, rmax=DEFAULT_RMAX, count=DEFAULT_STEPS):
         if count < 2:
             raise ValueError("need at least two radii")
         ratio = (rmax / rmin) ** (1.0 / (count - 1))

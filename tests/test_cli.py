@@ -187,19 +187,6 @@ def test_verify_fmt_json_verdict_is_exact(capsys):
     assert verdict["bound"] == payload["report"]["params"]["bound"] == math.log(2.0)
 
 
-@pytest.mark.parametrize("flag", ["--margin", "--epsilon", "--max-exceptional",
-                                  "--tail-fraction"])
-def test_verify_fmt_has_no_policy_flags(flag, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "fmt", "--f", "z", flag, "1"] + SMALL)
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
-    # the policy verdicts keep theirs
-    if flag != "--margin":
-        assert main(["verify", "smt", "--f", "z^2", "--values", "0,1", flag, "0.5"]
-                    + SMALL) == 0
-
-
 def test_verify_hinchliffe_json_report(capsys):
     rc = main(["verify", "hinchliffe", "--g", "z",
                "--spec", '{"n":1,"pairs":[[2,1]]}',
@@ -356,6 +343,19 @@ def test_every_command_json_envelope_and_out(command, argv, tmp_path,
     payload = json.loads(stdout)
     assert set(payload) == {"command", "config", "report"}
     assert payload["command"] == command
+
+
+@pytest.mark.parametrize("flag", ["--margin", "--epsilon", "--max-exceptional",
+                                  "--tail-fraction"])
+def test_verify_fmt_has_no_policy_flags(flag, capsys):
+    # every verify subcommand takes grid and output flags only; the policy is fixed
+    verify = [argv for command, argv in EVERY_COMMAND if command.startswith("verify ")]
+    assert len(verify) == 5
+    for argv in verify:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, "0.5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def _family_args(family):

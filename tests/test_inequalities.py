@@ -4,11 +4,14 @@ import random
 
 import pytest
 
+import nevanlab
 from nevanlab import NotNormalizableError, Poly, Polynomial, div, parse
 from nevanlab.diffpoly import DiffPolynomial, DiffTerm, MonomialSpec, build_standard_monomial
 from nevanlab.inequalities import (
+    EPSILON,
     FMT_TOL,
-    SlackPolicy,
+    MAX_EXCEPTIONAL,
+    TAIL_FRACTION,
     SlackSeries,
     check_fmt,
     check_hinchliffe,
@@ -28,15 +31,11 @@ def _series_from_slacks(slacks, normalizer=1.0):
     return SlackSeries("synthetic", {}, rows)
 
 
-def test_policy_validation():
-    p = SlackPolicy()
-    assert (p.epsilon, p.max_exceptional, p.tail_fraction) == (0.05, 0.10, 0.60)
-    with pytest.raises(ValueError):
-        SlackPolicy(epsilon=0.0)
-    with pytest.raises(ValueError):
-        SlackPolicy(max_exceptional=1.0)
-    with pytest.raises(ValueError):
-        SlackPolicy(tail_fraction=0.0)
+def test_policy_constants():
+    assert (EPSILON, MAX_EXCEPTIONAL, TAIL_FRACTION) == (0.05, 0.10, 0.60)
+    v = slack_verdict(_series_from_slacks([0.5] * 10))
+    assert v.to_json_dict()["policy"] == {
+        "epsilon": EPSILON, "max_exceptional": MAX_EXCEPTIONAL, "tail_fraction": TAIL_FRACTION}
 
 
 def test_slack_verdict_arithmetic():
@@ -59,6 +58,19 @@ def test_slack_verdict_arithmetic():
     for i in range(14, 20):
         slacks[i] = -0.2
     assert not slack_verdict(_series_from_slacks(slacks)).passed
+
+    # the default 64-radius grid has a 38-radius tail: 3 exceptional radii
+    # pass (3/38 <= 0.10) and 4 fail (4/38 > 0.10); dips ahead of the tail,
+    # and dips to exactly -epsilon, do not count
+    for bad, passed in ((3, True), (4, False)):
+        slacks = [1.0] * 64
+        slacks[:26] = [-1.0] * 26
+        slacks[26:26 + bad] = [-0.06] * bad
+        slacks[-1] = -0.05
+        v = slack_verdict(_series_from_slacks(slacks))
+        assert v.tail_count == 38
+        assert v.exceptional_fraction == bad / 38
+        assert v.passed is passed
 
 
 def test_slack_verdict_ties_report_the_smallest_radius():
@@ -94,6 +106,11 @@ def test_log_derivative_trivial_cases():
     # (z)'/z = 1/z has modulus below 1 on every grid circle
     s = check_log_derivative(parse("z"), 1, SMALL_GRID, samples=256)
     assert max(row[1] for row in s.rows) <= 1e-12
+    # a polynomial of degree < k has f^(k) = 0, and m(r, 0) = log+ 0 = 0
+    for text, k in (("z", 2), ("3*z+1", 2), ("z^2", 3)):
+        s = check_log_derivative(parse(text), k, SMALL_GRID, samples=256)
+        assert all(row[1] == 0.0 for row in s.rows)
+        assert slack_verdict(s).passed
     with pytest.raises(ValueError):
         check_log_derivative(parse("3"), 1, SMALL_GRID)
     with pytest.raises(ValueError):
@@ -278,6 +295,22 @@ def test_growth_bound_linear_closed_form():
     for i, (r, lhs, rhs, _) in enumerate(entire.rows):
         assert entire.slack(i) == pytest.approx(math.log(r) / 6.0, abs=1e-6)
     assert slack_verdict(entire).passed
+
+
+def test_entire_variant_root_finds_g_once(monkeypatch):
+    # g's numerator (degree 2) and P - 1 (degree 5) are root-found once each
+    original = nevanlab.expressions.poly_roots
+    for entire in (False, True):
+        degrees = []
+
+        def counting(p):
+            degrees.append(p.degree)
+            return original(p)
+        for module in (nevanlab.expressions, nevanlab.nevanlinna):
+            monkeypatch.setattr(module, "poly_roots", counting)
+        check_hinchliffe_multi(parse("z^2 - 1"), _monomial(1, [(2, 1)]), [1.0],
+                               SMALL_GRID, samples=256, entire=entire)
+        assert sorted(degrees) == [2, 5]
 
 
 def test_growth_bound_pure_power_rational():
