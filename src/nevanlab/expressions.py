@@ -9,7 +9,10 @@ purpose that needs the canonical form.
 Expression grammar accepted by parse() and emitted by print_expr():
 complex literals (3, 2.5, 1i, 1+2i as arithmetic), the variable z, + - * /,
 ^ with integer exponents, exp(polynomial), and D[expr, k] which constructs
-the k-th derivative on the spot.
+the k-th derivative on the spot.  Literals, i, z, bound parameters and
+their + - * ^k (k >= 0) fold into one Polynomial as they are read, with the
+operands in the order add, mul and pow_int use, so the tree is the one those
+combinators build.
 """
 from __future__ import annotations
 
@@ -729,9 +732,12 @@ def canonical_divisors(c, pole_pairs):
 # parsing
 
 _SYMBOLS = set("+-*/^()[],")
+_NEG_ONE = Polynomial([-1])
+_Z = Polynomial([0, 1])  # z as read; only p ** 1, +p and (p) pass it on, so _node sees a bare z
 
 
 def _tokenize(text):
+    """(kind, value, position, lexeme) tokens, ending with an "end" token."""
     tokens = []
     i = 0
     n = len(text)
@@ -741,7 +747,7 @@ def _tokenize(text):
             i += 1
             continue
         if ch in _SYMBOLS:
-            tokens.append((ch, ch, i))
+            tokens.append((ch, ch, i, ch))
             i += 1
             continue
         if ch.isdigit() or ch == ".":
@@ -761,23 +767,48 @@ def _tokenize(text):
                 value = float(lexeme)
             except ValueError:
                 raise ParseError(f"bad number {lexeme!r}", i) from None
+            if not math.isfinite(value):
+                raise ParseError(f"number out of range {lexeme!r}", i)
             if j < n and text[j] == "i":
-                tokens.append(("number", complex(0.0, value), i))
+                tokens.append(("number", complex(0.0, value), i, text[i:j + 1]))
                 j += 1
             else:
-                tokens.append(("number", complex(value, 0.0), i))
+                tokens.append(("number", complex(value, 0.0), i, lexeme))
             i = j
             continue
         if ch.isalpha() or ch == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(("name", text[i:j], i))
+            tokens.append(("name", text[i:j], i, text[i:j]))
             i = j
             continue
         raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", None, n))
+    tokens.append(("end", None, n, None))
     return tokens
+
+
+def _piece(node):
+    """The Polynomial of a parsed piece, None if it is not polynomial."""
+    return node if isinstance(node, Polynomial) else as_polynomial(node)
+
+
+def _node(piece):
+    """The tree of a parsed piece: Var for a bare z, a Polynomial wrapped as add does."""
+    if piece is _Z:
+        return Var()
+    return _wrap_poly(piece) if isinstance(piece, Polynomial) else piece
+
+
+def _combine(a, b, fold, combinator):
+    """fold of two polynomial pieces, else combinator of their trees."""
+    p, q = _piece(a), _piece(b)
+    return combinator(_node(a), _node(b)) if p is None or q is None else fold(p, q)
+
+
+def _times(p, q):
+    """p * q, zero when either is zero as in mul (so 0 * inf stays 0)."""
+    return Polynomial([0]) if p.is_zero or q.is_zero else p * q
 
 
 class _Parser:
@@ -797,7 +828,8 @@ class _Parser:
     def expect(self, kind):
         tok = self.next()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            found = "end of input" if tok[0] == "end" else repr(tok[3])
+            raise ParseError(f"expected {kind!r}, found {found}", tok[2])
         return tok
 
     def parse_expr(self):
@@ -805,7 +837,9 @@ class _Parser:
         while self.peek()[0] in "+-":
             op = self.next()[0]
             rhs = self.parse_term()
-            node = add(node, rhs) if op == "+" else add(node, mul(Const(-1), rhs))
+            if op == "-":
+                rhs = _combine(_NEG_ONE, rhs, _times, mul)
+            node = _combine(node, rhs, Polynomial.__add__, add)
         return node
 
     def parse_term(self):
@@ -813,13 +847,13 @@ class _Parser:
         while self.peek()[0] in "*/":
             op = self.next()[0]
             rhs = self.parse_unary()
-            node = mul(node, rhs) if op == "*" else div(node, rhs)
+            node = _combine(node, rhs, _times, mul) if op == "*" else div(_node(node), _node(rhs))
         return node
 
     def parse_unary(self):
         if self.peek()[0] == "-":
             self.next()
-            return mul(Const(-1), self.parse_unary())
+            return _combine(_NEG_ONE, self.parse_unary(), _times, mul)
         if self.peek()[0] == "+":
             self.next()
             return self.parse_unary()
@@ -830,7 +864,9 @@ class _Parser:
         if self.peek()[0] != "^":
             return base
         self.next()
-        return pow_int(base, self.parse_int_exponent())
+        k = self.parse_int_exponent()
+        p = _piece(base)
+        return pow_int(_node(base), k) if p is None or k < 0 else p ** k
 
     def parse_int_exponent(self):
         tok = self.peek()
@@ -853,23 +889,23 @@ class _Parser:
         return sign * int(v.real)
 
     def parse_atom(self):
-        kind, value, pos = self.next()
+        kind, value, pos, lexeme = self.next()
         if kind == "number":
-            return Const(value)
+            return Polynomial([value])
         if kind == "(":
             node = self.parse_expr()
             self.expect(")")
             return node
         if kind == "name":
             if value == "z":
-                return Var()
+                return _Z
             if value == "i":
-                return Const(1j)
+                return Polynomial([1j])
             if value == "exp":
                 self.expect("(")
                 arg = self.parse_expr()
                 self.expect(")")
-                p = as_polynomial(arg)
+                p = _piece(arg)
                 if p is None:
                     raise ParseError(
                         "unsupported construct: exp argument must be a polynomial",
@@ -885,21 +921,26 @@ class _Parser:
                 if order.imag != 0 or order.real != int(order.real) or order.real < 1:
                     raise ParseError("derivative order must be a positive integer", tok[2])
                 self.expect("]")
-                return differentiate(arg, int(order.real))
+                return differentiate(_node(arg), int(order.real))
             if value in self.params:
-                return Const(self.params[value])
+                return Polynomial([self.params[value]])
             raise ParseError(f"unknown symbol {value!r}", pos)
-        raise ParseError(f"unexpected token {value!r}", pos)
+        if kind == "end":
+            raise ParseError("unexpected end of input", pos)
+        raise ParseError(f"unexpected token {lexeme!r}", pos)
 
 
 def parse(text, params=None):
-    """Parse the expression grammar; params maps extra symbols to constants."""
+    """Parse the expression grammar; params maps extra symbols to constants.
+
+    Polynomial pieces fold as Polynomials while they are read; tree nodes are
+    built only where a quotient, exp, D[...] or a negative power enters."""
     parser = _Parser(_tokenize(text), dict(params or {}))
     node = parser.parse_expr()
     end = parser.next()
     if end[0] != "end":
-        raise ParseError(f"trailing input {end[1]!r}", end[2])
-    return node
+        raise ParseError(f"trailing input {end[3]!r}", end[2])
+    return _node(node)
 
 
 def parse_complex(text):

@@ -109,6 +109,17 @@ def test_characteristic_parse_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_literal_out_of_range_is_a_usage_error(capsys):
+    # 1e400 would enter the tree as inf and fail far downstream
+    family = json.dumps({"template": "1e400*v*z", "params": [4, 8],
+                         "disc": {"center": "0", "radius": 1}})
+    for argv in (["characteristic", "--f", "1e400*z"], ["marty", "--family", family]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: number out of range '1e400' (at position 0)\n"
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "table.csv"
     rc = main(["characteristic", "--f", "z", "--rmin", "2", "--rmax", "8",

@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+import nevanlab.expressions as expressions
 from nevanlab.polynomials import Polynomial
 from nevanlab.expressions import (
     Const,
@@ -19,6 +20,7 @@ from nevanlab.expressions import (
     Quotient,
     Sum,
     INFINITY,
+    as_polynomial,
     IndeterminatePointError,
     NotNormalizableError,
     ParseError,
@@ -51,6 +53,111 @@ def test_parse_error_position():
         parse("exp(1/z)")
     with pytest.raises(ParseError):
         parse("z^z")
+    # messages quote the source text as written
+    for text, message in [
+        ("1i2", "trailing input '2' (at position 2)"),
+        ("(z", "expected ')', found end of input (at position 2)"),
+        ("", "unexpected end of input (at position 0)"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+
+
+def test_literal_out_of_range_is_a_parse_error():
+    # a literal that overflows a double would enter the tree as inf
+    for text, lexeme, position in [("1e400", "1e400", 0), ("2*z + 1e400i", "1e400", 6)]:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"number out of range {lexeme!r} (at position {position})"
+    with pytest.raises(ParseError, match="number out of range '1e999'"):
+        parse_complex("-1e999")
+    assert parse_complex("1.7e308") == 1.7e308
+
+
+def test_parse_folds_polynomials_without_the_combinators(monkeypatch):
+    # polynomial pieces fold as Polynomials; no tree node is built per operator
+    text = "(1.5-0.25i)*(z-(0.5+1i))^2*(z+2i)-3*z"
+    z = Var()
+    expected = (Const(1.5) - Const(0.25j)) * (z - (Const(0.5) + Const(1j))) ** 2 \
+        * (z + Const(2j)) - Const(3) * z
+    calls = []
+    for name in ("add", "mul", "pow_int"):
+        def counted(*args, _f=getattr(expressions, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(expressions, name, counted)
+    e = parse(text)
+    assert calls == []
+    assert isinstance(e, Poly) and repr(e) == repr(expected)
+
+
+def test_parse_matches_the_combinators_bit_for_bit():
+    # Oracle: each generated text comes with the tree the public operator
+    # sugar, Exp and differentiate build for the same operations; the
+    # parser must give the same repr (so the same bits, signs of zeros
+    # included) or raise the same exception type.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    v = complex(-0.75, 0.5)
+
+    def leaf(text, value):
+        return st.just((text, lambda: value))
+
+    # full mantissas round in products, so the order of the operands shows;
+    # 2^960 scales overflow in a product, where mul's shortcut through zero shows
+    dyadic = st.builds(math.ldexp, st.integers(0, 2 ** 53), st.sampled_from([-53, -8, 0, 960]))
+    poly_leaves = st.one_of(
+        dyadic.map(lambda x: (repr(x), lambda: Const(x))),
+        dyadic.map(lambda x: (f"{x!r}i", lambda: Const(complex(0.0, x)))),
+        leaf("i", Const(1j)), leaf("z", Var()), leaf("v", Const(v)))
+
+    OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+           "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+
+    def binary(children, ops):
+        return st.tuples(children, st.sampled_from(ops), children).map(
+            lambda t: (f"({t[0][0]}){t[1]}({t[2][0]})",
+                       lambda: OPS[t[1]](t[0][1](), t[2][1]())))
+
+    def power(children, ks):
+        return st.tuples(children, ks).map(
+            lambda t: (f"({t[0][0]})^{t[1]}", lambda: t[0][1]() ** t[1]))
+
+    def negate(children):
+        return children.map(lambda a: (f"-({a[0]})", lambda: -a[1]()))
+
+    polys = st.recursive(poly_leaves, lambda c: st.one_of(
+        binary(c, "+-*"), negate(c), power(c, st.integers(0, 4))), max_leaves=6)
+
+    def extend(c):
+        return st.one_of(
+            binary(c, "+-*/"), negate(c), power(c, st.integers(-3, 4)),
+            polys.map(lambda p: (f"exp({p[0]})", lambda: Exp(as_polynomial(p[1]())))),
+            st.tuples(c, st.integers(1, 2)).map(
+                lambda t: (f"D[({t[0][0]}),{t[1]}]", lambda: differentiate(t[0][1](), t[1]))))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.recursive(poly_leaves, extend, max_leaves=10))
+    @hypothesis.example(("(z)^1", lambda: Var() ** 1))
+    @hypothesis.example(("((z)^1)/((z)+(1.0))", lambda: Var() ** 1 / (Var() + Const(1.0))))
+    @hypothesis.example(("(1e300)*(1e300)*(0.0)", lambda: Const(1e300) * Const(1e300) * 0.0))
+    @hypothesis.example((  # the product of these squares rounds differently in q * p
+        "(z+0.2608454438348897+0.9481070537185868i)^2"
+        "*(z+0.9384650409074214+0.3834882899908848i)^2",
+        lambda: (Var() + Const(0.2608454438348897) + Const(0.9481070537185868j)) ** 2
+        * (Var() + Const(0.9384650409074214) + Const(0.3834882899908848j)) ** 2))
+    def check(pair):
+        text, build = pair
+        try:
+            expected = repr(build())
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                parse(text, {"v": v})
+            return
+        assert repr(parse(text, {"v": v})) == expected, text
+
+    check()
 
 
 def test_parse_complex_literals():
