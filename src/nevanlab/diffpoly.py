@@ -251,11 +251,13 @@ def compose_generalized(main, extras, g):
 
 
 def _derivatives(g, order):
-    """[g, g', ..., g^(order)], each differentiated once from the previous."""
-    out = [g]
-    for _ in range(order):
-        out.append(differentiate(out[-1]))
-    return out
+    """[g, g', ..., g^(order)], each g^(j) by Canonical.derivative from the
+    one before, or by differentiate where g has no canonical form."""
+    try:
+        c = canonicalize(g)
+    except (NotNormalizableError, ZeroDivisionError):
+        return [g] + [differentiate(g, j) for j in range(1, order + 1)]
+    return [g] + [(c := c.derivative()).to_expr() for _ in range(order)]
 
 
 def diffpoly_expression(p, g):

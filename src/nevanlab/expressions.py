@@ -1,32 +1,37 @@
 """Symbolic expressions closed under arithmetic, powers, and differentiation.
 
 The tractable class is generated by rational functions and exponentials of
-polynomials.  Every member that matters for divisor extraction normalizes to
-the canonical shape (num/den) * exp(p) with polynomial num, den, p.  Sums
-that mix distinct exponentials stay evaluatable but are rejected for any
-purpose that needs the canonical form.
+polynomials.  Every member that matters for divisor extraction has the
+factored canonical form (lead/den_lead) * prod b^e * exp(p), monic bases b
+with integer exponents e: products, quotients, powers and derivatives act on
+the exponents, so multiplicities follow from the structure, never estimated.
+Sums that mix distinct exponentials have no canonical form.
 
 Expression grammar accepted by parse() and emitted by print_expr():
 complex literals (3, 2.5, 1i, 1+2i as arithmetic), the variable z, + - * /,
 ^ with integer exponents, exp(polynomial), and D[expr, k] which constructs
-the k-th derivative on the spot.  Literals, i, z, bound parameters and
-their + - * ^k (k >= 0) fold into one Polynomial as they are read, with the
-operands in the order add, mul and pow_int use, so the tree is the one those
-combinators build.
+the k-th derivative on the spot.  Sums and scalar multiples of polynomial
+pieces fold into one Polynomial, as add and mul fold them; a product of
+nonconstant pieces stays a Product and p^k (k >= 2) a Power, so the factors
+the user typed are kept.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .polynomials import Polynomial, poly_roots
+from .polynomials import Polynomial, RootFindingError, poly_roots
 
 INFINITY = complex(math.inf, 0.0)
 
-_CANCEL_RADIUS = 1e-6
+# Two linear bases whose roots agree within _ROUNDING (1 + |root|) are one; a
+# polynomial within _ROUNDING of its coefficients' scale is 0 (_split, _add, derivative).
+_ROUNDING = 2.0 ** -40
+_ONE, _NIL = Polynomial([1]), Polynomial([0])
 
 
 def is_infinite(w):
@@ -206,32 +211,27 @@ def add(*terms):
 
 
 def mul(*factors):
-    flat = []
+    """Product of the factors: the constants' product scales the first Poly or
+    Var factor, or else leads; other factors, Poly ones included, stay."""
+    scale, rest = None, []
     for f in factors:
         f = _coerce(f)
-        if isinstance(f, Product):
-            flat.extend(f.factors)
-        else:
-            flat.append(f)
-    poly_part = None
-    rest = []
-    for f in flat:
-        if isinstance(f, Const) and f.value == 0:
-            return Const(0)
-        p = as_polynomial(f)
-        if p is None:
-            rest.append(f)
-        else:
-            if p.is_zero:
+        for g in f.factors if isinstance(f, Product) else (f,):
+            if not isinstance(g, Const):
+                rest.append(g)
+            elif g.value == 0:
                 return Const(0)
-            poly_part = p if poly_part is None else poly_part * p
-    if poly_part is not None and poly_part.coefficients != (1 + 0j,):
-        rest.insert(0, _wrap_poly(poly_part))
+            elif g.value != 1:
+                scale = g.value if scale is None else scale * g.value
+    if scale is not None:
+        i = next((i for i, g in enumerate(rest) if isinstance(g, (Poly, Var))), None)
+        if i is None:
+            rest.insert(0, Const(scale))
+        else:
+            rest[i] = _wrap_poly(as_polynomial(rest[i]) * scale)
     if not rest:
         return Const(1)
-    if len(rest) == 1:
-        return rest[0]
-    return Product(tuple(rest))
+    return rest[0] if len(rest) == 1 else Product(tuple(rest))
 
 
 def pow_int(base, k):
@@ -244,9 +244,8 @@ def pow_int(base, k):
         return Const(1)
     if k == 1:
         return base
-    p = as_polynomial(base)
-    if p is not None:
-        return _wrap_poly(p ** k)
+    if isinstance(base, Const):
+        return _wrap_poly(as_polynomial(base) ** k)
     if isinstance(base, Exp):
         return Exp(base.exponent * k)
     return Power(base, k)
@@ -274,39 +273,33 @@ def div(num, den):
 # differentiation
 
 def _d(e):
-    if isinstance(e, (Const,)):
-        return Const(0)
-    if isinstance(e, Var):
-        return Const(1)
-    if isinstance(e, Poly):
-        return _wrap_poly(e.poly.derivative())
-    if isinstance(e, Exp):
-        return mul(_wrap_poly(e.exponent.derivative()), e)
-    if isinstance(e, Sum):
-        return add(*[_d(t) for t in e.terms])
+    """e' by the product, power and quotient rules, for a tree with no canonical form."""
     if isinstance(e, Product):
-        parts = []
-        for i in range(len(e.factors)):
-            fs = list(e.factors)
-            fs[i] = _d(fs[i])
-            parts.append(mul(*fs))
-        return add(*parts)
+        return add(*[mul(*e.factors[:i], differentiate(f), *e.factors[i + 1:])
+                     for i, f in enumerate(e.factors)])
     if isinstance(e, Power):
-        return mul(Const(e.exponent), pow_int(e.base, e.exponent - 1), _d(e.base))
-    if isinstance(e, Quotient):
-        u, v = e.numerator, e.denominator
-        return div(add(mul(_d(u), v), mul(Const(-1), u, _d(v))), pow_int(v, 2))
-    raise TypeError(f"cannot differentiate {type(e).__name__}")
+        return mul(Const(e.exponent), pow_int(e.base, e.exponent - 1), differentiate(e.base))
+    u, v = e.numerator, e.denominator
+    return div(add(mul(differentiate(u), v), mul(Const(-1), u, differentiate(v))), pow_int(v, 2))
 
 
 def differentiate(e, k=1):
-    """k-th symbolic derivative of e, k >= 1."""
+    """k-th symbolic derivative of e, k >= 1.
+
+    Where e has a canonical form, Canonical.derivative gives it exactly,
+    with no root finding, and its tree is returned.  A sum of distinct
+    exponential parts is differentiated term by term, other trees by _d.
+    """
     if not isinstance(k, int) or k < 1:
         raise ValueError("derivative order must be a positive integer")
-    out = _coerce(e)
-    for _ in range(k):
-        out = _d(out)
-    return out
+    e = _coerce(e)
+    try:
+        return canonicalize(e).derivative(k).to_expr()
+    except (NotNormalizableError, ZeroDivisionError):
+        pass
+    if isinstance(e, Sum):
+        return add(*[differentiate(t, k) for t in e.terms])
+    return _d(e) if k == 1 else differentiate(_d(e), k - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +310,10 @@ def evaluate(e, z):
 
     evaluate_on_grid computes every value, a point as a numpy scalar; only
     where a value is not finite does _classify decide, once per call, what
-    the point is.  A pole or an overflow reads as the INFINITY marker and
-    0/0 raises IndeterminatePointError.  A point gives a complex, an
-    ndarray an ndarray of the same shape.
+    the point is.  A pole or an overflow reads as the INFINITY marker, a
+    removable singularity as its limit, and 0/0 without a canonical form
+    raises IndeterminatePointError.  A point gives a complex, an ndarray an
+    ndarray of the same shape.
     """
     zs = np.asarray(z, dtype=complex)
     vals = np.atleast_1d(evaluate_on_grid(e, zs))
@@ -332,12 +326,11 @@ def evaluate(e, z):
 def _classify(e, zs, raw):
     """Values of e at points where evaluate_on_grid gave the raw inf or NaN.
 
-    Each value is computed again from the canonical form as
-    exp(log num - log den + expo) (_log_poly), so overflowing factors that
-    cancel, as in exp(z)/exp(z) or z^200/(z^199+1), give their finite value.
-    Where den vanishes to a higher order than num (1/z + 1/z is 2z/z^2
-    unreduced) it is a pole; where num vanishes to at least den's order it
-    is 0/0.  With no canonical form raw is kept.  An infinite part then
+    Each value is computed again as the exp of log(lead/den_lead) + expo +
+    sum e log b(z) over the bases of the canonical form, so overflowing
+    factors that cancel, as in exp(z)/exp(z), give their finite value, a root
+    of a base with e < 0 is a pole and a removable singularity (z/z at 0)
+    its limit.  With no canonical form raw is kept.  An infinite part then
     reads as INFINITY and NaN raises IndeterminatePointError.
     """
     vals = raw
@@ -347,10 +340,12 @@ def _classify(e, zs, raw):
         pass
     else:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = np.exp(_log_poly(c.num, zs) - _log_poly(c.den, zs) + c.expo(zs))
-        n, d = _order(c.num, zs), _order(c.den, zs)
-        vals = np.where(d > n, INFINITY, vals)
-        vals[(d > 0) & (d <= n)] = np.nan
+            logs = c.expo(zs) + (np.log(complex(c.lead)) - np.log(complex(c.den_lead)))
+            for b, m in c.factors:
+                w = np.log(zs + b.coefficients[0]) if b.degree == 1 else _log_poly(b, zs)
+                logs.real += m * w.real  # not m * w: m * (-inf + 0j) has a NaN part
+                logs.imag += m * w.imag
+            vals = np.exp(logs)
     pole = np.isinf(vals.real) | np.isinf(vals.imag)
     undecided = np.isnan(vals) & ~pole
     if undecided.any():
@@ -365,20 +360,6 @@ def _log_poly(p, zs):
     w = np.where(big, 1 / zs, zs)
     rev = Polynomial(p.coefficients[::-1])
     return np.where(big, p.degree * np.log(zs) + np.log(rev(w)), np.log(p(w)))
-
-
-def _order(p, zs):
-    """Order of vanishing of p at each point (inf where p is zero): how many
-    leading p^(k)(z) vanish against their abs_coeff_value scale (1e-12)."""
-    order = np.zeros(zs.shape)
-    live = np.ones(zs.shape, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        while live.any() and not p.is_zero:
-            v = p(zs)  # an overflow is no zero
-            live &= np.isfinite(v) & (np.abs(v) <= 1e-12 * p.abs_coeff_value(np.abs(zs)))
-            order += live
-            p = p.derivative()
-    return np.where(live, np.inf, order)
 
 
 def evaluate_on_grid(e, zs):
@@ -448,11 +429,67 @@ _CHUNK_BYTES = 1 << 20  # bytes of power-table columns per pass of Canonical.log
 
 @dataclass(frozen=True)
 class Canonical:
-    """f = (num/den) * exp(expo) with den not identically zero."""
+    """f = (lead/den_lead) prod b^e exp(expo), factors the pairs (b, e): b monic,
+    linear with distinct roots (each a zero of order e > 0 or a pole of order
+    -e) unless derivative made it or _split kept it whole, and e a nonzero int.
+    lead (0 for f = 0) and den_lead stay apart, so their quotient cannot
+    overflow.  num and den are the expanded products."""
 
-    num: Polynomial
-    den: Polynomial
+    lead: complex
+    den_lead: complex
+    factors: tuple
     expo: Polynomial
+
+    num = cached_property(lambda self: math.prod(
+        (b ** e for b, e in self.factors if e > 0), start=Polynomial([self.lead])))
+    den = cached_property(lambda self: math.prod(
+        (b ** -e for b, e in self.factors if e < 0), start=Polynomial([self.den_lead])))
+
+    def derivative(self, k=1):
+        """The k-th derivative, exact: f' = lead prod b^(e-1) exp(expo) H, with
+        H = expo' P + sum e b' P/b and P = prod b, kept as one whole base.  At
+        a root of b, H = e b' P/b != 0, so each order moves by one with no
+        root finding; f' = 0 exactly when H = 0.  Where f is regular at
+        infinity (expo constant, sum e deg b = 0) the top terms of H cancel:
+        a top coefficient within _ROUNDING * sum |e| deg b of the next one of
+        prod |b| (the bases with their coefficients' moduli) is that rounding."""
+        c = self
+        for _ in range(k):
+            left = [_ONE]  # left[i] = prod of the first i bases: no division by
+            for b, _e in c.factors:  # b, as deflation amplifies rounding
+                left.append(left[-1] * b)
+            h, right = (c.expo.derivative() * left[-1] if c.expo.degree else _NIL), _ONE
+            for i in range(len(c.factors) - 1, -1, -1):
+                b, e = c.factors[i]
+                h = h + (left[i] * right * (b.derivative() if b.degree > 1 else _ONE)) * e
+                right = right * b
+            if h.degree and not c.expo.degree and not sum(e * b.degree for b, e in c.factors):
+                size = _ONE
+                for b, _e in c.factors:
+                    size = size * Polynomial._of([abs(x) for x in b.coefficients])
+                noise = _ROUNDING * sum(abs(e) * b.degree for b, e in c.factors)
+                top = list(h.coefficients)
+                while len(top) > 1 and abs(top[-1]) <= noise * size.coefficients[len(top)].real:
+                    top.pop()
+                h = Polynomial._of(top)
+            if h.is_zero:
+                return _ZERO
+            factors = [(b, e - 1) for b, e in c.factors if e != 1] + [(_monic(h), 1)] * (h.degree > 0)
+            c = Canonical(c.lead * h.leading, c.den_lead, tuple(factors), c.expo)
+        return c
+
+    def to_expr(self):
+        """The tree of f: lead prod b^e exp(expo) over den_lead prod b^-e."""
+        if self.lead == 0:
+            return Const(0)
+        top = [pow_int(_wrap_poly(b), e) for b, e in self.factors if e > 0]
+        bottom = [pow_int(_wrap_poly(b), -e) for b, e in self.factors if e < 0]
+        if not self.expo.is_zero:
+            top.append(Exp(self.expo))
+        num = mul(Const(self.lead), *top)
+        if not bottom and self.den_lead == 1:
+            return num
+        return div(num, mul(Const(self.den_lead), *bottom))
 
     def log_abs(self, zs):
         """log|f| on an ndarray of points, the real part of _log_poly's logs,
@@ -594,61 +631,127 @@ class Canonical:
 
 
 def canonicalize(e):
-    """Reduce e to Canonical or raise NotNormalizableError."""
+    """Reduce e to its factored Canonical form or raise NotNormalizableError."""
     c = _canon(_coerce(e))
-    if c.den.is_zero:
+    if c.den_lead == 0:
         raise ZeroDivisionError("denominator is identically zero")
     return c
 
 
+_ZERO = Canonical(0j, 1 + 0j, (), _NIL)
+
+
+def _monic(p):
+    return Polynomial._of([c / p.leading for c in p.coefficients[:-1]] + [1 + 0j])
+
+
+def _same(b, c):
+    """Whether the bases b and c are one: linear ones whose roots agree to rounding."""
+    x, y = b.coefficients, c.coefficients
+    return x == y or len(x) == len(y) == 2 and abs(x[0] - y[0]) <= _ROUNDING * (1 + abs(y[0]))
+
+
+def _merge(factors):
+    """The (base, exponent) pairs with equal bases joined and exponent 0 dropped."""
+    out = []
+    for b, e in factors:
+        for i, (c, m) in enumerate(out):
+            if _same(b, c):
+                out[i] = (c, m + e)
+                break
+        else:
+            out.append((b, e))
+    return tuple(f for f in out if f[1])
+
+
+def _split(p, expo=_NIL, den_lead=1 + 0j, factors=()):
+    """p/den_lead * prod factors * exp(expo), p split into linear bases by
+    poly_roots.  Where poly_roots fails, or the product of its roots is not p
+    within _ROUNDING of p's largest coefficient (an ill-conditioned p, whose
+    derivative from those roots would be wrong), p stays one whole base."""
+    if p.is_zero:
+        return _ZERO
+    bases = [(_monic(p), 1)] if p.degree else []
+    if p.degree > 1:
+        try:
+            roots = [x for x, m in poly_roots(p) for _ in range(m)]
+        except RootFindingError:
+            roots = []
+        q = Polynomial.from_roots(roots, p.leading)
+        if roots and max(map(abs, (p - q).coefficients)) <= _ROUNDING * max(map(abs, p.coefficients)):
+            bases = [(Polynomial._of([-x, 1 + 0j]), 1) for x in roots]
+    return Canonical(p.leading, den_lead, _merge(list(factors) + bases), expo)
+
+
+def _times(cs):
+    lead, factors = math.prod(c.lead for c in cs), [f for c in cs for f in c.factors]
+    if lead == 0:
+        return _ZERO
+    return Canonical(lead, math.prod(c.den_lead for c in cs), _merge(factors),
+                     sum((c.expo for c in cs), _NIL))
+
+
 def _canon(e):
     if isinstance(e, Const):
-        return Canonical(Polynomial([e.value]), Polynomial([1]), Polynomial([0]))
-    if isinstance(e, Var):
-        return Canonical(Polynomial([0, 1]), Polynomial([1]), Polynomial([0]))
-    if isinstance(e, Poly):
-        return Canonical(e.poly, Polynomial([1]), Polynomial([0]))
+        return Canonical(e.value, 1 + 0j, (), _NIL) if e.value != 0 else _ZERO
+    if isinstance(e, (Var, Poly)):
+        return _split(as_polynomial(e))
     if isinstance(e, Exp):
-        return Canonical(Polynomial([1]), Polynomial([1]), e.exponent)
+        return Canonical(1 + 0j, 1 + 0j, (), e.exponent)
     if isinstance(e, Product):
-        num, den, expo = Polynomial([1]), Polynomial([1]), Polynomial([0])
-        for f in e.factors:
-            c = _canon(f)
-            num = num * c.num
-            den = den * c.den
-            expo = expo + c.expo
-        return Canonical(num, den, expo)
+        return _times([_canon(f) for f in e.factors])
     if isinstance(e, Power):
-        c = _canon(e.base)
-        k = e.exponent
-        return Canonical(c.num ** k, c.den ** k, c.expo * k)
+        c, k = _canon(e.base), e.exponent  # leads by products: complex ** k raises on overflow
+        return Canonical(math.prod([c.lead] * k), math.prod([c.den_lead] * k),
+                         tuple((b, m * k) for b, m in c.factors), c.expo * k)
     if isinstance(e, Quotient):
-        cn = _canon(e.numerator)
-        cd = _canon(e.denominator)
-        if cd.num.is_zero:
+        d = _canon(e.denominator)
+        if d.lead == 0:
             raise ZeroDivisionError("denominator is identically zero")
-        return Canonical(cn.num * cd.den, cn.den * cd.num, cn.expo - cd.expo)
+        inverse = Canonical(d.den_lead, d.lead, tuple((b, -m) for b, m in d.factors), -d.expo)
+        return _times([_canon(e.numerator), inverse])
     if isinstance(e, Sum):
-        groups = []  # list of [expo, num, den]
+        groups = {}
         for t in e.terms:
             c = _canon(t)
-            for g in groups:
-                if g[0] == c.expo:
-                    g[1] = g[1] * c.den + c.num * g[2]
-                    g[2] = g[2] * c.den
-                    break
-            else:
-                groups.append([c.expo, c.num, c.den])
-        groups = [g for g in groups if not g[1].is_zero]
-        if not groups:
-            return Canonical(Polynomial([0]), Polynomial([1]), Polynomial([0]))
-        if len(groups) > 1:
-            raise NotNormalizableError(
-                "sum mixes distinct exponential parts; no canonical form"
-            )
-        expo, num, den = groups[0]
-        return Canonical(num, den, expo)
+            if c.lead != 0:
+                groups.setdefault(c.expo, []).append(c)
+        parts = [g[0] if len(g) == 1 else _add(g) for g in groups.values()]
+        parts = [c for c in parts if c.lead != 0]
+        if len(parts) > 1:
+            raise NotNormalizableError("sum mixes distinct exponential parts; no canonical form")
+        return parts[0] if parts else _ZERO
     raise TypeError(f"cannot canonicalize {type(e).__name__}")
+
+
+def _add(cs):
+    """The sum of canonical forms with one exponential part: each base is
+    factored out at its least exponent over the terms, and the remainders,
+    over the common den_lead, add into one polynomial H that _split splits.
+    H can vanish at a root of a base only at a tie, where two terms share a
+    nonzero least exponent; there it is divided by the base while it
+    vanishes within _ROUNDING, as in (z+1)/(z-1) - 2/(z-1) = 1."""
+    bases = []
+    for b, _e in (f for c in cs for f in c.factors):
+        if not any(_same(b, u) for u in bases):
+            bases.append(b)
+    rows = [[sum(e for b, e in c.factors if _same(b, u)) for u in bases] for c in cs]
+    least = [min(column) for column in zip(*rows)]
+    h = _NIL
+    for j, (c, row) in enumerate(zip(cs, rows)):
+        term = Polynomial([c.lead * math.prod(d.den_lead for d in cs[:j] + cs[j + 1:])])
+        for b, e, m in zip(bases, row, least):
+            term = term * b ** (e - m)
+        h = h + term
+    for i, b in enumerate(bases):
+        root = -b.coefficients[0]
+        if b.degree == 1 and least[i] and sum(row[i] == least[i] for row in rows) > 1:
+            while h.degree and abs(h(root)) <= _ROUNDING * h.abs_coeff_value(abs(root)):
+                q = list(h.coefficients)  # h / (z - root), by synthetic division
+                for j in range(len(q) - 1, 0, -1):
+                    q[j - 1] += q[j] * root
+                h, least[i] = Polynomial._of(q[1:]), least[i] + 1
+    return _split(h, cs[0].expo, math.prod(c.den_lead for c in cs), zip(bases, least))
 
 
 @dataclass(frozen=True)
@@ -687,53 +790,28 @@ class Divisor:
         return len(self.entries)
 
 
-def _cancel_common(zero_pairs, pole_pairs):
-    zeros = [[z, m] for z, m in zero_pairs]
-    poles = [[z, m] for z, m in pole_pairs]
-    for zp in zeros:
-        for pp in poles:
-            if pp[1] == 0:
-                continue
-            if abs(zp[0] - pp[0]) <= _CANCEL_RADIUS:
-                c = min(zp[1], pp[1])
-                zp[1] -= c
-                pp[1] -= c
-                if zp[1] == 0:
-                    break
-    return (
-        [(z, m) for z, m in zeros if m > 0],
-        [(z, m) for z, m in poles if m > 0],
-    )
-
-
 def divisors(e):
-    """Zero and pole divisors of e as (zeros, poles).
-
-    Requires the canonical form; common roots of numerator and denominator
-    (clustered within 1e-6) cancel at the minimum multiplicity.
-    """
+    """Zero and pole divisors of e as (zeros, poles), read off its canonical form."""
     c = canonicalize(e)
-    if c.num.is_zero:
+    if c.lead == 0:
         raise ValueError("the zero function has no divisor")
-    return canonical_divisors(c, poly_roots(c.den) if c.den.degree > 0 else [])
+    return canonical_divisors(c, 1), canonical_divisors(c, -1)
 
 
-def canonical_divisors(c, pole_pairs):
-    """divisors() from the canonical form c and the root pairs of c.den."""
-    zero_pairs = poly_roots(c.num) if c.num.degree > 0 else []
-    zero_pairs, pole_pairs = _cancel_common(zero_pairs, pole_pairs)
-    return (
-        Divisor.from_pairs(zero_pairs, "zeros"),
-        Divisor.from_pairs(pole_pairs, "poles"),
-    )
+def canonical_divisors(c, sign):
+    """The zeros (sign 1) or the poles (sign -1) of the canonical form c: the
+    root of a linear base b^e, of order sign * e > 0.  A whole base, kept
+    where poly_roots failed on it, goes through poly_roots again."""
+    pairs = [(x, m * e * sign) for b, e in c.factors if e * sign > 0
+             for x, m in ([(-b.coefficients[0], 1)] if b.degree == 1 else poly_roots(b))]
+    return Divisor.from_pairs(pairs, "zeros" if sign > 0 else "poles")
 
 
 # ---------------------------------------------------------------------------
 # parsing
 
 _SYMBOLS = set("+-*/^()[],")
-_NEG_ONE = Polynomial([-1])
-_Z = Polynomial([0, 1])  # z as read; only p ** 1, +p and (p) pass it on, so _node sees a bare z
+_Z = Polynomial([0, 1])  # z as read; only +p and (p) pass it on, so _node sees a bare z
 
 
 def _tokenize(text):
@@ -800,15 +878,13 @@ def _node(piece):
     return _wrap_poly(piece) if isinstance(piece, Polynomial) else piece
 
 
-def _combine(a, b, fold, combinator):
-    """fold of two polynomial pieces, else combinator of their trees."""
-    p, q = _piece(a), _piece(b)
-    return combinator(_node(a), _node(b)) if p is None or q is None else fold(p, q)
-
-
-def _times(p, q):
-    """p * q, zero when either is zero as in mul (so 0 * inf stays 0)."""
-    return Polynomial([0]) if p.is_zero or q.is_zero else p * q
+def _checked(piece, op):
+    """piece, or a ParseError at the operator token op where it is a folded
+    polynomial whose coefficients left the double range."""
+    p = as_polynomial(piece) if isinstance(piece, (Const, Poly)) else piece
+    if isinstance(p, Polynomial) and not all(map(cmath.isfinite, p.coefficients)):
+        raise ParseError(f"{op[3]!r} overflows the double range", op[2])
+    return piece
 
 
 class _Parser:
@@ -835,25 +911,30 @@ class _Parser:
     def parse_expr(self):
         node = self.parse_term()
         while self.peek()[0] in "+-":
-            op = self.next()[0]
+            op = self.next()
             rhs = self.parse_term()
-            if op == "-":
-                rhs = _combine(_NEG_ONE, rhs, _times, mul)
-            node = _combine(node, rhs, Polynomial.__add__, add)
+            if op[0] == "-":  # -x as mul(Const(-1), x) makes it
+                rhs = rhs * -1 if isinstance(rhs, Polynomial) else mul(Const(-1), rhs)
+            p, q = _piece(node), _piece(rhs)  # polynomial pieces fold as add folds them
+            node = _checked(add(_node(node), _node(rhs)) if p is None or q is None else p + q, op)
         return node
 
     def parse_term(self):
         node = self.parse_unary()
         while self.peek()[0] in "*/":
-            op = self.next()[0]
+            op = self.next()
             rhs = self.parse_unary()
-            node = _combine(node, rhs, _times, mul) if op == "*" else div(_node(node), _node(rhs))
+            if op[0] == "*":
+                node = _checked(mul(_node(node), _node(rhs)), op)
+            else:
+                node = div(_node(node), _node(rhs))
         return node
 
     def parse_unary(self):
         if self.peek()[0] == "-":
             self.next()
-            return _combine(_NEG_ONE, self.parse_unary(), _times, mul)
+            node = self.parse_unary()
+            return node * -1 if isinstance(node, Polynomial) else mul(Const(-1), node)
         if self.peek()[0] == "+":
             self.next()
             return self.parse_unary()
@@ -863,10 +944,8 @@ class _Parser:
         base = self.parse_atom()
         if self.peek()[0] != "^":
             return base
-        self.next()
-        k = self.parse_int_exponent()
-        p = _piece(base)
-        return pow_int(_node(base), k) if p is None or k < 0 else p ** k
+        op = self.next()
+        return _checked(pow_int(_node(base), self.parse_int_exponent()), op)
 
     def parse_int_exponent(self):
         tok = self.peek()
@@ -933,8 +1012,9 @@ class _Parser:
 def parse(text, params=None):
     """Parse the expression grammar; params maps extra symbols to constants.
 
-    Polynomial pieces fold as Polynomials while they are read; tree nodes are
-    built only where a quotient, exp, D[...] or a negative power enters."""
+    Sums of polynomial pieces fold as Polynomials while they are read, other
+    operators build their nodes with the combinators; an operator whose
+    folded coefficients overflow is a ParseError."""
     parser = _Parser(_tokenize(text), dict(params or {}))
     node = parser.parse_expr()
     end = parser.next()
@@ -1010,9 +1090,9 @@ def _needs_parens_in_product(e):
         return True
     if isinstance(e, Const):
         return e.value.real < 0 and e.value.imag == 0
-    if isinstance(e, Poly):
+    if isinstance(e, Poly):  # a scaled Poly too, or c*z*p would parse as (c*z*p)
         s = _fmt_poly(e.poly)
-        return "+" in s[1:] or "-" in s[1:]
+        return any(op in s[1:] for op in "+-*")
     return False
 
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .diffpoly import degree_d, diffpoly_expression, weight_theta
-from .expressions import Const, NotNormalizableError, add, div, divisors, differentiate, print_expr
+from .expressions import Const, NotNormalizableError, add, div, divisors, print_expr
 from .nevanlinna import FunctionData, RadialGrid, counting_series
 
 _NORM_FLOOR = 1e-9
@@ -159,19 +159,8 @@ def fmt_boundedness_verdict(series):
                               abs(series.slack(worst) - j1))
 
 
-def _derivative_is_zero(c, k=1):
-    """Whether f^(k) = 0 for f with canonical form c.  f^(j) = exp(expo) P_j /
-    den^(j+1), P_0 = num, P_(j+1) = P_j' den - (j+1) P_j den' + P_j den expo',
-    so the test is exact even where num and den share a factor, as in z/z."""
-    p = c.num
-    for j in range(k):
-        p = (p.derivative() * c.den - (j + 1) * p * c.den.derivative()
-             + p * c.den * c.expo.derivative())
-    return p.is_zero
-
-
 def _ensure_nonconstant(data, what):
-    if _derivative_is_zero(data.canonical):
+    if data.canonical.derivative().lead == 0:
         raise ValueError(f"{what} must be nonconstant")
 
 
@@ -192,10 +181,11 @@ def check_log_derivative(f, k, grid=None, samples=None):
     grid = _grid_or_default(grid)
     data = FunctionData(f)
     _ensure_nonconstant(data, "f")
-    if _derivative_is_zero(data.canonical, k):
+    derivative = data.canonical.derivative(k)
+    if derivative.lead == 0:
         lhs = [0.0] * len(grid.radii)
     else:
-        lhs = FunctionData(div(differentiate(f, k), f)).proximity(grid.radii, samples)
+        lhs = FunctionData(div(derivative.to_expr(), f)).proximity(grid.radii, samples)
     ts = data.characteristic(grid.radii, samples)
     rows = tuple((r, a, EPSILON * t, t) for r, a, t in zip(grid.radii, lhs, ts))
     params = {"f": print_expr(data.expr), "k": k, "epsilon": EPSILON}
@@ -263,9 +253,10 @@ def check_smt(f, values, grid=None, samples=None):
     return SlackSeries("smt", params, rows)
 
 
-def _poly_of_g(p, g, values):
-    """Compose P with g and extract zero divisors of P - a for each a."""
-    p_expr = diffpoly_expression(p, g)
+def _poly_of_g(p, data, values):
+    """Compose P with g = data.expr and extract zero divisors of P - a for each
+    a; g enters as the tree of its canonical form, so no leaf is split again."""
+    p_expr = diffpoly_expression(p, data.canonical.to_expr())
     divs = []
     for j, a in enumerate(values):
         try:
@@ -284,7 +275,7 @@ def _value_bound_series(name, data, p, values, grid, samples, num_coeff, den,
     _ensure_nonconstant(data, "g")
     nbar_g = counting_series(data.zeros, grid.radii, truncated=True)
     nbar_p = [counting_series(d, grid.radii, truncated=True)
-              for d in _poly_of_g(p, data.expr, values)]
+              for d in _poly_of_g(p, data, values)]
     ts = data.characteristic(grid.radii, samples)
     rows = []
     for i, (r, t) in enumerate(zip(grid.radii, ts)):

@@ -45,11 +45,11 @@ those explicit points.
 Samples still singular after the retry raise QuadratureError.  On a
 circle through a pole of f, the sample mean of the pole's -m log|z - rho|
 term, off by up to about m log(pi)/N, is corrected to its integral.
-T = m + N by construction.  FunctionData holds the inputs: the canonical
-form at construction; the denominator roots lazily, when the poles are
-asked for or a sampled circle comes within the denominator's root bound
-(only there can the dodge be needed); the divisors, which also need the
-numerator roots, on first use.
+T = m + N by construction.  FunctionData holds the inputs: the factored
+canonical form at construction, whose bases carry the zeros and poles
+with their multiplicities, so the divisors need no further root finding;
+the expanded num and den, which the bounds and the kernel take, on first
+use.
 """
 from __future__ import annotations
 
@@ -61,6 +61,7 @@ import numpy as np
 
 from .expressions import (
     Const,
+    NotNormalizableError,
     canonical_divisors,
     canonicalize,
     differentiate,
@@ -68,8 +69,6 @@ from .expressions import (
     evaluate_on_grid,
     print_expr,
 )
-from .polynomials import poly_roots
-
 DEFAULT_SAMPLES = 4096
 DEFAULT_RMIN, DEFAULT_RMAX, DEFAULT_STEPS = 2.0, 128.0, 64
 _MIN_SAMPLES = 64
@@ -252,13 +251,6 @@ def _root_bound(c):
     return plain
 
 
-@lru_cache(maxsize=32)
-def _polynomial_root_bound(p):
-    """_root_bound of a Polynomial; _settled_circles and the pole check in
-    FunctionData.proximity ask for the same denominator."""
-    return _root_bound(np.array(p.coefficients))
-
-
 def _log_abs_bounds(p, r, log_r):
     """(lower, upper, root bound) of log|p| on |z| = r, for an ndarray of radii r.
 
@@ -277,7 +269,7 @@ def _log_abs_bounds(p, r, log_r):
     if d == 0:
         return lead, lead, 0.0
     tail = (np.abs(c[:-1]) / abs(c[-1])) @ r ** np.arange(-d, 0.0)[:, None] * _INFLATE
-    bound = _polynomial_root_bound(p)
+    bound = _root_bound(c)
     top = lead + d * log_r
     lower = np.maximum(np.where(tail <= 0.5, top + np.log1p(-tail), -np.inf),
                        np.where(r > bound, lead + d * np.log(r - bound), -np.inf))
@@ -330,38 +322,25 @@ class FunctionData:
     """Nevanlinna data of one expression, each piece computed once.
 
     The canonical form is computed on construction; everything else on
-    first use.  The denominator's root pairs serve the poles and the pole
-    dodge of proximity, and a sampled radius needs them only where its
-    circle can meet a pole: r (1 - _ANGLE_DODGE) <= the denominator's
-    Graeffe-tightened root bound.  So proximity on circles beyond every
-    pole root-finds nothing, and the numerator, which only the zeros and
-    poles need, never.  Each proximity call takes its power table from the
-    cached unit circle once for all its sampled radii, and only when some
-    radius is sampled.
+    first use.  The zeros and poles are read off its bases, and the poles
+    serve the pole dodge of proximity.  Each proximity call takes its power
+    table from the cached unit circle once for all its sampled radii, and
+    only when some radius is sampled.
     """
 
     def __init__(self, expr):
         self.expr = expr
         self.canonical = canonicalize(expr)
-        if self.canonical.num.is_zero:
+        if self.canonical.lead == 0:
             raise ValueError("the zero function has no Nevanlinna data")
 
     @cached_property
-    def _den_pairs(self):
-        den = self.canonical.den
-        return poly_roots(den) if den.degree > 0 else []
+    def zeros(self):
+        return canonical_divisors(self.canonical, 1)
 
     @cached_property
-    def _divisors(self):
-        return canonical_divisors(self.canonical, self._den_pairs)
-
-    @property
-    def zeros(self):
-        return self._divisors[0]
-
-    @property
     def poles(self):
-        return self._divisors[1]
+        return canonical_divisors(self.canonical, -1)
 
     def proximity(self, radii, samples):
         """m(r) for each radius by trapezoid quadrature of log+|f|.
@@ -371,14 +350,12 @@ class FunctionData:
         |f| < 1 on the circle, Jensen's closed form where |f| > 1 and every
         root lies well inside.  The other circles are sampled: one power
         table (Canonical.circle_powers) serves them all through
-        Canonical.log_abs_on_circle (see the module docstring).  Only a
-        sampled radius with r (1 - _ANGLE_DODGE) <= the denominator's root
-        bound looks for a pole to dodge, so only such a radius root-finds
-        the denominator.  A radius where a pole is dodged, and samples
-        retried half a step over, go through Canonical.log_abs at those
-        explicit points.  Only a non-finite sum of log+|f| triggers the
-        retry; if the sum is still not finite, QuadratureError is raised.
-        A circle through a pole of f adds _pole_sum_error.
+        Canonical.log_abs_on_circle (see the module docstring).  A radius
+        where a pole is dodged, and samples retried half a step over, go
+        through Canonical.log_abs at those explicit points.  Only a
+        non-finite sum of log+|f| triggers the retry; if the sum is still
+        not finite, QuadratureError is raised.  A circle through a pole of f
+        adds _pole_sum_error.
         """
         samples = _require_samples(samples)
         radii = [_require_radius(r) for r in radii]
@@ -390,12 +367,10 @@ class FunctionData:
         base, unit = _unit_circle(samples)
         powers = c.circle_powers(unit)
         half = np.pi / samples
-        pole_bound = _polynomial_root_bound(c.den)
         for i in todo:
             r = radii[i]
             theta = base  # replaced, never written to, where a pole is dodged
-            poles = self._den_pairs if r * (1.0 - _ANGLE_DODGE) <= pole_bound else ()
-            on_circle = [rho for rho, _ in poles if _on_circle(rho, r)]
+            on_circle = [rho for rho, _ in self.poles.entries if _on_circle(rho, r)]
             for rho in on_circle:
                 ang = math.atan2(rho.imag, rho.real) % (2.0 * np.pi)
                 near = np.abs((theta - ang + np.pi) % (2.0 * np.pi) - np.pi) <= _ANGLE_DODGE
@@ -471,9 +446,10 @@ def spherical_derivative(f, z):
     |f'/f| / (|f| + 1/|f|) is used, so |f|^2 never overflows.  Where f or f'
     is not finite (a pole, overflow or 0/0) the same formula is applied to
     1/f and (1/f)', which have the same spherical derivative, on those points
-    only.  Array input gives an ndarray of the same shape with NaN at points
-    that are still undefined; a scalar point gives a float and raises
-    ValueError when it is undefined.
+    only, 1/f built on the canonical form of f where it has one, so that a
+    removable singularity such as z/z at 0 is gone.  Array input gives an
+    ndarray of the same shape with NaN at points that are still undefined;
+    a scalar point gives a float and raises ValueError when it is undefined.
     """
     zs = np.asarray(z, dtype=complex)
     pts = np.atleast_1d(zs)
@@ -481,6 +457,10 @@ def spherical_derivative(f, z):
                  evaluate_on_grid(differentiate(f, 1), pts))
     bad = np.isnan(out)
     if bad.any():
+        try:
+            f = canonicalize(f).to_expr()
+        except (NotNormalizableError, ZeroDivisionError):
+            pass
         g = div(Const(1), f)
         out[bad] = _sharp(evaluate_on_grid(g, pts[bad]),
                           evaluate_on_grid(differentiate(g, 1), pts[bad]))

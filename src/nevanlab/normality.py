@@ -279,7 +279,8 @@ class FamilySpec:
             raise ValueError("disc radius must be positive")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "center", complex(self.center))
-        parse(self.template, {"v": params[0]})  # fail fast on bad templates
+        # fail fast on bad templates; instantiate hands out this first member
+        object.__setattr__(self, "_first", parse(self.template, {"v": params[0]}))
 
     @classmethod
     def from_json_dict(cls, payload):
@@ -308,7 +309,7 @@ class FamilySpec:
         }
 
     def instantiate(self, v):
-        return parse(self.template, {"v": v})
+        return self._first if v == self.params[0] else parse(self.template, {"v": v})
 
     def contains(self, z):
         return abs(z - self.center) < self.radius

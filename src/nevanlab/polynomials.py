@@ -117,6 +117,8 @@ class Polynomial:
         if isinstance(other, (int, float, complex)):
             other = complex(other)
             return Polynomial._of([c * other for c in self._coeffs])
+        if other._coeffs == (1,) or self._coeffs == (1,):  # a factor 1 changes nothing
+            return self if other._coeffs == (1,) else other
         out = [0j] * (len(self._coeffs) + len(other._coeffs) - 1)
         for i, a in enumerate(self._coeffs):
             if a == 0:
@@ -352,7 +354,11 @@ def _companion_roots(coeffs):
     roots = []
     if len(q) > 1:
         a = np.diag(np.ones(len(q) - 2, dtype=complex), -1)
-        a[0, :] = -q[1:] / q[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            a[0, :] = -q[1:] / q[0]
+        if not np.isfinite(a[0]).all():
+            raise RootFindingError("the companion matrix overflows: the coefficients "
+                                   "span more than the double range")
         roots = np.linalg.eigvals(a).tolist()
     return roots + [0j] * zeros
 

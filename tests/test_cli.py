@@ -120,6 +120,20 @@ def test_literal_out_of_range_is_a_usage_error(capsys):
         assert captured.err == "error: number out of range '1e400' (at position 0)\n"
 
 
+@pytest.mark.parametrize("f, message", [
+    ("1e300*1e300*z", "error: '*' overflows the double range (at position 5)\n"),
+    ("1/(1e-300*z^3+1e300)",
+     "error: the companion matrix overflows: the coefficients span more than the double range\n"),
+])
+def test_overflow_is_one_error_line(f, message):
+    # an overflowing literal product and a polynomial whose coefficient ratio
+    # overflows: exit 2 with one error line, no RuntimeWarning on stderr
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "nevanlab.cli",
+         "characteristic", "--f", f], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "table.csv"
     rc = main(["characteristic", "--f", "z", "--rmin", "2", "--rmax", "8",
@@ -301,7 +315,7 @@ def test_module_invocation():
 
 
 @pytest.mark.parametrize("f", [
-    "D[(z^2-1)/(z+3),8]",  # RootFindingError on the unreduced degree-256 form
+    "1/(z^3+1e300*z^2+1)",  # RootFindingError: the poles' residuals cannot be judged
     "exp(z^200)",  # QuadratureError: Re z^200 overflows on the circle
 ])
 def test_refused_computation_is_an_error_line(f):

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import random
@@ -198,8 +199,6 @@ def test_fmt_identity_at_zero(text):
         assert not fmt_boundedness_verdict(_shift_j1(s, delta)).passed
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the unreduced canonical form "
-                                       "smears the pole of D^k f at -3")
 @pytest.mark.parametrize("k", [4, 5])
 def test_fmt_identity_on_high_derivatives(k):
     s = check_fmt(parse(f"D[(z^2-1)/(z+3),{k}]"), 0, RadialGrid.geometric())
@@ -210,9 +209,7 @@ def test_fmt_first_main_theorem_property():
     # |slack - j1| <= log(1 + |a|) + FMT_TOL over factored rationals with
     # distinct zeros and poles on the lattice (Z + iZ)/8 within |Re|, |Im|
     # <= 1.5, multiplicities up to 3, and a on (Z + iZ)/4 within 3, 0 included.
-    # The lattice keeps distinct points 1/8 apart, well beyond the 1e-6
-    # within which the divisor code cancels a zero against a pole (ROADMAP
-    # item 1), and keeps a from values so small that f - a has roots closer
+    # The lattice keeps a from values so small that f - a has roots closer
     # than the root finder resolves, where it refuses with RootFindingError.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -298,7 +295,8 @@ def test_growth_bound_linear_closed_form():
 
 
 def test_entire_variant_root_finds_g_once(monkeypatch):
-    # g's numerator (degree 2) and P - 1 (degree 5) are root-found once each
+    # g's leaf z^2 - 1 is split once, where FunctionData(g) canonicalizes it,
+    # and P - 1 (degree 5) once; the divisors and derivatives find no roots
     original = nevanlab.expressions.poly_roots
     for entire in (False, True):
         degrees = []
@@ -306,11 +304,25 @@ def test_entire_variant_root_finds_g_once(monkeypatch):
         def counting(p):
             degrees.append(p.degree)
             return original(p)
-        for module in (nevanlab.expressions, nevanlab.nevanlinna):
-            monkeypatch.setattr(module, "poly_roots", counting)
+        monkeypatch.setattr(nevanlab.expressions, "poly_roots", counting)
         check_hinchliffe_multi(parse("z^2 - 1"), _monomial(1, [(2, 1)]), [1.0],
                                SMALL_GRID, samples=256, entire=entire)
         assert sorted(degrees) == [2, 5]
+
+
+def test_lemma3_rhs_counts_the_six_simple_zeros():
+    # g = 1/(z - 1), P = g^2 (g^2)'' = 6 (z - 1)^-6: P - 1 has six simple zeros
+    # 1 + 6^(1/6) w^j and g none, so rhs = Nbar(r, 1/(P - 1)) / (q d - 1), d = 4
+    s = check_hinchliffe_multi(parse("1/(z-1)"), _monomial(2, [(2, 2)]), [1.0], SMALL_GRID,
+                               samples=256)
+    zeros = [1 + 6 ** (1 / 6) * cmath.exp(1j * math.pi * j / 3) for j in range(6)]
+    for r, _, rhs, _ in s.rows:
+        want = sum(math.log(r / max(abs(z), 1.0)) for z in zeros if abs(z) <= r) / 3
+        assert rhs == pytest.approx(want, rel=1e-12)
+    big = check_hinchliffe_multi(parse("1/(z-1)"), _monomial(2, [(2, 2)]), [1.0],
+                                 RadialGrid.geometric(), samples=256)
+    assert big.rows[-3][0] == pytest.approx(112.17, abs=0.01)
+    assert big.rows[-3][2] == pytest.approx(8.5517, abs=1e-4)
 
 
 def test_growth_bound_pure_power_rational():

@@ -252,13 +252,17 @@ def test_spherical_derivative():
     v = spherical_derivative(parse("exp(z)"), 400.0)
     assert math.isfinite(v)
     assert v < 1e-150
-    # exp(z) overflows at z = 800 and so does its reciprocal's derivative:
-    # NaN in an array, ValueError for a scalar point
+    # exp(z) overflows at z = 800; its reciprocal exp(-z) and that one's
+    # derivative -exp(-z) underflow to the correct 0.0
     out = spherical_derivative(parse("exp(z)"), np.array([0.0, 800.0]))
     assert out[0] == pytest.approx(0.5, rel=1e-12)
-    assert np.isnan(out[1])
+    assert out[1] == 0.0
+    # where f and 1/f are both 0/0, as for a sum of exponentials with no
+    # canonical form: NaN in an array, ValueError for a scalar point
+    f = parse("exp(z)+exp(-z)")
+    assert np.isnan(spherical_derivative(f, np.array([800.0]))[0])
     with pytest.raises(ValueError, match="undefined"):
-        spherical_derivative(parse("exp(z)"), 800.0)
+        spherical_derivative(f, 800.0)
 
 
 def test_spherical_derivative_inversion_invariance():
@@ -302,27 +306,43 @@ def test_radial_report_table():
     assert payload["monotone_ok"] is True
 
 
+@pytest.mark.parametrize("k", [5, 6, 7, 8])
+def test_high_derivative_proximity_matches_mpmath(k):
+    # D^k of (z^2 - 1)/(z + 3) is 8 (-1)^k k! / (z + 3)^(k + 1); on |z| = 2,
+    # |z + 3|^2 = 13 + 12 cos t, and log+|f| is the integral over the arc where
+    # |f| > 1, split at the crossing
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        lead = mpmath.log(8 * mpmath.factorial(k))
+        cos0 = (mpmath.exp(2 * lead / (k + 1)) - 13) / 12
+        ref = mpmath.quad(lambda t: lead - (k + 1) / 2 * mpmath.log(13 + 12 * mpmath.cos(t)),
+                          [mpmath.acos(max(-1, min(1, cos0))), mpmath.pi]) / mpmath.pi
+    m = proximity_m(parse(f"D[(z^2-1)/(z+3),{k}]"), 2.0, samples=65536)
+    assert abs(m - float(ref)) <= 1e-8
+
+
 def test_zero_function_rejected():
     with pytest.raises(ValueError):
         proximity_m(parse("0"), 2.0)
 
 
-def test_proximity_root_finds_only_the_denominator(monkeypatch):
+def test_divisors_need_no_root_finding_after_canonicalize(monkeypatch):
+    # the typed factors are linear bases and D^2 adds one whole polynomial
+    # H, which canonicalize splits once; the zeros and poles are then read
+    # off the bases, with the multiplicities D^2 f / f has
     calls = []
     original = nevanlab.expressions.poly_roots
 
     def counting(p):
         calls.append(p)
         return original(p)
-    for module in (nevanlab.expressions, nevanlab.nevanlinna):
-        monkeypatch.setattr(module, "poly_roots", counting)
+    monkeypatch.setattr(nevanlab.expressions, "poly_roots", counting)
     f = parse("D[(z-1)^2/(z+3)*exp(z),2]/((z-1)^2/(z+3)*exp(z))")
     data = FunctionData(f)
-    data.proximity((2.0, 4.0), 256)
-    assert calls == [data.canonical.den]
-    data.characteristic((2.0, 4.0), 256)  # the poles need the numerator too
-    data.zeros
-    assert calls == [data.canonical.den, data.canonical.num]
+    assert [p.degree for p in calls] == [4]
+    data.characteristic((2.0, 4.0), 256)
+    assert sorted(m for _, m in data.poles.entries) == [2, 2]
+    assert data.zeros.total == 4 and len(calls) == 1
 
 
 @pytest.mark.parametrize("text", ["D[(z-1)^2/(z+3),1]/((z-1)^2/(z+3))",
@@ -574,8 +594,11 @@ def test_root_bound_is_certified():
 
 
 def test_root_bound_tightens_fujiwara():
-    # three root squarings cut Fujiwara's slack from up to 2d to (2d)^(1/8)
-    c = canonicalize(parse(_GROWTH_LOGDERIV))
+    # three root squarings cut Fujiwara's slack from up to 2d to (2d)^(1/8);
+    # the zero of order 8 at 2 and the pole of order 10 at -1.2 of f' are
+    # Fujiwara's worst case
+    c = canonicalize(parse("D[(z-2)^9/(z+1.2)^9,1]"))
+    assert (c.num.degree, c.den.degree) == (8, 10)
     for p in (c.num, c.den):
         coefficients = np.array(p.coefficients)
         radius = np.abs(np.roots(coefficients[::-1])).max()
@@ -587,16 +610,15 @@ def test_root_bound_tightens_fujiwara():
 
 
 def test_root_bound_falls_back_to_fujiwara_quietly():
-    # the degree-256 denominator of D^8 f: scaled by Fujiwara's 1536, its
+    # (z + 3)^256, the denominator of D^8 f before the quotient rule's
+    # common factors were cancelled: scaled by Fujiwara's 1536, its
     # coefficients underflow, so the floors dominate and plain Fujiwara stays
-    c = np.array(canonicalize(parse("D[(z^2-1)/(z+3),8]")).den.coefficients)
-    assert len(c) == 257
+    c = np.array(Polynomial.from_roots([-3.0] * 256).coefficients)
     with warnings.catch_warnings(), np.errstate(all="warn"):
         warnings.simplefilter("error")
         bound = nevanlab.nevanlinna._root_bound(c)
     assert bound == pytest.approx(_plain_fujiwara(c), rel=1e-11)
-    # the zero circle at r = 2000 needs no denominator roots, whose finder
-    # fails on this unreduced form (RootFindingError at r = 2)
+    # D^8 f is 322560 / (z + 3)^9: |f| < 1 on the circle r = 2000
     assert proximity_m(parse("D[(z^2-1)/(z+3),8]"), 2000.0) == 0.0
 
 
@@ -607,17 +629,14 @@ def test_proximity_beyond_the_pole_bound_root_finds_nothing(monkeypatch):
     def counting(p):
         calls.append(p)
         return original(p)
-    for module in (nevanlab.expressions, nevanlab.nevanlinna):
-        monkeypatch.setattr(module, "poly_roots", counting)
     data = FunctionData(parse(_GROWTH_LOGDERIV))
-    radii = (2.0, 4.0, 8.0)
-    assert max(nevanlab.nevanlinna._polynomial_root_bound(p)
-               for p in (data.canonical.num, data.canonical.den)) < radii[0]
+    monkeypatch.setattr(nevanlab.expressions, "poly_roots", counting)
+    radii = (1.25, 2.0, 4.0, 8.0)  # the first one within the poles' root bound
+    assert nevanlab.nevanlinna._root_bound(np.array(data.canonical.den.coefficients)) > radii[0]
     kernel = _KernelCalls(monkeypatch)
     ms = data.proximity(radii, 256)
+    data.poles, data.zeros
     assert kernel.calls and calls == []
-    data.poles  # the divisors still root-find both
-    assert calls == [data.canonical.den, data.canonical.num]
     assert data.proximity(radii, 256) == ms
 
 
@@ -651,6 +670,12 @@ def _dominated(rng, degree, r, scale):
     return Polynomial(size * phase * float(r) ** -np.arange(degree + 1.0) * 10.0 ** scale)
 
 
+def _whole(num, den, expo):
+    """The Canonical of num/den exp(expo) with num and den kept whole."""
+    factors = tuple((p * (1 / p.leading), e) for p, e in ((num, 1), (den, -1)) if p.degree)
+    return Canonical(num.leading, den.leading, factors, expo)
+
+
 def test_kernel_matches_explicit_points():
     # log_abs_on_circle is Canonical.log_abs at the same nodes: num or den
     # constant, expo absent or present, one block or several, and
@@ -668,8 +693,8 @@ def test_kernel_matches_explicit_points():
     def check(degrees, scales, r, samples, seed):
         rng = np.random.default_rng(seed)
         (dn, dd, de), (sn, sd) = degrees, scales
-        c = Canonical(_dominated(rng, dn, r, sn), _dominated(rng, dd, r, sd),
-                      _dominated(rng, de, r, 0.0) if de else Polynomial([0]))
+        c = _whole(_dominated(rng, dn, r, sn), _dominated(rng, dd, r, sd),
+                   _dominated(rng, de, r, 0.0) if de else Polynomial([0]))
         unit = np.exp(2j * np.pi * np.arange(samples) / samples)
         got = c.log_abs_on_circle(r, c.circle_powers(unit))
         want = c.log_abs(r * unit)
@@ -701,4 +726,4 @@ def test_pole_just_inside_the_circle_is_dodged():
     on = proximity_m(parse("1/(z - 2)"), 2.0)
     near = FunctionData(parse(f"1/(z - {2.0 * (1.0 - 5e-9)!r})"))
     assert near.proximity([2.0], DEFAULT_SAMPLES)[0] == pytest.approx(on, abs=1e-6)
-    assert "_den_pairs" in vars(near)
+    assert "poles" in vars(near)

@@ -6,9 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nevanlab import parse
+import nevanlab.normality as normality
+from nevanlab import evaluate, parse
 from nevanlab.diffpoly import AlphaViolation, MonomialSpec
-from nevanlab.expressions import IndeterminatePointError
 from nevanlab.normality import (
     CriterionParams,
     FamilySpec,
@@ -202,6 +202,17 @@ def test_family_spec():
         FamilySpec("v*q", (1.0,))  # unknown parameter name
 
 
+def test_family_spec_parses_each_member_once(monkeypatch):
+    # the member parsed to validate the template is the first one handed out
+    fam = FamilySpec("v*z", (1.0, 2.0))
+    calls = []
+    monkeypatch.setattr(normality, "parse", lambda *args: calls.append(args))
+    first = fam.instantiate(1.0)
+    assert calls == [] and evaluate(first, 3.0) == pytest.approx(3.0)
+    fam.instantiate(2.0)
+    assert calls == [("v*z", {"v": 2.0})]
+
+
 def test_family_spec_json_round_trip():
     fam = FamilySpec("v/(z-0.4)", (1.0, 2.0), complex(0.5, -0.25), 2.0)
     payload = fam.to_json_dict()
@@ -347,10 +358,13 @@ def test_zalcman_pole_on_xi_grid():
 
 
 def test_rescaling_singular_points_raise():
-    # 0/0 on the xi grid and a pole of an extra term keep their errors
+    # the removable 0/0 of v z / (z (z + 1)) at xi = 0 takes its limit:
+    # g(xi) = v / (xi / v + 1), so g(0) = v, g'(0) = -1
     spec = RescalingSpec.from_rules(0, (4.0, 8.0), lambda v: 0j, lambda v: 1.0 / v)
-    with pytest.raises(IndeterminatePointError):
-        zalcman_rescale(FamilySpec("(v*z)/(z*(z+1))", (4.0, 8.0)), spec)
+    report = zalcman_rescale(FamilySpec("(v*z)/(z*(z+1))", (4.0, 8.0)), spec)
+    for v, _, _, _, _, sharp0 in report.entries:
+        assert sharp0 == pytest.approx(1.0 / (1.0 + v * v), rel=1e-12)
+    # a pole of an extra term keeps its error
     params = _power_params()
     spec = RescalingSpec.from_rules(Fraction(1, 3), params, lambda v: 0j,
                                     lambda v: v ** -1.5)

@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import random
 import statistics
+import warnings
 
 import pytest
 
-from nevanlab.polynomials import Polynomial, _newton, poly_roots
+from nevanlab.polynomials import Polynomial, RootFindingError, _newton, poly_roots
 
 
 def residual_bound(p, root):
@@ -91,6 +92,14 @@ def test_close_but_distinct_roots_not_merged():
         p = Polynomial.from_roots([0.5, 0.5 + sep, -2.0])
         roots = poly_roots(p)
         assert sorted(m for _, m in roots) == [1, 1, 1], sep
+
+
+def test_companion_overflow_is_a_root_finding_error():
+    # 1e300 / 1e-300 overflows the companion row: refused, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RootFindingError, match="companion matrix overflows"):
+            poly_roots(Polynomial([1e300, 0, 0, 1e-300]))
 
 
 def test_degree_zero_and_zero_poly():
