@@ -468,10 +468,7 @@ class Canonical:
                 for b, _e in c.factors:
                     size = size * Polynomial._of([abs(x) for x in b.coefficients])
                 noise = _ROUNDING * sum(abs(e) * b.degree for b, e in c.factors)
-                top = list(h.coefficients)
-                while len(top) > 1 and abs(top[-1]) <= noise * size.coefficients[len(top)].real:
-                    top.pop()
-                h = Polynomial._of(top)
+                h = _drop_top(h, [noise * x.real for x in size.coefficients[1:]])
             if h.is_zero:
                 return _ZERO
             factors = [(b, e - 1) for b, e in c.factors if e != 1] + [(_monic(h), 1)] * (h.degree > 0)
@@ -586,7 +583,8 @@ class Canonical:
         most _BLOCK + 1 powers.  Each sample takes one log, 1/2 log(|num|^2
         / |den|^2), plus Re expo; a zero of num gives -inf, of den +inf and
         of both NaN, as log|0| would.  The product runs over slices of table
-        columns of at most _CHUNK_BYTES, which stay in cache.
+        columns of at most _CHUNK_BYTES, which stay in cache, and the num and
+        den rows of each slice are squared in place, with no temporary.
         """
         kinds, coef, exps, offset, slope = self._circle_terms
         n = powers.shape[1]
@@ -615,7 +613,8 @@ class Canonical:
                     sums = acc
                 chunk = out[cols]
                 if logs:
-                    sq = sums[:2 * logs] * sums[:2 * logs]
+                    sq = sums[:2 * logs]
+                    np.multiply(sq, sq, out=sq)
                     sq[0] += sq[1]
                     if logs == 2:
                         sq[2] += sq[3]
@@ -639,6 +638,14 @@ def canonicalize(e):
 
 
 _ZERO = Canonical(0j, 1 + 0j, (), _NIL)
+
+
+def _drop_top(h, floor):
+    """h without the top coefficients that lie within floor[k] at their degree k."""
+    top = list(h.coefficients)
+    while len(top) > 1 and abs(top[-1]) <= floor[len(top) - 1]:
+        top.pop()
+    return Polynomial._of(top)
 
 
 def _monic(p):
@@ -728,21 +735,25 @@ def _add(cs):
     """The sum of canonical forms with one exponential part: each base is
     factored out at its least exponent over the terms, and the remainders,
     over the common den_lead, add into one polynomial H that _split splits.
-    H can vanish at a root of a base only at a tie, where two terms share a
-    nonzero least exponent; there it is divided by the base while it
-    vanishes within _ROUNDING, as in (z+1)/(z-1) - 2/(z-1) = 1."""
+    Where the top terms cancel, a top coefficient of H within _ROUNDING of
+    the sum of the terms' coefficient moduli at its degree is that rounding
+    and is dropped.  H can vanish at a root of a base only at a tie, where
+    two terms share a nonzero least exponent; there it is divided by the
+    base while it vanishes within _ROUNDING, as in (z+1)/(z-1) - 2/(z-1) = 1."""
     bases = []
     for b, _e in (f for c in cs for f in c.factors):
         if not any(_same(b, u) for u in bases):
             bases.append(b)
     rows = [[sum(e for b, e in c.factors if _same(b, u)) for u in bases] for c in cs]
     least = [min(column) for column in zip(*rows)]
-    h = _NIL
+    h = size = _NIL
     for j, (c, row) in enumerate(zip(cs, rows)):
         term = Polynomial([c.lead * math.prod(d.den_lead for d in cs[:j] + cs[j + 1:])])
         for b, e, m in zip(bases, row, least):
             term = term * b ** (e - m)
         h = h + term
+        size = size + Polynomial._of([abs(x) for x in term.coefficients])
+    h = _drop_top(h, [_ROUNDING * x.real for x in size.coefficients])
     for i, b in enumerate(bases):
         root = -b.coefficients[0]
         if b.degree == 1 and least[i] and sum(row[i] == least[i] for row in rows) > 1:

@@ -5,8 +5,9 @@ divisor: N(r) = sum over |z_k| <= r of m_k (log r - log max(|z_k|, 1)).
 Proximity m(r) is a composite-trapezoid average of log+|f| over N
 equispaced points z_j = r w^j, w = exp(2 pi i/N), computed in the log
 domain from the canonical form (num/den) exp(expo).  Each circle is one
-of three kinds, told apart for all radii of a call at once from
-coefficient bounds alone (no root finding, no divisors):
+of three kinds, told apart for all radii of a call at once from the
+coefficients of num, den and expo and the root moduli of the factored
+form (no root finding):
 
 - zero circle: an upper bound of log|f| on |z| = r is below -1e-9, so
   |f| < 1 there and m(r) = 0.0, which the trapezoid sum also gives;
@@ -18,12 +19,14 @@ coefficient bounds alone (no root finding, no divisors):
   aliases only the modes that are multiples of N;
 - sampled circle: anything else, evaluated as below.
 
-The root bounds are Graeffe-tightened (_root_bound): the 8th root of
-Fujiwara's bound on the polynomial whose roots are the 8th powers of the
-roots, computed with a certified rounding radius on every coefficient.
-Barring underflow it is within a factor (2d)^(1/8) of the largest root
-modulus, where plain Fujiwara can be 2d times too large, so fewer
-circles need samples.
+The root moduli of num and den come from the bases of the factored form
+(_factor_root_bound): a linear base z - a gives |a| itself, and only a
+whole base (one that _split kept or derivative made) takes a
+Graeffe-tightened bound (_root_bound): the 8th root of Fujiwara's bound
+on the polynomial whose roots are the 8th powers of the roots, computed
+with a certified rounding radius on every coefficient.  Barring
+underflow it is within a factor (2d)^(1/8) of the largest root modulus,
+where plain Fujiwara can be 2d times too large.
 
 On a sampled circle, since p(z_j) = sum_k (c_k r^k) w^(jk), proximity
 builds one real table, a row of Re w^(jk) and a row of Im w^(jk) for
@@ -36,8 +39,9 @@ and d log r is added back in the log domain: neither r^d nor an
 exponential factor overflows.  Coefficients go in blocks of 16, joined
 by Horner in w^16, so the table has at most 17 powers whatever the
 degree.  Each sample takes one log, 1/2 log(|num|^2 / |den|^2) plus
-Re expo and a constant; num and den are prescaled by exact powers of two
-so that the squared moduli stay within the double range.  A radius where
+Re expo and a constant, the squares taken in place in the product's rows;
+num and den are prescaled by exact powers of two so that the squared
+moduli stay within the double range.  A radius where
 the circle passes through a pole has the nearby samples moved half a
 step (the dodge); such radii, and samples whose log|f| is NaN or +inf
 and are retried half a step over, are evaluated by Canonical.log_abs at
@@ -48,8 +52,8 @@ term, off by up to about m log(pi)/N, is corrected to its integral.
 T = m + N by construction.  FunctionData holds the inputs: the factored
 canonical form at construction, whose bases carry the zeros and poles
 with their multiplicities, so the divisors need no further root finding;
-the expanded num and den, which the bounds and the kernel take, on first
-use.
+the expanded num and den, which the coefficient bounds and the kernel
+take, on first use.
 """
 from __future__ import annotations
 
@@ -251,10 +255,20 @@ def _root_bound(c):
     return plain
 
 
-def _log_abs_bounds(p, r, log_r):
-    """(lower, upper, root bound) of log|p| on |z| = r, for an ndarray of radii r.
+def _factor_root_bound(c, sign):
+    """A bound on the root moduli of num (sign 1) or den (sign -1) of the
+    canonical form c, raised by _INFLATE, from its bases b^e with sign e > 0:
+    a linear base z - a gives |a| itself, and a whole base its Graeffe bound
+    (_root_bound).  0.0 when there are none."""
+    return max((abs(b.coefficients[0]) * _INFLATE if b.degree == 1
+                else _root_bound(np.array(b.coefficients))
+                for b, e in c.factors if sign * e > 0), default=0.0)
 
-    p = sum_k c_k z^k of degree d has root bound B (_root_bound); with
+
+def _log_abs_bounds(p, r, log_r, bound):
+    """(lower, upper) bounds of log|p| on |z| = r, for an ndarray of radii r.
+
+    p = sum_k c_k z^k of degree d has its roots within the bound B; with
     lead = |c_d| r^d and tail = sum_(k<d) |c_k| r^k,
     lower = max(log(lead - tail) where lead >= 2 tail,
     log|c_d| + d log(r - B) where r > B), and upper = min(log(lead + tail),
@@ -267,14 +281,13 @@ def _log_abs_bounds(p, r, log_r):
     d = len(c) - 1
     lead = math.log(abs(c[-1]))
     if d == 0:
-        return lead, lead, 0.0
+        return lead, lead
     tail = (np.abs(c[:-1]) / abs(c[-1])) @ r ** np.arange(-d, 0.0)[:, None] * _INFLATE
-    bound = _root_bound(c)
     top = lead + d * log_r
     lower = np.maximum(np.where(tail <= 0.5, top + np.log1p(-tail), -np.inf),
                        np.where(r > bound, lead + d * np.log(r - bound), -np.inf))
     upper = np.minimum(top + np.log1p(tail), lead + d * np.log(r + bound))
-    return lower, upper, bound
+    return lower, upper
 
 
 def _settled_circles(c, radii, samples):
@@ -283,17 +296,24 @@ def _settled_circles(c, radii, samples):
     Zero circles (log|f| < -_SETTLE_MARGIN on the whole circle) give 0.0;
     closed-form circles (log|f| > _SETTLE_MARGIN, every root of num and den
     inside r exp(-_ALIAS_EXPONENT/N), deg expo < N) give Jensen's value.
-    The bounds come from the coefficients of c alone (see the module
-    docstring), vectorized over the radii, with the Graeffe-tightened root
-    bounds of num and den (_root_bound); Re expo lies within
-    Re expo(0) -+ sum_(k>=1) |x_k| r^k.
+    The bounds come from the coefficients of num and den, vectorized over
+    the radii, and from the root moduli of the factored form
+    (_factor_root_bound: read off each linear base, Graeffe's bound only
+    for a whole base); Re expo lies within Re expo(0) -+ sum_(k>=1) |x_k| r^k.
+    Jensen's value is the N-point mean for the factored f, to e^-40/N per
+    root, once every root of a base lies inside r exp(-_ALIAS_EXPONENT/N);
+    the expanded num and den that the kernel samples have the coefficients
+    of f to rounding, so the two agree to the kernel's rounding (which
+    grows near a multiple root close to the circle, where Jensen's value
+    is the more accurate).
     """
     r = np.asarray(radii, dtype=float)
     log_r = np.log(r)
     expo = np.array(c.expo.coefficients)
+    bound_num, bound_den = _factor_root_bound(c, 1), _factor_root_bound(c, -1)
     with np.errstate(all="ignore"):
-        low_num, high_num, bound_num = _log_abs_bounds(c.num, r, log_r)
-        low_den, high_den, bound_den = _log_abs_bounds(c.den, r, log_r)
+        low_num, high_num = _log_abs_bounds(c.num, r, log_r, bound_num)
+        low_den, high_den = _log_abs_bounds(c.den, r, log_r, bound_den)
         spread = np.abs(expo[1:]) @ r ** np.arange(1.0, len(expo))[:, None] * _INFLATE
         base = expo[0].real
         lower = low_num - high_den + base - spread
@@ -346,11 +366,12 @@ class FunctionData:
         """m(r) for each radius by trapezoid quadrature of log+|f|.
 
         Zero and closed-form circles are settled first, from coefficient
-        bounds, for all radii at once (_settled_circles): m = 0.0 where
-        |f| < 1 on the circle, Jensen's closed form where |f| > 1 and every
-        root lies well inside.  The other circles are sampled: one power
-        table (Canonical.circle_powers) serves them all through
-        Canonical.log_abs_on_circle (see the module docstring).  A radius
+        bounds and the root moduli of the bases, for all radii at once
+        (_settled_circles): m = 0.0 where |f| < 1 on the circle, Jensen's
+        closed form where |f| > 1 and every root lies well inside.  The
+        other circles are sampled: one power table (Canonical.circle_powers)
+        serves them all through Canonical.log_abs_on_circle (see the module
+        docstring).  A radius
         where a pole is dodged, and samples retried half a step over, go
         through Canonical.log_abs at those explicit points.  Only a
         non-finite sum of log+|f| triggers the retry; if the sum is still

@@ -434,6 +434,11 @@ CUBE_ROOTS = [cmath.exp(1j * math.pi * (2 * j + 1) / 3) for j in range(3)]  # of
     # f = 1/(z^3 + 1): f'' = 6 z (2 z^3 - 1) / (z^3 + 1)^3
     ("D[1/(z^3+1),2]", {0: 1, **{0.5 ** (1 / 3) * cmath.exp(2j * math.pi * j / 3): 1
                                  for j in range(3)}}, {r: 3 for r in CUBE_ROOTS}),
+    # f - f(infinity) = 0.2/((z-0.3)(z+0.9)): the cancelled z^2 and z terms
+    # leave no zero near 1e15; f - 2 keeps its two zeros -0.3 -+ sqrt(0.56)
+    ("(z-0.1)*(z+0.7)/((z-0.3)*(z+0.9))-1", {}, {0.3: 1, -0.9: 1}),
+    ("(z-0.1)*(z+0.7)/((z-0.3)*(z+0.9))-2", {-0.3 + 0.56 ** 0.5: 1, -0.3 - 0.56 ** 0.5: 1},
+     {0.3: 1, -0.9: 1}),
 ])
 def test_exact_multiplicities(text, zeros, poles):
     got = divisors(parse(text))

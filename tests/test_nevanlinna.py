@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from nevanlab import (
     divisors,
     mul,
     parse,
+    pow_int,
     print_expr,
     proximity_m,
     radial_report,
@@ -425,6 +427,7 @@ def _near_circle_points(rng, count, radii):
 
 
 def _settle_cases(rng, radii):
+    # (f, samples) pairs; samples is drawn just before each yield
     for _ in range(80):
         dn, dd, de = rng.integers(0, 6), rng.integers(0, 6), rng.integers(0, 4)
         near = rng.integers(0, 3)
@@ -441,33 +444,97 @@ def _settle_cases(rng, radii):
                                    + 1j * rng.uniform(-1.0, 1.0, de + 1)))
         f = mul(div(Poly(Polynomial.from_roots(zeros, lead)),
                     Poly(Polynomial.from_roots(poles))), Exp(expo))
-        yield f
+        yield f, 2 ** int(rng.integers(6, 14))
         if rng.uniform() < 0.25:
-            yield div(differentiate(f, int(rng.integers(1, 3))), f)
+            yield div(differentiate(f, int(rng.integers(1, 3))), f), 2 ** int(rng.integers(6, 14))
+    # typed roots of multiplicity up to 4 within 1e-3 relative of the
+    # closed-form edge r exp(-40/N), inside or outside
+    for _ in range(60):
+        samples = 2 ** int(rng.integers(6, 14))
+        count = int(rng.integers(1, 4))
+        edge = rng.choice(radii, count) * math.exp(-40.0 / samples)
+        roots = (edge * (1.0 + rng.uniform(-1e-3, 1e-3, count))
+                 * np.exp(2j * np.pi * rng.uniform(size=count)))
+        tops, bottoms = [], []
+        for rho, m, pole in zip(roots, rng.integers(1, 5, count), rng.uniform(size=count) < 0.4):
+            (bottoms if pole else tops).append(pow_int(Poly(Polynomial([-rho, 1])), int(m)))
+        lead = 10.0 ** rng.uniform(-3.0, 6.0) * np.exp(2j * np.pi * rng.uniform())
+        zeros = _disc_points(rng, rng.integers(0, 3), 1.5)
+        f = mul(Poly(Polynomial.from_roots(zeros, lead)), *tops)
+        yield (div(f, mul(*bottoms)) if bottoms else f), samples
+
+
+def _factored_trapezoid(c, r, samples):
+    # the N-point mean of log+|f| from the bases, each log|z - a| to rounding
+    z = r * nevanlab.nevanlinna._unit_circle(samples)[1]
+    vals = math.log(abs(c.lead)) - math.log(abs(c.den_lead)) + c.expo(z).real
+    for b, e in c.factors:
+        vals = vals + e * np.log(np.abs(b(z)))
+    return float(np.mean(np.maximum(vals, 0.0)))
 
 
 def test_settled_circles_match_sampled_circles(monkeypatch):
-    # a zero or closed-form circle gives the sampled value to rounding, and
-    # exactly 0.0 where the classifier says zero
+    # a zero circle gives exactly 0.0, as the sampled circle does, and a
+    # closed-form circle the trapezoid mean on the same N nodes to rounding.
+    # That mean is taken from the bases: the kernel's samples of the expanded
+    # num and den lose up to 1e-11 of m(r) where a 4-fold root lies within
+    # 1% of the circle (N = 4096 or 8192 at the edge r exp(-40/N))
     rng = np.random.default_rng(1964)
     radii = RadialGrid.geometric(2.0, 128.0, 16).radii
     kinds = {"zero": 0, "closed": 0, "sampled": 0}
-    for f in _settle_cases(rng, radii):
+    for f, samples in _settle_cases(rng, radii):
         data = FunctionData(f)
-        samples = 2 ** int(rng.integers(6, 14))
         settled = nevanlab.nevanlinna._settled_circles(data.canonical, radii, samples)
         got = data.proximity(radii, samples)
         with monkeypatch.context() as patch:
             _sampled_only(patch)
             want = data.proximity(radii, samples)
-        for s, m, w in zip(settled, got, want):
+        for r, s, m, w in zip(radii, settled, got, want):
             if s == 0.0:
                 kinds["zero"] += 1
                 assert m == w == 0.0
+            elif math.isfinite(s):
+                kinds["closed"] += 1
+                x = _factored_trapezoid(data.canonical, r, samples)
+                assert abs(m - x) <= 1e-13 * (1.0 + abs(x)), (print_expr(f), samples, r)
             else:
-                kinds["closed" if math.isfinite(s) else "sampled"] += 1
-                assert abs(m - w) <= 1e-13 * (1.0 + abs(w)), (print_expr(f), samples)
+                kinds["sampled"] += 1
+                assert m == w
     assert min(kinds.values()) >= 100, kinds
+
+
+def test_root_moduli_of_linear_bases_settle_circles():
+    # Graeffe's bound on the expanded (z - 1.9)^3 exceeds 1.98 = 2 exp(-40/4096)
+    # and would leave r = 2 to samples; the linear base gives 1.9 itself, and
+    # |f| >= 10 on the circle, so Jensen's value is the mean of log|f|
+    data = FunctionData(parse("1e4*(z-1.9)^3"))
+    assert nevanlab.nevanlinna._root_bound(np.array(data.canonical.num.coefficients)) > 1.99
+    settled = nevanlab.nevanlinna._settled_circles(data.canonical, [2.0], DEFAULT_SAMPLES)[0]
+    unit = nevanlab.nevanlinna._unit_circle(DEFAULT_SAMPLES)[1]
+    want = float(np.mean(data.canonical.log_abs(2.0 * unit)))
+    assert abs(settled - want) <= 1e-13 * abs(want)
+    assert data.proximity([2.0], DEFAULT_SAMPLES) == [settled]
+
+
+def test_graeffe_bounds_only_whole_bases(monkeypatch):
+    calls = []
+    original = nevanlab.nevanlinna._root_bound
+
+    def counting(c):
+        calls.append(len(c) - 1)
+        return original(c)
+    monkeypatch.setattr(nevanlab.nevanlinna, "_root_bound", counting)
+    radii = RadialGrid.geometric().radii
+    for text in (_GROWTH_F, _GROWTH_LOGDERIV, "1e4*(z-1.9)^3", "D[(z^2-1)/(z+3),8]"):
+        data = FunctionData(parse(text))
+        assert all(b.degree == 1 for b, _ in data.canonical.factors)
+        data.proximity(radii, 256)
+    assert calls == []
+    # the ill-conditioned (z - 1) ... (z - 24) stays one whole base
+    data = FunctionData(Poly(Polynomial.from_roots(range(1, 25))))
+    assert [(b.degree, e) for b, e in data.canonical.factors] == [(24, 1)]
+    data.proximity(radii, 256)
+    assert calls == [24]
 
 
 class _KernelCalls:
@@ -645,6 +712,23 @@ def test_unit_circle_is_cached_read_only():
     assert nevanlab.nevanlinna._unit_circle(256)[1] is unit
     assert not theta.flags.writeable and not unit.flags.writeable
     assert np.array_equal(unit, np.exp(2j * np.pi * np.arange(256) / 256))
+
+
+def test_kernel_holds_no_squared_modulus_temporary():
+    # one call at N = 8192 holds its output and one product slice of
+    # len(coef) rows, and squares the num and den rows in place
+    c = canonicalize(parse(_GROWTH_F))
+    unit = nevanlab.nevanlinna._unit_circle(8192)[1]
+    powers = c.circle_powers(unit)
+    rows = len(c._circle_terms[1])
+    c.log_abs_on_circle(2.0, powers)
+    tracemalloc.start()
+    try:
+        c.log_abs_on_circle(2.0, powers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (rows + 1) * 8192 * 8 + 4096, (peak, rows)
 
 
 def test_kernel_column_chunks_match_one_pass(monkeypatch):
