@@ -2,10 +2,11 @@
 
 Single binary with subcommands.  Tabular commands emit CSV by default; with
 --format json every command emits one envelope {"command", "config",
-"report"}, the resolved configuration included.  Exit
-codes: 0 success or PASS, 1 an inequality or convergence check FAILED, 2
-usage or precondition errors, and results the library refuses to compute
-(RootFindingError, QuadratureError), each as one "error:" line.
+"report"} on one line with sorted keys, the resolved configuration
+included.  Exit codes: 0 success or PASS, 1 an inequality or convergence
+check FAILED, 2 usage or precondition errors, and results the library
+refuses to compute (RootFindingError, QuadratureError), each as one
+"error:" line.
 """
 
 import argparse
@@ -208,13 +209,14 @@ def _finish(args, command, config, report_dict, text, ok=True, status=None):
 
     report_dict and text are zero-argument callables, and only the form
     --format selects is built.  With --format json the report is the
-    envelope {"command", "config", "report": report_dict()}; otherwise it is
-    text(), the command's CSV or text form.  It goes to --out PATH when
+    envelope {"command", "config", "report": report_dict()} on one line, keys
+    sorted (the C encoder; indent would force the pure-Python one); otherwise
+    it is text(), the command's CSV or text form.  It goes to --out PATH when
     given, else to stdout; the status line goes to stderr.
     """
     if args.format == "json":
         text = json.dumps({"command": command, "config": config,
-                           "report": report_dict()}, indent=2, sort_keys=True)
+                           "report": report_dict()}, sort_keys=True)
     else:
         text = text()
     if not text.endswith("\n"):

@@ -890,11 +890,13 @@ def _node(piece):
 
 
 def _checked(piece, op):
-    """piece, or a ParseError at the operator token op where it is a folded
-    polynomial whose coefficients left the double range."""
-    p = as_polynomial(piece) if isinstance(piece, (Const, Poly)) else piece
-    if isinstance(p, Polynomial) and not all(map(cmath.isfinite, p.coefficients)):
-        raise ParseError(f"{op[3]!r} overflows the double range", op[2])
+    """piece, or a ParseError at the operator token op where it, or a constant
+    or polynomial factor that mul folded into a product, left the double
+    range."""
+    for f in piece.factors if isinstance(piece, Product) else (piece,):
+        p = as_polynomial(f) if isinstance(f, (Const, Poly)) else f
+        if isinstance(p, Polynomial) and not all(map(cmath.isfinite, p.coefficients)):
+            raise ParseError(f"{op[3]!r} overflows the double range", op[2])
     return piece
 
 

@@ -57,6 +57,7 @@ take, on first use.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -341,8 +342,10 @@ def _unit_circle(samples):
 class FunctionData:
     """Nevanlinna data of one expression, each piece computed once.
 
-    The canonical form is computed on construction; everything else on
-    first use.  The zeros and poles are read off its bases, and the poles
+    The canonical form is computed on construction, and refused (ValueError)
+    for the zero function and where its constant factor lead/den_lead is not
+    finite, as m = T = inf would be no number; everything else on first
+    use.  The zeros and poles are read off its bases, and the poles
     serve the pole dodge of proximity.  Each proximity call takes its power
     table from the cached unit circle once for all its sampled radii, and
     only when some radius is sampled.
@@ -350,9 +353,11 @@ class FunctionData:
 
     def __init__(self, expr):
         self.expr = expr
-        self.canonical = canonicalize(expr)
-        if self.canonical.lead == 0:
+        self.canonical = c = canonicalize(expr)
+        if c.lead == 0:
             raise ValueError("the zero function has no Nevanlinna data")
+        if not (cmath.isfinite(c.lead) and cmath.isfinite(c.den_lead)):
+            raise ValueError("the constant factor of the function overflows the double range")
 
     @cached_property
     def zeros(self):

@@ -124,10 +124,16 @@ def test_literal_out_of_range_is_a_usage_error(capsys):
     ("1e300*1e300*z", "error: '*' overflows the double range (at position 5)\n"),
     ("1/(1e-300*z^3+1e300)",
      "error: the companion matrix overflows: the coefficients span more than the double range\n"),
+    ("1e200*exp(z)*1e200", "error: '*' overflows the double range (at position 12)\n"),
+    ("(1e300*z)^2",
+     "error: the constant factor of the function overflows the double range\n"),
+    ("(1e300*z)*(1e300*z)/((1e300*z+1)*(1e300*z+1))",
+     "error: the constant factor of the function overflows the double range\n"),
 ])
 def test_overflow_is_one_error_line(f, message):
-    # an overflowing literal product and a polynomial whose coefficient ratio
-    # overflows: exit 2 with one error line, no RuntimeWarning on stderr
+    # an overflowing literal product, a polynomial whose coefficient ratio
+    # overflows and a constant factor that canonicalizes to inf or NaN: exit 2
+    # with one error line, no RuntimeWarning on stderr
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "nevanlab.cli",
          "characteristic", "--f", f], capture_output=True, text=True)
@@ -368,6 +374,8 @@ def test_every_command_json_envelope_and_out(command, argv, tmp_path,
     payload = json.loads(stdout)
     assert set(payload) == {"command", "config", "report"}
     assert payload["command"] == command
+    # one line, keys sorted, as the C encoder writes it with its defaults
+    assert stdout == json.dumps(payload, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("flag", ["--margin", "--epsilon", "--max-exceptional",

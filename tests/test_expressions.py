@@ -193,9 +193,13 @@ def _nonfinite(e):
 
 
 def test_overflow_in_a_folded_product_is_a_parse_error():
-    # 1e300 * 1e300 would fold to inf, and inf * z to a NaN coefficient
+    # 1e300 * 1e300 would fold to inf, and inf * z to a NaN coefficient; a
+    # constant folded into a product with a non-polynomial factor is checked too
     for text, op, position in [("1e300*1e300*z", "*", 5), ("1e200^2", "^", 5),
-                               ("z+1e308+1e308", "+", 7)]:
+                               ("z+1e308+1e308", "+", 7),
+                               ("1e200*z^2*1e200", "*", 9),
+                               ("1e200*exp(z)*1e200", "*", 12),
+                               ("(z+1)^2*1e200*1e200", "*", 13)]:
         with pytest.raises(ParseError) as err:
             parse(text)
         assert str(err.value) == f"{op!r} overflows the double range (at position {position})"

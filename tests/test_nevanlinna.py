@@ -58,6 +58,16 @@ def test_grid_validation():
         RadialGrid(())
 
 
+def test_non_finite_constant_factor_has_no_nevanlinna_data():
+    # (1e300 z)^2 folds to lead inf: m = T = inf would be no number at all,
+    # while its divisor, a double zero at 0, is still right
+    for text in ("(1e300*z)^2", "(1e300*z)*(1e300*z)/((1e300*z+1)*(1e300*z+1))"):
+        with pytest.raises(ValueError, match="constant factor"):
+            FunctionData(parse(text))
+    zeros, poles = divisors(parse("(1e300*z)^2"))
+    assert zeros.entries == ((0j, 2),) and poles.entries == ()
+
+
 def test_sample_count_validation():
     f = parse("z")
     with pytest.raises(ValueError):
