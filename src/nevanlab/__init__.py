@@ -16,10 +16,6 @@ from .expressions import (
     Var,
     Poly,
     Exp,
-    Sum,
-    Product,
-    Power,
-    Quotient,
     Divisor,
     Canonical,
     INFINITY,

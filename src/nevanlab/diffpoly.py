@@ -16,9 +16,7 @@ from .expressions import (
     Const,
     Expr,
     INFINITY,
-    NotNormalizableError,
     add,
-    canonicalize,
     differentiate,
     evaluate,
     is_infinite,
@@ -214,12 +212,9 @@ def generalized_polynomial(main, extras=()):
 
 
 def _is_rational(e):
-    """True when e's canonical exponent is zero; False with no canonical form
-    or an identically zero denominator."""
-    try:
-        return canonicalize(e).expo.is_zero
-    except (NotNormalizableError, ZeroDivisionError):
-        return False
+    """True when no term of e has an exponential part; a denominator of
+    several terms has distinct ones."""
+    return all(c.expo.is_zero for c in e.num + e.den)
 
 
 def _scale_coeff(outer, inner):
@@ -251,13 +246,11 @@ def compose_generalized(main, extras, g):
 
 
 def _derivatives(g, order):
-    """[g, g', ..., g^(order)], each g^(j) by Canonical.derivative from the
-    one before, or by differentiate where g has no canonical form."""
-    try:
-        c = canonicalize(g)
-    except (NotNormalizableError, ZeroDivisionError):
-        return [g] + [differentiate(g, j) for j in range(1, order + 1)]
-    return [g] + [(c := c.derivative()).to_expr() for _ in range(order)]
+    """[g, g', ..., g^(order)], each g^(j) the derivative of the one before."""
+    derivs = [g]
+    for _ in range(order):
+        derivs.append(differentiate(derivs[-1]))
+    return derivs
 
 
 def diffpoly_expression(p, g):

@@ -1,19 +1,24 @@
-"""Symbolic expressions closed under arithmetic, powers, and differentiation.
+"""Functions of the tractable class as sums of factored terms.
 
-The tractable class is generated by rational functions and exponentials of
-polynomials.  Every member that matters for divisor extraction has the
-factored canonical form (lead/den_lead) * prod b^e * exp(p), monic bases b
-with integer exponents e: products, quotients, powers and derivatives act on
-the exponents, so multiplicities follow from the structure, never estimated.
-Sums that mix distinct exponentials have no canonical form.
+The class is generated by rational functions and exponentials of
+polynomials.  A function is one Expr: a numerator and a denominator, each a
+tuple of Canonical terms (lead/den_lead) * prod b^e * exp(expo), with monic
+bases b, nonzero integer exponents e and pairwise distinct exponential parts
+expo.  A denominator of one term is inverted into the numerator, so every
+function with a canonical form is exactly one term over 1.  Products,
+quotients and integer powers add or scale exponents, terms with one
+exponential part join through _add, and D[...] is Canonical.derivative per
+term, so multiplicities follow from the structure, never estimated.  Only a
+denominator of several terms (a sum of distinct exponential parts) needs
+the quotient rule; such a function has no canonical form.
 
 Expression grammar accepted by parse() and emitted by print_expr():
 complex literals (3, 2.5, 1i, 1+2i as arithmetic), the variable z, + - * /,
 ^ with integer exponents, exp(polynomial), and D[expr, k] which constructs
-the k-th derivative on the spot.  Sums and scalar multiples of polynomial
-pieces fold into one Polynomial, as add and mul fold them; a product of
-nonconstant pieces stays a Product and p^k (k >= 2) a Power, so the factors
-the user typed are kept.
+the k-th derivative on the spot.  While it reads, parse folds sums of
+polynomial pieces into one Polynomial and keeps the constant factor of a
+product apart from its pieces; a piece becomes a term, split once into
+linear bases, only where it meets a quotient, exp, D[...] or the end.
 """
 from __future__ import annotations
 
@@ -28,10 +33,12 @@ from .polynomials import Polynomial, RootFindingError, poly_roots
 
 INFINITY = complex(math.inf, 0.0)
 
-# Two linear bases whose roots agree within _ROUNDING (1 + |root|) are one; a
-# polynomial within _ROUNDING of its coefficients' scale is 0 (_split, _add, derivative).
+# Two linear bases whose roots agree within _ROUNDING of their moduli are one;
+# a polynomial within _ROUNDING of its coefficients' scale is 0 (_split, _add,
+# derivative).
 _ROUNDING = 2.0 ** -40
 _ONE, _NIL = Polynomial([1]), Polynomial([0])
+_Z = Polynomial([0, 1])
 
 
 def is_infinite(w):
@@ -53,375 +60,8 @@ class ParseError(ValueError):
         self.position = position
 
 
-class Expr:
-    """Base class carrying operator sugar; nodes are frozen dataclasses."""
-
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return add(self, mul(Const(-1), _coerce(other)))
-
-    def __rsub__(self, other):
-        return add(_coerce(other), mul(Const(-1), self))
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
-
-    def __pow__(self, k):
-        return pow_int(self, k)
-
-    def __neg__(self):
-        return mul(Const(-1), self)
-
-    def __str__(self):
-        return print_expr(self)
-
-
-@dataclass(frozen=True)
-class Const(Expr):
-    value: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", complex(self.value))
-
-
-@dataclass(frozen=True)
-class Var(Expr):
-    pass
-
-
-@dataclass(frozen=True)
-class Poly(Expr):
-    poly: Polynomial
-
-
-@dataclass(frozen=True)
-class Exp(Expr):
-    exponent: Polynomial
-
-
-@dataclass(frozen=True)
-class Sum(Expr):
-    terms: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-
-
-@dataclass(frozen=True)
-class Product(Expr):
-    factors: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-
-
-@dataclass(frozen=True)
-class Power(Expr):
-    base: Expr
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Quotient(Expr):
-    numerator: Expr
-    denominator: Expr
-
-
-def _coerce(x):
-    if isinstance(x, Expr):
-        return x
-    if isinstance(x, (int, float, complex)):
-        return Const(x)
-    raise TypeError(f"cannot use {type(x).__name__} as an expression")
-
-
-def as_polynomial(e):
-    """Polynomial form of e when it is built purely from polynomial pieces."""
-    if isinstance(e, Const):
-        return Polynomial([e.value])
-    if isinstance(e, Var):
-        return Polynomial([0, 1])
-    if isinstance(e, Poly):
-        return e.poly
-    if isinstance(e, Sum):
-        acc = Polynomial([0])
-        for t in e.terms:
-            p = as_polynomial(t)
-            if p is None:
-                return None
-            acc = acc + p
-        return acc
-    if isinstance(e, Product):
-        acc = Polynomial([1])
-        for f in e.factors:
-            p = as_polynomial(f)
-            if p is None:
-                return None
-            acc = acc * p
-        return acc
-    if isinstance(e, Power):
-        p = as_polynomial(e.base)
-        return None if p is None else p ** e.exponent
-    return None
-
-
-def _wrap_poly(p):
-    if p.degree == 0:
-        return Const(p.coefficients[0])
-    return Poly(p)
-
-
-def add(*terms):
-    flat = []
-    for t in terms:
-        t = _coerce(t)
-        if isinstance(t, Sum):
-            flat.extend(t.terms)
-        else:
-            flat.append(t)
-    poly_part = None
-    rest = []
-    for t in flat:
-        p = as_polynomial(t)
-        if p is None:
-            rest.append(t)
-        else:
-            poly_part = p if poly_part is None else poly_part + p
-    if poly_part is not None and not poly_part.is_zero:
-        rest.append(_wrap_poly(poly_part))
-    if not rest:
-        return Const(0)
-    if len(rest) == 1:
-        return rest[0]
-    return Sum(tuple(rest))
-
-
-def mul(*factors):
-    """Product of the factors: the constants' product scales the first Poly or
-    Var factor, or else leads; other factors, Poly ones included, stay."""
-    scale, rest = None, []
-    for f in factors:
-        f = _coerce(f)
-        for g in f.factors if isinstance(f, Product) else (f,):
-            if not isinstance(g, Const):
-                rest.append(g)
-            elif g.value == 0:
-                return Const(0)
-            elif g.value != 1:
-                scale = g.value if scale is None else scale * g.value
-    if scale is not None:
-        i = next((i for i, g in enumerate(rest) if isinstance(g, (Poly, Var))), None)
-        if i is None:
-            rest.insert(0, Const(scale))
-        else:
-            rest[i] = _wrap_poly(as_polynomial(rest[i]) * scale)
-    if not rest:
-        return Const(1)
-    return rest[0] if len(rest) == 1 else Product(tuple(rest))
-
-
-def pow_int(base, k):
-    if not isinstance(k, int):
-        raise ValueError("exponents must be integers")
-    base = _coerce(base)
-    if k < 0:
-        return div(Const(1), pow_int(base, -k))
-    if k == 0:
-        return Const(1)
-    if k == 1:
-        return base
-    if isinstance(base, Const):
-        return _wrap_poly(as_polynomial(base) ** k)
-    if isinstance(base, Exp):
-        return Exp(base.exponent * k)
-    return Power(base, k)
-
-
-def div(num, den):
-    num = _coerce(num)
-    den = _coerce(den)
-    if isinstance(den, Const):
-        if den.value == 0:
-            raise ZeroDivisionError("division by the zero constant")
-        return mul(Const(1 / den.value), num)
-    p = as_polynomial(den)
-    if p is not None and p.is_zero:
-        raise ZeroDivisionError("division by the identically zero polynomial")
-    # flatten nested quotients so reciprocals stay structurally simple
-    if isinstance(den, Quotient):
-        return div(mul(num, den.denominator), den.numerator)
-    if isinstance(num, Quotient):
-        return div(num.numerator, mul(num.denominator, den))
-    return Quotient(num, den)
-
-
 # ---------------------------------------------------------------------------
-# differentiation
-
-def _d(e):
-    """e' by the product, power and quotient rules, for a tree with no canonical form."""
-    if isinstance(e, Product):
-        return add(*[mul(*e.factors[:i], differentiate(f), *e.factors[i + 1:])
-                     for i, f in enumerate(e.factors)])
-    if isinstance(e, Power):
-        return mul(Const(e.exponent), pow_int(e.base, e.exponent - 1), differentiate(e.base))
-    u, v = e.numerator, e.denominator
-    return div(add(mul(differentiate(u), v), mul(Const(-1), u, differentiate(v))), pow_int(v, 2))
-
-
-def differentiate(e, k=1):
-    """k-th symbolic derivative of e, k >= 1.
-
-    Where e has a canonical form, Canonical.derivative gives it exactly,
-    with no root finding, and its tree is returned.  A sum of distinct
-    exponential parts is differentiated term by term, other trees by _d.
-    """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("derivative order must be a positive integer")
-    e = _coerce(e)
-    try:
-        return canonicalize(e).derivative(k).to_expr()
-    except (NotNormalizableError, ZeroDivisionError):
-        pass
-    if isinstance(e, Sum):
-        return add(*[differentiate(t, k) for t in e.terms])
-    return _d(e) if k == 1 else differentiate(_d(e), k - 1)
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-
-def evaluate(e, z):
-    """Value of e at a point or an ndarray of points, classified on the sphere.
-
-    evaluate_on_grid computes every value, a point as a numpy scalar; only
-    where a value is not finite does _classify decide, once per call, what
-    the point is.  A pole or an overflow reads as the INFINITY marker, a
-    removable singularity as its limit, and 0/0 without a canonical form
-    raises IndeterminatePointError.  A point gives a complex, an ndarray an
-    ndarray of the same shape.
-    """
-    zs = np.asarray(z, dtype=complex)
-    vals = np.atleast_1d(evaluate_on_grid(e, zs))
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        vals[bad] = _classify(e, np.atleast_1d(zs)[bad], vals[bad])
-    return vals if zs.ndim else complex(vals[0])
-
-
-def _classify(e, zs, raw):
-    """Values of e at points where evaluate_on_grid gave the raw inf or NaN.
-
-    Each value is computed again as the exp of log(lead/den_lead) + expo +
-    sum e log b(z) over the bases of the canonical form, so overflowing
-    factors that cancel, as in exp(z)/exp(z), give their finite value, a root
-    of a base with e < 0 is a pole and a removable singularity (z/z at 0)
-    its limit.  With no canonical form raw is kept.  An infinite part then
-    reads as INFINITY and NaN raises IndeterminatePointError.
-    """
-    vals = raw
-    try:
-        c = canonicalize(e)
-    except (NotNormalizableError, ZeroDivisionError):
-        pass
-    else:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            logs = c.expo(zs) + (np.log(complex(c.lead)) - np.log(complex(c.den_lead)))
-            for b, m in c.factors:
-                w = np.log(zs + b.coefficients[0]) if b.degree == 1 else _log_poly(b, zs)
-                logs.real += m * w.real  # not m * w: m * (-inf + 0j) has a NaN part
-                logs.imag += m * w.imag
-            vals = np.exp(logs)
-    pole = np.isinf(vals.real) | np.isinf(vals.imag)
-    undecided = np.isnan(vals) & ~pole
-    if undecided.any():
-        raise IndeterminatePointError(f"0/0 at z = {complex(zs[undecided][0])}")
-    return np.where(pole, INFINITY, vals)
-
-
-def _log_poly(p, zs):
-    """Complex log p(z); where |z| > 1 it is d log z + log(z^-d p(z)), with
-    z^-d p(z) the reversed coefficients at 1/z, so p(z) never overflows."""
-    big = np.abs(zs) > 1
-    w = np.where(big, 1 / zs, zs)
-    rev = Polynomial(p.coefficients[::-1])
-    return np.where(big, p.degree * np.log(zs) + np.log(rev(w)), np.log(p(w)))
-
-
-def evaluate_on_grid(e, zs):
-    """Raw vectorized values of e at a point or over an ndarray of points.
-
-    Poles and overflow show up as inf, 0/0 and inf - inf as NaN, unclassified,
-    for callers that mask them (spherical_derivative retries those points
-    on 1/f); evaluate classifies them instead.
-    """
-    zs = np.asarray(zs, dtype=complex)[()]  # a point as a numpy scalar, not 0-d
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _eval_grid(e, zs)
-
-
-def _eval_grid(e, zs):
-    if isinstance(e, Const):
-        return np.full_like(zs, e.value)
-    if isinstance(e, Var):
-        return zs.copy()
-    if isinstance(e, Poly):
-        return e.poly(zs)
-    if isinstance(e, Exp):
-        return np.exp(e.exponent(zs))
-    if isinstance(e, Sum):
-        return sum(_eval_grid(t, zs) for t in e.terms)
-    if isinstance(e, Product):
-        return math.prod(_eval_grid(f, zs) for f in e.factors)
-    if isinstance(e, Power):
-        return _eval_grid(e.base, zs) ** e.exponent
-    if isinstance(e, Quotient):
-        return _eval_grid(e.numerator, zs) / _eval_grid(e.denominator, zs)
-    raise TypeError(f"cannot evaluate {type(e).__name__}")
-
-
-def substitute_affine(e, a, b):
-    """The expression z -> e(a*z + b), staying inside the tractable class."""
-    a = complex(a)
-    b = complex(b)
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
-        return _wrap_poly(Polynomial([b, a]))
-    if isinstance(e, Poly):
-        return _wrap_poly(e.poly.compose_affine(a, b))
-    if isinstance(e, Exp):
-        return Exp(e.exponent.compose_affine(a, b))
-    if isinstance(e, Sum):
-        return add(*[substitute_affine(t, a, b) for t in e.terms])
-    if isinstance(e, Product):
-        return mul(*[substitute_affine(f, a, b) for f in e.factors])
-    if isinstance(e, Power):
-        return pow_int(substitute_affine(e.base, a, b), e.exponent)
-    if isinstance(e, Quotient):
-        return Quotient(
-            substitute_affine(e.numerator, a, b),
-            substitute_affine(e.denominator, a, b),
-        )
-    raise TypeError(f"cannot substitute into {type(e).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# canonical form and divisors
+# terms: the factored canonical form
 
 _BLOCK = 16  # coefficients per block in Canonical.log_abs_on_circle
 _CHUNK_BYTES = 1 << 20  # bytes of power-table columns per pass of Canonical.log_abs_on_circle
@@ -431,9 +71,9 @@ _CHUNK_BYTES = 1 << 20  # bytes of power-table columns per pass of Canonical.log
 class Canonical:
     """f = (lead/den_lead) prod b^e exp(expo), factors the pairs (b, e): b monic,
     linear with distinct roots (each a zero of order e > 0 or a pole of order
-    -e) unless derivative made it or _split kept it whole, and e a nonzero int.
-    lead (0 for f = 0) and den_lead stay apart, so their quotient cannot
-    overflow.  num and den are the expanded products."""
+    -e) unless derivative made it or _split kept it whole, and e a nonzero int,
+    positive exponents first.  lead (0 for f = 0) and den_lead stay apart, so
+    their quotient cannot overflow.  num and den are the expanded products."""
 
     lead: complex
     den_lead: complex
@@ -471,22 +111,24 @@ class Canonical:
                 h = _drop_top(h, [noise * x.real for x in size.coefficients[1:]])
             if h.is_zero:
                 return _ZERO
-            factors = [(b, e - 1) for b, e in c.factors if e != 1] + [(_monic(h), 1)] * (h.degree > 0)
+            factors = ([(b, e - 1) for b, e in c.factors if e > 1] + [(_monic(h), 1)] * (h.degree > 0)
+                       + [(b, e - 1) for b, e in c.factors if e < 0])
             c = Canonical(c.lead * h.leading, c.den_lead, tuple(factors), c.expo)
         return c
 
-    def to_expr(self):
-        """The tree of f: lead prod b^e exp(expo) over den_lead prod b^-e."""
-        if self.lead == 0:
-            return Const(0)
-        top = [pow_int(_wrap_poly(b), e) for b, e in self.factors if e > 0]
-        bottom = [pow_int(_wrap_poly(b), -e) for b, e in self.factors if e < 0]
+    def values(self, zs):
+        """f at a numpy scalar or array zs, raw: a root of a base with e < 0
+        gives inf or NaN, and an overflow inf."""
+        if not self.factors and self.expo.is_zero:
+            return np.full_like(zs, self.lead / self.den_lead)
+        top = [self.lead] * (self.lead != 1)
+        bottom = [self.den_lead] * (self.den_lead != 1)
+        for b, e in self.factors:
+            w = zs + b.coefficients[0] if b.degree == 1 else b(zs)
+            (top if e > 0 else bottom).append(w if abs(e) == 1 else w ** abs(e))
         if not self.expo.is_zero:
-            top.append(Exp(self.expo))
-        num = mul(Const(self.lead), *top)
-        if not bottom and self.den_lead == 1:
-            return num
-        return div(num, mul(Const(self.den_lead), *bottom))
+            top.append(np.exp(self.expo(zs)))
+        return math.prod(top) / math.prod(bottom) if bottom else math.prod(top)
 
     def log_abs(self, zs):
         """log|f| on an ndarray of points, the real part of _log_poly's logs,
@@ -629,14 +271,6 @@ class Canonical:
         return out
 
 
-def canonicalize(e):
-    """Reduce e to its factored Canonical form or raise NotNormalizableError."""
-    c = _canon(_coerce(e))
-    if c.den_lead == 0:
-        raise ZeroDivisionError("denominator is identically zero")
-    return c
-
-
 _ZERO = Canonical(0j, 1 + 0j, (), _NIL)
 
 
@@ -653,13 +287,19 @@ def _monic(p):
 
 
 def _same(b, c):
-    """Whether the bases b and c are one: linear ones whose roots agree to rounding."""
+    """Whether the bases b and c are one: linear ones whose roots agree within
+    _ROUNDING of their moduli, so a root exactly 0 matches only itself."""
     x, y = b.coefficients, c.coefficients
-    return x == y or len(x) == len(y) == 2 and abs(x[0] - y[0]) <= _ROUNDING * (1 + abs(y[0]))
+    if x == y:
+        return True
+    if len(x) != 2 or len(y) != 2:
+        return False
+    d = abs(x[0] - y[0])
+    return d <= _ROUNDING * abs(x[0]) or d <= _ROUNDING * abs(y[0])
 
 
 def _merge(factors):
-    """The (base, exponent) pairs with equal bases joined and exponent 0 dropped."""
+    """The (base, exponent) pairs with equal bases joined, _ordered."""
     out = []
     for b, e in factors:
         for i, (c, m) in enumerate(out):
@@ -668,78 +308,75 @@ def _merge(factors):
                 break
         else:
             out.append((b, e))
-    return tuple(f for f in out if f[1])
+    return _ordered(out)
+
+
+def _ordered(factors):
+    """The factors of positive exponent first, then the negative ones, each
+    in order, as print_expr writes them; exponent 0 dropped."""
+    return tuple(f for f in factors if f[1] > 0) + tuple(f for f in factors if f[1] < 0)
 
 
 def _split(p, expo=_NIL, den_lead=1 + 0j, factors=()):
     """p/den_lead * prod factors * exp(expo), p split into linear bases by
-    poly_roots.  Where poly_roots fails, or the product of its roots is not p
-    within _ROUNDING of p's largest coefficient (an ill-conditioned p, whose
-    derivative from those roots would be wrong), p stays one whole base."""
+    poly_roots of its monic form.  Where poly_roots fails, or the product of
+    its roots is not that form within _ROUNDING of its largest coefficient
+    (an ill-conditioned p, whose derivative from those roots would be
+    wrong), the monic form stays one whole base, and splitting it again
+    decides the same."""
     if p.is_zero:
         return _ZERO
     bases = [(_monic(p), 1)] if p.degree else []
+    if p.degree < 2 and not factors:
+        return Canonical(p.leading, den_lead, tuple(bases), expo)
     if p.degree > 1:
+        m = bases[0][0]
         try:
-            roots = [x for x, m in poly_roots(p) for _ in range(m)]
+            roots = [x for x, k in poly_roots(m) for _ in range(k)]
         except RootFindingError:
             roots = []
-        q = Polynomial.from_roots(roots, p.leading)
-        if roots and max(map(abs, (p - q).coefficients)) <= _ROUNDING * max(map(abs, p.coefficients)):
+        q = Polynomial.from_roots(roots)
+        if roots and max(map(abs, (m - q).coefficients)) <= _ROUNDING * max(map(abs, m.coefficients)):
             bases = [(Polynomial._of([-x, 1 + 0j]), 1) for x in roots]
     return Canonical(p.leading, den_lead, _merge(list(factors) + bases), expo)
 
 
 def _times(cs):
-    lead, factors = math.prod(c.lead for c in cs), [f for c in cs for f in c.factors]
+    """The product of the terms.  Where bases of two or more terms meet, a
+    whole base is split by _split first, so that a root shared by chance, as
+    in (z^3+1)'/z = 3z^2/z, joins its linear base."""
+    lead = math.prod(c.lead for c in cs)
     if lead == 0:
         return _ZERO
-    return Canonical(lead, math.prod(c.den_lead for c in cs), _merge(factors),
-                     sum((c.expo for c in cs), _NIL))
+    expo, factors = _NIL, [f for c in cs for f in c.factors]
+    for c in cs:
+        if not c.expo.is_zero:
+            expo = c.expo if expo is _NIL else expo + c.expo
+    if sum(bool(c.factors) for c in cs) > 1:
+        if any(b.degree > 1 for b, _e in factors):
+            factors = [(x, m * e) for b, e in factors
+                       for x, m in (_split(b).factors if b.degree > 1 else [(b, 1)])]
+        factors = _merge(factors)
+    return Canonical(lead, math.prod(c.den_lead for c in cs), tuple(factors), expo)
 
 
-def _canon(e):
-    if isinstance(e, Const):
-        return Canonical(e.value, 1 + 0j, (), _NIL) if e.value != 0 else _ZERO
-    if isinstance(e, (Var, Poly)):
-        return _split(as_polynomial(e))
-    if isinstance(e, Exp):
-        return Canonical(1 + 0j, 1 + 0j, (), e.exponent)
-    if isinstance(e, Product):
-        return _times([_canon(f) for f in e.factors])
-    if isinstance(e, Power):
-        c, k = _canon(e.base), e.exponent  # leads by products: complex ** k raises on overflow
-        return Canonical(math.prod([c.lead] * k), math.prod([c.den_lead] * k),
-                         tuple((b, m * k) for b, m in c.factors), c.expo * k)
-    if isinstance(e, Quotient):
-        d = _canon(e.denominator)
-        if d.lead == 0:
-            raise ZeroDivisionError("denominator is identically zero")
-        inverse = Canonical(d.den_lead, d.lead, tuple((b, -m) for b, m in d.factors), -d.expo)
-        return _times([_canon(e.numerator), inverse])
-    if isinstance(e, Sum):
-        groups = {}
-        for t in e.terms:
-            c = _canon(t)
-            if c.lead != 0:
-                groups.setdefault(c.expo, []).append(c)
-        parts = [g[0] if len(g) == 1 else _add(g) for g in groups.values()]
-        parts = [c for c in parts if c.lead != 0]
-        if len(parts) > 1:
-            raise NotNormalizableError("sum mixes distinct exponential parts; no canonical form")
-        return parts[0] if parts else _ZERO
-    raise TypeError(f"cannot canonicalize {type(e).__name__}")
+def _power(c, k):
+    """c^k for k >= 1, leads by products: complex ** k raises on overflow."""
+    if k == 1:
+        return c
+    return Canonical(complex(math.prod([c.lead] * k)), complex(math.prod([c.den_lead] * k)),
+                     tuple((b, m * k) for b, m in c.factors), c.expo * k)
 
 
 def _add(cs):
-    """The sum of canonical forms with one exponential part: each base is
-    factored out at its least exponent over the terms, and the remainders,
-    over the common den_lead, add into one polynomial H that _split splits.
-    Where the top terms cancel, a top coefficient of H within _ROUNDING of
-    the sum of the terms' coefficient moduli at its degree is that rounding
-    and is dropped.  H can vanish at a root of a base only at a tie, where
-    two terms share a nonzero least exponent; there it is divided by the
-    base while it vanishes within _ROUNDING, as in (z+1)/(z-1) - 2/(z-1) = 1."""
+    """The sum of terms with one exponential part: each base is factored out
+    at its least exponent over the terms, and the remainders, over the
+    common den_lead, add into one polynomial H that _split splits.  Where
+    the top terms cancel, a top coefficient of H within _ROUNDING of the sum
+    of the terms' coefficient moduli at its degree is that rounding and is
+    dropped.  H can vanish at a root of a base only at a tie, where two
+    terms share a nonzero least exponent; there it is divided by the base
+    while it vanishes within _ROUNDING, as in (z+1)/(z-1) - 2/(z-1) = 1."""
     bases = []
     for b, _e in (f for c in cs for f in c.factors):
         if not any(_same(b, u) for u in bases):
@@ -764,6 +401,307 @@ def _add(cs):
                 h, least[i] = Polynomial._of(q[1:]), least[i] + 1
     return _split(h, cs[0].expo, math.prod(c.den_lead for c in cs), zip(bases, least))
 
+
+def _sum(terms):
+    """The terms with equal expo joined by _add, zero terms dropped, in order
+    of first appearance."""
+    groups = {}
+    for c in terms:
+        if c.lead != 0:
+            groups.setdefault(c.expo, []).append(c)
+    joined = (g[0] if len(g) == 1 else _add(g) for g in groups.values())
+    return tuple(c for c in joined if c.lead != 0)
+
+
+def _product(xs, ys):
+    """The product of two sums of terms, () standing for 1."""
+    if not xs or not ys:
+        return xs or ys
+    return _sum([_times([x, y]) for x in xs for y in ys])
+
+
+def _derived(terms, k):
+    """The nonzero k-th derivatives of the terms."""
+    return tuple(d for d in (c.derivative(k) for c in terms) if d.lead != 0)
+
+
+# ---------------------------------------------------------------------------
+# functions: a numerator and a denominator of terms
+
+@dataclass(frozen=True)
+class Expr:
+    """f = sum(num) / sum(den), Canonical terms with nonzero lead and
+    pairwise distinct expo on each side.  num () is the zero function; den
+    () is 1, and otherwise holds at least two terms, as one is inverted into
+    the numerator.  Build it with Const, Var, Poly, Exp, parse and the
+    combinators; the operators are sugar for them."""
+
+    num: tuple
+    den: tuple = ()
+
+    def __add__(self, other):
+        return add(self, other)
+
+    def __radd__(self, other):
+        return add(other, self)
+
+    def __sub__(self, other):
+        return add(self, mul(-1, other))
+
+    def __rsub__(self, other):
+        return add(other, mul(-1, self))
+
+    def __mul__(self, other):
+        return mul(self, other)
+
+    def __rmul__(self, other):
+        return mul(other, self)
+
+    def __truediv__(self, other):
+        return div(self, other)
+
+    def __rtruediv__(self, other):
+        return div(other, self)
+
+    def __pow__(self, k):
+        return pow_int(self, k)
+
+    def __neg__(self):
+        return mul(Const(-1), self)
+
+    def __str__(self):
+        return print_expr(self)
+
+
+def _one(c):
+    """The function of the one term c, or of none where c is 0."""
+    return Expr((c,) if c.lead != 0 else ())
+
+
+def Const(value):
+    """The constant function value."""
+    return _one(Canonical(complex(value), 1 + 0j, (), _NIL))
+
+
+def Var():
+    """The function z."""
+    return Expr((Canonical(1 + 0j, 1 + 0j, ((_Z, 1),), _NIL),))
+
+
+def Poly(p):
+    """The polynomial p, split into linear bases by _split."""
+    return _one(_split(p))
+
+
+def Exp(p):
+    """exp(p) for a Polynomial p."""
+    return Expr((Canonical(1 + 0j, 1 + 0j, (), p),))
+
+
+def _coerce(x):
+    if isinstance(x, Expr):
+        return x
+    if isinstance(x, (int, float, complex)):
+        return Const(x)
+    raise TypeError(f"cannot use {type(x).__name__} as an expression")
+
+
+def _over(num, den):
+    """num/den as an Expr: a denominator of one term is inverted into each
+    numerator term, and a term whose lead underflows to 0 is dropped."""
+    if not num or not den:
+        return Expr(num)
+    if len(den) > 1:
+        return Expr(num, den)
+    c = den[0]
+    inverse = Canonical(c.den_lead, c.lead, _ordered([(b, -m) for b, m in c.factors]), -c.expo)
+    return Expr(tuple(t for t in (_times([d, inverse]) for d in num) if t.lead != 0))
+
+
+def add(*terms):
+    """The sum: terms with one exponential part join through _add, all of a
+    group at once; over unequal denominators, the cross products."""
+    es = [e for e in map(_coerce, terms) if e.num]
+    if not es:
+        return Expr(())
+    num, den = es[0].num, es[0].den
+    for e in es[1:]:
+        if e.den == den:
+            num = num + e.num
+        else:
+            num = _product(num, e.den) + _product(e.num, den)
+            den = _product(den, e.den)
+    return _over(_sum(num), den)
+
+
+def mul(*factors):
+    """The product: one term each multiplies in one _times."""
+    es = [_coerce(f) for f in factors]
+    if any(not e.num for e in es):
+        return Expr(())
+    if all(len(e.num) == 1 and not e.den for e in es):
+        return _one(_times([e.num[0] for e in es]))
+    num = den = ()
+    for e in es:
+        num, den = _product(num, e.num), _product(den, e.den)
+    return _over(num, den)
+
+
+def div(num, den):
+    """The quotient: numerators and denominators cross, and a denominator
+    of one term inverts into each numerator term (_over)."""
+    a, b = _coerce(num), _coerce(den)
+    if not b.num:
+        raise ZeroDivisionError("division by the zero function")
+    if not a.num:
+        return a
+    return _over(_product(a.num, b.den), _product(a.den, b.num))
+
+
+def pow_int(base, k):
+    if not isinstance(k, int):
+        raise ValueError("exponents must be integers")
+    base = _coerce(base)
+    if k < 0:
+        return div(Const(1), pow_int(base, -k))
+    if k == 0:
+        return Const(1)
+    if len(base.num) == 1 and not base.den:
+        return _one(_power(base.num[0], k))
+    return mul(*[base] * k)
+
+
+def differentiate(e, k=1):
+    """k-th derivative of e, k >= 1, exact and with no root finding:
+    Canonical.derivative per term.  Over a denominator of several terms,
+    the quotient rule, k times."""
+    if not isinstance(k, int) or k < 1:
+        raise ValueError("derivative order must be a positive integer")
+    e = _coerce(e)
+    if not e.den:
+        return Expr(_derived(e.num, k))
+    minus = Canonical(-1 + 0j, 1 + 0j, (), _NIL)
+    for _ in range(k):
+        n, d = e.num, e.den
+        parts = [_times([c, u]) for c in _derived(n, 1) for u in d]
+        parts += [_times([minus, c, u]) for c in n for u in _derived(d, 1)]
+        e = _over(_sum(parts), _product(d, d))
+    return e
+
+
+def canonicalize(e):
+    """The one term of e over 1, its factored Canonical form; a sum of
+    distinct exponential parts, or a quotient of such sums, has none."""
+    e = _coerce(e)
+    if e.den or len(e.num) > 1:
+        raise NotNormalizableError("sum mixes distinct exponential parts; no canonical form")
+    c = e.num[0] if e.num else _ZERO
+    if c.den_lead == 0:
+        raise ZeroDivisionError("denominator is identically zero")
+    return c
+
+
+def substitute_affine(e, a, b):
+    """The function z -> e(a*z + b), a != 0, term by term with no root
+    finding: each base is composed and made monic again, its leading
+    coefficient^|e| moving into lead (e > 0) or den_lead (e < 0), and expo
+    is composed."""
+    a, b = complex(a), complex(b)
+    if a == 0:
+        raise ValueError("substitute_affine needs a != 0")
+
+    def term(c):
+        lead, den_lead, factors = c.lead, c.den_lead, []
+        for p, m in c.factors:
+            q = Polynomial._of([b + p.coefficients[0], a]) if p.degree == 1 else p.compose_affine(a, b)
+            scale = math.prod([q.leading] * abs(m))
+            if m > 0:
+                lead *= scale
+            else:
+                den_lead *= scale
+            factors.append((_monic(q), m))
+        return Canonical(lead, den_lead, tuple(factors), c.expo.compose_affine(a, b))
+
+    return Expr(tuple(map(term, e.num)), tuple(map(term, e.den)))
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+
+def evaluate(e, z):
+    """Value of e at a point or an ndarray of points, classified on the sphere.
+
+    evaluate_on_grid computes every value, a point as a numpy scalar; only
+    where a value is not finite does _classify decide, once per call, what
+    the point is.  A pole or an overflow reads as the INFINITY marker, a
+    removable singularity as its limit, and 0/0 without a canonical form
+    raises IndeterminatePointError.  A point gives a complex, an ndarray an
+    ndarray of the same shape.
+    """
+    zs = np.asarray(z, dtype=complex)
+    vals = np.atleast_1d(evaluate_on_grid(e, zs))
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        vals[bad] = _classify(e, np.atleast_1d(zs)[bad], vals[bad])
+    return vals if zs.ndim else complex(vals[0])
+
+
+def _classify(e, zs, raw):
+    """Values of e at points where evaluate_on_grid gave the raw inf or NaN.
+
+    Where e is one term, each value is computed again as the exp of
+    log(lead/den_lead) + expo + sum e log b(z) over its bases, so
+    overflowing factors that cancel, as in exp(z)/exp(z), give their finite
+    value and a root of a base with e < 0 is a pole.  Otherwise raw is kept.
+    An infinite part then reads as INFINITY and NaN raises
+    IndeterminatePointError.
+    """
+    vals = raw
+    if len(e.num) == 1 and not e.den:
+        c = e.num[0]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            logs = c.expo(zs) + (np.log(complex(c.lead)) - np.log(complex(c.den_lead)))
+            for b, m in c.factors:
+                w = np.log(zs + b.coefficients[0]) if b.degree == 1 else _log_poly(b, zs)
+                logs.real += m * w.real  # not m * w: m * (-inf + 0j) has a NaN part
+                logs.imag += m * w.imag
+            vals = np.exp(logs)
+    pole = np.isinf(vals.real) | np.isinf(vals.imag)
+    undecided = np.isnan(vals) & ~pole
+    if undecided.any():
+        raise IndeterminatePointError(f"0/0 at z = {complex(zs[undecided][0])}")
+    return np.where(pole, INFINITY, vals)
+
+
+def _log_poly(p, zs):
+    """Complex log p(z); where |z| > 1 it is d log z + log(z^-d p(z)), with
+    z^-d p(z) the reversed coefficients at 1/z, so p(z) never overflows."""
+    big = np.abs(zs) > 1
+    w = np.where(big, 1 / zs, zs)
+    rev = Polynomial(p.coefficients[::-1])
+    return np.where(big, p.degree * np.log(zs) + np.log(rev(w)), np.log(p(w)))
+
+
+def evaluate_on_grid(e, zs):
+    """Raw vectorized values of e at a point or over an ndarray of points.
+
+    Poles and overflow show up as inf, 0/0 and inf - inf as NaN, unclassified,
+    for callers that mask them (spherical_derivative retries those points
+    on 1/f); evaluate classifies them instead.
+    """
+    zs = np.asarray(zs, dtype=complex)[()]  # a point as a numpy scalar, not 0-d
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        num = _values(e.num, zs)
+        return num / _values(e.den, zs) if e.den else num
+
+
+def _values(terms, zs):
+    vals = [c.values(zs) for c in terms] or [np.zeros_like(zs)]
+    return sum(vals[1:], vals[0])
+
+
+# ---------------------------------------------------------------------------
+# divisors
 
 @dataclass(frozen=True)
 class Divisor:
@@ -822,7 +760,6 @@ def canonical_divisors(c, sign):
 # parsing
 
 _SYMBOLS = set("+-*/^()[],")
-_Z = Polynomial([0, 1])  # z as read; only +p and (p) pass it on, so _node sees a bare z
 
 
 def _tokenize(text):
@@ -877,27 +814,53 @@ def _tokenize(text):
     return tokens
 
 
-def _piece(node):
-    """The Polynomial of a parsed piece, None if it is not polynomial."""
-    return node if isinstance(node, Polynomial) else as_polynomial(node)
+class _Piece:
+    """A product of polynomial pieces as read: lead/den_lead * prod p^k over
+    the Polynomials p typed between the operators.  It folds into one
+    Polynomial where a sum or exp needs it, and becomes a term (each p split
+    by _split, lead and den_lead kept apart) where it meets anything else,
+    so parse(print_expr(f)) rebuilds the lead and the bases of f bit for bit."""
+
+    __slots__ = ("lead", "den_lead", "factors")
+
+    def __init__(self, lead, den_lead=1 + 0j, factors=()):
+        self.lead, self.den_lead, self.factors = lead, den_lead, factors
+
+    @classmethod
+    def of(cls, p):
+        return cls(p.coefficients[0]) if p.degree == 0 else cls(1 + 0j, 1 + 0j, ((p, 1),))
+
+    def poly(self):
+        acc = Polynomial._of([self.lead])
+        for p, k in self.factors:
+            acc = acc * p ** k
+        return acc if self.den_lead == 1 else acc * (1 / self.den_lead)
+
+    def expr(self):
+        lead, factors = self.lead, []
+        for p, k in self.factors:
+            c = _split(p)
+            lead *= c.lead if k == 1 else math.prod([c.lead] * k)
+            factors += [(b, m * k) for b, m in c.factors]
+        return _one(Canonical(lead, self.den_lead, _merge(factors), _NIL))
 
 
-def _node(piece):
-    """The tree of a parsed piece: Var for a bare z, a Polynomial wrapped as add does."""
-    if piece is _Z:
-        return Var()
-    return _wrap_poly(piece) if isinstance(piece, Polynomial) else piece
+def _expr(node):
+    return node.expr() if isinstance(node, _Piece) else node
 
 
-def _checked(piece, op):
-    """piece, or a ParseError at the operator token op where it, or a constant
-    or polynomial factor that mul folded into a product, left the double
-    range."""
-    for f in piece.factors if isinstance(piece, Product) else (piece,):
-        p = as_polynomial(f) if isinstance(f, (Const, Poly)) else f
-        if isinstance(p, Polynomial) and not all(map(cmath.isfinite, p.coefficients)):
-            raise ParseError(f"{op[3]!r} overflows the double range", op[2])
-    return piece
+def _constant(node):
+    return isinstance(node, _Piece) and not node.factors
+
+
+def _finite(node):
+    """Whether the leads of a piece, or of every term of a function, are finite."""
+    terms = [node] if isinstance(node, _Piece) else node.num
+    return all(cmath.isfinite(c.lead) and cmath.isfinite(c.den_lead) for c in terms)
+
+
+def _overflow(op):
+    return ParseError(f"{op[3]!r} overflows the double range", op[2])
 
 
 class _Parser:
@@ -926,10 +889,15 @@ class _Parser:
         while self.peek()[0] in "+-":
             op = self.next()
             rhs = self.parse_term()
-            if op[0] == "-":  # -x as mul(Const(-1), x) makes it
-                rhs = rhs * -1 if isinstance(rhs, Polynomial) else mul(Const(-1), rhs)
-            p, q = _piece(node), _piece(rhs)  # polynomial pieces fold as add folds them
-            node = _checked(add(_node(node), _node(rhs)) if p is None or q is None else p + q, op)
+            if op[0] == "-":
+                rhs = _negate(rhs)
+            if isinstance(node, _Piece) and isinstance(rhs, _Piece):
+                p = node.poly() + rhs.poly()
+                if not all(map(cmath.isfinite, p.coefficients)):
+                    raise _overflow(op)
+                node = _Piece.of(p)
+            else:
+                node = add(_expr(node), _expr(rhs))
         return node
 
     def parse_term(self):
@@ -937,17 +905,23 @@ class _Parser:
         while self.peek()[0] in "*/":
             op = self.next()
             rhs = self.parse_unary()
-            if op[0] == "*":
-                node = _checked(mul(_node(node), _node(rhs)), op)
+            if op[0] == "/":
+                node = _quotient(node, rhs)
+                continue
+            scaled = _constant(node) or _constant(rhs)
+            if isinstance(node, _Piece) and isinstance(rhs, _Piece):
+                node = _Piece(node.lead * rhs.lead, node.den_lead * rhs.den_lead,
+                              node.factors + rhs.factors)
             else:
-                node = div(_node(node), _node(rhs))
+                node = mul(_expr(node), _expr(rhs))
+            if scaled and not _finite(node):  # a constant factor left the double range
+                raise _overflow(op)
         return node
 
     def parse_unary(self):
         if self.peek()[0] == "-":
             self.next()
-            node = self.parse_unary()
-            return node * -1 if isinstance(node, Polynomial) else mul(Const(-1), node)
+            return _negate(self.parse_unary())
         if self.peek()[0] == "+":
             self.next()
             return self.parse_unary()
@@ -958,7 +932,18 @@ class _Parser:
         if self.peek()[0] != "^":
             return base
         op = self.next()
-        return _checked(pow_int(_node(base), self.parse_int_exponent()), op)
+        k = self.parse_int_exponent()
+        if not isinstance(base, _Piece) or k < 0 and base.factors:
+            return pow_int(_expr(base), k)
+        if k < 0:  # of a constant
+            if base.lead == 0:
+                raise ZeroDivisionError("division by the zero function")
+            base, k = _Piece(base.den_lead, base.lead), -k
+        node = _Piece(complex(math.prod([base.lead] * k)), complex(math.prod([base.den_lead] * k)),
+                      tuple((p, m * k) for p, m in base.factors if k))
+        if not base.factors and not _finite(node):
+            raise _overflow(op)
+        return node
 
     def parse_int_exponent(self):
         tok = self.peek()
@@ -983,27 +968,29 @@ class _Parser:
     def parse_atom(self):
         kind, value, pos, lexeme = self.next()
         if kind == "number":
-            return Polynomial([value])
+            return _Piece(value)
         if kind == "(":
             node = self.parse_expr()
             self.expect(")")
             return node
         if kind == "name":
             if value == "z":
-                return _Z
+                return _Piece(1 + 0j, 1 + 0j, ((_Z, 1),))
             if value == "i":
-                return Polynomial([1j])
+                return _Piece(1j)
             if value == "exp":
                 self.expect("(")
                 arg = self.parse_expr()
                 self.expect(")")
-                p = _piece(arg)
-                if p is None:
+                if isinstance(arg, _Piece):
+                    return Exp(arg.poly())
+                c = arg.num[0] if arg.num else _ZERO
+                if len(arg.num) > 1 or arg.den or any(e < 0 for _, e in c.factors) or not c.expo.is_zero:
                     raise ParseError(
                         "unsupported construct: exp argument must be a polynomial",
                         pos,
                     )
-                return Exp(p)
+                return Exp(c.num * (1 / c.den_lead))  # a polynomial that D[...] made
             if value == "D":
                 self.expect("[")
                 arg = self.parse_expr()
@@ -1013,42 +1000,59 @@ class _Parser:
                 if order.imag != 0 or order.real != int(order.real) or order.real < 1:
                     raise ParseError("derivative order must be a positive integer", tok[2])
                 self.expect("]")
-                return differentiate(_node(arg), int(order.real))
+                return differentiate(_expr(arg), int(order.real))
             if value in self.params:
-                return Polynomial([self.params[value]])
+                return _Piece(complex(self.params[value]))
             raise ParseError(f"unknown symbol {value!r}", pos)
         if kind == "end":
             raise ParseError("unexpected end of input", pos)
         raise ParseError(f"unexpected token {lexeme!r}", pos)
 
 
+def _negate(node):
+    if isinstance(node, _Piece):
+        return _Piece(node.lead * -1, node.den_lead, node.factors)
+    return mul(Const(-1), node)
+
+
+def _quotient(node, rhs):
+    """node / rhs; a piece over a constant piece stays a piece, with its
+    den_lead apart, so exp((z^2+1)/2) folds and (2*z)/3 keeps 2 and 3."""
+    if isinstance(node, _Piece) and _constant(rhs):
+        if rhs.lead == 0:
+            raise ZeroDivisionError("division by the zero function")
+        return _Piece(node.lead * rhs.den_lead, node.den_lead * rhs.lead, node.factors)
+    return div(_expr(node), _expr(rhs))
+
+
 def parse(text, params=None):
     """Parse the expression grammar; params maps extra symbols to constants.
 
-    Sums of polynomial pieces fold as Polynomials while they are read, other
-    operators build their nodes with the combinators; an operator whose
-    folded coefficients overflow is a ParseError."""
+    Sums of polynomial pieces fold as Polynomials while they are read, and
+    an operator that folds coefficients out of the double range, or
+    multiplies a constant factor out of it, is a ParseError."""
     parser = _Parser(_tokenize(text), dict(params or {}))
     node = parser.parse_expr()
     end = parser.next()
     if end[0] != "end":
         raise ParseError(f"trailing input {end[3]!r}", end[2])
-    return _node(node)
+    return _expr(node)
 
 
 def parse_complex(text):
     """Parse a literal like '2', '-1.5', '1+2i', '3i' into a complex number."""
-    p = as_polynomial(parse(text))
-    if p is None or p.degree > 0:
+    e = parse(text)
+    c = e.num[0] if len(e.num) == 1 and not e.den else _ZERO
+    if e.num and (c.factors or not c.expo.is_zero):
         raise ValueError(f"expected a complex literal, got {text!r}")
-    return p.coefficients[0]
+    return c.lead if c.den_lead == 1 else c.lead / c.den_lead
 
 
 # ---------------------------------------------------------------------------
 # printing
 
 def _fmt_float(x):
-    if x == int(x) and abs(x) < 1e16:
+    if abs(x) < 1e16 and x == int(x):  # inf and NaN print as their repr
         return repr(float(x))
     return repr(x)
 
@@ -1098,50 +1102,38 @@ def _fmt_poly(p):
     return out
 
 
-def _needs_parens_in_product(e):
-    if isinstance(e, (Sum, Quotient)):
-        return True
-    if isinstance(e, Const):
-        return e.value.real < 0 and e.value.imag == 0
-    if isinstance(e, Poly):  # a scaled Poly too, or c*z*p would parse as (c*z*p)
-        s = _fmt_poly(e.poly)
-        return any(op in s[1:] for op in "+-*")
-    return False
+def _fmt_base(b, e):
+    s = _fmt_poly(b)
+    s = s if s == "z" else f"({s})"
+    return s if e == 1 else f"{s}^{e}"
 
 
-def _atom_str(e):
-    s = print_expr(e)
-    if isinstance(e, (Var, Exp)):
-        return s
-    if isinstance(e, Const) and e.value.imag == 0 and e.value.real >= 0:
-        return s
-    return f"({s})"
+def _fmt_term(c):
+    top = [_fmt_base(b, e) for b, e in c.factors if e > 0]
+    bottom = [_fmt_base(b, -e) for b, e in c.factors if e < 0]
+    if not c.expo.is_zero:
+        top.append(f"exp({_fmt_poly(c.expo)})")
+    if c.lead != 1 or not top:
+        top.insert(0, _fmt_const(c.lead))
+    if c.den_lead != 1:
+        bottom.insert(0, _fmt_const(c.den_lead))
+    num, den = "*".join(top), "*".join(bottom)
+    if not bottom:
+        return num
+    wrapped = len(bottom) == 1 and den[0] == "(" and den[-1] == ")"  # one base or constant
+    return f"({num})/{den}" if wrapped else f"({num})/({den})"
+
+
+def _fmt_sum(terms):
+    return "+".join(map(_fmt_term, terms)) or "0.0"
 
 
 def print_expr(e):
-    """Render e in the accepted grammar; parse(print_expr(e)) evaluates identically."""
-    if isinstance(e, Const):
-        return _fmt_const(e.value)
-    if isinstance(e, Var):
-        return "z"
-    if isinstance(e, Poly):
-        return _fmt_poly(e.poly)
-    if isinstance(e, Exp):
-        return f"exp({_fmt_poly(e.exponent)})"
-    if isinstance(e, Sum):
-        parts = [print_expr(t) for t in e.terms]
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
-    if isinstance(e, Product):
-        parts = []
-        for f in e.factors:
-            s = print_expr(f)
-            parts.append(f"({s})" if _needs_parens_in_product(f) else s)
-        return "*".join(parts)
-    if isinstance(e, Power):
-        return f"{_atom_str(e.base)}^{e.exponent}"
-    if isinstance(e, Quotient):
-        return f"({print_expr(e.numerator)})/({print_expr(e.denominator)})"
-    raise TypeError(f"cannot print {type(e).__name__}")
+    """Render e in the accepted grammar, term by term: the lead, the bases
+    of positive exponent (a linear one as the typed factor (z-a), a whole
+    one as its polynomial) and exp(expo), over den_lead and the bases of
+    negative exponent; a denominator of several terms follows a slash.
+    parse(print_expr(e)) rebuilds the same terms bit for bit."""
+    if e.den:
+        return f"({_fmt_sum(e.num)})/({_fmt_sum(e.den)})"
+    return _fmt_sum(e.num)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .diffpoly import degree_d, diffpoly_expression, weight_theta
-from .expressions import Const, NotNormalizableError, add, div, divisors, print_expr
+from .expressions import Const, NotNormalizableError, add, differentiate, div, divisors, print_expr
 from .nevanlinna import FunctionData, RadialGrid, counting_series
 
 _NORM_FLOOR = 1e-9
@@ -181,11 +181,11 @@ def check_log_derivative(f, k, grid=None, samples=None):
     grid = _grid_or_default(grid)
     data = FunctionData(f)
     _ensure_nonconstant(data, "f")
-    derivative = data.canonical.derivative(k)
-    if derivative.lead == 0:
+    derivative = differentiate(data.expr, k)
+    if not derivative.num:
         lhs = [0.0] * len(grid.radii)
     else:
-        lhs = FunctionData(div(derivative.to_expr(), f)).proximity(grid.radii, samples)
+        lhs = FunctionData(div(derivative, data.expr)).proximity(grid.radii, samples)
     ts = data.characteristic(grid.radii, samples)
     rows = tuple((r, a, EPSILON * t, t) for r, a, t in zip(grid.radii, lhs, ts))
     params = {"f": print_expr(data.expr), "k": k, "epsilon": EPSILON}
@@ -254,9 +254,8 @@ def check_smt(f, values, grid=None, samples=None):
 
 
 def _poly_of_g(p, data, values):
-    """Compose P with g = data.expr and extract zero divisors of P - a for each
-    a; g enters as the tree of its canonical form, so no leaf is split again."""
-    p_expr = diffpoly_expression(p, data.canonical.to_expr())
+    """Compose P with g = data.expr and extract zero divisors of P - a for each a."""
+    p_expr = diffpoly_expression(p, data.expr)
     divs = []
     for j, a in enumerate(values):
         try:
@@ -268,39 +267,12 @@ def _poly_of_g(p, data, values):
     return divs
 
 
-def _value_bound_series(name, data, p, values, grid, samples, num_coeff, den,
-                        extra_params=None):
-    # shared assembly: T(r,g) vs the weighted counting bound with
-    # coefficients num_coeff/den and 1/den, for g = data.expr
-    _ensure_nonconstant(data, "g")
-    nbar_g = counting_series(data.zeros, grid.radii, truncated=True)
-    nbar_p = [counting_series(d, grid.radii, truncated=True)
-              for d in _poly_of_g(p, data, values)]
-    ts = data.characteristic(grid.radii, samples)
-    rows = []
-    for i, (r, t) in enumerate(zip(grid.radii, ts)):
-        rhs = (num_coeff / den) * nbar_g[i] + sum(n[i] for n in nbar_p) / den
-        rows.append((r, t, rhs, t))
-    params = {
-        "g": print_expr(data.expr),
-        "P_degree": degree_d(p),
-        "P_weight": weight_theta(p),
-        "values": [repr(complex(v)) for v in values],
-    }
-    if extra_params:
-        params.update(extra_params)
-    return SlackSeries(name, params, tuple(rows))
-
-
 def check_hinchliffe(g, P, grid=None, samples=None):
-    """Single-value growth bound T <= (theta+1)/(d-1) Nbar(1/g) + Nbar(1/(P-1))/(d-1)."""
-    d = degree_d(P)
-    theta = weight_theta(P)
-    if d < 2:
-        raise ValueError("the bound needs degree d(P) >= 2")
-    grid = _grid_or_default(grid)
-    return _value_bound_series("hinchliffe", FunctionData(g), P, [1.0 + 0j], grid,
-                               samples, float(theta + 1), float(d - 1))
+    """Single-value growth bound T <= (theta+1)/(d-1) Nbar(1/g) + Nbar(1/(P-1))/(d-1):
+    check_hinchliffe_multi at the one value 1, under its own name."""
+    series = check_hinchliffe_multi(g, P, [1], grid, samples)
+    params = {k: v for k, v in series.params.items() if k != "entire"}
+    return SlackSeries("hinchliffe", params, series.rows)
 
 
 def check_hinchliffe_multi(g, P, values, grid=None, samples=None, entire=False):
@@ -326,7 +298,15 @@ def check_hinchliffe_multi(g, P, values, grid=None, samples=None, entire=False):
     data = FunctionData(g)
     if entire and not data.poles.is_empty:
         raise ValueError("the entire variant requires a pole-free g")
+    _ensure_nonconstant(data, "g")
+    nbar_g = counting_series(data.zeros, grid.radii, truncated=True)
+    nbar_p = [counting_series(z, grid.radii, truncated=True)
+              for z in _poly_of_g(P, data, values)]
+    ts = data.characteristic(grid.radii, samples)
+    num_coeff = float(q * theta + 1)
+    rows = [(r, t, (num_coeff / den) * nbar_g[i] + sum(n[i] for n in nbar_p) / den, t)
+            for i, (r, t) in enumerate(zip(grid.radii, ts))]
+    params = {"g": print_expr(data.expr), "P_degree": d, "P_weight": theta,
+              "values": [repr(complex(v)) for v in values], "entire": entire}
     name = "hinchliffe-multi-entire" if entire else "hinchliffe-multi"
-    return _value_bound_series(name, data, P, values, grid, samples,
-                               float(q * theta + 1), den,
-                               extra_params={"entire": entire})
+    return SlackSeries(name, params, tuple(rows))

@@ -66,7 +66,6 @@ import numpy as np
 
 from .expressions import (
     Const,
-    NotNormalizableError,
     canonical_divisors,
     canonicalize,
     differentiate,
@@ -472,8 +471,8 @@ def spherical_derivative(f, z):
     |f'/f| / (|f| + 1/|f|) is used, so |f|^2 never overflows.  Where f or f'
     is not finite (a pole, overflow or 0/0) the same formula is applied to
     1/f and (1/f)', which have the same spherical derivative, on those points
-    only, 1/f built on the canonical form of f where it has one, so that a
-    removable singularity such as z/z at 0 is gone.  Array input gives an
+    only: 1/f swaps the numerator and the denominator of f, and a term's
+    exponents, so no point of f is lost and none is added.  Array input gives an
     ndarray of the same shape with NaN at points that are still undefined;
     a scalar point gives a float and raises ValueError when it is undefined.
     """
@@ -483,10 +482,6 @@ def spherical_derivative(f, z):
                  evaluate_on_grid(differentiate(f, 1), pts))
     bad = np.isnan(out)
     if bad.any():
-        try:
-            f = canonicalize(f).to_expr()
-        except (NotNormalizableError, ZeroDivisionError):
-            pass
         g = div(Const(1), f)
         out[bad] = _sharp(evaluate_on_grid(g, pts[bad]),
                           evaluate_on_grid(differentiate(g, 1), pts[bad]))

@@ -86,6 +86,15 @@ def test_characteristic_csv(capsys):
     assert last[4] == pytest.approx(math.log(32.0), abs=1e-9)
 
 
+def test_characteristic_of_a_zero_beside_a_pole(capsys):
+    # z/(z + 1e-15) has a simple pole and a simple zero 1e-15 apart, not a
+    # cancelled pair: N(r) = log r, as for any degree-1 rational function
+    assert main(["characteristic", "--f", "z/(z+1e-15)"] + SMALL) == 0
+    rows = [[float(x) for x in line.split(",")]
+            for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert rows and all(n == pytest.approx(math.log(r), abs=1e-12) for r, _, n, _, _ in rows)
+
+
 def test_characteristic_json_config_echo(capsys):
     rc = main(["characteristic", "--f", "exp(z)", "--rmin", "2",
                "--rmax", "8", "--steps", "4", "--samples", "256",
@@ -110,7 +119,7 @@ def test_characteristic_parse_error(capsys):
 
 
 def test_literal_out_of_range_is_a_usage_error(capsys):
-    # 1e400 would enter the tree as inf and fail far downstream
+    # 1e400 would enter a term as inf and fail far downstream
     family = json.dumps({"template": "1e400*v*z", "params": [4, 8],
                          "disc": {"center": "0", "radius": 1}})
     for argv in (["characteristic", "--f", "1e400*z"], ["marty", "--family", family]):

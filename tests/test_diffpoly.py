@@ -288,7 +288,10 @@ def test_extra_coefficients_must_be_rational():
     extra = MonomialSpec(3, ((1, 1),))
     # exponentials that cancel leave a rational coefficient
     generalized_polynomial(main, ((parse("exp(z)/exp(z)"), extra),))
-    # no canonical form, or an identically zero denominator
-    for text in ("exp(z)+z", "exp(z)+exp(2*z)", "1/(exp(z)-exp(z))"):
+    # exponential parts that stay
+    for text in ("exp(z)+z", "exp(z)+exp(2*z)", "1/(exp(z)+1)"):
         with pytest.raises(ValueError, match="must be rational functions"):
             generalized_polynomial(main, ((parse(text), extra),))
+    # an identically zero denominator is refused where the quotient is built
+    with pytest.raises(ZeroDivisionError):
+        parse("1/(exp(z)-exp(z))")

@@ -15,12 +15,7 @@ from nevanlab.expressions import (
     Var,
     Poly,
     Exp,
-    Power,
-    Product,
-    Quotient,
-    Sum,
     INFINITY,
-    as_polynomial,
     IndeterminatePointError,
     NotNormalizableError,
     ParseError,
@@ -37,12 +32,16 @@ from nevanlab.expressions import (
 
 
 def test_parse_atoms():
-    assert isinstance(parse("z"), Var)
-    e = parse("exp(2*z)")
-    assert isinstance(e, Exp) and e.exponent.coefficients == (0j, 2 + 0j)
-    q = parse("(z^2-1)/(z^2+1)")
-    assert isinstance(q, Quotient)
-    assert isinstance(q.numerator, Poly) and isinstance(q.denominator, Poly)
+    assert parse("z") == Var()
+    assert parse("exp(2*z)") == Exp(Polynomial([0, 2]))
+    assert parse("exp(D[z^3,1])") == Exp(Polynomial([0, 0, 3]))
+    # a quotient of polynomials is one term over 1, each split into linear bases
+    e = parse("(z^2-1)/(z^2+1)")
+    assert len(e.num) == 1 and e.den == ()
+    c = canonicalize(e)
+    assert (c.lead, c.den_lead, c.expo) == (1, 1, Polynomial([0]))
+    assert {(complex(round(-b.coefficients[0].real, 12), round(-b.coefficients[0].imag, 12)), m)
+            for b, m in c.factors} == {(1, 1), (-1, 1), (1j, -1), (-1j, -1)}
 
 
 def test_parse_error_position():
@@ -65,7 +64,7 @@ def test_parse_error_position():
 
 
 def test_literal_out_of_range_is_a_parse_error():
-    # a literal that overflows a double would enter the tree as inf
+    # a literal that overflows a double would enter a term as inf
     for text, lexeme, position in [("1e400", "1e400", 0), ("2*z + 1e400i", "1e400", 6)]:
         with pytest.raises(ParseError) as err:
             parse(text)
@@ -76,55 +75,61 @@ def test_literal_out_of_range_is_a_parse_error():
 
 
 def test_parse_folds_polynomials_without_the_combinators(monkeypatch):
-    # sums of polynomial pieces fold as Polynomials, with no add call and no
-    # Sum node; mul folds the scalar multiples into one Poly
-    z = Var()
+    # sums of polynomial pieces fold as Polynomials, with no add call, into
+    # one polynomial that is split once
+    z = Polynomial([0, 1])
     folded = "(1.5-0.25i)*(z-(0.5+1i))*0.5-3*z+2i^2"
-    expected = (Const(1.5) - Const(0.25j)) * (z - (Const(0.5) + Const(1j))) * Const(0.5) \
-        - Const(3) * z + Const(2j) ** 2
+    expected = (Polynomial([(1.5 - 0.25j) * 0.5]) * (z - Polynomial([0.5 + 1j]))
+                + z * -3 + Polynomial([2j * 2j]))
     calls = []
     for name in ("add", "mul", "pow_int"):
         def counted(*args, _f=getattr(expressions, name), _name=name):
             calls.append(_name)
             return _f(*args)
         monkeypatch.setattr(expressions, name, counted)
-    e = parse(folded)
-    assert "add" not in calls
-    assert isinstance(e, Poly) and repr(e) == repr(expected)
-    # a product of nonconstant pieces and a power keep the factors typed
-    e = parse("(1.5-0.25i)*(z-(0.5+1i))^2*(z+2i)")
-    assert isinstance(e, Product) and [type(f) for f in e.factors] == [Power, Poly]
-    assert e.factors[0] == Power(Poly(Polynomial([-0.5 - 1j, 1])), 2)
-    assert e.factors[1] == Poly(Polynomial([2j, 1]) * (1.5 - 0.25j))
+    assert parse(folded) == Poly(expected)
+    assert calls == []
+    # a product and a power keep the pieces typed as bases, and the constant
+    # factor apart as the lead
+    c = canonicalize(parse("(1.5-0.25i)*(z-(0.5+1i))^2*(z+2i)"))
+    assert (c.lead, c.den_lead) == (1.5 - 0.25j, 1)
+    assert c.factors == ((Polynomial([-0.5 - 1j, 1]), 2), (Polynomial([2j, 1]), 1))
+    c = canonicalize(parse("3*(z-0.1)"))
+    assert (c.lead, c.factors) == (3, ((Polynomial([-0.1, 1]), 1),))
 
 
-def test_parse_matches_the_combinators_bit_for_bit():
-    # Oracle: each generated text comes with the tree the public operator
-    # sugar, Exp and differentiate build for the same operations; the
-    # parser must give the same repr (so the same bits, signs of zeros
-    # included) or raise the same exception type.  Where it refuses an
-    # overflow, some operation of the oracle's must have left the double
-    # range, even if a later product through zero hides it.
+def test_parse_matches_the_combinators():
+    # Oracle: each generated text comes with the function that Const, Var,
+    # Exp, the operator sugar and differentiate build for the same
+    # operations, and a polynomial text also with its Polynomial.  The
+    # parser folds sums of polynomial pieces as Polynomials where the
+    # combinators join terms through _add, so the two agree as functions:
+    # in value at sample points, or in the exception type they raise.
+    # Where the parser refuses an overflow, some operation of the oracle's
+    # must have left the double range, even if a later product through zero
+    # hides it.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     v = complex(-0.75, 0.5)
+    points = (0.7 + 0.2j, -0.4 + 1.1j, 1.3 - 0.6j)
     overflowed = []
 
-    def noted(node):
-        if _nonfinite(node):
-            overflowed.append(node)
-        return node
+    def noted(x):
+        if _nonfinite(x):
+            overflowed.append(x)
+        return x
 
     def leaf(text, value):
-        return st.just((text, lambda: value))
+        return st.just((text, lambda: Const(value), lambda: Polynomial([value])))
 
     # full mantissas round in products, so the order of the operands shows;
     # 2^960 scales overflow in a product, where mul's shortcut through zero shows
     dyadic = st.builds(math.ldexp, st.integers(0, 2 ** 53), st.sampled_from([-53, -8, 0, 960]))
     poly_leaves = st.one_of(
-        dyadic.map(lambda x: (repr(x), lambda: Const(x))),
-        dyadic.map(lambda x: (f"{x!r}i", lambda: Const(complex(0.0, x)))),
-        leaf("i", Const(1j)), leaf("z", Var()), leaf("v", Const(v)))
+        dyadic.map(lambda x: (repr(x), lambda: Const(x), lambda: Polynomial([x]))),
+        dyadic.map(lambda x: (f"{x!r}i", lambda: Const(complex(0.0, x)),
+                              lambda: Polynomial([complex(0.0, x)]))),
+        leaf("i", 1j), leaf("v", v), st.just(("z", Var, lambda: Polynomial([0, 1]))))
 
     OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
            "*": lambda a, b: a * b, "/": lambda a, b: a / b}
@@ -132,14 +137,17 @@ def test_parse_matches_the_combinators_bit_for_bit():
     def binary(children, ops):
         return st.tuples(children, st.sampled_from(ops), children).map(
             lambda t: (f"({t[0][0]}){t[1]}({t[2][0]})",
-                       lambda: noted(OPS[t[1]](t[0][1](), t[2][1]()))))
+                       lambda: noted(OPS[t[1]](t[0][1](), t[2][1]())),
+                       lambda: noted(OPS[t[1]](t[0][2](), t[2][2]()))))
 
     def power(children, ks):
         return st.tuples(children, ks).map(
-            lambda t: (f"({t[0][0]})^{t[1]}", lambda: noted(t[0][1]() ** t[1])))
+            lambda t: (f"({t[0][0]})^{t[1]}", lambda: noted(t[0][1]() ** t[1]),
+                       lambda: noted(t[0][2]() ** max(t[1], 0))))
 
     def negate(children):
-        return children.map(lambda a: (f"-({a[0]})", lambda: noted(-a[1]())))
+        return children.map(lambda a: (f"-({a[0]})", lambda: noted(-a[1]()),
+                                       lambda: noted(a[2]() * -1)))
 
     polys = st.recursive(poly_leaves, lambda c: st.one_of(
         binary(c, "+-*"), negate(c), power(c, st.integers(0, 4))), max_leaves=6)
@@ -147,25 +155,27 @@ def test_parse_matches_the_combinators_bit_for_bit():
     def extend(c):
         return st.one_of(
             binary(c, "+-*/"), negate(c), power(c, st.integers(-3, 4)),
-            polys.map(lambda p: (f"exp({p[0]})", lambda: Exp(as_polynomial(p[1]())))),
+            polys.map(lambda p: (f"exp({p[0]})", lambda: Exp(p[2]()), None)),
             st.tuples(c, st.integers(1, 2)).map(
-                lambda t: (f"D[({t[0][0]}),{t[1]}]", lambda: differentiate(t[0][1](), t[1]))))
+                lambda t: (f"D[({t[0][0]}),{t[1]}]",
+                           lambda: differentiate(t[0][1](), t[1]), None)))
 
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(st.recursive(poly_leaves, extend, max_leaves=10))
-    @hypothesis.example(("(z)^1", lambda: Var() ** 1))
-    @hypothesis.example(("((z)^1)/((z)+(1.0))", lambda: Var() ** 1 / (Var() + Const(1.0))))
-    @hypothesis.example(("(1e300)*(1e300)*(0.0)", lambda: noted(Const(1e300) * Const(1e300)) * 0.0))
-    @hypothesis.example((  # the product of these squares rounds differently in q * p
+    @hypothesis.example(("(z)^1", lambda: Var() ** 1, None))
+    @hypothesis.example(("((z)^1)/((z)+(1.0))", lambda: Var() ** 1 / (Var() + Const(1.0)), None))
+    @hypothesis.example(("(1e300)*(1e300)*(0.0)",
+                         lambda: noted(Const(1e300) * Const(1e300)) * 0.0, None))
+    @hypothesis.example((
         "(z+0.2608454438348897+0.9481070537185868i)^2"
         "*(z+0.9384650409074214+0.3834882899908848i)^2",
         lambda: (Var() + Const(0.2608454438348897) + Const(0.9481070537185868j)) ** 2
-        * (Var() + Const(0.9384650409074214) + Const(0.3834882899908848j)) ** 2))
-    def check(pair):
-        text, build = pair
+        * (Var() + Const(0.9384650409074214) + Const(0.3834882899908848j)) ** 2, None))
+    def check(item):
+        text, build = item[:2]
         overflowed.clear()
         try:
-            expected = repr(build())
+            expected = build()
         except Exception as exc:
             with pytest.raises((type(exc), ParseError) if overflowed else type(exc)):
                 parse(text, {"v": v})
@@ -175,21 +185,24 @@ def test_parse_matches_the_combinators_bit_for_bit():
         except ParseError as exc:
             assert "overflows" in str(exc) and overflowed, text
             return
-        assert repr(got) == expected, text
+        for w in points:
+            try:
+                a, b = evaluate(got, w), evaluate(expected, w)
+            except IndeterminatePointError:
+                continue
+            if cmath.isfinite(a) and cmath.isfinite(b):
+                assert abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b)), (text, w, a, b)
 
     check()
 
 
-def _nonfinite(e):
-    """Whether a number anywhere in the tree e is not finite."""
-    if isinstance(e, Const):
-        return not cmath.isfinite(e.value)
-    if isinstance(e, (Poly, Exp)):
-        p = e.poly if isinstance(e, Poly) else e.exponent
-        return not all(map(cmath.isfinite, p.coefficients))
-    children = {Sum: lambda: e.terms, Product: lambda: e.factors, Power: lambda: (e.base,),
-                Quotient: lambda: (e.numerator, e.denominator)}.get(type(e), tuple)()
-    return any(map(_nonfinite, children))
+def _nonfinite(x):
+    """Whether a coefficient of the Polynomial x, or a number in a term of
+    the function x, is not finite."""
+    if isinstance(x, Polynomial):
+        return not all(map(cmath.isfinite, x.coefficients))
+    return any(not cmath.isfinite(y) or _nonfinite(c.expo) or any(_nonfinite(b) for b, _ in c.factors)
+               for c in x.num + x.den for y in (c.lead, c.den_lead))
 
 
 def test_overflow_in_a_folded_product_is_a_parse_error():
@@ -225,7 +238,7 @@ def test_evaluate_examples():
 
 def test_evaluate_indeterminate():
     # z/z at 0 is a removable singularity: the reduced form gives its limit
-    assert evaluate(Quotient(Var(), Var()), 0.0) == 1
+    assert evaluate(Var() / Var(), 0.0) == 1
     # inf/inf with no canonical form to reduce is 0/0
     with pytest.raises(IndeterminatePointError):
         evaluate(parse("(exp(z)+exp(-z))/(exp(z)+exp(-z))"), 800.0)
@@ -334,29 +347,83 @@ def test_derivative_matches_finite_differences():
 
 
 @pytest.mark.parametrize("text, printed", [
-    ("exp(-z^2)/(-1.25i*0.5)", "1.6i*exp(-z^2)"),
+    # a constant divisor stays den_lead, apart from the lead
+    ("exp(-z^2)/(-1.25i*0.5)", "(exp(-z^2))/(-0.625i)"),
     ("0.8i", "0.8i"),
     ("2*z*(0.5i)-z", "(-1.0+1.0i)*z"),
     ("(z-1)*(z+1)-z^2", "(-1.0)"),
-    ("z^2*0.5-1i*z*(z-0.5i)", "(0.5-1.0i)*z^2+(-0.5)*z"),
+    # a polynomial prints as its lead and linear bases
+    ("z^2*0.5-1i*z*(z-0.5i)", "(0.5-1.0i)*z*(z+(-0.2-0.4i))"),
     ("(1.5-0.25i)*(z-(0.5+1i))^2/(z+2i)",
      "((1.5-0.25i)*(z+(-0.5-1.0i))^2)/(z+2.0i)"),
+    # the derivative's new base H prints whole
     ("D[(z-0.5)^2*exp(z^2)/(z+1.25),1]",
-     "((2.0*z-1.0)*(z^3+0.75*z^2+(-0.125)*z+1.5)*exp(z^2))/((z+1.25)^2)"),
+     "(2.0*(z-0.5)*(z^3+0.75*z^2+(-0.125)*z+1.5)*exp(z^2))/((z+1.25)^2)"),
     ("D[(z^2-1)/(z+3),8]", "(322560.0)/((z+3.0)^9)"),
     # a constant exponential part is a factor the derivative keeps
-    ("D[exp(1)*z^2,1]", "(2.0*z)*exp(1.0)"),
+    ("D[exp(1)*z^2,1]", "2.0*z*exp(1.0)"),
     ("D[z*exp(z)/exp(z-1),1]", "exp(1.0)"),
     ("D[exp(0.5i)/(z-1),2]", "(2.0*exp(0.5i))/((z-1.0)^3)"),
     ("-(z-1i)*exp(2*z)*(-1)", "(z+(-1.0i))*exp(2.0*z)"),
-    ("1/(0.25i*z-0.5)", "(1.0)/(0.25i*z-0.5)"),
+    ("1/(0.25i*z-0.5)", "(1.0)/(0.25i*(z+2.0i))"),
     ("3-3+z*0", "0.0"),
     ("(-0.5i)*(2i)*z", "z"),
 ])
 def test_printed_forms(text, printed):
-    # add and mul fold their polynomial parts from the first one, not
-    # through 0 and 1; the printed trees stay as they were
+    # each term prints as its lead, its bases and exp(expo) over den_lead
+    # and the bases of negative exponent
     assert print_expr(parse(text)) == printed
+
+
+def _quotient_or_none(a, b):
+    """a / b, or None where b is the zero function (an underflow included)."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        return None
+
+
+def test_print_parse_round_trip_is_bit_for_bit():
+    # parse(print_expr(f)) rebuilds every term of f bit for bit (lead,
+    # den_lead, bases, exponents, expo) over products, quotients, integer
+    # powers, sums within one exponential part and across parts, and
+    # quotients of those; the grammar writes no -0.0, so equality of the
+    # floats counts a zero of either sign as the same bits
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    number = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)).filter(lambda c: c != 0)
+    atoms = st.one_of(
+        number.map(Const), st.just(Var()),
+        number.map(lambda a: Poly(Polynomial([a, 1]))),
+        st.lists(number, min_size=3, max_size=4).map(lambda cs: Poly(Polynomial(cs))),
+        st.sampled_from([0.5, -1, 1j]).map(lambda c: Exp(Polynomial([0, c]))))
+
+    def combine(children):
+        pairs = st.tuples(children, children)
+        return st.one_of(
+            pairs.map(lambda t: t[0] * t[1]), pairs.map(lambda t: t[0] + t[1]),
+            pairs.map(lambda t: t[0] - t[1]),
+            pairs.map(lambda t: _quotient_or_none(*t)).filter(lambda q: q is not None),
+            st.tuples(children, st.integers(0, 3)).map(lambda t: t[0] ** t[1]),
+            children.map(lambda x: _quotient_or_none(1, x)).filter(lambda q: q is not None))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.recursive(atoms, combine, max_leaves=6))
+    def check(f):
+        # no inf or NaN to write, and no den_lead underflowed to 0
+        hypothesis.assume(all(c.den_lead != 0 and cmath.isfinite(x)
+                              for c in f.num + f.den for x in _numbers(c)))
+        g = parse(print_expr(f))
+        assert (g.num, g.den) == (f.num, f.den), print_expr(f)
+
+    check()
+    # a high derivative prints as its few factored terms
+    assert len(print_expr(parse("D[(z^2-1)/(z+3),8]"))) <= 200
+
+
+def _numbers(c):
+    return (c.lead, c.den_lead, *c.expo.coefficients,
+            *(x for b, _ in c.factors for x in b.coefficients))
 
 
 def test_print_parse_round_trip():
@@ -443,6 +510,11 @@ CUBE_ROOTS = [cmath.exp(1j * math.pi * (2 * j + 1) / 3) for j in range(3)]  # of
     ("(z-0.1)*(z+0.7)/((z-0.3)*(z+0.9))-1", {}, {0.3: 1, -0.9: 1}),
     ("(z-0.1)*(z+0.7)/((z-0.3)*(z+0.9))-2", {-0.3 + 0.56 ** 0.5: 1, -0.3 - 0.56 ** 0.5: 1},
      {0.3: 1, -0.9: 1}),
+    # roots are one base only within rounding of their moduli, so a zero
+    # and a pole near 0 stay apart, and an exact 0 root still cancels
+    ("z/(z+1e-15)", {0: 1}, {-1e-15: 1}),
+    ("z^2/(z+1e-300)^2", {0: 2}, {-1e-300: 2}),
+    ("(z^2+0.001*z)/z", {-0.001: 1}, {}),
 ])
 def test_exact_multiplicities(text, zeros, poles):
     got = divisors(parse(text))
@@ -530,7 +602,7 @@ def test_product_divisor_additivity():
                               for _ in range(rng.randint(2, 5))])
             if num.degree < 1 or den.degree < 1:
                 return rand_rational()
-            return Quotient(Poly(num), Poly(den))
+            return Poly(num) / Poly(den)
 
         f = rand_rational()
         g = rand_rational()
@@ -574,11 +646,16 @@ def test_substitute_affine():
 
 
 def test_operator_sugar_builds_expected_nodes():
+    # the operators build terms, as the parser and the combinators do
     z = Var()
     e = (z ** 2 - 1) / (z ** 2 + 1)
-    assert isinstance(e, Quotient)
-    assert isinstance(e.numerator, Poly)
+    assert e == parse("(z^2-1)/(z^2+1)")
+    assert len(e.num) == 1 and e.den == ()
     assert evaluate(e, 2.0) == pytest.approx(3 / 5)
+    # a denominator of several exponential parts stays a denominator
+    f = 1 / (Exp(Polynomial([0, 1])) + 1)
+    assert len(f.num) == 1 and len(f.den) == 2
+    assert evaluate(f, 0.0) == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +669,7 @@ SINGULAR_POINTS = [
     ("(z^2-1)/(z-1)", 1, 2),
     ("exp(z^2)", 30, INFINITY),
     ("exp(z)+exp(-z)", 800, INFINITY),
-    ("1/(exp(z)-exp(z))", 0, INFINITY),  # no canonical form: zero denominator
+    ("1/(exp(z)-exp(z))", 0, ZeroDivisionError),  # the zero function, at parse
     ("(exp(z)-exp(z))/z^2", 0, 0),  # the zero function
     ("(exp(z)+exp(-z))/(exp(z)+exp(-z))", 800, IndeterminatePointError),  # no canonical form
     ("z^3", 1e103, INFINITY),  # overflow
@@ -602,7 +679,10 @@ SINGULAR_POINTS = [
 
 def test_singular_points_are_classified():
     for text, z, want in SINGULAR_POINTS:
-        if want is IndeterminatePointError:
+        if want is ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                parse(text)
+        elif want is IndeterminatePointError:
             with pytest.raises(IndeterminatePointError):
                 evaluate(parse(text), z)
         else:
@@ -661,30 +741,42 @@ def test_array_evaluate_matches_point_by_point():
     assert min(seen["infinity"], seen["finite"]) > 20, seen
 
 
-def _to_sympy(e, sp, z):
-    def number(c):
-        return sp.Rational(c.real) + sp.I * sp.Rational(c.imag)
+def _random_text_and_sympy(rng, depth, sp, z):
+    """A random expression as (text, sympy expression), built side by side
+    from the same draws as _random_expr, so the oracle never reads the
+    library's representation back."""
+    def number():
+        c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        sign = "+" if c.imag >= 0 else "-"
+        return (f"({c.real!r}{sign}{abs(c.imag)!r}i)",
+                sp.Rational(c.real) + sp.I * sp.Rational(c.imag))
 
-    def poly(p):
-        return sp.Add(*[number(c) * z ** k for k, c in enumerate(p.coefficients)])
+    def poly(degree, scale):
+        cs = [(rng.uniform(-scale, scale), rng.uniform(-scale, scale)) for _ in range(degree + 1)]
+        text = "+".join(f"({re!r}+({im!r})*i)*z^{k}" for k, (re, im) in enumerate(cs))
+        return f"({text})", sp.Add(*[(sp.Rational(re) + sp.I * sp.Rational(im)) * z ** k
+                                     for k, (re, im) in enumerate(cs)])
 
-    if isinstance(e, Const):
-        return number(e.value)
-    if isinstance(e, Var):
-        return z
-    if isinstance(e, Poly):
-        return poly(e.poly)
-    if isinstance(e, Exp):
-        return sp.exp(poly(e.exponent))
-    if isinstance(e, Sum):
-        return sp.Add(*[_to_sympy(t, sp, z) for t in e.terms])
-    if isinstance(e, Product):
-        return sp.Mul(*[_to_sympy(f, sp, z) for f in e.factors])
-    if isinstance(e, Power):
-        return _to_sympy(e.base, sp, z) ** e.exponent
-    if isinstance(e, Quotient):
-        return _to_sympy(e.numerator, sp, z) / _to_sympy(e.denominator, sp, z)
-    raise TypeError(type(e).__name__)
+    if depth == 0:
+        pick = rng.randrange(3)
+        if pick == 0:
+            return number()
+        if pick == 1:
+            return "z", z
+        return poly(rng.randint(0, 3), 2)
+    pick = rng.randrange(6)
+    if pick == 5:
+        return _random_text_and_sympy(rng, depth - 1, sp, z)
+    if pick == 4:
+        text, p = poly(2, 1)
+        return f"exp({text})", sp.exp(p)
+    a, x = _random_text_and_sympy(rng, depth - 1, sp, z)
+    if pick == 2:
+        k = rng.randint(2, 3)
+        return f"({a})^{k}", x ** k
+    b, y = _random_text_and_sympy(rng, depth - 1, sp, z)
+    op = {0: "+", 1: "*", 3: "/"}[pick]
+    return f"({a}){op}({b})", {"+": x + y, "*": x * y, "/": x / y}[op]
 
 
 def test_evaluate_matches_sympy_oracle():
@@ -694,8 +786,11 @@ def test_evaluate_matches_sympy_oracle():
     rng = random.Random(8128)
     compared = 0
     for _ in range(60):
-        e = _random_expr(rng, rng.randint(1, 3))
-        exact = _to_sympy(e, sp, z)
+        text, exact = _random_text_and_sympy(rng, rng.randint(1, 3), sp, z)
+        try:
+            e = parse(text)
+        except ZeroDivisionError:
+            continue
         oracle = sp.lambdify(z, (exact, sp.diff(exact, z)), "mpmath")
         ours = (e, differentiate(e))
         for _ in range(4):
@@ -710,6 +805,6 @@ def test_evaluate_matches_sympy_oracle():
                 if is_infinite(got) or not (math.isfinite(want.real)
                                             and math.isfinite(want.imag)):
                     continue
-                assert abs(got - want) <= 1e-9 * abs(want), (print_expr(f), w)
+                assert abs(got - want) <= 1e-9 * abs(want), (text, w)
                 compared += 1
     assert compared > 400

@@ -295,7 +295,7 @@ def test_growth_bound_linear_closed_form():
 
 
 def test_entire_variant_root_finds_g_once(monkeypatch):
-    # g's leaf z^2 - 1 is split once, where FunctionData(g) canonicalizes it,
+    # g's leaf z^2 - 1 is split once, where parse reads it,
     # and P - 1 (degree 5) once; the divisors and derivatives find no roots
     original = nevanlab.expressions.poly_roots
     for entire in (False, True):

@@ -340,7 +340,7 @@ def test_zero_function_rejected():
 
 def test_divisors_need_no_root_finding_after_canonicalize(monkeypatch):
     # the typed factors are linear bases and D^2 adds one whole polynomial
-    # H, which canonicalize splits once; the zeros and poles are then read
+    # H, which the quotient by f splits once; the zeros and poles are then read
     # off the bases, with the multiplicities D^2 f / f has
     calls = []
     original = nevanlab.expressions.poly_roots
