@@ -9,8 +9,9 @@ function with a canonical form is exactly one term over 1.  Products,
 quotients and integer powers add or scale exponents, terms with one
 exponential part join through _add, and D[...] is Canonical.derivative per
 term, so multiplicities follow from the structure, never estimated.  Only a
-denominator of several terms (a sum of distinct exponential parts) needs
-the quotient rule; such a function has no canonical form.
+denominator of several terms, one sum S of distinct exponential parts
+raised to a power m, needs the quotient rule, which raises m by one; such a
+function has no canonical form.
 
 Expression grammar accepted by parse() and emitted by print_expr():
 complex literals (3, 2.5, 1i, 1+2i as arithmetic), the variable z, + - * /,
@@ -25,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -341,10 +342,10 @@ def _split(p, expo=_NIL, den_lead=1 + 0j, factors=()):
     return Canonical(p.leading, den_lead, _merge(list(factors) + bases), expo)
 
 
-def _times(cs):
-    """The product of the terms.  Where bases of two or more terms meet, a
-    whole base is split by _split first, so that a root shared by chance, as
-    in (z^3+1)'/z = 3z^2/z, joins its linear base."""
+def _times(cs, split=False):
+    """The product of the terms.  Where bases of two or more terms meet, or
+    split is set, a whole base is split by _split first, so that a root
+    shared by chance, as in (z^3+1)'/z = 3z^2/z, joins its linear base."""
     lead = math.prod(c.lead for c in cs)
     if lead == 0:
         return _ZERO
@@ -352,7 +353,7 @@ def _times(cs):
     for c in cs:
         if not c.expo.is_zero:
             expo = c.expo if expo is _NIL else expo + c.expo
-    if sum(bool(c.factors) for c in cs) > 1:
+    if split or sum(bool(c.factors) for c in cs) > 1:
         if any(b.degree > 1 for b, _e in factors):
             factors = [(x, m * e) for b, e in factors
                        for x, m in (_split(b).factors if b.degree > 1 else [(b, 1)])]
@@ -420,6 +421,11 @@ def _product(xs, ys):
     return _sum([_times([x, y]) for x in xs for y in ys])
 
 
+def _expand(s, m):
+    """The sum s^m multiplied out, () for m = 0."""
+    return reduce(_product, [s] * m, ())
+
+
 def _derived(terms, k):
     """The nonzero k-th derivatives of the terms."""
     return tuple(d for d in (c.derivative(k) for c in terms) if d.lead != 0)
@@ -430,14 +436,15 @@ def _derived(terms, k):
 
 @dataclass(frozen=True)
 class Expr:
-    """f = sum(num) / sum(den), Canonical terms with nonzero lead and
+    """f = sum(num) / sum(den)^power, Canonical terms with nonzero lead and
     pairwise distinct expo on each side.  num () is the zero function; den
-    () is 1, and otherwise holds at least two terms, as one is inverted into
-    the numerator.  Build it with Const, Var, Poly, Exp, parse and the
-    combinators; the operators are sugar for them."""
+    () is 1 with power 0, and otherwise holds at least two terms, as one is
+    inverted into the numerator, with power >= 1.  Build it with Const, Var,
+    Poly, Exp, parse and the combinators; the operators are sugar for them."""
 
     num: tuple
     den: tuple = ()
+    power: int = 0
 
     def __add__(self, other):
         return add(self, other)
@@ -506,13 +513,14 @@ def _coerce(x):
     raise TypeError(f"cannot use {type(x).__name__} as an expression")
 
 
-def _over(num, den):
-    """num/den as an Expr: a denominator of one term is inverted into each
-    numerator term, and a term whose lead underflows to 0 is dropped."""
+def _over(num, den, power=1):
+    """num/den^power as an Expr, power > 1 only where den has several terms:
+    a denominator of one term is inverted into each numerator term, and a
+    term whose lead underflows to 0 is dropped."""
     if not num or not den:
         return Expr(num)
     if len(den) > 1:
-        return Expr(num, den)
+        return Expr(num, den, power)
     c = den[0]
     inverse = Canonical(c.den_lead, c.lead, _ordered([(b, -m) for b, m in c.factors]), -c.expo)
     return Expr(tuple(t for t in (_times([d, inverse]) for d in num) if t.lead != 0))
@@ -520,48 +528,63 @@ def _over(num, den):
 
 def add(*terms):
     """The sum: terms with one exponential part join through _add, all of a
-    group at once; over unequal denominators, the cross products."""
+    group at once.  Over one sum S, S^m + S^n lifts the lower power to the
+    higher; unequal denominators multiply out, crossed, at power 1."""
     es = [e for e in map(_coerce, terms) if e.num]
     if not es:
         return Expr(())
-    num, den = es[0].num, es[0].den
+    num, den, m = es[0].num, es[0].den, es[0].power
     for e in es[1:]:
-        if e.den == den:
-            num = num + e.num
+        s = den or e.den
+        if e.den in ((), s):
+            high = max(m, e.power)
+            num = _product(num, _expand(s, high - m)) + _product(e.num, _expand(s, high - e.power))
+            den, m = s, high
         else:
-            num = _product(num, e.den) + _product(e.num, den)
-            den = _product(den, e.den)
-    return _over(_sum(num), den)
+            num = _product(num, _expand(e.den, e.power)) + _product(e.num, _expand(den, m))
+            den, m = _product(_expand(den, m), _expand(e.den, e.power)), 1
+    return _over(_sum(num), den, m)
 
 
 def mul(*factors):
-    """The product: one term each multiplies in one _times."""
+    """The product: one term each multiplies in one _times.  Powers of one
+    sum S add; unequal denominators multiply out at power 1."""
     es = [_coerce(f) for f in factors]
     if any(not e.num for e in es):
         return Expr(())
     if all(len(e.num) == 1 and not e.den for e in es):
         return _one(_times([e.num[0] for e in es]))
-    num = den = ()
+    num, den, m = (), (), 0
     for e in es:
-        num, den = _product(num, e.num), _product(den, e.den)
-    return _over(num, den)
+        num, s = _product(num, e.num), den or e.den
+        if e.den in ((), s):
+            den, m = s, m + e.power
+        else:
+            den, m = _product(_expand(den, m), _expand(e.den, e.power)), 1
+    return _over(num, den, m)
 
 
 def div(num, den):
     """The quotient: numerators and denominators cross, and a denominator
-    of one term inverts into each numerator term (_over)."""
+    of one term inverts into each numerator term (_over).  Dividing N/S^m by
+    S/T^n gives N T^n / S^(m+1); other denominators multiply out at power 1."""
     a, b = _coerce(num), _coerce(den)
     if not b.num:
         raise ZeroDivisionError("division by the zero function")
     if not a.num:
         return a
-    return _over(_product(a.num, b.den), _product(a.den, b.num))
+    top = _product(a.num, _expand(b.den, b.power))
+    if b.num == a.den:
+        return _over(top, a.den, a.power + 1)
+    return _over(top, _product(_expand(a.den, a.power), b.num))
 
 
 def pow_int(base, k):
     if not isinstance(k, int):
         raise ValueError("exponents must be integers")
     base = _coerce(base)
+    if k < 0 and len(base.num) > 1 and not base.den:  # 1/S^-k, not multiplied out
+        return Expr(Const(1).num, base.num, -k)
     if k < 0:
         return div(Const(1), pow_int(base, -k))
     if k == 0:
@@ -572,20 +595,21 @@ def pow_int(base, k):
 
 
 def differentiate(e, k=1):
-    """k-th derivative of e, k >= 1, exact and with no root finding:
-    Canonical.derivative per term.  Over a denominator of several terms,
-    the quotient rule, k times."""
+    """k-th derivative of e, k >= 1: Canonical.derivative per term, exact
+    and with no root finding.  Over a denominator S^m of several terms, the
+    quotient rule (N/S^m)' = (N'S - m N S')/S^(m+1), k times, with the
+    numerator's whole bases split, as parse splits what print_expr writes."""
     if not isinstance(k, int) or k < 1:
         raise ValueError("derivative order must be a positive integer")
     e = _coerce(e)
     if not e.den:
         return Expr(_derived(e.num, k))
-    minus = Canonical(-1 + 0j, 1 + 0j, (), _NIL)
     for _ in range(k):
-        n, d = e.num, e.den
-        parts = [_times([c, u]) for c in _derived(n, 1) for u in d]
-        parts += [_times([minus, c, u]) for c in n for u in _derived(d, 1)]
-        e = _over(_sum(parts), _product(d, d))
+        n, s, m = e.num, e.den, e.power
+        minus = Canonical(complex(-m), 1 + 0j, (), _NIL)
+        parts = [_times([c, u], True) for c in _derived(n, 1) for u in s]
+        parts += [_times([minus, c, u], True) for c in n for u in _derived(s, 1)]
+        e = _over(_sum(parts), s, m + 1)
     return e
 
 
@@ -622,7 +646,7 @@ def substitute_affine(e, a, b):
             factors.append((_monic(q), m))
         return Canonical(lead, den_lead, tuple(factors), c.expo.compose_affine(a, b))
 
-    return Expr(tuple(map(term, e.num)), tuple(map(term, e.den)))
+    return Expr(tuple(map(term, e.num)), tuple(map(term, e.den)), e.power)
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +716,7 @@ def evaluate_on_grid(e, zs):
     zs = np.asarray(zs, dtype=complex)[()]  # a point as a numpy scalar, not 0-d
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         num = _values(e.num, zs)
-        return num / _values(e.den, zs) if e.den else num
+        return num / _values(e.den, zs) ** e.power if e.den else num
 
 
 def _values(terms, zs):
@@ -1042,8 +1066,8 @@ def parse(text, params=None):
 def parse_complex(text):
     """Parse a literal like '2', '-1.5', '1+2i', '3i' into a complex number."""
     e = parse(text)
-    c = e.num[0] if len(e.num) == 1 and not e.den else _ZERO
-    if e.num and (c.factors or not c.expo.is_zero):
+    c = e.num[0] if e.num else _ZERO
+    if len(e.num) > 1 or e.den or c.factors or not c.expo.is_zero:
         raise ValueError(f"expected a complex literal, got {text!r}")
     return c.lead if c.den_lead == 1 else c.lead / c.den_lead
 
@@ -1132,8 +1156,12 @@ def print_expr(e):
     """Render e in the accepted grammar, term by term: the lead, the bases
     of positive exponent (a linear one as the typed factor (z-a), a whole
     one as its polynomial) and exp(expo), over den_lead and the bases of
-    negative exponent; a denominator of several terms follows a slash.
-    parse(print_expr(e)) rebuilds the same terms bit for bit."""
-    if e.den:
+    negative exponent.  A denominator S of several terms follows a slash,
+    or at a power m > 1 is written (N)*(S)^(-m), as (S)^m would multiply S
+    out.  parse(print_expr(e)) rebuilds the same terms and power bit for
+    bit, but a whole base that Canonical.derivative made comes back split."""
+    if not e.den:
+        return _fmt_sum(e.num)
+    if e.power == 1:
         return f"({_fmt_sum(e.num)})/({_fmt_sum(e.den)})"
-    return _fmt_sum(e.num)
+    return f"({_fmt_sum(e.num)})*({_fmt_sum(e.den)})^(-{e.power})"

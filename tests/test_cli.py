@@ -118,6 +118,18 @@ def test_characteristic_parse_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_literal_value_is_a_usage_error(capsys):
+    # a sum of exponential parts is no complex value, and must not read as 0
+    family = json.dumps({"template": "v*z", "params": [1, 2],
+                         "disc": {"center": "exp(z)+1", "radius": 1}})
+    for argv in (["verify", "fmt", "--f", "z^2", "--a", "exp(z)+1"],
+                 ["marty", "--family", family]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: expected a complex literal, got 'exp(z)+1'\n"
+
+
 def test_literal_out_of_range_is_a_usage_error(capsys):
     # 1e400 would enter a term as inf and fail far downstream
     family = json.dumps({"template": "1e400*v*z", "params": [4, 8],

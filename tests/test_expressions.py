@@ -226,6 +226,10 @@ def test_parse_complex_literals():
     assert parse_complex("3i") == 3j
     with pytest.raises(ValueError):
         parse_complex("z+1")
+    # a sum of distinct exponential parts, or a quotient over one, is no literal
+    for text in ("exp(z)+1", "1/(exp(z)+1)"):
+        with pytest.raises(ValueError, match="expected a complex literal"):
+            parse_complex(text)
 
 
 def test_evaluate_examples():
@@ -383,12 +387,21 @@ def _quotient_or_none(a, b):
         return None
 
 
+def _power_or_none(a, k):
+    """a^k, or None where a negative power divides by the zero function."""
+    try:
+        return a ** k
+    except ZeroDivisionError:
+        return None
+
+
 def test_print_parse_round_trip_is_bit_for_bit():
-    # parse(print_expr(f)) rebuilds every term of f bit for bit (lead,
-    # den_lead, bases, exponents, expo) over products, quotients, integer
-    # powers, sums within one exponential part and across parts, and
-    # quotients of those; the grammar writes no -0.0, so equality of the
-    # floats counts a zero of either sign as the same bits
+    # parse(print_expr(f)) rebuilds every term of f and the power of its
+    # denominator bit for bit (lead, den_lead, bases, exponents, expo) over
+    # products, quotients, integer powers of either sign, sums within one
+    # exponential part and across parts, quotients of those and their
+    # derivatives; the grammar writes no -0.0, so equality of the floats
+    # counts a zero of either sign as the same bits
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     number = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)).filter(lambda c: c != 0)
@@ -396,7 +409,8 @@ def test_print_parse_round_trip_is_bit_for_bit():
         number.map(Const), st.just(Var()),
         number.map(lambda a: Poly(Polynomial([a, 1]))),
         st.lists(number, min_size=3, max_size=4).map(lambda cs: Poly(Polynomial(cs))),
-        st.sampled_from([0.5, -1, 1j]).map(lambda c: Exp(Polynomial([0, c]))))
+        st.sampled_from([0.5, -1, 1j]).map(lambda c: Exp(Polynomial([0, c]))),
+        number.map(lambda a: 1 / (Exp(Polynomial([0, 1])) + a)))
 
     def combine(children):
         pairs = st.tuples(children, children)
@@ -404,8 +418,10 @@ def test_print_parse_round_trip_is_bit_for_bit():
             pairs.map(lambda t: t[0] * t[1]), pairs.map(lambda t: t[0] + t[1]),
             pairs.map(lambda t: t[0] - t[1]),
             pairs.map(lambda t: _quotient_or_none(*t)).filter(lambda q: q is not None),
-            st.tuples(children, st.integers(0, 3)).map(lambda t: t[0] ** t[1]),
-            children.map(lambda x: _quotient_or_none(1, x)).filter(lambda q: q is not None))
+            st.tuples(children, st.integers(-3, 3)).map(lambda t: _power_or_none(*t))
+            .filter(lambda q: q is not None),
+            children.map(lambda x: _quotient_or_none(1, x)).filter(lambda q: q is not None),
+            children.map(lambda x: differentiate(x) if x.den else x))
 
     @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(st.recursive(atoms, combine, max_leaves=6))
@@ -414,11 +430,28 @@ def test_print_parse_round_trip_is_bit_for_bit():
         hypothesis.assume(all(c.den_lead != 0 and cmath.isfinite(x)
                               for c in f.num + f.den for x in _numbers(c)))
         g = parse(print_expr(f))
-        assert (g.num, g.den) == (f.num, f.den), print_expr(f)
+        assert (g.num, g.den, g.power) == (f.num, f.den, f.power), print_expr(f)
 
     check()
     # a high derivative prints as its few factored terms
     assert len(print_expr(parse("D[(z^2-1)/(z+3),8]"))) <= 200
+
+
+def test_quotient_rule_keeps_one_denominator_and_its_power():
+    # (N/S^m)' = (N'S - m N S')/S^(m+1): D^k of 1/(e^z+1) is k terms over
+    # (e^z+1)^(k+1), not over (e^z+1)^(2^k) multiplied out
+    mpmath = pytest.importorskip("mpmath")
+    s = parse("exp(z)+1")
+    for k in range(1, 9):
+        f = parse(f"D[1/(exp(z)+1),{k}]")
+        assert (f.den, f.power, len(f.num)) == (s.num, k + 1, k)
+    assert len(print_expr(f)) <= 2000
+    rng = random.Random(13)
+    with mpmath.workdps(30):
+        for _ in range(20):
+            z = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
+            want = complex(mpmath.diff(lambda w: 1 / (mpmath.exp(w) + 1), mpmath.mpc(z), 8))
+            assert abs(evaluate(f, z) - want) <= 1e-10 * abs(want), z
 
 
 def _numbers(c):
@@ -652,10 +685,18 @@ def test_operator_sugar_builds_expected_nodes():
     assert e == parse("(z^2-1)/(z^2+1)")
     assert len(e.num) == 1 and e.den == ()
     assert evaluate(e, 2.0) == pytest.approx(3 / 5)
-    # a denominator of several exponential parts stays a denominator
-    f = 1 / (Exp(Polynomial([0, 1])) + 1)
-    assert len(f.num) == 1 and len(f.den) == 2
+    assert e.power == 0
+    # a denominator of several exponential parts stays a denominator, and
+    # its powers stay one sum and an exponent, with no cancellation against
+    # the numerator
+    s = Exp(Polynomial([0, 1])) + 1
+    f = 1 / s
+    assert len(f.num) == 1 and f.den == s.num and f.power == 1
     assert evaluate(f, 0.0) == pytest.approx(0.5)
+    for g, power in ((f * f, 2), (f / s, 2), (s ** -3, 3), (f ** 2 + f, 2), (f ** 3 * s, 3)):
+        assert (g.den, g.power) == (s.num, power)
+    assert evaluate(f ** 3 * s, 0.0) == pytest.approx(0.25)
+    assert (f * z).power == 1 and (f * (1 / (s + 1))).power == 1
 
 
 # ---------------------------------------------------------------------------

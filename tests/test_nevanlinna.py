@@ -277,6 +277,21 @@ def test_spherical_derivative():
         spherical_derivative(f, 800.0)
 
 
+def test_spherical_derivative_over_a_sum_matches_mpmath():
+    # f = 1/(e^z+1) has f# = |e^z| / (|e^z+1|^2 + 1), 1 at its poles
+    mpmath = pytest.importorskip("mpmath")
+    f = parse("1/(exp(z)+1)")
+    rng = random.Random(31)
+    zs = [complex(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(40)] + [math.pi * 1j]
+    got = spherical_derivative(f, np.array(zs))
+    with mpmath.workdps(30):
+        for z, value in zip(zs, got):
+            w = mpmath.exp(mpmath.mpc(z))
+            want = float(abs(w) / (abs(w + 1) ** 2 + 1))
+            assert value == pytest.approx(want, rel=1e-12), z
+            assert spherical_derivative(f, z) == pytest.approx(want, rel=1e-12)
+
+
 def test_spherical_derivative_inversion_invariance():
     f = parse("(z^2 - 1)/(z - 3)")
     g = parse("(z - 3)/(z^2 - 1)")

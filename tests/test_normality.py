@@ -254,6 +254,16 @@ def test_marty_probe_divergent_family():
     assert csv.splitlines()[0] == "v,max_spherical,argmax_re,argmax_im"
 
 
+def test_marty_probe_derivatives_of_a_quotient_of_sums():
+    # f = D^6 g(vz) with g = 1/(e^w+1): f(0) = 0 and f'(0) = v^7 g^(7)(0)
+    # = (17/16) v^7, the maximum of f# on the disc for v >= 2
+    fam = FamilySpec("D[1/(exp(v*z)+1),6]", (2.0, 4.0, 8.0))
+    rep = marty_probe(fam)
+    for v, m, z in rep.entries:
+        assert m == pytest.approx(17 / 16 * v ** 7, rel=1e-12)
+        assert z == 0
+
+
 def test_marty_probe_translation_family_bounded():
     fam = FamilySpec("z + v", tuple(float(2 ** i) for i in range(9)))
     rep = marty_probe(fam, resolution=11, shrink=0.8)
