@@ -64,8 +64,8 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # terms: the factored canonical form
 
-_BLOCK = 16  # coefficients per block in Canonical.log_abs_on_circle
-_CHUNK_BYTES = 1 << 20  # bytes of power-table columns per pass of Canonical.log_abs_on_circle
+_BLOCK = 16  # coefficients per block in Canonical.log_abs2_on_circles
+_CHUNK_BYTES = 1 << 20  # bytes of power-table columns per pass of Canonical.log_abs2_on_circles
 
 
 @dataclass(frozen=True)
@@ -117,17 +117,20 @@ class Canonical:
             c = Canonical(c.lead * h.leading, c.den_lead, tuple(factors), c.expo)
         return c
 
-    def values(self, zs):
+    def values(self, zs, shift=None):
         """f at a numpy scalar or array zs, raw: a root of a base with e < 0
-        gives inf or NaN, and an overflow inf."""
-        if not self.factors and self.expo.is_zero:
+        gives inf or NaN, and an overflow inf.  With a real shift like zs,
+        f exp(-shift), the shift taken inside the exponential."""
+        if not self.factors and self.expo.is_zero and shift is None:
             return np.full_like(zs, self.lead / self.den_lead)
         top = [self.lead] * (self.lead != 1)
         bottom = [self.den_lead] * (self.den_lead != 1)
         for b, e in self.factors:
             w = zs + b.coefficients[0] if b.degree == 1 else b(zs)
             (top if e > 0 else bottom).append(w if abs(e) == 1 else w ** abs(e))
-        if not self.expo.is_zero:
+        if shift is not None:
+            top.append(np.exp(self.expo(zs) - shift))
+        elif not self.expo.is_zero:
             top.append(np.exp(self.expo(zs)))
         return math.prod(top) / math.prod(bottom) if bottom else math.prod(top)
 
@@ -138,43 +141,53 @@ class Canonical:
             return (_log_poly(self.num, zs) - _log_poly(self.den, zs)).real + self.expo(zs).real
 
     def circle_powers(self, unit):
-        """The real table log_abs_on_circle takes: rows 2k and 2k + 1 hold
+        """The real table log_abs2_on_circles takes: rows 2k and 2k + 1 hold
         the real and imaginary parts of w^(jk) = unit[(k*j) % N], j < N.
 
         unit[j] = w^j for w = exp(2 pi i/N), and N must be a power of two
-        (proximity's sample counts are), so (k*j) % N is the bitmask
-        (k*j) & (N - 1).  There are min(max degree, _BLOCK) + 1 powers k,
-        each filled as two contiguous rows from an exact integer index, so
-        every entry is w^(jk) to the accuracy of unit itself and no
-        (N x powers) index array is built.
+        (proximity's sample counts are).  There are min(max degree, _BLOCK)
+        + 1 powers k, each row a copy of entries of unit, so every entry is
+        w^(jk) to the accuracy of unit itself: power 2k is power k at the
+        even nodes twice over, as w^(2jk) = w^(2(j - N/2)k), two [0::2]
+        copies; an odd power k, for which j -> k*j % N runs through every
+        index once, is k strided slices unit[s::k], one per wrap of k*j past
+        N.  No index array is built.
         """
         n = unit.size
         degree = max(self.num.degree, self.den.degree, self.expo.degree)
-        powers = np.empty((2 * (min(degree, _BLOCK) + 1), n))
-        re, im = unit.real.copy(), unit.imag.copy()
-        step = np.arange(n)
-        index = np.zeros(n, dtype=step.dtype)
-        for k in range(0, len(powers), 2):  # "clip": index is in range, out unbuffered
-            np.take(re, index, out=powers[k], mode="clip")
-            np.take(im, index, out=powers[k + 1], mode="clip")
-            index += step
-            index &= n - 1
-        return powers
+        table = np.empty((min(degree, _BLOCK) + 1, 2, n))
+        table[0, 0], table[0, 1] = unit[0].real, unit[0].imag
+        if len(table) > 1:
+            table[1] = unit.real, unit.imag
+        for k in range(2, len(table)):
+            if k % 2 == 0:
+                half = table[k // 2, :, 0::2]
+                table[k, :, :n // 2] = half
+                table[k, :, n // 2:] = half
+                continue
+            start = done = 0
+            while done < n:
+                part = table[1, :, start::k]
+                table[k, :, done:done + part.shape[1]] = part
+                done += part.shape[1]
+                start += k * part.shape[1] - n
+        return table.reshape(-1, n)
 
     @cached_property
     def _circle_terms(self):
-        """The parts of log_abs_on_circle that do not depend on r.
+        """The parts of log_abs2_on_circles that do not depend on r.
 
         Returns (kinds, coef, exponents, offset, slope).  Each nonconstant
         polynomial has kind 1 (num), -1 (den) or 0 (expo), in that order.
         coef holds a real and an imaginary row per (block of _BLOCK
         coefficients, polynomial), block-major, against the table's (Re, Im)
         row pairs: x + iy is [x, -y] and [y, x]; a single-block expo keeps
-        only its real row.  exponents holds the power of r of each entry.
-        num and den are divided by 2^s, s midway between the exponents of
-        their largest and leading coefficient parts, so that for r >= 1
-        |p|^2 stays in range unless those differ by 2^1000.  s log 2 and
-        the constant polynomials make offset; slope * log r sums the d log r
+        only its real row, and expo's rows are doubled, as the kernel sums
+        2 Re expo.  exponents holds the power of r of each entry.  num and
+        den are divided by 2^s, s midway between the exponents of their
+        largest and leading coefficient parts, so that for r >= 1 |p|^2
+        stays in range unless those differ by 2^1000.  s log 2 and the
+        constant polynomials make offset; slope * log r sums the d log r
         terms.
         """
         polys, kinds = [], []
@@ -196,6 +209,8 @@ class Canonical:
                 c = np.ldexp(c.view(float), -shift).view(complex)  # exact
                 offset += kind * shift * math.log(2.0)
                 k -= d
+            else:
+                c = c * 2.0  # exact
             polys.append((c, k))
             kinds.append(kind)
             slope += kind * d
@@ -215,60 +230,76 @@ class Canonical:
         rows = len(coef) - (blocks == 1 and kinds[-1] == 0)
         return kinds, coef[:rows], exps.reshape(-1, 2 * width)[:rows], offset, slope
 
-    def log_abs_on_circle(self, r, powers):
-        """log|f| at z_j = r w^j, j < N, given the table of circle_powers.
+    def log_abs2_on_circles(self, radii, powers, samples=False):
+        """log|f|^2 at z_j = r w^j, j < N, for each r in radii, given the
+        table of circle_powers: the sum over j of max(log|f(z_j)|^2, 0) per
+        radius, holding no row of N samples, or with samples the
+        (radii x N) samples themselves.
 
         Each polynomial is one real matrix product against the table.  num
         and den of degree d are r^d sum_k c_k r^(k-d) w^(jk), so the sum runs
         on unit-modulus points and d log r is added back as a logarithm: r^d
         never overflows.  expo is sum_k c_k r^k w^(jk).  Blocks of _BLOCK
         coefficients are joined by Horner in w^_BLOCK, so the table needs at
-        most _BLOCK + 1 powers.  Each sample takes one log, 1/2 log(|num|^2
-        / |den|^2), plus Re expo; a zero of num gives -inf, of den +inf and
-        of both NaN, as log|0| would.  The product runs over slices of table
-        columns of at most _CHUNK_BYTES, which stay in cache, and the num and
-        den rows of each slice are squared in place, with no temporary.
+        most _BLOCK + 1 powers.  Each sample costs one log,
+        log(|num|^2 / |den|^2), and one add: the expo row comes doubled, as
+        2 Re expo, with the constant 2 (slope log r + offset) in its w^0
+        coefficient; with no expo row the constant is added to each sample.
+        A zero of num gives -inf, of den +inf and of both NaN, as log|0|
+        would.  The product runs over slices of table columns of at most
+        _CHUNK_BYTES, which stay in cache, and the num and den rows of each
+        slice are squared in place, with no temporary.
         """
         kinds, coef, exps, offset, slope = self._circle_terms
         n = powers.shape[1]
-        base = offset + slope * math.log(r)
+        radii = np.asarray(radii, dtype=float)
+        base = 2.0 * (offset + slope * np.log(radii))
         if not kinds:
-            return np.full(n, base)
-        logs = len(kinds) - (kinds[-1] == 0)  # num and den rows lead, expo's follow
+            return np.repeat(base[:, None], n, 1) if samples else np.maximum(base, 0.0) * n
+        expo = kinds[-1] == 0
+        logs = len(kinds) - expo  # num and den rows lead, expo's follow
         width = coef.shape[1] // 2
         blocks = -(-len(coef) // (2 * len(kinds)))
         step = max(1, _CHUNK_BYTES // (len(powers) * powers.itemsize))
-        out = np.empty(n)
+        out = np.empty((len(radii), n)) if samples else np.zeros(len(radii))
+        work = np.empty((len(coef), min(step, n)))  # the product slice, reused
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            scaled = coef * r ** exps
-            for start in range(0, n, step):
-                cols = slice(start, start + step)
-                sums = scaled @ powers[:2 * width, cols]
-                if blocks > 1:
-                    sums = sums.reshape(blocks, -1, sums.shape[1])
-                    wr, wi = powers[2 * _BLOCK, cols], powers[2 * _BLOCK + 1, cols]
-                    acc = sums[-1]
-                    for b in range(blocks - 2, -1, -1):
-                        re, im = acc[0::2], acc[1::2]
-                        acc = sums[b]
-                        acc[0::2] += re * wr - im * wi
-                        acc[1::2] += re * wi + im * wr
-                    sums = acc
-                chunk = out[cols]
-                if logs:
-                    sq = sums[:2 * logs]
-                    np.multiply(sq, sq, out=sq)
-                    sq[0] += sq[1]
-                    if logs == 2:
-                        sq[2] += sq[3]
-                        sq[0] /= sq[2]
-                    np.log(sq[0], out=chunk)
-                    chunk *= 0.5 if kinds[0] > 0 else -0.5
-                    chunk += base
-                else:
-                    chunk[:] = base
-                if logs < len(kinds):
-                    chunk += sums[2 * logs]
+            scaled = coef * radii[:, None, None] ** exps
+            if expo:
+                scaled[:, 2 * logs, 0] += base
+            for i in range(len(radii)):
+                for start in range(0, n, step):
+                    cols = slice(start, start + step)
+                    table = powers[:2 * width, cols]
+                    sums = np.matmul(scaled[i], table, out=work[:, :table.shape[1]])
+                    if blocks > 1:
+                        sums = sums.reshape(blocks, -1, sums.shape[1])
+                        wr, wi = powers[2 * _BLOCK, cols], powers[2 * _BLOCK + 1, cols]
+                        acc = sums[-1]
+                        for b in range(blocks - 2, -1, -1):
+                            re, im = acc[0::2], acc[1::2]
+                            acc = sums[b]
+                            acc[0::2] += re * wr - im * wi
+                            acc[1::2] += re * wi + im * wr
+                        sums = acc
+                    row = out[i, cols] if samples else sums[0]
+                    if logs:
+                        sq = sums[:2 * logs]
+                        np.multiply(sq, sq, out=sq)
+                        sq[0] += sq[1]
+                        if logs == 2:
+                            sq[2] += sq[3]
+                            sq[0] /= sq[2]
+                        np.log(sq[0], out=row)
+                        add = sums[2 * logs] if expo else base[i]
+                        if kinds[0] < 0:
+                            np.subtract(add, row, out=row)
+                        elif expo or add:
+                            row += add
+                    elif samples:
+                        row[:] = sums[0]
+                    if not samples:
+                        out[i] += np.maximum(row, 0.0, out=row).sum()
         return out
 
 
@@ -513,17 +544,21 @@ def _coerce(x):
     raise TypeError(f"cannot use {type(x).__name__} as an expression")
 
 
+def _divided(num, c):
+    """Each term of num divided by the term c, inverted into it; a term
+    whose lead underflows to 0 is dropped."""
+    inverse = Canonical(c.den_lead, c.lead, _ordered([(b, -m) for b, m in c.factors]), -c.expo)
+    return tuple(t for t in (_times([d, inverse]) for d in num) if t.lead != 0)
+
+
 def _over(num, den, power=1):
     """num/den^power as an Expr, power > 1 only where den has several terms:
-    a denominator of one term is inverted into each numerator term, and a
-    term whose lead underflows to 0 is dropped."""
+    a denominator of one term is inverted into each numerator term."""
     if not num or not den:
         return Expr(num)
     if len(den) > 1:
         return Expr(num, den, power)
-    c = den[0]
-    inverse = Canonical(c.den_lead, c.lead, _ordered([(b, -m) for b, m in c.factors]), -c.expo)
-    return Expr(tuple(t for t in (_times([d, inverse]) for d in num) if t.lead != 0))
+    return Expr(_divided(num, den[0]))
 
 
 def add(*terms):
@@ -566,13 +601,17 @@ def mul(*factors):
 
 def div(num, den):
     """The quotient: numerators and denominators cross, and a denominator
-    of one term inverts into each numerator term (_over).  Dividing N/S^m by
-    S/T^n gives N T^n / S^(m+1); other denominators multiply out at power 1."""
+    of one term inverts into each numerator term (_over).  A divisor of one
+    term inverts into the numerator, so N/S^m over it keeps S^m; dividing
+    N/S^m by S/T^n gives N T^n / S^(m+1); other denominators multiply out
+    at power 1."""
     a, b = _coerce(num), _coerce(den)
     if not b.num:
         raise ZeroDivisionError("division by the zero function")
     if not a.num:
         return a
+    if len(b.num) == 1 and not b.den:
+        return _over(_divided(a.num, b.num[0]), a.den, a.power)
     top = _product(a.num, _expand(b.den, b.power))
     if b.num == a.den:
         return _over(top, a.den, a.power + 1)
@@ -711,16 +750,21 @@ def evaluate_on_grid(e, zs):
 
     Poles and overflow show up as inf, 0/0 and inf - inf as NaN, unclassified,
     for callers that mask them (spherical_derivative retries those points
-    on 1/f); evaluate classifies them instead.
+    on 1/f); evaluate classifies them instead.  Over a denominator S^m of
+    several terms, S and the numerator are scaled by exp(-M) and exp(-m M),
+    with M the largest Re expo of the terms of S at each point, so that
+    neither overflows where their quotient does not.
     """
     zs = np.asarray(zs, dtype=complex)[()]  # a point as a numpy scalar, not 0-d
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        num = _values(e.num, zs)
-        return num / _values(e.den, zs) ** e.power if e.den else num
+        if not e.den:
+            return _values(e.num, zs)
+        shift = reduce(np.maximum, [c.expo(zs).real for c in e.den])
+        return _values(e.num, zs, e.power * shift) / _values(e.den, zs, shift) ** e.power
 
 
-def _values(terms, zs):
-    vals = [c.values(zs) for c in terms] or [np.zeros_like(zs)]
+def _values(terms, zs, shift=None):
+    vals = [c.values(zs, shift) for c in terms] or [np.zeros_like(zs)]
     return sum(vals[1:], vals[0])
 
 

@@ -30,22 +30,28 @@ where plain Fujiwara can be 2d times too large.
 
 On a sampled circle, since p(z_j) = sum_k (c_k r^k) w^(jk), proximity
 builds one real table, a row of Re w^(jk) and a row of Im w^(jk) for
-each power k, indexed exactly by (j k) mod N, once per call from the
-cached unit circle, and Canonical.log_abs_on_circle evaluates every
-sampled radius as one real matrix product against it, in slices of node
-columns that stay in cache.  num and den of degree d are scaled to
+each power k, once per call from strided copies of the cached unit
+circle (Canonical.circle_powers), and one call of
+Canonical.log_abs2_on_circles sums max(log|f|^2, 0) over the nodes of
+every sampled circle, each circle one real matrix product against the
+table, in slices of node columns that stay in cache; m(r) is that sum
+over 2N.  num and den of degree d are scaled to
 r^d sum_k c_k r^(k-d) w^(jk), so the sum runs on unit-modulus points
 and d log r is added back in the log domain: neither r^d nor an
 exponential factor overflows.  Coefficients go in blocks of 16, joined
 by Horner in w^16, so the table has at most 17 powers whatever the
-degree.  Each sample takes one log, 1/2 log(|num|^2 / |den|^2) plus
-Re expo and a constant, the squares taken in place in the product's rows;
-num and den are prescaled by exact powers of two so that the squared
-moduli stay within the double range.  A radius where
-the circle passes through a pole has the nearby samples moved half a
-step (the dodge); such radii, and samples whose log|f| is NaN or +inf
-and are retried half a step over, are evaluated by Canonical.log_abs at
-those explicit points.
+degree.  Each sample takes one log and one add: log(|num|^2 / |den|^2)
+plus the expo row, whose coefficients are doubled to give 2 Re expo and
+whose w^0 coefficient carries the constants (twice (deg num - deg den)
+log r and the logs of the prescales and of constant parts), or the
+constants alone where expo is constant; the squares are taken in place
+in the product's rows, and num and den are
+prescaled by exact powers of two so that the squared moduli stay within
+the double range.  A circle through a pole of f, or whose sum is not
+finite, takes its samples from the same kernel: the samples near the
+pole move half a step (the dodge), and samples whose log|f| is NaN or
++inf are retried half a step over, both evaluated by Canonical.log_abs
+at those explicit points.
 Samples still singular after the retry raise QuadratureError.  On a
 circle through a pole of f, the sample mean of the pole's -m log|z - rho|
 term, off by up to about m log(pi)/N, is corrected to its integral.
@@ -89,11 +95,15 @@ class QuadratureError(RuntimeError):
     """Samples of log|f| on a circle stay singular after the half-step retry."""
 
 
-def _require_radius(r):
-    r = float(r)
-    if not math.isfinite(r):
-        raise ValueError(f"radius must be finite, got {r}")
-    if r <= 1.0:
+def _require_radii(radii):
+    """The radii as a float ndarray, each finite and above 1; the first that
+    is not raises ValueError."""
+    r = np.array(radii, dtype=float).reshape(-1)
+    bad = ~(np.isfinite(r) & (r > 1.0))
+    if bad.any():
+        first = float(r[bad][0])
+        if not math.isfinite(first):
+            raise ValueError(f"radius must be finite, got {first}")
         raise ValueError("radii must be greater than 1 (counting is based at 1)")
     return r
 
@@ -174,7 +184,7 @@ def counting_series(divisor, radii, truncated=False):
     One array pass over the radii per divisor entry, the logs taken by
     math.log and the terms summed in entry order.
     """
-    radii = np.array([_require_radius(r) for r in radii])
+    radii = _require_radii(radii)
     log_r = np.array([math.log(r) for r in radii])
     acc = np.zeros(len(radii))
     for z, m in divisor.entries:
@@ -265,25 +275,33 @@ def _factor_root_bound(c, sign):
                 for b, e in c.factors if sign * e > 0), default=0.0)
 
 
-def _log_abs_bounds(p, r, log_r, bound):
-    """(lower, upper) bounds of log|p| on |z| = r, for an ndarray of radii r.
+def _log_abs_bounds(polys, bounds, r, log_r):
+    """(lower, upper) bounds of log|p| on |z| = r, one row per polynomial p
+    of polys and one column per radius of the ndarray r.
 
-    p = sum_k c_k z^k of degree d has its roots within the bound B; with
+    p = sum_k c_k z^k of degree d has its roots within its bound B; with
     lead = |c_d| r^d and tail = sum_(k<d) |c_k| r^k,
     lower = max(log(lead - tail) where lead >= 2 tail,
     log|c_d| + d log(r - B) where r > B), and upper = min(log(lead + tail),
-    log|c_d| + d log(r + B)).  tail/lead is formed with r^(k-d) <= 1, so
+    log|c_d| + d log(r + B)).  tail/lead is summed by Horner in 1/r, the
+    rows padded with zeros below the lowest coefficient to one length, so
     r^d never overflows, and is raised by _INFLATE; a bound that still
     overflows comes out infinite or NaN, which settles nothing.  Call under
     np.errstate(all="ignore").
     """
-    c = np.array(p.coefficients)
-    d = len(c) - 1
-    lead = math.log(abs(c[-1]))
-    if d == 0:
-        return lead, lead
-    tail = (np.abs(c[:-1]) / abs(c[-1])) @ r ** np.arange(-d, 0.0)[:, None] * _INFLATE
+    size = max(p.degree for p in polys)
+    columns = np.array([[0.0] * (size - p.degree)
+                        + [abs(x) / abs(p.leading) for x in p.coefficients[:-1]]
+                        for p in polys]).T[:, :, None]
+    x = 1.0 / r
+    tail = 0.0
+    for column in columns:
+        tail = (tail + column) * x
+    tail = tail * _INFLATE
+    d = np.array([[p.degree] for p in polys])
+    lead = np.array([[math.log(abs(p.leading))] for p in polys])
     top = lead + d * log_r
+    bound = np.array(bounds)[:, None]
     lower = np.maximum(np.where(tail <= 0.5, top + np.log1p(-tail), -np.inf),
                        np.where(r > bound, lead + d * np.log(r - bound), -np.inf))
     upper = np.minimum(top + np.log1p(tail), lead + d * np.log(r + bound))
@@ -297,9 +315,10 @@ def _settled_circles(c, radii, samples):
     closed-form circles (log|f| > _SETTLE_MARGIN, every root of num and den
     inside r exp(-_ALIAS_EXPONENT/N), deg expo < N) give Jensen's value.
     The bounds come from the coefficients of num and den, vectorized over
-    the radii, and from the root moduli of the factored form
-    (_factor_root_bound: read off each linear base, Graeffe's bound only
-    for a whole base); Re expo lies within Re expo(0) -+ sum_(k>=1) |x_k| r^k.
+    the radii and over num and den at once, and from the root moduli of
+    the factored form (_factor_root_bound: read off each linear base,
+    Graeffe's bound only for a whole base); Re expo lies within
+    Re expo(0) -+ sum_(k>=1) |x_k| r^k, summed by Horner in r.
     Jensen's value is the N-point mean for the factored f, to e^-40/N per
     root, once every root of a base lies inside r exp(-_ALIAS_EXPONENT/N);
     the expanded num and den that the kernel samples have the coefficients
@@ -309,20 +328,24 @@ def _settled_circles(c, radii, samples):
     """
     r = np.asarray(radii, dtype=float)
     log_r = np.log(r)
-    expo = np.array(c.expo.coefficients)
-    bound_num, bound_den = _factor_root_bound(c, 1), _factor_root_bound(c, -1)
+    expo = c.expo.coefficients
+    bounds = _factor_root_bound(c, 1), _factor_root_bound(c, -1)
     with np.errstate(all="ignore"):
-        low_num, high_num = _log_abs_bounds(c.num, r, log_r, bound_num)
-        low_den, high_den = _log_abs_bounds(c.den, r, log_r, bound_den)
-        spread = np.abs(expo[1:]) @ r ** np.arange(1.0, len(expo))[:, None] * _INFLATE
+        (low_num, low_den), (high_num, high_den) = _log_abs_bounds((c.num, c.den), bounds, r, log_r)
+        spread = 0.0
+        for x in expo[:0:-1]:
+            spread = (spread + abs(x)) * r
+        spread = spread * _INFLATE
         base = expo[0].real
-        lower = low_num - high_den + base - spread
-        upper = high_num - low_den + base + spread
-        inside = max(bound_num, bound_den) <= r * math.exp(-_ALIAS_EXPONENT / samples)
-        closed = (lower > _SETTLE_MARGIN) & inside & (len(expo) <= samples)
-    jensen = (math.log(abs(c.num.leading)) - math.log(abs(c.den.leading))
-              + (c.num.degree - c.den.degree) * log_r + base)
-    return np.where(upper < -_SETTLE_MARGIN, 0.0, np.where(closed, jensen, np.nan))
+        out = np.full(len(r), np.nan)
+        if len(expo) <= samples:
+            closed = ((low_num - high_den + base - spread > _SETTLE_MARGIN)
+                      & (max(bounds) <= r * math.exp(-_ALIAS_EXPONENT / samples)))
+            jensen = (math.log(abs(c.num.leading)) - math.log(abs(c.den.leading))
+                      + (c.num.degree - c.den.degree) * log_r + base)
+            out[closed] = jensen[closed]
+        out[high_num - low_den + base + spread < -_SETTLE_MARGIN] = 0.0
+    return out
 
 
 def _on_circle(rho, r):
@@ -345,7 +368,7 @@ class FunctionData:
     for the zero function and where its constant factor lead/den_lead is not
     finite, as m = T = inf would be no number; everything else on first
     use.  The zeros and poles are read off its bases, and the poles
-    serve the pole dodge of proximity.  Each proximity call takes its power
+    serve the pole dodge of proximity.  Each proximity call builds its power
     table from the cached unit circle once for all its sampled radii, and
     only when some radius is sampled.
     """
@@ -374,47 +397,61 @@ class FunctionData:
         (_settled_circles): m = 0.0 where |f| < 1 on the circle, Jensen's
         closed form where |f| > 1 and every root lies well inside.  The
         other circles are sampled: one power table (Canonical.circle_powers)
-        serves them all through Canonical.log_abs_on_circle (see the module
-        docstring).  A radius
-        where a pole is dodged, and samples retried half a step over, go
-        through Canonical.log_abs at those explicit points.  Only a
-        non-finite sum of log+|f| triggers the retry; if the sum is still
-        not finite, QuadratureError is raised.  A circle through a pole of f
-        adds _pole_sum_error.
+        serves them all, and one call of Canonical.log_abs2_on_circles sums
+        max(log|f|^2, 0) on every sampled circle that no pole passes
+        through, so that m = sum / 2N (see the module docstring).  A circle
+        through a pole, or with a sum that is not finite, takes its samples
+        from the same kernel and goes through _sampled_circle.
         """
         samples = _require_samples(samples)
-        radii = [_require_radius(r) for r in radii]
+        radii = _require_radii(radii)
         c = self.canonical
-        out = [float(m) for m in _settled_circles(c, radii, samples)]
-        todo = [i for i, m in enumerate(out) if math.isnan(m)]
-        if not todo:
-            return out
-        base, unit = _unit_circle(samples)
-        powers = c.circle_powers(unit)
-        half = np.pi / samples
-        for i in todo:
-            r = radii[i]
-            theta = base  # replaced, never written to, where a pole is dodged
-            on_circle = [rho for rho, _ in self.poles.entries if _on_circle(rho, r)]
-            for rho in on_circle:
-                ang = math.atan2(rho.imag, rho.real) % (2.0 * np.pi)
-                near = np.abs((theta - ang + np.pi) % (2.0 * np.pi) - np.pi) <= _ANGLE_DODGE
-                theta = np.where(near, theta + half, theta)
-            vals = (c.log_abs_on_circle(r, powers) if theta is base
-                    else c.log_abs(r * np.exp(1j * theta)))
-            with np.errstate(over="ignore"):
-                total = np.maximum(vals, 0.0, out=vals).sum()
-                if not math.isfinite(total):  # NaN or +inf samples: retry them
-                    bad = ~np.isfinite(vals)
-                    theta = np.where(bad, theta + half, theta)
-                    vals[bad] = np.maximum(c.log_abs(r * np.exp(1j * theta[bad])), 0.0)
-                    total = vals.sum()
-            if not math.isfinite(total):
-                raise QuadratureError(f"quadrature hit singular samples at r = {r}")
-            out[i] = float(total) / samples
-            if on_circle:
-                out[i] += self._pole_sum_error(r, theta)
-        return out
+        out = _settled_circles(c, radii, samples)
+        todo = np.flatnonzero(np.isnan(out))
+        if todo.size:
+            r = radii[todo]
+            poles = np.array([rho for rho, _ in self.poles.entries], dtype=complex)
+            dodge = _on_circle(poles, r[:, None]).any(axis=1)
+            powers = c.circle_powers(_unit_circle(samples)[1])
+            out[todo[~dodge]] = c.log_abs2_on_circles(r[~dodge], powers) / (2 * samples)
+            for i in todo[~np.isfinite(out[todo])]:  # dodged, so still NaN, or not finite
+                out[i] = self._sampled_circle(float(radii[i]), powers)
+        return out.tolist()
+
+    def _sampled_circle(self, r, powers):
+        """m(r) from the kernel's samples on one circle, where a pole of f
+        lies on it or the sum of log+|f| is not finite.
+
+        Samples within _ANGLE_DODGE of a pole on the circle move half a step
+        (the dodge), and samples whose log|f| is NaN or +inf are retried half
+        a step over; both are evaluated by Canonical.log_abs at the moved
+        points.  If the sum is still not finite, QuadratureError is raised.
+        A circle through a pole of f adds _pole_sum_error.
+        """
+        c = self.canonical
+        base, _ = _unit_circle(powers.shape[1])
+        half = np.pi / len(base)
+        theta = base  # replaced, never written to, where a sample moves
+        on_circle = [rho for rho, _ in self.poles.entries if _on_circle(rho, r)]
+        for rho in on_circle:
+            ang = math.atan2(rho.imag, rho.real) % (2.0 * np.pi)
+            near = np.abs((theta - ang + np.pi) % (2.0 * np.pi) - np.pi) <= _ANGLE_DODGE
+            theta = np.where(near, theta + half, theta)
+        vals = c.log_abs2_on_circles([r], powers, samples=True)[0]
+        if on_circle:
+            moved = theta != base
+            vals[moved] = 2.0 * c.log_abs(r * np.exp(1j * theta[moved]))
+        with np.errstate(over="ignore"):
+            total = np.maximum(vals, 0.0, out=vals).sum()
+            if not math.isfinite(total):  # NaN or +inf samples: retry them
+                bad = ~np.isfinite(vals)
+                theta = np.where(bad, theta + half, theta)
+                vals[bad] = np.maximum(2.0 * c.log_abs(r * np.exp(1j * theta[bad])), 0.0)
+                total = vals.sum()
+        if not math.isfinite(total):
+            raise QuadratureError(f"quadrature hit singular samples at r = {r}")
+        m = float(total) / (2 * len(base))
+        return m + self._pole_sum_error(r, theta) if on_circle else m
 
     def _pole_sum_error(self, r, theta):
         """Sample mean at the angles theta minus integral of m log|z - rho|

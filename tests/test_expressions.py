@@ -243,9 +243,12 @@ def test_evaluate_examples():
 def test_evaluate_indeterminate():
     # z/z at 0 is a removable singularity: the reduced form gives its limit
     assert evaluate(Var() / Var(), 0.0) == 1
-    # inf/inf with no canonical form to reduce is 0/0
+    # 0/0 with no canonical form to reduce raises
     with pytest.raises(IndeterminatePointError):
-        evaluate(parse("(exp(z)+exp(-z))/(exp(z)+exp(-z))"), 800.0)
+        evaluate(parse("(exp(z)-1)/(exp(2*z)-1)"), 0.0)
+    # a quotient of sums is scaled by its largest exponential, so e^800 / e^800
+    # is not inf/inf
+    assert evaluate(parse("(exp(z)+exp(-z))/(exp(z)+exp(-z))"), 800.0) == 1
 
 
 def test_differentiate_examples():
@@ -452,6 +455,34 @@ def test_quotient_rule_keeps_one_denominator_and_its_power():
             z = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
             want = complex(mpmath.diff(lambda w: 1 / (mpmath.exp(w) + 1), mpmath.mpc(z), 8))
             assert abs(evaluate(f, z) - want) <= 1e-10 * abs(want), z
+
+
+def test_division_by_one_term_keeps_the_sum_and_its_power():
+    # D^3 of 1/(e^z+1) is 3 terms over (e^z+1)^4; dividing it by z inverts z
+    # into the numerator, as multiplying by 1/z does, instead of multiplying
+    # (e^z+1)^4 out into 5 terms at power 1
+    f = parse("D[1/(exp(z)+1),3]")
+    quotient, product = parse("D[1/(exp(z)+1),3]/z"), parse("D[1/(exp(z)+1),3]*(1/z)")
+    assert (quotient.den, quotient.power) == (product.den, product.power) == (f.den, 4)
+    assert len(quotient.den) == 2
+    rng = random.Random(29)
+    for _ in range(20):
+        z = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
+        want = evaluate(product, z)
+        assert abs(evaluate(quotient, z) - want) <= 1e-12 * abs(want), z
+        assert abs(evaluate(quotient, z) - evaluate(f, z) / z) <= 1e-12 * abs(want), z
+
+
+def test_quotient_of_sums_evaluates_where_the_sums_overflow():
+    # D[1/(e^z+1),1] = -e^z/(e^z+1)^2 = -e^-|z|/(1+e^-|z|)^2 for real z;
+    # e^800 overflows, so the numerator and (e^z+1)^2 are scaled by the
+    # largest exponential of the denominator's terms at each point
+    f = parse("D[1/(exp(z)+1),1]")
+    for z in (400.0, -400.0, 800.0, -800.0):
+        want = -math.exp(-abs(z)) / (1.0 + math.exp(-abs(z))) ** 2
+        got = evaluate(f, z)
+        assert abs(got - want) <= 1e-12 * abs(want), z
+        assert math.isfinite(expressions.evaluate_on_grid(f, np.array([z]))[0].real)
 
 
 def _numbers(c):
@@ -712,7 +743,8 @@ SINGULAR_POINTS = [
     ("exp(z)+exp(-z)", 800, INFINITY),
     ("1/(exp(z)-exp(z))", 0, ZeroDivisionError),  # the zero function, at parse
     ("(exp(z)-exp(z))/z^2", 0, 0),  # the zero function
-    ("(exp(z)+exp(-z))/(exp(z)+exp(-z))", 800, IndeterminatePointError),  # no canonical form
+    ("(exp(z)+exp(-z))/(exp(z)+exp(-z))", 800, 1),  # sums scaled by their largest exponential
+    ("(exp(z)-1)/(exp(2*z)-1)", 0, IndeterminatePointError),  # 0/0, no canonical form
     ("z^3", 1e103, INFINITY),  # overflow
     ("1/z^200", 1e10, 0),
 ]

@@ -269,12 +269,15 @@ def test_spherical_derivative():
     out = spherical_derivative(parse("exp(z)"), np.array([0.0, 800.0]))
     assert out[0] == pytest.approx(0.5, rel=1e-12)
     assert out[1] == 0.0
-    # where f and 1/f are both 0/0, as for a sum of exponentials with no
+    # e^z + e^-z overflows at z = 800, and 1/f, a quotient of sums, is
+    # scaled by e^-800, so f# = |f'| / (1 + |f|^2) underflows to 0.0
+    assert spherical_derivative(parse("exp(z)+exp(-z)"), 800.0) == 0.0
+    # where f and 1/f are both 0/0, as for a quotient of sums with no
     # canonical form: NaN in an array, ValueError for a scalar point
-    f = parse("exp(z)+exp(-z)")
-    assert np.isnan(spherical_derivative(f, np.array([800.0]))[0])
+    f = parse("(exp(z)-1)/(exp(2*z)-1)")
+    assert np.isnan(spherical_derivative(f, np.array([0.0]))[0])
     with pytest.raises(ValueError, match="undefined"):
-        spherical_derivative(f, 800.0)
+        spherical_derivative(f, 0.0)
 
 
 def test_spherical_derivative_over_a_sum_matches_mpmath():
@@ -565,14 +568,14 @@ def test_graeffe_bounds_only_whole_bases(monkeypatch):
 class _KernelCalls:
     def __init__(self, monkeypatch):
         self.calls = []
-        for name in ("log_abs_on_circle", "log_abs"):
+        for name in ("log_abs2_on_circles", "log_abs"):
             original = getattr(Canonical, name)
             monkeypatch.setattr(Canonical, name, self._wrap(name, original))
 
     def _wrap(self, name, original):
-        def counting(canonical, *args):
+        def counting(canonical, *args, **kwargs):
             self.calls.append(name)
-            return original(canonical, *args)
+            return original(canonical, *args, **kwargs)
         return counting
 
 
@@ -701,6 +704,34 @@ def test_root_bound_tightens_fujiwara():
     assert nevanlab.nevanlinna._root_bound(np.array([5.0 + 0j])) == 0.0
 
 
+def test_log_abs_bounds_hold_and_are_tight():
+    # the bounds of log|p| on |z| = r hold at every node to rounding, for two
+    # polynomials of different degrees at once; with positive coefficients
+    # |p| peaks at z = r, where p(r) = lead + tail, so the upper bound is
+    # that to rounding
+    rng = np.random.default_rng(1986)
+    unit = nevanlab.nevanlinna._unit_circle(256)[1]
+    for _ in range(40):
+        polys = []
+        for degree in rng.integers(0, 13, 2):
+            c = 10.0 ** rng.uniform(-3.0, 3.0, degree + 1)
+            if rng.uniform() < 0.5:
+                c = c * np.exp(2j * np.pi * rng.uniform(size=degree + 1))
+            polys.append(Polynomial(c))
+        bounds = [nevanlab.nevanlinna._root_bound(np.array(p.coefficients)) for p in polys]
+        r = np.exp(rng.uniform(math.log(1.1), math.log(50.0), 5))
+        with np.errstate(all="ignore"):
+            lower, upper = nevanlab.nevanlinna._log_abs_bounds(polys, bounds, r, np.log(r))
+        for p, low, high in zip(polys, lower, upper):
+            for radius, lo, hi in zip(r, low, high):
+                logs = np.log(np.abs(p(radius * unit)))
+                slack = 1e-13 * np.abs(logs).max()
+                assert lo <= logs.min() + slack, (p.coefficients, radius)
+                assert logs.max() <= hi + slack, (p.coefficients, radius)
+                if all(x.imag == 0 for x in p.coefficients):
+                    assert hi <= logs[0] + 1e-11, (p.coefficients, radius)
+
+
 def test_root_bound_falls_back_to_fujiwara_quietly():
     # (z + 3)^256, the denominator of D^8 f before the quotient rule's
     # common factors were cancelled: scaled by Fujiwara's 1536, its
@@ -739,21 +770,37 @@ def test_unit_circle_is_cached_read_only():
     assert np.array_equal(unit, np.exp(2j * np.pi * np.arange(256) / 256))
 
 
+def test_circle_powers_are_exact_strided_copies():
+    # every row is unit[(k*j) % N] bit for bit, from copies of unit alone
+    c = canonicalize(parse("z^40"))
+    for n in (64, 4096, 8192):
+        unit = nevanlab.nevanlinna._unit_circle(n)[1]
+        powers = c.circle_powers(unit)
+        assert powers.shape == (34, n)
+        j = np.arange(n)
+        for k in range(17):
+            want = unit[(k * j) % n]
+            assert np.array_equal(powers[2 * k], want.real), (n, k)
+            assert np.array_equal(powers[2 * k + 1], want.imag), (n, k)
+
+
 def test_kernel_holds_no_squared_modulus_temporary():
     # one call at N = 8192 holds its output and one product slice of
-    # len(coef) rows, and squares the num and den rows in place
+    # len(coef) rows, and squares the num and den rows in place; the sums
+    # over several radii hold no more
     c = canonicalize(parse(_GROWTH_F))
     unit = nevanlab.nevanlinna._unit_circle(8192)[1]
     powers = c.circle_powers(unit)
     rows = len(c._circle_terms[1])
-    c.log_abs_on_circle(2.0, powers)
-    tracemalloc.start()
-    try:
-        c.log_abs_on_circle(2.0, powers)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= (rows + 1) * 8192 * 8 + 4096, (peak, rows)
+    for radii, samples in (([2.0], True), ([2.0], False), ([2.0, 3.0, 5.0, 7.0], False)):
+        c.log_abs2_on_circles(radii, powers, samples)
+        tracemalloc.start()
+        try:
+            c.log_abs2_on_circles(radii, powers, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (rows + 1) * 8192 * 8 + 4096, (peak, rows, radii)
 
 
 def test_kernel_column_chunks_match_one_pass(monkeypatch):
@@ -761,11 +808,13 @@ def test_kernel_column_chunks_match_one_pass(monkeypatch):
     c = canonicalize(parse("(z^40 + 3*z^17 - 2)/(z^21 + 0.5) * exp(z^3)"))
     unit = np.exp(2j * np.pi * np.arange(1024) / 1024)
     powers = c.circle_powers(unit)
-    whole = c.log_abs_on_circle(1.7, powers)
+    whole = 0.5 * c.log_abs2_on_circles([1.7], powers, samples=True)[0]
+    sums = c.log_abs2_on_circles([1.7, 2.5], powers)
     monkeypatch.setattr(nevanlab.expressions, "_CHUNK_BYTES", 100 * powers[:, 0].nbytes)
-    chunked = c.log_abs_on_circle(1.7, powers)
+    chunked = 0.5 * c.log_abs2_on_circles([1.7], powers, samples=True)[0]
     assert np.allclose(chunked, whole, rtol=1e-13, atol=0.0)
     assert np.allclose(whole, c.log_abs(1.7 * unit), rtol=1e-10, atol=1e-10)
+    assert np.allclose(c.log_abs2_on_circles([1.7, 2.5], powers), sums, rtol=1e-13, atol=0.0)
 
 
 def _dominated(rng, degree, r, scale):
@@ -786,7 +835,7 @@ def _whole(num, den, expo):
 
 
 def test_kernel_matches_explicit_points():
-    # log_abs_on_circle is Canonical.log_abs at the same nodes: num or den
+    # half the kernel's log|f|^2 is Canonical.log_abs at the same nodes: num or den
     # constant, expo absent or present, one block or several, and
     # coefficients from 1e-150 to 1e150
     hypothesis = pytest.importorskip("hypothesis")
@@ -805,7 +854,7 @@ def test_kernel_matches_explicit_points():
         c = _whole(_dominated(rng, dn, r, sn), _dominated(rng, dd, r, sd),
                    _dominated(rng, de, r, 0.0) if de else Polynomial([0]))
         unit = np.exp(2j * np.pi * np.arange(samples) / samples)
-        got = c.log_abs_on_circle(r, c.circle_powers(unit))
+        got = 0.5 * c.log_abs2_on_circles([r], c.circle_powers(unit), samples=True)[0]
         want = c.log_abs(r * unit)
         assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), (degrees, scales)
 
@@ -822,11 +871,59 @@ def test_kernel_squares_stay_in_range(monkeypatch):
         want = c.log_abs(r * unit)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = c.log_abs_on_circle(r, c.circle_powers(unit))
+            got = 0.5 * c.log_abs2_on_circles([r], c.circle_powers(unit), samples=True)[0]
             m = proximity_m(parse(text), r)
         assert np.all(np.isfinite(got))
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
         assert m == pytest.approx(float(np.maximum(want, 0.0).mean()), rel=1e-12)
+
+
+def test_proximity_is_the_trapezoid_at_the_nodes_it_uses(monkeypatch):
+    # f = 1e-300 (z^60 + 1e307 (z^59 + ... + 1)) / (z - rho): scaled by
+    # r^-60, num sums to about 1e307/(1 - w/r), so the kernel's |num|^2
+    # overflows on the nodes near w = 1 of the circle r = 1.2, and its
+    # quotient by |den|^2 next to the pole, but nowhere for r >= 5; rho
+    # lies on a node of the circle r = |rho|.  One call
+    # holds a circle through a pole, a circle with singular samples and
+    # plain circles.  The node at the pole moves half a step, samples still
+    # not finite are retried half a step over, and the pole's sum error is
+    # added; each m(r) is the mean of max(log|f|, 0) from Canonical.log_abs
+    # at the nodes it used.  The plain circles share one kernel call
+    rng = np.random.default_rng(2022)
+    for samples in (4096, 8192):
+        node = int(rng.integers(samples))
+        pole = float(rng.uniform(3.0, 4.0))
+        rho = pole * np.exp(2j * np.pi * node / samples)
+        num = Polynomial([1e7 * complex(*rng.uniform(0.5, 1.0, 2))] * 60 + [1e-300])
+        c = _whole(num, Polynomial([-rho, 1]), Polynomial([0]))
+        singular, plain = 1.2, sorted(rng.uniform(5.0, 20.0, 2))
+        radii = [singular, pole, *plain]
+        assert np.all(np.isnan(nevanlab.nevanlinna._settled_circles(c, radii, samples)))
+        unit = nevanlab.nevanlinna._unit_circle(samples)[1]
+        powers = c.circle_powers(unit)
+        theta = 2.0 * np.pi * np.arange(samples) / samples
+        half = np.pi / samples
+        want = []
+        for r in radii:
+            angles = theta.copy()
+            angles[node] += half * (r == pole)
+            vals = c.log_abs2_on_circles([r], powers, samples=True)[0]
+            vals[angles != theta] = 0.0
+            bad = ~np.isfinite(vals)
+            assert (r == pole or bad.any() == (r == singular)) and not bad.all(), (samples, r)
+            angles[bad] += half
+            zs = r * np.exp(1j * angles)
+            m = float(np.mean(np.maximum(c.log_abs(zs), 0.0)))
+            if r == pole:
+                m += float(np.mean(np.log(np.abs(zs - rho)))) - math.log(pole)
+            want.append(m)
+        data = FunctionData(nevanlab.expressions.Expr((c,)))
+        with monkeypatch.context() as patch:
+            kernel = _KernelCalls(patch)
+            got = data.proximity(radii, samples)
+        assert kernel.calls.count("log_abs2_on_circles") == 3
+        for r, m, w in zip(radii, got, want):
+            assert abs(m - w) <= 1e-13 * abs(w), (samples, r, m, w)
 
 
 def test_pole_just_inside_the_circle_is_dodged():
