@@ -134,11 +134,21 @@ class Canonical:
             top.append(np.exp(self.expo(zs)))
         return math.prod(top) / math.prod(bottom) if bottom else math.prod(top)
 
-    def log_abs(self, zs):
-        """log|f| on an ndarray of points, the real part of _log_poly's logs,
-        so neither num nor den overflows where |z| > 1."""
+    def log(self, zs):
+        """Complex log f on an ndarray of points, log lead - log den_lead + expo
+        + sum e log b(z) with no product expanded: a linear base is log(z - a), a
+        whole one _log_poly; a root of b gives real part -inf for e > 0, else +inf."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return (_log_poly(self.num, zs) - _log_poly(self.den, zs)).real + self.expo(zs).real
+            logs = self.expo(zs) + (np.log(complex(self.lead)) - np.log(complex(self.den_lead)))
+            for b, m in self.factors:
+                w = np.log(zs + b.coefficients[0]) if b.degree == 1 else _log_poly(b, zs)
+                logs.real += m * w.real  # not m * w: m * (-inf + 0j) has a NaN part
+                logs.imag += m * w.imag
+        return logs
+
+    def log_abs(self, zs):
+        """log|f| on an ndarray of points, the real part of log."""
+        return self.log(zs).real
 
     def circle_powers(self, unit):
         """The real table log_abs2_on_circles takes: rows 2k and 2k + 1 hold
@@ -712,23 +722,17 @@ def evaluate(e, z):
 def _classify(e, zs, raw):
     """Values of e at points where evaluate_on_grid gave the raw inf or NaN.
 
-    Where e is one term, each value is computed again as the exp of
-    log(lead/den_lead) + expo + sum e log b(z) over its bases, so
-    overflowing factors that cancel, as in exp(z)/exp(z), give their finite
-    value and a root of a base with e < 0 is a pole.  Otherwise raw is kept.
+    Where e is one term, each value is computed again as the exp of its
+    Canonical.log, so overflowing factors that cancel, as in
+    exp(z)/exp(z), give their finite value and a root of a base with e < 0
+    is a pole.  Otherwise raw is kept.
     An infinite part then reads as INFINITY and NaN raises
     IndeterminatePointError.
     """
     vals = raw
     if len(e.num) == 1 and not e.den:
-        c = e.num[0]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            logs = c.expo(zs) + (np.log(complex(c.lead)) - np.log(complex(c.den_lead)))
-            for b, m in c.factors:
-                w = np.log(zs + b.coefficients[0]) if b.degree == 1 else _log_poly(b, zs)
-                logs.real += m * w.real  # not m * w: m * (-inf + 0j) has a NaN part
-                logs.imag += m * w.imag
-            vals = np.exp(logs)
+        with np.errstate(invalid="ignore", over="ignore"):
+            vals = np.exp(e.num[0].log(zs))
     pole = np.isinf(vals.real) | np.isinf(vals.imag)
     undecided = np.isnan(vals) & ~pole
     if undecided.any():

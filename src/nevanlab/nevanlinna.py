@@ -45,21 +45,22 @@ plus the expo row, whose coefficients are doubled to give 2 Re expo and
 whose w^0 coefficient carries the constants (twice (deg num - deg den)
 log r and the logs of the prescales and of constant parts), or the
 constants alone where expo is constant; the squares are taken in place
-in the product's rows, and num and den are
-prescaled by exact powers of two so that the squared moduli stay within
-the double range.  A circle through a pole of f, or whose sum is not
-finite, takes its samples from the same kernel: the samples near the
-pole move half a step (the dodge), and samples whose log|f| is NaN or
-+inf are retried half a step over, both evaluated by Canonical.log_abs
-at those explicit points.
-Samples still singular after the retry raise QuadratureError.  On a
-circle through a pole of f, the sample mean of the pole's -m log|z - rho|
-term, off by up to about m log(pi)/N, is corrected to its integral.
-T = m + N by construction.  FunctionData holds the inputs: the factored
-canonical form at construction, whose bases carry the zeros and poles
-with their multiplicities, so the divisors need no further root finding;
-the expanded num and den, which the coefficient bounds and the kernel
-take, on first use.
+in the product's rows, and num and den are prescaled by exact powers of
+two so that the squared moduli stay within the double range.
+
+A circle through a pole of f, one where the expanded num or den may lose
+e^_MAX_LOSS ulps to a multiple root near it (_expansion_loss), and one
+whose sum is not finite take all N samples from Canonical.log_abs, which
+sums e log|b(z)| over the bases b^e of the factored form: the samples
+near the pole move half a step (the dodge), and samples whose log|f| is
+NaN or +inf are retried half a step over; samples still singular then
+raise QuadratureError.  On a circle through a pole of f, the sample mean
+of the pole's -m log|z - rho| term, off by up to about m log(pi)/N, is
+corrected to its integral.  T = m + N by construction.  FunctionData
+holds the inputs: the factored canonical form at construction, whose bases
+carry the zeros and poles with their multiplicities, so the divisors need
+no further root finding; the expanded num and den, which the coefficient
+bounds and the kernel take, on first use.
 """
 from __future__ import annotations
 
@@ -89,6 +90,7 @@ _INFLATE = 1.0 + 1e-12  # rounded tails and root bounds are raised by this facto
 _GRAEFFE_STEPS = 3  # root squarings behind each root bound: slack 2d -> (2d)^(1/8)
 _UNIT_ROUNDOFF = 2.0 ** -53
 _SUBNORMAL = 2.0 ** -1074
+_MAX_LOSS = 23.0  # a circle whose _expansion_loss exceeds this is sampled alone, factored
 
 
 class QuadratureError(RuntimeError):
@@ -348,6 +350,17 @@ def _settled_circles(c, radii, samples):
     return out
 
 
+def _expansion_loss(c, r):
+    """sum |e| log((r + |a|) / |r - |a||) over the linear bases z - a of c, per
+    radius of the ndarray r: the expanded num and den lose at most e^loss ulps
+    on |z| = r, as a product's coefficient moduli are at most the product of
+    theirs and |z - a| >= |r - |a||.  Canonical.log_abs expands whole bases too."""
+    a, e = np.array([(abs(b.coefficients[0]), abs(e)) for b, e in c.factors
+                     if b.degree == 1]).reshape(-1, 2).T
+    with np.errstate(divide="ignore"):
+        return np.log((r[:, None] + a) / np.abs(r[:, None] - a)) @ e
+
+
 def _on_circle(rho, r):
     return abs(abs(rho) - r) <= _ANGLE_DODGE * r
 
@@ -369,8 +382,8 @@ class FunctionData:
     finite, as m = T = inf would be no number; everything else on first
     use.  The zeros and poles are read off its bases, and the poles
     serve the pole dodge of proximity.  Each proximity call builds its power
-    table from the cached unit circle once for all its sampled radii, and
-    only when some radius is sampled.
+    table from the cached unit circle once, and only when the kernel sums
+    some circle.
     """
 
     def __init__(self, expr):
@@ -396,12 +409,12 @@ class FunctionData:
         bounds and the root moduli of the bases, for all radii at once
         (_settled_circles): m = 0.0 where |f| < 1 on the circle, Jensen's
         closed form where |f| > 1 and every root lies well inside.  The
-        other circles are sampled: one power table (Canonical.circle_powers)
-        serves them all, and one call of Canonical.log_abs2_on_circles sums
-        max(log|f|^2, 0) on every sampled circle that no pole passes
-        through, so that m = sum / 2N (see the module docstring).  A circle
-        through a pole, or with a sum that is not finite, takes its samples
-        from the same kernel and goes through _sampled_circle.
+        other circles are sampled: one call of Canonical.log_abs2_on_circles
+        sums max(log|f|^2, 0) on every one that no pole passes through and
+        whose _expansion_loss is at most _MAX_LOSS, against one power table
+        (Canonical.circle_powers), so that m = sum / 2N (see the module
+        docstring).  The rest, and those whose sum is not finite, go through
+        _sampled_circle.
         """
         samples = _require_samples(samples)
         radii = _require_radii(radii)
@@ -411,46 +424,43 @@ class FunctionData:
         if todo.size:
             r = radii[todo]
             poles = np.array([rho for rho, _ in self.poles.entries], dtype=complex)
-            dodge = _on_circle(poles, r[:, None]).any(axis=1)
-            powers = c.circle_powers(_unit_circle(samples)[1])
-            out[todo[~dodge]] = c.log_abs2_on_circles(r[~dodge], powers) / (2 * samples)
-            for i in todo[~np.isfinite(out[todo])]:  # dodged, so still NaN, or not finite
-                out[i] = self._sampled_circle(float(radii[i]), powers)
+            bulk = ~_on_circle(poles, r[:, None]).any(axis=1) & (_expansion_loss(c, r) <= _MAX_LOSS)
+            if bulk.any():
+                powers = c.circle_powers(_unit_circle(samples)[1])
+                out[todo[bulk]] = c.log_abs2_on_circles(r[bulk], powers) / (2 * samples)
+            for i in todo[~np.isfinite(out[todo])]:  # left out, so still NaN, or not finite
+                out[i] = self._sampled_circle(float(radii[i]), samples)
         return out.tolist()
 
-    def _sampled_circle(self, r, powers):
-        """m(r) from the kernel's samples on one circle, where a pole of f
-        lies on it or the sum of log+|f| is not finite.
+    def _sampled_circle(self, r, samples):
+        """m(r) from Canonical.log_abs at the N nodes of one circle, where a
+        pole of f lies on it, the expanded num or den may lose its digits
+        there, or the kernel's sum of log+|f| is not finite.
 
         Samples within _ANGLE_DODGE of a pole on the circle move half a step
         (the dodge), and samples whose log|f| is NaN or +inf are retried half
-        a step over; both are evaluated by Canonical.log_abs at the moved
-        points.  If the sum is still not finite, QuadratureError is raised.
-        A circle through a pole of f adds _pole_sum_error.
+        a step over.  If the sum is still not finite, QuadratureError is
+        raised.  A circle through a pole of f adds _pole_sum_error.
         """
         c = self.canonical
-        base, _ = _unit_circle(powers.shape[1])
-        half = np.pi / len(base)
-        theta = base  # replaced, never written to, where a sample moves
+        theta = _unit_circle(samples)[0]  # replaced, never written to, where a sample moves
+        half = np.pi / samples
         on_circle = [rho for rho, _ in self.poles.entries if _on_circle(rho, r)]
         for rho in on_circle:
             ang = math.atan2(rho.imag, rho.real) % (2.0 * np.pi)
             near = np.abs((theta - ang + np.pi) % (2.0 * np.pi) - np.pi) <= _ANGLE_DODGE
             theta = np.where(near, theta + half, theta)
-        vals = c.log_abs2_on_circles([r], powers, samples=True)[0]
-        if on_circle:
-            moved = theta != base
-            vals[moved] = 2.0 * c.log_abs(r * np.exp(1j * theta[moved]))
+        vals = np.maximum(c.log_abs(r * np.exp(1j * theta)), 0.0)
         with np.errstate(over="ignore"):
-            total = np.maximum(vals, 0.0, out=vals).sum()
+            total = vals.sum()
             if not math.isfinite(total):  # NaN or +inf samples: retry them
                 bad = ~np.isfinite(vals)
                 theta = np.where(bad, theta + half, theta)
-                vals[bad] = np.maximum(2.0 * c.log_abs(r * np.exp(1j * theta[bad])), 0.0)
+                vals[bad] = np.maximum(c.log_abs(r * np.exp(1j * theta[bad])), 0.0)
                 total = vals.sum()
         if not math.isfinite(total):
             raise QuadratureError(f"quadrature hit singular samples at r = {r}")
-        m = float(total) / (2 * len(base))
+        m = float(total) / samples
         return m + self._pole_sum_error(r, theta) if on_circle else m
 
     def _pole_sum_error(self, r, theta):
@@ -469,7 +479,7 @@ class FunctionData:
         c = self.canonical
         outside = [sign * m * math.log(max(abs(z), 1.0))
                    for sign, d in ((1, self.zeros), (-1, self.poles)) for z, m in d.entries]
-        return (math.log(abs(c.num.leading)) - math.log(abs(c.den.leading))
+        return (math.log(abs(c.lead)) - math.log(abs(c.den_lead))
                 + c.expo.coefficients[0].real + sum(outside))
 
     def characteristic(self, radii, samples):

@@ -404,10 +404,9 @@ def marty_probe(family, resolution=21, shrink=0.8):
 
 @dataclass(frozen=True)
 class RescalingSpec:
-    """Base point, zoom exponent alpha, and explicit (z_v, rho_v) pairs."""
+    """Zoom exponent alpha and explicit (z_v, rho_v) pairs."""
 
     alpha: Fraction
-    base_point: complex
     pairs: tuple  # of (z_v, rho_v), aligned with the family parameters
 
     def __post_init__(self):
@@ -423,14 +422,13 @@ class RescalingSpec:
         if any(b >= a for a, b in zip(rhos, rhos[1:])):
             raise ValueError("rho_v must be strictly decreasing")
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "base_point", complex(self.base_point))
         object.__setattr__(self, "pairs", pairs)
 
     @classmethod
-    def from_rules(cls, alpha, params, z_rule, rho_rule, base_point=0j):
+    def from_rules(cls, alpha, params, z_rule, rho_rule):
         """Generate the pairs by applying rules to each parameter value."""
         pairs = tuple((complex(z_rule(v)), float(rho_rule(v))) for v in params)
-        return cls(Fraction(alpha), complex(base_point), pairs)
+        return cls(Fraction(alpha), pairs)
 
 
 def rescaled_function(f, z_v, rho_v, alpha):
@@ -480,43 +478,41 @@ class RescaleReport:
         }
 
 
-def _xi_grid(xi_points):
-    pts = disc_grid(0j, 2.0, 9) if xi_points is None else tuple(xi_points)
-    return np.array(pts, dtype=complex)
+_XI = np.array(disc_grid(0j, 2.0, 9))  # the xi grid of every rescaled family
+_XI.flags.writeable = False
 
 
-def _domain_points(family, z_v, rho_v, xi):
+def _domain_points(family, z_v, rho_v):
     """w = z_v + rho_v xi for the xi grid; raises when a w leaves the disc."""
-    w = z_v + rho_v * xi
+    w = z_v + rho_v * _XI
     inside = family.contains(w)
     if not inside.all():
         k = int(np.argmin(inside))
         raise ValueError(
-            f"rescaled point escapes the domain at xi = {complex(xi[k])} "
+            f"rescaled point escapes the domain at xi = {complex(_XI[k])} "
             f"(z = {complex(w[k])}, "
             f"|z - center| = {float(abs(w[k] - family.center))})")
     return w
 
 
-def zalcman_rescale(family, rescaling, xi_points=None, limit=None):
+def zalcman_rescale(family, rescaling, limit=None):
     """Evaluate the zoomed family on a xi-grid and track convergence.
 
     Convergence is declared when the final consecutive sup chordal distance
     (or the distance to the supplied limit) drops below 1e-3.
     """
-    xi = _xi_grid(xi_points)
     if len(rescaling.pairs) != len(family.params):
         raise ValueError("need one (z_v, rho_v) pair per family parameter")
     limit_vals = None
     if limit is not None:
-        limit_vals = evaluate(limit, xi)
+        limit_vals = evaluate(limit, _XI)
     prev_vals = None
     entries = []
     for v, (z_v, rho_v) in zip(family.params, rescaling.pairs):
-        _domain_points(family, z_v, rho_v, xi)  # raises if the zoom leaves the disc
+        _domain_points(family, z_v, rho_v)  # raises if the zoom leaves the disc
         g = rescaled_function(family.instantiate(v), z_v, rho_v,
                               rescaling.alpha)
-        vals = evaluate(g, xi)
+        vals = evaluate(g, _XI)
         dist_prev = None
         if prev_vals is not None:
             dist_prev = _sup_chordal(vals, prev_vals)
@@ -558,7 +554,7 @@ class ExtrasReport:
         }
 
 
-def rescale_extras_check(main, extras, family, rescaling, xi_points=None):
+def rescale_extras_check(main, extras, family, rescaling):
     """Check that extra terms die off under rescaling while the main survives.
 
     The main monomial is evaluated in rescaled form M(g_v); each extra term is
@@ -569,17 +565,16 @@ def rescale_extras_check(main, extras, family, rescaling, xi_points=None):
     generalized_polynomial(main, extras)  # validates the alpha comparisons
     if Fraction(rescaling.alpha) != alpha_index(main):
         raise ValueError("rescaling alpha must equal the main monomial index")
-    xi = _xi_grid(xi_points)
     if len(rescaling.pairs) != len(family.params):
         raise ValueError("need one (z_v, rho_v) pair per family parameter")
     entries = []
     prev_main = None
     sups = []
     for v, (z_v, rho_v) in zip(family.params, rescaling.pairs):
-        w = _domain_points(family, z_v, rho_v, xi)
+        w = _domain_points(family, z_v, rho_v)
         f = family.instantiate(v)
         g = rescaled_function(f, z_v, rho_v, rescaling.alpha)
-        main_vals = evaluate(compose_monomial(main, g), xi)
+        main_vals = evaluate(compose_monomial(main, g), _XI)
         dist_prev = None
         if prev_main is not None:
             dist_prev = _sup_chordal(main_vals, prev_main)

@@ -782,6 +782,18 @@ def test_singular_points_are_classified():
         assert evaluate(parse(text), z) == INFINITY, text
 
 
+def test_canonical_log_keeps_the_argument_at_zeros_and_poles():
+    # log f from the factors: log|f| is -inf at a zero and +inf at a pole,
+    # and arg f stays the sum of the other factors' arguments there, as
+    # log(0j) = -inf + 0j; elsewhere exp(log f) is f
+    c = canonicalize(parse("(z-1)^2*exp(1i*z)/(z+2)"))
+    logs = c.log(np.array([1.0, -2.0, 0.5j]))
+    assert logs[0] == complex(-math.inf, 1.0)
+    assert logs[1] == complex(math.inf, 2.0 * math.pi - 2.0)
+    assert np.exp(logs[2]) == pytest.approx(c.values(np.array([0.5j]))[0], rel=1e-14)
+    assert np.array_equal(c.log_abs(np.array([1.0, -2.0])), [-math.inf, math.inf])
+
+
 def test_array_evaluate_matches_point_by_point():
     rng = random.Random(31337)
     seen = {"infinity": 0, "raised": 0, "finite": 0}

@@ -386,11 +386,11 @@ def test_rescaling_singular_points_raise():
 
 def test_rescaling_spec_validation():
     with pytest.raises(ValueError):
-        RescalingSpec(Fraction(1), 0j, ((0j, 1.0),))
+        RescalingSpec(Fraction(1), ((0j, 1.0),))
     with pytest.raises(ValueError):
-        RescalingSpec(Fraction(0), 0j, ((0j, 1.0), (0j, 1.0)))
+        RescalingSpec(Fraction(0), ((0j, 1.0), (0j, 1.0)))
     with pytest.raises(ValueError):
-        RescalingSpec(Fraction(0), 0j, ((0j, -1.0),))
+        RescalingSpec(Fraction(0), ((0j, -1.0),))
     spec = RescalingSpec.from_rules(0, (4.0, 8.0), lambda v: 0j,
                                     lambda v: 1.0 / v)
     assert spec.pairs == ((0j, 0.25), (0j, 0.125))
