@@ -28,12 +28,32 @@ with a certified rounding radius on every coefficient.  Barring
 underflow it is within a factor (2d)^(1/8) of the largest root modulus,
 where plain Fujiwara can be 2d times too large.
 
-On a sampled circle, since p(z_j) = sum_k (c_k r^k) w^(jk), proximity
-builds one real table, a row of Re w^(jk) and a row of Im w^(jk) for
-each power k, once per call from strided copies of the cached unit
-circle (Canonical.circle_powers), and one call of
+Most sampled circles are summed by their row.  Where every base of the
+factored form is linear, (z - a_j)^e_j, log|f(r w^j)| = Re sum_m D_m w^(jm)
+with D_0 = log|lead/den_lead| + Re p_0 + sum_j e_j log max(r, |a_j|) and
+D_m = p_m r^m - (1/m) sum_(|a_j|>r) e_j (r/a_j)^m
+- (1/m) conj(sum_(|a_j|<r) e_j (a_j/r)^m) for m >= 1, p = expo.  A circle
+takes its row when the bound sum_j |e_j| rho_j^(M+1) / ((M+1)(1 - rho_j)),
+rho_j = min(|a_j|/r, r/|a_j|), on the series cut after M terms is at most
+_ROW_TAIL = 2^-53 for some M <= _ROW_TERMS = 32 with deg p <= M
+(_row_terms), and then uses the least such M.  The power sums are built
+once per split of the roots into inside and outside, scaled so that no
+power exceeds 1 (_row_coefficients); node block b of c nodes has the
+coefficients D_m w^(mbc), so real products of many (radius, block) rows
+against one cached table of w^(mt), t < c, give the samples in node
+order, and max(., 0) and one sum per radius follow (_row_sums).  A
+sample costs a product, a max and a sum, no log, and a multiplicity is
+only a weight, so the row has no digit loss near a multiple root.  A
+circle within a factor of about 2.7 of a root modulus, a function with a
+whole base and an expo of degree above 32 keep the kernel below: the
+series would need more terms, or there are no power sums to read.
+
+On a circle the kernel samples, since p(z_j) = sum_k (c_k r^k) w^(jk),
+proximity builds one real table, a row of Re w^(jk) and a row of Im
+w^(jk) for each power k, once per call from strided copies of the cached
+unit circle (Canonical.circle_powers), and one call of
 Canonical.log_abs2_on_circles sums max(log|f|^2, 0) over the nodes of
-every sampled circle, each circle one real matrix product against the
+every such circle, each circle one real matrix product against the
 table, in slices of node columns that stay in cache; m(r) is that sum
 over 2N.  num and den of degree d are scaled to
 r^d sum_k c_k r^(k-d) w^(jk), so the sum runs on unit-modulus points
@@ -50,13 +70,15 @@ two so that the squared moduli stay within the double range.
 
 A circle through a pole of f, one where the expanded num or den may lose
 e^_MAX_LOSS ulps to a multiple root near it (_expansion_loss), and one
-whose sum is not finite take all N samples from Canonical.log_abs, which
-sums e log|b(z)| over the bases b^e of the factored form: the samples
-near the pole move half a step (the dodge), and samples whose log|f| is
-NaN or +inf are retried half a step over; samples still singular then
-raise QuadratureError.  On a circle through a pole of f, the sample mean
-of the pole's -m log|z - rho| term, off by up to about m log(pi)/N, is
-corrected to its integral.  T = m + N by construction.  FunctionData
+whose row or kernel sum is not finite take all N samples from
+Canonical.log_abs, which sums e log|b(z)| over the bases b^e of the
+factored form.  On a circle through poles rho of order m, with
+L = sum m log|z - rho|, log+|f| = h - L where h = max(log|f| + L, L) is
+smooth at the poles; h is sampled at every node from the factored form
+without those poles' linear bases, so it is finite even at a node on a
+pole, and the exact mean of L, sum m log max(r, |rho|), is subtracted.
+Samples that are NaN or +inf are retried half a step over; samples still
+singular raise QuadratureError.  T = m + N by construction.  FunctionData
 holds the inputs: the factored canonical form at construction, whose bases
 carry the zeros and poles with their multiplicities, so the divisors need
 no further root finding; the expanded num and den, which the coefficient
@@ -66,7 +88,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -83,7 +105,7 @@ from .expressions import (
 DEFAULT_SAMPLES = 4096
 DEFAULT_RMIN, DEFAULT_RMAX, DEFAULT_STEPS = 2.0, 128.0, 64
 _MIN_SAMPLES = 64
-_ANGLE_DODGE = 1e-8
+_ON_CIRCLE = 1e-8  # a pole within this relative distance of |z| = r lies on the circle
 _SETTLE_MARGIN = 1e-9  # log|f| must clear 0 by this much to settle a circle unsampled
 _ALIAS_EXPONENT = 40.0  # closed form only with every root inside r exp(-40/N)
 _INFLATE = 1.0 + 1e-12  # rounded tails and root bounds are raised by this factor
@@ -91,6 +113,10 @@ _GRAEFFE_STEPS = 3  # root squarings behind each root bound: slack 2d -> (2d)^(1
 _UNIT_ROUNDOFF = 2.0 ** -53
 _SUBNORMAL = 2.0 ** -1074
 _MAX_LOSS = 23.0  # a circle whose _expansion_loss exceeds this is sampled alone, factored
+_ROW_TERMS = 32  # most Fourier terms of log|f| in a circle's row (_row_terms)
+_ROW_TAIL = 2.0 ** -53  # bound on the error per sample of a row cut after its terms
+_ROW_NODES = 256  # nodes per block of a row product (_row_table)
+_ROW_PRODUCT = 1 << 15  # doubles in the row product, reused within a call (_row_sums)
 
 
 class QuadratureError(RuntimeError):
@@ -288,7 +314,10 @@ def _log_abs_bounds(polys, bounds, r, log_r):
     log|c_d| + d log(r + B)).  tail/lead is summed by Horner in 1/r, the
     rows padded with zeros below the lowest coefficient to one length, so
     r^d never overflows, and is raised by _INFLATE; a bound that still
-    overflows comes out infinite or NaN, which settles nothing.  Call under
+    overflows comes out infinite or NaN, which settles nothing.  Both bounds
+    then move out by 4 (d + 2) u (1 + |log|c_d|| + d log r), u = 2^-53,
+    which covers the rounding of the logs and of their sums, and that of
+    log|p| itself computed by Horner at a node, to the last bit.  Call under
     np.errstate(all="ignore").
     """
     size = max(p.degree for p in polys)
@@ -302,12 +331,14 @@ def _log_abs_bounds(polys, bounds, r, log_r):
     tail = tail * _INFLATE
     d = np.array([[p.degree] for p in polys])
     lead = np.array([[math.log(abs(p.leading))] for p in polys])
-    top = lead + d * log_r
+    rise = d * log_r  # >= 0, as r > 1
+    top = lead + rise
     bound = np.array(bounds)[:, None]
+    slack = (4.0 * _UNIT_ROUNDOFF) * (d + 2) * (1.0 + np.abs(lead) + rise)
     lower = np.maximum(np.where(tail <= 0.5, top + np.log1p(-tail), -np.inf),
                        np.where(r > bound, lead + d * np.log(r - bound), -np.inf))
     upper = np.minimum(top + np.log1p(tail), lead + d * np.log(r + bound))
-    return lower, upper
+    return lower - slack, upper + slack
 
 
 def _settled_circles(c, radii, samples):
@@ -350,19 +381,139 @@ def _settled_circles(c, radii, samples):
     return out
 
 
-def _expansion_loss(c, r):
-    """sum |e| log((r + |a|) / |r - |a||) over the linear bases z - a of c, per
-    radius of the ndarray r: the expanded num and den lose at most e^loss ulps
-    on |z| = r, as a product's coefficient moduli are at most the product of
-    theirs and |z - a| >= |r - |a||.  Canonical.log_abs expands whole bases too."""
-    a, e = np.array([(abs(b.coefficients[0]), abs(e)) for b, e in c.factors
-                     if b.degree == 1]).reshape(-1, 2).T
+def _root_ratios(c, r):
+    """(ratio, e): ratio[i, j] = min(|a_j| / r_i, r_i / |a_j|) for the linear
+    bases (z - a_j)^e_j of c and each radius r_i of the ndarray r, and the
+    |e_j|.  1 where a root lies on the circle."""
+    a = np.array([abs(b.coefficients[0]) for b, _ in c.factors if b.degree == 1])
+    e = np.array([abs(m) for b, m in c.factors if b.degree == 1], dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        q = a / r[:, None]
+        return np.minimum(q, 1.0 / q), e
+
+
+def _expansion_loss(ratio, e):
+    """sum |e| log((r + |a|) / |r - |a||) = sum |e| log((1 + ratio) / (1 - ratio))
+    over the linear bases (z - a)^e, per row of _root_ratios: the expanded num
+    and den lose at most e^loss ulps on |z| = r, as a product's coefficient
+    moduli are at most the product of theirs and |z - a| >= |r - |a||.
+    Canonical.log_abs expands whole bases too."""
     with np.errstate(divide="ignore"):
-        return np.log((r[:, None] + a) / np.abs(r[:, None] - a)) @ e
+        return np.log((1.0 + ratio) / (1.0 - ratio)) @ e
+
+
+def _row_terms(c, ratio, e):
+    """The number M of Fourier terms of log|f| in each circle's row, per row
+    of _root_ratios: the least M >= deg expo whose truncation bound
+    sum_j |e_j| ratio_j^(M+1) / ((M+1)(1 - ratio_j)) is at most _ROW_TAIL, as
+    log|1 - x| = -Re sum_(m>=1) x^m / m; -1 where no M <= _ROW_TERMS is, and
+    for every circle when c has a whole base.  A pole on the circle has
+    ratio 1, which no bound passes.  The bound at _ROW_TERMS, one pass over
+    the ratios, comes first, so a call where no circle qualifies costs
+    little."""
+    terms = np.full(len(ratio), -1)
+    if c.expo.degree > _ROW_TERMS or any(b.degree > 1 for b, _ in c.factors):
+        return terms
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weight = 1.0 / (1.0 - ratio)
+        ok = (weight * ratio ** (_ROW_TERMS + 1)) @ e <= _ROW_TAIL * (_ROW_TERMS + 1)
+    if ok.any():
+        m = np.arange(1.0, _ROW_TERMS + 2.0)  # M + 1
+        tails = np.einsum("rj,rjm->rm", weight[ok] * e, ratio[ok, :, None] ** m) / m
+        terms[ok] = np.maximum(np.argmax(tails <= _ROW_TAIL, axis=1), c.expo.degree)
+    return terms
+
+
+def _row_coefficients(c, r, top):
+    """D_m(r) for m <= top, one row per radius of the ndarray r, for c with
+    linear bases (z - a_j)^e_j only: log|f(r w^j)| = Re sum_m D_m w^(jm) up to
+    the truncation that _row_terms bounds, with
+    D_0 = log|lead / den_lead| + Re p_0 + sum_j e_j log max(r, |a_j|) and
+    D_m = p_m r^m - (1/m) sum_(|a_j| > r) e_j (r / a_j)^m
+    - (1/m) conj(sum_(|a_j| < r) e_j (a_j / r)^m), p = expo.
+
+    The power sums are built once per split of the roots into inside and
+    outside, which changes only where r crosses a root modulus, scaled by
+    the split's largest inside modulus s (1 where that is less, as r > 1)
+    and smallest outside one t, so that no power exceeds 1 in modulus:
+    (a_j / r)^m = (s / r)^m (a_j / s)^m and (r / a_j)^m = (r / t)^m (t / a_j)^m,
+    an outer product in r."""
+    roots = np.array([-b.coefficients[0] for b, _ in c.factors], dtype=complex)
+    e = np.array([m for _, m in c.factors], dtype=float)
+    order = np.argsort(np.abs(roots), kind="stable")
+    roots, e = roots[order], e[order]
+    moduli = np.abs(roots)
+    p = np.array(c.expo.coefficients)
+    d = np.zeros((len(r), top + 1), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf sums go to _sampled_circle
+        d[:, :len(p)] = p * r[:, None] ** np.arange(len(p))
+    d[:, 0] = math.log(abs(c.lead)) - math.log(abs(c.den_lead)) + p[0].real
+    m = np.arange(1.0, top + 1.0)
+    split = np.searchsorted(moduli, r)  # the first split roots lie inside
+    for k in set(split.tolist()):
+        at = split == k
+        x = r[at, None]
+        d[at, 0] += e[:k].sum() * np.log(r[at]) + e[k:] @ np.log(moduli[k:])
+        if k:
+            s = max(moduli[k - 1], 1.0)
+            d[at, 1:] -= (s / x) ** m * np.conj(e[:k] @ (roots[:k, None] / s) ** m) / m
+        if k < len(roots):
+            t = moduli[k]
+            d[at, 1:] -= (x / t) ** m * (e[k:] @ (t / roots[k:, None]) ** m) / m
+    return d
+
+
+@lru_cache(maxsize=4)
+def _row_table(samples):
+    """Read-only (table, turns) for the rows on N = samples nodes: table rows
+    2m and 2m + 1 hold Re and Im w^(mt), m <= _ROW_TERMS, for the first
+    c = min(_ROW_NODES, N) nodes t, and turns[b, m] = w^(mbc) for each of
+    the N/c blocks of c nodes, all entries of the cached unit circle."""
+    unit = _unit_circle(samples)[1]
+    width = min(_ROW_NODES, samples)
+    m = np.arange(_ROW_TERMS + 1)
+    w = unit[m[:, None] * np.arange(width) % samples]
+    table = np.stack([w.real, w.imag], 1).reshape(-1, width)
+    turns = unit[np.arange(0, samples, width)[:, None] * m % samples]
+    table.flags.writeable = turns.flags.writeable = False
+    return table, turns
+
+
+def _row_sums(d, terms, samples):
+    """sum_j max(log|f(r w^j)|, 0) over the N nodes, per row of coefficients
+    d (_row_coefficients) with its number of terms.
+
+    Node j = bc + t of block b is Re sum_m (D_m w^(mbc)) w^(mt), so each
+    (radius, block) pair is one row of real coefficients (Re, -Im) against
+    the cached table of the first c nodes, and the samples come out in node
+    order.  The radii go by their number of terms, as many to a product as
+    fill _ROW_PRODUCT doubles, each product as many terms as its last
+    radius, the others' padded with zeros.  The product block and the
+    coefficient block are reused, and max(., 0) and one sum per radius are
+    taken in the product block."""
+    table, turns = _row_table(samples)
+    per = max(1, _ROW_PRODUCT // samples)  # radii per product
+    rows = min(per, len(d)) * len(turns)  # (radius, block) pairs per product
+    work = np.empty((rows, table.shape[1]))
+    coef = np.empty(rows * d.shape[1], dtype=complex)
+    out = np.empty(len(d))
+    order = np.argsort(terms, kind="stable")
+    d = np.where(np.arange(d.shape[1]) <= terms[:, None], d, 0.0)  # m(r) is its own terms'
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(d), per):
+            at = order[start:start + per]
+            k = terms[at[-1]] + 1
+            x = coef[:len(at) * len(turns) * k].reshape(len(at), len(turns), k)
+            np.multiply(d[at, None, :k], turns[:, :k], out=x)
+            np.conj(x, out=x)  # (Re, -Im) against the (Re, Im) rows of table
+            prod = np.matmul(x.view(float).reshape(-1, 2 * k), table[:2 * k],
+                             out=work[:len(at) * len(turns)])
+            out[at] = np.maximum(prod, 0.0, out=prod).reshape(len(at), -1).sum(1)
+    return out
 
 
 def _on_circle(rho, r):
-    return abs(abs(rho) - r) <= _ANGLE_DODGE * r
+    return abs(abs(rho) - r) <= _ON_CIRCLE * r
 
 
 @lru_cache(maxsize=4)
@@ -381,9 +532,9 @@ class FunctionData:
     for the zero function and where its constant factor lead/den_lead is not
     finite, as m = T = inf would be no number; everything else on first
     use.  The zeros and poles are read off its bases, and the poles
-    serve the pole dodge of proximity.  Each proximity call builds its power
-    table from the cached unit circle once, and only when the kernel sums
-    some circle.
+    serve the circles through a pole of proximity.  Each proximity call
+    builds its power table from the cached unit circle once, and only when
+    the kernel sums some circle.
     """
 
     def __init__(self, expr):
@@ -409,12 +560,16 @@ class FunctionData:
         bounds and the root moduli of the bases, for all radii at once
         (_settled_circles): m = 0.0 where |f| < 1 on the circle, Jensen's
         closed form where |f| > 1 and every root lies well inside.  The
-        other circles are sampled: one call of Canonical.log_abs2_on_circles
-        sums max(log|f|^2, 0) on every one that no pole passes through and
+        other circles are sampled.  Where every base is linear and every
+        root lies far enough from the circle (_row_terms), the samples are
+        a short Fourier row of log|f| (_row_coefficients), summed by real
+        products against a cached table of node powers (_row_sums).  Of the
+        rest, one call of Canonical.log_abs2_on_circles sums
+        max(log|f|^2, 0) on every circle that no pole passes through and
         whose _expansion_loss is at most _MAX_LOSS, against one power table
         (Canonical.circle_powers), so that m = sum / 2N (see the module
-        docstring).  The rest, and those whose sum is not finite, go through
-        _sampled_circle.
+        docstring).  The circles left, and those whose sum is not finite,
+        go through _sampled_circle.
         """
         samples = _require_samples(samples)
         radii = _require_radii(radii)
@@ -423,8 +578,15 @@ class FunctionData:
         todo = np.flatnonzero(np.isnan(out))
         if todo.size:
             r = radii[todo]
+            ratio, e = _root_ratios(c, r)
+            terms = _row_terms(c, ratio, e)
+            row = terms >= 0
+            if row.any():
+                d = _row_coefficients(c, r[row], int(terms[row].max()))
+                out[todo[row]] = _row_sums(d, terms[row], samples) / samples
             poles = np.array([rho for rho, _ in self.poles.entries], dtype=complex)
-            bulk = ~_on_circle(poles, r[:, None]).any(axis=1) & (_expansion_loss(c, r) <= _MAX_LOSS)
+            bulk = (~row & ~_on_circle(poles, r[:, None]).any(axis=1)
+                    & (_expansion_loss(ratio, e) <= _MAX_LOSS))
             if bulk.any():
                 powers = c.circle_powers(_unit_circle(samples)[1])
                 out[todo[bulk]] = c.log_abs2_on_circles(r[bulk], powers) / (2 * samples)
@@ -435,42 +597,49 @@ class FunctionData:
     def _sampled_circle(self, r, samples):
         """m(r) from Canonical.log_abs at the N nodes of one circle, where a
         pole of f lies on it, the expanded num or den may lose its digits
-        there, or the kernel's sum of log+|f| is not finite.
+        there, or the sum of log+|f| by a row or the kernel is not finite.
 
-        Samples within _ANGLE_DODGE of a pole on the circle move half a step
-        (the dodge), and samples whose log|f| is NaN or +inf are retried half
-        a step over.  If the sum is still not finite, QuadratureError is
-        raised.  A circle through a pole of f adds _pole_sum_error.
+        With L = sum m log|z - rho| over the poles rho of order m on the
+        circle (0 where there are none), log+|f| is h - L, where
+        h = max(log|f| + L, L) is smooth at those poles; m(r) is the N-point
+        trapezoid of h minus the exact mean of L, sum m log max(r, |rho|).
+        The linear bases of those poles leave the factored form that
+        log_abs evaluates, so h is finite at a node on a pole.  A pole of a
+        whole base keeps its base, and a node within _ON_CIRCLE r of it
+        counts as singular.  Samples of h that are NaN or +inf are retried
+        half a step over; if the sum is still not finite, QuadratureError is
+        raised.
         """
         c = self.canonical
-        theta = _unit_circle(samples)[0]  # replaced, never written to, where a sample moves
-        half = np.pi / samples
-        on_circle = [rho for rho, _ in self.poles.entries if _on_circle(rho, r)]
-        for rho in on_circle:
-            ang = math.atan2(rho.imag, rho.real) % (2.0 * np.pi)
-            near = np.abs((theta - ang + np.pi) % (2.0 * np.pi) - np.pi) <= _ANGLE_DODGE
-            theta = np.where(near, theta + half, theta)
-        vals = np.maximum(c.log_abs(r * np.exp(1j * theta)), 0.0)
+        poles = [(rho, m) for rho, m in self.poles.entries if _on_circle(rho, r)]
+        linear = {-b.coefficients[0] for b, e in c.factors if e < 0 and b.degree == 1}
+        cut = [(rho, m) for rho, m in poles if rho in linear]
+        whole = [(rho, m) for rho, m in poles if rho not in linear]
+        if cut:
+            c = replace(c, factors=tuple((b, e) for b, e in c.factors if not (
+                e < 0 and b.degree == 1 and _on_circle(b.coefficients[0], r))))
+
+        def smooth(theta):
+            zs = r * np.exp(1j * theta)
+            with np.errstate(divide="ignore"):
+                cut_log, whole_log = (sum(m * np.log(np.abs(zs - rho)) for rho, m in part)
+                                      for part in (cut, whole))
+            h = np.maximum(c.log_abs(zs), cut_log) + whole_log
+            for rho, _ in whole:  # a computed root: the logs do not cancel next to it
+                h[np.abs(zs - rho) <= _ON_CIRCLE * r] = np.nan
+            return h
+
+        theta = _unit_circle(samples)[0]
+        vals = smooth(theta)
         with np.errstate(over="ignore"):
             total = vals.sum()
             if not math.isfinite(total):  # NaN or +inf samples: retry them
                 bad = ~np.isfinite(vals)
-                theta = np.where(bad, theta + half, theta)
-                vals[bad] = np.maximum(c.log_abs(r * np.exp(1j * theta[bad])), 0.0)
+                vals[bad] = smooth(theta[bad] + np.pi / samples)
                 total = vals.sum()
         if not math.isfinite(total):
             raise QuadratureError(f"quadrature hit singular samples at r = {r}")
-        m = float(total) / samples
-        return m + self._pole_sum_error(r, theta) if on_circle else m
-
-    def _pole_sum_error(self, r, theta):
-        """Sample mean at the angles theta minus integral of m log|z - rho|
-        over |z| = r, summed over the poles rho of f on the circle.  log+|f|
-        is -m log|z - rho| plus a smooth term near rho, and adding this takes
-        out that term's quadrature error (m log(pi)/N at a dodged pole)."""
-        zs = r * np.exp(1j * theta)
-        return sum(m * (float(np.log(np.abs(zs - rho)).mean()) - math.log(max(r, abs(rho))))
-                   for rho, m in self.poles.entries if _on_circle(rho, r))
+        return float(total) / samples - sum(m * math.log(max(r, abs(rho))) for rho, m in poles)
 
     def log_mean_at_1(self):
         """J(1, f), the mean of log|f| on |z| = 1, by Jensen's formula:

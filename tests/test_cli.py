@@ -332,6 +332,20 @@ def test_remark14_alpha_violation(capsys):
     assert "index" in capsys.readouterr().err
 
 
+def test_growth_command_leaves_numpy_ma_unimported():
+    # numpy.ma, which np.unique imports in numpy 2.x, adds about 1.2 MB to
+    # the peak resident size of a growth run; characteristic with an exp
+    # part sums most circles by their Fourier rows and some by the kernel
+    code = ("import sys\n"
+            "from nevanlab.cli import main\n"
+            "main(['characteristic', '--f', '(z-0.5)^2*(z+0.3i)/(z+1.2)*exp(z^2)',\n"
+            "      '--samples', '8192', '--format', 'json'])\n"
+            "sys.exit(3 if 'numpy.ma' in sys.modules else 0)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["command"] == "characteristic"
+
+
 def test_module_invocation():
     proc = subprocess.run(
         [sys.executable, "-m", "nevanlab.cli", "expand", "--n", "2",

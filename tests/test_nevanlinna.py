@@ -14,6 +14,7 @@ import nevanlab.nevanlinna
 from nevanlab import (
     DEFAULT_SAMPLES,
     Canonical,
+    Const,
     Divisor,
     Exp,
     FamilySpec,
@@ -220,8 +221,8 @@ def test_pole_on_circle_is_dodged():
     assert m > 0.0
     m2 = proximity_m(f, 2.0 * (1.0 + 1e-12))
     assert math.isfinite(m2)
-    # only the middle radius carries the pole: the dodge there must leave
-    # the quadrature points of the other radii untouched
+    # only the middle radius carries the pole: its sampling from the form
+    # without the pole's base must leave the other radii untouched
     radii = (1.5, 2.0, 2.5)
     ms = FunctionData(f).proximity(radii, 4096)
     assert ms[1] == m
@@ -230,10 +231,11 @@ def test_pole_on_circle_is_dodged():
 
 
 def test_dodged_samples_do_not_overflow():
-    # the dodged radius goes through Canonical.log_abs, where Horner's z^200
-    # at |z| = 100 overflows; Jensen's mean is 200 log 100 - log 100, and
-    # |f| > 1 on the circle, so m(100) is that mean, and with the pole's
-    # quadrature error taken out it is exact but for rounding
+    # the radius through the pole goes through Canonical.log_abs, where
+    # Horner's z^200 at |z| = 100 overflows; Jensen's mean is
+    # 200 log 100 - log 100, and |f| > 1 on the circle, so m(100) is that
+    # mean, and with the pole's term taken at its exact mean it is exact but
+    # for rounding
     m = proximity_m(parse("z^200/(z-100)"), 100.0)
     assert m == pytest.approx(199.0 * math.log(100.0), abs=1e-9)
 
@@ -253,15 +255,25 @@ def test_proximity_of_a_high_power_is_jensen():
 
 @pytest.mark.parametrize("k", [30, 50, 100])
 def test_dodged_high_power_matches_mpmath(k):
-    # (z - 1)^k/(z - 2) on |z| = 2: the pole is dodged, and with s = sin(t/2)
-    # |z - 1|^2 = 1 + 8 s^2 and |z - 2|^2 = 16 s^2
+    # (z - 1)^k/(z - 2) on |z| = 2: the pole lies on the node z = 2, and with
+    # s = sin(t/2) |z - 1|^2 = 1 + 8 s^2 and |z - 2|^2 = 16 s^2
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         ref = float(mpmath.quad(lambda t: max(0, k * mpmath.log(1 + 8 * mpmath.sin(t / 2) ** 2)
                                               - mpmath.log(16 * mpmath.sin(t / 2) ** 2)) / 2,
                                 [0, mpmath.pi]) / mpmath.pi)
     assert math.isfinite(ref)
-    assert abs(proximity_m(parse(f"(z-1)^{k}/(z-2)"), 2.0) - ref) <= 1e-9 * ref
+    assert abs(proximity_m(parse(f"(z-1)^{k}/(z-2)"), 2.0) - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("k", [30, 50, 100])
+def test_pole_on_a_node_keeps_jensen(k):
+    # |f| >= 1 on |z| = 2 for f = (z - 1)^k/(z - 2), so m(2) is the mean of
+    # log|f|, (k - 1) log 2 by Jensen's formula; the smooth part k log|z - 1|
+    # is sampled at every node, the pole's included, not moved off it
+    want = (k - 1) * math.log(2.0)
+    for samples in (64, 4096):
+        assert abs(proximity_m(parse(f"(z-1)^{k}/(z-2)"), 2.0, samples) - want) <= 1e-14 * want
 
 
 def test_sampled_circle_is_its_trapezoid_near_a_multiple_pole():
@@ -279,11 +291,21 @@ def test_sampled_circle_is_its_trapezoid_near_a_multiple_pole():
 
 @pytest.mark.parametrize("text", ["1/(z-2)", "1/(z-(1.2+1.6i))", "1/(z^2+4)", "5/(z-2)^2"])
 def test_pole_on_circle_quadrature_error_is_removed(text):
-    # poles on |z| = 2, at a node (dodged) or between nodes: the sample mean
+    # poles on |z| = 2, at a node or between nodes: the sample mean
     # of log+|f| alone misses by up to m log(pi)/N (2.8e-4 per unit of
     # multiplicity at 4096 samples); what is left is the kink error
     f = parse(text)
     assert proximity_m(f, 2.0, 4096) == pytest.approx(proximity_m(f, 2.0, 65536), abs=1e-6)
+
+
+def test_pole_of_a_whole_base_on_a_node():
+    # the ill-conditioned (z - 1) ... (z - 24) stays one whole base, whose
+    # computed root 2 does not cancel the node z = 2 exactly: that node
+    # moves half a step, and the pole's term is still taken at its mean
+    f = div(Const(1e20), Poly(Polynomial.from_roots(range(1, 25))))
+    data = FunctionData(f)
+    assert [(b.degree, e) for b, e in data.canonical.factors] == [(24, -1)]
+    assert data.proximity([2.0], 4096)[0] == pytest.approx(data.proximity([2.0], 65536)[0], abs=1e-6)
 
 
 def test_quadrature_sample_doubling():
@@ -540,32 +562,41 @@ def _factored_trapezoid(c, r, samples):
     return float(np.mean(np.maximum(vals, 0.0)))
 
 
+def _row_taken(c, radii):
+    # whether each circle's samples come from its Fourier row
+    r = np.asarray(radii, dtype=float)
+    return nevanlab.nevanlinna._row_terms(c, *nevanlab.nevanlinna._root_ratios(c, r)) >= 0
+
+
 def test_settled_circles_match_sampled_circles(monkeypatch):
     # a zero circle gives exactly 0.0, as the sampled circle does, and a
-    # closed-form circle the trapezoid mean on the same N nodes to rounding.
-    # That mean is taken from the bases: the kernel's samples of the expanded
-    # num and den lose up to 1e-11 of m(r) where a 4-fold root lies within
-    # 1% of the circle (N = 4096 or 8192 at the edge r exp(-40/N))
+    # closed-form circle or one summed by its row the trapezoid mean on the
+    # same N nodes to rounding.  That mean is taken from the bases: the
+    # kernel's samples of the expanded num and den lose up to 1e-11 of m(r)
+    # where a 4-fold root lies within 1% of the circle (N = 4096 or 8192 at
+    # the edge r exp(-40/N)).  A circle the kernel sums reads the same when
+    # every circle is sampled
     rng = np.random.default_rng(1964)
     radii = RadialGrid.geometric(2.0, 128.0, 16).radii
-    kinds = {"zero": 0, "closed": 0, "sampled": 0}
+    kinds = {"zero": 0, "closed": 0, "row": 0, "kernel": 0}
     for f, samples in _settle_cases(rng, radii):
         data = FunctionData(f)
         settled = nevanlab.nevanlinna._settled_circles(data.canonical, radii, samples)
+        row = _row_taken(data.canonical, radii)
         got = data.proximity(radii, samples)
         with monkeypatch.context() as patch:
             _sampled_only(patch)
             want = data.proximity(radii, samples)
-        for r, s, m, w in zip(radii, settled, got, want):
+        for r, s, by_row, m, w in zip(radii, settled, row, got, want):
             if s == 0.0:
                 kinds["zero"] += 1
                 assert m == w == 0.0
-            elif math.isfinite(s):
-                kinds["closed"] += 1
+            elif math.isfinite(s) or by_row:
+                kinds["closed" if math.isfinite(s) else "row"] += 1
                 x = _factored_trapezoid(data.canonical, r, samples)
                 assert abs(m - x) <= 1e-13 * (1.0 + abs(x)), (print_expr(f), samples, r)
             else:
-                kinds["sampled"] += 1
+                kinds["kernel"] += 1
                 assert m == w
     assert min(kinds.values()) >= 100, kinds
 
@@ -605,16 +636,19 @@ def test_graeffe_bounds_only_whole_bases(monkeypatch):
 
 
 class _KernelCalls:
+    # the sampling paths: the kernel, the factored log_abs and the rows
     def __init__(self, monkeypatch):
         self.calls = []
         for name in ("log_abs2_on_circles", "log_abs"):
             original = getattr(Canonical, name)
             monkeypatch.setattr(Canonical, name, self._wrap(name, original))
+        monkeypatch.setattr(nevanlab.nevanlinna, "_row_sums",
+                            self._wrap("_row_sums", nevanlab.nevanlinna._row_sums))
 
     def _wrap(self, name, original):
-        def counting(canonical, *args, **kwargs):
+        def counting(*args, **kwargs):
             self.calls.append(name)
-            return original(canonical, *args, **kwargs)
+            return original(*args, **kwargs)
         return counting
 
 
@@ -641,7 +675,8 @@ def test_proximity_makes_at_most_one_kernel_call(monkeypatch):
 @pytest.mark.parametrize("text,r,samples", [
     ("1000*(z - 3.996)", 4.0, DEFAULT_SAMPLES),  # a zero at 0.999 r
     ("exp(z^64 + 5)", 1.01, 64),  # deg expo >= N: the trapezoid aliases z^64
-    ("5/(z - 2)", 2.0, DEFAULT_SAMPLES),  # a pole on the circle is dodged
+    ("5/(z - 2)", 2.0, DEFAULT_SAMPLES),  # a pole on the circle
+    ("exp(z)", 2.0, 64),  # no roots: the circle's row
 ])
 def test_unsettled_circles_are_sampled(monkeypatch, text, r, samples):
     data = FunctionData(parse(text))
@@ -664,6 +699,107 @@ def test_closed_form_needs_deg_expo_below_samples():
 
 _GROWTH_F = "(z-0.5)^2*(z+0.3i)/(z+1.2)*exp(z^2)"
 _GROWTH_LOGDERIV = f"D[{_GROWTH_F},2]/({_GROWTH_F})"
+
+
+def test_row_sums_are_the_factored_trapezoid(monkeypatch):
+    # f = lead prod (z - a_j)^e_j exp(p) with |e_j| <= 8, deg p <= 3 and roots
+    # on both sides of the circles, zeros and poles alike; lead puts log|f|
+    # near 0 on the first circle, so that |f| = 1 crosses it.  Every circle
+    # that takes its row reads the N-point mean of log+|f| from the bases
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    angle = st.floats(0.0, 2.0 * math.pi)
+    exponent = st.integers(-8, 8).filter(bool)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        inner=st.lists(st.tuples(st.floats(0.0, 0.3), angle, exponent), max_size=4),
+        outer=st.lists(st.tuples(st.floats(3.5, 30.0), angle, exponent), max_size=4),
+        expo=st.lists(st.tuples(st.floats(0.0, 2.0), angle), max_size=4),
+        r=st.floats(1.5, 40.0), shift=st.floats(-2.0, 2.0),
+        samples=st.sampled_from([64, 256, 4096, 8192]))
+    @hypothesis.example(  # no roots: the row's terms are the 4 of p
+        inner=[], outer=[], expo=[(0.0, 0.0), (0.5, 0.3), (0.7, 1.0), (1.5, 2.0)],
+        r=3.0, shift=0.0, samples=256)
+    def check(inner, outer, expo, r, shift, samples):
+        roots = [(rel * r * cmath.exp(1j * t), e) for rel, t, e in inner + outer]
+        p = [size * r ** -k * cmath.exp(1j * t) for k, (size, t) in enumerate(expo)] or [0j]
+        jensen = sum(e * math.log(max(r, abs(a))) for a, e in roots) + p[0].real
+        lead = math.exp(shift - jensen)
+        f = mul(Const(lead), Exp(Polynomial(p)),
+                *[pow_int(Poly(Polynomial([-a, 1])), e) for a, e in roots])
+        c = FunctionData(f).canonical
+        radii = [r, r * 1.1, r * 0.9]
+        row = _row_taken(c, radii)
+        assert row[0], (roots, r)
+        with monkeypatch.context() as patch:
+            _sampled_only(patch)
+            got = FunctionData(f).proximity(radii, samples)
+        for radius, by_row, m in zip(radii, row, got):
+            if by_row:
+                x = _factored_trapezoid(c, radius, samples)
+                assert abs(m - x) <= 1e-13 * (1.0 + abs(m)), (roots, p, radius, samples)
+
+    check()
+
+
+def _row_bound_passes(c, r):
+    # the row's truncation bound at 32 terms, one base at a time
+    if c.expo.degree > 32 or any(b.degree > 1 for b, _ in c.factors):
+        return False
+    rhos = [(min(abs(b.coefficients[0]) / r, r / abs(b.coefficients[0]))
+             if b.coefficients[0] else 0.0, abs(e)) for b, e in c.factors]
+    if any(rho >= 1.0 for rho, _ in rhos):
+        return False
+    return sum(e * rho ** 33 / (33 * (1.0 - rho)) for rho, e in rhos) <= 2.0 ** -53
+
+
+def _row_radii(monkeypatch):
+    # the radii each _row_coefficients call takes, with their term counts
+    taken = []
+    original = nevanlab.nevanlinna._row_sums
+    coefficients = nevanlab.nevanlinna._row_coefficients
+
+    def recording(c, r, terms):
+        taken.append(list(r))
+        return coefficients(c, r, terms)
+
+    def counting(d, terms, samples):
+        taken.append(list(terms))
+        return original(d, terms, samples)
+    monkeypatch.setattr(nevanlab.nevanlinna, "_row_coefficients", recording)
+    monkeypatch.setattr(nevanlab.nevanlinna, "_row_sums", counting)
+    return taken
+
+
+@pytest.mark.parametrize("text,some", [
+    (_GROWTH_F, True), ("exp(z)/(z-2)", True), ("(z-0.25)^8*exp(3*z^3)/(z+0.3)^5", True),
+    ("exp(z^32)", True), ("exp(z^33)", False), ("5/(z-2)^3 + z", True),
+    ("D[(z-0.5)^2*exp(z)/(z+0.3),1]", False)])
+def test_row_takes_the_unsettled_circles_whose_bound_passes(monkeypatch, text, some):
+    # the row takes a circle exactly when it is not settled, every base is
+    # linear, deg expo <= 32 and the truncation bound at 32 terms is at most
+    # 2^-53, with the least number of terms whose bound is: not r = 2
+    # through the pole of exp(z)/(z-2), where the ratio is 1, nor any circle
+    # of the derivative, whose factor H is a whole base
+    radii = RadialGrid.geometric(1.1, 128.0, 40).radii + (2.0,)
+    data = FunctionData(parse(text))
+    c = data.canonical
+    settled = nevanlab.nevanlinna._settled_circles(c, radii, DEFAULT_SAMPLES)
+    want = [r for r, s in zip(radii, settled) if math.isnan(s) and _row_bound_passes(c, r)]
+    assert bool(want) == some
+    assert text != "exp(z)/(z-2)" or 2.0 not in want
+    assert some or c.expo.degree > 32 or any(b.degree > 1 for b, _ in c.factors)
+    taken = _row_radii(monkeypatch)
+    data.proximity(radii, DEFAULT_SAMPLES)
+    assert taken[::2] == ([want] if want else [])
+    for r, terms in zip(want, taken[1] if want else []):
+        rhos = [(min(abs(b.coefficients[0]) / r, r / abs(b.coefficients[0]))
+                 if b.coefficients[0] else 0.0, abs(e)) for b, e in c.factors]
+        bound = [sum(e * rho ** (m + 1) / ((m + 1) * (1.0 - rho)) for rho, e in rhos)
+                 for m in range(33)]
+        least = min(m for m in range(33) if bound[m] <= 2.0 ** -53)
+        assert terms == max(least, c.expo.degree), (text, r)
 
 
 def _plain_fujiwara(c):
@@ -753,13 +889,26 @@ def test_root_bound_tightens_fujiwara():
     assert nevanlab.nevanlinna._root_bound(np.array([5.0 + 0j])) == 0.0
 
 
-def test_log_abs_bounds_hold_and_are_tight():
-    # the bounds of log|p| on |z| = r hold at every node to rounding, for two
-    # polynomials of different degrees at once; with positive coefficients
-    # |p| peaks at z = r, where p(r) = lead + tail, so the upper bound is
-    # that to rounding
-    rng = np.random.default_rng(1986)
+def _check_log_abs_bounds(polys, r):
+    # the bounds of log|p| on |z| = r hold at every node, to the last bit;
+    # with positive coefficients |p| peaks at z = r, where p(r) = lead +
+    # tail, so the upper bound is that to rounding
     unit = nevanlab.nevanlinna._unit_circle(256)[1]
+    bounds = [nevanlab.nevanlinna._root_bound(np.array(p.coefficients)) for p in polys]
+    with np.errstate(all="ignore"):
+        lower, upper = nevanlab.nevanlinna._log_abs_bounds(polys, bounds, r, np.log(r))
+    for p, low, high in zip(polys, lower, upper):
+        for radius, lo, hi in zip(r, low, high):
+            logs = np.log(np.abs(p(radius * unit)))
+            assert lo <= logs.min(), (p.coefficients, radius)
+            assert logs.max() <= hi, (p.coefficients, radius)
+            if all(x.imag == 0 for x in p.coefficients):
+                assert hi <= logs[0] + 1e-11, (p.coefficients, radius)
+
+
+def test_log_abs_bounds_hold_and_are_tight():
+    # two polynomials of different degrees at once
+    rng = np.random.default_rng(1986)
     for _ in range(40):
         polys = []
         for degree in rng.integers(0, 13, 2):
@@ -767,18 +916,19 @@ def test_log_abs_bounds_hold_and_are_tight():
             if rng.uniform() < 0.5:
                 c = c * np.exp(2j * np.pi * rng.uniform(size=degree + 1))
             polys.append(Polynomial(c))
-        bounds = [nevanlab.nevanlinna._root_bound(np.array(p.coefficients)) for p in polys]
-        r = np.exp(rng.uniform(math.log(1.1), math.log(50.0), 5))
-        with np.errstate(all="ignore"):
-            lower, upper = nevanlab.nevanlinna._log_abs_bounds(polys, bounds, r, np.log(r))
-        for p, low, high in zip(polys, lower, upper):
-            for radius, lo, hi in zip(r, low, high):
-                logs = np.log(np.abs(p(radius * unit)))
-                slack = 1e-13 * np.abs(logs).max()
-                assert lo <= logs.min() + slack, (p.coefficients, radius)
-                assert logs.max() <= hi + slack, (p.coefficients, radius)
-                if all(x.imag == 0 for x in p.coefficients):
-                    assert hi <= logs[0] + 1e-11, (p.coefficients, radius)
+        _check_log_abs_bounds(polys, np.exp(rng.uniform(math.log(1.1), math.log(50.0), 5)))
+
+
+def test_log_abs_bounds_cover_the_last_bit():
+    # positive coefficients at r = 29.748: the upper bound read
+    # 30.16036767375776 when only the tail was raised, below log|p(r)|, which
+    # computes to 30.160367673757765; a constant's log differs by an ulp
+    # between math.log and numpy's log of a complex modulus
+    p = Polynomial([0.002364324873260698, 0.251262036591864, 0.16606002300944264,
+                    0.002734724769588961, 10.498661780399072, 6.3154518353232,
+                    2.1588039632111107, 0.0022736386385672266, 20.452176269017922])
+    _check_log_abs_bounds([p, Polynomial([0.3593633522165813 - 0.22184008712110137j])],
+                          np.array([29.74817761946716, 5.10737414445334]))
 
 
 def test_root_bound_falls_back_to_fujiwara_quietly():
@@ -936,10 +1086,12 @@ def test_proximity_is_the_trapezoid_at_the_nodes_it_uses(monkeypatch):
     # through a pole, a circle with singular kernel samples and plain
     # circles.  The plain circles and the singular one share the only kernel
     # call; the singular circle and the one through the pole then take every
-    # sample from Canonical.log_abs: the node at the pole moves half a step,
-    # samples that log_abs leaves not finite are retried half a step over,
-    # and the pole's sum error is added.  Each m(r) is the mean of
-    # max(log|f|, 0) from Canonical.log_abs at the nodes it used
+    # sample from Canonical.log_abs.  On the singular circle, samples that
+    # log_abs leaves not finite are retried half a step over, and m(r) is
+    # the mean of max(log|f|, 0) at the nodes it used.  On the circle through
+    # the pole, m(r) is the mean of max(log|f| + L, L), L = log|z - rho|, at
+    # the nodes themselves, the pole's node included, minus L's exact mean
+    # log|rho|: log|f| + L is log|num| there, with the pole's base left out
     rng = np.random.default_rng(2022)
     for samples in (4096, 8192):
         node = int(rng.integers(samples))
@@ -957,15 +1109,18 @@ def test_proximity_is_the_trapezoid_at_the_nodes_it_uses(monkeypatch):
         half = np.pi / samples
         want = []
         for r in radii:
+            if r == pole:
+                zs = r * np.exp(1j * theta)
+                with np.errstate(divide="ignore"):
+                    pole_log = np.log(np.abs(zs - rho))
+                assert pole_log[node] == -math.inf
+                rest = _whole(num, Polynomial([1]), Polynomial([0]))
+                want.append(float(np.mean(np.maximum(rest.log_abs(zs), pole_log))) - math.log(pole))
+                continue
             angles = theta.copy()
-            angles[node] += half * (r == pole)
             bad = ~np.isfinite(c.log_abs(r * np.exp(1j * angles)))
             angles[bad] += half
-            zs = r * np.exp(1j * angles)
-            m = float(np.mean(np.maximum(c.log_abs(zs), 0.0)))
-            if r == pole:
-                m += float(np.mean(np.log(np.abs(zs - rho)))) - math.log(pole)
-            want.append(m)
+            want.append(float(np.mean(np.maximum(c.log_abs(r * np.exp(1j * angles)), 0.0))))
         data = FunctionData(nevanlab.expressions.Expr((c,)))
         with monkeypatch.context() as patch:
             kernel = _KernelCalls(patch)
@@ -976,8 +1131,8 @@ def test_proximity_is_the_trapezoid_at_the_nodes_it_uses(monkeypatch):
 
 
 def test_pole_just_inside_the_circle_is_dodged():
-    # a pole 5e-9 r inside is within the dodge distance but not a singular
-    # sample: the pole check must still root-find the denominator
+    # a pole 5e-9 r inside is within the on-circle distance but not a
+    # singular sample: the pole check must still root-find the denominator
     on = proximity_m(parse("1/(z - 2)"), 2.0)
     near = FunctionData(parse(f"1/(z - {2.0 * (1.0 - 5e-9)!r})"))
     assert near.proximity([2.0], DEFAULT_SAMPLES)[0] == pytest.approx(on, abs=1e-6)
