@@ -64,10 +64,6 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # terms: the factored canonical form
 
-_BLOCK = 16  # coefficients per block in Canonical.log_abs2_on_circles
-_CHUNK_BYTES = 1 << 20  # bytes of power-table columns per pass of Canonical.log_abs2_on_circles
-
-
 @dataclass(frozen=True)
 class Canonical:
     """f = (lead/den_lead) prod b^e exp(expo), factors the pairs (b, e): b monic,
@@ -149,168 +145,6 @@ class Canonical:
     def log_abs(self, zs):
         """log|f| on an ndarray of points, the real part of log."""
         return self.log(zs).real
-
-    def circle_powers(self, unit):
-        """The real table log_abs2_on_circles takes: rows 2k and 2k + 1 hold
-        the real and imaginary parts of w^(jk) = unit[(k*j) % N], j < N.
-
-        unit[j] = w^j for w = exp(2 pi i/N), and N must be a power of two
-        (proximity's sample counts are).  There are min(max degree, _BLOCK)
-        + 1 powers k, each row a copy of entries of unit, so every entry is
-        w^(jk) to the accuracy of unit itself: power 2k is power k at the
-        even nodes twice over, as w^(2jk) = w^(2(j - N/2)k), two [0::2]
-        copies; an odd power k, for which j -> k*j % N runs through every
-        index once, is k strided slices unit[s::k], one per wrap of k*j past
-        N.  No index array is built.
-        """
-        n = unit.size
-        degree = max(self.num.degree, self.den.degree, self.expo.degree)
-        table = np.empty((min(degree, _BLOCK) + 1, 2, n))
-        table[0, 0], table[0, 1] = unit[0].real, unit[0].imag
-        if len(table) > 1:
-            table[1] = unit.real, unit.imag
-        for k in range(2, len(table)):
-            if k % 2 == 0:
-                half = table[k // 2, :, 0::2]
-                table[k, :, :n // 2] = half
-                table[k, :, n // 2:] = half
-                continue
-            start = done = 0
-            while done < n:
-                part = table[1, :, start::k]
-                table[k, :, done:done + part.shape[1]] = part
-                done += part.shape[1]
-                start += k * part.shape[1] - n
-        return table.reshape(-1, n)
-
-    @cached_property
-    def _circle_terms(self):
-        """The parts of log_abs2_on_circles that do not depend on r.
-
-        Returns (kinds, coef, exponents, offset, slope).  Each nonconstant
-        polynomial has kind 1 (num), -1 (den) or 0 (expo), in that order.
-        coef holds a real and an imaginary row per (block of _BLOCK
-        coefficients, polynomial), block-major, against the table's (Re, Im)
-        row pairs: x + iy is [x, -y] and [y, x]; a single-block expo keeps
-        only its real row, and expo's rows are doubled, as the kernel sums
-        2 Re expo.  exponents holds the power of r of each entry.  num and
-        den are divided by 2^s, s midway between the exponents of their
-        largest and leading coefficient parts, so that for r >= 1 |p|^2
-        stays in range unless those differ by 2^1000.  s log 2 and the
-        constant polynomials make offset; slope * log r sums the d log r
-        terms.
-        """
-        polys, kinds = [], []
-        offset = slope = 0.0
-        for kind, p in ((1, self.num), (-1, self.den), (0, self.expo)):
-            c = np.array(p.coefficients)
-            d = len(c) - 1
-            if d == 0:
-                if kind == 0:
-                    offset += c[0].real
-                else:
-                    offset += kind * (math.log(abs(c[0])) if c[0] else -math.inf)
-                continue
-            k = np.arange(d + 1.0)
-            if kind:
-                top = np.abs(c.view(float)).max()
-                lead = max(abs(c[-1].real), abs(c[-1].imag))
-                shift = (math.frexp(top)[1] + math.frexp(lead)[1]) // 2
-                c = np.ldexp(c.view(float), -shift).view(complex)  # exact
-                offset += kind * shift * math.log(2.0)
-                k -= d
-            else:
-                c = c * 2.0  # exact
-            polys.append((c, k))
-            kinds.append(kind)
-            slope += kind * d
-        if not polys:
-            return kinds, None, None, offset, slope
-        length = max(len(c) for c, _ in polys)
-        width = min(length, _BLOCK)
-        blocks = -(-length // width)
-        x = np.zeros((len(polys), blocks * width), dtype=complex)
-        exps = np.zeros(x.shape)  # padding gets r^0, times a zero coefficient
-        for i, (c, k) in enumerate(polys):
-            x[i, :len(c)], exps[i, :len(k)] = c, k
-        x = x.reshape(len(polys), blocks, width, 1).swapaxes(0, 1)
-        coef = np.stack([np.concatenate([x.real, -x.imag], 3),
-                         np.concatenate([x.imag, x.real], 3)], 2).reshape(-1, 2 * width)
-        exps = exps.reshape(len(polys), blocks, width).swapaxes(0, 1).repeat(2, 1).repeat(2, 2)
-        rows = len(coef) - (blocks == 1 and kinds[-1] == 0)
-        return kinds, coef[:rows], exps.reshape(-1, 2 * width)[:rows], offset, slope
-
-    def log_abs2_on_circles(self, radii, powers, samples=False):
-        """log|f|^2 at z_j = r w^j, j < N, for each r in radii, given the
-        table of circle_powers: the sum over j of max(log|f(z_j)|^2, 0) per
-        radius, holding no row of N samples, or with samples the
-        (radii x N) samples themselves.
-
-        Each polynomial is one real matrix product against the table.  num
-        and den of degree d are r^d sum_k c_k r^(k-d) w^(jk), so the sum runs
-        on unit-modulus points and d log r is added back as a logarithm: r^d
-        never overflows.  expo is sum_k c_k r^k w^(jk).  Blocks of _BLOCK
-        coefficients are joined by Horner in w^_BLOCK, so the table needs at
-        most _BLOCK + 1 powers.  Each sample costs one log,
-        log(|num|^2 / |den|^2), and one add: the expo row comes doubled, as
-        2 Re expo, with the constant 2 (slope log r + offset) in its w^0
-        coefficient; with no expo row the constant is added to each sample.
-        A zero of num gives -inf, of den +inf and of both NaN, as log|0|
-        would.  The product runs over slices of table columns of at most
-        _CHUNK_BYTES, which stay in cache, and the num and den rows of each
-        slice are squared in place, with no temporary.
-        """
-        kinds, coef, exps, offset, slope = self._circle_terms
-        n = powers.shape[1]
-        radii = np.asarray(radii, dtype=float)
-        base = 2.0 * (offset + slope * np.log(radii))
-        if not kinds:
-            return np.repeat(base[:, None], n, 1) if samples else np.maximum(base, 0.0) * n
-        expo = kinds[-1] == 0
-        logs = len(kinds) - expo  # num and den rows lead, expo's follow
-        width = coef.shape[1] // 2
-        blocks = -(-len(coef) // (2 * len(kinds)))
-        step = max(1, _CHUNK_BYTES // (len(powers) * powers.itemsize))
-        out = np.empty((len(radii), n)) if samples else np.zeros(len(radii))
-        work = np.empty((len(coef), min(step, n)))  # the product slice, reused
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            scaled = coef * radii[:, None, None] ** exps
-            if expo:
-                scaled[:, 2 * logs, 0] += base
-            for i in range(len(radii)):
-                for start in range(0, n, step):
-                    cols = slice(start, start + step)
-                    table = powers[:2 * width, cols]
-                    sums = np.matmul(scaled[i], table, out=work[:, :table.shape[1]])
-                    if blocks > 1:
-                        sums = sums.reshape(blocks, -1, sums.shape[1])
-                        wr, wi = powers[2 * _BLOCK, cols], powers[2 * _BLOCK + 1, cols]
-                        acc = sums[-1]
-                        for b in range(blocks - 2, -1, -1):
-                            re, im = acc[0::2], acc[1::2]
-                            acc = sums[b]
-                            acc[0::2] += re * wr - im * wi
-                            acc[1::2] += re * wi + im * wr
-                        sums = acc
-                    row = out[i, cols] if samples else sums[0]
-                    if logs:
-                        sq = sums[:2 * logs]
-                        np.multiply(sq, sq, out=sq)
-                        sq[0] += sq[1]
-                        if logs == 2:
-                            sq[2] += sq[3]
-                            sq[0] /= sq[2]
-                        np.log(sq[0], out=row)
-                        add = sums[2 * logs] if expo else base[i]
-                        if kinds[0] < 0:
-                            np.subtract(add, row, out=row)
-                        elif expo or add:
-                            row += add
-                    elif samples:
-                        row[:] = sums[0]
-                    if not samples:
-                        out[i] += np.maximum(row, 0.0, out=row).sum()
-        return out
 
 
 _ZERO = Canonical(0j, 1 + 0j, (), _NIL)

@@ -38,35 +38,36 @@ rho_j = min(|a_j|/r, r/|a_j|), on the series cut after M terms is at most
 _ROW_TAIL = 2^-53 for some M <= _ROW_TERMS = 32 with deg p <= M
 (_row_terms), and then uses the least such M.  The power sums are built
 once per split of the roots into inside and outside, scaled so that no
-power exceeds 1 (_row_coefficients); node block b of c nodes has the
-coefficients D_m w^(mbc), so real products of many (radius, block) rows
-against one cached table of w^(mt), t < c, give the samples in node
-order, and max(., 0) and one sum per radius follow (_row_sums).  A
-sample costs a product, a max and a sum, no log, and a multiplicity is
-only a weight, so the row has no digit loss near a multiple root.  A
-circle within a factor of about 2.7 of a root modulus, a function with a
-whole base and an expo of degree above 32 keep the kernel below: the
-series would need more terms, or there are no power sums to read.
+power exceeds 1 (_row_coefficients).  Every sampled circle is summed on
+the same nodes by the same product (_circle_sums): node j = bc + t of
+block b of c nodes is Re sum_m (d_m w^(mbc)) w^(mt), so real products of
+many (row, radius, block) rows of coefficients against one cached table
+of w^(mt), t < c, give the samples in node order, and max(., 0) and one
+sum per radius follow.  The table holds max(deg, _ROW_TERMS) + 1 powers
+(_row_table), so every function of degree up to 32 reads the one table
+of its sample count.  A row is a single row of coefficients D_m, and its
+samples are the product itself (_row_sums): a sample costs a product, a
+max and a sum, no log, and a multiplicity is only a weight, so the row
+has no digit loss near a multiple root.  A circle within a factor of
+about 2.7 of a root modulus, a function with a whole base and an expo of
+degree above 32 keep the kernel below: the series would need more terms,
+or there are no power sums to read.
 
-On a circle the kernel samples, since p(z_j) = sum_k (c_k r^k) w^(jk),
-proximity builds one real table, a row of Re w^(jk) and a row of Im
-w^(jk) for each power k, once per call from strided copies of the cached
-unit circle (Canonical.circle_powers), and one call of
-Canonical.log_abs2_on_circles sums max(log|f|^2, 0) over the nodes of
-every such circle, each circle one real matrix product against the
-table, in slices of node columns that stay in cache; m(r) is that sum
-over 2N.  num and den of degree d are scaled to
-r^d sum_k c_k r^(k-d) w^(jk), so the sum runs on unit-modulus points
-and d log r is added back in the log domain: neither r^d nor an
-exponential factor overflows.  Coefficients go in blocks of 16, joined
-by Horner in w^16, so the table has at most 17 powers whatever the
-degree.  Each sample takes one log and one add: log(|num|^2 / |den|^2)
-plus the expo row, whose coefficients are doubled to give 2 Re expo and
-whose w^0 coefficient carries the constants (twice (deg num - deg den)
-log r and the logs of the prescales and of constant parts), or the
-constants alone where expo is constant; the squares are taken in place
-in the product's rows, and num and den are prescaled by exact powers of
-two so that the squared moduli stay within the double range.
+The kernel samples log|f|^2 from the expanded num and den
+(_kernel_sums).  Since p(z_j) = sum_k (c_k r^k) w^(jk), each polynomial
+is a row of coefficients (_kernel_coefficients): num and den of degree d
+are scaled to r^d sum_k c_k r^(k-d) w^(jk), so the sum runs on
+unit-modulus points and d log r is added back in the log domain, and
+each gives the rows p and -i p, whose real parts are Re p and Im p;
+neither r^d nor an exponential factor overflows.  Each sample takes one
+log and one add (_log_abs2): log(|num|^2 / |den|^2) plus the expo row,
+whose coefficients are doubled to give 2 Re expo and whose w^0
+coefficient carries the constants (twice (deg num - deg den) log r and
+the logs of the prescales and of constant parts); the squares are taken
+in place in the product's rows, and num and den are prescaled by exact
+powers of two so that the squared moduli stay within the double range.
+One kernel call sums max(log|f|^2, 0) over the nodes of every circle it
+takes; m(r) is that sum over 2N.
 
 A circle through a pole of f, one where the expanded num or den may lose
 e^_MAX_LOSS ulps to a multiple root near it (_expansion_loss), and one
@@ -354,10 +355,10 @@ def _settled_circles(c, radii, samples):
     Re expo(0) -+ sum_(k>=1) |x_k| r^k, summed by Horner in r.
     Jensen's value is the N-point mean for the factored f, to e^-40/N per
     root, once every root of a base lies inside r exp(-_ALIAS_EXPONENT/N);
-    the expanded num and den that the kernel samples have the coefficients
-    of f to rounding, so the two agree to the kernel's rounding (which
-    grows near a multiple root close to the circle, where Jensen's value
-    is the more accurate).
+    the expanded num and den that the kernel (_kernel_sums) samples have
+    the coefficients of f to rounding, so the two agree to the kernel's
+    rounding (which grows near a multiple root close to the circle, where
+    Jensen's value is the more accurate).
     """
     r = np.asarray(radii, dtype=float)
     log_r = np.log(r)
@@ -464,14 +465,14 @@ def _row_coefficients(c, r, top):
 
 
 @lru_cache(maxsize=4)
-def _row_table(samples):
-    """Read-only (table, turns) for the rows on N = samples nodes: table rows
-    2m and 2m + 1 hold Re and Im w^(mt), m <= _ROW_TERMS, for the first
+def _row_table(samples, powers):
+    """Read-only (table, turns) on N = samples nodes: table rows 2m and
+    2m + 1 hold Re and Im w^(mt), m < powers, for the first
     c = min(_ROW_NODES, N) nodes t, and turns[b, m] = w^(mbc) for each of
     the N/c blocks of c nodes, all entries of the cached unit circle."""
     unit = _unit_circle(samples)[1]
     width = min(_ROW_NODES, samples)
-    m = np.arange(_ROW_TERMS + 1)
+    m = np.arange(powers)
     w = unit[m[:, None] * np.arange(width) % samples]
     table = np.stack([w.real, w.imag], 1).reshape(-1, width)
     turns = unit[np.arange(0, samples, width)[:, None] * m % samples]
@@ -479,37 +480,130 @@ def _row_table(samples):
     return table, turns
 
 
+def _circle_sums(d, terms, samples, sample):
+    """sum_j max(x_j, 0) over the N nodes, per radius of the complex
+    coefficients d[row, radius, m], where x = sample(re) makes the samples
+    of the radii of one product, in place, from their rows
+    re[row, radius, j] = Re sum_(m <= terms[radius]) d[row, radius, m] w^(jm).
+
+    Node j = bc + t of block b is Re sum_m (d_m w^(mbc)) w^(mt), so each
+    (row, radius, block) triple is one row of real coefficients (Re, -Im)
+    against the cached table of the first c nodes (_row_table, at
+    max(deg, _ROW_TERMS) + 1 powers, so that every degree up to _ROW_TERMS
+    shares one table), and the rows come out in node order.  The radii go
+    by their number of terms, as many to a product as fill _ROW_PRODUCT
+    doubles, each product as many terms as its last radius: the
+    coefficients past a radius's own terms must be 0.  The product block
+    and the coefficient block are reused, and max(., 0) and one sum per
+    radius are taken in the product block."""
+    rows, size = d.shape[0], d.shape[2]
+    table, turns = _row_table(samples, max(size, _ROW_TERMS + 1))
+    per = max(1, _ROW_PRODUCT // (rows * samples))  # radii per product
+    # (row, radius, block) triples per product, two at least: a product of
+    # one row goes to gemv, which rounds unlike the rows of a gemm
+    count = max(2, rows * min(per, len(terms)) * len(turns))
+    work = np.empty((count, table.shape[1]))
+    coef = np.zeros(count * size, dtype=complex)
+    out = np.empty(len(terms))
+    order = np.argsort(terms, kind="stable")
+    d, terms = d[:, order], terms[order]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, len(terms), per):
+            at = slice(start, start + per)
+            radii = len(terms[at])
+            k = terms[at][-1] + 1
+            n = rows * radii * len(turns)
+            x = coef[:n * k].reshape(rows, radii, len(turns), k)
+            np.multiply(d[:, at, None, :k], turns[:, :k], out=x)
+            np.conj(x, out=x)  # (Re, -Im) against the (Re, Im) rows of table
+            prod = np.matmul(coef[:max(n, 2) * k].view(float).reshape(-1, 2 * k), table[:2 * k],
+                             out=work[:max(n, 2)])
+            x = sample(prod[:n].reshape(rows, radii, samples))
+            out[order[at]] = np.maximum(x, 0.0, out=x).sum(1)
+    return out
+
+
 def _row_sums(d, terms, samples):
     """sum_j max(log|f(r w^j)|, 0) over the N nodes, per row of coefficients
-    d (_row_coefficients) with its number of terms.
-
-    Node j = bc + t of block b is Re sum_m (D_m w^(mbc)) w^(mt), so each
-    (radius, block) pair is one row of real coefficients (Re, -Im) against
-    the cached table of the first c nodes, and the samples come out in node
-    order.  The radii go by their number of terms, as many to a product as
-    fill _ROW_PRODUCT doubles, each product as many terms as its last
-    radius, the others' padded with zeros.  The product block and the
-    coefficient block are reused, and max(., 0) and one sum per radius are
-    taken in the product block."""
-    table, turns = _row_table(samples)
-    per = max(1, _ROW_PRODUCT // samples)  # radii per product
-    rows = min(per, len(d)) * len(turns)  # (radius, block) pairs per product
-    work = np.empty((rows, table.shape[1]))
-    coef = np.empty(rows * d.shape[1], dtype=complex)
-    out = np.empty(len(d))
-    order = np.argsort(terms, kind="stable")
+    d (_row_coefficients) with its number of terms: the coefficients of a
+    radius are its one row of _circle_sums, and its samples are that row."""
     d = np.where(np.arange(d.shape[1]) <= terms[:, None], d, 0.0)  # m(r) is its own terms'
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(d), per):
-            at = order[start:start + per]
-            k = terms[at[-1]] + 1
-            x = coef[:len(at) * len(turns) * k].reshape(len(at), len(turns), k)
-            np.multiply(d[at, None, :k], turns[:, :k], out=x)
-            np.conj(x, out=x)  # (Re, -Im) against the (Re, Im) rows of table
-            prod = np.matmul(x.view(float).reshape(-1, 2 * k), table[:2 * k],
-                             out=work[:len(at) * len(turns)])
-            out[at] = np.maximum(prod, 0.0, out=prod).reshape(len(at), -1).sum(1)
+    return _circle_sums(d[None], terms, samples, lambda re: re[0])
+
+
+def _kernel_coefficients(c, r):
+    """(d, kinds): the rows d[row, radius, m] that _log_abs2 turns into
+    log|f|^2 at the nodes of each radius of the ndarray r, and the kinds,
+    1 for num and -1 for den, of the polynomials that have rows.
+
+    A nonconstant num or den of degree d is divided by 2^s, s midway
+    between the exponents of its largest and its leading coefficient parts
+    (exact), so that for r >= 1 |p|^2 stays in range unless those differ by
+    2^1000, and scaled to r^-d p(r w) = sum_k c_k r^(k-d) w^k, so that r^d
+    never overflows.  The rows are these p, then -i p for each (the real
+    parts of p and -i p are Re p and Im p), then 2 expo, the coefficients
+    2 c_k r^k, whose w^0 coefficient carries twice the constants:
+    (deg num - deg den) log r, the s log 2 and the logs of a constant num
+    or den."""
+    polys, exps, kinds = [], [], []
+    offset = slope = 0.0
+    for kind, p in ((1, c.num), (-1, c.den)):
+        if not p.degree:
+            offset += kind * math.log(abs(p.leading))
+            continue
+        x = p.coefficients
+        top = max(max(abs(z.real), abs(z.imag)) for z in x)
+        lead = max(abs(x[-1].real), abs(x[-1].imag))
+        shift = (math.frexp(top)[1] + math.frexp(lead)[1]) // 2
+        polys.append([complex(math.ldexp(z.real, -shift), math.ldexp(z.imag, -shift))
+                      for z in x])  # exact
+        exps.append(range(-p.degree, 1))
+        kinds.append(kind)
+        offset += kind * shift * math.log(2.0)
+        slope += kind * p.degree
+    polys += [[complex(z.imag, -z.real) for z in x] for x in polys]  # -i p, exact
+    polys.append([2.0 * z for z in c.expo.coefficients])  # exact
+    exps += exps + [range(len(polys[-1]))]
+    size = max(map(len, polys))
+    coef = np.array([x + [0j] * (size - len(x)) for x in polys])
+    # the padding gets r^0, times a zero coefficient
+    power = np.array([list(k) + [0] * (size - len(k)) for k in exps], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf sums go to _sampled_circle
+        d = coef[:, None] * r[:, None] ** power[:, None]
+    d[-1, :, 0] += 2.0 * (offset + slope * np.log(r))
+    return d, kinds
+
+
+def _log_abs2(re, kinds):
+    """log|f|^2 at the nodes, from the rows re[row, radius, j] of the
+    _kernel_coefficients of kinds, in place in the expo row: the rows of
+    num and den are squared in place, |num|^2 / |den|^2 is one quotient,
+    and its log is added to 2 Re expo (or log|den|^2 subtracted from it).
+    A zero of num gives -inf, of den +inf and of both NaN, as log|0| would.
+    Call under np.errstate(divide="ignore", invalid="ignore",
+    over="ignore")."""
+    out = re[-1]
+    if kinds:
+        half = len(kinds)
+        sq = re[:2 * half]
+        np.multiply(sq, sq, out=sq)
+        sq = np.add(sq[:half], sq[half:], out=sq[:half])  # |p|^2
+        if half == 2:
+            np.divide(sq[0], sq[1], out=sq[0])
+        logs = np.log(sq[0], out=sq[0])
+        (np.add if kinds[0] > 0 else np.subtract)(out, logs, out=out)
     return out
+
+
+def _kernel_sums(c, r, samples):
+    """sum_j max(log|f(r w^j)|^2, 0) over the N nodes, per radius of the
+    ndarray r, from the expanded num and den of the canonical form c: m(r)
+    is that sum over 2N.  The rows are _kernel_coefficients, all of
+    deg + 1 terms, summed by _circle_sums, and the samples are their
+    _log_abs2."""
+    d, kinds = _kernel_coefficients(c, r)
+    terms = np.full(len(r), d.shape[2] - 1)
+    return _circle_sums(d, terms, samples, lambda re: _log_abs2(re, kinds))
 
 
 def _on_circle(rho, r):
@@ -532,9 +626,9 @@ class FunctionData:
     for the zero function and where its constant factor lead/den_lead is not
     finite, as m = T = inf would be no number; everything else on first
     use.  The zeros and poles are read off its bases, and the poles
-    serve the circles through a pole of proximity.  Each proximity call
-    builds its power table from the cached unit circle once, and only when
-    the kernel sums some circle.
+    serve the circles through a pole of proximity.  The node tables that
+    the sampled circles take are cached per sample count (_row_table), so
+    a proximity call builds none.
     """
 
     def __init__(self, expr):
@@ -562,14 +656,13 @@ class FunctionData:
         closed form where |f| > 1 and every root lies well inside.  The
         other circles are sampled.  Where every base is linear and every
         root lies far enough from the circle (_row_terms), the samples are
-        a short Fourier row of log|f| (_row_coefficients), summed by real
-        products against a cached table of node powers (_row_sums).  Of the
-        rest, one call of Canonical.log_abs2_on_circles sums
-        max(log|f|^2, 0) on every circle that no pole passes through and
-        whose _expansion_loss is at most _MAX_LOSS, against one power table
-        (Canonical.circle_powers), so that m = sum / 2N (see the module
-        docstring).  The circles left, and those whose sum is not finite,
-        go through _sampled_circle.
+        a short Fourier row of log|f| (_row_coefficients, _row_sums).  Of
+        the rest, one call of _kernel_sums sums max(log|f|^2, 0) on every
+        circle that no pole passes through and whose _expansion_loss is at
+        most _MAX_LOSS, so that m = sum / 2N.  Both take real products
+        against the cached table of node powers (_circle_sums; see the
+        module docstring).  The circles left, and those whose sum is not
+        finite, go through _sampled_circle.
         """
         samples = _require_samples(samples)
         radii = _require_radii(radii)
@@ -588,8 +681,7 @@ class FunctionData:
             bulk = (~row & ~_on_circle(poles, r[:, None]).any(axis=1)
                     & (_expansion_loss(ratio, e) <= _MAX_LOSS))
             if bulk.any():
-                powers = c.circle_powers(_unit_circle(samples)[1])
-                out[todo[bulk]] = c.log_abs2_on_circles(r[bulk], powers) / (2 * samples)
+                out[todo[bulk]] = _kernel_sums(c, r[bulk], samples) / (2 * samples)
             for i in todo[~np.isfinite(out[todo])]:  # left out, so still NaN, or not finite
                 out[i] = self._sampled_circle(float(radii[i]), samples)
         return out.tolist()

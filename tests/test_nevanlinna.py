@@ -477,22 +477,32 @@ def test_proximity_matches_log_abs_trapezoid():
             assert abs(m - want) <= 1e-10 * (1.0 + abs(m)), (dn, dd, de, samples, r)
 
 
-def test_proximity_where_horner_overflows():
+def test_proximity_where_horner_overflows(monkeypatch):
     # r^deg overflows a double, so Horner gives non-finite samples at every
-    # point; the power table runs on unit-modulus points
+    # point; the kernel runs on unit-modulus points
     assert proximity_m(parse("z^150"), 128.0) == pytest.approx(
         150.0 * math.log(128.0), rel=1e-12)
     assert proximity_m(parse("z^200/(z^199+1)"), 128.0) == pytest.approx(
         math.log(128.0), rel=1e-12)
-    # the power table has at most 17 powers whatever the degree, each as a
-    # real row and an imaginary row
+    # the kernel reads the table the rows share, max(deg, 32) + 1 powers,
+    # each as a real row and an imaginary row over a block of 64 nodes
+    shapes = []
+    original = nevanlab.nevanlinna._row_table
+
+    def recording(samples, powers):
+        table, turns = original(samples, powers)
+        shapes.append((table.shape, turns.shape))
+        return table, turns
+    monkeypatch.setattr(nevanlab.nevanlinna, "_row_table", recording)
     unit = np.exp(2j * np.pi * np.arange(64) / 64)
-    for text, count in (("5", 1), ("z^3*exp(z^2)", 4), ("z^200/(z^199+1)", 17)):
-        powers = canonicalize(parse(text)).circle_powers(unit)
-        assert powers.shape == (2 * count, 64)
-        want = np.stack([unit ** 0, unit])[:count]
-        assert np.array_equal(powers[0::2][:2], want.real)
-        assert np.array_equal(powers[1::2][:2], want.imag)
+    for text, count in (("5", 33), ("z^3*exp(z^2)", 33), ("z^200/(z^199+1)", 201)):
+        shapes.clear()
+        nevanlab.nevanlinna._kernel_sums(canonicalize(parse(text)), np.array([128.0]), 64)
+        assert shapes == [((2 * count, 64), (1, count))], text
+        table = original(64, count)[0]
+        want = np.stack([unit ** 0, unit])
+        assert np.array_equal(table[0::2][:2], want.real)
+        assert np.array_equal(table[1::2][:2], want.imag)
 
 
 def test_singular_samples_raise_quadrature_error():
@@ -639,11 +649,10 @@ class _KernelCalls:
     # the sampling paths: the kernel, the factored log_abs and the rows
     def __init__(self, monkeypatch):
         self.calls = []
-        for name in ("log_abs2_on_circles", "log_abs"):
-            original = getattr(Canonical, name)
-            monkeypatch.setattr(Canonical, name, self._wrap(name, original))
-        monkeypatch.setattr(nevanlab.nevanlinna, "_row_sums",
-                            self._wrap("_row_sums", nevanlab.nevanlinna._row_sums))
+        monkeypatch.setattr(Canonical, "log_abs", self._wrap("log_abs", Canonical.log_abs))
+        for name in ("_kernel_sums", "_row_sums"):
+            original = getattr(nevanlab.nevanlinna, name)
+            monkeypatch.setattr(nevanlab.nevanlinna, name, self._wrap(name, original))
 
     def _wrap(self, name, original):
         def counting(*args, **kwargs):
@@ -669,7 +678,7 @@ def test_proximity_makes_at_most_one_kernel_call(monkeypatch):
     for text in ("D[(z^2-1)/(z+3),4]", "(z-1)^50/(z-2)", "5/(z-2)^3 + z", _GROWTH_F):
         kernel.calls.clear()
         FunctionData(parse(text)).proximity(RadialGrid.geometric(1.5, 4.0, 40).radii + (2.0, 3.0), 256)
-        assert kernel.calls.count("log_abs2_on_circles") <= 1, text
+        assert kernel.calls.count("_kernel_sums") <= 1, text
 
 
 @pytest.mark.parametrize("text,r,samples", [
@@ -800,6 +809,29 @@ def test_row_takes_the_unsettled_circles_whose_bound_passes(monkeypatch, text, s
                  for m in range(33)]
         least = min(m for m in range(33) if bound[m] <= 2.0 ** -53)
         assert terms == max(least, c.expo.degree), (text, r)
+
+
+def test_circle_sums_do_not_depend_on_the_call():
+    # each radius's m(r) is bit for bit the same alone and inside random
+    # subsets of 20 or more radii, whose products hold other radii and, for
+    # the rows, pad to other numbers of terms: circles summed by a row and
+    # circles summed by the kernel alike
+    rng = np.random.default_rng(2025)
+    kinds = {"row": 0, "kernel": 0}
+    for text in (_GROWTH_F, _GROWTH_LOGDERIV, "exp(z^40)*(z-0.3)/(z+5i)"):
+        data = FunctionData(parse(text))
+        for samples in (64, 128, 256, 512, 1024, 2048, 4096, 8192):
+            radii = np.exp(rng.uniform(math.log(1.1), math.log(40.0), 40))
+            settled = nevanlab.nevanlinna._settled_circles(data.canonical, radii, samples)
+            row = _row_taken(data.canonical, radii)
+            kinds["row"] += int(np.sum(np.isnan(settled) & row))
+            kinds["kernel"] += int(np.sum(np.isnan(settled) & ~row))
+            alone = [data.proximity([r], samples)[0] for r in radii]
+            for _ in range(3):
+                pick = rng.choice(len(radii), int(rng.integers(20, len(radii) + 1)), replace=False)
+                got = data.proximity(radii[pick], samples)
+                assert got == [alone[i] for i in pick], (text, samples)
+    assert min(kinds.values()) >= 100, kinds
 
 
 def _plain_fujiwara(c):
@@ -970,50 +1002,72 @@ def test_unit_circle_is_cached_read_only():
 
 
 def test_circle_powers_are_exact_strided_copies():
-    # every row is unit[(k*j) % N] bit for bit, from copies of unit alone
-    c = canonicalize(parse("z^40"))
+    # the node table of the rows and the kernel: every row is unit[(m*t) % N]
+    # and every turn unit[(m*b*c) % N] bit for bit, read-only and cached
     for n in (64, 4096, 8192):
         unit = nevanlab.nevanlinna._unit_circle(n)[1]
-        powers = c.circle_powers(unit)
-        assert powers.shape == (34, n)
-        j = np.arange(n)
-        for k in range(17):
-            want = unit[(k * j) % n]
-            assert np.array_equal(powers[2 * k], want.real), (n, k)
-            assert np.array_equal(powers[2 * k + 1], want.imag), (n, k)
+        width = min(256, n)
+        for powers in (33, 41, 201):
+            table, turns = nevanlab.nevanlinna._row_table(n, powers)
+            assert table.shape == (2 * powers, width) and turns.shape == (n // width, powers)
+            m = np.arange(powers)[:, None]
+            want = unit[(m * np.arange(width)) % n]
+            assert np.array_equal(table[0::2], want.real), (n, powers)
+            assert np.array_equal(table[1::2], want.imag), (n, powers)
+            assert np.array_equal(turns.T, unit[(m * np.arange(n // width) * width) % n])
+            assert not table.flags.writeable and not turns.flags.writeable
+            assert nevanlab.nevanlinna._row_table(n, powers)[0] is table
 
 
 def test_kernel_holds_no_squared_modulus_temporary():
-    # one call at N = 8192 holds its output and one product slice of
-    # len(coef) rows, and squares the num and den rows in place; the sums
-    # over several radii hold no more
+    # one call at N = 8192 holds one product block, the rows of one radius,
+    # and less than one more row of nodes: the coefficient block and the
+    # buffers numpy may take for the broadcast turn product; the num and
+    # den rows are squared in place, and the sums over several radii hold
+    # no more
     c = canonicalize(parse(_GROWTH_F))
-    unit = nevanlab.nevanlinna._unit_circle(8192)[1]
-    powers = c.circle_powers(unit)
-    rows = len(c._circle_terms[1])
-    for radii, samples in (([2.0], True), ([2.0], False), ([2.0, 3.0, 5.0, 7.0], False)):
-        c.log_abs2_on_circles(radii, powers, samples)
+    for radii in ([2.0], [2.0, 3.0, 5.0, 7.0]):
+        r = np.array(radii)
+        rows = len(nevanlab.nevanlinna._kernel_coefficients(c, r)[0])
+        nevanlab.nevanlinna._kernel_sums(c, r, 8192)
         tracemalloc.start()
         try:
-            c.log_abs2_on_circles(radii, powers, samples)
+            nevanlab.nevanlinna._kernel_sums(c, r, 8192)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= (rows + 1) * 8192 * 8 + 4096, (peak, rows, radii)
 
 
-def test_kernel_column_chunks_match_one_pass(monkeypatch):
-    # slices of 100 node columns, the last one ragged, give the one-pass values
+def _kernel_samples(c, radii, samples):
+    # half of log|f|^2 at the nodes of each circle, as the kernel's own
+    # product and log step (_log_abs2) leave them before its max and sum
+    kept = []
+    log_abs2 = nevanlab.nevanlinna._log_abs2
+
+    def keeping(re, kinds):
+        x = log_abs2(re, kinds)
+        kept.append(0.5 * x)
+        return x
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nevanlab.nevanlinna, "_log_abs2", keeping)
+        nevanlab.nevanlinna._kernel_sums(c, np.array(radii, dtype=float), samples)
+    return np.concatenate(kept)
+
+
+def test_kernel_column_chunks_match_one_pass():
+    # products of several radii, six to a product at N = 1024, give the
+    # samples and sums of one radius at a time
     c = canonicalize(parse("(z^40 + 3*z^17 - 2)/(z^21 + 0.5) * exp(z^3)"))
+    assert nevanlab.nevanlinna._ROW_PRODUCT // (5 * 1024) == 6
     unit = np.exp(2j * np.pi * np.arange(1024) / 1024)
-    powers = c.circle_powers(unit)
-    whole = 0.5 * c.log_abs2_on_circles([1.7], powers, samples=True)[0]
-    sums = c.log_abs2_on_circles([1.7, 2.5], powers)
-    monkeypatch.setattr(nevanlab.expressions, "_CHUNK_BYTES", 100 * powers[:, 0].nbytes)
-    chunked = 0.5 * c.log_abs2_on_circles([1.7], powers, samples=True)[0]
-    assert np.allclose(chunked, whole, rtol=1e-13, atol=0.0)
-    assert np.allclose(whole, c.log_abs(1.7 * unit), rtol=1e-10, atol=1e-10)
-    assert np.allclose(c.log_abs2_on_circles([1.7, 2.5], powers), sums, rtol=1e-13, atol=0.0)
+    radii = [1.7, 2.5, 1.2, 3.1, 1.9, 2.2, 2.8, 1.5]
+    whole = _kernel_samples(c, radii, 1024)
+    sums = nevanlab.nevanlinna._kernel_sums(c, np.array(radii), 1024)
+    for r, samples, total in zip(radii, whole, sums):
+        assert np.array_equal(_kernel_samples(c, [r], 1024)[0], samples), r
+        assert nevanlab.nevanlinna._kernel_sums(c, np.array([r]), 1024)[0] == total, r
+    assert np.allclose(whole[0], c.log_abs(1.7 * unit), rtol=1e-10, atol=1e-10)
 
 
 def _dominated(rng, degree, r, scale):
@@ -1035,8 +1089,9 @@ def _whole(num, den, expo):
 
 def test_kernel_matches_explicit_points():
     # half the kernel's log|f|^2 is Canonical.log_abs at the same nodes: num or den
-    # constant, expo absent or present, one block or several, and
-    # coefficients from 1e-150 to 1e150
+    # constant, expo absent or present, degrees below and above the 32 powers
+    # the rows share, one node block or several, and coefficients from
+    # 1e-150 to 1e150
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     degree = st.sampled_from([0, 1, 3, 15, 16, 17, 40, 200])
@@ -1053,7 +1108,7 @@ def test_kernel_matches_explicit_points():
         c = _whole(_dominated(rng, dn, r, sn), _dominated(rng, dd, r, sd),
                    _dominated(rng, de, r, 0.0) if de else Polynomial([0]))
         unit = np.exp(2j * np.pi * np.arange(samples) / samples)
-        got = 0.5 * c.log_abs2_on_circles([r], c.circle_powers(unit), samples=True)[0]
+        got = _kernel_samples(c, [r], samples)[0]
         want = c.log_abs(r * unit)
         assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), (degrees, scales)
 
@@ -1070,7 +1125,7 @@ def test_kernel_squares_stay_in_range(monkeypatch):
         want = c.log_abs(r * unit)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = 0.5 * c.log_abs2_on_circles([r], c.circle_powers(unit), samples=True)[0]
+            got = _kernel_samples(c, [r], DEFAULT_SAMPLES)[0]
             m = proximity_m(parse(text), r)
         assert np.all(np.isfinite(got))
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
@@ -1102,8 +1157,7 @@ def test_proximity_is_the_trapezoid_at_the_nodes_it_uses(monkeypatch):
         singular, plain = 1.2, sorted(rng.uniform(5.0, 20.0, 2))
         radii = [singular, pole, *plain]
         assert np.all(np.isnan(nevanlab.nevanlinna._settled_circles(c, radii, samples)))
-        powers = c.circle_powers(nevanlab.nevanlinna._unit_circle(samples)[1])
-        kernel = c.log_abs2_on_circles([singular, *plain], powers, samples=True)
+        kernel = _kernel_samples(c, [singular, *plain], samples)
         assert [np.isfinite(row).all() for row in kernel] == [False, True, True], samples
         theta = 2.0 * np.pi * np.arange(samples) / samples
         half = np.pi / samples
@@ -1125,7 +1179,7 @@ def test_proximity_is_the_trapezoid_at_the_nodes_it_uses(monkeypatch):
         with monkeypatch.context() as patch:
             kernel = _KernelCalls(patch)
             got = data.proximity(radii, samples)
-        assert kernel.calls.count("log_abs2_on_circles") == 1
+        assert kernel.calls.count("_kernel_sums") == 1
         for r, m, w in zip(radii, got, want):
             assert abs(m - w) <= 1e-13 * abs(w), (samples, r, m, w)
 
