@@ -160,7 +160,11 @@ def fmt_boundedness_verdict(series):
 
 
 def _ensure_nonconstant(data, what):
-    if data.canonical.derivative().lead == 0:
+    """ValueError unless the function has a base or a nonconstant expo: the
+    canonical form keeps no base that cancels, so those are what make it
+    vary."""
+    c = data.canonical
+    if not c.factors and not c.expo.degree:
         raise ValueError(f"{what} must be nonconstant")
 
 

@@ -35,33 +35,38 @@ D_m = p_m r^m - (1/m) sum_(|a_j|>r) e_j (r/a_j)^m
 - (1/m) conj(sum_(|a_j|<r) e_j (a_j/r)^m) for m >= 1, p = expo.  A circle
 takes its row when the bound sum_j |e_j| rho_j^(M+1) / ((M+1)(1 - rho_j)),
 rho_j = min(|a_j|/r, r/|a_j|), on the series cut after M terms is at most
-_ROW_TAIL = 2^-53 for some M <= _ROW_TERMS = 32 with deg p <= M
+_ROW_TAIL = 2^-53 for some M <= _ROW_TERMS = 128 with deg p <= M
 (_row_terms), and then uses the least such M.  The power sums are built
 once per split of the roots into inside and outside, scaled so that no
-power exceeds 1 (_row_coefficients).  Every sampled circle is summed on
-the same nodes by the same product (_circle_sums): node j = bc + t of
-block b of c nodes is Re sum_m (d_m w^(mbc)) w^(mt), so real products of
-many (row, radius, block) rows of coefficients against one cached table
-of w^(mt), t < c, give the samples in node order, and max(., 0) and one
-sum per radius follow.  The table holds max(deg, _ROW_TERMS) + 1 powers
-(_row_table), so every function of degree up to 32 reads the one table
-of its sample count.  A row is a single row of coefficients D_m, and its
-samples are the product itself (_row_sums): a sample costs a product, a
-max and a sum, no log, and a multiplicity is only a weight, so the row
-has no digit loss near a multiple root.  A circle within a factor of
-about 2.7 of a root modulus, a function with a whole base and an expo of
-degree above 32 keep the kernel below: the series would need more terms,
-or there are no power sums to read.
+power exceeds 1 (_row_coefficients).  A row is still the N-point
+trapezoid of max(g, 0), g(theta) = Re sum_m D_m e^(im theta), but it
+takes few samples (_row_sums): real products against cached tables
+(_row_tables) give g at K = min(64, N/8) coarse nodes and the sum of g
+over the nodes inside each interval between two of them, and the slope
+bound |g'| <= sum_m m |D_m| certifies that g keeps one sign on most
+intervals, whose inside then adds its interval sum or nothing.  Only the
+nodes inside the other intervals, next to the sign changes of g, are
+sampled.  There is no log, and a multiplicity is only a weight, so the
+row has no digit loss near a multiple root.  A circle with a root
+modulus within a factor of about 1.3 of r (rho_j above about 0.77), a
+function with a whole base and an expo of degree above 128 keep the
+kernel below: the series would need more terms, or there are no power
+sums to read.
 
-The kernel samples log|f|^2 from the expanded num and den
+The kernel samples log|f|^2 from the expanded num and den at every node
 (_kernel_sums).  Since p(z_j) = sum_k (c_k r^k) w^(jk), each polynomial
 is a row of coefficients (_kernel_coefficients): num and den of degree d
 are scaled to r^d sum_k c_k r^(k-d) w^(jk), so the sum runs on
 unit-modulus points and d log r is added back in the log domain, and
 each gives the rows p and -i p, whose real parts are Re p and Im p;
-neither r^d nor an exponential factor overflows.  Each sample takes one
-log and one add (_log_abs2): log(|num|^2 / |den|^2) plus the expo row,
-whose coefficients are doubled to give 2 Re expo and whose w^0
+neither r^d nor an exponential factor overflows.  Node j = bc + t of
+block b of c nodes is Re sum_m (d_m w^(mbc)) w^(mt), so real products of
+many (row, radius, block) rows of coefficients against one cached table
+of w^(mt), t < c, give the samples in node order (_circle_sums); the
+table holds max(deg, 32) + 1 powers (_kernel_table), so every function
+of degree up to 32 reads the one table of its sample count.  Each sample
+takes one log and one add (_log_abs2): log(|num|^2 / |den|^2) plus the
+expo row, whose coefficients are doubled to give 2 Re expo and whose w^0
 coefficient carries the constants (twice (deg num - deg den) log r and
 the logs of the prescales and of constant parts); the squares are taken
 in place in the product's rows, and num and den are prescaled by exact
@@ -114,10 +119,17 @@ _GRAEFFE_STEPS = 3  # root squarings behind each root bound: slack 2d -> (2d)^(1
 _UNIT_ROUNDOFF = 2.0 ** -53
 _SUBNORMAL = 2.0 ** -1074
 _MAX_LOSS = 23.0  # a circle whose _expansion_loss exceeds this is sampled alone, factored
-_ROW_TERMS = 32  # most Fourier terms of log|f| in a circle's row (_row_terms)
+_ROW_TERMS = 128  # most Fourier terms of log|f| in a circle's row (_row_terms)
 _ROW_TAIL = 2.0 ** -53  # bound on the error per sample of a row cut after its terms
-_ROW_NODES = 256  # nodes per block of a row product (_row_table)
-_ROW_PRODUCT = 1 << 15  # doubles in the row product, reused within a call (_row_sums)
+_ROW_NODES = 64  # coarse nodes of a row circle, at most (_row_tables)
+# columns m and 1 against the moduli |D_m|, m = 1 .. _ROW_TERMS, give sum m |D_m| and
+# sum |D_m| (_row_sums); 8 columns, as products of 1 or 2 round by their rows and widths
+_ROW_WEIGHTS = np.zeros((_ROW_TERMS, 8))
+_ROW_WEIGHTS[:, 0], _ROW_WEIGHTS[:, 1] = np.arange(1, _ROW_TERMS + 1), 1.0
+_ROW_WEIGHTS.flags.writeable = False
+_KERNEL_POWERS = 33  # the fewest powers in a kernel table, so that low degrees share one
+_KERNEL_NODES = 256  # nodes per block of a kernel product (_kernel_table)
+_KERNEL_PRODUCT = 1 << 15  # doubles in the kernel product, reused within a call
 
 
 class QuadratureError(RuntimeError):
@@ -409,28 +421,31 @@ def _row_terms(c, ratio, e):
     sum_j |e_j| ratio_j^(M+1) / ((M+1)(1 - ratio_j)) is at most _ROW_TAIL, as
     log|1 - x| = -Re sum_(m>=1) x^m / m; -1 where no M <= _ROW_TERMS is, and
     for every circle when c has a whole base.  A pole on the circle has
-    ratio 1, which no bound passes.  The bound at _ROW_TERMS, one pass over
-    the ratios, comes first, so a call where no circle qualifies costs
-    little."""
+    ratio 1, which no bound passes.  The bound falls with M, so two passes
+    find the least M: one at every 16th M up to _ROW_TERMS, then one at the
+    15 below the first that passes."""
     terms = np.full(len(ratio), -1)
     if c.expo.degree > _ROW_TERMS or any(b.degree > 1 for b, _ in c.factors):
         return terms
     with np.errstate(divide="ignore", invalid="ignore"):
-        weight = 1.0 / (1.0 - ratio)
-        ok = (weight * ratio ** (_ROW_TERMS + 1)) @ e <= _ROW_TAIL * (_ROW_TERMS + 1)
-    if ok.any():
-        m = np.arange(1.0, _ROW_TERMS + 2.0)  # M + 1
-        tails = np.einsum("rj,rjm->rm", weight[ok] * e, ratio[ok, :, None] ** m) / m
-        terms[ok] = np.maximum(np.argmax(tails <= _ROW_TAIL, axis=1), c.expo.degree)
+        weight = (e / (1.0 - ratio))[:, None]
+        ratio = ratio[:, None]
+        step = np.arange(1.0, _ROW_TERMS + 2.0, 16.0)  # M + 1 for every 16th M
+        ok = (weight * ratio ** step[:, None]).sum(2) <= _ROW_TAIL * step
+        high = 16 * np.argmax(ok, axis=1)  # the first of them that passes
+        step = np.maximum(high[:, None] + np.arange(-15.0, 1.0), 0.0) + 1.0  # M + 1 below it
+        low = np.argmax((weight * ratio ** step[..., None]).sum(2) <= _ROW_TAIL * step, axis=1)
+    ok = ok[:, -1]
+    terms[ok] = np.maximum(high[ok] - 15 + low[ok], c.expo.degree)
     return terms
 
 
-def _row_coefficients(c, r, top):
-    """D_m(r) for m <= top, one row per radius of the ndarray r, for c with
-    linear bases (z - a_j)^e_j only: log|f(r w^j)| = Re sum_m D_m w^(jm) up to
-    the truncation that _row_terms bounds, with
-    D_0 = log|lead / den_lead| + Re p_0 + sum_j e_j log max(r, |a_j|) and
-    D_m = p_m r^m - (1/m) sum_(|a_j| > r) e_j (r / a_j)^m
+def _row_coefficients(c, r, terms):
+    """D_m(r) for m <= max(terms), one row per radius of the ndarray r, 0 past
+    the radius's own terms, for c with linear bases (z - a_j)^e_j only:
+    log|f(r w^j)| = Re sum_m D_m w^(jm) up to the truncation that _row_terms
+    bounds, with D_0 = log|lead / den_lead| + Re p_0 + sum_j e_j log max(r, |a_j|)
+    and D_m = p_m r^m - (1/m) sum_(|a_j| > r) e_j (r / a_j)^m
     - (1/m) conj(sum_(|a_j| < r) e_j (a_j / r)^m), p = expo.
 
     The power sums are built once per split of the roots into inside and
@@ -439,6 +454,7 @@ def _row_coefficients(c, r, top):
     and smallest outside one t, so that no power exceeds 1 in modulus:
     (a_j / r)^m = (s / r)^m (a_j / s)^m and (r / a_j)^m = (r / t)^m (t / a_j)^m,
     an outer product in r."""
+    top = int(terms.max())
     roots = np.array([-b.coefficients[0] for b, _ in c.factors], dtype=complex)
     e = np.array([m for _, m in c.factors], dtype=float)
     order = np.argsort(np.abs(roots), kind="stable")
@@ -449,29 +465,148 @@ def _row_coefficients(c, r, top):
     with np.errstate(over="ignore", invalid="ignore"):  # inf sums go to _sampled_circle
         d[:, :len(p)] = p * r[:, None] ** np.arange(len(p))
     d[:, 0] = math.log(abs(c.lead)) - math.log(abs(c.den_lead)) + p[0].real
-    m = np.arange(1.0, top + 1.0)
     split = np.searchsorted(moduli, r)  # the first split roots lie inside
-    for k in set(split.tolist()):
-        at = split == k
+    splits = set(split.tolist())
+    for k in splits:
+        at = split == k if len(splits) > 1 else slice(None)  # a slice updates d in place
+        n = int(terms[at].max())
         x = r[at, None]
+        m = np.arange(1.0, n + 1.0)
         d[at, 0] += e[:k].sum() * np.log(r[at]) + e[k:] @ np.log(moduli[k:])
         if k:
             s = max(moduli[k - 1], 1.0)
-            d[at, 1:] -= (s / x) ** m * np.conj(e[:k] @ (roots[:k, None] / s) ** m) / m
+            d[at, 1:n + 1] -= np.exp(np.log(s / x) * m) * (np.conj(_power_sums(roots[:k] / s, e[:k], n)) / m)
         if k < len(roots):
             t = moduli[k]
-            d[at, 1:] -= (x / t) ** m * (e[k:] @ (t / roots[k:, None]) ** m) / m
+            d[at, 1:n + 1] -= np.exp(np.log(x / t) * m) * (_power_sums(t / roots[k:], e[k:], n) / m)
+    d[np.arange(top + 1) > terms[:, None]] = 0.0  # m(r) is its own terms'
     return d
 
 
+def _power_sums(z, e, n):
+    """sum_j e_j z_j^m for m = 1 .. n, the powers by running products and
+    the sum in the order of z, so that each does not depend on n."""
+    return (e[:, None] * np.cumprod(np.repeat(z[:, None], n, axis=1), axis=1)).sum(0)
+
+
 @lru_cache(maxsize=4)
-def _row_table(samples, powers):
+def _row_tables(samples):
+    """Read-only (coarse, inner, q) of a row on N = samples nodes, cut into
+    K = min(_ROW_NODES, N/8) intervals of s = N/K nodes, W = w^s.  The rows
+    2m - 2 and 2m - 1 of coarse and inner hold Re a_m and -Im a_m for
+    m = 1 .. _ROW_TERMS, so that the product of the Re, Im parts of some
+    coefficients D_m with a column is Re sum_m D_m a_m.  Column k < K of
+    coarse has a_m = W^(km), the coarse node ks, and column t < s of inner
+    a_m = w^(mt); q[m - 1] = sum_(0<t<s) w^(mt), so that the column k of
+    the coefficients q_m D_m sums the nodes inside interval k.  All powers
+    are entries of the cached unit circle.  K and s are powers of two of 8
+    or more: with 1, 2 or 4 columns, or one more than a multiple of 16, the
+    rows of an OpenBLAS product can round by the other rows and the width."""
+    unit = _unit_circle(samples)[1]
+    stride = samples // min(_ROW_NODES, samples // 8)
+    m = np.arange(1, _ROW_TERMS + 1)[:, None]
+    inner = unit[m * np.arange(stride) % samples]
+    q = inner[:, 1:].sum(1)
+    coarse = unit[m * np.arange(0, samples, stride) % samples]
+    coarse, inner = (np.stack([x.real, -x.imag], 1).reshape(-1, x.shape[1])
+                     for x in (coarse, inner))
+    for x in (coarse, inner, q):
+        x.flags.writeable = False
+    return coarse, inner, q
+
+
+def _row_classes(terms):
+    """(start, stop, width) of the runs of sorted terms in one class, up to
+    16, 32, 64 and _ROW_TERMS terms, width the run's largest."""
+    cuts = np.searchsorted(terms, (16, 32, 64), side="right").tolist()
+    bounds = sorted({0, len(terms), *cuts})
+    return [(a, b, int(terms[b - 1])) for a, b in zip(bounds, bounds[1:])]
+
+
+def _row_sums(d, terms, samples):
+    """sum_j max(g_j, 0) over the N nodes, per row of coefficients d
+    (_row_coefficients) with its number of terms M: g_j = D_0 + Re sum_(0<m<=M)
+    D_m w^(jm), the N-point trapezoid of the row, from 2K values and the
+    nodes next to its sign changes.
+
+    On the K = N/s coarse nodes ks and the K intervals between them, real
+    products of the rows D_m and q_m D_m against the coarse table
+    (_row_tables) give g_k = g(ks) = D_0 + Re sum_m D_m W^(km) and the
+    interval sums h_k = sum_(0<t<s) g(ks + t) = (s - 1) D_0 + Re sum_m q_m D_m W^(km).
+    The row's slope in theta is at most B = sum_m m |D_m|, so on an interval,
+    of length H = 2 pi s / N, g >= (g_k + g_(k+1) - B H) / 2 and
+    g <= (g_k + g_(k+1) + B H) / 2 (g_K = g_0).  Where |g_k + g_(k+1)|
+    exceeds B H plus twice the rounding of g_k, g keeps one sign on the
+    interval, whose inside adds h_k when it is positive and nothing when it
+    is negative.  That rounding is at most eps = 8 (M + 8) u sum_m |D_m|,
+    u = 2^-53: gamma_(2M) for the product of 2M terms and about 20 u per
+    entry of the table (2 pi j / N and its cosine and sine rounded), each on
+    at most sqrt(2) sum |D_m|, and u for adding D_0.  The s - 1 nodes inside
+    every other interval are sampled: their rows D_m W^(km) go in a real
+    product against the inner table.  A circle costs 2K products of M terms
+    and s more per interval it leaves, and m(r) is the N-point trapezoid to
+    rounding.
+
+    The radii go by their number of terms, one product per class of terms
+    (_row_classes), each as wide as the class's largest, and each radius's
+    sum depends on its own coefficients alone: the columns past its own
+    terms are 0, each product has two rows at least (one row goes to gemv,
+    which rounds unlike the rows of a gemm), and the sums of a radius run
+    over its own row."""
+    coarse, inner, q = _row_tables(samples)
+    stride, count = inner.shape[1], coarse.shape[1]
+    order = np.argsort(terms, kind="stable")
+    terms, d = terms[order], d[order]
+    size = len(d)
+    base = d[:, 0].real.copy()
+    values = np.empty((2 * size, count))
+    bounds = np.empty((size + 1, _ROW_WEIGHTS.shape[1]))
+    classes = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b, w in _row_classes(terms):
+            rows = np.zeros((b - a + 1, 2, w), dtype=complex)  # D_m and q_m D_m, and a row of 0
+            rows[:-1, 0] = d[a:b, 1:w + 1]
+            np.multiply(rows[:-1, 0], q[:w], out=rows[:-1, 1])
+            np.matmul(rows[:-1].reshape(2 * (b - a), w).view(float), coarse[:2 * w],
+                      out=values[2 * a:2 * b])
+            np.matmul(np.abs(rows[:, 0]), _ROW_WEIGHTS[:w], out=bounds[a:b + 1])
+            classes.append((a, b, w, rows))
+        del d
+        slope, total = bounds[:size, :2].T
+        eps = 8.0 * (terms + 8.0) * _UNIT_ROUNDOFF * (total + np.abs(base))
+        g, h = values[0::2], values[1::2]
+        g += base[:, None]
+        h += (stride - 1.0) * base[:, None]
+        pair = np.empty_like(g)
+        np.add(g[:, :-1], g[:, 1:], out=pair[:, :-1])
+        np.add(g[:, -1], g[:, 0], out=pair[:, -1])
+        reach = (slope * (2.0 * math.pi * stride / samples) + 2.0 * eps) * _INFLATE
+        sure = np.abs(pair) > reach[:, None]
+        sums = np.where(sure & (pair > 0.0), h, 0.0)
+        at, k = np.nonzero(~sure)
+        unit, spin = _unit_circle(samples)[1], stride * np.arange(1, classes[-1][2] + 1)
+        for (a, b, w, rows), (p, n) in zip(classes, np.searchsorted(at, [c[:2] for c in classes])):
+            if n > p:
+                turned = np.zeros((max(n - p, 2), w), dtype=complex)
+                np.multiply(rows[at[p:n] - a, 0], unit[k[p:n, None] * spin[:w] & (samples - 1)],
+                            out=turned[:n - p])
+                x = (turned.view(float) @ inner[:2 * w])[:n - p, 1:]
+                x += base[at[p:n], None]
+                sums[at[p:n], k[p:n]] = np.maximum(x, 0.0, out=x).sum(1)
+        sums += np.maximum(g, 0.0)
+    out = np.empty(size)
+    out[order] = sums.sum(1)
+    return out
+
+
+@lru_cache(maxsize=4)
+def _kernel_table(samples, powers):
     """Read-only (table, turns) on N = samples nodes: table rows 2m and
     2m + 1 hold Re and Im w^(mt), m < powers, for the first
-    c = min(_ROW_NODES, N) nodes t, and turns[b, m] = w^(mbc) for each of
+    c = min(_KERNEL_NODES, N) nodes t, and turns[b, m] = w^(mbc) for each of
     the N/c blocks of c nodes, all entries of the cached unit circle."""
     unit = _unit_circle(samples)[1]
-    width = min(_ROW_NODES, samples)
+    width = min(_KERNEL_NODES, samples)
     m = np.arange(powers)
     w = unit[m[:, None] * np.arange(width) % samples]
     table = np.stack([w.real, w.imag], 1).reshape(-1, width)
@@ -480,55 +615,41 @@ def _row_table(samples, powers):
     return table, turns
 
 
-def _circle_sums(d, terms, samples, sample):
+def _circle_sums(d, samples, sample):
     """sum_j max(x_j, 0) over the N nodes, per radius of the complex
     coefficients d[row, radius, m], where x = sample(re) makes the samples
     of the radii of one product, in place, from their rows
-    re[row, radius, j] = Re sum_(m <= terms[radius]) d[row, radius, m] w^(jm).
+    re[row, radius, j] = Re sum_m d[row, radius, m] w^(jm).
 
     Node j = bc + t of block b is Re sum_m (d_m w^(mbc)) w^(mt), so each
     (row, radius, block) triple is one row of real coefficients (Re, -Im)
-    against the cached table of the first c nodes (_row_table, at
-    max(deg, _ROW_TERMS) + 1 powers, so that every degree up to _ROW_TERMS
-    shares one table), and the rows come out in node order.  The radii go
-    by their number of terms, as many to a product as fill _ROW_PRODUCT
-    doubles, each product as many terms as its last radius: the
-    coefficients past a radius's own terms must be 0.  The product block
-    and the coefficient block are reused, and max(., 0) and one sum per
-    radius are taken in the product block."""
-    rows, size = d.shape[0], d.shape[2]
-    table, turns = _row_table(samples, max(size, _ROW_TERMS + 1))
-    per = max(1, _ROW_PRODUCT // (rows * samples))  # radii per product
+    against the cached table of the first c nodes (_kernel_table, at
+    max(deg, _KERNEL_POWERS - 1) + 1 powers, so that low degrees share one
+    table), and the rows come out in node order.  As many radii go to a
+    product as fill _KERNEL_PRODUCT doubles.  The product block and the
+    coefficient block are reused, and max(., 0) and one sum per radius are
+    taken in the product block."""
+    rows, radii, size = d.shape
+    table, turns = _kernel_table(samples, max(size, _KERNEL_POWERS))
+    per = max(1, _KERNEL_PRODUCT // (rows * samples))  # radii per product
     # (row, radius, block) triples per product, two at least: a product of
     # one row goes to gemv, which rounds unlike the rows of a gemm
-    count = max(2, rows * min(per, len(terms)) * len(turns))
+    count = max(2, rows * min(per, radii) * len(turns))
     work = np.empty((count, table.shape[1]))
     coef = np.zeros(count * size, dtype=complex)
-    out = np.empty(len(terms))
-    order = np.argsort(terms, kind="stable")
-    d, terms = d[:, order], terms[order]
+    out = np.empty(radii)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for start in range(0, len(terms), per):
+        for start in range(0, radii, per):
             at = slice(start, start + per)
-            radii = len(terms[at])
-            k = terms[at][-1] + 1
-            n = rows * radii * len(turns)
-            x = coef[:n * k].reshape(rows, radii, len(turns), k)
-            np.multiply(d[:, at, None, :k], turns[:, :k], out=x)
+            n = rows * len(out[at]) * len(turns)
+            x = coef[:n * size].reshape(rows, -1, len(turns), size)
+            np.multiply(d[:, at, None], turns[:, :size], out=x)
             np.conj(x, out=x)  # (Re, -Im) against the (Re, Im) rows of table
-            prod = np.matmul(coef[:max(n, 2) * k].view(float).reshape(-1, 2 * k), table[:2 * k],
-                             out=work[:max(n, 2)])
-            x = sample(prod[:n].reshape(rows, radii, samples))
-            out[order[at]] = np.maximum(x, 0.0, out=x).sum(1)
+            prod = np.matmul(coef[:max(n, 2) * size].view(float).reshape(-1, 2 * size),
+                             table[:2 * size], out=work[:max(n, 2)])
+            x = sample(prod[:n].reshape(rows, -1, samples))
+            out[at] = np.maximum(x, 0.0, out=x).sum(1)
     return out
-
-
-def _row_sums(d, terms, samples):
-    """sum_j max(log|f(r w^j)|, 0) over the N nodes, per row of coefficients
-    d (_row_coefficients) with its number of terms: the coefficients of a
-    radius are its one row of _circle_sums, and its samples are that row."""
-    d = np.where(np.arange(d.shape[1]) <= terms[:, None], d, 0.0)  # m(r) is its own terms'
-    return _circle_sums(d[None], terms, samples, lambda re: re[0])
 
 
 def _kernel_coefficients(c, r):
@@ -602,8 +723,7 @@ def _kernel_sums(c, r, samples):
     deg + 1 terms, summed by _circle_sums, and the samples are their
     _log_abs2."""
     d, kinds = _kernel_coefficients(c, r)
-    terms = np.full(len(r), d.shape[2] - 1)
-    return _circle_sums(d, terms, samples, lambda re: _log_abs2(re, kinds))
+    return _circle_sums(d, samples, lambda re: _log_abs2(re, kinds))
 
 
 def _on_circle(rho, r):
@@ -627,8 +747,9 @@ class FunctionData:
     finite, as m = T = inf would be no number; everything else on first
     use.  The zeros and poles are read off its bases, and the poles
     serve the circles through a pole of proximity.  The node tables that
-    the sampled circles take are cached per sample count (_row_table), so
-    a proximity call builds none.
+    the sampled circles take are cached per sample count (_row_tables,
+    _kernel_table), so a proximity call builds none once its N has been
+    used.
     """
 
     def __init__(self, expr):
@@ -648,19 +769,20 @@ class FunctionData:
         return canonical_divisors(self.canonical, -1)
 
     def proximity(self, radii, samples):
-        """m(r) for each radius by trapezoid quadrature of log+|f|.
+        """m(r) for each radius: the N-point trapezoid of log+|f|, N = samples.
 
         Zero and closed-form circles are settled first, from coefficient
         bounds and the root moduli of the bases, for all radii at once
         (_settled_circles): m = 0.0 where |f| < 1 on the circle, Jensen's
         closed form where |f| > 1 and every root lies well inside.  The
         other circles are sampled.  Where every base is linear and every
-        root lies far enough from the circle (_row_terms), the samples are
-        a short Fourier row of log|f| (_row_coefficients, _row_sums).  Of
-        the rest, one call of _kernel_sums sums max(log|f|^2, 0) on every
-        circle that no pole passes through and whose _expansion_loss is at
-        most _MAX_LOSS, so that m = sum / 2N.  Both take real products
-        against the cached table of node powers (_circle_sums; see the
+        root lies far enough from the circle (_row_terms), log|f| is a
+        Fourier row of at most _ROW_TERMS terms (_row_coefficients), whose
+        trapezoid _row_sums takes from coarse nodes and interval sums,
+        sampling only the intervals where the row may change sign.  Of the
+        rest, one call of _kernel_sums sums max(log|f|^2, 0) at every node
+        of every circle that no pole passes through and whose
+        _expansion_loss is at most _MAX_LOSS, so that m = sum / 2N (see the
         module docstring).  The circles left, and those whose sum is not
         finite, go through _sampled_circle.
         """
@@ -675,13 +797,15 @@ class FunctionData:
             terms = _row_terms(c, ratio, e)
             row = terms >= 0
             if row.any():
-                d = _row_coefficients(c, r[row], int(terms[row].max()))
-                out[todo[row]] = _row_sums(d, terms[row], samples) / samples
-            poles = np.array([rho for rho, _ in self.poles.entries], dtype=complex)
-            bulk = (~row & ~_on_circle(poles, r[:, None]).any(axis=1)
-                    & (_expansion_loss(ratio, e) <= _MAX_LOSS))
-            if bulk.any():
-                out[todo[bulk]] = _kernel_sums(c, r[bulk], samples) / (2 * samples)
+                out[todo[row]] = _row_sums(_row_coefficients(c, r[row], terms[row]),
+                                           terms[row], samples) / samples
+            if not row.all():
+                rest = np.flatnonzero(~row)
+                poles = np.array([rho for rho, _ in self.poles.entries], dtype=complex)
+                bulk = rest[~_on_circle(poles, r[rest, None]).any(axis=1)
+                            & (_expansion_loss(ratio[rest], e) <= _MAX_LOSS)]
+                if bulk.size:
+                    out[todo[bulk]] = _kernel_sums(c, r[bulk], samples) / (2 * samples)
             for i in todo[~np.isfinite(out[todo])]:  # left out, so still NaN, or not finite
                 out[i] = self._sampled_circle(float(radii[i]), samples)
         return out.tolist()

@@ -367,6 +367,19 @@ def test_growth_bound_preconditions():
                                [1.0], SMALL_GRID, samples=256)
 
 
+@pytest.mark.parametrize("text", ["3*exp(0)", "(z-1)/(z-1)"])
+def test_constants_are_refused(text):
+    # a constant has no base left after cancelling and a constant expo,
+    # whichever way it is written
+    f = parse(text)
+    checks = (lambda: check_log_derivative(f, 1, SMALL_GRID), lambda: check_fmt(f, 1, SMALL_GRID),
+              lambda: check_smt(f, [0, 1, 2], SMALL_GRID),
+              lambda: check_hinchliffe(f, _monomial(1, [(2, 1)]), SMALL_GRID))
+    for check, what in zip(checks, "fffg"):
+        with pytest.raises(ValueError, match=f"^{what} must be nonconstant$"):
+            check()
+
+
 def test_slack_stable_under_sample_doubling():
     f = parse("(z - 1)^5 * exp(2*z)")
     a = check_log_derivative(f, 1, SMALL_GRID, samples=512)

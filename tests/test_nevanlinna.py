@@ -484,16 +484,16 @@ def test_proximity_where_horner_overflows(monkeypatch):
         150.0 * math.log(128.0), rel=1e-12)
     assert proximity_m(parse("z^200/(z^199+1)"), 128.0) == pytest.approx(
         math.log(128.0), rel=1e-12)
-    # the kernel reads the table the rows share, max(deg, 32) + 1 powers,
-    # each as a real row and an imaginary row over a block of 64 nodes
+    # the kernel reads a table of max(deg, 32) + 1 powers, each as a real
+    # row and an imaginary row over a block of 64 nodes
     shapes = []
-    original = nevanlab.nevanlinna._row_table
+    original = nevanlab.nevanlinna._kernel_table
 
     def recording(samples, powers):
         table, turns = original(samples, powers)
         shapes.append((table.shape, turns.shape))
         return table, turns
-    monkeypatch.setattr(nevanlab.nevanlinna, "_row_table", recording)
+    monkeypatch.setattr(nevanlab.nevanlinna, "_kernel_table", recording)
     unit = np.exp(2j * np.pi * np.arange(64) / 64)
     for text, count in (("5", 33), ("z^3*exp(z^2)", 33), ("z^200/(z^199+1)", 201)):
         shapes.clear()
@@ -712,9 +712,12 @@ _GROWTH_LOGDERIV = f"D[{_GROWTH_F},2]/({_GROWTH_F})"
 
 def test_row_sums_are_the_factored_trapezoid(monkeypatch):
     # f = lead prod (z - a_j)^e_j exp(p) with |e_j| <= 8, deg p <= 3 and roots
-    # on both sides of the circles, zeros and poles alike; lead puts log|f|
-    # near 0 on the first circle, so that |f| = 1 crosses it.  Every circle
-    # that takes its row reads the N-point mean of log+|f| from the bases
+    # on both sides of the circles, zeros and poles alike, and at most one
+    # simple root at a ratio of 0.6 to 0.77 to the first circle, inside or
+    # outside, which takes up to 128 terms: more than the 8 to 64 coarse
+    # nodes.  lead puts log|f| near 0 on the first circle, so that |f| = 1
+    # crosses it.  Every circle that takes its row reads the N-point mean
+    # of log+|f| from the bases
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     angle = st.floats(0.0, 2.0 * math.pi)
@@ -724,14 +727,20 @@ def test_row_sums_are_the_factored_trapezoid(monkeypatch):
     @hypothesis.given(
         inner=st.lists(st.tuples(st.floats(0.0, 0.3), angle, exponent), max_size=4),
         outer=st.lists(st.tuples(st.floats(3.5, 30.0), angle, exponent), max_size=4),
+        edge=st.lists(st.tuples(st.floats(0.6, 0.77), angle, st.sampled_from([-1, 1]), st.booleans()),
+                      max_size=1),
         expo=st.lists(st.tuples(st.floats(0.0, 2.0), angle), max_size=4),
         r=st.floats(1.5, 40.0), shift=st.floats(-2.0, 2.0),
         samples=st.sampled_from([64, 256, 4096, 8192]))
     @hypothesis.example(  # no roots: the row's terms are the 4 of p
-        inner=[], outer=[], expo=[(0.0, 0.0), (0.5, 0.3), (0.7, 1.0), (1.5, 2.0)],
+        inner=[], outer=[], edge=[], expo=[(0.0, 0.0), (0.5, 0.3), (0.7, 1.0), (1.5, 2.0)],
         r=3.0, shift=0.0, samples=256)
-    def check(inner, outer, expo, r, shift, samples):
+    @hypothesis.example(  # a simple pole at 0.77 r: 128 terms
+        inner=[(0.1, 1.0, 3)], outer=[(5.0, 2.0, -2)], edge=[(0.77, 0.5, -1, True)], expo=[],
+        r=2.0, shift=0.5, samples=4096)
+    def check(inner, outer, edge, expo, r, shift, samples):
         roots = [(rel * r * cmath.exp(1j * t), e) for rel, t, e in inner + outer]
+        roots += [((rel if inside else 1.0 / rel) * r * cmath.exp(1j * t), e) for rel, t, e, inside in edge]
         p = [size * r ** -k * cmath.exp(1j * t) for k, (size, t) in enumerate(expo)] or [0j]
         jensen = sum(e * math.log(max(r, abs(a))) for a, e in roots) + p[0].real
         lead = math.exp(shift - jensen)
@@ -752,15 +761,36 @@ def test_row_sums_are_the_factored_trapezoid(monkeypatch):
     check()
 
 
+def test_row_finds_an_arc_inside_one_coarse_interval():
+    # log|f| = -21.6 + sum_(m<=24) cos(m (theta - theta_0)) on |z| = 2 is
+    # positive only within 0.032 of theta_0, the middle of a coarse
+    # interval of 2 pi / 64 at N = 4096: both of its coarse nodes are
+    # negative, and only the slope bound keeps the interval from counting
+    # as negative throughout, as most of the other intervals rightly do
+    samples, r, count, terms = 4096, 2.0, 64, 24
+    theta = 2.0 * math.pi * 17.5 / count
+    p = [-21.6] + [(r * cmath.exp(1j * theta)) ** -m for m in range(1, terms + 1)]
+    f = Exp(Polynomial(p))
+    c = FunctionData(f).canonical
+    assert _row_taken(c, [r])[0]
+    nodes = 2.0 * np.pi * np.arange(samples) / samples
+    g = -21.6 + np.cos(np.arange(1, terms + 1)[:, None] * (nodes - theta)).sum(0)
+    arc = np.flatnonzero(g > 0.0)
+    assert 30 <= len(arc) and arc[0] > 17 * samples // count and arc[-1] < 18 * samples // count
+    m = FunctionData(f).proximity([r], samples)[0]
+    x = _factored_trapezoid(c, r, samples)
+    assert m > 0.0 and abs(m - x) <= 1e-13 * (1.0 + m), (m, x)
+
+
 def _row_bound_passes(c, r):
-    # the row's truncation bound at 32 terms, one base at a time
-    if c.expo.degree > 32 or any(b.degree > 1 for b, _ in c.factors):
+    # the row's truncation bound at 128 terms, one base at a time
+    if c.expo.degree > 128 or any(b.degree > 1 for b, _ in c.factors):
         return False
     rhos = [(min(abs(b.coefficients[0]) / r, r / abs(b.coefficients[0]))
              if b.coefficients[0] else 0.0, abs(e)) for b, e in c.factors]
     if any(rho >= 1.0 for rho, _ in rhos):
         return False
-    return sum(e * rho ** 33 / (33 * (1.0 - rho)) for rho, e in rhos) <= 2.0 ** -53
+    return sum(e * rho ** 129 / (129 * (1.0 - rho)) for rho, e in rhos) <= 2.0 ** -53
 
 
 def _row_radii(monkeypatch):
@@ -783,11 +813,11 @@ def _row_radii(monkeypatch):
 
 @pytest.mark.parametrize("text,some", [
     (_GROWTH_F, True), ("exp(z)/(z-2)", True), ("(z-0.25)^8*exp(3*z^3)/(z+0.3)^5", True),
-    ("exp(z^32)", True), ("exp(z^33)", False), ("5/(z-2)^3 + z", True),
+    ("exp(z^32)", True), ("exp(z^128)", True), ("exp(z^129)", False), ("5/(z-2)^3 + z", True),
     ("D[(z-0.5)^2*exp(z)/(z+0.3),1]", False)])
 def test_row_takes_the_unsettled_circles_whose_bound_passes(monkeypatch, text, some):
     # the row takes a circle exactly when it is not settled, every base is
-    # linear, deg expo <= 32 and the truncation bound at 32 terms is at most
+    # linear, deg expo <= 128 and the truncation bound at 128 terms is at most
     # 2^-53, with the least number of terms whose bound is: not r = 2
     # through the pole of exp(z)/(z-2), where the ratio is 1, nor any circle
     # of the derivative, whose factor H is a whole base
@@ -798,7 +828,7 @@ def test_row_takes_the_unsettled_circles_whose_bound_passes(monkeypatch, text, s
     want = [r for r, s in zip(radii, settled) if math.isnan(s) and _row_bound_passes(c, r)]
     assert bool(want) == some
     assert text != "exp(z)/(z-2)" or 2.0 not in want
-    assert some or c.expo.degree > 32 or any(b.degree > 1 for b, _ in c.factors)
+    assert some or c.expo.degree > 128 or any(b.degree > 1 for b, _ in c.factors)
     taken = _row_radii(monkeypatch)
     data.proximity(radii, DEFAULT_SAMPLES)
     assert taken[::2] == ([want] if want else [])
@@ -806,8 +836,8 @@ def test_row_takes_the_unsettled_circles_whose_bound_passes(monkeypatch, text, s
         rhos = [(min(abs(b.coefficients[0]) / r, r / abs(b.coefficients[0]))
                  if b.coefficients[0] else 0.0, abs(e)) for b, e in c.factors]
         bound = [sum(e * rho ** (m + 1) / ((m + 1) * (1.0 - rho)) for rho, e in rhos)
-                 for m in range(33)]
-        least = min(m for m in range(33) if bound[m] <= 2.0 ** -53)
+                 for m in range(129)]
+        least = min(m for m in range(129) if bound[m] <= 2.0 ** -53)
         assert terms == max(least, c.expo.degree), (text, r)
 
 
@@ -1002,13 +1032,16 @@ def test_unit_circle_is_cached_read_only():
 
 
 def test_circle_powers_are_exact_strided_copies():
-    # the node table of the rows and the kernel: every row is unit[(m*t) % N]
-    # and every turn unit[(m*b*c) % N] bit for bit, read-only and cached
+    # the node tables of the kernel and the rows: every kernel row is
+    # unit[(m*t) % N] and every turn unit[(m*b*c) % N] bit for bit; every row
+    # column holds Re and -Im of unit[(m*k*s) % N] over K = min(64, N/8)
+    # coarse nodes k, of unit[(m*t) % N] over the s = N/K nodes t of an
+    # interval, and q_m their sum for t > 0; all read-only and cached
     for n in (64, 4096, 8192):
         unit = nevanlab.nevanlinna._unit_circle(n)[1]
         width = min(256, n)
         for powers in (33, 41, 201):
-            table, turns = nevanlab.nevanlinna._row_table(n, powers)
+            table, turns = nevanlab.nevanlinna._kernel_table(n, powers)
             assert table.shape == (2 * powers, width) and turns.shape == (n // width, powers)
             m = np.arange(powers)[:, None]
             want = unit[(m * np.arange(width)) % n]
@@ -1016,7 +1049,18 @@ def test_circle_powers_are_exact_strided_copies():
             assert np.array_equal(table[1::2], want.imag), (n, powers)
             assert np.array_equal(turns.T, unit[(m * np.arange(n // width) * width) % n])
             assert not table.flags.writeable and not turns.flags.writeable
-            assert nevanlab.nevanlinna._row_table(n, powers)[0] is table
+            assert nevanlab.nevanlinna._kernel_table(n, powers)[0] is table
+        coarse, inner, q = nevanlab.nevanlinna._row_tables(n)
+        count = min(64, n // 8)
+        stride = n // count
+        m = np.arange(1, 129)[:, None]
+        for x, nodes in ((coarse, np.arange(count) * stride), (inner, np.arange(stride))):
+            want = unit[(m * nodes) % n]
+            assert x.shape == (256, len(nodes)), n
+            assert np.array_equal(x[0::2], want.real) and np.array_equal(x[1::2], -want.imag), n
+        assert np.array_equal(q, (inner[0::2, 1:] - 1j * inner[1::2, 1:]).sum(1))
+        assert not (coarse.flags.writeable or inner.flags.writeable or q.flags.writeable)
+        assert nevanlab.nevanlinna._row_tables(n)[0] is coarse
 
 
 def test_kernel_holds_no_squared_modulus_temporary():
@@ -1059,7 +1103,7 @@ def test_kernel_column_chunks_match_one_pass():
     # products of several radii, six to a product at N = 1024, give the
     # samples and sums of one radius at a time
     c = canonicalize(parse("(z^40 + 3*z^17 - 2)/(z^21 + 0.5) * exp(z^3)"))
-    assert nevanlab.nevanlinna._ROW_PRODUCT // (5 * 1024) == 6
+    assert nevanlab.nevanlinna._KERNEL_PRODUCT // (5 * 1024) == 6
     unit = np.exp(2j * np.pi * np.arange(1024) / 1024)
     radii = [1.7, 2.5, 1.2, 3.1, 1.9, 2.2, 2.8, 1.5]
     whole = _kernel_samples(c, radii, 1024)
@@ -1090,8 +1134,8 @@ def _whole(num, den, expo):
 def test_kernel_matches_explicit_points():
     # half the kernel's log|f|^2 is Canonical.log_abs at the same nodes: num or den
     # constant, expo absent or present, degrees below and above the 32 powers
-    # the rows share, one node block or several, and coefficients from
-    # 1e-150 to 1e150
+    # of the smallest kernel table, one node block or several, and
+    # coefficients from 1e-150 to 1e150
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     degree = st.sampled_from([0, 1, 3, 15, 16, 17, 40, 200])
