@@ -4,75 +4,49 @@ The integrated counting function is evaluated in closed form from the
 divisor: N(r) = sum over |z_k| <= r of m_k (log r - log max(|z_k|, 1)).
 Proximity m(r) is a composite-trapezoid average of log+|f| over N
 equispaced points z_j = r w^j, w = exp(2 pi i/N), computed in the log
-domain from the canonical form (num/den) exp(expo).  Each circle is one
-of three kinds, told apart for all radii of a call at once from the
-coefficients of num, den and expo and the root moduli of the factored
-form (no root finding):
+domain from the factored canonical form (lead/den_lead) prod b^e exp(expo).
+Each circle is one of three kinds, told apart for all radii of a call at
+once from a table of the bases, read once per function (_Bases), with no
+root finding and no coefficient of the expanded num or den:
 
 - zero circle: an upper bound of log|f| on |z| = r is below -1e-9, so
   |f| < 1 there and m(r) = 0.0, which the trapezoid sum also gives;
-- closed-form circle: a lower bound of log|f| is above 1e-9, a root bound
-  puts every root of num and den inside r exp(-40/N), and deg expo < N.
-  Then m(r) is the circle mean of log|f|, which Jensen's formula gives as
-  log|lead num / lead den| + (deg num - deg den) log r + Re expo(0); the
-  N-point trapezoid differs from it by at most e^-40/N per root, since it
-  aliases only the modes that are multiples of N;
+- closed-form circle: a lower bound of log|f| is above 1e-9, every root
+  of every base lies inside r exp(-40/N), and deg expo < N.  Then m(r) is
+  the circle mean of log|f|, which Jensen's formula gives as
+  log|lead/den_lead| + (sum e deg b) log r + Re expo(0); the N-point
+  trapezoid differs from it by at most e^-40/N per root, since it aliases
+  only the modes that are multiples of N;
 - sampled circle: anything else, evaluated as below.
 
-The root moduli of num and den come from the bases of the factored form
-(_factor_root_bound): a linear base z - a gives |a| itself, and only a
-whole base (one that _split kept or derivative made) takes a
-Graeffe-tightened bound (_root_bound): the 8th root of Fujiwara's bound
-on the polynomial whose roots are the 8th powers of the roots, computed
-with a certified rounding radius on every coefficient.  Barring
-underflow it is within a factor (2d)^(1/8) of the largest root modulus,
-where plain Fujiwara can be 2d times too large.
+The bounds take one root bound B per base, and a monic base b of degree d
+has d log|r - B| <= log|b| <= d log(r + B) on |z| = r (_Bases.log_bounds).
+A linear base z - a gives B = |a| itself, on either side of the circle;
+only a whole base (one that _split kept or derivative made) takes a
+Graeffe-tightened bound (_root_bound), within (2d)^(1/8) of its largest
+root modulus, and a lower bound only where r > B.
 
 Most sampled circles are summed by their row.  Where every base of the
-factored form is linear, (z - a_j)^e_j, log|f(r w^j)| = Re sum_m D_m w^(jm)
-with D_0 = log|lead/den_lead| + Re p_0 + sum_j e_j log max(r, |a_j|) and
-D_m = p_m r^m - (1/m) sum_(|a_j|>r) e_j (r/a_j)^m
-- (1/m) conj(sum_(|a_j|<r) e_j (a_j/r)^m) for m >= 1, p = expo.  A circle
-takes its row when the bound sum_j |e_j| rho_j^(M+1) / ((M+1)(1 - rho_j)),
-rho_j = min(|a_j|/r, r/|a_j|), on the series cut after M terms is at most
-_ROW_TAIL = 2^-53 for some M <= _ROW_TERMS = 128 with deg p <= M
-(_row_terms), and then uses the least such M.  The power sums are built
-once per split of the roots into inside and outside, scaled so that no
-power exceeds 1 (_row_coefficients).  A row is still the N-point
-trapezoid of max(g, 0), g(theta) = Re sum_m D_m e^(im theta), but it
-takes few samples (_row_sums): real products against cached tables
-(_row_tables) give g at K = min(64, N/8) coarse nodes and the sum of g
-over the nodes inside each interval between two of them, and the slope
-bound |g'| <= sum_m m |D_m| certifies that g keeps one sign on most
-intervals, whose inside then adds its interval sum or nothing.  Only the
-nodes inside the other intervals, next to the sign changes of g, are
-sampled.  There is no log, and a multiplicity is only a weight, so the
-row has no digit loss near a multiple root.  A circle with a root
-modulus within a factor of about 1.3 of r (rho_j above about 0.77), a
-function with a whole base and an expo of degree above 128 keep the
-kernel below: the series would need more terms, or there are no power
-sums to read.
+factored form is linear, (z - a_j)^e_j, log|f(r w^j)| = Re sum_m D_m w^(jm),
+read off Jensen's formula and the power sums of the roots
+(_row_coefficients).  A circle takes its row where that series, cut after
+M <= _ROW_TERMS = 128 terms, errs by at most _ROW_TAIL = 2^-53 per sample
+(_row_terms), which takes a simple root about 1.3 times inside or outside
+r.  A row is still the N-point trapezoid of max(g, 0),
+g(theta) = Re sum_m D_m e^(im theta), but it takes few samples
+(_row_sums): a slope bound certifies the sign of g on most intervals
+between K = min(64, N/8) coarse nodes, and only the nodes inside the
+others are sampled.  There is no log, and a multiplicity is only a
+weight, so the row has no digit loss near a multiple root.  Whole bases
+and an expo of degree above 128 keep the kernel below.
 
 The kernel samples log|f|^2 from the expanded num and den at every node
-(_kernel_sums).  Since p(z_j) = sum_k (c_k r^k) w^(jk), each polynomial
-is a row of coefficients (_kernel_coefficients): num and den of degree d
-are scaled to r^d sum_k c_k r^(k-d) w^(jk), so the sum runs on
-unit-modulus points and d log r is added back in the log domain, and
-each gives the rows p and -i p, whose real parts are Re p and Im p;
-neither r^d nor an exponential factor overflows.  Node j = bc + t of
-block b of c nodes is Re sum_m (d_m w^(mbc)) w^(mt), so real products of
-many (row, radius, block) rows of coefficients against one cached table
-of w^(mt), t < c, give the samples in node order (_circle_sums); the
-table holds max(deg, 32) + 1 powers (_kernel_table), so every function
-of degree up to 32 reads the one table of its sample count.  Each sample
-takes one log and one add (_log_abs2): log(|num|^2 / |den|^2) plus the
-expo row, whose coefficients are doubled to give 2 Re expo and whose w^0
-coefficient carries the constants (twice (deg num - deg den) log r and
-the logs of the prescales and of constant parts); the squares are taken
-in place in the product's rows, and num and den are prescaled by exact
-powers of two so that the squared moduli stay within the double range.
-One kernel call sums max(log|f|^2, 0) over the nodes of every circle it
-takes; m(r) is that sum over 2N.
+(_kernel_sums): each polynomial is a row of coefficients scaled to
+unit-modulus points (_kernel_coefficients), real products of
+(row, radius, block) rows against one cached table of nodes give the
+samples in node order (_circle_sums), and each sample takes one log and
+one add (_log_abs2).  One kernel call sums max(log|f|^2, 0) over the
+nodes of every circle it takes; m(r) is that sum over 2N.
 
 A circle through a pole of f, one where the expanded num or den may lose
 e^_MAX_LOSS ulps to a multiple root near it (_expansion_loss), and one
@@ -84,11 +58,9 @@ smooth at the poles; h is sampled at every node from the factored form
 without those poles' linear bases, so it is finite even at a node on a
 pole, and the exact mean of L, sum m log max(r, |rho|), is subtracted.
 Samples that are NaN or +inf are retried half a step over; samples still
-singular raise QuadratureError.  T = m + N by construction.  FunctionData
-holds the inputs: the factored canonical form at construction, whose bases
-carry the zeros and poles with their multiplicities, so the divisors need
-no further root finding; the expanded num and den, which the coefficient
-bounds and the kernel take, on first use.
+singular raise QuadratureError.  T = m + N by construction.  The zeros
+and poles are read off the bases with their multiplicities, so the
+divisors need no further root finding.
 """
 from __future__ import annotations
 
@@ -306,103 +278,117 @@ def _root_bound(c):
     return plain
 
 
-def _factor_root_bound(c, sign):
-    """A bound on the root moduli of num (sign 1) or den (sign -1) of the
-    canonical form c, raised by _INFLATE, from its bases b^e with sign e > 0:
-    a linear base z - a gives |a| itself, and a whole base its Graeffe bound
-    (_root_bound).  0.0 when there are none."""
-    return max((abs(b.coefficients[0]) * _INFLATE if b.degree == 1
-                else _root_bound(np.array(b.coefficients))
-                for b, e in c.factors if sign * e > 0), default=0.0)
+class _Bases:
+    """The bases b^e of a canonical form c, read once per FunctionData for
+    every stage of proximity.  The linear bases (z - a)^e give roots a,
+    moduli |a|, exponents e and orders |e|, sorted by modulus (stable).
+    Every base has a root bound B (bounds: |a| for z - a, _root_bound only
+    for a whole base) and a weight e deg b (weights), the linear bases
+    first; linear says that none is whole, and reach is the largest B raised
+    by _INFLATE.  const = log|lead| - log|den_lead|, scale = |log|lead|| +
+    |log|den_lead||, slope = sum e deg b and expo is expo's coefficients."""
+
+    def __init__(self, c):
+        lines = [(-b.coefficients[0], e) for b, e in c.factors if b.degree == 1]
+        whole = [(b, e) for b, e in c.factors if b.degree > 1]
+        roots = np.array([a for a, _ in lines], dtype=complex)
+        moduli = np.abs(roots)
+        order = np.argsort(moduli, kind="stable")
+        self.roots, self.moduli = roots[order], moduli[order]
+        self.e = np.array([e for _, e in lines], dtype=float)[order]
+        self.orders, self.linear = np.abs(self.e), not whole
+        tops = [_root_bound(np.array(b.coefficients)) for b, _ in whole]
+        weights = self.e.tolist() + [e * b.degree for b, e in whole]
+        self.bounds, self.weights = np.array(self.moduli.tolist() + tops), np.array(weights)
+        self.reach = max([*(self.moduli[-1:] * _INFLATE).tolist(), *tops], default=0.0)
+        logs = math.log(abs(c.lead)), math.log(abs(c.den_lead))
+        self.const, self.scale = logs[0] - logs[1], abs(logs[0]) + abs(logs[1])
+        self.slope, self.mass = sum(weights), sum(map(abs, weights))
+        self.expo = np.array(c.expo.coefficients)
+        self.spread = np.abs(self.expo[:0:-1]).tolist()  # |p_k|, k = deg expo .. 1
+        # the rows of shifts + r hold r + B and r - B per base; of their logs the
+        # lower bound takes a pole's top and a zero's gap, the upper one the rest
+        n, self.sizes = len(weights), np.abs(self.weights)[:, None]
+        self.shifts = np.concatenate([self.bounds, -self.bounds])[:, None]
+        self.pick = np.array([j + n * (w > 0) for j, w in enumerate(weights)]
+                             + [j + n * (w < 0) for j, w in enumerate(weights)], dtype=int)
+
+    def log_bounds(self, r):
+        """(lower, upper) bounds of log|f| on |z| = r, per radius of the
+        ndarray r, in one (radii x bases) pass.
+
+        A monic base b of degree d with its roots within B of 0 has
+        d log|r - B| <= log|b(z)| <= d log(r + B) on |z| = r: a linear base
+        on either side of the circle, a whole base only where r > B.  log|f|
+        lies between const + Re p_0 -+ spread, p = expo and
+        spread = sum_(k>=1) |p_k| r^k (by Horner, raised by _INFLATE), plus
+        the sum of e d times each base's lower bound where e > 0 and its
+        upper bound where e < 0 (lower), and the other way round (upper).
+
+        Rounding, u = 2^-53, to the last bit of the samples: |a| is rounded
+        by an ulp, 2u |a|, r -+ B by u, and a node r w^j has modulus within
+        3u r of r.  So a root's distance from the circle, and from a node as
+        computed, is at least the gap |r - B| - 2^-50 (r + B), the argument
+        of the lower log, whose rounding raises it by u at most; from a node
+        it is at most (r + B)(1 + 6u).  Each log errs by u + 4u |log| (two
+        ulps), its product with e d by one rounding more, const by 2u scale
+        and the sum of n terms and constants by gamma_(n+3) of their moduli.
+        Both bounds move out by 4 (n + 4) u (1 + scale + |Re p_0| + spread
+        + sum |e d| (1 + |log|)) over the logs each takes, which covers these
+        and a sample's own rounding from the bases (Canonical.log_abs: a
+        complex log per linear base; in the upper bound also Horner's
+        gamma_(2d) (r + B)^d on a whole base).  A gap of 0 or less gives
+        -inf and an overflow inf or NaN, which settle nothing."""
+        size, count, lines = len(r), len(self.bounds), len(self.roots)
+        with np.errstate(all="ignore"):
+            spread = np.zeros(size)
+            for x in self.spread:
+                spread = (spread + x) * r
+            spread *= _INFLATE
+            logs = self.shifts + r
+            top, gap = logs[:count], logs[count:]
+            np.abs(gap[:lines], out=gap[:lines])
+            gap -= 2.0 ** -50 * top
+            np.maximum(gap, 0.0, out=gap)
+            np.log(logs, out=logs)
+            logs = logs[self.pick].reshape(2, count, size)  # the lower and the upper logs
+            sums, slack = (logs * self.weights[:, None]).sum(1), (np.abs(logs) * self.sizes).sum(1)
+            base = self.expo[0].real
+            slack += 1.0 + self.scale + abs(base) + self.mass + spread
+            slack = slack * (4.0 * (count + 4) * _UNIT_ROUNDOFF) + spread
+            return self.const + base + sums[0] - slack[0], self.const + base + sums[1] + slack[1]
 
 
-def _log_abs_bounds(polys, bounds, r, log_r):
-    """(lower, upper) bounds of log|p| on |z| = r, one row per polynomial p
-    of polys and one column per radius of the ndarray r.
-
-    p = sum_k c_k z^k of degree d has its roots within its bound B; with
-    lead = |c_d| r^d and tail = sum_(k<d) |c_k| r^k,
-    lower = max(log(lead - tail) where lead >= 2 tail,
-    log|c_d| + d log(r - B) where r > B), and upper = min(log(lead + tail),
-    log|c_d| + d log(r + B)).  tail/lead is summed by Horner in 1/r, the
-    rows padded with zeros below the lowest coefficient to one length, so
-    r^d never overflows, and is raised by _INFLATE; a bound that still
-    overflows comes out infinite or NaN, which settles nothing.  Both bounds
-    then move out by 4 (d + 2) u (1 + |log|c_d|| + d log r), u = 2^-53,
-    which covers the rounding of the logs and of their sums, and that of
-    log|p| itself computed by Horner at a node, to the last bit.  Call under
-    np.errstate(all="ignore").
-    """
-    size = max(p.degree for p in polys)
-    columns = np.array([[0.0] * (size - p.degree)
-                        + [abs(x) / abs(p.leading) for x in p.coefficients[:-1]]
-                        for p in polys]).T[:, :, None]
-    x = 1.0 / r
-    tail = 0.0
-    for column in columns:
-        tail = (tail + column) * x
-    tail = tail * _INFLATE
-    d = np.array([[p.degree] for p in polys])
-    lead = np.array([[math.log(abs(p.leading))] for p in polys])
-    rise = d * log_r  # >= 0, as r > 1
-    top = lead + rise
-    bound = np.array(bounds)[:, None]
-    slack = (4.0 * _UNIT_ROUNDOFF) * (d + 2) * (1.0 + np.abs(lead) + rise)
-    lower = np.maximum(np.where(tail <= 0.5, top + np.log1p(-tail), -np.inf),
-                       np.where(r > bound, lead + d * np.log(r - bound), -np.inf))
-    upper = np.minimum(top + np.log1p(tail), lead + d * np.log(r + bound))
-    return lower - slack, upper + slack
-
-
-def _settled_circles(c, radii, samples):
+def _settled_circles(bases, radii, samples):
     """m(r) for each radius whose circle needs no samples; NaN for the rest.
 
     Zero circles (log|f| < -_SETTLE_MARGIN on the whole circle) give 0.0;
-    closed-form circles (log|f| > _SETTLE_MARGIN, every root of num and den
-    inside r exp(-_ALIAS_EXPONENT/N), deg expo < N) give Jensen's value.
-    The bounds come from the coefficients of num and den, vectorized over
-    the radii and over num and den at once, and from the root moduli of
-    the factored form (_factor_root_bound: read off each linear base,
-    Graeffe's bound only for a whole base); Re expo lies within
-    Re expo(0) -+ sum_(k>=1) |x_k| r^k, summed by Horner in r.
+    closed-form circles (log|f| > _SETTLE_MARGIN, every root of every base
+    inside r exp(-_ALIAS_EXPONENT/N), deg expo < N) give Jensen's value
+    const + slope log r + Re expo(0).  The bounds come from the bases'
+    root bounds (_Bases.log_bounds); no coefficient of num or den is read.
     Jensen's value is the N-point mean for the factored f, to e^-40/N per
-    root, once every root of a base lies inside r exp(-_ALIAS_EXPONENT/N);
-    the expanded num and den that the kernel (_kernel_sums) samples have
-    the coefficients of f to rounding, so the two agree to the kernel's
-    rounding (which grows near a multiple root close to the circle, where
-    Jensen's value is the more accurate).
+    root; the kernel's samples of the expanded num and den (_kernel_sums)
+    agree with it to the kernel's rounding, which grows near a multiple
+    root close to the circle, where Jensen's value is the more accurate.
     """
     r = np.asarray(radii, dtype=float)
-    log_r = np.log(r)
-    expo = c.expo.coefficients
-    bounds = _factor_root_bound(c, 1), _factor_root_bound(c, -1)
-    with np.errstate(all="ignore"):
-        (low_num, low_den), (high_num, high_den) = _log_abs_bounds((c.num, c.den), bounds, r, log_r)
-        spread = 0.0
-        for x in expo[:0:-1]:
-            spread = (spread + abs(x)) * r
-        spread = spread * _INFLATE
-        base = expo[0].real
-        out = np.full(len(r), np.nan)
-        if len(expo) <= samples:
-            closed = ((low_num - high_den + base - spread > _SETTLE_MARGIN)
-                      & (max(bounds) <= r * math.exp(-_ALIAS_EXPONENT / samples)))
-            jensen = (math.log(abs(c.num.leading)) - math.log(abs(c.den.leading))
-                      + (c.num.degree - c.den.degree) * log_r + base)
-            out[closed] = jensen[closed]
-        out[high_num - low_den + base + spread < -_SETTLE_MARGIN] = 0.0
+    lower, upper = bases.log_bounds(r)
+    out = np.full(len(r), np.nan)
+    if len(bases.expo) <= samples:
+        closed = (lower > _SETTLE_MARGIN) & (bases.reach <= r * math.exp(-_ALIAS_EXPONENT / samples))
+        out[closed] = (bases.const + bases.slope * np.log(r) + bases.expo[0].real)[closed]
+    out[upper < -_SETTLE_MARGIN] = 0.0
     return out
 
 
-def _root_ratios(c, r):
-    """(ratio, e): ratio[i, j] = min(|a_j| / r_i, r_i / |a_j|) for the linear
-    bases (z - a_j)^e_j of c and each radius r_i of the ndarray r, and the
-    |e_j|.  1 where a root lies on the circle."""
-    a = np.array([abs(b.coefficients[0]) for b, _ in c.factors if b.degree == 1])
-    e = np.array([abs(m) for b, m in c.factors if b.degree == 1], dtype=float)
+def _root_ratios(bases, r):
+    """ratio[i, j] = min(|a_j| / r_i, r_i / |a_j|) for the linear bases z - a_j
+    of the table (_Bases) and each radius r_i of the ndarray r; 1 where a
+    root lies on the circle."""
     with np.errstate(divide="ignore", over="ignore"):
-        q = a / r[:, None]
-        return np.minimum(q, 1.0 / q), e
+        q = bases.moduli / r[:, None]
+        return np.minimum(q, 1.0 / q)
 
 
 def _expansion_loss(ratio, e):
@@ -415,34 +401,40 @@ def _expansion_loss(ratio, e):
         return np.log((1.0 + ratio) / (1.0 - ratio)) @ e
 
 
-def _row_terms(c, ratio, e):
+def _row_terms(bases, ratio):
     """The number M of Fourier terms of log|f| in each circle's row, per row
-    of _root_ratios: the least M >= deg expo whose truncation bound
-    sum_j |e_j| ratio_j^(M+1) / ((M+1)(1 - ratio_j)) is at most _ROW_TAIL, as
-    log|1 - x| = -Re sum_(m>=1) x^m / m; -1 where no M <= _ROW_TERMS is, and
-    for every circle when c has a whole base.  A pole on the circle has
-    ratio 1, which no bound passes.  The bound falls with M, so two passes
-    find the least M: one at every 16th M up to _ROW_TERMS, then one at the
-    15 below the first that passes."""
+    of _root_ratios, e the orders: the least M >= deg expo whose truncation
+    bound sum_j |e_j| ratio_j^(M+1) / ((M+1)(1 - ratio_j)) is at most
+    _ROW_TAIL, as log|1 - x| = -Re sum_(m>=1) x^m / m; -1 where no
+    M <= _ROW_TERMS is, and for every circle when a base is whole.  A pole
+    on the circle has ratio 1, which no bound passes.  The bound falls with
+    M, so two passes find the least M, at every 16th M up to _ROW_TERMS and
+    at the 15 below the first that passes; two circles or fewer take one
+    pass at every M."""
     terms = np.full(len(ratio), -1)
-    if c.expo.degree > _ROW_TERMS or any(b.degree > 1 for b, _ in c.factors):
+    degree = len(bases.expo) - 1
+    if degree > _ROW_TERMS or not bases.linear:
         return terms
     with np.errstate(divide="ignore", invalid="ignore"):
-        weight = (e / (1.0 - ratio))[:, None]
+        weight = bases.orders / (1.0 - ratio)
         ratio = ratio[:, None]
-        step = np.arange(1.0, _ROW_TERMS + 2.0, 16.0)  # M + 1 for every 16th M
-        ok = (weight * ratio ** step[:, None]).sum(2) <= _ROW_TAIL * step
-        high = 16 * np.argmax(ok, axis=1)  # the first of them that passes
-        step = np.maximum(high[:, None] + np.arange(-15.0, 1.0), 0.0) + 1.0  # M + 1 below it
-        low = np.argmax((weight * ratio ** step[..., None]).sum(2) <= _ROW_TAIL * step, axis=1)
+        stride = 1 if len(ratio) <= 2 else 16
+        step = np.arange(1.0, _ROW_TERMS + 2.0, stride)  # M + 1 for every stride-th M
+        ok = np.einsum("rmj,rj->rm", ratio ** step[:, None], weight) <= _ROW_TAIL * step
+        least = stride * np.argmax(ok, axis=1)  # the first of them that passes
+        if stride > 1:  # and the 15 M below it
+            step = np.maximum(least[:, None] + np.arange(-15.0, 1.0), 0.0) + 1.0
+            bound = np.einsum("rmj,rj->rm", ratio ** step[..., None], weight)
+            least += np.argmax(bound <= _ROW_TAIL * step, axis=1) - 15
     ok = ok[:, -1]
-    terms[ok] = np.maximum(high[ok] - 15 + low[ok], c.expo.degree)
+    terms[ok] = np.maximum(least[ok], degree)
     return terms
 
 
-def _row_coefficients(c, r, terms):
+def _row_coefficients(bases, r, terms):
     """D_m(r) for m <= max(terms), one row per radius of the ndarray r, 0 past
-    the radius's own terms, for c with linear bases (z - a_j)^e_j only:
+    the radius's own terms, for a table (_Bases) of linear bases
+    (z - a_j)^e_j only, sorted by |a_j|:
     log|f(r w^j)| = Re sum_m D_m w^(jm) up to the truncation that _row_terms
     bounds, with D_0 = log|lead / den_lead| + Re p_0 + sum_j e_j log max(r, |a_j|)
     and D_m = p_m r^m - (1/m) sum_(|a_j| > r) e_j (r / a_j)^m
@@ -455,16 +447,11 @@ def _row_coefficients(c, r, terms):
     (a_j / r)^m = (s / r)^m (a_j / s)^m and (r / a_j)^m = (r / t)^m (t / a_j)^m,
     an outer product in r."""
     top = int(terms.max())
-    roots = np.array([-b.coefficients[0] for b, _ in c.factors], dtype=complex)
-    e = np.array([m for _, m in c.factors], dtype=float)
-    order = np.argsort(np.abs(roots), kind="stable")
-    roots, e = roots[order], e[order]
-    moduli = np.abs(roots)
-    p = np.array(c.expo.coefficients)
+    roots, moduli, e, p = bases.roots, bases.moduli, bases.e, bases.expo
     d = np.zeros((len(r), top + 1), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # inf sums go to _sampled_circle
         d[:, :len(p)] = p * r[:, None] ** np.arange(len(p))
-    d[:, 0] = math.log(abs(c.lead)) - math.log(abs(c.den_lead)) + p[0].real
+    d[:, 0] = bases.const + p[0].real
     split = np.searchsorted(moduli, r)  # the first split roots lie inside
     splits = set(split.tolist())
     for k in splits:
@@ -601,18 +588,26 @@ def _row_sums(d, terms, samples):
 
 @lru_cache(maxsize=4)
 def _kernel_table(samples, powers):
-    """Read-only (table, turns) on N = samples nodes: table rows 2m and
-    2m + 1 hold Re and Im w^(mt), m < powers, for the first
-    c = min(_KERNEL_NODES, N) nodes t, and turns[b, m] = w^(mbc) for each of
-    the N/c blocks of c nodes, all entries of the cached unit circle."""
+    """Read-only table on N = samples nodes: rows 2m and 2m + 1 hold Re and
+    Im w^(mt), m < powers, for the first c = min(_KERNEL_NODES, N) nodes t,
+    all entries of the cached unit circle."""
     unit = _unit_circle(samples)[1]
-    width = min(_KERNEL_NODES, samples)
-    m = np.arange(powers)
-    w = unit[m[:, None] * np.arange(width) % samples]
-    table = np.stack([w.real, w.imag], 1).reshape(-1, width)
-    turns = unit[np.arange(0, samples, width)[:, None] * m % samples]
-    table.flags.writeable = turns.flags.writeable = False
-    return table, turns
+    w = unit[np.arange(powers)[:, None] * np.arange(min(_KERNEL_NODES, samples)) % samples]
+    table = np.stack([w.real, w.imag], 1).reshape(-1, w.shape[1])
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=8)
+def _kernel_turns(samples, size, copies):
+    """Read-only conj(w^(mbc)), m < size, from the cached unit circle, for
+    each block b of c = min(_KERNEL_NODES, N) nodes, flat and repeated
+    copies times: one block of turns per (row, radius) of a product."""
+    unit = _unit_circle(samples)[1]
+    turns = unit[np.arange(0, samples, min(_KERNEL_NODES, samples))[:, None] * np.arange(size) % samples]
+    out = np.tile(np.conj(turns), (copies, 1)).reshape(-1)
+    out.flags.writeable = False
+    return out
 
 
 def _circle_sums(d, samples, sample):
@@ -625,26 +620,31 @@ def _circle_sums(d, samples, sample):
     (row, radius, block) triple is one row of real coefficients (Re, -Im)
     against the cached table of the first c nodes (_kernel_table, at
     max(deg, _KERNEL_POWERS - 1) + 1 powers, so that low degrees share one
-    table), and the rows come out in node order.  As many radii go to a
-    product as fill _KERNEL_PRODUCT doubles.  The product block and the
-    coefficient block are reused, and max(., 0) and one sum per radius are
-    taken in the product block."""
+    table), and the rows come out in node order.  conj(d_m) conj(w^(mbc))
+    is bit for bit conj(d_m w^(mbc)): conj(d), copied into the coefficient
+    block, times the cached turns (_kernel_turns), two operands of one
+    shape.  As many radii go to a product as fill _KERNEL_PRODUCT doubles.
+    The product and coefficient blocks are reused, and max(., 0) and one
+    sum per radius are taken in the product block."""
     rows, radii, size = d.shape
-    table, turns = _kernel_table(samples, max(size, _KERNEL_POWERS))
+    table = _kernel_table(samples, max(size, _KERNEL_POWERS))
+    blocks = samples // table.shape[1]
     per = max(1, _KERNEL_PRODUCT // (rows * samples))  # radii per product
     # (row, radius, block) triples per product, two at least: a product of
     # one row goes to gemv, which rounds unlike the rows of a gemm
-    count = max(2, rows * min(per, radii) * len(turns))
+    count = max(2, rows * min(per, radii) * blocks)
+    turns = _kernel_turns(samples, size, -(-count // blocks))
     work = np.empty((count, table.shape[1]))
     coef = np.zeros(count * size, dtype=complex)
+    d = np.conj(d)
     out = np.empty(radii)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, radii, per):
             at = slice(start, start + per)
-            n = rows * len(out[at]) * len(turns)
-            x = coef[:n * size].reshape(rows, -1, len(turns), size)
-            np.multiply(d[:, at, None], turns[:, :size], out=x)
-            np.conj(x, out=x)  # (Re, -Im) against the (Re, Im) rows of table
+            n = rows * len(out[at]) * blocks
+            x = coef[:n * size]
+            np.copyto(x.reshape(rows, -1, blocks, size), d[:, at, None])
+            np.multiply(x, turns[:n * size], out=x)  # (Re, -Im) against the (Re, Im) rows of table
             prod = np.matmul(coef[:max(n, 2) * size].view(float).reshape(-1, 2 * size),
                              table[:2 * size], out=work[:max(n, 2)])
             x = sample(prod[:n].reshape(rows, -1, samples))
@@ -745,11 +745,11 @@ class FunctionData:
     The canonical form is computed on construction, and refused (ValueError)
     for the zero function and where its constant factor lead/den_lead is not
     finite, as m = T = inf would be no number; everything else on first
-    use.  The zeros and poles are read off its bases, and the poles
-    serve the circles through a pole of proximity.  The node tables that
-    the sampled circles take are cached per sample count (_row_tables,
-    _kernel_table), so a proximity call builds none once its N has been
-    used.
+    use.  The zeros and poles are read off its bases, and the poles serve
+    the circles through a pole of proximity.  bases is the table (_Bases)
+    that every stage of proximity reads; the expanded num and den are built
+    only for a circle the kernel takes.  The node tables are cached per
+    sample count (_row_tables, _kernel_table, _kernel_turns).
     """
 
     def __init__(self, expr):
@@ -768,44 +768,46 @@ class FunctionData:
     def poles(self):
         return canonical_divisors(self.canonical, -1)
 
+    @cached_property
+    def bases(self):
+        return _Bases(self.canonical)
+
     def proximity(self, radii, samples):
         """m(r) for each radius: the N-point trapezoid of log+|f|, N = samples.
 
-        Zero and closed-form circles are settled first, from coefficient
-        bounds and the root moduli of the bases, for all radii at once
-        (_settled_circles): m = 0.0 where |f| < 1 on the circle, Jensen's
-        closed form where |f| > 1 and every root lies well inside.  The
-        other circles are sampled.  Where every base is linear and every
+        Zero and closed-form circles are settled first, for all radii at
+        once, from the root bounds of the bases (_settled_circles): m = 0.0
+        where |f| < 1 on the circle, Jensen's closed form where |f| > 1 and
+        every root lies well inside.  Where every base is linear and every
         root lies far enough from the circle (_row_terms), log|f| is a
         Fourier row of at most _ROW_TERMS terms (_row_coefficients), whose
-        trapezoid _row_sums takes from coarse nodes and interval sums,
-        sampling only the intervals where the row may change sign.  Of the
-        rest, one call of _kernel_sums sums max(log|f|^2, 0) at every node
-        of every circle that no pole passes through and whose
-        _expansion_loss is at most _MAX_LOSS, so that m = sum / 2N (see the
-        module docstring).  The circles left, and those whose sum is not
-        finite, go through _sampled_circle.
+        trapezoid _row_sums takes from coarse nodes and interval sums.  Of
+        the rest, one call of _kernel_sums sums max(log|f|^2, 0) at every
+        node of every circle that no pole passes through and whose
+        _expansion_loss is at most _MAX_LOSS, so that m = sum / 2N.  The
+        circles left, and those whose sum is not finite, go through
+        _sampled_circle.
         """
         samples = _require_samples(samples)
         radii = _require_radii(radii)
-        c = self.canonical
-        out = _settled_circles(c, radii, samples)
+        bases = self.bases
+        out = _settled_circles(bases, radii, samples)
         todo = np.flatnonzero(np.isnan(out))
         if todo.size:
             r = radii[todo]
-            ratio, e = _root_ratios(c, r)
-            terms = _row_terms(c, ratio, e)
+            ratio = _root_ratios(bases, r)
+            terms = _row_terms(bases, ratio)
             row = terms >= 0
             if row.any():
-                out[todo[row]] = _row_sums(_row_coefficients(c, r[row], terms[row]),
+                out[todo[row]] = _row_sums(_row_coefficients(bases, r[row], terms[row]),
                                            terms[row], samples) / samples
             if not row.all():
                 rest = np.flatnonzero(~row)
                 poles = np.array([rho for rho, _ in self.poles.entries], dtype=complex)
                 bulk = rest[~_on_circle(poles, r[rest, None]).any(axis=1)
-                            & (_expansion_loss(ratio[rest], e) <= _MAX_LOSS)]
+                            & (_expansion_loss(ratio[rest], bases.orders) <= _MAX_LOSS)]
                 if bulk.size:
-                    out[todo[bulk]] = _kernel_sums(c, r[bulk], samples) / (2 * samples)
+                    out[todo[bulk]] = _kernel_sums(self.canonical, r[bulk], samples) / (2 * samples)
             for i in todo[~np.isfinite(out[todo])]:  # left out, so still NaN, or not finite
                 out[i] = self._sampled_circle(float(radii[i]), samples)
         return out.tolist()
@@ -859,13 +861,11 @@ class FunctionData:
 
     def log_mean_at_1(self):
         """J(1, f), the mean of log|f| on |z| = 1, by Jensen's formula:
-        log|lead num / lead den| + Re expo(0), plus m log max(|z|, 1) over
-        the zeros and minus it over the poles."""
-        c = self.canonical
+        log|lead/den_lead| + Re expo(0), plus m log max(|z|, 1) over the
+        zeros and minus it over the poles."""
         outside = [sign * m * math.log(max(abs(z), 1.0))
                    for sign, d in ((1, self.zeros), (-1, self.poles)) for z, m in d.entries]
-        return (math.log(abs(c.lead)) - math.log(abs(c.den_lead))
-                + c.expo.coefficients[0].real + sum(outside))
+        return float(self.bases.const + self.bases.expo[0].real + sum(outside))
 
     def characteristic(self, radii, samples):
         ms = self.proximity(radii, samples)

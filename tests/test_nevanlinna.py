@@ -490,16 +490,16 @@ def test_proximity_where_horner_overflows(monkeypatch):
     original = nevanlab.nevanlinna._kernel_table
 
     def recording(samples, powers):
-        table, turns = original(samples, powers)
-        shapes.append((table.shape, turns.shape))
-        return table, turns
+        table = original(samples, powers)
+        shapes.append(table.shape)
+        return table
     monkeypatch.setattr(nevanlab.nevanlinna, "_kernel_table", recording)
     unit = np.exp(2j * np.pi * np.arange(64) / 64)
     for text, count in (("5", 33), ("z^3*exp(z^2)", 33), ("z^200/(z^199+1)", 201)):
         shapes.clear()
         nevanlab.nevanlinna._kernel_sums(canonicalize(parse(text)), np.array([128.0]), 64)
-        assert shapes == [((2 * count, 64), (1, count))], text
-        table = original(64, count)[0]
+        assert shapes == [(2 * count, 64)], text
+        table = original(64, count)
         want = np.stack([unit ** 0, unit])
         assert np.array_equal(table[0::2][:2], want.real)
         assert np.array_equal(table[1::2][:2], want.imag)
@@ -575,7 +575,8 @@ def _factored_trapezoid(c, r, samples):
 def _row_taken(c, radii):
     # whether each circle's samples come from its Fourier row
     r = np.asarray(radii, dtype=float)
-    return nevanlab.nevanlinna._row_terms(c, *nevanlab.nevanlinna._root_ratios(c, r)) >= 0
+    bases = nevanlab.nevanlinna._Bases(c)
+    return nevanlab.nevanlinna._row_terms(bases, nevanlab.nevanlinna._root_ratios(bases, r)) >= 0
 
 
 def test_settled_circles_match_sampled_circles(monkeypatch):
@@ -591,7 +592,7 @@ def test_settled_circles_match_sampled_circles(monkeypatch):
     kinds = {"zero": 0, "closed": 0, "row": 0, "kernel": 0}
     for f, samples in _settle_cases(rng, radii):
         data = FunctionData(f)
-        settled = nevanlab.nevanlinna._settled_circles(data.canonical, radii, samples)
+        settled = nevanlab.nevanlinna._settled_circles(data.bases, radii, samples)
         row = _row_taken(data.canonical, radii)
         got = data.proximity(radii, samples)
         with monkeypatch.context() as patch:
@@ -617,7 +618,7 @@ def test_root_moduli_of_linear_bases_settle_circles():
     # |f| >= 10 on the circle, so Jensen's value is the mean of log|f|
     data = FunctionData(parse("1e4*(z-1.9)^3"))
     assert nevanlab.nevanlinna._root_bound(np.array(data.canonical.num.coefficients)) > 1.99
-    settled = nevanlab.nevanlinna._settled_circles(data.canonical, [2.0], DEFAULT_SAMPLES)[0]
+    settled = nevanlab.nevanlinna._settled_circles(data.bases, [2.0], DEFAULT_SAMPLES)[0]
     unit = nevanlab.nevanlinna._unit_circle(DEFAULT_SAMPLES)[1]
     want = float(np.mean(data.canonical.log_abs(2.0 * unit)))
     assert abs(settled - want) <= 1e-13 * abs(want)
@@ -667,8 +668,23 @@ def test_settled_circles_skip_the_kernel(monkeypatch):
     for r, m in zip(radii, FunctionData(parse("z^3+1")).proximity(radii, DEFAULT_SAMPLES)):
         assert abs(m - 3.0 * math.log(r)) <= 1e-14 * 3.0 * math.log(r)
     radii = (2.0, 3.0, 50.0)
-    assert FunctionData(parse("1/(z^2+1)")).proximity(radii, DEFAULT_SAMPLES) == [0.0] * 3
+    data = FunctionData(parse("1/(z^2+1)"))
+    assert data.proximity(radii, DEFAULT_SAMPLES) == [0.0] * 3
+    # r = 2 sits on the edge of the bases' bound: |z -+ i| >= r - 1 = 1 gives
+    # log|f| <= 0 only, so the circle is not settled; its row sums it
+    assert kernel.calls == ["_row_sums"]
+    kernel.calls.clear()
+    assert data.proximity(radii[1:], DEFAULT_SAMPLES) == [0.0] * 2
     assert kernel.calls == []
+
+
+def test_proximity_of_linear_bases_expands_no_polynomial():
+    # over the default grid, every circle of the growth test function is
+    # settled or summed by its row, so num and den are never expanded
+    for samples in (4096, 8192):
+        data = FunctionData(parse(_GROWTH_F))
+        data.proximity(RadialGrid.geometric().radii, samples)
+        assert "num" not in data.canonical.__dict__ and "den" not in data.canonical.__dict__
 
 
 def test_proximity_makes_at_most_one_kernel_call(monkeypatch):
@@ -689,7 +705,7 @@ def test_proximity_makes_at_most_one_kernel_call(monkeypatch):
 ])
 def test_unsettled_circles_are_sampled(monkeypatch, text, r, samples):
     data = FunctionData(parse(text))
-    assert math.isnan(nevanlab.nevanlinna._settled_circles(data.canonical, [r], samples)[0])
+    assert math.isnan(nevanlab.nevanlinna._settled_circles(data.bases, [r], samples)[0])
     with monkeypatch.context() as patch:
         _sampled_only(patch)
         want = data.proximity([r], samples)
@@ -824,7 +840,7 @@ def test_row_takes_the_unsettled_circles_whose_bound_passes(monkeypatch, text, s
     radii = RadialGrid.geometric(1.1, 128.0, 40).radii + (2.0,)
     data = FunctionData(parse(text))
     c = data.canonical
-    settled = nevanlab.nevanlinna._settled_circles(c, radii, DEFAULT_SAMPLES)
+    settled = nevanlab.nevanlinna._settled_circles(data.bases, radii, DEFAULT_SAMPLES)
     want = [r for r, s in zip(radii, settled) if math.isnan(s) and _row_bound_passes(c, r)]
     assert bool(want) == some
     assert text != "exp(z)/(z-2)" or 2.0 not in want
@@ -852,7 +868,7 @@ def test_circle_sums_do_not_depend_on_the_call():
         data = FunctionData(parse(text))
         for samples in (64, 128, 256, 512, 1024, 2048, 4096, 8192):
             radii = np.exp(rng.uniform(math.log(1.1), math.log(40.0), 40))
-            settled = nevanlab.nevanlinna._settled_circles(data.canonical, radii, samples)
+            settled = nevanlab.nevanlinna._settled_circles(data.bases, radii, samples)
             row = _row_taken(data.canonical, radii)
             kinds["row"] += int(np.sum(np.isnan(settled) & row))
             kinds["kernel"] += int(np.sum(np.isnan(settled) & ~row))
@@ -951,46 +967,88 @@ def test_root_bound_tightens_fujiwara():
     assert nevanlab.nevanlinna._root_bound(np.array([5.0 + 0j])) == 0.0
 
 
-def _check_log_abs_bounds(polys, r):
-    # the bounds of log|p| on |z| = r hold at every node, to the last bit;
-    # with positive coefficients |p| peaks at z = r, where p(r) = lead +
-    # tail, so the upper bound is that to rounding
-    unit = nevanlab.nevanlinna._unit_circle(256)[1]
-    bounds = [nevanlab.nevanlinna._root_bound(np.array(p.coefficients)) for p in polys]
-    with np.errstate(all="ignore"):
-        lower, upper = nevanlab.nevanlinna._log_abs_bounds(polys, bounds, r, np.log(r))
-    for p, low, high in zip(polys, lower, upper):
-        for radius, lo, hi in zip(r, low, high):
-            logs = np.log(np.abs(p(radius * unit)))
-            assert lo <= logs.min(), (p.coefficients, radius)
-            assert logs.max() <= hi, (p.coefficients, radius)
-            if all(x.imag == 0 for x in p.coefficients):
-                assert hi <= logs[0] + 1e-11, (p.coefficients, radius)
+def _check_base_bounds(c, radii, tight=None):
+    # the table's bounds of log|f| on |z| = r hold at every node against
+    # log_abs of the bases, to the last bit; tight names the bound that
+    # node 0 (z = r) attains, which it must then be to within its margins
+    # (a gap of 1e-3 r of a root of order 50 loses 1e-10)
+    unit = nevanlab.nevanlinna._unit_circle(1024)[1]
+    lower, upper = nevanlab.nevanlinna._Bases(c).log_bounds(np.asarray(radii, dtype=float))
+    for r, lo, hi in zip(radii, lower, upper):
+        logs = c.log_abs(r * unit)
+        assert lo <= logs.min() and logs.max() <= hi, (c.factors, r, lo, logs.min(), logs.max(), hi)
+        if tight == "upper":
+            assert hi <= logs[0] + 1e-9 * (1.0 + abs(hi)), (c.factors, r)
+        if tight == "lower":
+            assert lo >= logs[0] - 1e-9 * (1.0 + abs(lo)), (c.factors, r)
+
+
+def _linear(roots, exponents):
+    # the bases (z - a)^e, zeros first
+    return tuple(sorted(((Polynomial([-a, 1]), int(e)) for a, e in zip(roots, exponents)),
+                        key=lambda f: f[1] < 0))
 
 
 def test_log_abs_bounds_hold_and_are_tight():
-    # two polynomials of different degrees at once
     rng = np.random.default_rng(1986)
+    # linear bases inside, outside and within 1e-3 of the circle, orders up
+    # to 50, with and without an exponential factor
+    for _ in range(80):
+        r = float(np.exp(rng.uniform(math.log(1.1), math.log(50.0))))
+        count = int(rng.integers(1, 6))
+        place = rng.integers(0, 3, count)
+        rel = np.choose(place, [rng.uniform(0.0, 0.95, count), rng.uniform(1.05, 20.0, count),
+                                1.0 + rng.uniform(-1e-3, 1e-3, count)])
+        roots = rel * r * np.exp(2j * np.pi * rng.uniform(size=count))
+        orders = rng.integers(1, 51, count) * rng.choice([-1, 1], count)
+        degree = int(rng.integers(0, 4))
+        expo = Polynomial(rng.uniform(-1.0, 1.0, degree + 1) * r ** -np.arange(degree + 1.0)
+                          * np.exp(2j * np.pi * rng.uniform(size=degree + 1)))
+        lead = 10.0 ** rng.uniform(-5.0, 5.0) * np.exp(2j * np.pi * rng.uniform())
+        c = Canonical(complex(lead), 1 + 0j, _linear(roots, orders), expo)
+        _check_base_bounds(c, [r, r * 1.5, r / 1.05])
+    # a root within a few ulps of a node of the circle, where the rounding
+    # of the node and of |a| moves the distance by a large part of itself
+    unit = nevanlab.nevanlinna._unit_circle(1024)[1]
     for _ in range(40):
-        polys = []
-        for degree in rng.integers(0, 13, 2):
-            c = 10.0 ** rng.uniform(-3.0, 3.0, degree + 1)
-            if rng.uniform() < 0.5:
-                c = c * np.exp(2j * np.pi * rng.uniform(size=degree + 1))
-            polys.append(Polynomial(c))
-        _check_log_abs_bounds(polys, np.exp(rng.uniform(math.log(1.1), math.log(50.0), 5)))
+        r = float(np.exp(rng.uniform(math.log(1.1), math.log(50.0))))
+        a = r * (1.0 + int(rng.integers(1, 17)) * 2.0 ** -48 * rng.choice([-1, 1])) * unit[rng.integers(1024)]
+        e = int(rng.integers(1, 51)) * int(rng.choice([-1, 1]))
+        _check_base_bounds(Canonical(1 + 0j, 1 + 0j, _linear([a], [e]), Polynomial([0])), [r])
+    # roots on one ray of the circle's node 0, where a bound is attained:
+    # zeros on the negative axis (the upper bound) and on the positive axis
+    # (the lower one), poles on the negative axis (the lower one)
+    for _ in range(40):
+        r = float(np.exp(rng.uniform(math.log(1.1), math.log(50.0))))
+        count = int(rng.integers(1, 5))
+        rel = np.where(rng.uniform(size=count) < 0.5, rng.uniform(0.0, 3.0, count),
+                       1.0 + rng.uniform(-1e-3, 1e-3, count))
+        orders = rng.integers(1, 51, count)
+        lead = complex(10.0 ** rng.uniform(-5.0, 5.0))
+        for sign, e, tight in ((-1.0, 1, "upper"), (1.0, 1, "lower"), (-1.0, -1, "lower")):
+            c = Canonical(lead, 1 + 0j, _linear(sign * rel * r, e * orders), Polynomial([0]))
+            _check_base_bounds(c, [r], tight)
 
 
 def test_log_abs_bounds_cover_the_last_bit():
-    # positive coefficients at r = 29.748: the upper bound read
-    # 30.16036767375776 when only the tail was raised, below log|p(r)|, which
-    # computes to 30.160367673757765; a constant's log differs by an ulp
-    # between math.log and numpy's log of a complex modulus
+    # whole bases: the ill-conditioned (z - 1) ... (z - 24) beyond its root
+    # bound and inside it, and positive coefficients whose log at z = r read
+    # one ulp above a bound that raised only its tail, alone, over each other
+    # and with an exponential factor
+    wide = Polynomial.from_roots(range(1, 25))
     p = Polynomial([0.002364324873260698, 0.251262036591864, 0.16606002300944264,
                     0.002734724769588961, 10.498661780399072, 6.3154518353232,
                     2.1588039632111107, 0.0022736386385672266, 20.452176269017922])
-    _check_log_abs_bounds([p, Polynomial([0.3593633522165813 - 0.22184008712110137j])],
-                          np.array([29.74817761946716, 5.10737414445334]))
+    p = p * (1 / p.leading)
+    q = Polynomial([0.3593633522165813 - 0.22184008712110137j, 1])
+    expo = Polynomial([0.5, 1e-3j, -2e-5])
+    for factors, radii in ((((wide, 1),), [30.0, 45.0, 60.0, 100.0]),
+                           (((wide, -1),), [45.0, 60.0, 100.0]),
+                           (((p, 1),), [29.74817761946716, 5.10737414445334]),
+                           (((p, 1), (wide, -2)), [29.74817761946716, 50.0]),
+                           (((q, 3), (p, -1)), [5.10737414445334, 29.74817761946716])):
+        for e in (Polynomial([0]), expo):
+            _check_base_bounds(Canonical(2.5 + 0j, 1 + 0j, factors, e), radii)
 
 
 def test_root_bound_falls_back_to_fujiwara_quietly():
@@ -1033,7 +1091,8 @@ def test_unit_circle_is_cached_read_only():
 
 def test_circle_powers_are_exact_strided_copies():
     # the node tables of the kernel and the rows: every kernel row is
-    # unit[(m*t) % N] and every turn unit[(m*b*c) % N] bit for bit; every row
+    # unit[(m*t) % N] and every turn the conjugate of unit[(m*b*c) % N], once
+    # per (row, radius) of a product, bit for bit; every row
     # column holds Re and -Im of unit[(m*k*s) % N] over K = min(64, N/8)
     # coarse nodes k, of unit[(m*t) % N] over the s = N/K nodes t of an
     # interval, and q_m their sum for t > 0; all read-only and cached
@@ -1041,15 +1100,20 @@ def test_circle_powers_are_exact_strided_copies():
         unit = nevanlab.nevanlinna._unit_circle(n)[1]
         width = min(256, n)
         for powers in (33, 41, 201):
-            table, turns = nevanlab.nevanlinna._kernel_table(n, powers)
-            assert table.shape == (2 * powers, width) and turns.shape == (n // width, powers)
+            table = nevanlab.nevanlinna._kernel_table(n, powers)
+            assert table.shape == (2 * powers, width)
             m = np.arange(powers)[:, None]
             want = unit[(m * np.arange(width)) % n]
             assert np.array_equal(table[0::2], want.real), (n, powers)
             assert np.array_equal(table[1::2], want.imag), (n, powers)
-            assert np.array_equal(turns.T, unit[(m * np.arange(n // width) * width) % n])
-            assert not table.flags.writeable and not turns.flags.writeable
-            assert nevanlab.nevanlinna._kernel_table(n, powers)[0] is table
+            assert not table.flags.writeable
+            assert nevanlab.nevanlinna._kernel_table(n, powers) is table
+        for size, copies in ((4, 5), (33, 1), (201, 2)):
+            turns = nevanlab.nevanlinna._kernel_turns(n, size, copies)
+            want = np.conj(unit[(np.arange(n // width)[:, None] * width * np.arange(size)) % n])
+            assert turns.shape == (copies * (n // width) * size,) and not turns.flags.writeable
+            assert all(np.array_equal(x, want) for x in turns.reshape(copies, n // width, size))
+            assert nevanlab.nevanlinna._kernel_turns(n, size, copies) is turns
         coarse, inner, q = nevanlab.nevanlinna._row_tables(n)
         count = min(64, n // 8)
         stride = n // count
@@ -1065,10 +1129,10 @@ def test_circle_powers_are_exact_strided_copies():
 
 def test_kernel_holds_no_squared_modulus_temporary():
     # one call at N = 8192 holds one product block, the rows of one radius,
-    # and less than one more row of nodes: the coefficient block and the
-    # buffers numpy may take for the broadcast turn product; the num and
-    # den rows are squared in place, and the sums over several radii hold
-    # no more
+    # and less than one more row of nodes: the coefficient block, which the
+    # turns multiply in place, as one operand of one shape with the cached
+    # turns; the num and den rows are squared in place, and the sums over
+    # several radii hold no more
     c = canonicalize(parse(_GROWTH_F))
     for radii in ([2.0], [2.0, 3.0, 5.0, 7.0]):
         r = np.array(radii)
@@ -1200,7 +1264,7 @@ def test_proximity_is_the_trapezoid_at_the_nodes_it_uses(monkeypatch):
         c = _whole(num, Polynomial([-rho, 1]), Polynomial([0]))
         singular, plain = 1.2, sorted(rng.uniform(5.0, 20.0, 2))
         radii = [singular, pole, *plain]
-        assert np.all(np.isnan(nevanlab.nevanlinna._settled_circles(c, radii, samples)))
+        assert np.all(np.isnan(nevanlab.nevanlinna._settled_circles(nevanlab.nevanlinna._Bases(c), radii, samples)))
         kernel = _kernel_samples(c, [singular, *plain], samples)
         assert [np.isfinite(row).all() for row in kernel] == [False, True, True], samples
         theta = 2.0 * np.pi * np.arange(samples) / samples
