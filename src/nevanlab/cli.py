@@ -16,45 +16,11 @@ import json
 import sys
 from fractions import Fraction
 
-from .diffpoly import (
-    AlphaViolation,
-    DiffPolynomial,
-    DiffTerm,
-    MonomialSpec,
-    build_standard_monomial,
-    print_diffpoly,
-)
-from .expressions import (
-    NotNormalizableError,
-    ParseError,
-    parse,
-    parse_complex,
-)
-from .inequalities import (
-    check_fmt,
-    check_hinchliffe,
-    check_hinchliffe_multi,
-    check_log_derivative,
-    check_smt,
-    fmt_boundedness_verdict,
-    policy_json,
-    slack_verdict,
-)
+# every subcommand runs expressions, and all but expand run nevanlinna; each
+# handler imports the other modules it runs
+from .expressions import parse, parse_complex
 from .nevanlinna import (DEFAULT_RMAX, DEFAULT_RMIN, DEFAULT_SAMPLES, DEFAULT_STEPS,
                          QuadratureError, RadialGrid, radial_report)
-from .normality import (
-    CriterionParams,
-    FamilySpec,
-    INFINITE_MULTIPLICITY,
-    RescalingSpec,
-    check_holomorphic_criterion,
-    check_meromorphic_criterion,
-    holomorphic_reduction,
-    marty_probe,
-    meromorphic_reduction,
-    rescale_extras_check,
-    zalcman_rescale,
-)
 from .polynomials import RootFindingError
 
 
@@ -85,6 +51,7 @@ def _parse_pairs(text):
 
 
 def _parse_multiplicities(text, q):
+    from .normality import INFINITE_MULTIPLICITY
     chunks = [c.strip() for c in text.split(",") if c.strip()]
     ells = tuple(INFINITE_MULTIPLICITY if c.lower() in ("inf", "infinity")
                  else int(c) for c in chunks)
@@ -96,14 +63,17 @@ def _parse_multiplicities(text, q):
 
 
 def _parse_spec_json(text):
+    from .diffpoly import MonomialSpec
     return MonomialSpec.from_json_dict(json.loads(text))
 
 
 def _parse_family_json(text):
+    from .normality import FamilySpec
     return FamilySpec.from_json_dict(json.loads(text))
 
 
 def _parse_extras_json(text):
+    from .diffpoly import MonomialSpec
     payload = json.loads(text)
     if not isinstance(payload, list):
         raise ValueError("extras must be a JSON list")
@@ -249,11 +219,13 @@ def _finish_series(args, name, series, verdict, config):
 
 def _finish_policy(args, name, series, **fields):
     """The tolerance-policy verdict of a series, through _finish_series."""
+    from .inequalities import policy_json, slack_verdict
     config = _grid_config(args, policy=policy_json(), **fields)
     return _finish_series(args, name, series, slack_verdict(series), config)
 
 
 def cmd_verify_fmt(args):
+    from .inequalities import check_fmt, fmt_boundedness_verdict
     series = check_fmt(parse(args.f), parse_complex(args.a), grid=_grid(args),
                        samples=args.samples)
     return _finish_series(args, "fmt", series, fmt_boundedness_verdict(series),
@@ -261,18 +233,22 @@ def cmd_verify_fmt(args):
 
 
 def cmd_verify_smt(args):
+    from .inequalities import check_smt
     f, values = parse(args.f), _parse_values(args.values)
     series = check_smt(f, values, grid=_grid(args), samples=args.samples)
     return _finish_policy(args, "smt", series, f=args.f, values=args.values)
 
 
 def cmd_verify_logderiv(args):
+    from .inequalities import check_log_derivative
     f = parse(args.f)
     series = check_log_derivative(f, args.k, grid=_grid(args), samples=args.samples)
     return _finish_policy(args, "logderiv", series, f=args.f, k=args.k)
 
 
 def cmd_verify_hinchliffe(args):
+    from .diffpoly import build_standard_monomial
+    from .inequalities import check_hinchliffe
     g = parse(args.g)
     p = build_standard_monomial(_parse_spec_json(args.spec))
     series = check_hinchliffe(g, p, grid=_grid(args), samples=args.samples)
@@ -280,6 +256,8 @@ def cmd_verify_hinchliffe(args):
 
 
 def cmd_verify_lemma3(args):
+    from .diffpoly import build_standard_monomial
+    from .inequalities import check_hinchliffe_multi
     g = parse(args.g)
     p = build_standard_monomial(_parse_spec_json(args.spec))
     values = _parse_values(args.values)
@@ -290,6 +268,8 @@ def cmd_verify_lemma3(args):
 
 
 def cmd_expand(args):
+    from .diffpoly import (DiffPolynomial, DiffTerm, MonomialSpec,
+                           build_standard_monomial, print_diffpoly)
     if args.n < 1:
         raise ValueError("--n must be a positive integer")
     if args.t < 0:
@@ -307,12 +287,16 @@ def cmd_expand(args):
 
 
 def cmd_criterion(args):
+    from .normality import (CriterionParams, check_holomorphic_criterion,
+                            check_meromorphic_criterion)
+    criterion = (check_meromorphic_criterion if args.which == "th1"
+                 else check_holomorphic_criterion)
     pairs = _parse_pairs(args.pairs)
     if args.q < 1:
         raise ValueError("--q must be at least 1")
     ells = _parse_multiplicities(args.ell, args.q)
     values = tuple(float(i + 1) for i in range(args.q))
-    report = args.criterion(CriterionParams(args.n, pairs, values, ells))
+    report = criterion(CriterionParams(args.n, pairs, values, ells))
     ok = report.applicable
     return _finish(args, f"criteria {args.which}",
                    {"n": args.n, "pairs": args.pairs, "q": args.q,
@@ -322,7 +306,9 @@ def cmd_criterion(args):
 
 
 def cmd_reduction(args):
-    lhs, rhs, holds = args.criterion(args.n, _parse_pairs(args.pairs))
+    from .normality import holomorphic_reduction, meromorphic_reduction
+    reduction = meromorphic_reduction if args.which == "cor1" else holomorphic_reduction
+    lhs, rhs, holds = reduction(args.n, _parse_pairs(args.pairs))
     return _finish(args, f"criteria {args.which}",
                    {"n": args.n, "pairs": args.pairs},
                    lambda: {"lhs": lhs, "rhs": rhs, "holds": holds},
@@ -330,6 +316,7 @@ def cmd_reduction(args):
 
 
 def cmd_marty(args):
+    from .normality import marty_probe
     family = _parse_family_json(args.family)
     report = marty_probe(family, resolution=args.resolution,
                          shrink=args.shrink)
@@ -340,11 +327,13 @@ def cmd_marty(args):
 
 
 def _rescaling(args, family):
+    from .normality import RescalingSpec
     return RescalingSpec.from_rules(Fraction(args.alpha), family.params,
                                     _rule(args.zv), _real_rule(args.rho))
 
 
 def cmd_zalcman(args):
+    from .normality import zalcman_rescale
     family = _parse_family_json(args.family)
     rescaling = _rescaling(args, family)
     limit = parse(args.limit) if args.limit is not None else None
@@ -358,6 +347,7 @@ def cmd_zalcman(args):
 
 
 def cmd_remark14(args):
+    from .normality import rescale_extras_check
     family = _parse_family_json(args.family)
     main = _parse_spec_json(args.main)
     extras = _parse_extras_json(args.extras) if args.extras else ()
@@ -376,6 +366,32 @@ def cmd_remark14(args):
 
 # ---------------------------------------------------------------------------
 # argument wiring
+
+
+class _Subcommands(argparse._SubParsersAction):
+    """Subcommands whose parsers are built when argparse selects them.
+
+    add_parser(name, help=..., add=add) lists the subcommand and its help
+    line at once; the subcommand's parser is made, and add(parser) run, the
+    first time argparse parses that subcommand (its -h included), so a run
+    builds the parsers of the subcommands it names and of no other.  It
+    fills the fields argparse's own add_parser fills (_choices_actions,
+    _name_parser_map), so the enclosing parser's usage, help and choice
+    errors read as with eager subparsers.
+    """
+
+    def add_parser(self, name, *, help, add):
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self._name_parser_map[name] = add
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]  # argparse has checked that it is a choice
+        add = self._name_parser_map[name]
+        if not isinstance(add, argparse.ArgumentParser):
+            sub = self._parser_class(prog=f"{self._prog_prefix} {name}")
+            add(sub)
+            self._name_parser_map[name] = sub
+        super().__call__(parser, namespace, values, option_string)
 
 
 def _add_output_flags(p, formats=("csv", "json")):
@@ -397,37 +413,42 @@ def _add_grid_flags(p):
                         "(default %(default)s)")
 
 
-@functools.cache
-def build_parser():
-    """The argparse parser, built once per process and shared by every call."""
-    top = argparse.ArgumentParser(
-        prog="nevanlab",
-        description="Growth, value distribution, and normal family probes "
-                    "for concrete meromorphic functions.")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("characteristic",
-                       help="radial table of m, N, Nbar, T for one function")
+def _characteristic_args(p):
     p.add_argument("--f", required=True, help="function expression")
     _add_grid_flags(p)
     _add_output_flags(p)
     p.set_defaults(handler=cmd_characteristic)
 
-    verify = sub.add_parser("verify",
-                            help="empirical inequality checks over a radial "
-                                 "grid")
-    vsub = verify.add_subparsers(dest="check", required=True)
 
-    p = vsub.add_parser("fmt", help="bounded difference of T(r,1/(f-a)) "
-                                    "and T(r,f)")
+def _verify_args(verify):
+    vsub = verify.add_subparsers(dest="check", required=True,
+                                 action=_Subcommands)
+    vsub.add_parser("fmt", help="bounded difference of T(r,1/(f-a)) "
+                                "and T(r,f)", add=_fmt_args)
+    vsub.add_parser("smt", help="multi-value counting bound on "
+                                "(q-1) T(r,f)", add=_smt_args)
+    vsub.add_parser("logderiv",
+                    help="smallness of m(r, f^(k)/f) against T(r,f)",
+                    add=_logderiv_args)
+    vsub.add_parser("hinchliffe",
+                    help="single-value growth bound on T(r,g) from a "
+                         "monomial in g and its derivatives",
+                    add=_hinchliffe_args)
+    vsub.add_parser("lemma3",
+                    help="multi-value growth bound on T(r,g) from a "
+                         "monomial in g and its derivatives",
+                    add=_lemma3_args)
+
+
+def _fmt_args(p):
     p.add_argument("--f", required=True, help="function expression")
     p.add_argument("--a", default="0", help="target value (default 0)")
     _add_grid_flags(p)
     _add_output_flags(p)
     p.set_defaults(handler=cmd_verify_fmt)
 
-    p = vsub.add_parser("smt", help="multi-value counting bound on "
-                                    "(q-1) T(r,f)")
+
+def _smt_args(p):
     p.add_argument("--f", required=True, help="function expression")
     p.add_argument("--values", required=True,
                    help="comma separated target values, at least two")
@@ -435,8 +456,8 @@ def build_parser():
     _add_output_flags(p)
     p.set_defaults(handler=cmd_verify_smt)
 
-    p = vsub.add_parser("logderiv",
-                        help="smallness of m(r, f^(k)/f) against T(r,f)")
+
+def _logderiv_args(p):
     p.add_argument("--f", required=True, help="function expression")
     p.add_argument("--k", type=int, default=1,
                    help="derivative order (default %(default)s)")
@@ -444,22 +465,22 @@ def build_parser():
     _add_output_flags(p)
     p.set_defaults(handler=cmd_verify_logderiv)
 
-    p = vsub.add_parser("hinchliffe",
-                        help="single-value growth bound on T(r,g) from a "
-                             "monomial in g and its derivatives")
+
+def _add_monomial_flags(p):
     p.add_argument("--g", required=True, help="function expression")
     p.add_argument("--spec", required=True,
                    help='monomial JSON, e.g. {"n":1,"pairs":[[2,1]]}')
+
+
+def _hinchliffe_args(p):
+    _add_monomial_flags(p)
     _add_grid_flags(p)
     _add_output_flags(p)
     p.set_defaults(handler=cmd_verify_hinchliffe)
 
-    p = vsub.add_parser("lemma3",
-                        help="multi-value growth bound on T(r,g) from a "
-                             "monomial in g and its derivatives")
-    p.add_argument("--g", required=True, help="function expression")
-    p.add_argument("--spec", required=True,
-                   help='monomial JSON, e.g. {"n":1,"pairs":[[2,1]]}')
+
+def _lemma3_args(p):
+    _add_monomial_flags(p)
     p.add_argument("--values", default="1",
                    help="comma separated nonzero target values "
                         "(default %(default)s)")
@@ -470,47 +491,51 @@ def build_parser():
     _add_output_flags(p)
     p.set_defaults(handler=cmd_verify_lemma3)
 
-    p = sub.add_parser("expand",
-                       help="expanded form of (g^n)^(t) with exact "
-                            "coefficients")
+
+def _expand_args(p):
     p.add_argument("--n", type=int, required=True, help="power of g")
     p.add_argument("--t", type=int, required=True, help="derivative order")
     _add_output_flags(p, formats=("text", "json"))
     p.set_defaults(handler=cmd_expand)
 
-    criteria = sub.add_parser("criteria",
-                              help="exact rational arithmetic for the "
-                                   "normality hypotheses")
-    csub = criteria.add_subparsers(dest="which", required=True)
 
-    for name, check, needs_q in (
-            ("th1", check_meromorphic_criterion, True),
-            ("th2", check_holomorphic_criterion, True),
-            ("cor1", meromorphic_reduction, False),
-            ("cor2", holomorphic_reduction, False)):
-        p = csub.add_parser(
-            name,
-            help=("meromorphic" if name in ("th1", "cor1") else "holomorphic")
-            + (" criterion" if needs_q else " equal-multiplicity reduction"))
-        p.add_argument("--n", type=int, required=True,
-                       help="plain power of f in the monomial")
-        p.add_argument("--pairs", required=True,
-                       help="comma separated n:t factors, e.g. 3:1,2:2")
-        if needs_q:
-            p.add_argument("--q", type=int, default=1,
-                           help="number of target values "
-                                "(default %(default)s)")
-            p.add_argument("--ell", default="inf",
-                           help="zero multiplicity floors: one integer or "
-                                "'inf', or a comma list of length q "
-                                "(default %(default)s)")
-        _add_output_flags(p, formats=("text", "json"))
-        p.set_defaults(handler=cmd_criterion if needs_q else cmd_reduction,
-                       criterion=check)
+def _criteria_args(criteria):
+    csub = criteria.add_subparsers(dest="which", required=True,
+                                   action=_Subcommands)
+    csub.add_parser("th1", help="meromorphic criterion", add=_criterion_args)
+    csub.add_parser("th2", help="holomorphic criterion", add=_criterion_args)
+    csub.add_parser("cor1", help="meromorphic equal-multiplicity reduction",
+                    add=_reduction_args)
+    csub.add_parser("cor2", help="holomorphic equal-multiplicity reduction",
+                    add=_reduction_args)
 
-    p = sub.add_parser("marty",
-                       help="spherical derivative maxima across a "
-                            "one-parameter family")
+
+def _add_pairs_flags(p):
+    p.add_argument("--n", type=int, required=True,
+                   help="plain power of f in the monomial")
+    p.add_argument("--pairs", required=True,
+                   help="comma separated n:t factors, e.g. 3:1,2:2")
+
+
+def _criterion_args(p):
+    _add_pairs_flags(p)
+    p.add_argument("--q", type=int, default=1,
+                   help="number of target values (default %(default)s)")
+    p.add_argument("--ell", default="inf",
+                   help="zero multiplicity floors: one integer or "
+                        "'inf', or a comma list of length q "
+                        "(default %(default)s)")
+    _add_output_flags(p, formats=("text", "json"))
+    p.set_defaults(handler=cmd_criterion)
+
+
+def _reduction_args(p):
+    _add_pairs_flags(p)
+    _add_output_flags(p, formats=("text", "json"))
+    p.set_defaults(handler=cmd_reduction)
+
+
+def _marty_args(p):
     p.add_argument("--family", required=True,
                    help='family JSON, e.g. {"template":"v*z",'
                         '"params":[1,2,4],"disc":{"center":"0","radius":1}}')
@@ -522,9 +547,8 @@ def build_parser():
     _add_output_flags(p)
     p.set_defaults(handler=cmd_marty)
 
-    p = sub.add_parser("zalcman",
-                       help="rescaled family g_v(xi) = rho^-alpha "
-                            "f_v(z_v + rho xi) and its convergence")
+
+def _zalcman_args(p):
     p.add_argument("--family", required=True, help="family JSON")
     p.add_argument("--alpha", required=True,
                    help="zoom exponent, a rational like 1/3 or 0")
@@ -537,9 +561,8 @@ def build_parser():
     _add_output_flags(p)
     p.set_defaults(handler=cmd_zalcman)
 
-    p = sub.add_parser("remark14",
-                       help="check that lower-index extra terms vanish "
-                            "under the main-term rescaling")
+
+def _remark14_args(p):
     p.add_argument("--family", required=True, help="family JSON")
     p.add_argument("--main", required=True,
                    help="main monomial JSON; its index fixes alpha")
@@ -552,16 +575,56 @@ def build_parser():
     _add_output_flags(p)
     p.set_defaults(handler=cmd_remark14)
 
+
+@functools.cache
+def build_parser():
+    """The argparse parser, built once per process and shared by every call.
+
+    A subcommand's parser is built when a command line names it
+    (_Subcommands).
+    """
+    top = argparse.ArgumentParser(
+        prog="nevanlab",
+        description="Growth, value distribution, and normal family probes "
+                    "for concrete meromorphic functions.")
+    sub = top.add_subparsers(dest="command", required=True,
+                             action=_Subcommands)
+    sub.add_parser("characteristic",
+                   help="radial table of m, N, Nbar, T for one function",
+                   add=_characteristic_args)
+    sub.add_parser("verify",
+                   help="empirical inequality checks over a radial grid",
+                   add=_verify_args)
+    sub.add_parser("expand",
+                   help="expanded form of (g^n)^(t) with exact coefficients",
+                   add=_expand_args)
+    sub.add_parser("criteria",
+                   help="exact rational arithmetic for the normality "
+                        "hypotheses",
+                   add=_criteria_args)
+    sub.add_parser("marty",
+                   help="spherical derivative maxima across a one-parameter "
+                        "family",
+                   add=_marty_args)
+    sub.add_parser("zalcman",
+                   help="rescaled family g_v(xi) = rho^-alpha "
+                        "f_v(z_v + rho xi) and its convergence",
+                   add=_zalcman_args)
+    sub.add_parser("remark14",
+                   help="check that lower-index extra terms vanish under "
+                        "the main-term rescaling",
+                   add=_remark14_args)
     return top
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # ParseError, NotNormalizableError, AlphaViolation and json.JSONDecodeError
+    # are ValueErrors
     try:
         return args.handler(args)
-    except (ParseError, NotNormalizableError, AlphaViolation, ValueError,
-            ZeroDivisionError, json.JSONDecodeError, RootFindingError,
+    except (ValueError, ZeroDivisionError, RootFindingError,
             QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

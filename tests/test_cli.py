@@ -1,5 +1,9 @@
+import importlib
 import json
 import math
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -346,6 +350,107 @@ def test_growth_command_leaves_numpy_ma_unimported():
     assert json.loads(proc.stdout)["command"] == "characteristic"
 
 
+# every name `import nevanlab` exports: the six submodules and what the
+# package re-exports from them
+EXPORTS = [
+    "AlphaViolation", "BoundednessVerdict", "Canonical", "Const", "CriterionParams",
+    "CriterionReport", "DEFAULT_SAMPLES", "DiffPolynomial", "DiffTerm", "Divisor", "Exp",
+    "Expr", "ExtrasReport", "FamilySpec", "FunctionData", "INFINITE_MULTIPLICITY",
+    "INFINITY", "IndeterminatePointError", "MartyReport", "MonomialSpec",
+    "MultiplicityReport", "NevanlinnaReport", "NotNormalizableError", "ParseError", "Poly",
+    "Polynomial", "QuadratureError", "RadialGrid", "RescaleReport", "RescalingSpec",
+    "RootFindingError", "SlackSeries", "Var", "Verdict", "add", "alpha_index",
+    "build_standard_monomial", "canonicalize", "characteristic_T", "check_fmt",
+    "check_hinchliffe", "check_hinchliffe_multi", "check_holomorphic_criterion",
+    "check_log_derivative", "check_meromorphic_criterion", "check_multiplicities",
+    "check_smt", "chordal_distance", "compose_generalized", "compose_monomial",
+    "counting_N", "counting_series", "degree_d", "differentiate", "diffpoly",
+    "diffpoly_expression", "disc_grid", "div", "divisors", "evaluate", "evaluate_diffpoly",
+    "evaluate_on_grid", "expand_power_derivative", "expressions", "fmt_boundedness_verdict",
+    "generalized_polynomial", "holomorphic_reduction", "inequalities", "is_infinite",
+    "marty_probe", "meromorphic_reduction", "mul", "nevanlinna", "normality", "parse",
+    "parse_complex", "poly_roots", "polynomials", "pow_int", "print_diffpoly", "print_expr",
+    "proximity_m", "radial_report", "rescale_extras_check", "rescaled_function",
+    "rescaling_identity_values", "slack_verdict", "spherical_derivative",
+    "substitute_affine", "unintegrated_counting", "weight_theta", "zalcman_rescale",
+]
+
+
+def test_package_import_is_lazy_and_exports_every_name():
+    # `import nevanlab` loads no submodule; each exported name resolves on
+    # first access, through getattr, dir() and a star import alike
+    code = ("import json, sys\n"
+            "import nevanlab\n"
+            "loaded = [m for m in sys.modules if m.startswith('nevanlab.')]\n"
+            "assert loaded == [], loaded\n"
+            "names = json.loads(sys.argv[1])\n"
+            "assert sorted(nevanlab.__all__) == names, nevanlab.__all__\n"
+            "assert set(names) <= set(dir(nevanlab))\n"
+            "star = {}\n"
+            "exec('from nevanlab import *', star)\n"
+            "for name in names:\n"
+            "    value = getattr(nevanlab, name)\n"
+            "    assert star[name] is value, name\n"
+            "    assert vars(nevanlab)[name] is value, name\n"
+            "try:\n"
+            "    nevanlab.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    assert str(exc) == \"module 'nevanlab' has no attribute 'no_such_name'\"\n"
+            "else:\n"
+            "    raise AssertionError('no AttributeError')\n")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(EXPORTS)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+CORE = ["nevanlab.cli", "nevanlab.expressions", "nevanlab.nevanlinna", "nevanlab.polynomials"]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["characteristic", "--f", "z", "--steps", "2"], CORE),
+    (["verify", "smt", "--f", "z^2", "--values", "0,1", "--steps", "2"],
+     CORE + ["nevanlab.diffpoly", "nevanlab.inequalities"]),
+    (["marty", "--family", LINEAR_FAMILY, "--resolution", "5"],
+     CORE + ["nevanlab.diffpoly", "nevanlab.normality"]),
+], ids=["characteristic", "verify smt", "marty"])
+def test_a_subcommand_loads_only_its_modules(argv, modules):
+    code = ("import contextlib, io, json, sys\n"
+            "from nevanlab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    code = main(json.loads(sys.argv[1]))\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules "
+            "if m.startswith('nevanlab.'))]))\n")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
+                          capture_output=True, text=True)
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == [0, sorted(modules)]
+
+
+def _pinned_texts():
+    text = (pathlib.Path(__file__).resolve().parent / "cli_texts.txt").read_text(encoding="utf-8")
+    parts = re.split(r"^\$ nevanlab (.*)\n", text, flags=re.M)
+    return [(shlex.split(line), expected) for line, expected in zip(parts[1::2], parts[2::2])]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse words some texts differently in other Python "
+                           "versions; tests/cli_texts.txt was written with 3.11")
+@pytest.mark.parametrize("argv, expected", _pinned_texts(),
+                         ids=[" ".join(argv) for argv, _ in _pinned_texts()])
+def test_help_and_usage_texts_are_pinned(argv, expected, monkeypatch, capsys):
+    # the subcommand parsers are built when selected; what they print
+    # stays byte for byte what tests/cli_texts.txt holds
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    if "-h" in argv:
+        assert (exc.value.code, out, err) == (0, expected, "")
+    else:
+        assert (exc.value.code, out, err) == (2, "", expected)
+
+
 def test_module_invocation():
     proc = subprocess.run(
         [sys.executable, "-m", "nevanlab.cli", "expand", "--n", "2",
@@ -486,7 +591,7 @@ def test_only_the_selected_output_form_is_built(command, argv, monkeypatch,
                                  ([], "to_json_dict", REPORT_CLASSES)):
         with monkeypatch.context() as patch:
             for module, name in classes:
-                cls = getattr(sys.modules[module], name)
+                cls = getattr(importlib.import_module(module), name)
                 if hasattr(cls, unused):
                     patch.setattr(cls, unused, refuse)
             assert main(argv + fmt) in (0, 1)
