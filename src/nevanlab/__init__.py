@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 # submodule -> the names the package exports from it
 _EXPORTS = {
-    "polynomials": ("Polynomial", "poly_roots", "RootFindingError"),
+    "polynomials": ("Polynomial", "poly_roots", "RootFindingError", "QuadratureError"),
     "expressions": (
         "Expr",
         "Const",
@@ -50,7 +50,6 @@ _EXPORTS = {
         "RadialGrid",
         "FunctionData",
         "NevanlinnaReport",
-        "QuadratureError",
         "unintegrated_counting",
         "counting_N",
         "counting_series",

@@ -16,12 +16,9 @@ import json
 import sys
 from fractions import Fraction
 
-# every subcommand runs expressions, and all but expand run nevanlinna; each
-# handler imports the other modules it runs
+# every subcommand runs expressions; handlers and grid flags import the rest they run
 from .expressions import parse, parse_complex
-from .nevanlinna import (DEFAULT_RMAX, DEFAULT_RMIN, DEFAULT_SAMPLES, DEFAULT_STEPS,
-                         QuadratureError, RadialGrid, radial_report)
-from .polynomials import RootFindingError
+from .polynomials import QuadratureError, RootFindingError
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +155,7 @@ def _real_rule(text):
 
 
 def _grid(args):
+    from .nevanlinna import RadialGrid
     return RadialGrid.geometric(args.rmin, args.rmax, args.steps)
 
 
@@ -206,6 +204,7 @@ def _finish(args, command, config, report_dict, text, ok=True, status=None):
 
 
 def cmd_characteristic(args):
+    from .nevanlinna import radial_report
     report = radial_report(parse(args.f), grid=_grid(args), samples=args.samples)
     return _finish(args, "characteristic", _grid_config(args, f=args.f),
                    report.to_json_dict, report.to_csv_text)
@@ -402,6 +401,7 @@ def _add_output_flags(p, formats=("csv", "json")):
 
 
 def _add_grid_flags(p):
+    from .nevanlinna import DEFAULT_RMAX, DEFAULT_RMIN, DEFAULT_SAMPLES, DEFAULT_STEPS
     p.add_argument("--rmin", type=float, default=DEFAULT_RMIN,
                    help="smallest radius (default %(default)s)")
     p.add_argument("--rmax", type=float, default=DEFAULT_RMAX,

@@ -4,10 +4,11 @@ The integrated counting function is evaluated in closed form from the
 divisor: N(r) = sum over |z_k| <= r of m_k (log r - log max(|z_k|, 1)).
 Proximity m(r) is a composite-trapezoid average of log+|f| over N
 equispaced points z_j = r w^j, w = exp(2 pi i/N), computed in the log
-domain from the factored canonical form (lead/den_lead) prod b^e exp(expo).
-Each circle is one of three kinds, told apart for all radii of a call at
-once from a table of the bases, read once per function (_Bases), with no
-root finding and no coefficient of the expanded num or den:
+domain from the factored canonical form (lead/den_lead) prod b^e exp(expo),
+each base that _split can split taken as its linear bases.  Each circle is
+one of three kinds, told apart for all radii of a call at once from a table
+of those bases, read once per function (_Bases), with no root finding and
+no expanded polynomial:
 
 - zero circle: an upper bound of log|f| on |z| = r is below -1e-9, so
   |f| < 1 there and m(r) = 0.0, which the trapezoid sum also gives;
@@ -22,35 +23,25 @@ root finding and no coefficient of the expanded num or den:
 The bounds take one root bound B per base, and a monic base b of degree d
 has d log|r - B| <= log|b| <= d log(r + B) on |z| = r (_Bases.log_bounds).
 A linear base z - a gives B = |a| itself, on either side of the circle;
-only a whole base (one that _split kept or derivative made) takes a
-Graeffe-tightened bound (_root_bound), within (2d)^(1/8) of its largest
-root modulus, and a lower bound only where r > B.
+only a base that _split refuses takes a Graeffe-tightened bound
+(_root_bound), within (2d)^(1/8) of its largest root modulus, and a lower
+bound only where r > B.
 
-Most sampled circles are summed by their row.  Where every base of the
-factored form is linear, (z - a_j)^e_j, log|f(r w^j)| = Re sum_m D_m w^(jm),
-read off Jensen's formula and the power sums of the roots
-(_row_coefficients).  A circle takes its row where that series, cut after
-M <= _ROW_TERMS = 128 terms, errs by at most _ROW_TAIL = 2^-53 per sample
-(_row_terms), which takes a simple root about 1.3 times inside or outside
-r.  A row is still the N-point trapezoid of max(g, 0),
-g(theta) = Re sum_m D_m e^(im theta), but it takes few samples
-(_row_sums): a slope bound certifies the sign of g on most intervals
-between K = min(64, N/8) coarse nodes, and only the nodes inside the
-others are sampled.  There is no log, and a multiplicity is only a
-weight, so the row has no digit loss near a multiple root.  Whole bases
-and an expo of degree above 128 keep the kernel below.
+Sampled circles are summed by their row where every base is linear,
+(z - a_j)^e_j, and deg expo <= _ROW_TERMS = 128.  The far roots give
+log|f(r w^j)| = Re sum_m D_m w^(jm), from Jensen's formula and their power
+sums (_row_coefficients), cut after M <= _ROW_TERMS terms with a tail of
+at most 2^-53 per sample (_row_terms).  Every root is far where that bound
+passes with all of them; elsewhere the roots with min(|a|/r, r/|a|) above
+_NEAR are near, and each adds its exact log at the nodes,
+(e/2) log((r cos theta - Re a)^2 + (r sin theta - Im a)^2) (_near_logs).
+A row is the N-point trapezoid of max(g, 0), but a slope bound on the
+Fourier part and the extremes of the near logs certify the sign of g on
+most intervals between K = min(64, N/8) coarse nodes, and only the nodes
+inside the others are sampled (_row_sums).
 
-The kernel samples log|f|^2 from the expanded num and den at every node
-(_kernel_sums): each polynomial is a row of coefficients scaled to
-unit-modulus points (_kernel_coefficients), real products of
-(row, radius, block) rows against one cached table of nodes give the
-samples in node order (_circle_sums), and each sample takes one log and
-one add (_log_abs2).  One kernel call sums max(log|f|^2, 0) over the
-nodes of every circle it takes; m(r) is that sum over 2N.
-
-A circle through a pole of f, one where the expanded num or den may lose
-e^_MAX_LOSS ulps to a multiple root near it (_expansion_loss), and one
-whose row or kernel sum is not finite take all N samples from
+The other circles (a pole on the circle, a base that _split refuses, deg
+expo > 128, a row sum that is not finite) take all N samples from
 Canonical.log_abs, which sums e log|b(z)| over the bases b^e of the
 factored form.  On a circle through poles rho of order m, with
 L = sum m log|z - rho|, log+|f| = h - L where h = max(log|f| + L, L) is
@@ -58,9 +49,7 @@ smooth at the poles; h is sampled at every node from the factored form
 without those poles' linear bases, so it is finite even at a node on a
 pole, and the exact mean of L, sum m log max(r, |rho|), is subtracted.
 Samples that are NaN or +inf are retried half a step over; samples still
-singular raise QuadratureError.  T = m + N by construction.  The zeros
-and poles are read off the bases with their multiplicities, so the
-divisors need no further root finding.
+singular raise QuadratureError.  T = m + N by construction.
 """
 from __future__ import annotations
 
@@ -79,7 +68,9 @@ from .expressions import (
     div,
     evaluate_on_grid,
     print_expr,
+    _times,
 )
+from .polynomials import QuadratureError
 DEFAULT_SAMPLES = 4096
 DEFAULT_RMIN, DEFAULT_RMAX, DEFAULT_STEPS = 2.0, 128.0, 64
 _MIN_SAMPLES = 64
@@ -90,22 +81,15 @@ _INFLATE = 1.0 + 1e-12  # rounded tails and root bounds are raised by this facto
 _GRAEFFE_STEPS = 3  # root squarings behind each root bound: slack 2d -> (2d)^(1/8)
 _UNIT_ROUNDOFF = 2.0 ** -53
 _SUBNORMAL = 2.0 ** -1074
-_MAX_LOSS = 23.0  # a circle whose _expansion_loss exceeds this is sampled alone, factored
 _ROW_TERMS = 128  # most Fourier terms of log|f| in a circle's row (_row_terms)
 _ROW_TAIL = 2.0 ** -53  # bound on the error per sample of a row cut after its terms
+_NEAR = 0.7  # a root past this ratio to r leaves a failing row for its own logs
 _ROW_NODES = 64  # coarse nodes of a row circle, at most (_row_tables)
 # columns m and 1 against the moduli |D_m|, m = 1 .. _ROW_TERMS, give sum m |D_m| and
 # sum |D_m| (_row_sums); 8 columns, as products of 1 or 2 round by their rows and widths
 _ROW_WEIGHTS = np.zeros((_ROW_TERMS, 8))
 _ROW_WEIGHTS[:, 0], _ROW_WEIGHTS[:, 1] = np.arange(1, _ROW_TERMS + 1), 1.0
 _ROW_WEIGHTS.flags.writeable = False
-_KERNEL_POWERS = 33  # the fewest powers in a kernel table, so that low degrees share one
-_KERNEL_NODES = 256  # nodes per block of a kernel product (_kernel_table)
-_KERNEL_PRODUCT = 1 << 15  # doubles in the kernel product, reused within a call
-
-
-class QuadratureError(RuntimeError):
-    """Samples of log|f| on a circle stay singular after the half-step retry."""
 
 
 def _require_radii(radii):
@@ -368,9 +352,7 @@ def _settled_circles(bases, radii, samples):
     const + slope log r + Re expo(0).  The bounds come from the bases'
     root bounds (_Bases.log_bounds); no coefficient of num or den is read.
     Jensen's value is the N-point mean for the factored f, to e^-40/N per
-    root; the kernel's samples of the expanded num and den (_kernel_sums)
-    agree with it to the kernel's rounding, which grows near a multiple
-    root close to the circle, where Jensen's value is the more accurate.
+    root.
     """
     r = np.asarray(radii, dtype=float)
     lower, upper = bases.log_bounds(r)
@@ -382,41 +364,42 @@ def _settled_circles(bases, radii, samples):
     return out
 
 
-def _root_ratios(bases, r):
-    """ratio[i, j] = min(|a_j| / r_i, r_i / |a_j|) for the linear bases z - a_j
-    of the table (_Bases) and each radius r_i of the ndarray r; 1 where a
-    root lies on the circle."""
-    with np.errstate(divide="ignore", over="ignore"):
-        q = bases.moduli / r[:, None]
-        return np.minimum(q, 1.0 / q)
-
-
-def _expansion_loss(ratio, e):
-    """sum |e| log((r + |a|) / |r - |a||) = sum |e| log((1 + ratio) / (1 - ratio))
-    over the linear bases (z - a)^e, per row of _root_ratios: the expanded num
-    and den lose at most e^loss ulps on |z| = r, as a product's coefficient
-    moduli are at most the product of theirs and |z - a| >= |r - |a||.
-    Canonical.log_abs expands whole bases too."""
-    with np.errstate(divide="ignore"):
-        return np.log((1.0 + ratio) / (1.0 - ratio)) @ e
-
-
-def _row_terms(bases, ratio):
-    """The number M of Fourier terms of log|f| in each circle's row, per row
-    of _root_ratios, e the orders: the least M >= deg expo whose truncation
-    bound sum_j |e_j| ratio_j^(M+1) / ((M+1)(1 - ratio_j)) is at most
-    _ROW_TAIL, as log|1 - x| = -Re sum_(m>=1) x^m / m; -1 where no
-    M <= _ROW_TERMS is, and for every circle when a base is whole.  A pole
-    on the circle has ratio 1, which no bound passes.  The bound falls with
-    M, so two passes find the least M, at every 16th M up to _ROW_TERMS and
-    at the 15 below the first that passes; two circles or fewer take one
-    pass at every M."""
-    terms = np.full(len(ratio), -1)
+def _row_terms(bases, r):
+    """(terms, near) per radius of the ndarray r: the number M of Fourier
+    terms of log|f| in the circle's row, the least M >= deg expo whose
+    truncation bound sum_j |e_j| x_j^(M+1) / ((M+1)(1 - x_j)),
+    x_j = min(|a_j| / r, r / |a_j|), is at most _ROW_TAIL (_least_terms).
+    Where no M <= _ROW_TERMS is, the roots with x_j above _NEAR are near
+    (near[i, j]) and leave the bound to the others.  -1 where still no M
+    is, and everywhere when a base is whole or deg expo > _ROW_TERMS; near
+    is None where every row passed with all its roots."""
+    terms = np.full(len(r), -1)
     degree = len(bases.expo) - 1
     if degree > _ROW_TERMS or not bases.linear:
-        return terms
+        return terms, None
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = bases.moduli / r[:, None]
+        ratio = np.minimum(ratio, 1.0 / ratio)  # 1 for a root on the circle
+    least, ok = _least_terms(ratio, bases.orders)
+    terms[ok] = np.maximum(least[ok], degree)
+    if ok.all():
+        return terms, None
+    again = np.flatnonzero(~ok)
+    close = ratio[again] > _NEAR
+    least, ok = _least_terms(np.where(close, 0.0, ratio[again]), bases.orders)
+    near = np.zeros(ratio.shape, dtype=bool)
+    terms[again[ok]], near[again[ok]] = np.maximum(least[ok], degree), close[ok]
+    return terms, near
+
+
+def _least_terms(ratio, orders):
+    """(least, ok): the least M <= _ROW_TERMS whose truncation bound
+    (_row_terms) is at most _ROW_TAIL per row of ratios, where ok says one
+    is; a ratio of 0 adds nothing.  The bound falls with M, so two passes
+    find the least M, at every 16th M and at the 15 below the first that
+    passes; two rows or fewer take one pass at every M."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        weight = bases.orders / (1.0 - ratio)
+        weight = orders / (1.0 - ratio)
         ratio = ratio[:, None]
         stride = 1 if len(ratio) <= 2 else 16
         step = np.arange(1.0, _ROW_TERMS + 2.0, stride)  # M + 1 for every stride-th M
@@ -426,24 +409,24 @@ def _row_terms(bases, ratio):
             step = np.maximum(least[:, None] + np.arange(-15.0, 1.0), 0.0) + 1.0
             bound = np.einsum("rmj,rj->rm", ratio ** step[..., None], weight)
             least += np.argmax(bound <= _ROW_TAIL * step, axis=1) - 15
-    ok = ok[:, -1]
-    terms[ok] = np.maximum(least[ok], degree)
-    return terms
+    return least, ok[:, -1]
 
 
-def _row_coefficients(bases, r, terms):
+def _row_coefficients(bases, r, terms, near):
     """D_m(r) for m <= max(terms), one row per radius of the ndarray r, 0 past
     the radius's own terms, for a table (_Bases) of linear bases
-    (z - a_j)^e_j only, sorted by |a_j|:
-    log|f(r w^j)| = Re sum_m D_m w^(jm) up to the truncation that _row_terms
-    bounds, with D_0 = log|lead / den_lead| + Re p_0 + sum_j e_j log max(r, |a_j|)
+    (z - a_j)^e_j only, sorted by |a_j|, less the near roots (near, from
+    _row_terms, or None): log|f(r w^j)| = Re sum_m D_m w^(jm) + the near logs, up to
+    the truncation that _row_terms bounds, with the sums over far roots
+    D_0 = log|lead / den_lead| + Re p_0 + sum_j e_j log max(r, |a_j|)
     and D_m = p_m r^m - (1/m) sum_(|a_j| > r) e_j (r / a_j)^m
     - (1/m) conj(sum_(|a_j| < r) e_j (a_j / r)^m), p = expo.
 
-    The power sums are built once per split of the roots into inside and
-    outside, which changes only where r crosses a root modulus, scaled by
-    the split's largest inside modulus s (1 where that is less, as r > 1)
-    and smallest outside one t, so that no power exceeds 1 in modulus:
+    The near roots are a run of the sorted roots, so the far ones are the
+    first k, inside, and those from l on, outside (k = l without near
+    roots).  The power sums are built once per split (k, l), scaled by its
+    largest inside modulus s (1 where that is less, as r > 1) and smallest
+    outside one t, so that no power exceeds 1 in modulus:
     (a_j / r)^m = (s / r)^m (a_j / s)^m and (r / a_j)^m = (r / t)^m (t / a_j)^m,
     an outer product in r."""
     top = int(terms.max())
@@ -452,20 +435,26 @@ def _row_coefficients(bases, r, terms):
     with np.errstate(over="ignore", invalid="ignore"):  # inf sums go to _sampled_circle
         d[:, :len(p)] = p * r[:, None] ** np.arange(len(p))
     d[:, 0] = bases.const + p[0].real
-    split = np.searchsorted(moduli, r)  # the first split roots lie inside
+    span = len(roots) + 1  # split (k, l) as k * span + l
+    split = np.searchsorted(moduli, r) * (span + 1)
+    some = np.flatnonzero(near.any(axis=1)) if near is not None else ()
+    if len(some):
+        split[some] = (np.argmax(near[some], axis=1) * span + span - 1
+                       - np.argmax(near[some, ::-1], axis=1))
     splits = set(split.tolist())
-    for k in splits:
-        at = split == k if len(splits) > 1 else slice(None)  # a slice updates d in place
+    for key in splits:
+        k, l = divmod(key, span)
+        at = split == key if len(splits) > 1 else slice(None)  # a slice updates d in place
         n = int(terms[at].max())
         x = r[at, None]
         m = np.arange(1.0, n + 1.0)
-        d[at, 0] += e[:k].sum() * np.log(r[at]) + e[k:] @ np.log(moduli[k:])
+        d[at, 0] += e[:k].sum() * np.log(r[at]) + e[l:] @ np.log(moduli[l:])
         if k:
             s = max(moduli[k - 1], 1.0)
             d[at, 1:n + 1] -= np.exp(np.log(s / x) * m) * (np.conj(_power_sums(roots[:k] / s, e[:k], n)) / m)
-        if k < len(roots):
-            t = moduli[k]
-            d[at, 1:n + 1] -= np.exp(np.log(x / t) * m) * (_power_sums(t / roots[k:], e[k:], n) / m)
+        if l < len(roots):
+            t = moduli[l]
+            d[at, 1:n + 1] -= np.exp(np.log(x / t) * m) * (_power_sums(t / roots[l:], e[l:], n) / m)
     d[np.arange(top + 1) > terms[:, None]] = 0.0  # m(r) is its own terms'
     return d
 
@@ -510,36 +499,39 @@ def _row_classes(terms):
     return [(a, b, int(terms[b - 1])) for a, b in zip(bounds, bounds[1:])]
 
 
-def _row_sums(d, terms, samples):
+def _row_sums(d, terms, samples, near):
     """sum_j max(g_j, 0) over the N nodes, per row of coefficients d
-    (_row_coefficients) with its number of terms M: g_j = D_0 + Re sum_(0<m<=M)
-    D_m w^(jm), the N-point trapezoid of the row, from 2K values and the
-    nodes next to its sign changes.
+    (_row_coefficients) with its number of terms M: g_j = f_j + v_j, the
+    Fourier part f_j = D_0 + Re sum_(0<m<=M) D_m w^(jm) and the logs v_j of
+    the row's near roots, from 2K values and the nodes next to the sign
+    changes.  near holds (i, r, a, e) for each row i with near roots: its
+    radius, those roots and their exponents (_near_logs).
 
     On the K = N/s coarse nodes ks and the K intervals between them, real
     products of the rows D_m and q_m D_m against the coarse table
-    (_row_tables) give g_k = g(ks) = D_0 + Re sum_m D_m W^(km) and the
-    interval sums h_k = sum_(0<t<s) g(ks + t) = (s - 1) D_0 + Re sum_m q_m D_m W^(km).
-    The row's slope in theta is at most B = sum_m m |D_m|, so on an interval,
-    of length H = 2 pi s / N, g >= (g_k + g_(k+1) - B H) / 2 and
-    g <= (g_k + g_(k+1) + B H) / 2 (g_K = g_0).  Where |g_k + g_(k+1)|
-    exceeds B H plus twice the rounding of g_k, g keeps one sign on the
-    interval, whose inside adds h_k when it is positive and nothing when it
-    is negative.  That rounding is at most eps = 8 (M + 8) u sum_m |D_m|,
-    u = 2^-53: gamma_(2M) for the product of 2M terms and about 20 u per
-    entry of the table (2 pi j / N and its cosine and sine rounded), each on
-    at most sqrt(2) sum |D_m|, and u for adding D_0.  The s - 1 nodes inside
-    every other interval are sampled: their rows D_m W^(km) go in a real
-    product against the inner table.  A circle costs 2K products of M terms
-    and s more per interval it leaves, and m(r) is the N-point trapezoid to
-    rounding.
+    (_row_tables) give f(ks) = D_0 + Re sum_m D_m W^(km) and the interval
+    sums (s - 1) D_0 + Re sum_m q_m D_m W^(km); the near logs add theirs,
+    which gives g_k = g(ks) and h_k = sum_(0<t<s) g(ks + t).  The slope of f
+    in theta is at most B = sum_m m |D_m|, so on an interval, of length
+    H = 2 pi s / N, f lies within (f_k + f_(k+1) -+ B H) / 2 (f_K = f_0), and
+    the near logs of its nodes between their least and largest.  Where
+    those bounds keep g off 0 by more than the rounding of f_k, the
+    interval's inside adds h_k if g is positive and nothing if negative.
+    That rounding is at most eps = 8 (M + 8) u sum_m |D_m|, u = 2^-53:
+    gamma_(2M) for the product of 2M terms and about 20 u per entry of the
+    table (2 pi j / N and its cosine and sine rounded), each on at most
+    sqrt(2) sum |D_m|, and u for adding D_0.  The s - 1 nodes inside every
+    other interval are sampled: their rows D_m W^(km) go in a real product
+    against the inner table, and their near logs are added.  m(r) is the
+    N-point trapezoid to rounding.
 
     The radii go by their number of terms, one product per class of terms
     (_row_classes), each as wide as the class's largest, and each radius's
-    sum depends on its own coefficients alone: the columns past its own
-    terms are 0, each product has two rows at least (one row goes to gemv,
-    which rounds unlike the rows of a gemm), and the sums of a radius run
-    over its own row."""
+    sum depends on its own row alone: the columns past its own terms are 0,
+    each product has two rows at least (one row goes to gemv, which rounds
+    unlike the rows of a gemm), and its sums run over its own row.  The near
+    logs of one radius at a time go through three buffers of N, and only
+    those inside its uncertain intervals are kept."""
     coarse, inner, q = _row_tables(samples)
     stride, count = inner.shape[1], coarse.shape[1]
     order = np.argsort(terms, kind="stable")
@@ -549,7 +541,7 @@ def _row_sums(d, terms, samples):
     values = np.empty((2 * size, count))
     bounds = np.empty((size + 1, _ROW_WEIGHTS.shape[1]))
     classes = []
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for a, b, w in _row_classes(terms):
             rows = np.zeros((b - a + 1, 2, w), dtype=complex)  # D_m and q_m D_m, and a row of 0
             rows[:-1, 0] = d[a:b, 1:w + 1]
@@ -569,8 +561,33 @@ def _row_sums(d, terms, samples):
         np.add(g[:, -1], g[:, 0], out=pair[:, -1])
         reach = (slope * (2.0 * math.pi * stride / samples) + 2.0 * eps) * _INFLATE
         sure = np.abs(pair) > reach[:, None]
-        sums = np.where(sure & (pair > 0.0), h, 0.0)
+        up = sure & (pair > 0.0)
+        if near:
+            close = np.argsort(order)[[i for i, *_ in near]]  # their sorted rows
+            starts, work = np.arange(0, samples, stride), np.empty((3, samples))
+            # an interval's inside is positive where the least near log on its nodes,
+            # its first coarse node too, exceeds lower, negative where the largest is below upper
+            lower, upper = ((x * reach[close, None] - pair[close]) / 2.0 for x in (1.0, -1.0))
+            ups, sures = np.empty((2, len(near), count), dtype=bool)
+            first, whole = np.empty((2, len(near), count))
+            kept = []  # (row, the near logs inside its uncertain intervals)
+            for c, (_, r, a, e) in enumerate(near):
+                v = _near_logs(r, a, e, samples, work)
+                np.greater(np.minimum.reduceat(v, starts), lower[c], out=ups[c])
+                np.less(np.maximum.reduceat(v, starts), upper[c], out=sures[c])
+                sures[c] |= ups[c]
+                np.add.reduceat(v, starts, out=whole[c])
+                np.copyto(first[c], v[::stride])
+                kept.append((close[c], v.reshape(count, stride)[~sures[c], 1:]))
+            up[close], sure[close] = ups, sures
+            g[close] += first
+            h[close] += whole - first
+        sums = np.where(up, h, 0.0)
         at, k = np.nonzero(~sure)
+        if near:  # in the order of at
+            logs, taken = np.zeros((len(at), stride - 1)), np.zeros(size, dtype=bool)
+            taken[close] = True
+            logs[taken[at]] = np.concatenate([x for _, x in sorted(kept, key=lambda y: y[0])])
         unit, spin = _unit_circle(samples)[1], stride * np.arange(1, classes[-1][2] + 1)
         for (a, b, w, rows), (p, n) in zip(classes, np.searchsorted(at, [c[:2] for c in classes])):
             if n > p:
@@ -579,6 +596,8 @@ def _row_sums(d, terms, samples):
                             out=turned[:n - p])
                 x = (turned.view(float) @ inner[:2 * w])[:n - p, 1:]
                 x += base[at[p:n], None]
+                if near:
+                    x += logs[p:n]
                 sums[at[p:n], k[p:n]] = np.maximum(x, 0.0, out=x).sum(1)
         sums += np.maximum(g, 0.0)
     out = np.empty(size)
@@ -586,144 +605,26 @@ def _row_sums(d, terms, samples):
     return out
 
 
-@lru_cache(maxsize=4)
-def _kernel_table(samples, powers):
-    """Read-only table on N = samples nodes: rows 2m and 2m + 1 hold Re and
-    Im w^(mt), m < powers, for the first c = min(_KERNEL_NODES, N) nodes t,
-    all entries of the cached unit circle."""
+def _near_logs(r, roots, e, samples, work):
+    """sum_j e_j log|r w^t - a_j| at the N nodes t of the circle r, into the
+    first of the three rows of work, (3, N), each term in real arithmetic as
+    (e_j / 2) log((r cos theta_t - Re a_j)^2 + (r sin theta_t - Im a_j)^2);
+    a zero on a node gives -inf there, as log|0| would."""
     unit = _unit_circle(samples)[1]
-    w = unit[np.arange(powers)[:, None] * np.arange(min(_KERNEL_NODES, samples)) % samples]
-    table = np.stack([w.real, w.imag], 1).reshape(-1, w.shape[1])
-    table.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=8)
-def _kernel_turns(samples, size, copies):
-    """Read-only conj(w^(mbc)), m < size, from the cached unit circle, for
-    each block b of c = min(_KERNEL_NODES, N) nodes, flat and repeated
-    copies times: one block of turns per (row, radius) of a product."""
-    unit = _unit_circle(samples)[1]
-    turns = unit[np.arange(0, samples, min(_KERNEL_NODES, samples))[:, None] * np.arange(size) % samples]
-    out = np.tile(np.conj(turns), (copies, 1)).reshape(-1)
-    out.flags.writeable = False
+    out, x, y = work
+    out.fill(0.0)
+    for a, m in zip(roots.tolist(), e.tolist()):
+        np.multiply(unit.real, r, out=x)
+        x -= a.real
+        np.multiply(x, x, out=x)
+        np.multiply(unit.imag, r, out=y)
+        y -= a.imag
+        np.multiply(y, y, out=y)
+        x += y
+        np.log(x, out=x)
+        x *= 0.5 * m
+        out += x
     return out
-
-
-def _circle_sums(d, samples, sample):
-    """sum_j max(x_j, 0) over the N nodes, per radius of the complex
-    coefficients d[row, radius, m], where x = sample(re) makes the samples
-    of the radii of one product, in place, from their rows
-    re[row, radius, j] = Re sum_m d[row, radius, m] w^(jm).
-
-    Node j = bc + t of block b is Re sum_m (d_m w^(mbc)) w^(mt), so each
-    (row, radius, block) triple is one row of real coefficients (Re, -Im)
-    against the cached table of the first c nodes (_kernel_table, at
-    max(deg, _KERNEL_POWERS - 1) + 1 powers, so that low degrees share one
-    table), and the rows come out in node order.  conj(d_m) conj(w^(mbc))
-    is bit for bit conj(d_m w^(mbc)): conj(d), copied into the coefficient
-    block, times the cached turns (_kernel_turns), two operands of one
-    shape.  As many radii go to a product as fill _KERNEL_PRODUCT doubles.
-    The product and coefficient blocks are reused, and max(., 0) and one
-    sum per radius are taken in the product block."""
-    rows, radii, size = d.shape
-    table = _kernel_table(samples, max(size, _KERNEL_POWERS))
-    blocks = samples // table.shape[1]
-    per = max(1, _KERNEL_PRODUCT // (rows * samples))  # radii per product
-    # (row, radius, block) triples per product, two at least: a product of
-    # one row goes to gemv, which rounds unlike the rows of a gemm
-    count = max(2, rows * min(per, radii) * blocks)
-    turns = _kernel_turns(samples, size, -(-count // blocks))
-    work = np.empty((count, table.shape[1]))
-    coef = np.zeros(count * size, dtype=complex)
-    d = np.conj(d)
-    out = np.empty(radii)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for start in range(0, radii, per):
-            at = slice(start, start + per)
-            n = rows * len(out[at]) * blocks
-            x = coef[:n * size]
-            np.copyto(x.reshape(rows, -1, blocks, size), d[:, at, None])
-            np.multiply(x, turns[:n * size], out=x)  # (Re, -Im) against the (Re, Im) rows of table
-            prod = np.matmul(coef[:max(n, 2) * size].view(float).reshape(-1, 2 * size),
-                             table[:2 * size], out=work[:max(n, 2)])
-            x = sample(prod[:n].reshape(rows, -1, samples))
-            out[at] = np.maximum(x, 0.0, out=x).sum(1)
-    return out
-
-
-def _kernel_coefficients(c, r):
-    """(d, kinds): the rows d[row, radius, m] that _log_abs2 turns into
-    log|f|^2 at the nodes of each radius of the ndarray r, and the kinds,
-    1 for num and -1 for den, of the polynomials that have rows.
-
-    A nonconstant num or den of degree d is divided by 2^s, s midway
-    between the exponents of its largest and its leading coefficient parts
-    (exact), so that for r >= 1 |p|^2 stays in range unless those differ by
-    2^1000, and scaled to r^-d p(r w) = sum_k c_k r^(k-d) w^k, so that r^d
-    never overflows.  The rows are these p, then -i p for each (the real
-    parts of p and -i p are Re p and Im p), then 2 expo, the coefficients
-    2 c_k r^k, whose w^0 coefficient carries twice the constants:
-    (deg num - deg den) log r, the s log 2 and the logs of a constant num
-    or den."""
-    polys, exps, kinds = [], [], []
-    offset = slope = 0.0
-    for kind, p in ((1, c.num), (-1, c.den)):
-        if not p.degree:
-            offset += kind * math.log(abs(p.leading))
-            continue
-        x = p.coefficients
-        top = max(max(abs(z.real), abs(z.imag)) for z in x)
-        lead = max(abs(x[-1].real), abs(x[-1].imag))
-        shift = (math.frexp(top)[1] + math.frexp(lead)[1]) // 2
-        polys.append([complex(math.ldexp(z.real, -shift), math.ldexp(z.imag, -shift))
-                      for z in x])  # exact
-        exps.append(range(-p.degree, 1))
-        kinds.append(kind)
-        offset += kind * shift * math.log(2.0)
-        slope += kind * p.degree
-    polys += [[complex(z.imag, -z.real) for z in x] for x in polys]  # -i p, exact
-    polys.append([2.0 * z for z in c.expo.coefficients])  # exact
-    exps += exps + [range(len(polys[-1]))]
-    size = max(map(len, polys))
-    coef = np.array([x + [0j] * (size - len(x)) for x in polys])
-    # the padding gets r^0, times a zero coefficient
-    power = np.array([list(k) + [0] * (size - len(k)) for k in exps], dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf sums go to _sampled_circle
-        d = coef[:, None] * r[:, None] ** power[:, None]
-    d[-1, :, 0] += 2.0 * (offset + slope * np.log(r))
-    return d, kinds
-
-
-def _log_abs2(re, kinds):
-    """log|f|^2 at the nodes, from the rows re[row, radius, j] of the
-    _kernel_coefficients of kinds, in place in the expo row: the rows of
-    num and den are squared in place, |num|^2 / |den|^2 is one quotient,
-    and its log is added to 2 Re expo (or log|den|^2 subtracted from it).
-    A zero of num gives -inf, of den +inf and of both NaN, as log|0| would.
-    Call under np.errstate(divide="ignore", invalid="ignore",
-    over="ignore")."""
-    out = re[-1]
-    if kinds:
-        half = len(kinds)
-        sq = re[:2 * half]
-        np.multiply(sq, sq, out=sq)
-        sq = np.add(sq[:half], sq[half:], out=sq[:half])  # |p|^2
-        if half == 2:
-            np.divide(sq[0], sq[1], out=sq[0])
-        logs = np.log(sq[0], out=sq[0])
-        (np.add if kinds[0] > 0 else np.subtract)(out, logs, out=out)
-    return out
-
-
-def _kernel_sums(c, r, samples):
-    """sum_j max(log|f(r w^j)|^2, 0) over the N nodes, per radius of the
-    ndarray r, from the expanded num and den of the canonical form c: m(r)
-    is that sum over 2N.  The rows are _kernel_coefficients, all of
-    deg + 1 terms, summed by _circle_sums, and the samples are their
-    _log_abs2."""
-    d, kinds = _kernel_coefficients(c, r)
-    return _circle_sums(d, samples, lambda re: _log_abs2(re, kinds))
 
 
 def _on_circle(rho, r):
@@ -747,9 +648,9 @@ class FunctionData:
     finite, as m = T = inf would be no number; everything else on first
     use.  The zeros and poles are read off its bases, and the poles serve
     the circles through a pole of proximity.  bases is the table (_Bases)
-    that every stage of proximity reads; the expanded num and den are built
-    only for a circle the kernel takes.  The node tables are cached per
-    sample count (_row_tables, _kernel_table, _kernel_turns).
+    that proximity reads, with each whole base that _split can split taken
+    as its linear bases (_times), so that a base D[...] made takes the row
+    too.  The node tables are cached per sample count.
     """
 
     def __init__(self, expr):
@@ -770,7 +671,8 @@ class FunctionData:
 
     @cached_property
     def bases(self):
-        return _Bases(self.canonical)
+        c = self.canonical
+        return _Bases(_times([c], split=True) if any(b.degree > 1 for b, _ in c.factors) else c)
 
     def proximity(self, radii, samples):
         """m(r) for each radius: the N-point trapezoid of log+|f|, N = samples.
@@ -778,15 +680,11 @@ class FunctionData:
         Zero and closed-form circles are settled first, for all radii at
         once, from the root bounds of the bases (_settled_circles): m = 0.0
         where |f| < 1 on the circle, Jensen's closed form where |f| > 1 and
-        every root lies well inside.  Where every base is linear and every
-        root lies far enough from the circle (_row_terms), log|f| is a
-        Fourier row of at most _ROW_TERMS terms (_row_coefficients), whose
-        trapezoid _row_sums takes from coarse nodes and interval sums.  Of
-        the rest, one call of _kernel_sums sums max(log|f|^2, 0) at every
-        node of every circle that no pole passes through and whose
-        _expansion_loss is at most _MAX_LOSS, so that m = sum / 2N.  The
-        circles left, and those whose sum is not finite, go through
-        _sampled_circle.
+        every root lies well inside.  Where every base is linear, one call
+        of _row_sums takes the trapezoid of the rows (_row_terms): the
+        Fourier row of the far roots plus the logs of the near ones.  The
+        circles left, those a near pole lies on and those whose sum is not
+        finite go through _sampled_circle.
         """
         samples = _require_samples(samples)
         radii = _require_radii(radii)
@@ -795,27 +693,26 @@ class FunctionData:
         todo = np.flatnonzero(np.isnan(out))
         if todo.size:
             r = radii[todo]
-            ratio = _root_ratios(bases, r)
-            terms = _row_terms(bases, ratio)
+            terms, near = _row_terms(bases, r)
+            if near is not None:  # a pole is a near root of the circles it lies on
+                poles = np.array([rho for rho, _ in self.poles.entries], dtype=complex)
+                terms[_on_circle(poles, r[:, None]).any(axis=1)] = -1
             row = terms >= 0
             if row.any():
-                out[todo[row]] = _row_sums(_row_coefficients(bases, r[row], terms[row]),
-                                           terms[row], samples) / samples
-            if not row.all():
-                rest = np.flatnonzero(~row)
-                poles = np.array([rho for rho, _ in self.poles.entries], dtype=complex)
-                bulk = rest[~_on_circle(poles, r[rest, None]).any(axis=1)
-                            & (_expansion_loss(ratio[rest], bases.orders) <= _MAX_LOSS)]
-                if bulk.size:
-                    out[todo[bulk]] = _kernel_sums(self.canonical, r[bulk], samples) / (2 * samples)
+                r, terms, near = r[row], terms[row], near if near is None else near[row]
+                logs = [] if near is None else [(i, r[i], bases.roots[near[i]], bases.e[near[i]])
+                                                for i in np.flatnonzero(near.any(axis=1))]
+                out[todo[row]] = _row_sums(_row_coefficients(bases, r, terms, near),
+                                           terms, samples, logs) / samples
             for i in todo[~np.isfinite(out[todo])]:  # left out, so still NaN, or not finite
                 out[i] = self._sampled_circle(float(radii[i]), samples)
         return out.tolist()
 
     def _sampled_circle(self, r, samples):
-        """m(r) from Canonical.log_abs at the N nodes of one circle, where a
-        pole of f lies on it, the expanded num or den may lose its digits
-        there, or the sum of log+|f| by a row or the kernel is not finite.
+        """m(r) from Canonical.log_abs at the N nodes of one circle that no
+        row takes (a pole on it, a base that _split refuses, deg expo above
+        _ROW_TERMS, far roots that fail the bound) or whose row sum is not
+        finite.
 
         With L = sum m log|z - rho| over the poles rho of order m on the
         circle (0 where there are none), log+|f| is h - L, where

@@ -29,6 +29,10 @@ class RootFindingError(RuntimeError):
     """The root approximations could not be assembled within the residual bound."""
 
 
+class QuadratureError(RuntimeError):
+    """Samples of log|f| on a circle stay singular after the half-step retry."""
+
+
 def _trim(coeffs):
     """Coefficient tuple of a list of complex numbers, trailing zeros removed."""
     while coeffs and coeffs[-1] == 0:

@@ -412,7 +412,9 @@ CORE = ["nevanlab.cli", "nevanlab.expressions", "nevanlab.nevanlinna", "nevanlab
      CORE + ["nevanlab.diffpoly", "nevanlab.inequalities"]),
     (["marty", "--family", LINEAR_FAMILY, "--resolution", "5"],
      CORE + ["nevanlab.diffpoly", "nevanlab.normality"]),
-], ids=["characteristic", "verify smt", "marty"])
+    (["expand", "--n", "3", "--t", "2"],  # no grid flags: nevanlinna is never loaded
+     ["nevanlab.cli", "nevanlab.diffpoly", "nevanlab.expressions", "nevanlab.polynomials"]),
+], ids=["characteristic", "verify smt", "marty", "expand"])
 def test_a_subcommand_loads_only_its_modules(argv, modules):
     code = ("import contextlib, io, json, sys\n"
             "from nevanlab.cli import main\n"

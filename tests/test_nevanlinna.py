@@ -242,9 +242,9 @@ def test_dodged_samples_do_not_overflow():
 
 def test_proximity_of_a_high_power_is_jensen():
     # m(r, (z - a)^k) = k log r where r - |a| >= 1, as |f| >= 1 on the circle;
-    # the expanded (z - a)^k sums terms up to (r + |a|)^k to a value of about
-    # (r - |a|)^k, so a circle where that ratio passes _MAX_LOSS is sampled
-    # from the factored form
+    # the expanded (z - a)^k would sum terms up to (r + |a|)^k to a value of
+    # about (r - |a|)^k, but no circle reads it: a root near the circle is a
+    # near root of the row, with its k log|z - a| at the nodes
     for a in (1.0, 0.5, 1.5, 1.2j, 0.7 + 0.7j):
         for k in range(1, 296, 7):
             radii = [r for r in (2.0, 2.5, 3.0) if r - abs(a) >= 1.0]
@@ -278,8 +278,8 @@ def test_pole_on_a_node_keeps_jensen(k):
 
 def test_sampled_circle_is_its_trapezoid_near_a_multiple_pole():
     # D^4 of (z^2 - 1)/(z + 3) is 192/(z + 3)^5, whose 5-fold pole lies 0.9%
-    # outside the circle: the expanded den loses 7 digits there, and the
-    # circle is sampled from the factored form to the N-point sum's rounding
+    # outside the circle: the expanded den would lose 7 digits there, and the
+    # row takes the pole as a near root, to the N-point sum's rounding
     mpmath = pytest.importorskip("mpmath")
     r, samples = 2.971988578273895, DEFAULT_SAMPLES
     with mpmath.workdps(30):
@@ -452,10 +452,9 @@ def _disc_points(rng, count, radius):
 
 
 def test_proximity_matches_log_abs_trapezoid():
-    # the power-table kernel against a trapezoid mean of log+|f| from
-    # Canonical.log_abs on the same nodes: degrees 0-40 span one to
-    # three blocks of coefficients, and the last case has a degree of at
-    # least the number of samples, so the powers w^(jk) wrap around
+    # the rows, with near roots or without, against a trapezoid mean of
+    # log+|f| from Canonical.log_abs on the same nodes: up to 40 zeros and 40
+    # poles, and the last case has more roots than samples
     rng = np.random.default_rng(2014)
     cases = [(*rng.integers(0, 41, 2), rng.integers(0, 4), 2 ** int(rng.integers(6, 14)))
              for _ in range(40)]
@@ -478,31 +477,15 @@ def test_proximity_matches_log_abs_trapezoid():
 
 
 def test_proximity_where_horner_overflows(monkeypatch):
-    # r^deg overflows a double, so Horner gives non-finite samples at every
-    # point; the kernel runs on unit-modulus points
+    # r^deg overflows a double, so Horner would give non-finite samples at
+    # every point; the bases take logs, and the rows powers of r / a or a / r
     assert proximity_m(parse("z^150"), 128.0) == pytest.approx(
         150.0 * math.log(128.0), rel=1e-12)
     assert proximity_m(parse("z^200/(z^199+1)"), 128.0) == pytest.approx(
         math.log(128.0), rel=1e-12)
-    # the kernel reads a table of max(deg, 32) + 1 powers, each as a real
-    # row and an imaginary row over a block of 64 nodes
-    shapes = []
-    original = nevanlab.nevanlinna._kernel_table
-
-    def recording(samples, powers):
-        table = original(samples, powers)
-        shapes.append(table.shape)
-        return table
-    monkeypatch.setattr(nevanlab.nevanlinna, "_kernel_table", recording)
-    unit = np.exp(2j * np.pi * np.arange(64) / 64)
-    for text, count in (("5", 33), ("z^3*exp(z^2)", 33), ("z^200/(z^199+1)", 201)):
-        shapes.clear()
-        nevanlab.nevanlinna._kernel_sums(canonicalize(parse(text)), np.array([128.0]), 64)
-        assert shapes == [(2 * count, 64)], text
-        table = original(64, count)
-        want = np.stack([unit ** 0, unit])
-        assert np.array_equal(table[0::2][:2], want.real)
-        assert np.array_equal(table[1::2][:2], want.imag)
+    _sampled_only(monkeypatch)
+    assert proximity_m(parse("z^200/(z^199+1)"), 128.0) == pytest.approx(
+        math.log(128.0), rel=1e-12)
 
 
 def test_singular_samples_raise_quadrature_error():
@@ -510,10 +493,12 @@ def test_singular_samples_raise_quadrature_error():
     with pytest.raises(QuadratureError, match="singular samples"):
         proximity_m(parse("exp(z^200)"), 128.0)
     assert issubclass(QuadratureError, RuntimeError)
+    # one class, defined beside RootFindingError, whichever module names it
+    assert QuadratureError is nevanlab.nevanlinna.QuadratureError is nevanlab.polynomials.QuadratureError
 
 
 def _sampled_only(monkeypatch):
-    # every circle goes to the kernel, as before circles were settled
+    # no circle is settled: each goes to its row or to _sampled_circle
     monkeypatch.setattr(nevanlab.nevanlinna, "_settled_circles",
                         lambda c, radii, samples: np.full(len(radii), np.nan))
 
@@ -572,42 +557,50 @@ def _factored_trapezoid(c, r, samples):
     return float(np.mean(np.maximum(vals, 0.0)))
 
 
-def _row_taken(c, radii):
-    # whether each circle's samples come from its Fourier row
+def _routes(c, radii):
+    # how each unsettled circle is summed: "row" where the Fourier row of
+    # every root takes it, "near" where its near roots take their own logs,
+    # and "sampled" where no row does
     r = np.asarray(radii, dtype=float)
-    bases = nevanlab.nevanlinna._Bases(c)
-    return nevanlab.nevanlinna._row_terms(bases, nevanlab.nevanlinna._root_ratios(bases, r)) >= 0
+    bases = nevanlab.nevanlinna._Bases(nevanlab.expressions._times([c], split=True))
+    terms, near = nevanlab.nevanlinna._row_terms(bases, r)
+    close = np.zeros(len(r), dtype=bool) if near is None else near.any(axis=1)
+    return ["sampled" if t < 0 else "near" if x else "row" for t, x in zip(terms, close)]
+
+
+def _row_taken(c, radii):
+    # whether each circle's samples come from the Fourier row of all its roots
+    return [route == "row" for route in _routes(c, radii)]
 
 
 def test_settled_circles_match_sampled_circles(monkeypatch):
     # a zero circle gives exactly 0.0, as the sampled circle does, and a
-    # closed-form circle or one summed by its row the trapezoid mean on the
-    # same N nodes to rounding.  That mean is taken from the bases: the
-    # kernel's samples of the expanded num and den lose up to 1e-11 of m(r)
-    # where a 4-fold root lies within 1% of the circle (N = 4096 or 8192 at
-    # the edge r exp(-40/N)).  A circle the kernel sums reads the same when
-    # every circle is sampled
+    # closed-form circle or one summed by its row, with near roots or
+    # without, the trapezoid mean on the same N nodes to rounding, where a
+    # 4-fold root lies within 1% of the circle too (N = 4096 or 8192 at the
+    # edge r exp(-40/N)); the expanded num and den would lose up to 1e-11 of
+    # m(r) there.  A circle no row takes reads the same when every circle is
+    # sampled
     rng = np.random.default_rng(1964)
     radii = RadialGrid.geometric(2.0, 128.0, 16).radii
-    kinds = {"zero": 0, "closed": 0, "row": 0, "kernel": 0}
+    kinds = {"zero": 0, "closed": 0, "row": 0, "near": 0}
     for f, samples in _settle_cases(rng, radii):
         data = FunctionData(f)
         settled = nevanlab.nevanlinna._settled_circles(data.bases, radii, samples)
-        row = _row_taken(data.canonical, radii)
+        routes = _routes(data.canonical, radii)
         got = data.proximity(radii, samples)
         with monkeypatch.context() as patch:
             _sampled_only(patch)
             want = data.proximity(radii, samples)
-        for r, s, by_row, m, w in zip(radii, settled, row, got, want):
+        for r, s, route, m, w in zip(radii, settled, routes, got, want):
             if s == 0.0:
                 kinds["zero"] += 1
                 assert m == w == 0.0
-            elif math.isfinite(s) or by_row:
-                kinds["closed" if math.isfinite(s) else "row"] += 1
+            elif math.isfinite(s) or route != "sampled":
+                kinds["closed" if math.isfinite(s) else route] += 1
                 x = _factored_trapezoid(data.canonical, r, samples)
                 assert abs(m - x) <= 1e-13 * (1.0 + abs(x)), (print_expr(f), samples, r)
             else:
-                kinds["kernel"] += 1
                 assert m == w
     assert min(kinds.values()) >= 100, kinds
 
@@ -646,12 +639,12 @@ def test_graeffe_bounds_only_whole_bases(monkeypatch):
     assert calls == [24]
 
 
-class _KernelCalls:
-    # the sampling paths: the kernel, the factored log_abs and the rows
+class _SamplingCalls:
+    # the sampling paths: the rows, the near roots' logs and the factored log_abs
     def __init__(self, monkeypatch):
         self.calls = []
         monkeypatch.setattr(Canonical, "log_abs", self._wrap("log_abs", Canonical.log_abs))
-        for name in ("_kernel_sums", "_row_sums"):
+        for name in ("_row_sums", "_near_logs"):
             original = getattr(nevanlab.nevanlinna, name)
             monkeypatch.setattr(nevanlab.nevanlinna, name, self._wrap(name, original))
 
@@ -663,7 +656,7 @@ class _KernelCalls:
 
 
 def test_settled_circles_skip_the_kernel(monkeypatch):
-    kernel = _KernelCalls(monkeypatch)
+    paths = _SamplingCalls(monkeypatch)
     radii = (4.0, 9.5, 64.0, 128.0)
     for r, m in zip(radii, FunctionData(parse("z^3+1")).proximity(radii, DEFAULT_SAMPLES)):
         assert abs(m - 3.0 * math.log(r)) <= 1e-14 * 3.0 * math.log(r)
@@ -672,29 +665,35 @@ def test_settled_circles_skip_the_kernel(monkeypatch):
     assert data.proximity(radii, DEFAULT_SAMPLES) == [0.0] * 3
     # r = 2 sits on the edge of the bases' bound: |z -+ i| >= r - 1 = 1 gives
     # log|f| <= 0 only, so the circle is not settled; its row sums it
-    assert kernel.calls == ["_row_sums"]
-    kernel.calls.clear()
+    assert paths.calls == ["_row_sums"]
+    paths.calls.clear()
     assert data.proximity(radii[1:], DEFAULT_SAMPLES) == [0.0] * 2
-    assert kernel.calls == []
+    assert paths.calls == []
 
 
 def test_proximity_of_linear_bases_expands_no_polynomial():
-    # over the default grid, every circle of the growth test function is
-    # settled or summed by its row, so num and den are never expanded
+    # proximity reads the bases only: over the default grid and over radii
+    # next to the roots, where near roots take their own logs, num and den
+    # are never expanded
     for samples in (4096, 8192):
-        data = FunctionData(parse(_GROWTH_F))
-        data.proximity(RadialGrid.geometric().radii, samples)
-        assert "num" not in data.canonical.__dict__ and "den" not in data.canonical.__dict__
+        for text in (_GROWTH_F, _GROWTH_LOGDERIV, "(z-1)^50/(z-2)", "D[(z^2-1)/(z+3),4]"):
+            data = FunctionData(parse(text))
+            data.proximity(RadialGrid.geometric().radii + RadialGrid.geometric(1.1, 4.0, 40).radii, samples)
+            assert "num" not in data.canonical.__dict__ and "den" not in data.canonical.__dict__
 
 
-def test_proximity_makes_at_most_one_kernel_call(monkeypatch):
-    # plain circles share one kernel call; circles through a pole, near a
-    # multiple root or with a sum that is not finite take log_abs alone
-    kernel = _KernelCalls(monkeypatch)
-    for text in ("D[(z^2-1)/(z+3),4]", "(z-1)^50/(z-2)", "5/(z-2)^3 + z", _GROWTH_F):
-        kernel.calls.clear()
-        FunctionData(parse(text)).proximity(RadialGrid.geometric(1.5, 4.0, 40).radii + (2.0, 3.0), 256)
-        assert kernel.calls.count("_kernel_sums") <= 1, text
+def test_proximity_makes_at_most_one_row_call(monkeypatch):
+    # circles with near roots and without share one row call; only circles
+    # through a pole take log_abs, one call each
+    paths = _SamplingCalls(monkeypatch)
+    radii = RadialGrid.geometric(1.5, 4.0, 40).radii + (2.0, 3.0)
+    for text, through in (("D[(z^2-1)/(z+3),4]", 1), ("(z-1)^50/(z-2)", 1), ("5/(z-2)^3 + z", 1),
+                          (_GROWTH_F, 0), ("(z-1.9)^3*exp(z^2)/(z+2.1)", 0)):
+        paths.calls.clear()
+        FunctionData(parse(text)).proximity(radii, 256)
+        assert paths.calls.count("_row_sums") == 1, text
+        assert paths.calls.count("_near_logs") > 0, text
+        assert paths.calls.count("log_abs") == through, text
 
 
 @pytest.mark.parametrize("text,r,samples", [
@@ -709,9 +708,9 @@ def test_unsettled_circles_are_sampled(monkeypatch, text, r, samples):
     with monkeypatch.context() as patch:
         _sampled_only(patch)
         want = data.proximity([r], samples)
-    kernel = _KernelCalls(monkeypatch)
+    paths = _SamplingCalls(monkeypatch)
     assert data.proximity([r], samples) == want
-    assert kernel.calls
+    assert paths.calls
 
 
 def test_closed_form_needs_deg_expo_below_samples():
@@ -798,30 +797,44 @@ def test_row_finds_an_arc_inside_one_coarse_interval():
     assert m > 0.0 and abs(m - x) <= 1e-13 * (1.0 + m), (m, x)
 
 
-def _row_bound_passes(c, r):
-    # the row's truncation bound at 128 terms, one base at a time
+def _row_reference(c, r):
+    # (terms, near roots) of a circle's row, one base at a time: the least
+    # number of terms whose truncation bound is at most 2^-53 with every
+    # root, or else with the roots past a ratio of 0.7 left out as near ones;
+    # None where neither passes, a base is whole, deg expo > 128 or a near
+    # pole lies on the circle
     if c.expo.degree > 128 or any(b.degree > 1 for b, _ in c.factors):
-        return False
-    rhos = [(min(abs(b.coefficients[0]) / r, r / abs(b.coefficients[0]))
-             if b.coefficients[0] else 0.0, abs(e)) for b, e in c.factors]
-    if any(rho >= 1.0 for rho, _ in rhos):
-        return False
-    return sum(e * rho ** 129 / (129 * (1.0 - rho)) for rho, e in rhos) <= 2.0 ** -53
+        return None
+    roots = [(-b.coefficients[0], e) for b, e in c.factors]
+    rhos = [(min(abs(a) / r, r / abs(a)) if a else 0.0, abs(e), a) for a, e in roots]
+    for near in (set(), {a for rho, _, a in rhos if rho > 0.7}):
+        far = [(rho, e) for rho, e, a in rhos if a not in near]
+        if any(rho >= 1.0 for rho, _ in far):
+            continue
+        bound = [sum(e * rho ** (m + 1) / ((m + 1) * (1.0 - rho)) for rho, e in far) for m in range(129)]
+        passing = [m for m in range(129) if bound[m] <= 2.0 ** -53]
+        if passing:
+            if any(e < 0 and abs(abs(a) - r) <= 1e-8 * r for a, e in roots if a in near):
+                return None
+            return max(passing[0], c.expo.degree), near
+    return None
 
 
 def _row_radii(monkeypatch):
-    # the radii each _row_coefficients call takes, with their term counts
+    # the radii each _row_coefficients call takes, with their near roots,
+    # and the term counts of each _row_sums call
     taken = []
     original = nevanlab.nevanlinna._row_sums
     coefficients = nevanlab.nevanlinna._row_coefficients
 
-    def recording(c, r, terms):
-        taken.append(list(r))
-        return coefficients(c, r, terms)
+    def recording(bases, r, terms, near):
+        near = np.zeros((len(r), len(bases.roots)), dtype=bool) if near is None else near
+        taken.append([(x, set(bases.roots[m].tolist())) for x, m in zip(r, near)])
+        return coefficients(bases, r, terms, near)
 
-    def counting(d, terms, samples):
+    def counting(d, terms, samples, near):
         taken.append(list(terms))
-        return original(d, terms, samples)
+        return original(d, terms, samples, near)
     monkeypatch.setattr(nevanlab.nevanlinna, "_row_coefficients", recording)
     monkeypatch.setattr(nevanlab.nevanlinna, "_row_sums", counting)
     return taken
@@ -830,48 +843,45 @@ def _row_radii(monkeypatch):
 @pytest.mark.parametrize("text,some", [
     (_GROWTH_F, True), ("exp(z)/(z-2)", True), ("(z-0.25)^8*exp(3*z^3)/(z+0.3)^5", True),
     ("exp(z^32)", True), ("exp(z^128)", True), ("exp(z^129)", False), ("5/(z-2)^3 + z", True),
-    ("D[(z-0.5)^2*exp(z)/(z+0.3),1]", False)])
+    ("D[(z-0.5)^2*exp(z)/(z+0.3),1]", True), ("(z-1.9)^3*exp(z^2)/(z+2.1)", True)])
 def test_row_takes_the_unsettled_circles_whose_bound_passes(monkeypatch, text, some):
     # the row takes a circle exactly when it is not settled, every base is
-    # linear, deg expo <= 128 and the truncation bound at 128 terms is at most
-    # 2^-53, with the least number of terms whose bound is: not r = 2
-    # through the pole of exp(z)/(z-2), where the ratio is 1, nor any circle
-    # of the derivative, whose factor H is a whole base
+    # linear once split (the factor H of the derivative splits too),
+    # deg expo <= 128 and the truncation bound at 128 terms is at most 2^-53,
+    # with every root or with the near ones left out, with the least number
+    # of terms whose bound is: not r = 2 through the pole of exp(z)/(z-2),
+    # where the pole is near and lies on the circle
     radii = RadialGrid.geometric(1.1, 128.0, 40).radii + (2.0,)
     data = FunctionData(parse(text))
-    c = data.canonical
+    c = nevanlab.expressions._times([data.canonical], split=True)
     settled = nevanlab.nevanlinna._settled_circles(data.bases, radii, DEFAULT_SAMPLES)
-    want = [r for r, s in zip(radii, settled) if math.isnan(s) and _row_bound_passes(c, r)]
+    want = [(r, _row_reference(c, r)) for r, s in zip(radii, settled) if math.isnan(s)]
+    want = [(r, ref) for r, ref in want if ref is not None]
     assert bool(want) == some
-    assert text != "exp(z)/(z-2)" or 2.0 not in want
-    assert some or c.expo.degree > 128 or any(b.degree > 1 for b, _ in c.factors)
+    assert text != "exp(z)/(z-2)" or 2.0 not in [r for r, _ in want]
+    assert text != "(z-1.9)^3*exp(z^2)/(z+2.1)" or any(near for _, (_, near) in want)
+    assert some or c.expo.degree > 128
     taken = _row_radii(monkeypatch)
     data.proximity(radii, DEFAULT_SAMPLES)
-    assert taken[::2] == ([want] if want else [])
-    for r, terms in zip(want, taken[1] if want else []):
-        rhos = [(min(abs(b.coefficients[0]) / r, r / abs(b.coefficients[0]))
-                 if b.coefficients[0] else 0.0, abs(e)) for b, e in c.factors]
-        bound = [sum(e * rho ** (m + 1) / ((m + 1) * (1.0 - rho)) for rho, e in rhos)
-                 for m in range(129)]
-        least = min(m for m in range(129) if bound[m] <= 2.0 ** -53)
-        assert terms == max(least, c.expo.degree), (text, r)
+    assert taken[::2] == ([[(r, near) for r, (_, near) in want]] if want else [])
+    assert taken[1::2] == ([[terms for _, (terms, _) in want]] if want else [])
 
 
 def test_circle_sums_do_not_depend_on_the_call():
     # each radius's m(r) is bit for bit the same alone and inside random
-    # subsets of 20 or more radii, whose products hold other radii and, for
-    # the rows, pad to other numbers of terms: circles summed by a row and
-    # circles summed by the kernel alike
+    # subsets of 20 or more radii, whose products hold other radii and pad
+    # to other numbers of terms: circles summed by the row of every root and
+    # circles with near roots alike
     rng = np.random.default_rng(2025)
-    kinds = {"row": 0, "kernel": 0}
-    for text in (_GROWTH_F, _GROWTH_LOGDERIV, "exp(z^40)*(z-0.3)/(z+5i)"):
+    kinds = {"row": 0, "near": 0}
+    for text in (_GROWTH_F, _GROWTH_LOGDERIV, "exp(z^40)*(z-0.3)/(z+5i)", "(z-1.9)^3*exp(z^2)/(z+2.1)"):
         data = FunctionData(parse(text))
         for samples in (64, 128, 256, 512, 1024, 2048, 4096, 8192):
             radii = np.exp(rng.uniform(math.log(1.1), math.log(40.0), 40))
             settled = nevanlab.nevanlinna._settled_circles(data.bases, radii, samples)
-            row = _row_taken(data.canonical, radii)
-            kinds["row"] += int(np.sum(np.isnan(settled) & row))
-            kinds["kernel"] += int(np.sum(np.isnan(settled) & ~row))
+            for s, route in zip(settled, _routes(data.canonical, radii)):
+                if math.isnan(s) and route in kinds:
+                    kinds[route] += 1
             alone = [data.proximity([r], samples)[0] for r in radii]
             for _ in range(3):
                 pick = rng.choice(len(radii), int(rng.integers(20, len(radii) + 1)), replace=False)
@@ -1075,10 +1085,10 @@ def test_proximity_beyond_the_pole_bound_root_finds_nothing(monkeypatch):
     monkeypatch.setattr(nevanlab.expressions, "poly_roots", counting)
     radii = (1.25, 2.0, 4.0, 8.0)  # the first one within the poles' root bound
     assert nevanlab.nevanlinna._root_bound(np.array(data.canonical.den.coefficients)) > radii[0]
-    kernel = _KernelCalls(monkeypatch)
+    paths = _SamplingCalls(monkeypatch)
     ms = data.proximity(radii, 256)
     data.poles, data.zeros
-    assert kernel.calls and calls == []
+    assert paths.calls and calls == []
     assert data.proximity(radii, 256) == ms
 
 
@@ -1090,30 +1100,12 @@ def test_unit_circle_is_cached_read_only():
 
 
 def test_circle_powers_are_exact_strided_copies():
-    # the node tables of the kernel and the rows: every kernel row is
-    # unit[(m*t) % N] and every turn the conjugate of unit[(m*b*c) % N], once
-    # per (row, radius) of a product, bit for bit; every row
-    # column holds Re and -Im of unit[(m*k*s) % N] over K = min(64, N/8)
-    # coarse nodes k, of unit[(m*t) % N] over the s = N/K nodes t of an
-    # interval, and q_m their sum for t > 0; all read-only and cached
+    # the node tables of the rows: every column holds Re and -Im of
+    # unit[(m*k*s) % N] over K = min(64, N/8) coarse nodes k, of
+    # unit[(m*t) % N] over the s = N/K nodes t of an interval, and q_m their
+    # sum for t > 0; all read-only and cached
     for n in (64, 4096, 8192):
         unit = nevanlab.nevanlinna._unit_circle(n)[1]
-        width = min(256, n)
-        for powers in (33, 41, 201):
-            table = nevanlab.nevanlinna._kernel_table(n, powers)
-            assert table.shape == (2 * powers, width)
-            m = np.arange(powers)[:, None]
-            want = unit[(m * np.arange(width)) % n]
-            assert np.array_equal(table[0::2], want.real), (n, powers)
-            assert np.array_equal(table[1::2], want.imag), (n, powers)
-            assert not table.flags.writeable
-            assert nevanlab.nevanlinna._kernel_table(n, powers) is table
-        for size, copies in ((4, 5), (33, 1), (201, 2)):
-            turns = nevanlab.nevanlinna._kernel_turns(n, size, copies)
-            want = np.conj(unit[(np.arange(n // width)[:, None] * width * np.arange(size)) % n])
-            assert turns.shape == (copies * (n // width) * size,) and not turns.flags.writeable
-            assert all(np.array_equal(x, want) for x in turns.reshape(copies, n // width, size))
-            assert nevanlab.nevanlinna._kernel_turns(n, size, copies) is turns
         coarse, inner, q = nevanlab.nevanlinna._row_tables(n)
         count = min(64, n // 8)
         stride = n // count
@@ -1127,66 +1119,108 @@ def test_circle_powers_are_exact_strided_copies():
         assert nevanlab.nevanlinna._row_tables(n)[0] is coarse
 
 
-def test_kernel_holds_no_squared_modulus_temporary():
-    # one call at N = 8192 holds one product block, the rows of one radius,
-    # and less than one more row of nodes: the coefficient block, which the
-    # turns multiply in place, as one operand of one shape with the cached
-    # turns; the num and den rows are squared in place, and the sums over
-    # several radii hold no more
-    c = canonicalize(parse(_GROWTH_F))
-    for radii in ([2.0], [2.0, 3.0, 5.0, 7.0]):
-        r = np.array(radii)
-        rows = len(nevanlab.nevanlinna._kernel_coefficients(c, r)[0])
-        nevanlab.nevanlinna._kernel_sums(c, r, 8192)
+def _near_rows(text, radii):
+    # the arguments of the _row_sums call of proximity on these radii, every
+    # one of which has near roots
+    data = FunctionData(parse(text))
+    bases, r = data.bases, np.array(radii)
+    terms, near = nevanlab.nevanlinna._row_terms(bases, r)
+    assert np.all(terms >= 0) and near.any(axis=1).all(), text
+    logs = [(i, r[i], bases.roots[near[i]], bases.e[near[i]]) for i in range(len(r))]
+    return nevanlab.nevanlinna._row_coefficients(bases, r, terms, near), terms, logs
+
+
+def test_near_row_holds_no_array_per_radius():
+    # the near logs of one radius at a time go through the same three
+    # buffers of N = 8192 nodes: each radius more holds less than a quarter
+    # row of N (its coefficients, coarse values and bounds), where a table of
+    # every radius's near logs would add a row of N per radius
+    samples = 8192
+    peaks = []
+    for radii in ([2.0], np.linspace(1.95, 2.05, 16)):
+        d, terms, logs = _near_rows("1e6*(z-1.9)^6", radii)
+        nevanlab.nevanlinna._row_sums(d, terms, samples, logs)
         tracemalloc.start()
         try:
-            nevanlab.nevanlinna._kernel_sums(c, r, 8192)
-            peak = tracemalloc.get_traced_memory()[1]
+            nevanlab.nevanlinna._row_sums(d, terms, samples, logs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert peak <= (rows + 1) * 8192 * 8 + 4096, (peak, rows, radii)
+    assert peaks[0] <= 4 * samples * 8 + 65536, peaks
+    assert peaks[1] - peaks[0] <= 15 * samples * 8 / 4, peaks
 
 
-def _kernel_samples(c, radii, samples):
-    # half of log|f|^2 at the nodes of each circle, as the kernel's own
-    # product and log step (_log_abs2) leave them before its max and sum
-    kept = []
-    log_abs2 = nevanlab.nevanlinna._log_abs2
-
-    def keeping(re, kinds):
-        x = log_abs2(re, kinds)
-        kept.append(0.5 * x)
-        return x
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(nevanlab.nevanlinna, "_log_abs2", keeping)
-        nevanlab.nevanlinna._kernel_sums(c, np.array(radii, dtype=float), samples)
-    return np.concatenate(kept)
-
-
-def test_kernel_column_chunks_match_one_pass():
-    # products of several radii, six to a product at N = 1024, give the
-    # samples and sums of one radius at a time
-    c = canonicalize(parse("(z^40 + 3*z^17 - 2)/(z^21 + 0.5) * exp(z^3)"))
-    assert nevanlab.nevanlinna._KERNEL_PRODUCT // (5 * 1024) == 6
-    unit = np.exp(2j * np.pi * np.arange(1024) / 1024)
-    radii = [1.7, 2.5, 1.2, 3.1, 1.9, 2.2, 2.8, 1.5]
-    whole = _kernel_samples(c, radii, 1024)
-    sums = nevanlab.nevanlinna._kernel_sums(c, np.array(radii), 1024)
-    for r, samples, total in zip(radii, whole, sums):
-        assert np.array_equal(_kernel_samples(c, [r], 1024)[0], samples), r
-        assert nevanlab.nevanlinna._kernel_sums(c, np.array([r]), 1024)[0] == total, r
-    assert np.allclose(whole[0], c.log_abs(1.7 * unit), rtol=1e-10, atol=1e-10)
+def test_extreme_scales_match_the_factored_form(monkeypatch):
+    # |num|^2 of 1e300 z^3 overflows a double, and that of 1e3 + 1e-300 z^40
+    # at r = 1e5 underflows it, so no sample squares a polynomial; the near
+    # logs of (z - 9.5e159)^2 at r = 1e160 square differences of about 1e160,
+    # which overflow, so that circle takes every sample from the factored form
+    _sampled_only(monkeypatch)
+    unit = nevanlab.nevanlinna._unit_circle(DEFAULT_SAMPLES)[1]
+    for text, r in (("1e300*z^3/(1e-300*z^2+1)", 2.0), ("1e3 + 1e-300*z^40", 1e5),
+                    ("(z-9.5e159)^2", 1e160)):
+        c = canonicalize(parse(text))
+        want = float(np.maximum(c.log_abs(r * unit), 0.0).mean())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = proximity_m(parse(text), r)
+        assert m == pytest.approx(want, rel=1e-13), text
+    assert _routes(canonicalize(parse("(z-9.5e159)^2")), [1e160]) == ["near"]
 
 
-def _dominated(rng, degree, r, scale):
-    # a polynomial of the given degree whose terms on |z| = r are 2 * 10^scale
-    # for one k picked at random and sum to at most 10^scale for the others,
-    # so that p there is well-conditioned and two evaluations agree to rounding
-    m = rng.integers(0, degree + 1)
-    phase = np.exp(2j * np.pi * rng.uniform(size=degree + 1))
-    size = rng.uniform(size=degree + 1) / max(degree, 1)
-    size[m] = 2.0
-    return Polynomial(size * phase * float(r) ** -np.arange(degree + 1.0) * 10.0 ** scale)
+def test_near_row_of_a_multiple_root_beside_the_circle():
+    # 1e6 (z - 1.9)^6 at r = 2: the plain row fails at 128 terms, and the
+    # near root's six logs at the nodes give the N-point mean of log+|f| to
+    # rounding, where samples of the expanded polynomial lose 2e-11 of m(2)
+    for text, r in (("1e6*(z-1.9)^6", 2.0), ("(z-1.9)^3*exp(z^2)/(z+2.1)", 2.0),
+                    ("1e6*(z-1.9)^6", 1.8), ("(z-1.99)^5*(z+2.03i)^-4*exp(z)", 2.0)):
+        c = canonicalize(parse(text))
+        assert _routes(c, [r]) == ["near"], text
+        for samples in (64, 1024, 4096, 8192):
+            m = proximity_m(parse(text), r, samples)
+            want = _factored_trapezoid(c, r, samples)
+            assert abs(m - want) <= 4e-16 * (1.0 + want), (text, r, samples, m, want)
+
+
+def test_near_row_is_the_factored_trapezoid(monkeypatch):
+    # f = prod (z - a_j)^e_j exp(p) with |e_j| <= 50, deg p <= 3, and one to
+    # six roots at a ratio of 0.05 to 1 - 1e-6 to the first circle, inside or
+    # outside, zeros and poles alike (none on it), at N = 64 to 8192; p_0 puts
+    # log|f| near 0 on the first circle.  No circle is settled, so each goes
+    # to its row, with near roots or without, or to _sampled_circle, and
+    # every m(r) is the N-point mean of log+|f| from the bases
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    angle = st.floats(0.0, 2.0 * math.pi)
+    root = st.tuples(st.floats(0.05, 1.0 - 1e-6), st.booleans(), angle, st.integers(-50, 50).filter(bool))
+    seen = {"row": 0, "near": 0, "sampled": 0}
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        roots=st.lists(root, min_size=1, max_size=6),
+        expo=st.lists(st.tuples(st.floats(0.0, 2.0), angle), max_size=4),
+        r=st.floats(1.5, 40.0), shift=st.floats(-2.0, 2.0),
+        samples=st.sampled_from([64, 128, 256, 512, 1024, 2048, 4096, 8192]))
+    @hypothesis.example(  # a 50-fold pole 1e-6 r outside: the near log is all of log|f|
+        roots=[(1.0 - 1e-6, False, 0.3, -50)], expo=[], r=2.0, shift=0.5, samples=8192)
+    def check(roots, expo, r, shift, samples):
+        roots = [((rel if inside else 1.0 / rel) * r * cmath.exp(1j * t), e) for rel, inside, t, e in roots]
+        p = [size * r ** -k * cmath.exp(1j * t) for k, (size, t) in enumerate(expo)] or [0j]
+        p[0] += shift - sum(e * math.log(max(r, abs(a))) for a, e in roots)
+        f = mul(Exp(Polynomial(p)), *[pow_int(Poly(Polynomial([-a, 1])), e) for a, e in roots])
+        c = FunctionData(f).canonical
+        radii = [r, r * 1.1, r * 0.9]
+        for route in _routes(c, radii):
+            seen[route] += 1
+        with monkeypatch.context() as patch:
+            _sampled_only(patch)
+            got = FunctionData(f).proximity(radii, samples)
+        for radius, m in zip(radii, got):
+            x = _factored_trapezoid(c, radius, samples)
+            assert abs(m - x) <= 1e-13 * (1.0 + abs(m)), (roots, p, radius, samples, m, x)
+
+    check()
+    assert seen["near"] >= 100, seen
 
 
 def _whole(num, den, expo):
@@ -1195,66 +1229,18 @@ def _whole(num, den, expo):
     return Canonical(num.leading, den.leading, factors, expo)
 
 
-def test_kernel_matches_explicit_points():
-    # half the kernel's log|f|^2 is Canonical.log_abs at the same nodes: num or den
-    # constant, expo absent or present, degrees below and above the 32 powers
-    # of the smallest kernel table, one node block or several, and
-    # coefficients from 1e-150 to 1e150
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    degree = st.sampled_from([0, 1, 3, 15, 16, 17, 40, 200])
-
-    @hypothesis.settings(max_examples=150, deadline=None)
-    @hypothesis.given(
-        degrees=st.tuples(degree, degree, st.sampled_from([0, 1, 3, 17])),
-        scales=st.tuples(st.floats(-150.0, 150.0), st.floats(-150.0, 150.0)),
-        r=st.floats(1.0, 4.0), samples=st.sampled_from([64, 256, 1024]),
-        seed=st.integers(0, 2 ** 32 - 1))
-    def check(degrees, scales, r, samples, seed):
-        rng = np.random.default_rng(seed)
-        (dn, dd, de), (sn, sd) = degrees, scales
-        c = _whole(_dominated(rng, dn, r, sn), _dominated(rng, dd, r, sd),
-                   _dominated(rng, de, r, 0.0) if de else Polynomial([0]))
-        unit = np.exp(2j * np.pi * np.arange(samples) / samples)
-        got = _kernel_samples(c, [r], samples)[0]
-        want = c.log_abs(r * unit)
-        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), (degrees, scales)
-
-    check()
-
-
-def test_kernel_squares_stay_in_range(monkeypatch):
-    # |num|^2 of 1e300 z^3 overflows a double, and that of 1e3 + 1e-300 z^40
-    # at r = 1e5 underflows it, unless the kernel's prescale centres them
-    _sampled_only(monkeypatch)
-    unit = nevanlab.nevanlinna._unit_circle(DEFAULT_SAMPLES)[1]
-    for text, r in (("1e300*z^3/(1e-300*z^2+1)", 2.0), ("1e3 + 1e-300*z^40", 1e5)):
-        c = canonicalize(parse(text))
-        want = c.log_abs(r * unit)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = _kernel_samples(c, [r], DEFAULT_SAMPLES)[0]
-            m = proximity_m(parse(text), r)
-        assert np.all(np.isfinite(got))
-        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
-        assert m == pytest.approx(float(np.maximum(want, 0.0).mean()), rel=1e-12)
-
-
 def test_proximity_is_the_trapezoid_at_the_nodes_it_uses(monkeypatch):
-    # f = 1e-300 (z^60 + 1e307 (z^59 + ... + 1)) / (z - rho): scaled by
-    # r^-60, num sums to about 1e307/(1 - w/r), so the kernel's |num|^2
-    # overflows on the nodes near w = 1 of the circle r = 1.2, and its
-    # quotient by |den|^2 next to the pole, but nowhere for r >= 5; rho
-    # lies on a node of the circle r = |rho|.  One call holds a circle
-    # through a pole, a circle with singular kernel samples and plain
-    # circles.  The plain circles and the singular one share the only kernel
-    # call; the singular circle and the one through the pole then take every
-    # sample from Canonical.log_abs.  On the singular circle, samples that
-    # log_abs leaves not finite are retried half a step over, and m(r) is
-    # the mean of max(log|f|, 0) at the nodes it used.  On the circle through
-    # the pole, m(r) is the mean of max(log|f| + L, L), L = log|z - rho|, at
-    # the nodes themselves, the pole's node included, minus L's exact mean
-    # log|rho|: log|f| + L is log|num| there, with the pole's base left out
+    # f = 1e-300 (z^60 + 1e307 (z^59 + ... + 1)) / (z - rho), whose num
+    # poly_roots cannot split (its companion matrix overflows), so that no
+    # row takes a circle and every circle, one close to the roots of num
+    # (r = 1.2), one through the pole and farther ones, takes every sample
+    # from Canonical.log_abs; rho lies on a node of the circle r = |rho|.
+    # Samples that log_abs leaves not finite are retried half a step over,
+    # and m(r) is the mean of max(log|f|, 0) at the nodes it used.  On the
+    # circle through the pole, m(r) is the mean of max(log|f| + L, L),
+    # L = log|z - rho|, at the nodes themselves, the pole's node included,
+    # minus L's exact mean log|rho|: log|f| + L is log|num| there, with the
+    # pole's base left out
     rng = np.random.default_rng(2022)
     for samples in (4096, 8192):
         node = int(rng.integers(samples))
@@ -1262,11 +1248,10 @@ def test_proximity_is_the_trapezoid_at_the_nodes_it_uses(monkeypatch):
         rho = pole * np.exp(2j * np.pi * node / samples)
         num = Polynomial([1e7 * complex(*rng.uniform(0.5, 1.0, 2))] * 60 + [1e-300])
         c = _whole(num, Polynomial([-rho, 1]), Polynomial([0]))
-        singular, plain = 1.2, sorted(rng.uniform(5.0, 20.0, 2))
-        radii = [singular, pole, *plain]
-        assert np.all(np.isnan(nevanlab.nevanlinna._settled_circles(nevanlab.nevanlinna._Bases(c), radii, samples)))
-        kernel = _kernel_samples(c, [singular, *plain], samples)
-        assert [np.isfinite(row).all() for row in kernel] == [False, True, True], samples
+        radii = [1.2, pole, *sorted(rng.uniform(5.0, 20.0, 2))]
+        data = FunctionData(nevanlab.expressions.Expr((c,)))
+        assert not data.bases.linear
+        assert np.all(np.isnan(nevanlab.nevanlinna._settled_circles(data.bases, radii, samples)))
         theta = 2.0 * np.pi * np.arange(samples) / samples
         half = np.pi / samples
         want = []
@@ -1283,11 +1268,10 @@ def test_proximity_is_the_trapezoid_at_the_nodes_it_uses(monkeypatch):
             bad = ~np.isfinite(c.log_abs(r * np.exp(1j * angles)))
             angles[bad] += half
             want.append(float(np.mean(np.maximum(c.log_abs(r * np.exp(1j * angles)), 0.0))))
-        data = FunctionData(nevanlab.expressions.Expr((c,)))
         with monkeypatch.context() as patch:
-            kernel = _KernelCalls(patch)
+            paths = _SamplingCalls(patch)
             got = data.proximity(radii, samples)
-        assert kernel.calls.count("_kernel_sums") == 1
+        assert "_row_sums" not in paths.calls and paths.calls.count("log_abs") >= len(radii)
         for r, m, w in zip(radii, got, want):
             assert abs(m - w) <= 1e-13 * abs(w), (samples, r, m, w)
 
