@@ -7,8 +7,8 @@ equispaced points z_j = r w^j, w = exp(2 pi i/N), computed in the log
 domain from the factored canonical form (lead/den_lead) prod b^e exp(expo),
 each base that _split can split taken as its linear bases.  Each circle is
 one of three kinds, told apart for all radii of a call at once from a table
-of those bases, read once per function (_Bases), with no root finding and
-no expanded polynomial:
+of those bases, read once per function (_Bases) with no expanded
+polynomial:
 
 - zero circle: an upper bound of log|f| on |z| = r is below -1e-9, so
   |f| < 1 there and m(r) = 0.0, which the trapezoid sum also gives;
@@ -33,8 +33,7 @@ log|f(r w^j)| = Re sum_m D_m w^(jm), from Jensen's formula and their power
 sums (_row_coefficients), cut after M <= _ROW_TERMS terms with a tail of
 at most 2^-53 per sample (_row_terms).  Every root is far where that bound
 passes with all of them; elsewhere the roots with min(|a|/r, r/|a|) above
-_NEAR are near, and each adds its exact log at the nodes,
-(e/2) log((r cos theta - Re a)^2 + (r sin theta - Im a)^2) (_near_logs).
+_NEAR are near, and each adds its exact log at the nodes (_near_logs).
 A row is the N-point trapezoid of max(g, 0), but a slope bound on the
 Fourier part and the extremes of the near logs certify the sign of g on
 most intervals between K = min(64, N/8) coarse nodes, and only the nodes
@@ -371,8 +370,9 @@ def _row_terms(bases, r):
     x_j = min(|a_j| / r, r / |a_j|), is at most _ROW_TAIL (_least_terms).
     Where no M <= _ROW_TERMS is, the roots with x_j above _NEAR are near
     (near[i, j]) and leave the bound to the others.  -1 where still no M
-    is, and everywhere when a base is whole or deg expo > _ROW_TERMS; near
-    is None where every row passed with all its roots."""
+    is or a near pole lies on the circle (x_j >= 1 - _ON_CIRCLE), and
+    everywhere when a base is whole or deg expo > _ROW_TERMS; near is None
+    where every row passed with all its roots."""
     terms = np.full(len(r), -1)
     degree = len(bases.expo) - 1
     if degree > _ROW_TERMS or not bases.linear:
@@ -387,6 +387,7 @@ def _row_terms(bases, r):
     again = np.flatnonzero(~ok)
     close = ratio[again] > _NEAR
     least, ok = _least_terms(np.where(close, 0.0, ratio[again]), bases.orders)
+    ok &= ~((ratio[again] >= 1.0 - _ON_CIRCLE) & (bases.e < 0)).any(axis=1)
     near = np.zeros(ratio.shape, dtype=bool)
     terms[again[ok]], near[again[ok]] = np.maximum(least[ok], degree), close[ok]
     return terms, near
@@ -607,18 +608,17 @@ def _row_sums(d, terms, samples, near):
 
 def _near_logs(r, roots, e, samples, work):
     """sum_j e_j log|r w^t - a_j| at the N nodes t of the circle r, into the
-    first of the three rows of work, (3, N), each term in real arithmetic as
-    (e_j / 2) log((r cos theta_t - Re a_j)^2 + (r sin theta_t - Im a_j)^2);
-    a zero on a node gives -inf there, as log|0| would."""
+    first of the three rows of work, (3, N): (sum_j e_j) log r plus each
+    (e_j / 2) log((cos theta_t - Re a_j / r)^2 + (sin theta_t - Im a_j / r)^2),
+    in real arithmetic and in units of r, so that no square overflows; a
+    zero on a node gives -inf there, as log|0| would."""
     unit = _unit_circle(samples)[1]
     out, x, y = work
-    out.fill(0.0)
+    out.fill(e.sum() * math.log(r))
     for a, m in zip(roots.tolist(), e.tolist()):
-        np.multiply(unit.real, r, out=x)
-        x -= a.real
+        np.subtract(unit.real, a.real / r, out=x)
         np.multiply(x, x, out=x)
-        np.multiply(unit.imag, r, out=y)
-        y -= a.imag
+        np.subtract(unit.imag, a.imag / r, out=y)
         np.multiply(y, y, out=y)
         x += y
         np.log(x, out=x)
@@ -646,11 +646,11 @@ class FunctionData:
     The canonical form is computed on construction, and refused (ValueError)
     for the zero function and where its constant factor lead/den_lead is not
     finite, as m = T = inf would be no number; everything else on first
-    use.  The zeros and poles are read off its bases, and the poles serve
-    the circles through a pole of proximity.  bases is the table (_Bases)
-    that proximity reads, with each whole base that _split can split taken
-    as its linear bases (_times), so that a base D[...] made takes the row
-    too.  The node tables are cached per sample count.
+    use.  factored is the canonical form with each whole base that _split
+    can split taken as its linear bases (_times), so that its roots are
+    found once: the zeros, the poles and bases, the table (_Bases) that
+    proximity reads, all come from it, and a base D[...] made takes the
+    row too.  The node tables are cached per sample count.
     """
 
     def __init__(self, expr):
@@ -662,17 +662,21 @@ class FunctionData:
             raise ValueError("the constant factor of the function overflows the double range")
 
     @cached_property
+    def factored(self):
+        c = self.canonical
+        return _times([c], split=True) if any(b.degree > 1 for b, _ in c.factors) else c
+
+    @cached_property
     def zeros(self):
-        return canonical_divisors(self.canonical, 1)
+        return canonical_divisors(self.factored, 1)
 
     @cached_property
     def poles(self):
-        return canonical_divisors(self.canonical, -1)
+        return canonical_divisors(self.factored, -1)
 
     @cached_property
     def bases(self):
-        c = self.canonical
-        return _Bases(_times([c], split=True) if any(b.degree > 1 for b, _ in c.factors) else c)
+        return _Bases(self.factored)
 
     def proximity(self, radii, samples):
         """m(r) for each radius: the N-point trapezoid of log+|f|, N = samples.
@@ -680,11 +684,10 @@ class FunctionData:
         Zero and closed-form circles are settled first, for all radii at
         once, from the root bounds of the bases (_settled_circles): m = 0.0
         where |f| < 1 on the circle, Jensen's closed form where |f| > 1 and
-        every root lies well inside.  Where every base is linear, one call
-        of _row_sums takes the trapezoid of the rows (_row_terms): the
-        Fourier row of the far roots plus the logs of the near ones.  The
-        circles left, those a near pole lies on and those whose sum is not
-        finite go through _sampled_circle.
+        every root lies well inside.  One call of _row_sums takes the
+        trapezoid of the rows (_row_terms): the Fourier row of the far roots
+        plus the logs of the near ones.  The circles left and those whose
+        sum is not finite go through _sampled_circle.
         """
         samples = _require_samples(samples)
         radii = _require_radii(radii)
@@ -694,9 +697,6 @@ class FunctionData:
         if todo.size:
             r = radii[todo]
             terms, near = _row_terms(bases, r)
-            if near is not None:  # a pole is a near root of the circles it lies on
-                poles = np.array([rho for rho, _ in self.poles.entries], dtype=complex)
-                terms[_on_circle(poles, r[:, None]).any(axis=1)] = -1
             row = terms >= 0
             if row.any():
                 r, terms, near = r[row], terms[row], near if near is None else near[row]

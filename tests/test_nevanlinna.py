@@ -436,6 +436,27 @@ def test_divisors_need_no_root_finding_after_canonicalize(monkeypatch):
     assert data.zeros.total == 4 and len(calls) == 1
 
 
+def test_function_data_finds_the_roots_of_a_whole_base_once(monkeypatch):
+    # D[...] alone keeps H whole in the canonical form; the bases that
+    # proximity reads, the zeros and the poles all come from one split of it
+    calls = []
+    original = nevanlab.expressions.poly_roots
+
+    def counting(p):
+        calls.append(p.degree)
+        return original(p)
+    monkeypatch.setattr(nevanlab.expressions, "poly_roots", counting)
+    for text in ("D[(z-1)^2/(z+3)*exp(z),2]", "D[(z-0.5)^2*exp(z^2)/(z+1.25),1]", "1/D[(z-1)^3*exp(z^2),1]"):
+        calls.clear()
+        f = parse(text)
+        data = FunctionData(f)
+        assert any(b.degree > 1 for b, _ in data.canonical.factors) and calls == [], text
+        data.characteristic(RadialGrid.geometric().radii, 1024)
+        zeros, poles = data.zeros, data.poles
+        assert data.bases.linear and len(calls) == 1, (text, calls)
+        assert (zeros, poles) == divisors(f), text
+
+
 @pytest.mark.parametrize("text", ["D[(z-1)^2/(z+3),1]/((z-1)^2/(z+3))",
                                   "(z-1)^2*(z+2i)*exp(z)"])
 def test_function_data_divisors_match_divisors(text):
@@ -1152,20 +1173,25 @@ def test_near_row_holds_no_array_per_radius():
 
 def test_extreme_scales_match_the_factored_form(monkeypatch):
     # |num|^2 of 1e300 z^3 overflows a double, and that of 1e3 + 1e-300 z^40
-    # at r = 1e5 underflows it, so no sample squares a polynomial; the near
-    # logs of (z - 9.5e159)^2 at r = 1e160 square differences of about 1e160,
-    # which overflow, so that circle takes every sample from the factored form
+    # at r = 1e5 underflows it, so no sample squares a polynomial.  At
+    # r = 1e160 the near roots' differences from the nodes are about 1e160,
+    # whose squares would overflow: the near logs are taken in units of r, so
+    # a near zero, a near pole (log|f| from -1 to 2.8 on the circle) and both
+    # keep their row and match the factored trapezoid
     _sampled_only(monkeypatch)
     unit = nevanlab.nevanlinna._unit_circle(DEFAULT_SAMPLES)[1]
+    near = ("(z-9.5e159)^2", "1e160/(z-9.5e159)", "1e-160*(z-9.5e159)^3/(z+1.05e160)^2")
     for text, r in (("1e300*z^3/(1e-300*z^2+1)", 2.0), ("1e3 + 1e-300*z^40", 1e5),
-                    ("(z-9.5e159)^2", 1e160)):
+                    *((x, 1e160) for x in near)):
         c = canonicalize(parse(text))
         want = float(np.maximum(c.log_abs(r * unit), 0.0).mean())
+        paths = _SamplingCalls(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             m = proximity_m(parse(text), r)
-        assert m == pytest.approx(want, rel=1e-13), text
-    assert _routes(canonicalize(parse("(z-9.5e159)^2")), [1e160]) == ["near"]
+        assert want > 0.3 and m == pytest.approx(want, rel=1e-13), text
+        if text in near:
+            assert _routes(c, [r]) == ["near"] and "log_abs" not in paths.calls, text
 
 
 def test_near_row_of_a_multiple_root_beside_the_circle():
