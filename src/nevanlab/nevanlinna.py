@@ -10,45 +10,38 @@ one of three kinds, told apart for all radii of a call at once from a table
 of those bases, read once per function (_Bases) with no expanded
 polynomial:
 
-- zero circle: an upper bound of log|f| on |z| = r is below -1e-9, so
-  |f| < 1 there and m(r) = 0.0, which the trapezoid sum also gives;
-- closed-form circle: a lower bound of log|f| is above 1e-9, every root
-  of every base lies inside r exp(-40/N), and deg expo < N.  Then m(r) is
-  the circle mean of log|f|, which Jensen's formula gives as
-  log|lead/den_lead| + (sum e deg b) log r + Re expo(0); the N-point
-  trapezoid differs from it by at most e^-40/N per root, since it aliases
-  only the modes that are multiples of N;
-- sampled circle: anything else, evaluated as below.
+- settled circle (_settled_circles): from bounds of log|f| on |z| = r, with
+  log|r - |a|| <= log|z - a| <= log(r + |a|) per linear base z - a.  Where
+  the upper bound is below -1e-9, |f| < 1 and m(r) = 0.0, which the
+  trapezoid sum also gives.  Where the lower bound is above 1e-9, every
+  root lies inside r exp(-40/N) and deg expo < N, m(r) is Jensen's circle
+  mean log|lead/den_lead| + (sum e) log r + Re expo(0), which the N-point
+  trapezoid matches to e^-40/N per root.  A base that _split refuses has no
+  such bound, so a function with one settles no circle;
+- certified row (_row_sums): where every base is linear, (z - a_j)^e_j,
+  log|f(r w^j)| = Re sum_m D_m w^(jm), from Jensen's formula and the power
+  sums of the roots (_row_coefficients), cut after M terms with a tail of
+  at most 2^-53 per sample (_row_terms).  Where that bound passes with
+  every root at some M <= _ROW_TERMS = 128 and deg expo <= 128, a slope
+  bound certifies the sign of the row on most intervals between
+  K = min(64, N/8) coarse nodes, and only the nodes inside the others are
+  sampled;
+- sampled circle (FunctionData._sampled_circles): every other circle, at
+  all N nodes.  The roots with min(|a|/r, r/|a|) above _NEAR are near
+  (every root where the far ones still fail the bound); the row of the far
+  roots and the whole expo, its terms past N/2 folded mod N, is read at the
+  nodes by one inverse real FFT per call (_row_samples), and each circle
+  adds the exact logs of its near roots (_near_logs) and of each whole base
+  (_whole_logs).  On a circle through poles rho of order m, with
+  L = sum m log|z - rho|, log+|f| = h - L where h = max(log|f| + L, L) is
+  smooth at the poles; a near pole on the circle leaves log|f| + L and
+  gives L by its own logs, so h is finite even at a node on the pole, and
+  the exact mean of L, sum m log max(r, |rho|), is subtracted.  Samples
+  that are NaN or +inf are taken again from Canonical.log_abs, which sums
+  e log|b(z)| over the bases b^e of the factored form, at their own nodes,
+  then half a step over; samples still singular raise QuadratureError.
 
-The bounds take one root bound B per base, and a monic base b of degree d
-has d log|r - B| <= log|b| <= d log(r + B) on |z| = r (_Bases.log_bounds).
-A linear base z - a gives B = |a| itself, on either side of the circle;
-only a base that _split refuses takes a Graeffe-tightened bound
-(_root_bound), within (2d)^(1/8) of its largest root modulus, and a lower
-bound only where r > B.
-
-Sampled circles are summed by their row where every base is linear,
-(z - a_j)^e_j, and deg expo <= _ROW_TERMS = 128.  The far roots give
-log|f(r w^j)| = Re sum_m D_m w^(jm), from Jensen's formula and their power
-sums (_row_coefficients), cut after M <= _ROW_TERMS terms with a tail of
-at most 2^-53 per sample (_row_terms).  Every root is far where that bound
-passes with all of them; elsewhere the roots with min(|a|/r, r/|a|) above
-_NEAR are near, and each adds its exact log at the nodes (_near_logs).
-A row is the N-point trapezoid of max(g, 0), but a slope bound on the
-Fourier part and the extremes of the near logs certify the sign of g on
-most intervals between K = min(64, N/8) coarse nodes, and only the nodes
-inside the others are sampled (_row_sums).
-
-The other circles (a pole on the circle, a base that _split refuses, deg
-expo > 128, a row sum that is not finite) take all N samples from
-Canonical.log_abs, which sums e log|b(z)| over the bases b^e of the
-factored form.  On a circle through poles rho of order m, with
-L = sum m log|z - rho|, log+|f| = h - L where h = max(log|f| + L, L) is
-smooth at the poles; h is sampled at every node from the factored form
-without those poles' linear bases, so it is finite even at a node on a
-pole, and the exact mean of L, sum m log max(r, |rho|), is subtracted.
-Samples that are NaN or +inf are retried half a step over; samples still
-singular raise QuadratureError.  T = m + N by construction.
+T = m + N by construction.
 """
 from __future__ import annotations
 
@@ -76,10 +69,8 @@ _MIN_SAMPLES = 64
 _ON_CIRCLE = 1e-8  # a pole within this relative distance of |z| = r lies on the circle
 _SETTLE_MARGIN = 1e-9  # log|f| must clear 0 by this much to settle a circle unsampled
 _ALIAS_EXPONENT = 40.0  # closed form only with every root inside r exp(-40/N)
-_INFLATE = 1.0 + 1e-12  # rounded tails and root bounds are raised by this factor
-_GRAEFFE_STEPS = 3  # root squarings behind each root bound: slack 2d -> (2d)^(1/8)
+_INFLATE = 1.0 + 1e-12  # rounded tails and bounds are raised by this factor
 _UNIT_ROUNDOFF = 2.0 ** -53
-_SUBNORMAL = 2.0 ** -1074
 _ROW_TERMS = 128  # most Fourier terms of log|f| in a circle's row (_row_terms)
 _ROW_TAIL = 2.0 ** -53  # bound on the error per sample of a row cut after its terms
 _NEAR = 0.7  # a root past this ratio to r leaves a failing row for its own logs
@@ -190,139 +181,63 @@ def counting_series(divisor, radii, truncated=False):
     return acc.tolist()
 
 
-def _fujiwara(moduli, lead):
-    """Fujiwara's bound from |c_0| .. |c_(d-1)| and lead = |c_d|:
-    2 max(|c_(d-k)/c_d|^(1/k) for 0 < k < d, |c_0/(2 c_d)|^(1/d)).
-    """
-    a = moduli / lead
-    a[0] /= 2.0
-    return 2.0 * float(np.max(a ** (1.0 / np.arange(len(a), 0.0, -1.0))))
-
-
-def _graeffe_step(a, e):
-    """One root squaring on disc coefficients (constant first, degree d).
-
-    If each coefficient of p lies within e[k] of a[k], each coefficient of
-    q, where q(z^2) = p(z) p(-z) has the squares of the roots of p, lies
-    within the returned radius of the returned midpoint.  The radius is
-    2 conv(|a|, e) + conv(e, e) for the discs plus gamma conv(|a|, |a|) for
-    the rounding of the midpoint, raised by (1 + gamma) for its own
-    rounding and by a few subnormal units for underflow: nonnegative terms
-    only, so no radius is the difference of two bounds.
-    """
-    d = len(a) - 1
-    gamma = 4.0 * (d + 2) * _UNIT_ROUNDOFF
-    m = np.abs(a)
-    flipped = a.copy()
-    flipped[1::2] *= -1.0
-    radius = np.convolve(m + m + e, e)
-    radius += gamma * np.convolve(m, m)
-    return (np.convolve(a, flipped)[::2],
-            radius[::2] * (1.0 + gamma) + 8.0 * (d + 1) * _SUBNORMAL)
-
-
-def _root_bound(c):
-    """A certified bound on the root moduli of sum_k c[k] z^k, raised by _INFLATE.
-
-    Fujiwara's bound F exceeds the largest root modulus by a factor of up
-    to 2d (a d-fold root).  Scaled by the power of two s >= F (exact, bar
-    underflow), the polynomial has its roots in the unit disc and
-    coefficients of modulus at most 1.  _GRAEFFE_STEPS root squarings
-    (_graeffe_step) on midpoint-radius coefficients keep each true
-    coefficient inside its disc, and Fujiwara's bound on the upper moduli
-    |b_k| + e_k over the lower modulus of the lead bounds the 2^steps-th
-    powers of the roots; its 2^steps-th root times s exceeds the largest
-    root modulus by at most (2d)^(1/2^steps), 1.45 for d = 10.  Never more
-    than plain Fujiwara, which is also the result when anything is not
-    finite or when the floors of deeply underflowed coefficients (high
-    degree, roots far inside F) dominate; 0.0 for a constant.
-    """
-    d = len(c) - 1
-    if d == 0:
-        return 0.0
-    lead = abs(c[-1])
-    with np.errstate(all="ignore"):
-        plain = _fujiwara(np.abs(c[:-1]), lead) * _INFLATE
-        if not 0.0 < plain < math.inf:
-            return plain
-        shift = math.frexp(plain)[1]  # s = 2^shift
-        scale = shift * np.arange(-d, 1) - math.frexp(lead)[1]
-        a = np.ldexp(c.real, scale) + 1j * np.ldexp(c.imag, scale)
-        e = np.full(d + 1, 2.0 * _SUBNORMAL)  # ldexp rounds only on underflow
-        for _ in range(_GRAEFFE_STEPS):
-            a, e = _graeffe_step(a, e)
-        gamma = 4.0 * (d + 2) * _UNIT_ROUNDOFF
-        low = (abs(a[-1]) - e[-1]) * (1.0 - gamma)
-        high = (np.abs(a[:-1]) + e[:-1]) * (1.0 + gamma)
-        root = _fujiwara(high, low) ** (0.5 ** _GRAEFFE_STEPS)
-        bound = float(np.ldexp(root, shift)) * _INFLATE
-    if low > 0.0 and bound < plain:
-        return bound
-    return plain
-
-
 class _Bases:
     """The bases b^e of a canonical form c, read once per FunctionData for
     every stage of proximity.  The linear bases (z - a)^e give roots a,
-    moduli |a|, exponents e and orders |e|, sorted by modulus (stable).
-    Every base has a root bound B (bounds: |a| for z - a, _root_bound only
-    for a whole base) and a weight e deg b (weights), the linear bases
-    first; linear says that none is whole, and reach is the largest B raised
-    by _INFLATE.  const = log|lead| - log|den_lead|, scale = |log|lead|| +
-    |log|den_lead||, slope = sum e deg b and expo is expo's coefficients."""
+    moduli |a|, exponents e and orders |e|, sorted by modulus (stable); whole
+    holds the bases (b, e) that _split refused, and reach is the largest
+    |a| raised by _INFLATE.  const = log|lead| - log|den_lead|, scale =
+    |log|lead|| + |log|den_lead||, slope = sum e, mass = sum |e| and expo is
+    expo's coefficients."""
 
     def __init__(self, c):
         lines = [(-b.coefficients[0], e) for b, e in c.factors if b.degree == 1]
-        whole = [(b, e) for b, e in c.factors if b.degree > 1]
+        self.whole = [(b, e) for b, e in c.factors if b.degree > 1]
         roots = np.array([a for a, _ in lines], dtype=complex)
         moduli = np.abs(roots)
         order = np.argsort(moduli, kind="stable")
         self.roots, self.moduli = roots[order], moduli[order]
         self.e = np.array([e for _, e in lines], dtype=float)[order]
-        self.orders, self.linear = np.abs(self.e), not whole
-        tops = [_root_bound(np.array(b.coefficients)) for b, _ in whole]
-        weights = self.e.tolist() + [e * b.degree for b, e in whole]
-        self.bounds, self.weights = np.array(self.moduli.tolist() + tops), np.array(weights)
-        self.reach = max([*(self.moduli[-1:] * _INFLATE).tolist(), *tops], default=0.0)
+        self.orders = np.abs(self.e)
+        self.reach = float(self.moduli[-1]) * _INFLATE if lines else 0.0
         logs = math.log(abs(c.lead)), math.log(abs(c.den_lead))
         self.const, self.scale = logs[0] - logs[1], abs(logs[0]) + abs(logs[1])
+        weights = self.e.tolist()
         self.slope, self.mass = sum(weights), sum(map(abs, weights))
         self.expo = np.array(c.expo.coefficients)
         self.spread = np.abs(self.expo[:0:-1]).tolist()  # |p_k|, k = deg expo .. 1
-        # the rows of shifts + r hold r + B and r - B per base; of their logs the
+        # the rows of shifts + r hold r + |a| and r - |a| per base; of their logs the
         # lower bound takes a pole's top and a zero's gap, the upper one the rest
-        n, self.sizes = len(weights), np.abs(self.weights)[:, None]
-        self.shifts = np.concatenate([self.bounds, -self.bounds])[:, None]
+        n = len(weights)
+        self.shifts = np.concatenate([self.moduli, -self.moduli])[:, None]
         self.pick = np.array([j + n * (w > 0) for j, w in enumerate(weights)]
                              + [j + n * (w < 0) for j, w in enumerate(weights)], dtype=int)
 
     def log_bounds(self, r):
         """(lower, upper) bounds of log|f| on |z| = r, per radius of the
-        ndarray r, in one (radii x bases) pass.
+        ndarray r, in one (radii x bases) pass, from the linear bases only.
 
-        A monic base b of degree d with its roots within B of 0 has
-        d log|r - B| <= log|b(z)| <= d log(r + B) on |z| = r: a linear base
-        on either side of the circle, a whole base only where r > B.  log|f|
-        lies between const + Re p_0 -+ spread, p = expo and
-        spread = sum_(k>=1) |p_k| r^k (by Horner, raised by _INFLATE), plus
-        the sum of e d times each base's lower bound where e > 0 and its
-        upper bound where e < 0 (lower), and the other way round (upper).
+        A linear base z - a has log|r - |a|| <= log|z - a| <= log(r + |a|)
+        on |z| = r, on either side of the circle.  log|f| lies between
+        const + Re p_0 -+ spread, p = expo and spread = sum_(k>=1) |p_k| r^k
+        (by Horner, raised by _INFLATE), plus the sum of e times each base's
+        lower bound where e > 0 and its upper bound where e < 0 (lower), and
+        the other way round (upper).
 
         Rounding, u = 2^-53, to the last bit of the samples: |a| is rounded
-        by an ulp, 2u |a|, r -+ B by u, and a node r w^j has modulus within
+        by an ulp, 2u |a|, r -+ |a| by u, and a node r w^j has modulus within
         3u r of r.  So a root's distance from the circle, and from a node as
-        computed, is at least the gap |r - B| - 2^-50 (r + B), the argument
-        of the lower log, whose rounding raises it by u at most; from a node
-        it is at most (r + B)(1 + 6u).  Each log errs by u + 4u |log| (two
-        ulps), its product with e d by one rounding more, const by 2u scale
+        computed, is at least the gap |r - |a|| - 2^-50 (r + |a|), the
+        argument of the lower log, whose rounding raises it by u at most; from
+        a node it is at most (r + |a|)(1 + 6u).  Each log errs by u + 4u |log|
+        (two ulps), its product with e by one rounding more, const by 2u scale
         and the sum of n terms and constants by gamma_(n+3) of their moduli.
         Both bounds move out by 4 (n + 4) u (1 + scale + |Re p_0| + spread
-        + sum |e d| (1 + |log|)) over the logs each takes, which covers these
+        + sum |e| (1 + |log|)) over the logs each takes, which covers these
         and a sample's own rounding from the bases (Canonical.log_abs: a
-        complex log per linear base; in the upper bound also Horner's
-        gamma_(2d) (r + B)^d on a whole base).  A gap of 0 or less gives
-        -inf and an overflow inf or NaN, which settle nothing."""
-        size, count, lines = len(r), len(self.bounds), len(self.roots)
+        complex log per linear base).  A gap of 0 or less gives -inf and an
+        overflow inf or NaN, which settle nothing."""
+        size, count = len(r), len(self.roots)
         with np.errstate(all="ignore"):
             spread = np.zeros(size)
             for x in self.spread:
@@ -330,12 +245,12 @@ class _Bases:
             spread *= _INFLATE
             logs = self.shifts + r
             top, gap = logs[:count], logs[count:]
-            np.abs(gap[:lines], out=gap[:lines])
+            np.abs(gap, out=gap)
             gap -= 2.0 ** -50 * top
             np.maximum(gap, 0.0, out=gap)
             np.log(logs, out=logs)
             logs = logs[self.pick].reshape(2, count, size)  # the lower and the upper logs
-            sums, slack = (logs * self.weights[:, None]).sum(1), (np.abs(logs) * self.sizes).sum(1)
+            sums, slack = (logs * self.e[:, None]).sum(1), (np.abs(logs) * self.orders[:, None]).sum(1)
             base = self.expo[0].real
             slack += 1.0 + self.scale + abs(base) + self.mass + spread
             slack = slack * (4.0 * (count + 4) * _UNIT_ROUNDOFF) + spread
@@ -348,14 +263,15 @@ def _settled_circles(bases, radii, samples):
     Zero circles (log|f| < -_SETTLE_MARGIN on the whole circle) give 0.0;
     closed-form circles (log|f| > _SETTLE_MARGIN, every root of every base
     inside r exp(-_ALIAS_EXPONENT/N), deg expo < N) give Jensen's value
-    const + slope log r + Re expo(0).  The bounds come from the bases'
-    root bounds (_Bases.log_bounds); no coefficient of num or den is read.
-    Jensen's value is the N-point mean for the factored f, to e^-40/N per
-    root.
+    const + slope log r + Re expo(0), the N-point mean for the factored f
+    to e^-40/N per root.  The bounds come from the moduli of the linear bases
+    (_Bases.log_bounds), and a function with a whole base settles nothing.
     """
     r = np.asarray(radii, dtype=float)
-    lower, upper = bases.log_bounds(r)
     out = np.full(len(r), np.nan)
+    if bases.whole:
+        return out
+    lower, upper = bases.log_bounds(r)
     if len(bases.expo) <= samples:
         closed = (lower > _SETTLE_MARGIN) & (bases.reach <= r * math.exp(-_ALIAS_EXPONENT / samples))
         out[closed] = (bases.const + bases.slope * np.log(r) + bases.expo[0].real)[closed]
@@ -364,33 +280,28 @@ def _settled_circles(bases, radii, samples):
 
 
 def _row_terms(bases, r):
-    """(terms, near) per radius of the ndarray r: the number M of Fourier
-    terms of log|f| in the circle's row, the least M >= deg expo whose
-    truncation bound sum_j |e_j| x_j^(M+1) / ((M+1)(1 - x_j)),
+    """(terms, near, row) per radius of the ndarray r: the number M of
+    Fourier terms of log|f| in the circle's row, the least M >= deg expo
+    whose truncation bound sum_j |e_j| x_j^(M+1) / ((M+1)(1 - x_j)),
     x_j = min(|a_j| / r, r / |a_j|), is at most _ROW_TAIL (_least_terms).
     Where no M <= _ROW_TERMS is, the roots with x_j above _NEAR are near
-    (near[i, j]) and leave the bound to the others.  -1 where still no M
-    is or a near pole lies on the circle (x_j >= 1 - _ON_CIRCLE), and
-    everywhere when a base is whole or deg expo > _ROW_TERMS; near is None
-    where every row passed with all its roots."""
-    terms = np.full(len(r), -1)
+    (near[i, j]) and leave the bound to the others, or every root where
+    still no M is.  row says that the certified row takes the circle: no
+    root is near, no base is whole and deg expo <= _ROW_TERMS."""
     degree = len(bases.expo) - 1
-    if degree > _ROW_TERMS or not bases.linear:
-        return terms, None
     with np.errstate(divide="ignore", over="ignore"):
         ratio = bases.moduli / r[:, None]
         ratio = np.minimum(ratio, 1.0 / ratio)  # 1 for a root on the circle
     least, ok = _least_terms(ratio, bases.orders)
-    terms[ok] = np.maximum(least[ok], degree)
-    if ok.all():
-        return terms, None
+    terms, near = np.maximum(least, degree), np.zeros(ratio.shape, dtype=bool)
     again = np.flatnonzero(~ok)
-    close = ratio[again] > _NEAR
-    least, ok = _least_terms(np.where(close, 0.0, ratio[again]), bases.orders)
-    ok &= ~((ratio[again] >= 1.0 - _ON_CIRCLE) & (bases.e < 0)).any(axis=1)
-    near = np.zeros(ratio.shape, dtype=bool)
-    terms[again[ok]], near[again[ok]] = np.maximum(least[ok], degree), close[ok]
-    return terms, near
+    if again.size:
+        close = ratio[again] > _NEAR
+        least, ok = _least_terms(np.where(close, 0.0, ratio[again]), bases.orders)
+        close[~ok], least[~ok] = True, 0
+        terms[again], near[again] = np.maximum(least, degree), close
+    row = ~near.any(axis=1) & (degree <= _ROW_TERMS) & (not bases.whole)
+    return terms, near, row
 
 
 def _least_terms(ratio, orders):
@@ -415,10 +326,11 @@ def _least_terms(ratio, orders):
 
 def _row_coefficients(bases, r, terms, near):
     """D_m(r) for m <= max(terms), one row per radius of the ndarray r, 0 past
-    the radius's own terms, for a table (_Bases) of linear bases
-    (z - a_j)^e_j only, sorted by |a_j|, less the near roots (near, from
-    _row_terms, or None): log|f(r w^j)| = Re sum_m D_m w^(jm) + the near logs, up to
-    the truncation that _row_terms bounds, with the sums over far roots
+    the radius's own terms, from the linear bases (z - a_j)^e_j of a table
+    (_Bases), sorted by |a_j|, less the near roots (near, from _row_terms):
+    log|f(r w^j)| = Re sum_m D_m w^(jm) + the near logs + the whole bases'
+    logs, up to the truncation that _row_terms bounds, with the sums over
+    far roots
     D_0 = log|lead / den_lead| + Re p_0 + sum_j e_j log max(r, |a_j|)
     and D_m = p_m r^m - (1/m) sum_(|a_j| > r) e_j (r / a_j)^m
     - (1/m) conj(sum_(|a_j| < r) e_j (a_j / r)^m), p = expo.
@@ -433,12 +345,12 @@ def _row_coefficients(bases, r, terms, near):
     top = int(terms.max())
     roots, moduli, e, p = bases.roots, bases.moduli, bases.e, bases.expo
     d = np.zeros((len(r), top + 1), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf sums go to _sampled_circle
+    with np.errstate(over="ignore", invalid="ignore"):  # samples not finite go to log_abs
         d[:, :len(p)] = p * r[:, None] ** np.arange(len(p))
     d[:, 0] = bases.const + p[0].real
     span = len(roots) + 1  # split (k, l) as k * span + l
     split = np.searchsorted(moduli, r) * (span + 1)
-    some = np.flatnonzero(near.any(axis=1)) if near is not None else ()
+    some = np.flatnonzero(near.any(axis=1))
     if len(some):
         split[some] = (np.argmax(near[some], axis=1) * span + span - 1
                        - np.argmax(near[some, ::-1], axis=1))
@@ -500,39 +412,32 @@ def _row_classes(terms):
     return [(a, b, int(terms[b - 1])) for a, b in zip(bounds, bounds[1:])]
 
 
-def _row_sums(d, terms, samples, near):
+def _row_sums(d, terms, samples):
     """sum_j max(g_j, 0) over the N nodes, per row of coefficients d
-    (_row_coefficients) with its number of terms M: g_j = f_j + v_j, the
-    Fourier part f_j = D_0 + Re sum_(0<m<=M) D_m w^(jm) and the logs v_j of
-    the row's near roots, from 2K values and the nodes next to the sign
-    changes.  near holds (i, r, a, e) for each row i with near roots: its
-    radius, those roots and their exponents (_near_logs).
+    (_row_coefficients) with its number of terms M, every root far:
+    g_j = D_0 + Re sum_(0<m<=M) D_m w^(jm), from 2K values and the nodes
+    next to the sign changes.
 
     On the K = N/s coarse nodes ks and the K intervals between them, real
     products of the rows D_m and q_m D_m against the coarse table
-    (_row_tables) give f(ks) = D_0 + Re sum_m D_m W^(km) and the interval
-    sums (s - 1) D_0 + Re sum_m q_m D_m W^(km); the near logs add theirs,
-    which gives g_k = g(ks) and h_k = sum_(0<t<s) g(ks + t).  The slope of f
-    in theta is at most B = sum_m m |D_m|, so on an interval, of length
-    H = 2 pi s / N, f lies within (f_k + f_(k+1) -+ B H) / 2 (f_K = f_0), and
-    the near logs of its nodes between their least and largest.  Where
-    those bounds keep g off 0 by more than the rounding of f_k, the
-    interval's inside adds h_k if g is positive and nothing if negative.
+    (_row_tables) give g_k = g(ks) = D_0 + Re sum_m D_m W^(km) and the
+    interval sums h_k = sum_(0<t<s) g(ks + t) = (s - 1) D_0 + Re sum_m q_m D_m W^(km).
+    The slope of g in theta is at most B = sum_m m |D_m|, so on an interval,
+    of length H = 2 pi s / N, g lies within (g_k + g_(k+1) -+ B H) / 2
+    (g_K = g_0).  Where that keeps g off 0 by more than the rounding of g_k,
+    the interval's inside adds h_k if g is positive and nothing if negative.
     That rounding is at most eps = 8 (M + 8) u sum_m |D_m|, u = 2^-53:
     gamma_(2M) for the product of 2M terms and about 20 u per entry of the
     table (2 pi j / N and its cosine and sine rounded), each on at most
     sqrt(2) sum |D_m|, and u for adding D_0.  The s - 1 nodes inside every
     other interval are sampled: their rows D_m W^(km) go in a real product
-    against the inner table, and their near logs are added.  m(r) is the
-    N-point trapezoid to rounding.
+    against the inner table.  m(r) is the N-point trapezoid to rounding.
 
     The radii go by their number of terms, one product per class of terms
     (_row_classes), each as wide as the class's largest, and each radius's
     sum depends on its own row alone: the columns past its own terms are 0,
     each product has two rows at least (one row goes to gemv, which rounds
-    unlike the rows of a gemm), and its sums run over its own row.  The near
-    logs of one radius at a time go through three buffers of N, and only
-    those inside its uncertain intervals are kept."""
+    unlike the rows of a gemm), and its sums run over its own row."""
     coarse, inner, q = _row_tables(samples)
     stride, count = inner.shape[1], coarse.shape[1]
     order = np.argsort(terms, kind="stable")
@@ -562,33 +467,8 @@ def _row_sums(d, terms, samples, near):
         np.add(g[:, -1], g[:, 0], out=pair[:, -1])
         reach = (slope * (2.0 * math.pi * stride / samples) + 2.0 * eps) * _INFLATE
         sure = np.abs(pair) > reach[:, None]
-        up = sure & (pair > 0.0)
-        if near:
-            close = np.argsort(order)[[i for i, *_ in near]]  # their sorted rows
-            starts, work = np.arange(0, samples, stride), np.empty((3, samples))
-            # an interval's inside is positive where the least near log on its nodes,
-            # its first coarse node too, exceeds lower, negative where the largest is below upper
-            lower, upper = ((x * reach[close, None] - pair[close]) / 2.0 for x in (1.0, -1.0))
-            ups, sures = np.empty((2, len(near), count), dtype=bool)
-            first, whole = np.empty((2, len(near), count))
-            kept = []  # (row, the near logs inside its uncertain intervals)
-            for c, (_, r, a, e) in enumerate(near):
-                v = _near_logs(r, a, e, samples, work)
-                np.greater(np.minimum.reduceat(v, starts), lower[c], out=ups[c])
-                np.less(np.maximum.reduceat(v, starts), upper[c], out=sures[c])
-                sures[c] |= ups[c]
-                np.add.reduceat(v, starts, out=whole[c])
-                np.copyto(first[c], v[::stride])
-                kept.append((close[c], v.reshape(count, stride)[~sures[c], 1:]))
-            up[close], sure[close] = ups, sures
-            g[close] += first
-            h[close] += whole - first
-        sums = np.where(up, h, 0.0)
+        sums = np.where(sure & (pair > 0.0), h, 0.0)
         at, k = np.nonzero(~sure)
-        if near:  # in the order of at
-            logs, taken = np.zeros((len(at), stride - 1)), np.zeros(size, dtype=bool)
-            taken[close] = True
-            logs[taken[at]] = np.concatenate([x for _, x in sorted(kept, key=lambda y: y[0])])
         unit, spin = _unit_circle(samples)[1], stride * np.arange(1, classes[-1][2] + 1)
         for (a, b, w, rows), (p, n) in zip(classes, np.searchsorted(at, [c[:2] for c in classes])):
             if n > p:
@@ -597,8 +477,6 @@ def _row_sums(d, terms, samples, near):
                             out=turned[:n - p])
                 x = (turned.view(float) @ inner[:2 * w])[:n - p, 1:]
                 x += base[at[p:n], None]
-                if near:
-                    x += logs[p:n]
                 sums[at[p:n], k[p:n]] = np.maximum(x, 0.0, out=x).sum(1)
         sums += np.maximum(g, 0.0)
     out = np.empty(size)
@@ -606,25 +484,65 @@ def _row_sums(d, terms, samples, near):
     return out
 
 
+def _row_samples(d, samples):
+    """Re sum_m D_m w^(jm) at the N nodes j, per row of coefficients d
+    (_row_coefficients), from one inverse real FFT of all rows.  The term m
+    joins the bin m mod N, whose w^(jm) it is, and a bin b past N/2 joins
+    N - b conjugated, as Re D w^(jb) = Re conj(D) w^(j(N-b)); the bins
+    strictly between 0 and N/2 that a term reaches are halved, as irfft
+    adds their conjugates.  Each row's samples depend on its own row alone."""
+    half = samples // 2
+    spectrum = np.zeros((len(d), half + 1), dtype=complex)
+    with np.errstate(invalid="ignore"):  # an inf coefficient gives samples that are not finite
+        for start in range(0, d.shape[1], samples):
+            block = d[:, start:start + samples]
+            low, high = block[:, :half + 1], block[:, half + 1:]
+            spectrum[:, :low.shape[1]] += low
+            spectrum[:, half - high.shape[1]:half] += np.conj(high[:, ::-1])
+        spectrum[:, 1:min(half, d.shape[1])] *= 0.5
+        return np.fft.irfft(spectrum, samples, norm="forward")
+
+
 def _near_logs(r, roots, e, samples, work):
     """sum_j e_j log|r w^t - a_j| at the N nodes t of the circle r, into the
-    first of the three rows of work, (3, N): (sum_j e_j) log r plus each
-    (e_j / 2) log((cos theta_t - Re a_j / r)^2 + (sin theta_t - Im a_j / r)^2),
-    in real arithmetic and in units of r, so that no square overflows; a
-    zero on a node gives -inf there, as log|0| would."""
+    first of the five rows of work, (5, N), in real arithmetic.  r and the
+    roots are scaled by the power of two 2^-k, r = x 2^k with
+    1/2 <= x < 1 (frexp), which is exact, so no quotient a_j / r rounds and
+    no square overflows: (sum_j e_j) k log 2 plus each
+    (e_j / 2) log((x cos theta_t - Re a_j 2^-k)^2 + (x sin theta_t - Im a_j 2^-k)^2).
+    A zero on a node gives -inf there, as log|0| would."""
     unit = _unit_circle(samples)[1]
-    out, x, y = work
-    out.fill(e.sum() * math.log(r))
+    out, x, y, cos, sin = work
+    scale, shift = math.frexp(r)
+    np.multiply(unit.real, scale, out=cos)
+    np.multiply(unit.imag, scale, out=sin)
+    out.fill(e.sum() * shift * math.log(2.0))
     for a, m in zip(roots.tolist(), e.tolist()):
-        np.subtract(unit.real, a.real / r, out=x)
+        np.subtract(cos, math.ldexp(a.real, -shift), out=x)
         np.multiply(x, x, out=x)
-        np.subtract(unit.imag, a.imag / r, out=y)
+        np.subtract(sin, math.ldexp(a.imag, -shift), out=y)
         np.multiply(y, y, out=y)
         x += y
         np.log(x, out=x)
         x *= 0.5 * m
         out += x
     return out
+
+
+def _whole_logs(b, r, samples):
+    """log|b(r w^t)| at the N nodes t for a monic whole base b of degree d:
+    d log r + log|sum_k c_k v^(d-k)|, v = 1 / (r w^t), by Horner in v, the
+    reversed coefficients at 1/z as in Canonical.log_abs: |v| = 1/r is below
+    1 (r > 1), so the sum is at most sum |c_k|, and no sample overflows
+    where b(z) itself would."""
+    c = b.coefficients
+    v = 1.0 / (r * _unit_circle(samples)[1])
+    acc = np.full(samples, c[0])
+    for x in c[1:]:
+        acc *= v
+        acc += x
+    with np.errstate(divide="ignore"):
+        return b.degree * math.log(r) + np.log(np.abs(acc))
 
 
 def _on_circle(rho, r):
@@ -649,8 +567,9 @@ class FunctionData:
     use.  factored is the canonical form with each whole base that _split
     can split taken as its linear bases (_times), so that its roots are
     found once: the zeros, the poles and bases, the table (_Bases) that
-    proximity reads, all come from it, and a base D[...] made takes the
-    row too.  The node tables are cached per sample count.
+    proximity reads, all come from it, so a base that D[...] made settles
+    circles and takes the certified row as linear bases.  The node tables
+    are cached per sample count.
     """
 
     def __init__(self, expr):
@@ -682,12 +601,12 @@ class FunctionData:
         """m(r) for each radius: the N-point trapezoid of log+|f|, N = samples.
 
         Zero and closed-form circles are settled first, for all radii at
-        once, from the root bounds of the bases (_settled_circles): m = 0.0
+        once, from the moduli of the linear bases (_settled_circles): m = 0.0
         where |f| < 1 on the circle, Jensen's closed form where |f| > 1 and
-        every root lies well inside.  One call of _row_sums takes the
-        trapezoid of the rows (_row_terms): the Fourier row of the far roots
-        plus the logs of the near ones.  The circles left and those whose
-        sum is not finite go through _sampled_circle.
+        every root lies well inside.  One call of _row_coefficients gives the
+        Fourier rows of the circles left (_row_terms), one call of _row_sums
+        takes the trapezoid of the certified rows, and the rest, with those
+        whose row sum is not finite, are sampled (_sampled_circles).
         """
         samples = _require_samples(samples)
         radii = _require_radii(radii)
@@ -696,65 +615,89 @@ class FunctionData:
         todo = np.flatnonzero(np.isnan(out))
         if todo.size:
             r = radii[todo]
-            terms, near = _row_terms(bases, r)
-            row = terms >= 0
+            terms, near, row = _row_terms(bases, r)
+            d = _row_coefficients(bases, r, terms, near)
             if row.any():
-                r, terms, near = r[row], terms[row], near if near is None else near[row]
-                logs = [] if near is None else [(i, r[i], bases.roots[near[i]], bases.e[near[i]])
-                                                for i in np.flatnonzero(near.any(axis=1))]
-                out[todo[row]] = _row_sums(_row_coefficients(bases, r, terms, near),
-                                           terms, samples, logs) / samples
-            for i in todo[~np.isfinite(out[todo])]:  # left out, so still NaN, or not finite
-                out[i] = self._sampled_circle(float(radii[i]), samples)
+                out[todo[row]] = _row_sums(d[row], terms[row], samples) / samples
+            left = ~np.isfinite(out[todo])  # not taken, so still NaN, or not finite
+            if left.any():
+                out[todo[left]] = self._sampled_circles(r[left], d[left], near[left], samples)
         return out.tolist()
 
-    def _sampled_circle(self, r, samples):
-        """m(r) from Canonical.log_abs at the N nodes of one circle that no
-        row takes (a pole on it, a base that _split refuses, deg expo above
-        _ROW_TERMS, far roots that fail the bound) or whose row sum is not
-        finite.
+    def _sampled_circles(self, radii, d, near, samples):
+        """m(r) from the samples of log|f| at the N nodes of each circle that
+        the certified row leaves (near roots, a whole base, deg expo above
+        _ROW_TERMS) or whose row sum is not finite, given its row of
+        coefficients d (_row_coefficients) and its near roots.
 
-        With L = sum m log|z - rho| over the poles rho of order m on the
-        circle (0 where there are none), log+|f| is h - L, where
-        h = max(log|f| + L, L) is smooth at those poles; m(r) is the N-point
-        trapezoid of h minus the exact mean of L, sum m log max(r, |rho|).
-        The linear bases of those poles leave the factored form that
-        log_abs evaluates, so h is finite at a node on a pole.  A pole of a
-        whole base keeps its base, and a node within _ON_CIRCLE r of it
-        counts as singular.  Samples of h that are NaN or +inf are retried
-        half a step over; if the sum is still not finite, QuadratureError is
-        raised.
+        One inverse real FFT reads the far roots' row and the whole expo at
+        the nodes of every circle (_row_samples); each circle then adds the
+        exact logs of its near roots (_near_logs) and of each whole base
+        (_whole_logs).  With L = sum m log|z - rho| over the poles rho of
+        order m on the circle (0 where there are none), log+|f| is h - L,
+        where h = max(log|f| + L, L) is smooth at those poles; m(r) is the
+        N-point trapezoid of h minus the exact mean of L,
+        sum m log max(r, |rho|).  The near poles on the circle are left out
+        of log|f| + L and give L by their own logs, so h is finite at a node
+        on such a pole.  A pole of a whole base keeps its base, and a node
+        within _ON_CIRCLE r of it counts as singular.  Samples of h that are
+        NaN or +inf are taken again from Canonical.log_abs of the factored
+        form at their own nodes (_retaken), then half a step over; if the sum
+        is still not finite, QuadratureError is raised.
         """
-        c = self.canonical
-        poles = [(rho, m) for rho, m in self.poles.entries if _on_circle(rho, r)]
-        linear = {-b.coefficients[0] for b, e in c.factors if e < 0 and b.degree == 1}
-        cut = [(rho, m) for rho, m in poles if rho in linear]
-        whole = [(rho, m) for rho, m in poles if rho not in linear]
+        bases = self.bases
+        theta, unit = _unit_circle(samples)
+        work = np.empty((5, samples))
+        whole = []  # the poles of whole bases
+        if any(e < 0 for _, e in bases.whole):
+            linear = set(bases.roots[bases.e < 0].tolist())
+            whole = [(rho, m) for rho, m in self.poles.entries if rho not in linear]
+        on = near & (bases.e < 0) & (np.abs(bases.moduli - radii[:, None]) <= _ON_CIRCLE * radii[:, None])
+        out = []
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for r, h, close, through in zip(radii.tolist(), _row_samples(d, samples), near & ~on, on):
+                if close.any():
+                    h += _near_logs(r, bases.roots[close], bases.e[close], samples, work)
+                for b, k in bases.whole:
+                    h += k * _whole_logs(b, r, samples)
+                cut = list(zip(bases.roots[through].tolist(), (-bases.e[through]).tolist()))
+                poles = [(rho, m) for rho, m in whole if _on_circle(rho, r)]
+                np.maximum(h, _near_logs(r, bases.roots[through], -bases.e[through], samples, work)
+                           if cut else 0.0, out=h)
+                for rho, m in poles:
+                    distance = np.abs(r * unit - rho)
+                    h += m * np.log(distance)
+                    h[distance <= _ON_CIRCLE * r] = np.nan
+                total = h.sum()
+                if not math.isfinite(total):  # NaN or +inf samples: take them again
+                    for shift in (0.0, np.pi / samples):
+                        bad = ~np.isfinite(h)
+                        if bad.any():
+                            h[bad] = self._retaken(r, theta[bad] + shift, cut, poles)
+                    total = h.sum()
+                if not math.isfinite(total):
+                    raise QuadratureError(f"quadrature hit singular samples at r = {r}")
+                out.append(float(total) / samples - sum(m * math.log(max(r, abs(rho)))
+                                                        for rho, m in cut + poles))
+        return out
+
+    def _retaken(self, r, theta, cut, whole):
+        """h = max(log|f| + L, L) + L' at the angles theta of the circle r from
+        Canonical.log_abs of the factored form, where L sums m log|z - rho|
+        over the near poles cut from it and L' over the poles of whole bases
+        on the circle; NaN within _ON_CIRCLE r of the latter, where the
+        logs do not cancel."""
+        c = self.factored
         if cut:
             c = replace(c, factors=tuple((b, e) for b, e in c.factors if not (
                 e < 0 and b.degree == 1 and _on_circle(b.coefficients[0], r))))
-
-        def smooth(theta):
-            zs = r * np.exp(1j * theta)
-            with np.errstate(divide="ignore"):
-                cut_log, whole_log = (sum(m * np.log(np.abs(zs - rho)) for rho, m in part)
-                                      for part in (cut, whole))
-            h = np.maximum(c.log_abs(zs), cut_log) + whole_log
-            for rho, _ in whole:  # a computed root: the logs do not cancel next to it
-                h[np.abs(zs - rho) <= _ON_CIRCLE * r] = np.nan
-            return h
-
-        theta = _unit_circle(samples)[0]
-        vals = smooth(theta)
-        with np.errstate(over="ignore"):
-            total = vals.sum()
-            if not math.isfinite(total):  # NaN or +inf samples: retry them
-                bad = ~np.isfinite(vals)
-                vals[bad] = smooth(theta[bad] + np.pi / samples)
-                total = vals.sum()
-        if not math.isfinite(total):
-            raise QuadratureError(f"quadrature hit singular samples at r = {r}")
-        return float(total) / samples - sum(m * math.log(max(r, abs(rho))) for rho, m in poles)
+        zs = r * np.exp(1j * theta)
+        cut_log, whole_log = (sum(m * np.log(np.abs(zs - rho)) for rho, m in part)
+                              for part in (cut, whole))
+        h = np.maximum(c.log_abs(zs), cut_log) + whole_log
+        for rho, _ in whole:
+            h[np.abs(zs - rho) <= _ON_CIRCLE * r] = np.nan
+        return h
 
     def log_mean_at_1(self):
         """J(1, f), the mean of log|f| on |z| = 1, by Jensen's formula:

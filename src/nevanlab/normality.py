@@ -155,20 +155,25 @@ def _condition_a(params):
     return pairs_ok and mult_ok
 
 
+def _criterion(params, kind, drop, t_weight):
+    """Condition b) of the criterion of this kind: sum(1/ell_i) against
+    (q n - drop + q sum(n_j - t_j)) / (n + sum(n_j + t_weight t_j)) exactly."""
+    q = params.q
+    n = params.n
+    num = q * n - drop + q * sum(nj - tj for nj, tj in params.pairs)
+    den = n + sum(nj + t_weight * tj for nj, tj in params.pairs)
+    rhs = Fraction(num, den)
+    lhs = _reciprocal_sum(params.multiplicities)
+    return CriterionReport(kind, _condition_a(params), lhs < rhs, lhs, rhs)
+
+
 def check_meromorphic_criterion(params):
     """Hypothesis arithmetic for families of meromorphic functions.
 
     Condition b) compares sum(1/ell_i) against
     (q n - 2 + q sum(n_j - t_j)) / (n + sum(n_j + t_j)) exactly.
     """
-    q = params.q
-    n = params.n
-    num = q * n - 2 + q * sum(nj - tj for nj, tj in params.pairs)
-    den = n + sum(nj + tj for nj, tj in params.pairs)
-    rhs = Fraction(num, den)
-    lhs = _reciprocal_sum(params.multiplicities)
-    return CriterionReport("meromorphic", _condition_a(params), lhs < rhs,
-                           lhs, rhs)
+    return _criterion(params, "meromorphic", 2, 1)
 
 
 def check_holomorphic_criterion(params):
@@ -177,14 +182,15 @@ def check_holomorphic_criterion(params):
     Condition b) compares sum(1/ell_i) against
     (q n - 1 + q sum(n_j - t_j)) / (n + sum(n_j)) exactly.
     """
-    q = params.q
-    n = params.n
-    num = q * n - 1 + q * sum(nj - tj for nj, tj in params.pairs)
-    den = n + sum(nj for nj, _ in params.pairs)
-    rhs = Fraction(num, den)
-    lhs = _reciprocal_sum(params.multiplicities)
-    return CriterionReport("holomorphic", _condition_a(params), lhs < rhs,
-                           lhs, rhs)
+    return _criterion(params, "holomorphic", 1, 0)
+
+
+def _reduction(n, pairs, floor):
+    """(lhs, rhs, holds) for n + sum n_j >= floor + sum t_j."""
+    spec = MonomialSpec(n, tuple(pairs))
+    lhs = spec.n + sum(nj for nj, _ in spec.pairs)
+    rhs = floor + sum(tj for _, tj in spec.pairs)
+    return lhs, rhs, lhs >= rhs
 
 
 def meromorphic_reduction(n, pairs):
@@ -192,10 +198,7 @@ def meromorphic_reduction(n, pairs):
 
     Returns (lhs, rhs, holds) for the inequality n + sum n_j >= 3 + sum t_j.
     """
-    spec = MonomialSpec(n, tuple(pairs))
-    lhs = spec.n + sum(nj for nj, _ in spec.pairs)
-    rhs = 3 + sum(tj for _, tj in spec.pairs)
-    return lhs, rhs, lhs >= rhs
+    return _reduction(n, pairs, 3)
 
 
 def holomorphic_reduction(n, pairs):
@@ -203,10 +206,7 @@ def holomorphic_reduction(n, pairs):
 
     Returns (lhs, rhs, holds) for the inequality n + sum n_j >= 2 + sum t_j.
     """
-    spec = MonomialSpec(n, tuple(pairs))
-    lhs = spec.n + sum(nj for nj, _ in spec.pairs)
-    rhs = 2 + sum(tj for _, tj in spec.pairs)
-    return lhs, rhs, lhs >= rhs
+    return _reduction(n, pairs, 2)
 
 
 # ---------------------------------------------------------------------------

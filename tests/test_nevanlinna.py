@@ -4,7 +4,6 @@ import math
 import random
 import tracemalloc
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -453,7 +452,7 @@ def test_function_data_finds_the_roots_of_a_whole_base_once(monkeypatch):
         assert any(b.degree > 1 for b, _ in data.canonical.factors) and calls == [], text
         data.characteristic(RadialGrid.geometric().radii, 1024)
         zeros, poles = data.zeros, data.poles
-        assert data.bases.linear and len(calls) == 1, (text, calls)
+        assert not data.bases.whole and len(calls) == 1, (text, calls)
         assert (zeros, poles) == divisors(f), text
 
 
@@ -519,7 +518,7 @@ def test_singular_samples_raise_quadrature_error():
 
 
 def _sampled_only(monkeypatch):
-    # no circle is settled: each goes to its row or to _sampled_circle
+    # no circle is settled: each goes to the certified row or is sampled
     monkeypatch.setattr(nevanlab.nevanlinna, "_settled_circles",
                         lambda c, radii, samples: np.full(len(radii), np.nan))
 
@@ -579,14 +578,11 @@ def _factored_trapezoid(c, r, samples):
 
 
 def _routes(c, radii):
-    # how each unsettled circle is summed: "row" where the Fourier row of
-    # every root takes it, "near" where its near roots take their own logs,
-    # and "sampled" where no row does
+    # how each unsettled circle is summed: "row" where the certified row
+    # takes it, "sampled" where it is sampled at every node
     r = np.asarray(radii, dtype=float)
     bases = nevanlab.nevanlinna._Bases(nevanlab.expressions._times([c], split=True))
-    terms, near = nevanlab.nevanlinna._row_terms(bases, r)
-    close = np.zeros(len(r), dtype=bool) if near is None else near.any(axis=1)
-    return ["sampled" if t < 0 else "near" if x else "row" for t, x in zip(terms, close)]
+    return ["row" if x else "sampled" for x in nevanlab.nevanlinna._row_terms(bases, r)[2]]
 
 
 def _row_taken(c, radii):
@@ -596,15 +592,14 @@ def _row_taken(c, radii):
 
 def test_settled_circles_match_sampled_circles(monkeypatch):
     # a zero circle gives exactly 0.0, as the sampled circle does, and a
-    # closed-form circle or one summed by its row, with near roots or
-    # without, the trapezoid mean on the same N nodes to rounding, where a
-    # 4-fold root lies within 1% of the circle too (N = 4096 or 8192 at the
-    # edge r exp(-40/N)); the expanded num and den would lose up to 1e-11 of
-    # m(r) there.  A circle no row takes reads the same when every circle is
-    # sampled
+    # closed-form circle, one summed by the certified row or a sampled one
+    # the trapezoid mean on the same N nodes to rounding, where a 4-fold
+    # root lies within 1% of the circle too (N = 4096 or 8192 at the edge
+    # r exp(-40/N)); the expanded num and den would lose up to 1e-11 of m(r)
+    # there.  An unsettled circle reads the same when no circle is settled
     rng = np.random.default_rng(1964)
     radii = RadialGrid.geometric(2.0, 128.0, 16).radii
-    kinds = {"zero": 0, "closed": 0, "row": 0, "near": 0}
+    kinds = {"zero": 0, "closed": 0, "row": 0, "sampled": 0}
     for f, samples in _settle_cases(rng, radii):
         data = FunctionData(f)
         settled = nevanlab.nevanlinna._settled_circles(data.bases, radii, samples)
@@ -617,21 +612,21 @@ def test_settled_circles_match_sampled_circles(monkeypatch):
             if s == 0.0:
                 kinds["zero"] += 1
                 assert m == w == 0.0
-            elif math.isfinite(s) or route != "sampled":
-                kinds["closed" if math.isfinite(s) else route] += 1
-                x = _factored_trapezoid(data.canonical, r, samples)
-                assert abs(m - x) <= 1e-13 * (1.0 + abs(x)), (print_expr(f), samples, r)
-            else:
-                assert m == w
+                continue
+            kinds["closed" if math.isfinite(s) else route] += 1
+            x = _factored_trapezoid(data.canonical, r, samples)
+            assert abs(m - x) <= 1e-13 * (1.0 + abs(x)), (print_expr(f), samples, r)
+            assert math.isfinite(s) or m == w
     assert min(kinds.values()) >= 100, kinds
 
 
 def test_root_moduli_of_linear_bases_settle_circles():
-    # Graeffe's bound on the expanded (z - 1.9)^3 exceeds 1.98 = 2 exp(-40/4096)
-    # and would leave r = 2 to samples; the linear base gives 1.9 itself, and
-    # |f| >= 10 on the circle, so Jensen's value is the mean of log|f|
+    # the linear base of 1e4 (z - 1.9)^3 gives its root modulus 1.9 itself,
+    # inside 2 exp(-40/4096) = 1.98, where Fujiwara's bound on the expanded
+    # polynomial, 2 * 3 * 1.9 = 11.4, would leave r = 2 to samples; |f| >= 10
+    # on the circle, so Jensen's value is the mean of log|f|
     data = FunctionData(parse("1e4*(z-1.9)^3"))
-    assert nevanlab.nevanlinna._root_bound(np.array(data.canonical.num.coefficients)) > 1.99
+    assert data.bases.moduli.tolist() == [1.9] and data.bases.reach < 2.0 * math.exp(-40.0 / DEFAULT_SAMPLES)
     settled = nevanlab.nevanlinna._settled_circles(data.bases, [2.0], DEFAULT_SAMPLES)[0]
     unit = nevanlab.nevanlinna._unit_circle(DEFAULT_SAMPLES)[1]
     want = float(np.mean(data.canonical.log_abs(2.0 * unit)))
@@ -639,33 +634,15 @@ def test_root_moduli_of_linear_bases_settle_circles():
     assert data.proximity([2.0], DEFAULT_SAMPLES) == [settled]
 
 
-def test_graeffe_bounds_only_whole_bases(monkeypatch):
-    calls = []
-    original = nevanlab.nevanlinna._root_bound
-
-    def counting(c):
-        calls.append(len(c) - 1)
-        return original(c)
-    monkeypatch.setattr(nevanlab.nevanlinna, "_root_bound", counting)
-    radii = RadialGrid.geometric().radii
-    for text in (_GROWTH_F, _GROWTH_LOGDERIV, "1e4*(z-1.9)^3", "D[(z^2-1)/(z+3),8]"):
-        data = FunctionData(parse(text))
-        assert all(b.degree == 1 for b, _ in data.canonical.factors)
-        data.proximity(radii, 256)
-    assert calls == []
-    # the ill-conditioned (z - 1) ... (z - 24) stays one whole base
-    data = FunctionData(Poly(Polynomial.from_roots(range(1, 25))))
-    assert [(b.degree, e) for b, e in data.canonical.factors] == [(24, 1)]
-    data.proximity(radii, 256)
-    assert calls == [24]
-
-
 class _SamplingCalls:
-    # the sampling paths: the rows, the near roots' logs and the factored log_abs
+    # the paths of the unsettled circles: their coefficients, the certified
+    # row, the inverse FFT and the exact logs of the sampled circles, and the
+    # factored log_abs that takes samples again
     def __init__(self, monkeypatch):
         self.calls = []
         monkeypatch.setattr(Canonical, "log_abs", self._wrap("log_abs", Canonical.log_abs))
-        for name in ("_row_sums", "_near_logs"):
+        monkeypatch.setattr(np.fft, "irfft", self._wrap("irfft", np.fft.irfft))
+        for name in ("_row_coefficients", "_row_sums", "_near_logs", "_whole_logs"):
             original = getattr(nevanlab.nevanlinna, name)
             monkeypatch.setattr(nevanlab.nevanlinna, name, self._wrap(name, original))
 
@@ -686,7 +663,7 @@ def test_settled_circles_skip_the_kernel(monkeypatch):
     assert data.proximity(radii, DEFAULT_SAMPLES) == [0.0] * 3
     # r = 2 sits on the edge of the bases' bound: |z -+ i| >= r - 1 = 1 gives
     # log|f| <= 0 only, so the circle is not settled; its row sums it
-    assert paths.calls == ["_row_sums"]
+    assert paths.calls == ["_row_coefficients", "_row_sums"]
     paths.calls.clear()
     assert data.proximity(radii[1:], DEFAULT_SAMPLES) == [0.0] * 2
     assert paths.calls == []
@@ -704,17 +681,27 @@ def test_proximity_of_linear_bases_expands_no_polynomial():
 
 
 def test_proximity_makes_at_most_one_row_call(monkeypatch):
-    # circles with near roots and without share one row call; only circles
-    # through a pole take log_abs, one call each
+    # every unsettled circle of a call, row or sampled, takes its
+    # coefficients from one _row_coefficients call; the certified rows share
+    # one _row_sums call and the sampled circles one inverse FFT, and
+    # log_abs runs only where a sample is not finite: on the overflowing
+    # 1e-200 * 128^200 at r = 128, and at the whole base's poles 2, 3 and 4
+    # on a node, at the node and again half a step over
     paths = _SamplingCalls(monkeypatch)
     radii = RadialGrid.geometric(1.5, 4.0, 40).radii + (2.0, 3.0)
-    for text, through in (("D[(z^2-1)/(z+3),4]", 1), ("(z-1)^50/(z-2)", 1), ("5/(z-2)^3 + z", 1),
-                          (_GROWTH_F, 0), ("(z-1.9)^3*exp(z^2)/(z+2.1)", 0)):
+    wilkinson = div(Const(1e20), Poly(Polynomial.from_roots(range(1, 25))))
+    for f, kinds, through in (("D[(z^2-1)/(z+3),4]", 2, 0), ("(z-1)^50/(z-2)", 2, 0),
+                              ("5/(z-2)^3 + z", 2, 0), (_GROWTH_F, 2, 0),
+                              ("(z-1.9)^3*exp(z^2)/(z+2.1)", 2, 0), (wilkinson, 1, 6),
+                              ("exp(z^200)", 1, 0), ("exp(1e-200*z^200)", 1, 1)):
         paths.calls.clear()
-        FunctionData(parse(text)).proximity(radii, 256)
-        assert paths.calls.count("_row_sums") == 1, text
-        assert paths.calls.count("_near_logs") > 0, text
-        assert paths.calls.count("log_abs") == through, text
+        data = FunctionData(parse(f) if isinstance(f, str) else f)
+        data.proximity(radii + (128.0,) * (f == "exp(1e-200*z^200)"), 256)
+        row, sampled = paths.calls.count("_row_sums"), paths.calls.count("irfft")
+        assert paths.calls.count("_row_coefficients") == 1 and row <= 1 and sampled <= 1, f
+        assert row + sampled == kinds and (sampled or "_near_logs" not in paths.calls), f
+        assert ("_whole_logs" in paths.calls) == bool(data.bases.whole), f
+        assert paths.calls.count("log_abs") == through, f
 
 
 @pytest.mark.parametrize("text,r,samples", [
@@ -819,26 +806,22 @@ def test_row_finds_an_arc_inside_one_coarse_interval():
 
 
 def _row_reference(c, r):
-    # (terms, near roots) of a circle's row, one base at a time: the least
+    # (terms, near roots, row) of a circle, one base at a time: the least
     # number of terms whose truncation bound is at most 2^-53 with every
-    # root, or else with the roots past a ratio of 0.7 left out as near ones;
-    # None where neither passes, a base is whole, deg expo > 128 or a near
-    # pole lies on the circle
-    if c.expo.degree > 128 or any(b.degree > 1 for b, _ in c.factors):
-        return None
-    roots = [(-b.coefficients[0], e) for b, e in c.factors]
+    # root, or else with the roots past a ratio of 0.7 left out as near ones,
+    # or else with every root near; row where the certified row takes the
+    # circle: no root is near, no base is whole and deg expo <= 128
+    roots = [(-b.coefficients[0], e) for b, e in c.factors if b.degree == 1]
     rhos = [(min(abs(a) / r, r / abs(a)) if a else 0.0, abs(e), a) for a, e in roots]
-    for near in (set(), {a for rho, _, a in rhos if rho > 0.7}):
+    certified = c.expo.degree <= 128 and len(roots) == len(c.factors)
+    for near in (set(), {a for rho, _, a in rhos if rho > 0.7}, {a for _, _, a in rhos}):
         far = [(rho, e) for rho, e, a in rhos if a not in near]
         if any(rho >= 1.0 for rho, _ in far):
             continue
         bound = [sum(e * rho ** (m + 1) / ((m + 1) * (1.0 - rho)) for rho, e in far) for m in range(129)]
         passing = [m for m in range(129) if bound[m] <= 2.0 ** -53]
         if passing:
-            if any(e < 0 and abs(abs(a) - r) <= 1e-8 * r for a, e in roots if a in near):
-                return None
-            return max(passing[0], c.expo.degree), near
-    return None
+            return max(passing[0], c.expo.degree), near, certified and not near
 
 
 def _row_radii(monkeypatch):
@@ -849,13 +832,12 @@ def _row_radii(monkeypatch):
     coefficients = nevanlab.nevanlinna._row_coefficients
 
     def recording(bases, r, terms, near):
-        near = np.zeros((len(r), len(bases.roots)), dtype=bool) if near is None else near
         taken.append([(x, set(bases.roots[m].tolist())) for x, m in zip(r, near)])
         return coefficients(bases, r, terms, near)
 
-    def counting(d, terms, samples, near):
+    def counting(d, terms, samples):
         taken.append(list(terms))
-        return original(d, terms, samples, near)
+        return original(d, terms, samples)
     monkeypatch.setattr(nevanlab.nevanlinna, "_row_coefficients", recording)
     monkeypatch.setattr(nevanlab.nevanlinna, "_row_sums", counting)
     return taken
@@ -866,37 +848,39 @@ def _row_radii(monkeypatch):
     ("exp(z^32)", True), ("exp(z^128)", True), ("exp(z^129)", False), ("5/(z-2)^3 + z", True),
     ("D[(z-0.5)^2*exp(z)/(z+0.3),1]", True), ("(z-1.9)^3*exp(z^2)/(z+2.1)", True)])
 def test_row_takes_the_unsettled_circles_whose_bound_passes(monkeypatch, text, some):
-    # the row takes a circle exactly when it is not settled, every base is
-    # linear once split (the factor H of the derivative splits too),
-    # deg expo <= 128 and the truncation bound at 128 terms is at most 2^-53,
-    # with every root or with the near ones left out, with the least number
-    # of terms whose bound is: not r = 2 through the pole of exp(z)/(z-2),
-    # where the pole is near and lies on the circle
+    # every unsettled circle takes its coefficients, with the least number
+    # of terms whose truncation bound is at most 2^-53, with every root or
+    # with the near ones left out; the certified row takes a circle exactly
+    # when every base is linear once split (the factor H of the derivative
+    # splits too), deg expo <= 128 and no root is near: not r = 2 through
+    # the pole of exp(z)/(z-2), where the pole is near and lies on the circle
     radii = RadialGrid.geometric(1.1, 128.0, 40).radii + (2.0,)
     data = FunctionData(parse(text))
     c = nevanlab.expressions._times([data.canonical], split=True)
     settled = nevanlab.nevanlinna._settled_circles(data.bases, radii, DEFAULT_SAMPLES)
     want = [(r, _row_reference(c, r)) for r, s in zip(radii, settled) if math.isnan(s)]
-    want = [(r, ref) for r, ref in want if ref is not None]
-    assert bool(want) == some
-    assert text != "exp(z)/(z-2)" or 2.0 not in [r for r, _ in want]
-    assert text != "(z-1.9)^3*exp(z^2)/(z+2.1)" or any(near for _, (_, near) in want)
+    rows = [(r, terms) for r, (terms, _, row) in want if row]
+    assert bool(rows) == some
+    assert text != "exp(z)/(z-2)" or 2.0 not in [r for r, _ in rows]
+    assert text != "(z-1.9)^3*exp(z^2)/(z+2.1)" or any(near for _, (_, near, _) in want)
     assert some or c.expo.degree > 128
     taken = _row_radii(monkeypatch)
     data.proximity(radii, DEFAULT_SAMPLES)
-    assert taken[::2] == ([[(r, near) for r, (_, near) in want]] if want else [])
-    assert taken[1::2] == ([[terms for _, (terms, _) in want]] if want else [])
+    assert taken == [[(r, near) for r, (_, near, _) in want]] + [[terms for _, terms in rows]] * bool(rows)
 
 
 def test_circle_sums_do_not_depend_on_the_call():
     # each radius's m(r) is bit for bit the same alone and inside random
-    # subsets of 20 or more radii, whose products hold other radii and pad
-    # to other numbers of terms: circles summed by the row of every root and
-    # circles with near roots alike
+    # subsets of 20 or more radii, whose products and inverse FFT hold other
+    # radii and pad to other numbers of terms: circles summed by the
+    # certified row and sampled circles alike, with near roots, a folded
+    # exponential part of degree 150 and a whole base
     rng = np.random.default_rng(2025)
-    kinds = {"row": 0, "near": 0}
-    for text in (_GROWTH_F, _GROWTH_LOGDERIV, "exp(z^40)*(z-0.3)/(z+5i)", "(z-1.9)^3*exp(z^2)/(z+2.1)"):
-        data = FunctionData(parse(text))
+    kinds = {"row": 0, "sampled": 0}
+    wilkinson = div(Const(1e20), Poly(Polynomial.from_roots(range(1, 25))))
+    for f in (_GROWTH_F, _GROWTH_LOGDERIV, "exp(z^40)*(z-0.3)/(z+5i)", "(z-1.9)^3*exp(z^2)/(z+2.1)",
+              "exp(z^150/1e90)/(z-1.5)", wilkinson):
+        data = FunctionData(parse(f) if isinstance(f, str) else f)
         for samples in (64, 128, 256, 512, 1024, 2048, 4096, 8192):
             radii = np.exp(rng.uniform(math.log(1.1), math.log(40.0), 40))
             settled = nevanlab.nevanlinna._settled_circles(data.bases, radii, samples)
@@ -907,95 +891,8 @@ def test_circle_sums_do_not_depend_on_the_call():
             for _ in range(3):
                 pick = rng.choice(len(radii), int(rng.integers(20, len(radii) + 1)), replace=False)
                 got = data.proximity(radii[pick], samples)
-                assert got == [alone[i] for i in pick], (text, samples)
+                assert got == [alone[i] for i in pick], (f, samples)
     assert min(kinds.values()) >= 100, kinds
-
-
-def _plain_fujiwara(c):
-    d = len(c) - 1
-    terms = [abs(c[d - k] / c[d]) ** (1.0 / k) for k in range(1, d)]
-    return 2.0 * max(terms + [abs(c[0] / (2.0 * c[d])) ** (1.0 / d)])
-
-
-def _exact_graeffe(a):
-    # q_m = sum_(i+j=2m) (-1)^j a_i a_j on (re, im) pairs of Fractions
-    out = [[Fraction(0), Fraction(0)] for _ in range(len(a))]
-    for i, (x, y) in enumerate(a):
-        for j, (u, v) in enumerate(a):
-            if (i + j) % 2:
-                continue
-            s = -1 if j % 2 else 1
-            out[(i + j) // 2][0] += s * (x * u - y * v)
-            out[(i + j) // 2][1] += s * (x * v + y * u)
-    return out
-
-
-def test_graeffe_step_discs_hold_the_exact_coefficients():
-    # three root squarings in floating point against exact rational ones:
-    # every exact coefficient lies in its disc, with cancellation (a cluster,
-    # alternating signs) and with products that underflow
-    rng = np.random.default_rng(1982)
-    cases = [np.array(Polynomial.from_roots([1.5] * 12).coefficients),
-             np.array(Polynomial.from_roots(np.exp(2j * np.pi * np.arange(9) / 9)).coefficients),
-             1e-110 * (rng.normal(size=6) + 1j * rng.normal(size=6))]
-    for d in rng.integers(1, 21, 12):
-        scale = 10.0 ** rng.uniform(-3.0, 0.0, d + 1)
-        cases.append(scale * (rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)))
-    for a in cases:
-        exact = [[Fraction(float(x.real)), Fraction(float(x.imag))] for x in a]
-        mid, radius = a.astype(complex), np.zeros(len(a))
-        for _ in range(3):
-            exact = _exact_graeffe(exact)
-            mid, radius = nevanlab.nevanlinna._graeffe_step(mid, radius)
-            for (x, y), b, e in zip(exact, mid, radius):
-                dx, dy = x - Fraction(b.real), y - Fraction(b.imag)
-                assert dx * dx + dy * dy <= Fraction(float(e)) ** 2, (len(a), b, e)
-
-
-def test_root_bound_is_certified():
-    # the Graeffe bound holds every root (numpy.roots, with a margin for
-    # the spread of a computed cluster) and never exceeds plain Fujiwara
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    modulus = st.floats(0.05, 20.0)
-    angle = st.floats(0.0, 2.0 * math.pi)
-
-    @hypothesis.settings(max_examples=150)
-    @hypothesis.given(
-        cluster=st.tuples(st.integers(0, 12), modulus, angle),
-        ring=st.tuples(st.integers(0, 12), modulus, angle),
-        free=st.lists(st.tuples(modulus, angle), max_size=40),
-        lead=st.tuples(st.floats(-30.0, 30.0), angle))
-    def check(cluster, ring, free, lead):
-        (count, rho, phi), (size, r, psi) = cluster, ring
-        roots = [rho * np.exp(1j * phi)] * count
-        roots += list(r * np.exp(1j * (psi + 2.0 * np.pi * np.arange(size) / size)))
-        roots += [m * np.exp(1j * t) for m, t in free]
-        roots = roots[:40]
-        hypothesis.assume(roots)
-        c = np.array(Polynomial.from_roots(roots, 10.0 ** lead[0] * np.exp(1j * lead[1])).coefficients)
-        bound = nevanlab.nevanlinna._root_bound(c)
-        assert bound <= _plain_fujiwara(c) * (1.0 + 2e-12)
-        margin = 1e-9 if count < 2 else 4.0 * 1e-13 ** (1.0 / count)
-        assert bound * (1.0 + margin) >= np.abs(np.roots(c[::-1])).max()
-
-    check()
-
-
-def test_root_bound_tightens_fujiwara():
-    # three root squarings cut Fujiwara's slack from up to 2d to (2d)^(1/8);
-    # the zero of order 8 at 2 and the pole of order 10 at -1.2 of f' are
-    # Fujiwara's worst case
-    c = canonicalize(parse("D[(z-2)^9/(z+1.2)^9,1]"))
-    assert (c.num.degree, c.den.degree) == (8, 10)
-    for p in (c.num, c.den):
-        coefficients = np.array(p.coefficients)
-        radius = np.abs(np.roots(coefficients[::-1])).max()
-        bound = nevanlab.nevanlinna._root_bound(coefficients)
-        assert radius <= bound <= (2.0 * p.degree) ** 0.125 * radius
-        assert _plain_fujiwara(coefficients) > 10.0 * radius
-    assert nevanlab.nevanlinna._root_bound(np.array([2.0 + 0j, 1.0])) == pytest.approx(2.0, rel=1e-11)
-    assert nevanlab.nevanlinna._root_bound(np.array([5.0 + 0j])) == 0.0
 
 
 def _check_base_bounds(c, radii, tight=None):
@@ -1062,37 +959,29 @@ def test_log_abs_bounds_hold_and_are_tight():
 
 
 def test_log_abs_bounds_cover_the_last_bit():
-    # whole bases: the ill-conditioned (z - 1) ... (z - 24) beyond its root
-    # bound and inside it, and positive coefficients whose log at z = r read
-    # one ulp above a bound that raised only its tail, alone, over each other
-    # and with an exponential factor
-    wide = Polynomial.from_roots(range(1, 25))
+    # the linear bases of a polynomial with positive coefficients, whose log
+    # at z = r read one ulp above a bound that raised only its tail when the
+    # polynomial was one whole base: alone, over (z - q)^3 and with an
+    # exponential factor
     p = Polynomial([0.002364324873260698, 0.251262036591864, 0.16606002300944264,
                     0.002734724769588961, 10.498661780399072, 6.3154518353232,
                     2.1588039632111107, 0.0022736386385672266, 20.452176269017922])
-    p = p * (1 / p.leading)
+    lines = nevanlab.expressions._split(p).factors
+    assert [(b.degree, e) for b, e in lines] == [(1, 1)] * 8
     q = Polynomial([0.3593633522165813 - 0.22184008712110137j, 1])
     expo = Polynomial([0.5, 1e-3j, -2e-5])
-    for factors, radii in ((((wide, 1),), [30.0, 45.0, 60.0, 100.0]),
-                           (((wide, -1),), [45.0, 60.0, 100.0]),
-                           (((p, 1),), [29.74817761946716, 5.10737414445334]),
-                           (((p, 1), (wide, -2)), [29.74817761946716, 50.0]),
-                           (((q, 3), (p, -1)), [5.10737414445334, 29.74817761946716])):
+    for factors, radii in ((lines, [29.74817761946716, 5.10737414445334]),
+                           (((q, 3), *((b, -1) for b, _ in lines)), [5.10737414445334, 29.74817761946716])):
         for e in (Polynomial([0]), expo):
             _check_base_bounds(Canonical(2.5 + 0j, 1 + 0j, factors, e), radii)
 
 
 def test_root_bound_falls_back_to_fujiwara_quietly():
-    # (z + 3)^256, the denominator of D^8 f before the quotient rule's
-    # common factors were cancelled: scaled by Fujiwara's 1536, its
-    # coefficients underflow, so the floors dominate and plain Fujiwara stays
-    c = np.array(Polynomial.from_roots([-3.0] * 256).coefficients)
+    # D^8 f is 322560 / (z + 3)^9: |f| < 1 on the circle r = 2000, which the
+    # modulus 3 of its linear base settles with no warning
     with warnings.catch_warnings(), np.errstate(all="warn"):
         warnings.simplefilter("error")
-        bound = nevanlab.nevanlinna._root_bound(c)
-    assert bound == pytest.approx(_plain_fujiwara(c), rel=1e-11)
-    # D^8 f is 322560 / (z + 3)^9: |f| < 1 on the circle r = 2000
-    assert proximity_m(parse("D[(z^2-1)/(z+3),8]"), 2000.0) == 0.0
+        assert proximity_m(parse("D[(z^2-1)/(z+3),8]"), 2000.0) == 0.0
 
 
 def test_proximity_beyond_the_pole_bound_root_finds_nothing(monkeypatch):
@@ -1104,8 +993,8 @@ def test_proximity_beyond_the_pole_bound_root_finds_nothing(monkeypatch):
         return original(p)
     data = FunctionData(parse(_GROWTH_LOGDERIV))
     monkeypatch.setattr(nevanlab.expressions, "poly_roots", counting)
-    radii = (1.25, 2.0, 4.0, 8.0)  # the first one within the poles' root bound
-    assert nevanlab.nevanlinna._root_bound(np.array(data.canonical.den.coefficients)) > radii[0]
+    radii = (1.25, 2.0, 4.0, 8.0)  # the first one next to the pole at -1.2, not settled
+    assert math.isnan(nevanlab.nevanlinna._settled_circles(data.bases, radii, 256)[0])
     paths = _SamplingCalls(monkeypatch)
     ms = data.proximity(radii, 256)
     data.poles, data.zeros
@@ -1140,44 +1029,38 @@ def test_circle_powers_are_exact_strided_copies():
         assert nevanlab.nevanlinna._row_tables(n)[0] is coarse
 
 
-def _near_rows(text, radii):
-    # the arguments of the _row_sums call of proximity on these radii, every
-    # one of which has near roots
-    data = FunctionData(parse(text))
-    bases, r = data.bases, np.array(radii)
-    terms, near = nevanlab.nevanlinna._row_terms(bases, r)
-    assert np.all(terms >= 0) and near.any(axis=1).all(), text
-    logs = [(i, r[i], bases.roots[near[i]], bases.e[near[i]]) for i in range(len(r))]
-    return nevanlab.nevanlinna._row_coefficients(bases, r, terms, near), terms, logs
-
-
 def test_near_row_holds_no_array_per_radius():
-    # the near logs of one radius at a time go through the same three
-    # buffers of N = 8192 nodes: each radius more holds less than a quarter
-    # row of N (its coefficients, coarse values and bounds), where a table of
-    # every radius's near logs would add a row of N per radius
+    # the sampled circles of one call hold their spectra and samples, two
+    # rows of N = 8192 nodes per radius, while the near logs of one radius
+    # at a time go through the same five buffers of N: a table of every
+    # radius's near logs would add a third row per radius
     samples = 8192
+    data = FunctionData(parse("1e6*(z-1.9)^6"))
     peaks = []
     for radii in ([2.0], np.linspace(1.95, 2.05, 16)):
-        d, terms, logs = _near_rows("1e6*(z-1.9)^6", radii)
-        nevanlab.nevanlinna._row_sums(d, terms, samples, logs)
+        r = np.array(radii)
+        terms, near, row = nevanlab.nevanlinna._row_terms(data.bases, r)
+        assert near.any(axis=1).all() and not row.any()
+        d = nevanlab.nevanlinna._row_coefficients(data.bases, r, terms, near)
+        data._sampled_circles(r, d, near, samples)
         tracemalloc.start()
         try:
-            nevanlab.nevanlinna._row_sums(d, terms, samples, logs)
+            data._sampled_circles(r, d, near, samples)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[0] <= 4 * samples * 8 + 65536, peaks
-    assert peaks[1] - peaks[0] <= 15 * samples * 8 / 4, peaks
+    assert peaks[0] <= 8 * samples * 8 + 65536, peaks
+    assert peaks[1] - peaks[0] <= 15 * samples * 8 * 2.5, peaks
 
 
 def test_extreme_scales_match_the_factored_form(monkeypatch):
     # |num|^2 of 1e300 z^3 overflows a double, and that of 1e3 + 1e-300 z^40
     # at r = 1e5 underflows it, so no sample squares a polynomial.  At
     # r = 1e160 the near roots' differences from the nodes are about 1e160,
-    # whose squares would overflow: the near logs are taken in units of r, so
-    # a near zero, a near pole (log|f| from -1 to 2.8 on the circle) and both
-    # keep their row and match the factored trapezoid
+    # whose squares would overflow: the near logs are taken scaled by a
+    # power of two near 1/r, so a near zero, a near pole (log|f| from -1 to
+    # 2.8 on the circle) and both are sampled without log_abs and match the
+    # factored trapezoid
     _sampled_only(monkeypatch)
     unit = nevanlab.nevanlinna._unit_circle(DEFAULT_SAMPLES)[1]
     near = ("(z-9.5e159)^2", "1e160/(z-9.5e159)", "1e-160*(z-9.5e159)^3/(z+1.05e160)^2")
@@ -1191,17 +1074,17 @@ def test_extreme_scales_match_the_factored_form(monkeypatch):
             m = proximity_m(parse(text), r)
         assert want > 0.3 and m == pytest.approx(want, rel=1e-13), text
         if text in near:
-            assert _routes(c, [r]) == ["near"] and "log_abs" not in paths.calls, text
+            assert _routes(c, [r]) == ["sampled"] and "log_abs" not in paths.calls, text
 
 
 def test_near_row_of_a_multiple_root_beside_the_circle():
-    # 1e6 (z - 1.9)^6 at r = 2: the plain row fails at 128 terms, and the
-    # near root's six logs at the nodes give the N-point mean of log+|f| to
-    # rounding, where samples of the expanded polynomial lose 2e-11 of m(2)
+    # 1e6 (z - 1.9)^6 at r = 2: the row of every root fails at 128 terms, and
+    # the near root's six logs at the nodes give the N-point mean of log+|f|
+    # to rounding, where samples of the expanded polynomial lose 2e-11 of m(2)
     for text, r in (("1e6*(z-1.9)^6", 2.0), ("(z-1.9)^3*exp(z^2)/(z+2.1)", 2.0),
                     ("1e6*(z-1.9)^6", 1.8), ("(z-1.99)^5*(z+2.03i)^-4*exp(z)", 2.0)):
         c = canonicalize(parse(text))
-        assert _routes(c, [r]) == ["near"], text
+        assert _routes(c, [r]) == ["sampled"], text
         for samples in (64, 1024, 4096, 8192):
             m = proximity_m(parse(text), r, samples)
             want = _factored_trapezoid(c, r, samples)
@@ -1213,13 +1096,13 @@ def test_near_row_is_the_factored_trapezoid(monkeypatch):
     # six roots at a ratio of 0.05 to 1 - 1e-6 to the first circle, inside or
     # outside, zeros and poles alike (none on it), at N = 64 to 8192; p_0 puts
     # log|f| near 0 on the first circle.  No circle is settled, so each goes
-    # to its row, with near roots or without, or to _sampled_circle, and
+    # to the certified row or is sampled, with near roots or without, and
     # every m(r) is the N-point mean of log+|f| from the bases
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     angle = st.floats(0.0, 2.0 * math.pi)
     root = st.tuples(st.floats(0.05, 1.0 - 1e-6), st.booleans(), angle, st.integers(-50, 50).filter(bool))
-    seen = {"row": 0, "near": 0, "sampled": 0}
+    seen = {"row": 0, "sampled": 0}
 
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(
@@ -1229,6 +1112,8 @@ def test_near_row_is_the_factored_trapezoid(monkeypatch):
         samples=st.sampled_from([64, 128, 256, 512, 1024, 2048, 4096, 8192]))
     @hypothesis.example(  # a 50-fold pole 1e-6 r outside: the near log is all of log|f|
         roots=[(1.0 - 1e-6, False, 0.3, -50)], expo=[], r=2.0, shift=0.5, samples=8192)
+    @hypothesis.example(  # a 5-fold pole at 9.000009 beside the node z = 9: a / r would round
+        roots=[(1.0 - 1e-6, False, 0.0, -5)], expo=[], r=9.0, shift=-2.0, samples=64)
     def check(roots, expo, r, shift, samples):
         roots = [((rel if inside else 1.0 / rel) * r * cmath.exp(1j * t), e) for rel, inside, t, e in roots]
         p = [size * r ** -k * cmath.exp(1j * t) for k, (size, t) in enumerate(expo)] or [0j]
@@ -1246,7 +1131,66 @@ def test_near_row_is_the_factored_trapezoid(monkeypatch):
             assert abs(m - x) <= 1e-13 * (1.0 + abs(m)), (roots, p, radius, samples, m, x)
 
     check()
-    assert seen["near"] >= 100, seen
+    assert seen["sampled"] >= 100, seen
+
+
+def test_near_logs_do_not_round_the_root_by_r():
+    # 1e-15/(z - 3.00000006)^50 on |z| = 3 at N = 64: the pole lies 6e-8
+    # outside the node z = 3, and a / r rounds by more than that distance
+    # allows (2.9e-9 off m(3)); r and a scaled by a power of two do not
+    mpmath = pytest.importorskip("mpmath")
+    a, samples = 3.00000006, 64
+    with mpmath.workdps(40):
+        logs = [mpmath.log(mpmath.mpf(1e-15)) - 50 * mpmath.log(abs(3 * mpmath.expjpi(mpmath.mpf(2 * j) / samples) - a))
+                for j in range(samples)]
+        want = float(sum(max(v, 0) for v in logs) / samples)
+    got = proximity_m(parse("1e-15/(z-3.00000006)^50"), 3.0, samples)
+    assert abs(got - want) <= 2e-15 * want, (got, want)
+
+
+def test_sampled_circles_are_the_factored_trapezoid(monkeypatch):
+    # f = lead prod W_i^k_i prod (z - a_j)^e_j exp(p): one or two whole bases
+    # W_i of degree 2 to 6, kept unsplit as for a base that _split refuses,
+    # with roots at a ratio of 0.1 to 0.6 to the circle r, inside or
+    # outside, and |k_i| <= 3; up to three linear roots at a ratio of 0.7 to
+    # 1 - 1e-6, |e_j| <= 20; and up to four terms of p of degree up to 2N,
+    # N = 64 or 128, so that the row's terms past N/2 fold mod N.  lead puts
+    # log|f| near 0 on the circle r.  No circle, r or 1.5 r, settles or takes
+    # the certified row, and every m(r) is the N-point mean of log+|f| from
+    # the bases, to 1e-12 (1 + m)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    angle = st.floats(0.0, 2.0 * math.pi)
+    monkeypatch.setattr(nevanlab.nevanlinna, "_times", lambda cs, split=False: cs[0])
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(
+        whole=st.lists(st.tuples(st.lists(st.tuples(st.floats(0.1, 0.6), st.booleans(), angle),
+                                          min_size=2, max_size=6),
+                                 st.integers(-3, 3).filter(bool)), min_size=1, max_size=2),
+        lines=st.lists(st.tuples(st.floats(0.7, 1.0 - 1e-6), st.booleans(), angle,
+                                 st.integers(-20, 20).filter(bool)), max_size=3),
+        expo=st.lists(st.tuples(st.integers(0, 256), st.floats(0.0, 2.0), angle), max_size=4),
+        r=st.floats(1.5, 40.0), shift=st.floats(-2.0, 2.0), samples=st.sampled_from([64, 128]))
+    def check(whole, lines, expo, r, shift, samples):
+        place = lambda rel, inside, t: (rel if inside else 1.0 / rel) * r * cmath.exp(1j * t)
+        bases = [(Polynomial.from_roots([place(*x) for x in roots]), k) for roots, k in whole]
+        bases += [(Polynomial([-place(rel, inside, t), 1]), e) for rel, inside, t, e in lines]
+        p = [0j] * (max([min(k, 2 * samples) for k, _, _ in expo], default=0) + 1)
+        for k, size, t in expo:
+            p[min(k, 2 * samples)] += size * r ** -min(k, 2 * samples) * cmath.exp(1j * t)
+        jensen = p[0].real + sum(e * (b.degree * math.log(r) + sum(math.log(max(1.0, abs(x) / r))
+                                                                   for x in np.roots(b.coefficients[::-1])))
+                                 for b, e in bases)
+        c = Canonical(complex(math.exp(shift - jensen)), 1 + 0j, tuple(bases), Polynomial(p))
+        data = FunctionData(nevanlab.expressions.Expr((c,)))
+        radii = [r, r * 1.5]
+        assert data.bases.whole and not nevanlab.nevanlinna._row_terms(data.bases, np.array(radii))[2].any()
+        for radius, m in zip(radii, data.proximity(radii, samples)):
+            x = _factored_trapezoid(c, radius, samples)
+            assert abs(m - x) <= 1e-12 * (1.0 + abs(m)), (bases, p, radius, samples, m, x)
+
+    check()
 
 
 def _whole(num, den, expo):
@@ -1258,12 +1202,13 @@ def _whole(num, den, expo):
 def test_proximity_is_the_trapezoid_at_the_nodes_it_uses(monkeypatch):
     # f = 1e-300 (z^60 + 1e307 (z^59 + ... + 1)) / (z - rho), whose num
     # poly_roots cannot split (its companion matrix overflows), so that no
-    # row takes a circle and every circle, one close to the roots of num
-    # (r = 1.2), one through the pole and farther ones, takes every sample
-    # from Canonical.log_abs; rho lies on a node of the circle r = |rho|.
-    # Samples that log_abs leaves not finite are retried half a step over,
-    # and m(r) is the mean of max(log|f|, 0) at the nodes it used.  On the
-    # circle through the pole, m(r) is the mean of max(log|f| + L, L),
+    # circle is settled or taken by the certified row, and every circle, one
+    # close to the roots of num (r = 1.2), one through the pole and farther
+    # ones, is sampled with the logs of the whole num at every node; rho
+    # lies on a node of the circle r = |rho|.  m(r) is the mean of
+    # max(log|f|, 0) from Canonical.log_abs at the nodes, where samples that
+    # it leaves not finite are retried half a step over.  On the circle
+    # through the pole, m(r) is the mean of max(log|f| + L, L),
     # L = log|z - rho|, at the nodes themselves, the pole's node included,
     # minus L's exact mean log|rho|: log|f| + L is log|num| there, with the
     # pole's base left out
@@ -1276,7 +1221,7 @@ def test_proximity_is_the_trapezoid_at_the_nodes_it_uses(monkeypatch):
         c = _whole(num, Polynomial([-rho, 1]), Polynomial([0]))
         radii = [1.2, pole, *sorted(rng.uniform(5.0, 20.0, 2))]
         data = FunctionData(nevanlab.expressions.Expr((c,)))
-        assert not data.bases.linear
+        assert data.bases.whole
         assert np.all(np.isnan(nevanlab.nevanlinna._settled_circles(data.bases, radii, samples)))
         theta = 2.0 * np.pi * np.arange(samples) / samples
         half = np.pi / samples
@@ -1297,15 +1242,16 @@ def test_proximity_is_the_trapezoid_at_the_nodes_it_uses(monkeypatch):
         with monkeypatch.context() as patch:
             paths = _SamplingCalls(patch)
             got = data.proximity(radii, samples)
-        assert "_row_sums" not in paths.calls and paths.calls.count("log_abs") >= len(radii)
+        assert "_row_sums" not in paths.calls and paths.calls.count("_whole_logs") == len(radii)
         for r, m, w in zip(radii, got, want):
             assert abs(m - w) <= 1e-13 * abs(w), (samples, r, m, w)
 
 
 def test_pole_just_inside_the_circle_is_dodged():
     # a pole 5e-9 r inside is within the on-circle distance but not a
-    # singular sample: the pole check must still root-find the denominator
+    # singular sample: its linear base puts it on the circle, with no
+    # divisor computed
     on = proximity_m(parse("1/(z - 2)"), 2.0)
     near = FunctionData(parse(f"1/(z - {2.0 * (1.0 - 5e-9)!r})"))
     assert near.proximity([2.0], DEFAULT_SAMPLES)[0] == pytest.approx(on, abs=1e-6)
-    assert "poles" in vars(near)
+    assert "poles" not in vars(near)
