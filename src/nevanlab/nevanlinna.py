@@ -30,16 +30,19 @@ polynomial:
   all N nodes.  The roots with min(|a|/r, r/|a|) above _NEAR are near
   (every root where the far ones still fail the bound); the row of the far
   roots and the whole expo, its terms past N/2 folded mod N, is read at the
-  nodes by one inverse real FFT per call (_row_samples), and each circle
-  adds the exact logs of its near roots (_near_logs) and of each whole base
-  (_whole_logs).  On a circle through poles rho of order m, with
-  L = sum m log|z - rho|, log+|f| = h - L where h = max(log|f| + L, L) is
-  smooth at the poles; a near pole on the circle leaves log|f| + L and
-  gives L by its own logs, so h is finite even at a node on the pole, and
-  the exact mean of L, sum m log max(r, |rho|), is subtracted.  Samples
-  that are NaN or +inf are taken again from Canonical.log_abs, which sums
-  e log|b(z)| over the bases b^e of the factored form, at their own nodes,
-  then half a step over; samples still singular raise QuadratureError.
+  nodes by one inverse real FFT per _SAMPLED_ROWS = 4 circles
+  (_row_samples; expo's terms past _ROW_TERMS join per FFT, _expo_past),
+  and each circle adds the exact logs of its near roots (_near_logs) and
+  of each whole base b of degree d, d log r + log|z^-d b(z)| by the
+  reversed coefficients at 1/z, as Canonical.log_abs takes them.  On a
+  circle through poles rho of order m, with L = sum m log|z - rho|,
+  log+|f| = h - L where h = max(log|f| + L, L) is smooth at the poles; a
+  near pole on the circle leaves log|f| + L and gives L by its own logs, so
+  h is finite even at a node on the pole, and the exact mean of L,
+  sum m log max(r, |rho|), is subtracted.  Samples that are NaN or +inf are
+  taken again from Canonical.log_abs, which sums e log|b(z)| over the bases
+  b^e of the factored form, at their own nodes, then half a step over;
+  samples still singular raise QuadratureError.
 
 T = m + N by construction.
 """
@@ -62,7 +65,7 @@ from .expressions import (
     print_expr,
     _times,
 )
-from .polynomials import QuadratureError
+from .polynomials import Polynomial, QuadratureError
 DEFAULT_SAMPLES = 4096
 DEFAULT_RMIN, DEFAULT_RMAX, DEFAULT_STEPS = 2.0, 128.0, 64
 _MIN_SAMPLES = 64
@@ -75,6 +78,7 @@ _ROW_TERMS = 128  # most Fourier terms of log|f| in a circle's row (_row_terms)
 _ROW_TAIL = 2.0 ** -53  # bound on the error per sample of a row cut after its terms
 _NEAR = 0.7  # a root past this ratio to r leaves a failing row for its own logs
 _ROW_NODES = 64  # coarse nodes of a row circle, at most (_row_tables)
+_SAMPLED_ROWS = 4  # sampled circles per inverse FFT (FunctionData._sampled_circles)
 # columns m and 1 against the moduli |D_m|, m = 1 .. _ROW_TERMS, give sum m |D_m| and
 # sum |D_m| (_row_sums); 8 columns, as products of 1 or 2 round by their rows and widths
 _ROW_WEIGHTS = np.zeros((_ROW_TERMS, 8))
@@ -185,14 +189,14 @@ class _Bases:
     """The bases b^e of a canonical form c, read once per FunctionData for
     every stage of proximity.  The linear bases (z - a)^e give roots a,
     moduli |a|, exponents e and orders |e|, sorted by modulus (stable); whole
-    holds the bases (b, e) that _split refused, and reach is the largest
-    |a| raised by _INFLATE.  const = log|lead| - log|den_lead|, scale =
-    |log|lead|| + |log|den_lead||, slope = sum e, mass = sum |e| and expo is
-    expo's coefficients."""
+    holds (rev, d, e) per base b^e of degree d that _split refused,
+    rev(v) = v^d b(1/v); reach is the largest |a| raised by _INFLATE.
+    const = log|lead| - log|den_lead|, scale = |log|lead|| + |log|den_lead||,
+    slope = sum e, mass = sum |e| and expo is expo's coefficients."""
 
     def __init__(self, c):
         lines = [(-b.coefficients[0], e) for b, e in c.factors if b.degree == 1]
-        self.whole = [(b, e) for b, e in c.factors if b.degree > 1]
+        self.whole = [(Polynomial(b.coefficients[::-1]), b.degree, e) for b, e in c.factors if b.degree > 1]
         roots = np.array([a for a, _ in lines], dtype=complex)
         moduli = np.abs(roots)
         order = np.argsort(moduli, kind="stable")
@@ -281,14 +285,15 @@ def _settled_circles(bases, radii, samples):
 
 def _row_terms(bases, r):
     """(terms, near, row) per radius of the ndarray r: the number M of
-    Fourier terms of log|f| in the circle's row, the least M >= deg expo
-    whose truncation bound sum_j |e_j| x_j^(M+1) / ((M+1)(1 - x_j)),
+    Fourier terms of log|f| in the circle's row, the least
+    M >= min(deg expo, _ROW_TERMS) whose truncation bound sum_j |e_j| x_j^(M+1) / ((M+1)(1 - x_j)),
     x_j = min(|a_j| / r, r / |a_j|), is at most _ROW_TAIL (_least_terms).
     Where no M <= _ROW_TERMS is, the roots with x_j above _NEAR are near
     (near[i, j]) and leave the bound to the others, or every root where
     still no M is.  row says that the certified row takes the circle: no
-    root is near, no base is whole and deg expo <= _ROW_TERMS."""
-    degree = len(bases.expo) - 1
+    root is near, no base is whole and deg expo <= _ROW_TERMS; a sampled
+    circle reads the terms of expo past M apart (_expo_past)."""
+    degree = min(len(bases.expo) - 1, _ROW_TERMS)
     with np.errstate(divide="ignore", over="ignore"):
         ratio = bases.moduli / r[:, None]
         ratio = np.minimum(ratio, 1.0 / ratio)  # 1 for a root on the circle
@@ -300,7 +305,7 @@ def _row_terms(bases, r):
         least, ok = _least_terms(np.where(close, 0.0, ratio[again]), bases.orders)
         close[~ok], least[~ok] = True, 0
         terms[again], near[again] = np.maximum(least, degree), close
-    row = ~near.any(axis=1) & (degree <= _ROW_TERMS) & (not bases.whole)
+    row = ~near.any(axis=1) & (len(bases.expo) <= _ROW_TERMS + 1) & (not bases.whole)
     return terms, near, row
 
 
@@ -329,7 +334,8 @@ def _row_coefficients(bases, r, terms, near):
     the radius's own terms, from the linear bases (z - a_j)^e_j of a table
     (_Bases), sorted by |a_j|, less the near roots (near, from _row_terms):
     log|f(r w^j)| = Re sum_m D_m w^(jm) + the near logs + the whole bases'
-    logs, up to the truncation that _row_terms bounds, with the sums over
+    logs + the terms of expo past max(terms) (_expo_past), up to the
+    truncation that _row_terms bounds, with the sums over
     far roots
     D_0 = log|lead / den_lead| + Re p_0 + sum_j e_j log max(r, |a_j|)
     and D_m = p_m r^m - (1/m) sum_(|a_j| > r) e_j (r / a_j)^m
@@ -345,8 +351,9 @@ def _row_coefficients(bases, r, terms, near):
     top = int(terms.max())
     roots, moduli, e, p = bases.roots, bases.moduli, bases.e, bases.expo
     d = np.zeros((len(r), top + 1), dtype=complex)
+    low = p[:top + 1]  # the terms past top are read apart (_expo_past)
     with np.errstate(over="ignore", invalid="ignore"):  # samples not finite go to log_abs
-        d[:, :len(p)] = p * r[:, None] ** np.arange(len(p))
+        d[:, :len(low)] = low * r[:, None] ** np.arange(len(low))
     d[:, 0] = bases.const + p[0].real
     span = len(roots) + 1  # split (k, l) as k * span + l
     split = np.searchsorted(moduli, r) * (span + 1)
@@ -370,6 +377,17 @@ def _row_coefficients(bases, r, terms, near):
             d[at, 1:n + 1] -= np.exp(np.log(x / t) * m) * (_power_sums(t / roots[l:], e[l:], n) / m)
     d[np.arange(top + 1) > terms[:, None]] = 0.0  # m(r) is its own terms'
     return d
+
+
+def _expo_past(bases, r, d):
+    """The rows d (_row_coefficients) per radius of the ndarray r, with the
+    terms p_m r^m of expo past their columns appended, m up to deg expo, for
+    the circles of one inverse FFT at a time: the rows stop at _ROW_TERMS.
+    p_m takes r^(m/2) twice, so that no power overflows before a small p_m
+    does (log_abs's Horner sum would lose the digits of a subnormal p_m)."""
+    m = np.arange(d.shape[1], len(bases.expo))
+    x = r[:, None]
+    return np.concatenate([d, bases.expo[m] * x ** (m // 2) * x ** (m - m // 2)], axis=1)
 
 
 def _power_sums(z, e, n):
@@ -493,56 +511,39 @@ def _row_samples(d, samples):
     adds their conjugates.  Each row's samples depend on its own row alone."""
     half = samples // 2
     spectrum = np.zeros((len(d), half + 1), dtype=complex)
-    with np.errstate(invalid="ignore"):  # an inf coefficient gives samples that are not finite
-        for start in range(0, d.shape[1], samples):
-            block = d[:, start:start + samples]
-            low, high = block[:, :half + 1], block[:, half + 1:]
-            spectrum[:, :low.shape[1]] += low
-            spectrum[:, half - high.shape[1]:half] += np.conj(high[:, ::-1])
-        spectrum[:, 1:min(half, d.shape[1])] *= 0.5
-        return np.fft.irfft(spectrum, samples, norm="forward")
+    for start in range(0, d.shape[1], samples):
+        block = d[:, start:start + samples]
+        low, high = block[:, :half + 1], block[:, half + 1:]
+        spectrum[:, :low.shape[1]] += low
+        spectrum[:, half - high.shape[1]:half] += np.conj(high[:, ::-1])
+    spectrum[:, 1:min(half, d.shape[1])] *= 0.5
+    return np.fft.irfft(spectrum, samples, norm="forward")
 
 
 def _near_logs(r, roots, e, samples, work):
     """sum_j e_j log|r w^t - a_j| at the N nodes t of the circle r, into the
-    first of the five rows of work, (5, N), in real arithmetic.  r and the
-    roots are scaled by the power of two 2^-k, r = x 2^k with
-    1/2 <= x < 1 (frexp), which is exact, so no quotient a_j / r rounds and
-    no square overflows: (sum_j e_j) k log 2 plus each
-    (e_j / 2) log((x cos theta_t - Re a_j 2^-k)^2 + (x sin theta_t - Im a_j 2^-k)^2).
+    first of the three rows of work, (3, N), in real arithmetic.  r and each
+    root a_j are scaled by the power of two 2^-k_j, max(r, |a_j|) = x 2^k_j
+    with 1/2 <= x < 1 (frexp), which is exact but for bits far below the
+    larger of the two, so no quotient a_j / r rounds and no square
+    overflows, however far the root: (sum_j e_j k_j) log 2 plus each
+    (e_j / 2) log((r 2^-k_j cos theta_t - Re a_j 2^-k_j)^2
+    + (r 2^-k_j sin theta_t - Im a_j 2^-k_j)^2).
     A zero on a node gives -inf there, as log|0| would."""
     unit = _unit_circle(samples)[1]
-    out, x, y, cos, sin = work
-    scale, shift = math.frexp(r)
-    np.multiply(unit.real, scale, out=cos)
-    np.multiply(unit.imag, scale, out=sin)
-    out.fill(e.sum() * shift * math.log(2.0))
-    for a, m in zip(roots.tolist(), e.tolist()):
-        np.subtract(cos, math.ldexp(a.real, -shift), out=x)
-        np.multiply(x, x, out=x)
-        np.subtract(sin, math.ldexp(a.imag, -shift), out=y)
-        np.multiply(y, y, out=y)
+    out, x, y = work
+    shifts = [math.frexp(max(r, abs(a)))[1] for a in roots.tolist()]
+    out.fill(sum(m * k for m, k in zip(e.tolist(), shifts)) * math.log(2.0))
+    for a, m, k in zip(roots.tolist(), e.tolist(), shifts):
+        for row, part, c in ((x, unit.real, a.real), (y, unit.imag, a.imag)):
+            np.multiply(part, math.ldexp(r, -k), out=row)
+            row -= math.ldexp(c, -k)
+            np.multiply(row, row, out=row)
         x += y
         np.log(x, out=x)
         x *= 0.5 * m
         out += x
     return out
-
-
-def _whole_logs(b, r, samples):
-    """log|b(r w^t)| at the N nodes t for a monic whole base b of degree d:
-    d log r + log|sum_k c_k v^(d-k)|, v = 1 / (r w^t), by Horner in v, the
-    reversed coefficients at 1/z as in Canonical.log_abs: |v| = 1/r is below
-    1 (r > 1), so the sum is at most sum |c_k|, and no sample overflows
-    where b(z) itself would."""
-    c = b.coefficients
-    v = 1.0 / (r * _unit_circle(samples)[1])
-    acc = np.full(samples, c[0])
-    for x in c[1:]:
-        acc *= v
-        acc += x
-    with np.errstate(divide="ignore"):
-        return b.degree * math.log(r) + np.log(np.abs(acc))
 
 
 def _on_circle(rho, r):
@@ -630,55 +631,61 @@ class FunctionData:
         _ROW_TERMS) or whose row sum is not finite, given its row of
         coefficients d (_row_coefficients) and its near roots.
 
-        One inverse real FFT reads the far roots' row and the whole expo at
-        the nodes of every circle (_row_samples); each circle then adds the
-        exact logs of its near roots (_near_logs) and of each whole base
-        (_whole_logs).  With L = sum m log|z - rho| over the poles rho of
-        order m on the circle (0 where there are none), log+|f| is h - L,
-        where h = max(log|f| + L, L) is smooth at those poles; m(r) is the
-        N-point trapezoid of h minus the exact mean of L,
-        sum m log max(r, |rho|).  The near poles on the circle are left out
-        of log|f| + L and give L by their own logs, so h is finite at a node
-        on such a pole.  A pole of a whole base keeps its base, and a node
-        within _ON_CIRCLE r of it counts as singular.  Samples of h that are
-        NaN or +inf are taken again from Canonical.log_abs of the factored
-        form at their own nodes (_retaken), then half a step over; if the sum
-        is still not finite, QuadratureError is raised.
+        One inverse real FFT per _SAMPLED_ROWS circles reads the far roots'
+        row and the whole expo at their nodes (_row_samples), so that a call
+        holds the samples of a few circles at a time however many it has;
+        each circle then adds the exact logs of its near roots (_near_logs)
+        and of each whole base (by Horner in 1/z, as Canonical.log_abs).
+        With L = sum m log|z - rho| over the poles rho of order m on the
+        circle (0 where there are none), log+|f| is h - L, where
+        h = max(log|f| + L, L) is smooth at those poles; m(r) is the N-point
+        trapezoid of h minus the exact mean of L, sum m log max(r, |rho|).
+        The near poles on the circle are left out of log|f| + L and give L
+        by their own logs, so h is finite at a node on such a pole.  A pole
+        of a whole base keeps its base, and a node within _ON_CIRCLE r of it
+        counts as singular.  Samples of h that are NaN or +inf are taken
+        again from Canonical.log_abs of the factored form at their own nodes
+        (_retaken), then half a step over; if the sum is still not finite,
+        QuadratureError is raised.
         """
         bases = self.bases
         theta, unit = _unit_circle(samples)
-        work = np.empty((5, samples))
         whole = []  # the poles of whole bases
-        if any(e < 0 for _, e in bases.whole):
+        if any(e < 0 for *_, e in bases.whole):
             linear = set(bases.roots[bases.e < 0].tolist())
             whole = [(rho, m) for rho, m in self.poles.entries if rho not in linear]
         on = near & (bases.e < 0) & (np.abs(bases.moduli - radii[:, None]) <= _ON_CIRCLE * radii[:, None])
         out = []
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for r, h, close, through in zip(radii.tolist(), _row_samples(d, samples), near & ~on, on):
-                if close.any():
-                    h += _near_logs(r, bases.roots[close], bases.e[close], samples, work)
-                for b, k in bases.whole:
-                    h += k * _whole_logs(b, r, samples)
-                cut = list(zip(bases.roots[through].tolist(), (-bases.e[through]).tolist()))
-                poles = [(rho, m) for rho, m in whole if _on_circle(rho, r)]
-                np.maximum(h, _near_logs(r, bases.roots[through], -bases.e[through], samples, work)
-                           if cut else 0.0, out=h)
-                for rho, m in poles:
-                    distance = np.abs(r * unit - rho)
-                    h += m * np.log(distance)
-                    h[distance <= _ON_CIRCLE * r] = np.nan
-                total = h.sum()
-                if not math.isfinite(total):  # NaN or +inf samples: take them again
-                    for shift in (0.0, np.pi / samples):
-                        bad = ~np.isfinite(h)
-                        if bad.any():
-                            h[bad] = self._retaken(r, theta[bad] + shift, cut, poles)
+            for start in range(0, len(radii), _SAMPLED_ROWS):
+                chunk = slice(start, start + _SAMPLED_ROWS)
+                rows = _row_samples(_expo_past(bases, radii[chunk], d[chunk]), samples)
+                work = np.empty((3, samples))  # after the FFT, whose spectra are gone by now
+                for r, h, close, through in zip(radii[chunk].tolist(), rows, near[chunk] & ~on[chunk], on[chunk]):
+                    if close.any():
+                        h += _near_logs(r, bases.roots[close], bases.e[close], samples, work)
+                    for rev, degree, k in bases.whole:  # Horner in 1/z, as |1/z| = 1/r < 1
+                        h += k * (degree * math.log(r) + np.log(np.abs(rev(1.0 / (r * unit)))))
+                    cut = list(zip(bases.roots[through].tolist(), (-bases.e[through]).tolist()))
+                    poles = [(rho, m) for rho, m in whole if _on_circle(rho, r)]
+                    np.maximum(h, _near_logs(r, bases.roots[through], -bases.e[through], samples, work)
+                               if cut else 0.0, out=h)
+                    for rho, m in poles:
+                        distance = np.abs(r * unit - rho)
+                        h += m * np.log(distance)
+                        h[distance <= _ON_CIRCLE * r] = np.nan
                     total = h.sum()
-                if not math.isfinite(total):
-                    raise QuadratureError(f"quadrature hit singular samples at r = {r}")
-                out.append(float(total) / samples - sum(m * math.log(max(r, abs(rho)))
-                                                        for rho, m in cut + poles))
+                    if not math.isfinite(total):  # NaN or +inf samples: take them again
+                        for shift in (0.0, np.pi / samples):
+                            bad = ~np.isfinite(h)
+                            if bad.any():
+                                h[bad] = self._retaken(r, theta[bad] + shift, cut, poles)
+                        total = h.sum()
+                    if not math.isfinite(total):
+                        raise QuadratureError(f"quadrature hit singular samples at r = {r}")
+                    out.append(float(total) / samples - sum(m * math.log(max(r, abs(rho)))
+                                                            for rho, m in cut + poles))
+                del rows, h, work  # before the next chunk's FFT
         return out
 
     def _retaken(self, r, theta, cut, whole):

@@ -569,9 +569,17 @@ def _settle_cases(rng, radii):
 
 
 def _factored_trapezoid(c, r, samples):
-    # the N-point mean of log+|f| from the bases, each log|z - a| to rounding
-    z = r * nevanlab.nevanlinna._unit_circle(samples)[1]
-    vals = math.log(abs(c.lead)) - math.log(abs(c.den_lead)) + c.expo(z).real
+    # the N-point mean of log+|f| from the bases, each log|z - a| to rounding,
+    # and expo's term k at node j taken as p_k r^k w^(jk mod N): the power z^k
+    # of a rounded node would err in phase by about k ulps, which a term of
+    # degree 128 whose real part cancels to 1/80 of its modulus turns into
+    # 1e-12 of m(r)
+    unit = nevanlab.nevanlinna._unit_circle(samples)[1]
+    z = r * unit
+    k = np.arange(len(c.expo.coefficients))
+    terms = np.array(c.expo.coefficients) * r ** (k // 2) * r ** (k - k // 2)  # no r^k overflows
+    vals = (math.log(abs(c.lead)) - math.log(abs(c.den_lead))
+            + (terms @ unit[np.outer(k, np.arange(samples)) % samples]).real)
     for b, e in c.factors:
         vals = vals + e * np.log(np.abs(b(z)))
     return float(np.mean(np.maximum(vals, 0.0)))
@@ -642,7 +650,7 @@ class _SamplingCalls:
         self.calls = []
         monkeypatch.setattr(Canonical, "log_abs", self._wrap("log_abs", Canonical.log_abs))
         monkeypatch.setattr(np.fft, "irfft", self._wrap("irfft", np.fft.irfft))
-        for name in ("_row_coefficients", "_row_sums", "_near_logs", "_whole_logs"):
+        for name in ("_row_coefficients", "_row_sums", "_near_logs"):
             original = getattr(nevanlab.nevanlinna, name)
             monkeypatch.setattr(nevanlab.nevanlinna, name, self._wrap(name, original))
 
@@ -683,24 +691,28 @@ def test_proximity_of_linear_bases_expands_no_polynomial():
 def test_proximity_makes_at_most_one_row_call(monkeypatch):
     # every unsettled circle of a call, row or sampled, takes its
     # coefficients from one _row_coefficients call; the certified rows share
-    # one _row_sums call and the sampled circles one inverse FFT, and
-    # log_abs runs only where a sample is not finite: on the overflowing
-    # 1e-200 * 128^200 at r = 128, and at the whole base's poles 2, 3 and 4
-    # on a node, at the node and again half a step over
+    # one _row_sums call and the sampled circles one inverse FFT per
+    # _SAMPLED_ROWS of them, and log_abs runs only where a sample is not
+    # finite: at the whole base's poles 2, 3 and 4 on a node, at the node and
+    # again half a step over.  1e-200 * 128^200 at r = 128 is finite, as
+    # 1e-200 takes 128^100 twice, where 128^200 alone overflows
     paths = _SamplingCalls(monkeypatch)
-    radii = RadialGrid.geometric(1.5, 4.0, 40).radii + (2.0, 3.0)
     wilkinson = div(Const(1e20), Poly(Polynomial.from_roots(range(1, 25))))
+    chunk = nevanlab.nevanlinna._SAMPLED_ROWS
     for f, kinds, through in (("D[(z^2-1)/(z+3),4]", 2, 0), ("(z-1)^50/(z-2)", 2, 0),
                               ("5/(z-2)^3 + z", 2, 0), (_GROWTH_F, 2, 0),
                               ("(z-1.9)^3*exp(z^2)/(z+2.1)", 2, 0), (wilkinson, 1, 6),
-                              ("exp(z^200)", 1, 0), ("exp(1e-200*z^200)", 1, 1)):
+                              ("exp(z^200)", 1, 0), ("exp(1e-200*z^200)", 1, 0)):
         paths.calls.clear()
         data = FunctionData(parse(f) if isinstance(f, str) else f)
-        data.proximity(radii + (128.0,) * (f == "exp(1e-200*z^200)"), 256)
-        row, sampled = paths.calls.count("_row_sums"), paths.calls.count("irfft")
-        assert paths.calls.count("_row_coefficients") == 1 and row <= 1 and sampled <= 1, f
-        assert row + sampled == kinds and (sampled or "_near_logs" not in paths.calls), f
-        assert ("_whole_logs" in paths.calls) == bool(data.bases.whole), f
+        radii = RadialGrid.geometric(1.5, 4.0, 40).radii + (2.0, 3.0) + (128.0,) * (f == "exp(1e-200*z^200)")
+        data.proximity(radii, 256)
+        settled = nevanlab.nevanlinna._settled_circles(data.bases, radii, 256)
+        routes = _routes(data.canonical, [r for r, m in zip(radii, settled) if math.isnan(m)])
+        sampled = routes.count("sampled")
+        assert paths.calls.count("_row_coefficients") == 1, f
+        assert paths.calls.count("_row_sums") == ("row" in routes) and ("row" in routes) + (sampled > 0) == kinds, f
+        assert paths.calls.count("irfft") == -(-sampled // chunk) and (sampled or "_near_logs" not in paths.calls), f
         assert paths.calls.count("log_abs") == through, f
 
 
@@ -1030,14 +1042,17 @@ def test_circle_powers_are_exact_strided_copies():
 
 
 def test_near_row_holds_no_array_per_radius():
-    # the sampled circles of one call hold their spectra and samples, two
-    # rows of N = 8192 nodes per radius, while the near logs of one radius
-    # at a time go through the same five buffers of N: a table of every
-    # radius's near logs would add a third row per radius
+    # the sampled circles go through the inverse FFT _SAMPLED_ROWS = 4 at a
+    # time, each with its spectrum and its row of samples, and the near logs
+    # of one radius at a time through the same three buffers of N = 8192
+    # nodes: one radius holds 4 rows of N, and a call of any length about 8
+    # (16 with numpy 1.x, which also pads the spectra to N complex), so 64
+    # radii add less than a quarter row each, where the samples of every
+    # radius at once would add two rows per radius
     samples = 8192
     data = FunctionData(parse("1e6*(z-1.9)^6"))
     peaks = []
-    for radii in ([2.0], np.linspace(1.95, 2.05, 16)):
+    for radii in ([2.0], np.linspace(1.95, 2.05, 64)):
         r = np.array(radii)
         terms, near, row = nevanlab.nevanlinna._row_terms(data.bases, r)
         assert near.any(axis=1).all() and not row.any()
@@ -1049,8 +1064,27 @@ def test_near_row_holds_no_array_per_radius():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[0] <= 8 * samples * 8 + 65536, peaks
-    assert peaks[1] - peaks[0] <= 15 * samples * 8 * 2.5, peaks
+    assert peaks[0] <= 4 * samples * 8 + 65536, peaks
+    assert peaks[1] - peaks[0] <= 63 * samples * 8 / 4, peaks
+
+
+def test_long_expo_is_held_per_chunk_of_sampled_circles():
+    # the rows of a call's circles stop at _ROW_TERMS = 128 terms, and the
+    # 4872 terms of expo past them are formed for the circles of one inverse
+    # FFT at a time: 60 radii more add far less than such a row each
+    # (5001 complex terms, 80 KB), where every radius's full row would
+    data = FunctionData(parse("exp(1e-3*z^5000)"))
+    peaks = []
+    for count in (4, 64):
+        radii = RadialGrid.geometric(1.0001, 1.001, count).radii
+        data.proximity(radii, 64)
+        tracemalloc.start()
+        try:
+            data.proximity(radii, 64)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 60 * 5001 * 16 / 8, peaks
 
 
 def test_extreme_scales_match_the_factored_form(monkeypatch):
@@ -1060,12 +1094,15 @@ def test_extreme_scales_match_the_factored_form(monkeypatch):
     # whose squares would overflow: the near logs are taken scaled by a
     # power of two near 1/r, so a near zero, a near pole (log|f| from -1 to
     # 2.8 on the circle) and both are sampled without log_abs and match the
-    # factored trapezoid
+    # factored trapezoid.  The 3000000-fold zero at 1.39 fails the row's
+    # bound at r = 2, so every root, the pole at 1e200 too, takes its own
+    # logs, scaled by a power of two near 1/1e200: by one near 1/r, its
+    # square would overflow to a sample of -inf at every node, m(2) = 0.0
     _sampled_only(monkeypatch)
     unit = nevanlab.nevanlinna._unit_circle(DEFAULT_SAMPLES)[1]
-    near = ("(z-9.5e159)^2", "1e160/(z-9.5e159)", "1e-160*(z-9.5e159)^3/(z+1.05e160)^2")
-    for text, r in (("1e300*z^3/(1e-300*z^2+1)", 2.0), ("1e3 + 1e-300*z^40", 1e5),
-                    *((x, 1e160) for x in near)):
+    near = {"(z-9.5e159)^2": 1e160, "1e160/(z-9.5e159)": 1e160,
+            "1e-160*(z-9.5e159)^3/(z+1.05e160)^2": 1e160, "(z-1.39)^3000000/(z-1e200)": 2.0}
+    for text, r in (("1e300*z^3/(1e-300*z^2+1)", 2.0), ("1e3 + 1e-300*z^40", 1e5), *near.items()):
         c = canonicalize(parse(text))
         want = float(np.maximum(c.log_abs(r * unit), 0.0).mean())
         paths = _SamplingCalls(monkeypatch)
@@ -1157,13 +1194,21 @@ def test_sampled_circles_are_the_factored_trapezoid(monkeypatch):
     # N = 64 or 128, so that the row's terms past N/2 fold mod N.  lead puts
     # log|f| near 0 on the circle r.  No circle, r or 1.5 r, settles or takes
     # the certified row, and every m(r) is the N-point mean of log+|f| from
-    # the bases, to 1e-12 (1 + m)
+    # the bases, to 1e-12 (1 + m).  The examples: a term of degree 128 = 0
+    # mod 64 whose real part is 1/80 of its modulus, where a power of a
+    # rounded node errs by 1e-12 of m(r), and p_197 = 40^-197, subnormal, at
+    # 1.5 r = 60, where 60^197 overflows and Horner's sum from p_197 errs
+    # by 2.3e-11 of m(r)
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     angle = st.floats(0.0, 2.0 * math.pi)
     monkeypatch.setattr(nevanlab.nevanlinna, "_times", lambda cs, split=False: cs[0])
 
     @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.example(whole=[([(0.5, False, 0.0), (0.5, False, 0.0)], 1)], lines=[],
+                        expo=[(128, 1.5, 1.25), (128, 0.625, 2.375)], r=2.0, shift=0.0, samples=64)
+    @hypothesis.example(whole=[([(0.5, False, 0.0), (0.5, False, 0.0)], 1)], lines=[],
+                        expo=[(197, 1.0, 0.0)], r=40.0, shift=0.0, samples=128)
     @hypothesis.given(
         whole=st.lists(st.tuples(st.lists(st.tuples(st.floats(0.1, 0.6), st.booleans(), angle),
                                           min_size=2, max_size=6),
@@ -1242,7 +1287,8 @@ def test_proximity_is_the_trapezoid_at_the_nodes_it_uses(monkeypatch):
         with monkeypatch.context() as patch:
             paths = _SamplingCalls(patch)
             got = data.proximity(radii, samples)
-        assert "_row_sums" not in paths.calls and paths.calls.count("_whole_logs") == len(radii)
+        assert "_row_sums" not in paths.calls
+        assert paths.calls.count("irfft") == -(-len(radii) // nevanlab.nevanlinna._SAMPLED_ROWS)
         for r, m, w in zip(radii, got, want):
             assert abs(m - w) <= 1e-13 * abs(w), (samples, r, m, w)
 
