@@ -35,6 +35,7 @@ _EXPORTS = {
         "print_expr",
         "evaluate",
         "evaluate_on_grid",
+        "spherical_derivative",
         "differentiate",
         "canonicalize",
         "divisors",
@@ -55,7 +56,6 @@ _EXPORTS = {
         "counting_series",
         "proximity_m",
         "characteristic_T",
-        "spherical_derivative",
         "radial_report",
     ),
     "diffpoly": (

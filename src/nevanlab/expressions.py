@@ -606,6 +606,48 @@ def _values(terms, zs, shift=None):
     return sum(vals[1:], vals[0])
 
 
+def _sharp(w, dw):
+    """|dw| / (1 + |w|^2), as |dw/w| / (|w| + 1/|w|) where |w| > 1.
+
+    NaN wherever w, dw or the result is not finite.
+    """
+    a = np.abs(w)
+    d = np.abs(dw)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = np.where(a <= 1.0, d / (1.0 + a * a), (d / a) / (a + 1.0 / a))
+    ok = np.isfinite(w) & np.isfinite(dw) & np.isfinite(out)
+    return np.where(ok, out, np.nan)
+
+
+def spherical_derivative(f, z):
+    """Spherical derivative |f'| / (1 + |f|^2) at a point or an ndarray of points.
+
+    f is differentiated once per call and f, f' are evaluated over all the
+    points with evaluate_on_grid; where |f| > 1 the equal form
+    |f'/f| / (|f| + 1/|f|) is used, so |f|^2 never overflows.  Where f or f'
+    is not finite (a pole, overflow or 0/0) the same formula is applied to
+    1/f and (1/f)', which have the same spherical derivative, on those points
+    only: 1/f swaps the numerator and the denominator of f, and a term's
+    exponents, so no point of f is lost and none is added.  Array input gives an
+    ndarray of the same shape with NaN at points that are still undefined;
+    a scalar point gives a float and raises ValueError when it is undefined.
+    """
+    zs = np.asarray(z, dtype=complex)
+    pts = np.atleast_1d(zs)
+    out = _sharp(evaluate_on_grid(f, pts),
+                 evaluate_on_grid(differentiate(f, 1), pts))
+    bad = np.isnan(out)
+    if bad.any():
+        g = div(Const(1), f)
+        out[bad] = _sharp(evaluate_on_grid(g, pts[bad]),
+                          evaluate_on_grid(differentiate(g, 1), pts[bad]))
+    if zs.ndim:
+        return out
+    if np.isnan(out[0]):
+        raise ValueError(f"spherical derivative undefined at {complex(z)}")
+    return float(out[0])
+
+
 # ---------------------------------------------------------------------------
 # divisors
 

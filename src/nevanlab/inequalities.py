@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .diffpoly import degree_d, diffpoly_expression, weight_theta
 from .expressions import Const, NotNormalizableError, add, differentiate, div, divisors, print_expr
 from .nevanlinna import FunctionData, RadialGrid, counting_series
 
@@ -259,6 +258,7 @@ def check_smt(f, values, grid=None, samples=None):
 
 def _poly_of_g(p, data, values):
     """Compose P with g = data.expr and extract zero divisors of P - a for each a."""
+    from .diffpoly import diffpoly_expression
     p_expr = diffpoly_expression(p, data.expr)
     divs = []
     for j, a in enumerate(values):
@@ -286,6 +286,7 @@ def check_hinchliffe_multi(g, P, values, grid=None, samples=None, entire=False):
     + (1/(q d - 1)) sum_j Nbar(r, 1/(P - a_j)); the entire variant (pole-free
     g required) replaces both denominators by q d.
     """
+    from .diffpoly import degree_d, weight_theta
     values = _distinct(values)
     if not values:
         raise ValueError("need at least one target value")

@@ -56,13 +56,10 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .expressions import (
-    Const,
     canonical_divisors,
     canonicalize,
-    differentiate,
-    div,
-    evaluate_on_grid,
     print_expr,
+    spherical_derivative,  # its public path, nevanlab.nevanlinna.spherical_derivative
     _times,
 )
 from .polynomials import Polynomial, QuadratureError
@@ -172,17 +169,18 @@ def counting_series(divisor, radii, truncated=False):
     the sum over entries z with |z| <= r of m (log r - log max(|z|, 1)), with
     m = 1 when truncated.
 
-    One array pass over the radii per divisor entry, the logs taken by
-    math.log and the terms summed in entry order.
+    One (entries x radii) table of terms, the logs taken by math.log, summed
+    over the entries in entry order.
     """
     radii = _require_radii(radii)
-    log_r = np.array([math.log(r) for r in radii])
-    acc = np.zeros(len(radii))
-    for z, m in divisor.entries:
-        az = abs(z)
-        term = (1 if truncated else m) * (log_r - math.log(max(az, 1.0)))
-        acc += np.where(az <= radii, term, 0.0)
-    return acc.tolist()
+    if not divisor.entries:
+        return [0.0] * len(radii)
+    az = np.array([abs(z) for z, _ in divisor.entries])
+    w = np.ones(len(az)) if truncated else np.array([m for _, m in divisor.entries], float)
+    log_r = np.array(list(map(math.log, radii.tolist())))
+    log_a = np.array([math.log(max(a, 1.0)) for a in az.tolist()])
+    terms = np.where(az[:, None] <= radii, w[:, None] * (log_r - log_a[:, None]), 0.0)
+    return np.cumsum(terms, axis=0)[-1].tolist()  # sum() pairs the entries at one radius
 
 
 class _Bases:
@@ -727,48 +725,6 @@ def proximity_m(f, r, samples=None):
 def characteristic_T(f, r, samples=None):
     """Nevanlinna characteristic T(r, f) = m(r, f) + N(r, poles of f)."""
     return FunctionData(f).characteristic([r], samples)[0]
-
-
-def _sharp(w, dw):
-    """|dw| / (1 + |w|^2), as |dw/w| / (|w| + 1/|w|) where |w| > 1.
-
-    NaN wherever w, dw or the result is not finite.
-    """
-    a = np.abs(w)
-    d = np.abs(dw)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = np.where(a <= 1.0, d / (1.0 + a * a), (d / a) / (a + 1.0 / a))
-    ok = np.isfinite(w) & np.isfinite(dw) & np.isfinite(out)
-    return np.where(ok, out, np.nan)
-
-
-def spherical_derivative(f, z):
-    """Spherical derivative |f'| / (1 + |f|^2) at a point or an ndarray of points.
-
-    f is differentiated once per call and f, f' are evaluated over all the
-    points with evaluate_on_grid; where |f| > 1 the equal form
-    |f'/f| / (|f| + 1/|f|) is used, so |f|^2 never overflows.  Where f or f'
-    is not finite (a pole, overflow or 0/0) the same formula is applied to
-    1/f and (1/f)', which have the same spherical derivative, on those points
-    only: 1/f swaps the numerator and the denominator of f, and a term's
-    exponents, so no point of f is lost and none is added.  Array input gives an
-    ndarray of the same shape with NaN at points that are still undefined;
-    a scalar point gives a float and raises ValueError when it is undefined.
-    """
-    zs = np.asarray(z, dtype=complex)
-    pts = np.atleast_1d(zs)
-    out = _sharp(evaluate_on_grid(f, pts),
-                 evaluate_on_grid(differentiate(f, 1), pts))
-    bad = np.isnan(out)
-    if bad.any():
-        g = div(Const(1), f)
-        out[bad] = _sharp(evaluate_on_grid(g, pts[bad]),
-                          evaluate_on_grid(differentiate(g, 1), pts[bad]))
-    if zs.ndim:
-        return out
-    if np.isnan(out[0]):
-        raise ValueError(f"spherical derivative undefined at {complex(z)}")
-    return float(out[0])
 
 
 @dataclass(frozen=True)

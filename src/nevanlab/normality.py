@@ -34,9 +34,9 @@ from .expressions import (
     parse_complex,
     pow_int,
     print_expr,
+    spherical_derivative,
     substitute_affine,
 )
-from .nevanlinna import spherical_derivative
 
 INFINITE_MULTIPLICITY = math.inf
 _DIVERGENCE_FACTOR = 100.0

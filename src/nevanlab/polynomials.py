@@ -363,7 +363,10 @@ def _companion_roots(coeffs):
         if not np.isfinite(a[0]).all():
             raise RootFindingError("the companion matrix overflows: the coefficients "
                                    "span more than the double range")
-        roots = np.linalg.eigvals(a).tolist()
+        roots = np.linalg.eigvals(a)
+        if not np.isfinite(roots).all():  # abs() of a NaN complex can raise OverflowError
+            raise RootFindingError("the companion matrix has eigenvalues that are not finite")
+        roots = roots.tolist()
     return roots + [0j] * zeros
 
 

@@ -122,6 +122,15 @@ def test_characteristic_parse_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_polynomial_whose_eigenvalues_overflow_is_an_error_line(capsys):
+    # its companion matrix has NaN eigenvalues: one error line, not a traceback
+    argv = ["characteristic", "--f", "z^2+(1.57e308-8.99e307*i)*z+8.99e307", "--steps", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_non_literal_value_is_a_usage_error(capsys):
     # a sum of exponential parts is no complex value, and must not read as 0
     family = json.dumps({"template": "v*z", "params": [1, 2],
@@ -403,18 +412,27 @@ def test_package_import_is_lazy_and_exports_every_name():
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
-CORE = ["nevanlab.cli", "nevanlab.expressions", "nevanlab.nevanlinna", "nevanlab.polynomials"]
+CORE = ["nevanlab.cli", "nevanlab.expressions", "nevanlab.polynomials"]
+GROWTH = CORE + ["nevanlab.nevanlinna"]
+# the paper's side: no circle quadrature (nevanlinna) behind a probe or a criterion
+PROBES = CORE + ["nevanlab.diffpoly", "nevanlab.normality"]
 
 
 @pytest.mark.parametrize("argv, modules", [
-    (["characteristic", "--f", "z", "--steps", "2"], CORE),
+    (["characteristic", "--f", "z", "--steps", "2"], GROWTH),
+    (["verify", "fmt", "--f", "(z^2-1)/(z+3)", "--a", "1", "--steps", "2"],
+     GROWTH + ["nevanlab.inequalities"]),
     (["verify", "smt", "--f", "z^2", "--values", "0,1", "--steps", "2"],
-     CORE + ["nevanlab.diffpoly", "nevanlab.inequalities"]),
-    (["marty", "--family", LINEAR_FAMILY, "--resolution", "5"],
-     CORE + ["nevanlab.diffpoly", "nevanlab.normality"]),
+     GROWTH + ["nevanlab.inequalities"]),
+    (["marty", "--family", LINEAR_FAMILY, "--resolution", "5"], PROBES),
+    (["zalcman", "--family", LINEAR_FAMILY, "--limit", "z", "--alpha", "0", "--zv", "0",
+      "--rho", "1/v"], PROBES),
+    (_remark14_args([100, 10 ** 4], []), PROBES),
+    (["criteria", "th1", "--n", "3", "--pairs", "3:1"], PROBES),
     (["expand", "--n", "3", "--t", "2"],  # no grid flags: nevanlinna is never loaded
-     ["nevanlab.cli", "nevanlab.diffpoly", "nevanlab.expressions", "nevanlab.polynomials"]),
-], ids=["characteristic", "verify smt", "marty", "expand"])
+     CORE + ["nevanlab.diffpoly"]),
+], ids=["characteristic", "verify fmt", "verify smt", "marty", "zalcman", "remark14",
+        "criteria th1", "expand"])
 def test_a_subcommand_loads_only_its_modules(argv, modules):
     code = ("import contextlib, io, json, sys\n"
             "from nevanlab.cli import main\n"
@@ -427,6 +445,21 @@ def test_a_subcommand_loads_only_its_modules(argv, modules):
                           capture_output=True, text=True)
     assert proc.stderr == ""
     assert json.loads(proc.stdout) == [0, sorted(modules)]
+
+
+def test_the_probe_api_loads_no_circle_quadrature():
+    # spherical_derivative lives in expressions; nevanlinna binds the same
+    # function for its public path
+    code = ("import sys\n"
+            "import nevanlab\n"
+            "nevanlab.check_multiplicities, nevanlab.spherical_derivative\n"
+            "assert 'nevanlab.nevanlinna' not in sys.modules, sorted(sys.modules)\n"
+            "import nevanlab.expressions, nevanlab.nevanlinna\n"
+            "assert nevanlab.nevanlinna.spherical_derivative is "
+            "nevanlab.expressions.spherical_derivative\n"
+            "assert nevanlab.spherical_derivative is nevanlab.expressions.spherical_derivative\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def _pinned_texts():

@@ -102,6 +102,17 @@ def test_companion_overflow_is_a_root_finding_error():
             poly_roots(Polynomial([1e300, 0, 0, 1e-300]))
 
 
+def test_eigenvalues_that_are_not_finite_are_a_root_finding_error():
+    # the companion row of z^2 + (1.57e308 - 8.99e307i) z + 8.99e307 is
+    # finite, but its eigenvalues are NaN: refused, where abs() of a NaN
+    # complex in the clustering raised OverflowError
+    c = [8.99e307, 1.57e308 - 8.99e307j, 1.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RootFindingError, match="not finite"):
+            poly_roots(Polynomial(c))
+
+
 def test_degree_zero_and_zero_poly():
     assert poly_roots(Polynomial([5])) == []
     with pytest.raises(ValueError):
