@@ -1089,3 +1089,10 @@ def print_expr(e):
     if e.power == 1:
         return f"({_fmt_sum(e.num)})/({_fmt_sum(e.den)})"
     return f"({_fmt_sum(e.num)})*({_fmt_sum(e.den)})^(-{e.power})"
+
+
+def _csv_text(header, rows):
+    """A report table as CSV: the header line, then one line per row, each
+    value by repr and None as an empty field."""
+    lines = [header] + [",".join("" if v is None else repr(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .expressions import Const, NotNormalizableError, add, differentiate, div, divisors, print_expr
+from .expressions import Const, NotNormalizableError, _csv_text, add, differentiate, div, divisors, print_expr
 from .nevanlinna import FunctionData, RadialGrid, counting_series
 
 _NORM_FLOOR = 1e-9
@@ -63,11 +63,9 @@ class SlackSeries:
         return self.slack(i) / max(self.rows[i][3], _NORM_FLOOR)
 
     def to_csv_text(self):
-        lines = ["r,lhs,rhs,slack,normalized_slack"]
-        for i, (r, lhs, rhs, _) in enumerate(self.rows):
-            lines.append(f"{r!r},{lhs!r},{rhs!r},{self.slack(i)!r},"
-                         f"{self.normalized_slack(i)!r}")
-        return "\n".join(lines) + "\n"
+        return _csv_text("r,lhs,rhs,slack,normalized_slack",
+                         ((r, lhs, rhs, self.slack(i), self.normalized_slack(i))
+                          for i, (r, lhs, rhs, _) in enumerate(self.rows)))
 
     def to_json_dict(self, verdict=None):
         payload = {
@@ -246,8 +244,8 @@ def check_smt(f, values, grid=None, samples=None):
                 f"divisor extraction failed for f - ({a}): {exc}") from exc
     ts = data.characteristic(grid.radii, samples)
     q = len(values)
-    nbar_poles = counting_series(data.poles, grid.radii, truncated=True)
-    nbar_zeros = [counting_series(d, grid.radii, truncated=True) for d in zero_divs]
+    nbar_poles = counting_series(data.poles.truncated(), grid.radii)
+    nbar_zeros = [counting_series(d.truncated(), grid.radii) for d in zero_divs]
     rows = []
     for i, (r, t) in enumerate(zip(grid.radii, ts)):
         rhs = nbar_poles[i] + sum(n[i] for n in nbar_zeros)
@@ -304,9 +302,8 @@ def check_hinchliffe_multi(g, P, values, grid=None, samples=None, entire=False):
     if entire and not data.poles.is_empty:
         raise ValueError("the entire variant requires a pole-free g")
     _ensure_nonconstant(data, "g")
-    nbar_g = counting_series(data.zeros, grid.radii, truncated=True)
-    nbar_p = [counting_series(z, grid.radii, truncated=True)
-              for z in _poly_of_g(P, data, values)]
+    nbar_g = counting_series(data.zeros.truncated(), grid.radii)
+    nbar_p = [counting_series(z.truncated(), grid.radii) for z in _poly_of_g(P, data, values)]
     ts = data.characteristic(grid.radii, samples)
     num_coeff = float(q * theta + 1)
     rows = [(r, t, (num_coeff / den) * nbar_g[i] + sum(n[i] for n in nbar_p) / den, t)

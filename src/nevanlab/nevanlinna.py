@@ -31,7 +31,8 @@ polynomial:
   (every root where the far ones still fail the bound); the row of the far
   roots and the whole expo, its terms past N/2 folded mod N, is read at the
   nodes by one inverse real FFT per _SAMPLED_ROWS = 4 circles
-  (_row_samples; expo's terms past _ROW_TERMS join per FFT, _expo_past),
+  (_row_samples; expo's terms past _ROW_TERMS join per FFT; its terms
+  p_m r^m, in a row or past it, all come from _expo_terms),
   and each circle adds the exact logs of its near roots (_near_logs) and
   of each whole base b of degree d, d log r + log|z^-d b(z)| by the
   reversed coefficients at 1/z, as Canonical.log_abs takes them.  On a
@@ -39,10 +40,11 @@ polynomial:
   log+|f| = h - L where h = max(log|f| + L, L) is smooth at the poles; a
   near pole on the circle leaves log|f| + L and gives L by its own logs, so
   h is finite even at a node on the pole, and the exact mean of L,
-  sum m log max(r, |rho|), is subtracted.  Samples that are NaN or +inf are
-  taken again from Canonical.log_abs, which sums e log|b(z)| over the bases
-  b^e of the factored form, at their own nodes, then half a step over;
-  samples still singular raise QuadratureError.
+  sum m log max(r, |rho|), is subtracted.  Samples that are NaN or +inf
+  (such as a node on the pole of a whole base) are taken again from
+  Canonical.log_abs, which sums e log|b(z)| over the bases b^e of the
+  factored form, half a step over; samples still singular raise
+  QuadratureError.
 
 T = m + N by construction.
 """
@@ -56,6 +58,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .expressions import (
+    _csv_text,
     canonical_divisors,
     canonicalize,
     print_expr,
@@ -159,15 +162,15 @@ def unintegrated_counting(divisor, t):
     return divisor.count_within(t)
 
 
-def counting_N(divisor, r, truncated=False):
+def counting_N(divisor, r):
     """Integrated counting function of the divisor at radius r > 1."""
-    return counting_series(divisor, (r,), truncated)[0]
+    return counting_series(divisor, (r,))[0]
 
 
-def counting_series(divisor, radii, truncated=False):
-    """counting_N(divisor, r, truncated) for every r in radii > 1, as a list:
-    the sum over entries z with |z| <= r of m (log r - log max(|z|, 1)), with
-    m = 1 when truncated.
+def counting_series(divisor, radii):
+    """counting_N(divisor, r) for every r in radii > 1, as a list: the sum
+    over entries z with |z| <= r of m (log r - log max(|z|, 1)); the
+    truncated count Nbar is that of divisor.truncated().
 
     One (entries x radii) table of terms, the logs taken by math.log, summed
     over the entries in entry order.
@@ -176,7 +179,7 @@ def counting_series(divisor, radii, truncated=False):
     if not divisor.entries:
         return [0.0] * len(radii)
     az = np.array([abs(z) for z, _ in divisor.entries])
-    w = np.ones(len(az)) if truncated else np.array([m for _, m in divisor.entries], float)
+    w = np.array([m for _, m in divisor.entries], float)
     log_r = np.array(list(map(math.log, radii.tolist())))
     log_a = np.array([math.log(max(a, 1.0)) for a in az.tolist()])
     terms = np.where(az[:, None] <= radii, w[:, None] * (log_r - log_a[:, None]), 0.0)
@@ -290,7 +293,7 @@ def _row_terms(bases, r):
     (near[i, j]) and leave the bound to the others, or every root where
     still no M is.  row says that the certified row takes the circle: no
     root is near, no base is whole and deg expo <= _ROW_TERMS; a sampled
-    circle reads the terms of expo past M apart (_expo_past)."""
+    circle reads the terms of expo past M apart (_expo_terms)."""
     degree = min(len(bases.expo) - 1, _ROW_TERMS)
     with np.errstate(divide="ignore", over="ignore"):
         ratio = bases.moduli / r[:, None]
@@ -332,7 +335,7 @@ def _row_coefficients(bases, r, terms, near):
     the radius's own terms, from the linear bases (z - a_j)^e_j of a table
     (_Bases), sorted by |a_j|, less the near roots (near, from _row_terms):
     log|f(r w^j)| = Re sum_m D_m w^(jm) + the near logs + the whole bases'
-    logs + the terms of expo past max(terms) (_expo_past), up to the
+    logs + the terms of expo past max(terms) (_expo_terms), up to the
     truncation that _row_terms bounds, with the sums over
     far roots
     D_0 = log|lead / den_lead| + Re p_0 + sum_j e_j log max(r, |a_j|)
@@ -349,9 +352,7 @@ def _row_coefficients(bases, r, terms, near):
     top = int(terms.max())
     roots, moduli, e, p = bases.roots, bases.moduli, bases.e, bases.expo
     d = np.zeros((len(r), top + 1), dtype=complex)
-    low = p[:top + 1]  # the terms past top are read apart (_expo_past)
-    with np.errstate(over="ignore", invalid="ignore"):  # samples not finite go to log_abs
-        d[:, :len(low)] = low * r[:, None] ** np.arange(len(low))
+    d[:, :min(len(p), top + 1)] = _expo_terms(p[:top + 1], r, 0)  # the terms past top are read apart
     d[:, 0] = bases.const + p[0].real
     span = len(roots) + 1  # split (k, l) as k * span + l
     split = np.searchsorted(moduli, r) * (span + 1)
@@ -377,15 +378,17 @@ def _row_coefficients(bases, r, terms, near):
     return d
 
 
-def _expo_past(bases, r, d):
-    """The rows d (_row_coefficients) per radius of the ndarray r, with the
-    terms p_m r^m of expo past their columns appended, m up to deg expo, for
-    the circles of one inverse FFT at a time: the rows stop at _ROW_TERMS.
-    p_m takes r^(m/2) twice, so that no power overflows before a small p_m
-    does (log_abs's Horner sum would lose the digits of a subnormal p_m)."""
-    m = np.arange(d.shape[1], len(bases.expo))
+def _expo_terms(p, r, start):
+    """p_m r^m for the coefficients p_m, m = start .. start + len(p) - 1, one
+    row per radius of the ndarray r > 1: the terms of expo in a circle's row
+    (_row_coefficients) and past it (FunctionData._sampled_circles).  p_m
+    takes r^(m/2) twice, so that a term overflows, to inf or NaN, only where
+    p_m r^m does or r^(m/2) alone does (|p_m| < 2^-1022): 300^128
+    overflows, 1e-300 * 300^128 is 1e17."""
+    m = np.arange(start, start + len(p))
     x = r[:, None]
-    return np.concatenate([d, bases.expo[m] * x ** (m // 2) * x ** (m - m // 2)], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return p * x ** (m // 2) * x ** (m - m // 2)
 
 
 def _power_sums(z, e, n):
@@ -642,9 +645,9 @@ class FunctionData:
         by their own logs, so h is finite at a node on such a pole.  A pole
         of a whole base keeps its base, and a node within _ON_CIRCLE r of it
         counts as singular.  Samples of h that are NaN or +inf are taken
-        again from Canonical.log_abs of the factored form at their own nodes
-        (_retaken), then half a step over; if the sum is still not finite,
-        QuadratureError is raised.
+        again from Canonical.log_abs of the factored form half a step over
+        (_retaken); if the sum is still not finite, QuadratureError is
+        raised.
         """
         bases = self.bases
         theta, unit = _unit_circle(samples)
@@ -657,7 +660,8 @@ class FunctionData:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for start in range(0, len(radii), _SAMPLED_ROWS):
                 chunk = slice(start, start + _SAMPLED_ROWS)
-                rows = _row_samples(_expo_past(bases, radii[chunk], d[chunk]), samples)
+                past = _expo_terms(bases.expo[d.shape[1]:], radii[chunk], d.shape[1])
+                rows = _row_samples(np.concatenate([d[chunk], past], axis=1), samples)
                 work = np.empty((3, samples))  # after the FFT, whose spectra are gone by now
                 for r, h, close, through in zip(radii[chunk].tolist(), rows, near[chunk] & ~on[chunk], on[chunk]):
                     if close.any():
@@ -673,11 +677,9 @@ class FunctionData:
                         h += m * np.log(distance)
                         h[distance <= _ON_CIRCLE * r] = np.nan
                     total = h.sum()
-                    if not math.isfinite(total):  # NaN or +inf samples: take them again
-                        for shift in (0.0, np.pi / samples):
-                            bad = ~np.isfinite(h)
-                            if bad.any():
-                                h[bad] = self._retaken(r, theta[bad] + shift, cut, poles)
+                    if not math.isfinite(total):  # singular samples: take them half a step over
+                        bad = ~np.isfinite(h)
+                        h[bad] = self._retaken(r, theta[bad] + np.pi / samples, cut, poles)
                         total = h.sum()
                     if not math.isfinite(total):
                         raise QuadratureError(f"quadrature hit singular samples at r = {r}")
@@ -742,10 +744,7 @@ class NevanlinnaReport:
         return all(b >= a - 1e-6 for a, b in zip(ts, ts[1:]))
 
     def to_csv_text(self):
-        lines = ["r,m,N,Nbar,T"]
-        for r, m, n, nbar, t in self.rows:
-            lines.append(f"{r!r},{m!r},{n!r},{nbar!r},{t!r}")
-        return "\n".join(lines) + "\n"
+        return _csv_text("r,m,N,Nbar,T", self.rows)
 
     def to_json_dict(self):
         return {
@@ -767,6 +766,6 @@ def radial_report(f, grid=None, samples=None):
     data = FunctionData(f)
     ms = data.proximity(grid.radii, samples)
     ns = counting_series(data.poles, grid.radii)
-    nbars = counting_series(data.poles, grid.radii, truncated=True)
+    nbars = counting_series(data.poles.truncated(), grid.radii)
     rows = [(r, m, n, nbar, m + n) for r, m, n, nbar in zip(grid.radii, ms, ns, nbars)]
     return NevanlinnaReport(print_expr(data.expr), samples, tuple(rows))

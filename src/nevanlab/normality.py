@@ -23,6 +23,7 @@ from .diffpoly import (
     generalized_polynomial,
 )
 from .expressions import (
+    _csv_text,
     Const,
     Expr,
     add,
@@ -350,10 +351,8 @@ class MartyReport:
         return self.flag == "NOT-NORMAL-EVIDENCE"
 
     def to_csv_text(self):
-        lines = ["v,max_spherical,argmax_re,argmax_im"]
-        for v, m, z in self.entries:
-            lines.append(f"{v!r},{m!r},{z.real!r},{z.imag!r}")
-        return "\n".join(lines) + "\n"
+        return _csv_text("v,max_spherical,argmax_re,argmax_im",
+                         ((v, m, z.real, z.imag) for v, m, z in self.entries))
 
     def to_json_dict(self):
         return {
@@ -460,12 +459,8 @@ class RescaleReport:
     converged: bool
 
     def to_csv_text(self):
-        lines = ["v,rho,dist_prev,dist_limit,sharp0"]
-        for v, _, rho, dp, dl, s0 in self.entries:
-            dp_s = "" if dp is None else repr(dp)
-            dl_s = "" if dl is None else repr(dl)
-            lines.append(f"{v!r},{rho!r},{dp_s},{dl_s},{s0!r}")
-        return "\n".join(lines) + "\n"
+        return _csv_text("v,rho,dist_prev,dist_limit,sharp0",
+                         ((v, rho, dp, dl, s0) for v, _, rho, dp, dl, s0 in self.entries))
 
     def to_json_dict(self):
         return {
@@ -537,11 +532,7 @@ class ExtrasReport:
     extras_vanish: bool
 
     def to_csv_text(self):
-        lines = ["v,main_dist_prev,extras_sup"]
-        for v, dp, sup in self.entries:
-            dp_s = "" if dp is None else repr(dp)
-            lines.append(f"{v!r},{dp_s},{sup!r}")
-        return "\n".join(lines) + "\n"
+        return _csv_text("v,main_dist_prev,extras_sup", self.entries)
 
     def to_json_dict(self):
         return {

@@ -579,6 +579,12 @@ CUBE_ROOTS = [cmath.exp(1j * math.pi * (2 * j + 1) / 3) for j in range(3)]  # of
     ("z/(z+1e-15)", {0: 1}, {-1e-15: 1}),
     ("z^2/(z+1e-300)^2", {0: 2}, {-1e-300: 2}),
     ("(z^2+0.001*z)/z", {-0.001: 1}, {}),
+    # both sums are z - b over the tie (z - a)^k, k = 8 and 9: H vanishes to
+    # order k at a and is divided by z - a k times, leaving no zero or pole there
+    *[(f"((z-({a}))^{k}*(z-({b})) - (z-({c}))^2)/(z-({a}))^{k} + (z-({c}))^2/(z-({a}))^{k}",
+       {complex(b.replace("i", "j")): 1}, {})
+      for a, b, c, k in (("-1.5-0.98i", "0.91+1.73i", "-2.44-2.83i", 8),
+                         ("-0.35-0.3i", "0.74+0.67i", "-0.25-2.83i", 9))],
 ])
 def test_exact_multiplicities(text, zeros, poles):
     got = divisors(parse(text))
@@ -587,6 +593,19 @@ def test_exact_multiplicities(text, zeros, poles):
         for z, m in want.items():
             near = [k for x, k in divisor.entries if abs(x - z) <= 1e-9 * (1 + abs(z))]
             assert near == [m], (text, z, divisor)
+
+
+def test_derivative_of_a_function_regular_at_infinity_drops_the_cancelled_top():
+    # f regular at infinity: the top coefficients of H cancel to rounding,
+    # and kept they would be zeros near -1.8e16, 2.4e33 and |z| = 3e5
+    zeros = divisors(parse("D[(z^2+0.1*z+0.3)/(z^2+0.1*z-0.7),1]"))[0]
+    assert len(zeros) == 1 and zeros.entries[0][1] == 1 and abs(zeros.entries[0][0] + 0.05) <= 1e-12
+    zeros = divisors(parse("D[(z^2+2)/(z^2-3),2]"))[0]
+    assert [m for _, m in zeros.entries] == [1, 1]
+    assert all(abs(x - w) <= 1e-12 for (x, _), w in zip(zeros.entries, (-1j, 1j)))
+    # -20 z^3 / (z^4 - 3)^2: its triple zero at 0 comes out as three spread ones
+    zeros = divisors(parse("D[(z^4+2)/(z^4-3),1]"))[0]
+    assert zeros.total == 3 and all(abs(x) <= 1.0 for x, _ in zeros.entries)
 
 
 def test_growth_log_derivative_is_reduced():

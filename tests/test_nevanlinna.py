@@ -119,7 +119,7 @@ def test_counting_closed_form_values():
     expect = 5.0 * math.log(20.0) + 2.0 * (math.log(20.0) - math.log(3.0))
     assert counting_N(multi, 20.0) == pytest.approx(expect, abs=1e-12)
     trunc = math.log(20.0) + (math.log(20.0) - math.log(3.0))
-    assert counting_N(multi, 20.0, truncated=True) == pytest.approx(trunc, abs=1e-12)
+    assert counting_N(multi.truncated(), 20.0) == pytest.approx(trunc, abs=1e-12)
 
     with pytest.raises(ValueError):
         counting_N(one, 1.0)
@@ -146,7 +146,7 @@ def test_counting_series_matches_scalar_loop():
     d = Divisor.from_pairs(pairs, kind="zeros")
     for radii in (grid.radii, (1.5, on_grid, 300.0)):
         for truncated in (False, True):
-            assert counting_series(d, radii, truncated) == [
+            assert counting_series(d.truncated() if truncated else d, radii) == [
                 _scalar_counting(d, r, truncated) for r in radii]
     assert counting_series(Divisor.from_pairs([], kind="poles"), grid.radii) == [0.0] * 17
     with pytest.raises(ValueError):
@@ -693,15 +693,15 @@ def test_proximity_makes_at_most_one_row_call(monkeypatch):
     # coefficients from one _row_coefficients call; the certified rows share
     # one _row_sums call and the sampled circles one inverse FFT per
     # _SAMPLED_ROWS of them, and log_abs runs only where a sample is not
-    # finite: at the whole base's poles 2, 3 and 4 on a node, at the node and
-    # again half a step over.  1e-200 * 128^200 at r = 128 is finite, as
-    # 1e-200 takes 128^100 twice, where 128^200 alone overflows
+    # finite: at the whole base's poles 2, 3 and 4 on a node, half a step
+    # over.  1e-200 * 128^200 at r = 128 is finite, as 1e-200 takes 128^100
+    # twice, where 128^200 alone overflows
     paths = _SamplingCalls(monkeypatch)
     wilkinson = div(Const(1e20), Poly(Polynomial.from_roots(range(1, 25))))
     chunk = nevanlab.nevanlinna._SAMPLED_ROWS
     for f, kinds, through in (("D[(z^2-1)/(z+3),4]", 2, 0), ("(z-1)^50/(z-2)", 2, 0),
                               ("5/(z-2)^3 + z", 2, 0), (_GROWTH_F, 2, 0),
-                              ("(z-1.9)^3*exp(z^2)/(z+2.1)", 2, 0), (wilkinson, 1, 6),
+                              ("(z-1.9)^3*exp(z^2)/(z+2.1)", 2, 0), (wilkinson, 1, 3),
                               ("exp(z^200)", 1, 0), ("exp(1e-200*z^200)", 1, 0)):
         paths.calls.clear()
         data = FunctionData(parse(f) if isinstance(f, str) else f)
@@ -714,6 +714,20 @@ def test_proximity_makes_at_most_one_row_call(monkeypatch):
         assert paths.calls.count("_row_sums") == ("row" in routes) and ("row" in routes) + (sampled > 0) == kinds, f
         assert paths.calls.count("irfft") == -(-sampled // chunk) and (sampled or "_near_logs" not in paths.calls), f
         assert paths.calls.count("log_abs") == through, f
+
+
+def test_expo_terms_overflow_only_where_the_term_does(monkeypatch):
+    # 300^128 and 400^128 overflow a double, but 1e-300 r^128 is 1e17 and
+    # 4e32: p_m takes r^(m/2) twice, so the certified row sums both circles
+    # without log_abs, to the N-point trapezoid of
+    # max(1e-300 r^128 cos(128 theta), 0), 32 nodes a period
+    paths = _SamplingCalls(monkeypatch)
+    radii = (300.0, 400.0)
+    mean = math.fsum(max(math.cos(2.0 * math.pi * j / 32), 0.0) for j in range(32)) / 32
+    for r, m in zip(radii, FunctionData(parse("exp(1e-300*z^128)")).proximity(radii, 4096)):
+        want = 1e-300 * r ** 64 * r ** 64 * mean
+        assert abs(m - want) <= 1e-14 * want, r
+    assert paths.calls == ["_row_coefficients", "_row_sums"]
 
 
 @pytest.mark.parametrize("text,r,samples", [
