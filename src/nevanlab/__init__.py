@@ -3,8 +3,9 @@
 The package provides a small closed class of symbolic functions (rational
 functions times exponentials of polynomials), Nevanlinna-style counting and
 proximity functionals over radial grids, differential-polynomial expansion
-machinery, empirical harnesses for the classical growth inequalities, and
-normal-family probes (Marty-type grids and Zalcman-type rescaling).
+machinery, empirical harnesses for the classical growth inequalities, the
+exact hypothesis checks of the normality criteria, and normal-family probes
+(Marty-type grids and Zalcman-type rescaling).
 
 `import nevanlab` loads no submodule: each exported name is imported from
 its submodule on first access (PEP 562) and then bound here, so a caller
@@ -87,24 +88,26 @@ _EXPORTS = {
         "fmt_boundedness_verdict",
         "slack_verdict",
     ),
-    "normality": (
+    "criteria": (
         "CriterionParams",
         "CriterionReport",
-        "ExtrasReport",
-        "FamilySpec",
         "INFINITE_MULTIPLICITY",
-        "MartyReport",
         "MultiplicityReport",
-        "RescaleReport",
-        "RescalingSpec",
         "check_holomorphic_criterion",
         "check_meromorphic_criterion",
         "check_multiplicities",
+        "holomorphic_reduction",
+        "meromorphic_reduction",
+    ),
+    "normality": (
+        "ExtrasReport",
+        "FamilySpec",
+        "MartyReport",
+        "RescaleReport",
+        "RescalingSpec",
         "chordal_distance",
         "disc_grid",
-        "holomorphic_reduction",
         "marty_probe",
-        "meromorphic_reduction",
         "rescale_extras_check",
         "rescaled_function",
         "rescaling_identity_values",

@@ -48,7 +48,7 @@ def _parse_pairs(text):
 
 
 def _parse_multiplicities(text, q):
-    from .normality import INFINITE_MULTIPLICITY
+    from .criteria import INFINITE_MULTIPLICITY
     chunks = [c.strip() for c in text.split(",") if c.strip()]
     ells = tuple(INFINITE_MULTIPLICITY if c.lower() in ("inf", "infinity")
                  else int(c) for c in chunks)
@@ -286,8 +286,8 @@ def cmd_expand(args):
 
 
 def cmd_criterion(args):
-    from .normality import (CriterionParams, check_holomorphic_criterion,
-                            check_meromorphic_criterion)
+    from .criteria import (CriterionParams, check_holomorphic_criterion,
+                           check_meromorphic_criterion)
     criterion = (check_meromorphic_criterion if args.which == "th1"
                  else check_holomorphic_criterion)
     pairs = _parse_pairs(args.pairs)
@@ -305,7 +305,7 @@ def cmd_criterion(args):
 
 
 def cmd_reduction(args):
-    from .normality import holomorphic_reduction, meromorphic_reduction
+    from .criteria import holomorphic_reduction, meromorphic_reduction
     reduction = meromorphic_reduction if args.which == "cor1" else holomorphic_reduction
     lhs, rhs, holds = reduction(args.n, _parse_pairs(args.pairs))
     return _finish(args, f"criteria {args.which}",

@@ -359,7 +359,7 @@ def test_growth_command_leaves_numpy_ma_unimported():
     assert json.loads(proc.stdout)["command"] == "characteristic"
 
 
-# every name `import nevanlab` exports: the six submodules and what the
+# every name `import nevanlab` exports: the seven submodules and what the
 # package re-exports from them
 EXPORTS = [
     "AlphaViolation", "BoundednessVerdict", "Canonical", "Const", "CriterionParams",
@@ -373,7 +373,7 @@ EXPORTS = [
     "check_hinchliffe", "check_hinchliffe_multi", "check_holomorphic_criterion",
     "check_log_derivative", "check_meromorphic_criterion", "check_multiplicities",
     "check_smt", "chordal_distance", "compose_generalized", "compose_monomial",
-    "counting_N", "counting_series", "degree_d", "differentiate", "diffpoly",
+    "counting_N", "counting_series", "criteria", "degree_d", "differentiate", "diffpoly",
     "diffpoly_expression", "disc_grid", "div", "divisors", "evaluate", "evaluate_diffpoly",
     "evaluate_on_grid", "expand_power_derivative", "expressions", "fmt_boundedness_verdict",
     "generalized_polynomial", "holomorphic_reduction", "inequalities", "is_infinite",
@@ -414,8 +414,10 @@ def test_package_import_is_lazy_and_exports_every_name():
 
 CORE = ["nevanlab.cli", "nevanlab.expressions", "nevanlab.polynomials"]
 GROWTH = CORE + ["nevanlab.nevanlinna"]
-# the paper's side: no circle quadrature (nevanlinna) behind a probe or a criterion
-PROBES = CORE + ["nevanlab.diffpoly", "nevanlab.normality"]
+# the paper's side: no circle quadrature (nevanlinna) behind a probe or a
+# criterion, and no probe (normality) behind a criterion
+CRITERIA = CORE + ["nevanlab.diffpoly", "nevanlab.criteria"]
+PROBES = CRITERIA + ["nevanlab.normality"]
 
 
 @pytest.mark.parametrize("argv, modules", [
@@ -428,11 +430,12 @@ PROBES = CORE + ["nevanlab.diffpoly", "nevanlab.normality"]
     (["zalcman", "--family", LINEAR_FAMILY, "--limit", "z", "--alpha", "0", "--zv", "0",
       "--rho", "1/v"], PROBES),
     (_remark14_args([100, 10 ** 4], []), PROBES),
-    (["criteria", "th1", "--n", "3", "--pairs", "3:1"], PROBES),
+    (["criteria", "th1", "--n", "3", "--pairs", "3:1"], CRITERIA),
+    (["criteria", "cor2", "--n", "3", "--pairs", "3:1"], CRITERIA),
     (["expand", "--n", "3", "--t", "2"],  # no grid flags: nevanlinna is never loaded
      CORE + ["nevanlab.diffpoly"]),
 ], ids=["characteristic", "verify fmt", "verify smt", "marty", "zalcman", "remark14",
-        "criteria th1", "expand"])
+        "criteria th1", "criteria cor2", "expand"])
 def test_a_subcommand_loads_only_its_modules(argv, modules):
     code = ("import contextlib, io, json, sys\n"
             "from nevanlab.cli import main\n"
@@ -448,12 +451,20 @@ def test_a_subcommand_loads_only_its_modules(argv, modules):
 
 
 def test_the_probe_api_loads_no_circle_quadrature():
-    # spherical_derivative lives in expressions; nevanlinna binds the same
-    # function for its public path
+    # spherical_derivative lives in expressions and check_multiplicities in
+    # criteria; nevanlinna and normality bind the same functions for their
+    # public paths
     code = ("import sys\n"
             "import nevanlab\n"
-            "nevanlab.check_multiplicities, nevanlab.spherical_derivative\n"
+            "report = nevanlab.check_multiplicities(nevanlab.parse('z'), "
+            "nevanlab.MonomialSpec(2, ((1, 1),)), 1, 1)\n"
+            "assert report.passed and report.min_multiplicity == 1, report\n"
+            "assert 'nevanlab.normality' not in sys.modules, sorted(sys.modules)\n"
+            "nevanlab.spherical_derivative\n"
             "assert 'nevanlab.nevanlinna' not in sys.modules, sorted(sys.modules)\n"
+            "import nevanlab.criteria, nevanlab.normality\n"
+            "assert nevanlab.normality.check_multiplicities is "
+            "nevanlab.criteria.check_multiplicities\n"
             "import nevanlab.expressions, nevanlab.nevanlinna\n"
             "assert nevanlab.nevanlinna.spherical_derivative is "
             "nevanlab.expressions.spherical_derivative\n"
@@ -610,7 +621,7 @@ CSV_FREE_JSON = [("nevanlab.nevanlinna", "NevanlinnaReport"),
 REPORT_CLASSES = CSV_FREE_JSON + [("nevanlab.normality", "MartyReport"),
                                   ("nevanlab.normality", "RescaleReport"),
                                   ("nevanlab.normality", "ExtrasReport"),
-                                  ("nevanlab.normality", "CriterionReport")]
+                                  ("nevanlab.criteria", "CriterionReport")]
 
 
 @pytest.mark.parametrize("command,argv", EVERY_COMMAND,

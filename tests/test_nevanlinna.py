@@ -642,6 +642,32 @@ def test_root_moduli_of_linear_bases_settle_circles():
     assert data.proximity([2.0], DEFAULT_SAMPLES) == [settled]
 
 
+@pytest.mark.parametrize("level", [5e-10, -5e-10])
+def test_a_circle_within_the_settle_margin_of_zero_is_summed(level):
+    # log|c z| is level on |z| = 2, to rounding: its bounds keep it off 0,
+    # but by less than the settle margin of 1e-9, so the circle is neither
+    # a closed-form nor a zero circle and its row sums it
+    r = 2.0
+    data = FunctionData(parse(f"{math.exp(level) / r!r}*z"))
+    lower, upper = data.bases.log_bounds(np.array([r]))
+    assert lower[0] > 0.0 or upper[0] < 0.0
+    assert math.isnan(nevanlab.nevanlinna._settled_circles(data.bases, [r], DEFAULT_SAMPLES)[0])
+    assert data.proximity([r], DEFAULT_SAMPLES)[0] == pytest.approx(max(level, 0.0), abs=1e-15)
+
+
+def test_a_root_just_inside_the_closed_form_edge_is_not_settled():
+    # the root of 1e3 (z - a) lies 5e-13 inside the edge r exp(-40/N), so
+    # only its modulus raised by _INFLATE = 1 + 1e-12 keeps the circle from
+    # Jensen's closed form; the row sums it to the same trapezoid
+    r = 2.0
+    edge = r * math.exp(-40.0 / DEFAULT_SAMPLES)
+    data = FunctionData(parse(f"1e3*(z-{edge / (1.0 + 5e-13)!r})"))
+    assert data.bases.moduli[0] <= edge < data.bases.reach
+    assert math.isnan(nevanlab.nevanlinna._settled_circles(data.bases, [r], DEFAULT_SAMPLES)[0])
+    m = data.proximity([r], DEFAULT_SAMPLES)[0]
+    assert abs(m - _factored_trapezoid(data.canonical, r, DEFAULT_SAMPLES)) <= 1e-13 * m
+
+
 class _SamplingCalls:
     # the paths of the unsettled circles: their coefficients, the certified
     # row, the inverse FFT and the exact logs of the sampled circles, and the
@@ -829,6 +855,46 @@ def test_row_finds_an_arc_inside_one_coarse_interval():
     m = FunctionData(f).proximity([r], samples)[0]
     x = _factored_trapezoid(c, r, samples)
     assert m > 0.0 and abs(m - x) <= 1e-13 * (1.0 + m), (m, x)
+
+
+@pytest.mark.parametrize("margin", ["eps", "inflate"])
+def test_row_samples_an_interval_within_its_rounding_margins(monkeypatch, margin):
+    # g = D_0 + cos(theta - H/2) peaks in the middle of the first coarse
+    # interval, H = 2 pi / 64, where g_0 + g_1 lies halfway between the
+    # reach (B H + 2 eps) _INFLATE (B = 1) and that reach without one of
+    # its rounding margins, eps or _INFLATE, at least 1.5e-14 from either.
+    # Its inside is sampled, not taken whole: with the interval sums q set
+    # to NaN, a sum taken whole would make the row's sum NaN
+    samples, h = 1024, 2.0 * math.pi / 64
+    base = -math.cos(h / 2.0)  # D_0 less half the pair
+    eps = 8.0 * 9.0 * 2.0 ** -53 * (1.0 + abs(base))  # M = 1, |D_1| = 1
+    inflate = nevanlab.nevanlinna._INFLATE
+    without = h * inflate if margin == "eps" else h + 2.0 * eps
+    pair = (without + (h + 2.0 * eps) * inflate) / 2.0
+    d = np.array([[base + pair / 2.0, cmath.exp(-0.5j * h)]])
+    coarse, inner, q = nevanlab.nevanlinna._row_tables(samples)
+    monkeypatch.setattr(nevanlab.nevanlinna, "_row_tables", lambda n: (coarse, inner, q * np.nan))
+    assert math.isfinite(nevanlab.nevanlinna._row_sums(d, np.array([1]), samples)[0])
+
+
+def test_one_uncertain_interval_sums_as_it_does_beside_others():
+    # on |z| = 2 and on |z| = 1.999, log|f| dips to just above 0 in one
+    # coarse interval, the only one that the slope bound leaves uncertain.
+    # Alone, that interval's inside is one row of the product with the
+    # inner table, which takes two rows at least (one row would go to gemv
+    # and round otherwise), so m(2) is bit for bit the same alone and with
+    # the other circle's row beside it
+    samples = 1024
+    data = FunctionData(parse("0.2016020776984505*(z-(0.9339460002055809+0.04588182484489441*i))"
+                              "*(z-(-3.748090956490121-0.184131901341789*i))"))
+    for r in (2.0, 1.999):
+        x = np.array([r])
+        terms, near, row = nevanlab.nevanlinna._row_terms(data.bases, x)
+        d = nevanlab.nevanlinna._row_coefficients(data.bases, x, terms, near)
+        g = nevanlab.nevanlinna._row_samples(d, samples)[0, ::samples // 64]
+        slope = (np.abs(d[0, 1:]) * np.arange(1, d.shape[1])).sum()
+        assert row[0] and np.sum(np.abs(g + np.roll(g, -1)) <= slope * 2.0 * math.pi / 64) == 1
+    assert data.proximity([2.0], samples) == data.proximity([1.999, 2.0], samples)[1:]
 
 
 def _row_reference(c, r):

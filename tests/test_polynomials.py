@@ -7,7 +7,14 @@ import warnings
 
 import pytest
 
-from nevanlab.polynomials import Polynomial, RootFindingError, _newton, poly_roots
+from nevanlab.polynomials import (
+    Polynomial,
+    RootFindingError,
+    _assemble,
+    _confirm_multiplicity,
+    _newton,
+    poly_roots,
+)
 
 
 def residual_bound(p, root):
@@ -155,6 +162,43 @@ def test_newton_stall_stop_waits_for_the_rounding_floor():
     p = Polynomial([2, -2, 0, 1])
     x = _newton(p, -2 + 2j, steps=12)
     assert abs(p(x)) <= 1e-14
+
+
+def test_newton_refuses_a_point_that_runs_far_from_its_start():
+    # z^2 + 1 from 1e-3, next to the critical point 0: the first correction
+    # is about 500, and Newton gives up rather than land on either root
+    assert _newton(Polynomial([1, 0, 1]), 1e-3) is None
+
+
+def test_a_multiplicity_is_refused_where_the_next_derivative_vanishes_too():
+    # near the quadruple root of (z - 1)^4, p and p' vanish, but so does
+    # p'': the root is not a double one
+    assert _confirm_multiplicity(Polynomial.from_roots([1] * 4), 1 + 1e-7, 2) is None
+
+
+def test_a_polished_singleton_worse_than_its_start_is_dropped():
+    # Newton on z^3 - 2z + 2 from 0.01 falls into the 2-cycle {0, 1}; after
+    # its 12 steps it sits near 0, where |p| = 2 exceeds |p(0.01)|
+    p = Polynomial([2, -2, 0, 1])
+    others = [r for r, _ in poly_roots(p) if abs(r.imag) > 0.1]
+    groups = _assemble(p, [0.01] + others)
+    assert groups[0] == [0.01, 1]
+
+
+def test_a_double_root_beside_another_merges_as_a_pair():
+    # the companion eigenvalues of (z - a)^2 (z - b)^2, |a - b| = 3e-4:
+    # at the 1e-3 level all three groups form one component, whose whole
+    # merge (multiplicity 4) is refused, so only the pair candidate gathers
+    # the two approximations of a
+    a = 0.5 + 0.5j
+    b = a + 3e-4
+    raw = [0.4999695329969992 + 0.49994447081219134j,
+           0.5000070544758044 + 0.5000701189983967j,
+           0.5002929196229848 + 0.49992986055261257j,
+           0.5003304929042104 + 0.5000555496367964j]
+    groups = _assemble(Polynomial.from_roots([a, a, b, b]), raw)
+    assert sorted(m for _, m in groups) == [2, 2]
+    assert all(min(abs(x - a), abs(x - b)) < 1e-6 for x, _ in groups)
 
 
 def _evaluations(monkeypatch, p):
