@@ -18,8 +18,10 @@ complex literals (3, 2.5, 1i, 1+2i as arithmetic), the variable z, + - * /,
 ^ with integer exponents, exp(polynomial), and D[expr, k] which constructs
 the k-th derivative on the spot.  While it reads, parse folds sums of
 polynomial pieces into one Polynomial and keeps the constant factor of a
-product apart from its pieces; a piece becomes a term, split once into
-linear bases, only where it meets a quotient, exp, D[...] or the end.
+product apart from its pieces; a piece becomes a term only where it meets
+a quotient, exp, D[...] or the end, its polynomials split once into linear
+bases but for a lone one with simple roots, which stays one whole base
+until it meets the bases of another term.
 """
 from __future__ import annotations
 
@@ -68,9 +70,10 @@ class ParseError(ValueError):
 class Canonical:
     """f = (lead/den_lead) prod b^e exp(expo), factors the pairs (b, e): b monic,
     linear with distinct roots (each a zero of order e > 0 or a pole of order
-    -e) unless derivative made it or _split kept it whole, and e a nonzero int,
-    positive exponents first.  lead (0 for f = 0) and den_lead stay apart, so
-    their quotient cannot overflow.  num and den are the expanded products."""
+    -e) unless derivative made it, _split kept it whole or it is a piece's
+    lone polynomial (_Piece.expr), and e a nonzero int, positive exponents
+    first.  lead (0 for f = 0) and den_lead stay apart, so their quotient
+    cannot overflow.  num and den are the expanded products."""
 
     lead: complex
     den_lead: complex
@@ -159,7 +162,35 @@ def _drop_top(h, floor):
 
 
 def _monic(p):
+    """p over its leading coefficient; p itself where that is 1, so that the
+    roots found on a base stay with it (_roots)."""
+    if p.leading == 1:
+        return p
     return Polynomial._of([c / p.leading for c in p.coefficients[:-1]] + [1 + 0j])
+
+
+def _roots(b):
+    """poly_roots of the base b, found once per base object and kept on it;
+    a RootFindingError is kept too and raised again."""
+    try:
+        roots = b._roots
+    except AttributeError:
+        try:
+            roots = poly_roots(b)
+        except RootFindingError as error:
+            roots = error
+        b._roots = roots
+    if isinstance(roots, RootFindingError):
+        raise roots.with_traceback(None)
+    return roots
+
+
+def _deflated(p, root):
+    """p / (z - root) by synthetic division, the remainder dropped."""
+    q = list(p.coefficients)
+    for j in range(len(q) - 1, 0, -1):
+        q[j - 1] += q[j] * root
+    return Polynomial._of(q[1:])
 
 
 def _same(b, c):
@@ -195,11 +226,11 @@ def _ordered(factors):
 
 def _split(p, expo=_NIL, den_lead=1 + 0j, factors=()):
     """p/den_lead * prod factors * exp(expo), p split into linear bases by
-    poly_roots of its monic form.  Where poly_roots fails, or the product of
-    its roots is not that form within _ROUNDING of its largest coefficient
-    (an ill-conditioned p, whose derivative from those roots would be
-    wrong), the monic form stays one whole base, and splitting it again
-    decides the same."""
+    the roots of its monic form (_roots).  Where poly_roots fails, or the
+    product of its roots is not that form within _ROUNDING of its largest
+    coefficient (an ill-conditioned p, whose derivative from those roots
+    would be wrong), the monic form stays one whole base, and splitting it
+    again decides the same from the same roots."""
     if p.is_zero:
         return _ZERO
     bases = [(_monic(p), 1)] if p.degree else []
@@ -208,7 +239,7 @@ def _split(p, expo=_NIL, den_lead=1 + 0j, factors=()):
     if p.degree > 1:
         m = bases[0][0]
         try:
-            roots = [x for x, k in poly_roots(m) for _ in range(k)]
+            roots = [x for x, k in _roots(m) for _ in range(k)]
         except RootFindingError:
             roots = []
         q = Polynomial.from_roots(roots)
@@ -252,7 +283,11 @@ def _add(cs):
     of the terms' coefficient moduli at its degree is that rounding and is
     dropped.  H can vanish at a root of a base only at a tie, where two
     terms share a nonzero least exponent; there it is divided by the base
-    while it vanishes within _ROUNDING, as in (z+1)/(z-1) - 2/(z-1) = 1."""
+    while it vanishes within _ROUNDING, as in (z+1)/(z-1) - 2/(z-1) = 1.
+    Where bases of two or more terms meet, a whole base is split first, as
+    in _times, so that the tie of z^2/(z^2+1) + 1/(z^2+1) is seen."""
+    if sum(bool(c.factors) for c in cs) > 1:
+        cs = [_times([c], split=True) if any(b.degree > 1 for b, _e in c.factors) else c for c in cs]
     bases = []
     for b, _e in (f for c in cs for f in c.factors):
         if not any(_same(b, u) for u in bases):
@@ -271,10 +306,7 @@ def _add(cs):
         root = -b.coefficients[0]
         if b.degree == 1 and least[i] and sum(row[i] == least[i] for row in rows) > 1:
             while h.degree and abs(h(root)) <= _ROUNDING * h.abs_coeff_value(abs(root)):
-                q = list(h.coefficients)  # h / (z - root), by synthetic division
-                for j in range(len(q) - 1, 0, -1):
-                    q[j - 1] += q[j] * root
-                h, least[i] = Polynomial._of(q[1:]), least[i] + 1
+                h, least[i] = _deflated(h, root), least[i] + 1
     return _split(h, cs[0].expo, math.prod(c.den_lead for c in cs), zip(bases, least))
 
 
@@ -688,19 +720,23 @@ class Divisor:
 
 
 def divisors(e):
-    """Zero and pole divisors of e as (zeros, poles), read off its canonical form."""
+    """Zero and pole divisors of e as (zeros, poles), read off its canonical
+    form with each whole base that _split can split taken as its linear
+    bases and merged (_times), the form FunctionData reads."""
     c = canonicalize(e)
     if c.lead == 0:
         raise ValueError("the zero function has no divisor")
+    if any(b.degree > 1 for b, _e in c.factors):
+        c = _times([c], split=True)
     return canonical_divisors(c, 1), canonical_divisors(c, -1)
 
 
 def canonical_divisors(c, sign):
     """The zeros (sign 1) or the poles (sign -1) of the canonical form c: the
-    root of a linear base b^e, of order sign * e > 0.  A whole base, kept
-    where poly_roots failed on it, goes through poly_roots again."""
+    root of a linear base b^e, of order sign * e > 0, and the roots of a
+    whole base, found once per base (_roots)."""
     pairs = [(x, m * e * sign) for b, e in c.factors if e * sign > 0
-             for x, m in ([(-b.coefficients[0], 1)] if b.degree == 1 else poly_roots(b))]
+             for x, m in ([(-b.coefficients[0], 1)] if b.degree == 1 else _roots(b))]
     return Divisor.from_pairs(pairs, "zeros" if sign > 0 else "poles")
 
 
@@ -765,9 +801,12 @@ def _tokenize(text):
 class _Piece:
     """A product of polynomial pieces as read: lead/den_lead * prod p^k over
     the Polynomials p typed between the operators.  It folds into one
-    Polynomial where a sum or exp needs it, and becomes a term (each p split
-    by _split, lead and den_lead kept apart) where it meets anything else,
-    so parse(print_expr(f)) rebuilds the lead and the bases of f bit for bit."""
+    Polynomial where a sum or exp needs it, and becomes a term (lead and
+    den_lead kept apart) where it meets anything else: each p split by
+    _split, but the only p of a piece stays one whole monic base where it
+    has degree 2 or more, a nonzero constant term and roots that poly_roots
+    finds all simple (_lone).  So parse(print_expr(f)) rebuilds the lead and
+    the bases of f bit for bit."""
 
     __slots__ = ("lead", "den_lead", "factors")
 
@@ -787,10 +826,25 @@ class _Piece:
     def expr(self):
         lead, factors = self.lead, []
         for p, k in self.factors:
-            c = _split(p)
-            lead *= c.lead if k == 1 else math.prod([c.lead] * k)
-            factors += [(b, m * k) for b, m in c.factors]
+            b = _monic(p)
+            lead *= p.leading if k == 1 else math.prod([p.leading] * k)
+            if len(self.factors) == 1 and _lone(b):
+                factors.append((b, k))
+            else:
+                factors += [(x, m * k) for x, m in _split(b).factors]
         return _one(Canonical(lead, self.den_lead, _merge(factors), _NIL))
+
+
+def _lone(b):
+    """Whether the monic b, the only polynomial of a piece, stays one whole
+    base: degree 2 or more, a nonzero constant term (a zero root is exact
+    either way) and roots that poly_roots finds, all simple."""
+    if b.degree < 2 or b.coefficients[0] == 0:
+        return False
+    try:
+        return all(m == 1 for _, m in _roots(b))
+    except RootFindingError:
+        return False
 
 
 def _expr(node):
@@ -1083,7 +1137,10 @@ def print_expr(e):
     negative exponent.  A denominator S of several terms follows a slash,
     or at a power m > 1 is written (N)*(S)^(-m), as (S)^m would multiply S
     out.  parse(print_expr(e)) rebuilds the same terms and power bit for
-    bit, but a whole base that Canonical.derivative made comes back split."""
+    bit, but a whole base comes back split where _Piece.expr splits a typed
+    polynomial: beside other bases, or with a zero or a multiple root.  A
+    whole base alone in its term, such as z^2 + 1 or the H of D[z^3+z,1],
+    stays whole."""
     if not e.den:
         return _fmt_sum(e.num)
     if e.power == 1:

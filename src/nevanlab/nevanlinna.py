@@ -35,16 +35,15 @@ polynomial:
   p_m r^m, in a row or past it, all come from _expo_terms),
   and each circle adds the exact logs of its near roots (_near_logs) and
   of each whole base b of degree d, d log r + log|z^-d b(z)| by the
-  reversed coefficients at 1/z, as Canonical.log_abs takes them.  On a
-  circle through poles rho of order m, with L = sum m log|z - rho|,
-  log+|f| = h - L where h = max(log|f| + L, L) is smooth at the poles; a
-  near pole on the circle leaves log|f| + L and gives L by its own logs, so
-  h is finite even at a node on the pole, and the exact mean of L,
-  sum m log max(r, |rho|), is subtracted.  Samples that are NaN or +inf
-  (such as a node on the pole of a whole base) are taken again from
-  Canonical.log_abs, which sums e log|b(z)| over the bases b^e of the
-  factored form, half a step over; samples still singular raise
-  QuadratureError.
+  reversed coefficients at 1/z.  On a circle through poles rho of order m,
+  with L = sum m log|z - rho|, log+|f| = h - L where
+  h = max(log|f| + L, L) is smooth at the poles.  Every pole on the circle
+  is cut from log|f| + L, a near pole by leaving its log out and a root of
+  a whole pole base by dividing it out of the base, and L is taken by the
+  poles' own logs, so h is finite even at a node on a pole, and the exact
+  mean of L, sum m log max(r, |rho|), is subtracted.  Each m(r) is the
+  N-point trapezoid at its own nodes; a sum that is not finite (Re expo
+  overflowing) raises QuadratureError.
 
 T = m + N by construction.
 """
@@ -52,13 +51,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .expressions import (
     _csv_text,
+    _deflated,
+    _roots,
     canonical_divisors,
     canonicalize,
     print_expr,
@@ -190,14 +191,14 @@ class _Bases:
     """The bases b^e of a canonical form c, read once per FunctionData for
     every stage of proximity.  The linear bases (z - a)^e give roots a,
     moduli |a|, exponents e and orders |e|, sorted by modulus (stable); whole
-    holds (rev, d, e) per base b^e of degree d that _split refused,
-    rev(v) = v^d b(1/v); reach is the largest |a| raised by _INFLATE.
+    holds the pairs (b, e) of the bases that _split refused; reach is the
+    largest |a| raised by _INFLATE.
     const = log|lead| - log|den_lead|, scale = |log|lead|| + |log|den_lead||,
     slope = sum e, mass = sum |e| and expo is expo's coefficients."""
 
     def __init__(self, c):
         lines = [(-b.coefficients[0], e) for b, e in c.factors if b.degree == 1]
-        self.whole = [(Polynomial(b.coefficients[::-1]), b.degree, e) for b, e in c.factors if b.degree > 1]
+        self.whole = [(b, e) for b, e in c.factors if b.degree > 1]
         roots = np.array([a for a, _ in lines], dtype=complex)
         moduli = np.abs(roots)
         order = np.argsort(moduli, kind="stable")
@@ -547,10 +548,6 @@ def _near_logs(r, roots, e, samples, work):
     return out
 
 
-def _on_circle(rho, r):
-    return abs(abs(rho) - r) <= _ON_CIRCLE * r
-
-
 @lru_cache(maxsize=4)
 def _unit_circle(samples):
     """Read-only (theta_j, w^j) for j < samples, w = exp(2 pi i/samples)."""
@@ -636,25 +633,20 @@ class FunctionData:
         row and the whole expo at their nodes (_row_samples), so that a call
         holds the samples of a few circles at a time however many it has;
         each circle then adds the exact logs of its near roots (_near_logs)
-        and of each whole base (by Horner in 1/z, as Canonical.log_abs).
-        With L = sum m log|z - rho| over the poles rho of order m on the
-        circle (0 where there are none), log+|f| is h - L, where
-        h = max(log|f| + L, L) is smooth at those poles; m(r) is the N-point
-        trapezoid of h minus the exact mean of L, sum m log max(r, |rho|).
-        The near poles on the circle are left out of log|f| + L and give L
-        by their own logs, so h is finite at a node on such a pole.  A pole
-        of a whole base keeps its base, and a node within _ON_CIRCLE r of it
-        counts as singular.  Samples of h that are NaN or +inf are taken
-        again from Canonical.log_abs of the factored form half a step over
-        (_retaken); if the sum is still not finite, QuadratureError is
-        raised.
+        and of each whole base (by Horner in 1/z).  With L = sum m log|z - rho|
+        over the poles rho of order m within _ON_CIRCLE r of the circle (0
+        where there are none), log+|f| is h - L, where h = max(log|f| + L, L)
+        is smooth at those poles; m(r) is the N-point trapezoid of h minus
+        the exact mean of L, sum m log max(r, |rho|).  Each such pole is cut
+        from log|f| + L and gives L by its own logs, so h is finite at a node
+        on a pole: a near pole is left out, and a root rho of a whole base
+        b^k, k < 0, of multiplicity j (the roots N(r) counts, found once per
+        base, _roots) is divided out of b j times by synthetic division, the
+        remainder dropped, as a pole of order -k j.  A sum that is still not
+        finite raises QuadratureError.
         """
         bases = self.bases
-        theta, unit = _unit_circle(samples)
-        whole = []  # the poles of whole bases
-        if any(e < 0 for *_, e in bases.whole):
-            linear = set(bases.roots[bases.e < 0].tolist())
-            whole = [(rho, m) for rho, m in self.poles.entries if rho not in linear]
+        unit = _unit_circle(samples)[1]
         on = near & (bases.e < 0) & (np.abs(bases.moduli - radii[:, None]) <= _ON_CIRCLE * radii[:, None])
         out = []
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -666,45 +658,27 @@ class FunctionData:
                 for r, h, close, through in zip(radii[chunk].tolist(), rows, near[chunk] & ~on[chunk], on[chunk]):
                     if close.any():
                         h += _near_logs(r, bases.roots[close], bases.e[close], samples, work)
-                    for rev, degree, k in bases.whole:  # Horner in 1/z, as |1/z| = 1/r < 1
-                        h += k * (degree * math.log(r) + np.log(np.abs(rev(1.0 / (r * unit)))))
                     cut = list(zip(bases.roots[through].tolist(), (-bases.e[through]).tolist()))
-                    poles = [(rho, m) for rho, m in whole if _on_circle(rho, r)]
-                    np.maximum(h, _near_logs(r, bases.roots[through], -bases.e[through], samples, work)
-                               if cut else 0.0, out=h)
-                    for rho, m in poles:
-                        distance = np.abs(r * unit - rho)
-                        h += m * np.log(distance)
-                        h[distance <= _ON_CIRCLE * r] = np.nan
+                    for b, k in bases.whole:
+                        q = b  # b with its roots on the circle divided out, where k < 0
+                        for rho, j in _roots(b) if k < 0 else ():
+                            if abs(abs(rho) - r) <= _ON_CIRCLE * r:
+                                cut.append((rho, -k * j))
+                                for _ in range(j):
+                                    q = _deflated(q, rho)
+                        rev = Polynomial(q.coefficients[::-1])  # Horner in 1/z, as |1/z| = 1/r < 1
+                        h += k * (q.degree * math.log(r) + np.log(np.abs(rev(1.0 / (r * unit)))))
+                    if cut:
+                        poles, orders = zip(*cut)
+                        np.maximum(h, _near_logs(r, np.array(poles), np.array(orders), samples, work), out=h)
+                    else:
+                        np.maximum(h, 0.0, out=h)
                     total = h.sum()
-                    if not math.isfinite(total):  # singular samples: take them half a step over
-                        bad = ~np.isfinite(h)
-                        h[bad] = self._retaken(r, theta[bad] + np.pi / samples, cut, poles)
-                        total = h.sum()
                     if not math.isfinite(total):
                         raise QuadratureError(f"quadrature hit singular samples at r = {r}")
-                    out.append(float(total) / samples - sum(m * math.log(max(r, abs(rho)))
-                                                            for rho, m in cut + poles))
+                    out.append(float(total) / samples - sum(m * math.log(max(r, abs(rho))) for rho, m in cut))
                 del rows, h, work  # before the next chunk's FFT
         return out
-
-    def _retaken(self, r, theta, cut, whole):
-        """h = max(log|f| + L, L) + L' at the angles theta of the circle r from
-        Canonical.log_abs of the factored form, where L sums m log|z - rho|
-        over the near poles cut from it and L' over the poles of whole bases
-        on the circle; NaN within _ON_CIRCLE r of the latter, where the
-        logs do not cancel."""
-        c = self.factored
-        if cut:
-            c = replace(c, factors=tuple((b, e) for b, e in c.factors if not (
-                e < 0 and b.degree == 1 and _on_circle(b.coefficients[0], r))))
-        zs = r * np.exp(1j * theta)
-        cut_log, whole_log = (sum(m * np.log(np.abs(zs - rho)) for rho, m in part)
-                              for part in (cut, whole))
-        h = np.maximum(c.log_abs(zs), cut_log) + whole_log
-        for rho, _ in whole:
-            h[np.abs(zs - rho) <= _ON_CIRCLE * r] = np.nan
-        return h
 
     def log_mean_at_1(self):
         """J(1, f), the mean of log|f| on |z| = 1, by Jensen's formula:

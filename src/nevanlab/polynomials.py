@@ -30,7 +30,7 @@ class RootFindingError(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """Samples of log|f| on a circle stay singular after the half-step retry."""
+    """The samples of log+|f| on a circle do not sum to a finite mean."""
 
 
 def _trim(coeffs):
@@ -45,10 +45,11 @@ class Polynomial:
 
     Trailing (exactly) zero coefficients are trimmed on construction, so the
     leading coefficient of a nonzero polynomial is nonzero.  The zero
-    polynomial is representable and reports is_zero.
+    polynomial is representable and reports is_zero.  _roots holds the
+    poly_roots of a base, once expressions has found them.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_roots")
 
     def __init__(self, coefficients=(0,)):
         self._coeffs = _trim([complex(c) for c in coefficients])

@@ -375,6 +375,8 @@ def test_derivative_matches_finite_differences():
     ("1/(0.25i*z-0.5)", "(1.0)/(0.25i*(z+2.0i))"),
     ("3-3+z*0", "0.0"),
     ("(-0.5i)*(2i)*z", "z"),
+    # a lone typed polynomial with simple roots stays one whole base
+    ("z^2+1", "(z^2+1.0)"),
 ])
 def test_printed_forms(text, printed):
     # each term prints as its lead, its bases and exp(expo) over den_lead
@@ -664,6 +666,50 @@ def test_divisors_of_derivative_with_high_order_pole():
     assert zeros.total == 3
     assert any(m == 1 and abs(x - (-0.390625 - 1.28125j)) < 1e-9
                for x, m in zeros.entries)
+
+
+def test_a_lone_typed_polynomial_stays_one_whole_base():
+    # z^k + 1, the only polynomial of its piece, with simple roots and a
+    # nonzero constant term, is one whole base, which the derivative takes
+    # by its own coefficients: D[z^k+1,1] = k z^(k-1) exactly, one zero of
+    # order k - 1 at 0 (from its split roots it spread into k - 1 simple
+    # zeros from k = 4 on)
+    for k in range(2, 13):
+        zeros, poles = divisors(parse(f"D[z^{k}+1,1]"))
+        assert zeros.entries == ((0j, k - 1),) and poles.is_empty, k
+    f = parse("z^7+1")
+    assert [(b.degree, e) for b, e in canonicalize(f).factors] == [(7, 1)]
+    assert print_expr(f) == "(z^7+1.0)" and parse(print_expr(f)) == f
+    # a piece's second polynomial, a multiple or a zero root, and Poly split
+    for e in (parse("(z^2+1)*(z-3)"), parse("z^2-2*z+1"), parse("z^3+z"),
+              Poly(Polynomial([1, 0, 1]))):
+        assert all(b.degree == 1 for b, _ in canonicalize(e).factors), print_expr(e)
+    # it splits where it meets another term's bases
+    assert all(b.degree == 1 for b, _ in canonicalize(parse("(z^2+1)/(z-3)")).factors)
+
+
+def test_a_divisor_holds_each_point_once():
+    # divisors reads the form with whole bases split and merged, as
+    # FunctionData does: (D[z^4+1,1]^2)' = 2 (4 z^3) (12 z^2) = 96 z^5, whose
+    # whole bases z^3 and z^2 give the one zero of order 5, and
+    # (D[z^3+1,1]^2)' = 36 z^3, whose whole base z^2 and base z give one of
+    # order 3
+    assert divisors(parse("D[D[z^4+1,1]^2,1]"))[0].entries == ((0j, 5),)
+    zeros, poles = divisors(parse("D[D[z^3+1,1]^2,1]"))
+    assert zeros.entries == ((0j, 3),) and poles.is_empty
+
+
+def test_a_sum_splits_a_lone_whole_base_where_it_meets_another_term():
+    # z^2/(z^2+1) + 1/(z^2+1) = 1: the first term's z^2+1 met z and split,
+    # the second's is a lone whole base, which the sum splits too, so the
+    # tie at +-i divides H = z^2 + 1 and no zero or pole is left
+    for text in ("z^2/(z^2+1) + 1/(z^2+1)", "1/(z^2+1) + z^2/(z^2+1)"):
+        f = parse(text)
+        zeros, poles = divisors(f)
+        assert zeros.is_empty and poles.is_empty, text
+        assert print_expr(f) == "1.0"
+    # where only one term has bases, its lone base stays whole
+    assert [(b.degree, e) for b, e in canonicalize(parse("1/(z^2+1) + 1")).factors][-1] == (2, -1)
 
 
 def test_divisor_truncation_and_counting():

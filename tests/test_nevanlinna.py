@@ -299,12 +299,66 @@ def test_pole_on_circle_quadrature_error_is_removed(text):
 
 def test_pole_of_a_whole_base_on_a_node():
     # the ill-conditioned (z - 1) ... (z - 24) stays one whole base, whose
-    # computed root 2 does not cancel the node z = 2 exactly: that node
-    # moves half a step, and the pole's term is still taken at its mean
+    # computed root 2 lies on the node z = 2: it is divided out of the base
+    # and cut like a near pole, and the pole's term is taken at its mean
     f = div(Const(1e20), Poly(Polynomial.from_roots(range(1, 25))))
     data = FunctionData(f)
     assert [(b.degree, e) for b, e in data.canonical.factors] == [(24, -1)]
     assert data.proximity([2.0], 4096)[0] == pytest.approx(data.proximity([2.0], 65536)[0], abs=1e-6)
+
+
+@pytest.mark.parametrize("samples", [64, 4096])
+def test_a_pole_of_a_whole_base_on_a_node_is_cut_like_a_near_pole(monkeypatch, samples):
+    # f = lead / b^k, b one whole base (kept unsplit, as for a base that
+    # _split refuses) with the root rho on a node of the circle r and two or
+    # three roots a_i at a ratio of 0.3 to 3 to it, 1 <= k <= 3: rho is divided
+    # out of b and cut like a near pole, so m(r) is the N-point mean of
+    # max(log|f| + L, L) at the nodes themselves, rho's node included, with
+    # log|f| + L = log|lead| - k sum log|z - a_i| from the other roots and
+    # L = k log|z - rho|, minus L's exact mean k log r
+    monkeypatch.setattr(nevanlab.nevanlinna, "_times", lambda cs, split=False: cs[0])
+    rng = np.random.default_rng(34)
+    unit = np.exp(2j * np.pi * np.arange(samples) / samples)
+    for _ in range(20):
+        r, k = float(rng.uniform(1.5, 40.0)), int(rng.integers(1, 4))
+        rho = r * unit[int(rng.integers(samples))]
+        count = int(rng.integers(2, 4))
+        others = r * rng.choice([0.3, 0.5, 2.0, 3.0], count) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, count))
+        # log|f| near 0 on the circle, by Jensen's mean of log|b|
+        lead = math.exp(rng.uniform(-1.0, 1.0) + k * sum(math.log(max(r, abs(a))) for a in (rho, *others)))
+        c = Canonical(complex(lead), 1 + 0j, ((Polynomial.from_roots([rho, *others]), -k),), Polynomial([0]))
+        data = FunctionData(nevanlab.expressions.Expr((c,)))
+        assert data.bases.whole and math.isnan(nevanlab.nevanlinna._settled_circles(data.bases, [r], samples)[0])
+        zs = r * unit
+        with np.errstate(divide="ignore"):
+            rest = math.log(lead) - k * sum(np.log(np.abs(zs - a)) for a in others)
+            pole = k * np.log(np.abs(zs - rho))
+        want = float(np.mean(np.maximum(rest, pole))) - k * math.log(r)
+        m = data.proximity([r], samples)[0]
+        assert abs(m - want) <= 1e-12 * (1.0 + abs(m)), (r, k, rho, others, m, want)
+
+
+def test_a_lone_typed_leaf_keeps_its_one_pole():
+    # 1/D[z^7+1,1] = 1/(7 z^6), one pole of order 6 at 0, so every row of
+    # the report is that of 1/(7*z^6): N-bar(128) is log 128, where the
+    # split leaf's derivative gave six simple poles and N-bar(128) = 29.11
+    grid = RadialGrid.geometric()
+    got, want = (radial_report(parse(text), grid).rows for text in ("1/D[z^7+1,1]", "1/(7*z^6)"))
+    assert want[-1][3] == pytest.approx(math.log(128.0), rel=1e-12)
+    for a, b in zip(got, want):
+        assert a == pytest.approx(b, rel=1e-12, abs=0.0)
+
+
+def test_a_lone_typed_leaf_is_root_found_once(monkeypatch):
+    # parse keeps z^3 + 2z + 5 one whole base and finds its roots; the
+    # factored form, the characteristic and the divisors read them there
+    original, degrees = nevanlab.expressions.poly_roots, []
+    monkeypatch.setattr(nevanlab.expressions, "poly_roots", lambda p: degrees.append(p.degree) or original(p))
+    f = parse("1/(z^3+2*z+5)")
+    assert [(b.degree, e) for b, e in canonicalize(f).factors] == [(3, -1)]
+    FunctionData(f).characteristic(RadialGrid.geometric(1.5, 4.0, 8).radii, 256)
+    assert divisors(f)[1].total == 3
+    assert degrees == [3]
 
 
 def test_quadrature_sample_doubling():
@@ -509,7 +563,7 @@ def test_proximity_where_horner_overflows(monkeypatch):
 
 
 def test_singular_samples_raise_quadrature_error():
-    # Re z^200 overflows at r = 128 on every retry as well
+    # Re z^200 overflows at r = 128, so the sum of the samples is not finite
     with pytest.raises(QuadratureError, match="singular samples"):
         proximity_m(parse("exp(z^200)"), 128.0)
     assert issubclass(QuadratureError, RuntimeError)
@@ -718,16 +772,16 @@ def test_proximity_makes_at_most_one_row_call(monkeypatch):
     # every unsettled circle of a call, row or sampled, takes its
     # coefficients from one _row_coefficients call; the certified rows share
     # one _row_sums call and the sampled circles one inverse FFT per
-    # _SAMPLED_ROWS of them, and log_abs runs only where a sample is not
-    # finite: at the whole base's poles 2, 3 and 4 on a node, half a step
-    # over.  1e-200 * 128^200 at r = 128 is finite, as 1e-200 takes 128^100
-    # twice, where 128^200 alone overflows
+    # _SAMPLED_ROWS of them, and log_abs runs for no circle: the whole
+    # base's poles 2, 3 and 4 on a node are divided out of it and cut like
+    # near poles.  1e-200 * 128^200 at r = 128 is finite, as 1e-200 takes
+    # 128^100 twice, where 128^200 alone overflows
     paths = _SamplingCalls(monkeypatch)
     wilkinson = div(Const(1e20), Poly(Polynomial.from_roots(range(1, 25))))
     chunk = nevanlab.nevanlinna._SAMPLED_ROWS
     for f, kinds, through in (("D[(z^2-1)/(z+3),4]", 2, 0), ("(z-1)^50/(z-2)", 2, 0),
                               ("5/(z-2)^3 + z", 2, 0), (_GROWTH_F, 2, 0),
-                              ("(z-1.9)^3*exp(z^2)/(z+2.1)", 2, 0), (wilkinson, 1, 3),
+                              ("(z-1.9)^3*exp(z^2)/(z+2.1)", 2, 0), (wilkinson, 1, 0),
                               ("exp(z^200)", 1, 0), ("exp(1e-200*z^200)", 1, 0)):
         paths.calls.clear()
         data = FunctionData(parse(f) if isinstance(f, str) else f)
@@ -1331,8 +1385,8 @@ def test_proximity_is_the_trapezoid_at_the_nodes_it_uses(monkeypatch):
     # close to the roots of num (r = 1.2), one through the pole and farther
     # ones, is sampled with the logs of the whole num at every node; rho
     # lies on a node of the circle r = |rho|.  m(r) is the mean of
-    # max(log|f|, 0) from Canonical.log_abs at the nodes, where samples that
-    # it leaves not finite are retried half a step over.  On the circle
+    # max(log|f|, 0) from Canonical.log_abs at the nodes, every one of them
+    # finite there (no sample is taken again elsewhere).  On the circle
     # through the pole, m(r) is the mean of max(log|f| + L, L),
     # L = log|z - rho|, at the nodes themselves, the pole's node included,
     # minus L's exact mean log|rho|: log|f| + L is log|num| there, with the
@@ -1349,7 +1403,6 @@ def test_proximity_is_the_trapezoid_at_the_nodes_it_uses(monkeypatch):
         assert data.bases.whole
         assert np.all(np.isnan(nevanlab.nevanlinna._settled_circles(data.bases, radii, samples)))
         theta = 2.0 * np.pi * np.arange(samples) / samples
-        half = np.pi / samples
         want = []
         for r in radii:
             if r == pole:
@@ -1360,10 +1413,9 @@ def test_proximity_is_the_trapezoid_at_the_nodes_it_uses(monkeypatch):
                 rest = _whole(num, Polynomial([1]), Polynomial([0]))
                 want.append(float(np.mean(np.maximum(rest.log_abs(zs), pole_log))) - math.log(pole))
                 continue
-            angles = theta.copy()
-            bad = ~np.isfinite(c.log_abs(r * np.exp(1j * angles)))
-            angles[bad] += half
-            want.append(float(np.mean(np.maximum(c.log_abs(r * np.exp(1j * angles)), 0.0))))
+            logs = c.log_abs(r * np.exp(1j * theta))
+            assert np.isfinite(logs).all()
+            want.append(float(np.mean(np.maximum(logs, 0.0))))
         with monkeypatch.context() as patch:
             paths = _SamplingCalls(patch)
             got = data.proximity(radii, samples)

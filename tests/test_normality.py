@@ -153,6 +153,24 @@ def test_check_multiplicities():
     assert not rep.passed
 
 
+def test_check_multiplicities_of_a_lone_typed_leaf():
+    # g = (z-2)^8/8 + 3z is typed as one polynomial with simple roots and
+    # stays one whole base, so g' - 3 = (z-2)^7 exactly: one zero of order
+    # 7 (split, g' had 7 simple zeros about 2)
+    rep = check_multiplicities(parse("(z-2)^8/8+3*z"), MonomialSpec(0, ((1, 1),)), 3, 7)
+    assert rep.passed and rep.zeros == ((2, 7),)
+    # (g^2)' = 2 g g' = 36 z^3 for g = D[z^3+1,1] = 3 z^2: the zeros of the
+    # whole base z^2 and of the base z are one point, of order 3
+    rep = check_multiplicities(parse("D[z^3+1,1]"), MonomialSpec(0, ((2, 1),)), 0, 3)
+    assert rep.passed and rep.zeros == ((0j, 3),)
+    # g = z^2/(z^2+1) + 1/(z^2+1) + z = 1 + z: the sum splits the lone whole
+    # base z^2+1 where it meets the first term's bases, so g' = 1 has no
+    # zero (kept whole, the tie at +-i went unseen and g' had two double
+    # zeros there)
+    rep = check_multiplicities(parse("z^2/(z^2+1) + 1/(z^2+1) + z"), MonomialSpec(0, ((1, 1),)), 0, 3)
+    assert rep.passed and rep.zeros == ()
+
+
 def test_chordal_distance():
     inf = complex(math.inf, 0.0)
     assert chordal_distance(0.0, 0.0) == 0.0
